@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import yaml
@@ -23,6 +25,11 @@ from .errors import ConfigError
 IGNORED_KEYS = {"n_heads", "ff_mult", "n_perf", "n_enc"}
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
+def _is_count(value) -> bool:
+    """An integer >= 0; ``True``/``False`` are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -107,14 +114,25 @@ class PipelineConfig:
             raise ConfigError(f"gate kind must be soft or hard, got {self.gate.kind!r}")
         if (self.gate.theta is None) == (self.gate.theta_percentile is None):
             raise ConfigError("set exactly one of gate.theta and gate.theta_percentile")
-        if self.gate.d < 0:
-            raise ConfigError("gate.d must be >= 0")
+        if not _is_count(self.gate.d):
+            raise ConfigError(f"gate.d must be an integer >= 0, got {self.gate.d!r}")
+        lam = self.sequence_model.ridge_lambda
+        if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
+                and math.isfinite(lam) and lam >= 0):
+            hint = " (YAML reads 1e-6 as a string; write 1.0e-6)" if isinstance(lam, str) else ""
+            raise ConfigError(
+                f"sequence_model.ridge_lambda must be a finite number >= 0, got {lam!r}{hint}"
+            )
         if self.point_model.optimizer not in ("sgd", "adam"):
             raise ConfigError("point_model.optimizer must be sgd or adam")
         if self.eval.spike_interval is not None and self.eval.spike_interval < 1:
             raise ConfigError("eval.spike_interval must be >= 1")
-        if not self.sweep.d_values or any(d < 0 for d in self.sweep.d_values):
-            raise ConfigError("sweep.d_values must be non-negative and non-empty")
+        d_values = self.sweep.d_values
+        if not (isinstance(d_values, (list, tuple)) and d_values
+                and all(_is_count(d) for d in d_values)):
+            raise ConfigError(
+                f"sweep.d_values must be a non-empty list of integers >= 0, got {d_values!r}"
+            )
         if self.synth.kind not in ("trig", "toy", "sensor"):
             raise ConfigError(f"synth.kind must be trig, toy or sensor, got {self.synth.kind!r}")
 
@@ -163,7 +181,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             block = {}
         if not isinstance(block, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
-        if name == "sweep" and "d_values" in block:
+        if name == "sweep" and isinstance(block.get("d_values"), list):
             block = dict(block)
             block["d_values"] = tuple(block["d_values"])
         kwargs[name] = _build_section(cls, block, name)

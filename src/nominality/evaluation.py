@@ -8,7 +8,14 @@ smallest threshold.
 
 Each metric has a deliberately simple brute-force twin
 (``*_bruteforce`` / :func:`auc_trapezoid`) used as an independent oracle in
-the test suite; the fast paths must match them exactly.
+the test suite.  The fast best F1 and point-adjusted best F1 must match
+theirs exactly.  The rank-statistic AUC must agree with the trapezoid within
+1e-10: the two sum the same area in different orders, so they can differ in
+the last bits (3.6e-15 on the preset dataset).
+
+:func:`best_f1` sorts the scores once.  The tie groups of that order give the
+thresholds, the cut index of every threshold and the average ranks for the
+AUC, so the sweep needs no second sort or search.
 """
 
 from __future__ import annotations
@@ -107,13 +114,24 @@ def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
     return precision, recall, f1
 
 
+def _with_sentinel(distinct: np.ndarray) -> np.ndarray:
+    """Append a threshold strictly above the largest of the ascending ``distinct``."""
+    top = distinct[-1] + 1.0
+    if top == distinct[-1]:  # +1 fell below one ulp of a huge score
+        top = np.inf
+    return np.append(distinct, top)
+
+
 def _threshold_grid(score_vals: np.ndarray) -> np.ndarray:
     """Distinct scores ascending, plus a sentinel strictly above the maximum."""
-    uniq = np.unique(score_vals)
-    top = uniq[-1] + 1.0
-    if top == uniq[-1]:  # +1 fell below one ulp of a huge score
-        top = np.inf
-    return np.append(uniq, top)
+    return _with_sentinel(np.unique(score_vals))
+
+
+def _tie_bounds(sorted_vals: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array, then its length."""
+    return np.concatenate(
+        [[0], np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, [sorted_vals.shape[0]]]
+    )
 
 
 def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -125,16 +143,18 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
     score_vals, label_vals = _as_arrays(scores, labels)
     _require_both_classes(label_vals)
 
-    thresholds = _threshold_grid(score_vals)
     order = np.argsort(score_vals, kind="stable")
     sorted_scores = score_vals[order]
     sorted_labels = label_vals[order]
+    # bounds[i] is the first sorted index at or above threshold i; the
+    # sentinel's is the length
+    bounds = _tie_bounds(sorted_scores)
+    thresholds = _with_sentinel(sorted_scores[bounds[:-1]])
     total_pos = int(sorted_labels.sum())
     # positives strictly below each threshold; predictions are score >= theta
     pos_below = np.concatenate([[0], np.cumsum(sorted_labels)])
-    cut = np.searchsorted(sorted_scores, thresholds, side="left")
-    tp = total_pos - pos_below[cut]
-    pred_pos = score_vals.shape[0] - cut
+    tp = total_pos - pos_below[bounds]
+    pred_pos = score_vals.shape[0] - bounds
     fp = pred_pos - tp
     fn = total_pos - tp
     precision, recall, f1 = _f1_from_counts(tp, fp, fn)
@@ -146,7 +166,7 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
         best_threshold=float(thresholds[best_idx]),
         precision=float(precision[best_idx]),
         recall=float(recall[best_idx]),
-        auc=auc(score_vals, label_vals),
+        auc=_sorted_auc(sorted_labels, bounds),
         curve=curve,
     )
 
@@ -239,23 +259,31 @@ def auc(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     """ROC-AUC via the rank statistic; tied scores contribute half credit."""
     score_vals, label_vals = _as_arrays(scores, labels)
     _require_both_classes(label_vals)
-    ranks = _average_ranks(score_vals)
-    n_pos = int(label_vals.sum())
-    n_neg = label_vals.shape[0] - n_pos
-    u_stat = ranks[label_vals == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    order = np.argsort(score_vals, kind="stable")
+    return _sorted_auc(label_vals[order], _tie_bounds(score_vals[order]))
+
+
+def _sorted_auc(sorted_labels: np.ndarray, bounds: np.ndarray) -> float:
+    """Rank-statistic AUC from labels in score order and their tie bounds."""
+    ranks = _sorted_ranks(bounds)
+    n_pos = int(sorted_labels.sum())
+    n_neg = sorted_labels.shape[0] - n_pos
+    # half-integer ranks sum exactly in any order (far below 2**53)
+    u_stat = ranks[sorted_labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u_stat / (n_pos * n_neg))
+
+
+def _sorted_ranks(bounds: np.ndarray) -> np.ndarray:
+    """Average 1-based rank of each sorted position, given its tie bounds."""
+    lo, hi = bounds[:-1], bounds[1:]
+    return np.repeat((lo + hi + 1) / 2.0, hi - lo)  # average of lo+1 .. hi
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned the average of their positions."""
     order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    boundaries = np.concatenate(
-        [[0], np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, [values.shape[0]]]
-    )
     ranks = np.empty(values.shape[0])
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        ranks[order[lo:hi]] = (lo + hi + 1) / 2.0  # average of 1-based lo+1 .. hi
+    ranks[order] = _sorted_ranks(_tie_bounds(values[order]))
     return ranks
 
 

@@ -8,9 +8,12 @@ unmodified).  Gates are non-increasing in the nominality score, so scores
 propagate freely across point-anomalous stretches and are damped or blocked
 when they would have to cross normal-looking points.
 
-The optimized evaluation used here expands the window outward with running
-products; ``induced_anomaly_score_naive`` keeps the literal double loop as
-an independent cross-check.
+The optimized evaluation is a doubling scan in O(T log d): the gated sum of
+each side of the window is built from blocks of 1, 2, 4, ... offsets that
+compose associatively, in the style of the prefix scan of Blelloch,
+*Prefix Sums and Their Applications* (CMU-CS-90-190).
+``induced_anomaly_score_naive`` keeps the literal double loop as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -154,28 +157,55 @@ def _scores_of(series: ScoreSeries | np.ndarray) -> np.ndarray:
     return np.asarray(series, dtype=np.float64)
 
 
-def _induction_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """Expand the induction window outward, carrying running gate products.
-
-    For offset j, the contribution of tau = t - j is a[t-j] times the product
-    of g over (t-j, t] and the contribution of tau = t + j is a[t+j] times
-    the product over [t, t+j).  Products are accumulated in increasing-offset
-    order with early exit once every chain has hit a zero gate.
-    """
-    out = a.copy()
-    n = a.shape[0]
-    if d == 0 or n == 1:
-        return out
-    left = np.ones_like(a)
-    right = np.ones_like(a)
-    for j in range(1, min(d, n - 1) + 1):
-        left[j:] = left[j:] * g[1 : n - j + 1]
-        right[: n - j] = right[: n - j] * g[j - 1 : n - 1]
-        out[j:] += a[: n - j] * left[j:]
-        out[: n - j] += a[j:] * right[: n - j]
-        if not left[j:].any() and not right[: n - j].any():
-            break
+def _shifted(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` moved k places toward higher indices, zero-filled at the start."""
+    out = np.zeros_like(x)
+    out[k:] = x[: x.shape[0] - k]
     return out
+
+
+def _left_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """Gated sum of the d left neighbours: sum over j in 1..d of a[t-j] * prod g(t-j, t].
+
+    A block (P, S) of m offsets ending at t holds P[t], the product of g over
+    (t-m, t], and S[t], the gated sum of a over [t-m, t).  A block ending at t
+    followed by an older one ending at t-m composes as
+    (P, S) o (P', S') = (P * P', S + P * S'), so blocks of 1, 2, 4, ...
+    offsets come from doubling, and the binary digits of d select the ones
+    summed.  Neighbours before index 0 are zeros.  Where g[t] = 0 every P[t]
+    and S[t] is exactly 0.
+    """
+    span_p, span_s = g, _shifted(a, 1) * g  # blocks of span = 1 offset
+    acc_p = acc_s = None  # the selected blocks so far, covering acc_len offsets
+    acc_len, span = 0, 1
+    while span <= d:
+        if d & span:
+            if acc_s is None:
+                acc_p, acc_s = span_p, span_s
+            else:
+                acc_s = acc_s + acc_p * _shifted(span_s, acc_len)
+                acc_p = acc_p * _shifted(span_p, acc_len)
+            acc_len += span
+        if 2 * span <= d:  # double the block for the next binary digit
+            span_s = span_s + span_p * _shifted(span_s, span)
+            span_p = span_p * _shifted(span_p, span)
+        span *= 2
+    return np.zeros_like(a) if acc_s is None else acc_s
+
+
+def _induction_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
+    """a[t] plus the gated sums of its d left and d right neighbours.
+
+    The left sum at t weights a[t-j] by the product of g over (t-j, t]; the
+    right sum weights a[t+j] by the product over [t, t+j), which is the left
+    sum of the reversed arrays, reversed.  Both come from the doubling scan
+    in :func:`_left_sum`, with d clipped to n - 1.  Where g[t] = 0 both sums
+    are exactly 0, so the result is a[t] bit for bit.
+    """
+    d = min(d, a.shape[0] - 1)
+    left = _left_sum(a, g, d)
+    right = _left_sum(a[::-1], g[::-1], d)[::-1]
+    return a + left + right
 
 
 def induced_anomaly_score(

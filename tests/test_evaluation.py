@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from nominality import (
     DegenerateLabels,
@@ -16,6 +17,9 @@ from nominality import (
     spike_augment,
 )
 from nominality.evaluation import (
+    _average_ranks,
+    _f1_from_counts,
+    _threshold_grid,
     auc_trapezoid,
     best_f1_bruteforce,
     pa_best_f1_bruteforce,
@@ -162,6 +166,43 @@ class TestAuc:
     def test_rank_statistic_equals_trapezoid(self, seed):
         scores, labels = random_instance(seed)
         assert auc(scores, labels) == pytest.approx(auc_trapezoid(scores, labels), abs=1e-10)
+
+
+def heavy_tie_instance(seed):
+    """Integer scores with 1-5 distinct values, so most scores are tied."""
+    rng = np.random.default_rng(300 + seed)
+    size = int(rng.integers(2, 300))
+    scores = rng.integers(1, 2 + seed % 5, size).astype(float)
+    labels = rng.integers(0, 2, size)
+    labels[0], labels[-1] = 0, 1
+    return scores, labels
+
+
+HEAVY_TIES = [heavy_tie_instance(seed) for seed in range(40)] + [
+    (np.full(7, 2.5), np.array([0, 1, 0, 0, 1, 1, 0])),  # one tie group
+    (np.array([1.0, 1.0]), np.array([1, 0])),
+    (np.array([1.0, 2.0]), np.array([0, 1])),
+]
+
+
+class TestRankAndThresholdPath:
+    """The one-sort sweep against its definitions on heavily tied scores."""
+
+    @pytest.mark.parametrize("values", [v for v, _ in HEAVY_TIES] + [np.array([4.0])])
+    def test_average_ranks_match_scipy(self, values):
+        assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+
+    @pytest.mark.parametrize("scores, labels", HEAVY_TIES)
+    def test_curve_matches_grid_and_confusion(self, scores, labels):
+        report = best_f1(scores, labels)
+        thresholds = _threshold_grid(scores)
+        counts = np.array([confusion(scores >= t, labels)[:3] for t in thresholds])
+        precision, recall, f1 = _f1_from_counts(*counts.T)
+        expected = np.column_stack([thresholds, precision, recall, f1])
+        assert np.array_equal(report.curve, expected)
+        assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
+        assert report.auc == auc(scores, labels)
+        assert report.auc == pytest.approx(auc_trapezoid(scores, labels), abs=1e-10)
 
 
 class TestSpikeAugment:

@@ -187,6 +187,25 @@ class TestCliBehavior:
         path.write_text("point_model:\n  bogus_knob: 3\n")
         assert main(["train", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, knob",
+        [
+            ("gate:\n  d: abc\n", "gate.d"),
+            ("sweep:\n  d_values: 5\n", "sweep.d_values"),
+            ("sweep:\n  d_values: [1, 2.5]\n", "sweep.d_values"),
+            # YAML 1.1 reads 1e-6 (no dot) as a string
+            ("sequence_model:\n  ridge_lambda: 1e-6\n", "sequence_model.ridge_lambda"),
+        ],
+        ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string"],
+    )
+    def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
+        path = tmp_path / "typed.yaml"
+        path.write_text(text)
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {knob} ")
+        assert "Traceback" not in err
+
     def test_degenerate_labels_exit_3(self, tmp_path):
         config_path, out = write_config(tmp_path)
         # strip every anomaly segment: labels become all zero

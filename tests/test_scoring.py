@@ -163,6 +163,51 @@ class TestInducedScore:
         assert (after <= base).all()
 
 
+class TestDoublingKernel:
+    """Edges of the O(T log d) scan: odd d, clipping, tiny series, closed gates."""
+
+    @staticmethod
+    def check_against_naive(size, d, kind, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.exponential(1.0, size)
+        n = rng.uniform(0, 3, size)
+        cfg = GateConfig(kind, theta_n=float(rng.uniform(0.5, 2.5)), d=d)
+        fast = induced_anomaly_score(a, n, cfg).scores
+        naive = induced_anomaly_score_naive(a, n, cfg).scores
+        rel = np.abs(fast - naive) / np.maximum(np.abs(naive), 1e-300)
+        assert rel.max() < 1e-12
+        closed = gate(kind, cfg.theta_n, n) == 0
+        assert np.array_equal(fast[closed], a[closed])
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    @pytest.mark.parametrize("d", [3, 5, 7, 100])
+    def test_d_not_power_of_two(self, d, kind):
+        self.check_against_naive(150, d, kind, seed=d)
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    @pytest.mark.parametrize("d", [9, 10, 11, 64])
+    def test_d_clipped_to_length(self, d, kind):
+        self.check_against_naive(10, d, kind, seed=d)
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("d", [0, 1, 2, 5])
+    def test_tiny_series(self, size, d, kind):
+        self.check_against_naive(size, d, kind, seed=10 * size + d)
+
+    @pytest.mark.parametrize("kind", ["soft", "hard"])
+    @pytest.mark.parametrize("d", [77, 100])
+    def test_long_chains(self, d, kind):
+        # a threshold far above every nominality keeps the chains alive to d
+        rng = np.random.default_rng(d)
+        a = rng.exponential(1.0, 300)
+        n = rng.uniform(0, 0.1, 300)
+        cfg = GateConfig(kind, theta_n=50.0, d=d)
+        fast = induced_anomaly_score(a, n, cfg).scores
+        naive = induced_anomaly_score_naive(a, n, cfg).scores
+        assert (np.abs(fast - naive) / naive).max() < 1e-12
+
+
 class TestClaims:
     """Gate-choice guarantees, checked on random labeled instances."""
 
