@@ -15,7 +15,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -35,7 +34,18 @@ from .pipeline import (
     sweep_table,
 )
 from .reconstructors import load_model, save_model
-from .series import LabeledSeries, MinMaxStats, ScoreSeries, load_csv, save_csv
+from .series import (
+    LabeledSeries,
+    MinMaxStats,
+    ScoreSeries,
+    atomic_write,
+    format_rows,
+    load_csv,
+    read_table,
+    save_csv,
+    write_csv,
+    write_json,
+)
 from .synthetic import (
     SensorSpec,
     ToySpec,
@@ -52,12 +62,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _json_dump(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
     """Record everything needed to reproduce this command bit-exactly."""
     doc = {
@@ -72,7 +76,7 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
     }
     doc.update(extra)
     path = os.path.join(cfg.output_dir, f"manifest_{command}.json")
-    _json_dump(doc, path)
+    write_json(doc, path)
     return path
 
 
@@ -81,36 +85,30 @@ def write_score_csv(series: ScoreSeries, path: str) -> None:
 
     Scores are serialized with ``repr``, which round-trips float64 exactly.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_index", "score"])
-        for i, value in enumerate(series.scores):
-            writer.writerow([i + series.time_origin, repr(float(value))])
+    index = np.arange(len(series)) + series.time_origin
+    write_csv(path, ["time_index", "score"], [index, series.scores])
+
+
+def _time_origin(table: np.ndarray, path: str) -> int:
+    origin = float(table[0, 0])
+    if not origin.is_integer():
+        raise DataError(f"{path}: time_index {origin!r} is not an integer")
+    return int(origin)
 
 
 def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError(f"{path}: no score rows")
-    origin = int(rows[1][0])
-    return ScoreSeries([float(r[1]) for r in rows[1:]], kind, origin)
+    table = read_table(path, 2)
+    return ScoreSeries(table[:, 1], kind, _time_origin(table, path))
 
 
 def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_index", "label"])
-        for i, value in enumerate(labels):
-            writer.writerow([i + time_origin, int(value)])
+    index = np.arange(labels.shape[0]) + time_origin
+    write_csv(path, ["time_index", "label"], [index, np.asarray(labels, dtype=np.int64)])
 
 
 def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise DataError(f"{path}: no label rows")
-    return np.asarray([int(r[1]) for r in rows[1:]], dtype=np.int64), int(rows[1][0])
+    table = read_table(path, 2, label_idx=1)
+    return table[:, 1].astype(np.int64), _time_origin(table, path)
 
 
 def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
@@ -133,18 +131,20 @@ def _save_stats(stats: MinMaxStats | None, path: str) -> None:
             "mins": [repr(float(v)) for v in stats.mins],
             "maxs": [repr(float(v)) for v in stats.maxs],
         }
-    _json_dump({"minmax": doc}, path)
+    write_json({"minmax": doc}, path)
 
 
 def _load_stats(path: str) -> MinMaxStats | None:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc["minmax"] is None:
-        return None
-    return MinMaxStats(
-        np.asarray([float(v) for v in doc["minmax"]["mins"]]),
-        np.asarray([float(v) for v in doc["minmax"]["maxs"]]),
-    )
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)["minmax"]
+        if doc is None:
+            return None
+        mins = np.asarray([float(v) for v in doc["mins"]])
+        maxs = np.asarray([float(v) for v in doc["maxs"]])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: cannot decode preprocessing stats: {exc!r}") from None
+    return MinMaxStats(mins, maxs)
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -170,16 +170,13 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         spec = ToySpec(seed=cfg.synth.seed, **opts)
         result = gen_toy(spec)
         path = os.path.join(cfg.output_dir, "toy.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            dim = spec.n_channels
-            header = [f"dxc_{j}" for j in range(dim)] + [f"dxp_{j}" for j in range(dim)]
-            writer.writerow(header + ["label", "nominality"])
-            for ctx, pt, lab, nom in zip(
-                result.context_dev, result.point_dev, result.labels, result.nominality
-            ):
-                row = [repr(float(v)) for v in ctx] + [repr(float(v)) for v in pt]
-                writer.writerow(row + [int(lab), repr(float(nom))])
+        dim = spec.n_channels
+        header = [f"dxc_{j}" for j in range(dim)] + [f"dxp_{j}" for j in range(dim)]
+        write_csv(
+            path,
+            header + ["label", "nominality"],
+            [result.context_dev, result.point_dev, result.labels, result.nominality],
+        )
         files = [path]
         sidecar["spec"] = dataclasses.asdict(spec)
     else:
@@ -191,7 +188,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         sidecar["spec"] = dataclasses.asdict(spec)
         sidecar["tags"] = list(result.tags)
     sidecar["files"] = files
-    _json_dump(sidecar, os.path.join(cfg.output_dir, "synth_spec.json"))
+    write_json(sidecar, os.path.join(cfg.output_dir, "synth_spec.json"))
     write_manifest(cfg, "synth", {"outputs": files})
     return EXIT_OK
 
@@ -306,16 +303,12 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         point_adjusted=cfg.eval.point_adjust,
         spike_interval=cfg.eval.spike_interval,
     )
+    # The curve is formatted once and shared by the CSV and the JSON report.
+    curve_rows = format_rows(report.curve)
     report_path = os.path.join(cfg.output_dir, "eval_report.json")
-    with open(report_path, "w") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    atomic_write(report_path, report.to_json(curve_rows) + "\n")
     curve_path = os.path.join(cfg.output_dir, "curve.csv")
-    with open(curve_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall", "f1"])
-        for row in report.curve:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(curve_path, ["threshold", "precision", "recall", "f1"], [curve_rows])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
     write_manifest(
         cfg, "eval", {"inputs": [scores_path, labels_path], "outputs": [report_path, curve_path]}
@@ -331,16 +324,16 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     table = sweep_table(cfg, models, test_prep)
 
     json_path = os.path.join(cfg.output_dir, "sweep.json")
-    _json_dump(table, json_path)
+    write_json(table, json_path)
     csv_path = os.path.join(cfg.output_dir, "sweep.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "d", "auc", "best_f1"])
-        for method, row in table["rows"].items():
-            for d, auc_val, f1_val in zip(table["d_values"], row["auc"], row["best_f1"]):
-                writer.writerow([method, d, repr(auc_val), repr(f1_val)])
-            writer.writerow([method, "mean", repr(row["auc_mean"]), repr(row["best_f1_mean"])])
-            writer.writerow([method, "std", repr(row["auc_std"]), repr(row["best_f1_std"])])
+    methods, ds, aucs, f1s = [], [], [], []
+    for method, row in table["rows"].items():
+        methods += [method] * (len(table["d_values"]) + 2)
+        ds += [str(d) for d in table["d_values"]] + ["mean", "std"]
+        aucs += [*row["auc"], row["auc_mean"], row["auc_std"]]
+        f1s += [*row["best_f1"], row["best_f1_mean"], row["best_f1_std"]]
+    write_csv(csv_path, ["method", "d", "auc", "best_f1"],
+              [methods, ds, np.asarray(aucs, dtype=np.float64), np.asarray(f1s, dtype=np.float64)])
     write_manifest(
         cfg, "sweep", {"resolved_theta": table["theta"], "outputs": [json_path, csv_path]}
     )
@@ -400,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or misplaced file or directory
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DataError as exc:

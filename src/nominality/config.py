@@ -27,9 +27,54 @@ IGNORED_KEYS = {"n_heads", "ff_mult", "n_perf", "n_enc"}
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
+def _is_int(value) -> bool:
+    """An integer; ``True``/``False`` are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number other than NaN; ``True``/``False`` are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value
+
+
 def _is_count(value) -> bool:
-    """An integer >= 0; ``True``/``False`` are not counts."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+    """An integer >= 0."""
+    return _is_int(value) and value >= 0
+
+
+def _yaml_hint(value) -> str:
+    """YAML 1.1 reads a float without a dot, such as 1e-6, as a string."""
+    if isinstance(value, str):
+        try:
+            return f" (YAML reads {value} as a string; write {float(value)!r})"
+        except ValueError:
+            pass
+    return ""
+
+
+#: Integer knobs as (section, field, lowest allowed value, None allowed).
+INT_KNOBS = (
+    ("preprocess", "downsample", 1, False),
+    ("preprocess", "stride", 1, False),
+    ("preprocess", "window_len", 1, False),
+    ("point_model", "d_lat", 1, False),
+    ("point_model", "batch_size", 1, False),
+    ("point_model", "epochs", 0, False),
+    ("point_model", "seed", 0, False),
+    ("sequence_model", "gamma", 1, False),
+    ("sequence_model", "delta", 1, False),
+    ("gate", "d", 0, False),
+    ("eval", "spike_interval", 1, True),
+    ("synth", "seed", 0, False),
+)
+
+#: Real knobs as (section, field, test of the value, wording, None allowed).
+REAL_KNOBS = (
+    ("point_model", "learn_rate", lambda v: 0 < v < math.inf, "a finite number > 0", False),
+    ("sequence_model", "ridge_lambda", lambda v: 0 <= v < math.inf, "a finite number >= 0", False),
+    ("gate", "theta_percentile", lambda v: 0 < v <= 100, "a number in (0, 100]", True),
+    ("gate", "theta", lambda v: v > 0, "a number > 0", True),
+)
 
 
 @dataclass(frozen=True)
@@ -108,25 +153,24 @@ class PipelineConfig:
                 f"normalization must be 'minmax' or 'none', got "
                 f"{self.preprocess.normalization!r}"
             )
-        if self.preprocess.downsample < 1 or self.preprocess.stride < 1:
-            raise ConfigError("downsample and stride must be >= 1")
+        for section, name, low, optional in INT_KNOBS:
+            value = getattr(getattr(self, section), name)
+            if not (value is None and optional or _is_int(value) and value >= low):
+                raise ConfigError(
+                    f"{section}.{name} must be an integer >= {low}, got {value!r}"
+                )
+        for section, name, test, wording, optional in REAL_KNOBS:
+            value = getattr(getattr(self, section), name)
+            if not (value is None and optional or _is_real(value) and test(value)):
+                raise ConfigError(
+                    f"{section}.{name} must be {wording}, got {value!r}{_yaml_hint(value)}"
+                )
         if self.gate.kind not in ("soft", "hard"):
             raise ConfigError(f"gate kind must be soft or hard, got {self.gate.kind!r}")
         if (self.gate.theta is None) == (self.gate.theta_percentile is None):
             raise ConfigError("set exactly one of gate.theta and gate.theta_percentile")
-        if not _is_count(self.gate.d):
-            raise ConfigError(f"gate.d must be an integer >= 0, got {self.gate.d!r}")
-        lam = self.sequence_model.ridge_lambda
-        if not (isinstance(lam, numbers.Real) and not isinstance(lam, bool)
-                and math.isfinite(lam) and lam >= 0):
-            hint = " (YAML reads 1e-6 as a string; write 1.0e-6)" if isinstance(lam, str) else ""
-            raise ConfigError(
-                f"sequence_model.ridge_lambda must be a finite number >= 0, got {lam!r}{hint}"
-            )
         if self.point_model.optimizer not in ("sgd", "adam"):
             raise ConfigError("point_model.optimizer must be sgd or adam")
-        if self.eval.spike_interval is not None and self.eval.spike_interval < 1:
-            raise ConfigError("eval.spike_interval must be >= 1")
         d_values = self.sweep.d_values
         if not (isinstance(d_values, (list, tuple)) and d_values
                 and all(_is_count(d) for d in d_values)):

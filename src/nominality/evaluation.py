@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, ShapeError
-from .series import ScoreSeries
+from .series import ScoreSeries, format_rows
+
+_CURVE_SLOT = "@curve@"  # placeholder swapped for the pre-formatted curve
 
 
 @dataclass
@@ -47,14 +49,13 @@ class EvalReport:
     pa_best_f1: float | None = None
     spiked_pa_best_f1: float | None = None
 
-    def to_dict(self) -> dict:
+    def _summary(self) -> dict:
         doc = {
             "best_f1": self.best_f1,
             "best_threshold": self.best_threshold,
             "precision": self.precision,
             "recall": self.recall,
             "auc": self.auc,
-            "curve": [list(row) for row in self.curve],
         }
         if self.pa_best_f1 is not None:
             doc["pa_best_f1"] = self.pa_best_f1
@@ -62,8 +63,22 @@ class EvalReport:
             doc["spiked_pa_best_f1"] = self.spiked_pa_best_f1
         return doc
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+    def to_dict(self) -> dict:
+        return {**self._summary(), "curve": [list(row) for row in self.curve]}
+
+    def to_json(self, curve_rows: list[str] | None = None) -> str:
+        """Sorted, indented JSON with one curve row per line.
+
+        ``curve_rows`` is the curve as :func:`~nominality.series.format_rows`
+        text, so a caller that also writes the curve CSV formats it once.
+        """
+        if curve_rows is None:
+            curve_rows = format_rows(self.curve)
+        curve = "[\n  [" + "],\n  [".join(curve_rows) + "]\n ]" if curve_rows else "[]"
+        # repr spells non-finite floats inf/nan; JSON (as json.dumps) wants Infinity/NaN.
+        curve = curve.replace("inf", "Infinity").replace("nan", "NaN")
+        text = json.dumps({**self._summary(), "curve": _CURVE_SLOT}, sort_keys=True, indent=1)
+        return text.replace(f'"{_CURVE_SLOT}"', curve)
 
 
 def _as_arrays(

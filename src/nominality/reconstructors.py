@@ -18,10 +18,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ShapeError, SingularSystem, TrainingDiverged
-from .series import LabeledSeries
+from .errors import DataError, ShapeError, SingularSystem, TrainingDiverged
+from .series import LabeledSeries, write_json
 
 OPTIMIZERS = ("sgd", "adam")
 MODEL_FORMAT = "nominality-model-v1"
@@ -288,6 +287,8 @@ def train_sequence_model(
         stride = delta
     if stride < 1:
         raise ShapeError("stride must be >= 1")
+    # Imported here: scipy.linalg takes ~0.3 s to import and only this solve uses it.
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
     values = train.values
     dim = train.n_channels
@@ -449,35 +450,42 @@ def save_model(model: PointModel | SequenceModel, path: str) -> None:
         }
     else:
         raise ShapeError(f"cannot save object of type {type(model).__name__}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path: str) -> PointModel | SequenceModel:
-    """Read a model written by :func:`save_model`."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ShapeError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc["kind"] == "point":
-        return PointModel(
-            enc_w=_decode_array(doc["arrays"]["enc_w"]),
-            enc_b=_decode_array(doc["arrays"]["enc_b"]),
-            dec_w=_decode_array(doc["arrays"]["dec_w"]),
-            dec_b=_decode_array(doc["arrays"]["dec_b"]),
-            hp=PointHyperparams(**doc["hyperparams"]),
-            first_epoch_loss=doc["first_epoch_loss"],
-            final_epoch_loss=doc["final_epoch_loss"],
-        )
-    if doc["kind"] == "sequence":
-        hp = doc["hyperparams"]
-        return SequenceModel(
-            gamma=hp["gamma"],
-            delta=hp["delta"],
-            ridge_lambda=hp["ridge_lambda"],
-            weights=_decode_array(doc["arrays"]["weights"]),
-            n_channels=hp["n_channels"],
-            fit_residual=doc["fit_residual"],
-        )
+    """Read a model written by :func:`save_model`.
+
+    Raises:
+        DataError: the file is not valid JSON or not a decodable model.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("format") != MODEL_FORMAT:
+            raise ShapeError(f"{path}: not a {MODEL_FORMAT} file")
+        arrays = doc["arrays"]
+        if doc["kind"] == "point":
+            return PointModel(
+                enc_w=_decode_array(arrays["enc_w"]),
+                enc_b=_decode_array(arrays["enc_b"]),
+                dec_w=_decode_array(arrays["dec_w"]),
+                dec_b=_decode_array(arrays["dec_b"]),
+                hp=PointHyperparams(**doc["hyperparams"]),
+                first_epoch_loss=doc["first_epoch_loss"],
+                final_epoch_loss=doc["final_epoch_loss"],
+            )
+        if doc["kind"] == "sequence":
+            hp = doc["hyperparams"]
+            return SequenceModel(
+                gamma=hp["gamma"],
+                delta=hp["delta"],
+                ridge_lambda=hp["ridge_lambda"],
+                weights=_decode_array(arrays["weights"]),
+                n_channels=hp["n_channels"],
+                fit_residual=doc["fit_residual"],
+            )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # JSONDecodeError, bad base64 and bad shapes are ValueErrors.
+        raise DataError(f"{path}: cannot decode model: {exc!r}") from None
     raise ShapeError(f"{path}: unknown model kind {doc['kind']!r}")

@@ -1,4 +1,4 @@
-"""Multivariate time series data model and preprocessing.
+"""Multivariate time series data model, CSV codec and preprocessing.
 
 A series is a T x D matrix of float64 values (rows are time points, columns
 are channels) with an optional 0/1 label per row.  All containers are frozen
@@ -12,13 +12,15 @@ trimming without the caller doing offset bookkeeping.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import math
+import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, LabelError, ParseError, ShapeError
+from .errors import DataError, EmptyInput, LabelError, ParseError, ShapeError
 
 SCORE_KINDS = ("anomaly", "nominality", "induced")
 
@@ -162,28 +164,185 @@ class MinMaxStats:
         return self.mins == self.maxs
 
 
-def _parse_cell(cell: str, row_idx: int, col_idx: int) -> float:
-    text = cell.strip()
-    if text == "" or text.lower() == "nan":
-        return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(
-            f"row {row_idx}: cannot parse {cell!r} in column {col_idx} as a number",
-            row=row_idx,
-        ) from None
+# --- CSV codec -------------------------------------------------------------
+#
+# Every CSV the package reads or writes goes through the helpers below.
+# Floats are written as ``repr(float(v))``, the shortest text that reads back
+# as the same float64, and rows end in ``\r\n``.  Reading parses the whole
+# table in one ``np.loadtxt`` call.  A table it rejects (empty or padded
+# quoted cells) is cast again after trimming each cell, and only a table that
+# still fails is scanned cell by cell, to name the first bad row.
+
+LINE_END = "\r\n"
 
 
-def _parse_label(cell: str, row_idx: int) -> int:
-    text = cell.strip()
+def atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step.
+
+    The text goes to a fresh file in the same directory, which then replaces
+    ``path`` with ``os.replace``; a write that fails partway leaves the
+    previous file intact and removes the temporary one.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        value = float(text)
+        with open(tmp, "x", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(doc: dict, path: str) -> None:
+    """Deterministic JSON (sorted keys, one-space indent) written atomically."""
+    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def _quote(text: str) -> str:
+    """Quote a text cell the way ``csv.writer`` does when it must."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def format_rows(block) -> list[str]:
+    """Cell text of a (T,) or (T, k) array, one comma-joined string per row.
+
+    Integer arrays print as integers and all others as ``repr(float(v))``,
+    formatted in one pass through ``repr`` of the nested list.  A list of
+    strings is taken as already formatted and returned as it is.
+    """
+    if isinstance(block, list):
+        return block
+    arr = np.asarray(block)
+    if arr.shape[0] == 0:
+        return []
+    arr = arr.astype(np.int64 if arr.dtype.kind in "biu" else np.float64, copy=False)
+    text = repr(arr.tolist())
+    if arr.ndim == 1:
+        return text[1:-1].split(", ")
+    return text[2:-2].replace(", ", ",").split("],[")
+
+
+def write_csv(path: str, header, columns) -> None:
+    """Write a header row and the row-aligned ``columns`` (see :func:`format_rows`)."""
+    texts = [format_rows(col) for col in columns]
+    lines = [",".join(_quote(name) for name in header)]
+    lines.extend(map(",".join, zip(*texts)))
+    atomic_write(path, LINE_END.join(lines) + LINE_END)
+
+
+def _cell_text(cell: str) -> str:
+    """A cell with padding and enclosing quotes removed; empty reads as nan."""
+    text = cell.strip()
+    if len(text) >= 2 and text[0] == text[-1] == '"':
+        text = text[1:-1].replace('""', '"').strip()
+    return text or "nan"
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(_cell_text(cell))
     except ValueError:
-        raise LabelError(f"row {row_idx}: label {cell!r} is not 0 or 1") from None
-    if value not in (0.0, 1.0):
-        raise LabelError(f"row {row_idx}: label {cell!r} is not 0 or 1")
-    return int(value)
+        return None
+
+
+def _label_error(path: str, row_idx: int, cell: str) -> LabelError:
+    return LabelError(f"{path}: row {row_idx}: label {cell!r} is not 0 or 1")
+
+
+def _locate_error(
+    rows: list[list[str]], width: int, path: str, label_idx: int | None
+) -> DataError:
+    """The error of the first bad cell or row, checked in reading order."""
+    for i, cells in enumerate(rows):
+        if len(cells) != width:
+            return ParseError(f"{path}: row {i}: expected {width} fields, got {len(cells)}", row=i)
+        for col, cell in enumerate(cells):
+            if col == label_idx:
+                if _number(cell) not in (0.0, 1.0):
+                    return _label_error(path, i, cell)
+            elif _number(cell) is None:
+                return ParseError(
+                    f"{path}: row {i}: cannot parse {cell!r} in column {col} as a number", row=i
+                )
+    return ParseError(f"{path}: table could not be parsed")
+
+
+def _read_lines(path: str, has_header: bool) -> tuple[tuple[str, ...] | None, list[str]]:
+    """The header (if any) and the non-blank data lines of a CSV file."""
+    with open(path, newline="") as fh:
+        lines = list(filter(None, fh.read().splitlines()))
+    if not lines:
+        raise EmptyInput(f"{path}: file contains no rows")
+    if not has_header:
+        return None, lines
+    if len(lines) < 2:
+        raise EmptyInput(f"{path}: file contains a header but no data rows")
+    return tuple(name.strip() for name in next(csv.reader(lines[:1]))), lines[1:]
+
+
+def _parse_lines(
+    lines: list[str], width: int, path: str, label_idx: int | None = None
+) -> np.ndarray:
+    """Data lines as a (T, width) float64 matrix; empty and ``nan`` cells are NaN.
+
+    The column ``label_idx``, if given, must hold only 0 or 1.
+
+    Raises:
+        ParseError: a row has the wrong width or a cell is not a number;
+            ``row`` is the zero-based data row.
+        LabelError: a label cell is not 0 or 1.
+    """
+    try:
+        table = np.loadtxt(
+            lines, delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != width:
+        rows = [line.split(",") for line in lines]
+        if any(len(cells) != width for cells in rows):
+            raise _locate_error(rows, width, path, label_idx)
+        try:
+            table = np.array(
+                [_cell_text(cell) for cells in rows for cell in cells], dtype=np.float64
+            ).reshape(len(rows), width)
+        except ValueError:
+            raise _locate_error(rows, width, path, label_idx) from None
+    if label_idx is not None:
+        column = table[:, label_idx]
+        bad = np.flatnonzero((column != 0.0) & (column != 1.0))
+        if bad.size:
+            row = int(bad[0])
+            raise _label_error(path, row, lines[row].split(",")[label_idx])
+    return table
+
+
+def read_table(path: str, width: int, label_idx: int | None = None) -> np.ndarray:
+    """The (T, width) data rows of a CSV file whose header has ``width`` names.
+
+    Cells follow :func:`_parse_lines`; a file with no data rows raises
+    :class:`EmptyInput` and a header of another width :class:`ParseError`.
+    """
+    header, lines = _read_lines(path, has_header=True)
+    if len(header) != width:
+        raise ParseError(f"{path}: expected {width} columns, the header has {len(header)}")
+    return _parse_lines(lines, width, path, label_idx)
+
+
+def _forward_fill(values: np.ndarray) -> np.ndarray:
+    """Replace each NaN by the last valid value above it, or 0 if there is none."""
+    missing = np.isnan(values)
+    if not missing.any():
+        return values
+    source = np.where(missing, 0, np.arange(values.shape[0])[:, None])
+    np.maximum.accumulate(source, axis=0, out=source)
+    filled = values[source, np.arange(values.shape[1])]
+    filled[np.isnan(filled)] = 0.0
+    return filled
 
 
 def load_csv(
@@ -202,76 +361,32 @@ def load_csv(
         ParseError: a row has the wrong width or a cell is not numeric.
         LabelError: a label value is not 0 or 1, or the column is missing.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise EmptyInput(f"{path}: file contains no rows")
-
-    header: list[str] | None = None
-    if has_header:
-        header = [name.strip() for name in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise EmptyInput(f"{path}: file contains a header but no data rows")
-
-    width = len(header) if header is not None else len(rows[0])
+    header, lines = _read_lines(path, has_header)
+    width = len(header) if header is not None else len(lines[0].split(","))
     label_idx: int | None = None
     if label_column is not None:
         if header is None:
             raise LabelError("label_column requires a header row")
         if label_column not in header:
-            raise LabelError(f"label column {label_column!r} not found in header")
+            raise LabelError(f"{path}: label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-
-    values = np.empty((len(rows), width - (1 if label_idx is not None else 0)))
-    labels = np.empty(len(rows), dtype=np.int64) if label_idx is not None else None
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"row {i}: expected {width} fields, got {len(row)}", row=i
-            )
-        j = 0
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                labels[i] = _parse_label(cell, i)
-            else:
-                values[i, j] = _parse_cell(cell, i, col)
-                j += 1
-
-    # Forward-fill NaNs per channel; a NaN in the first row becomes 0.
-    for j in range(values.shape[1]):
-        col = values[:, j]
-        nan_mask = np.isnan(col)
-        if not nan_mask.any():
-            continue
-        last = 0.0
-        for i in range(col.shape[0]):
-            if nan_mask[i]:
-                col[i] = last
-            else:
-                last = col[i]
-
-    names = None
-    if header is not None:
-        names = tuple(n for k, n in enumerate(header) if k != label_idx)
-    return LabeledSeries(values, labels, names, time_origin=0)
+    table = _parse_lines(lines, width, path, label_idx)
+    labels = None
+    names = header
+    if label_idx is not None:
+        labels = table[:, label_idx].astype(np.int64)
+        table = np.delete(table, label_idx, axis=1)
+        names = header[:label_idx] + header[label_idx + 1 :]
+    return LabeledSeries(_forward_fill(table), labels, names, time_origin=0)
 
 
 def save_csv(series: LabeledSeries, path: str, label_column: str = "label") -> None:
     """Write a series back out with the same conventions ``load_csv`` reads."""
-    names = series.channel_names or tuple(
-        f"c{j}" for j in range(series.n_channels)
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if series.labels is not None:
-            writer.writerow(list(names) + [label_column])
-            for row, label in zip(series.values, series.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
-        else:
-            writer.writerow(list(names))
-            for row in series.values:
-                writer.writerow([repr(float(v)) for v in row])
+    names = list(series.channel_names or (f"c{j}" for j in range(series.n_channels)))
+    if series.labels is None:
+        write_csv(path, names, [series.values])
+    else:
+        write_csv(path, names + [label_column], [series.values, series.labels])
 
 
 def minmax_fit(train: LabeledSeries) -> MinMaxStats:

@@ -2,6 +2,9 @@
 
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +185,20 @@ class TestCliBehavior:
         assert main(["train", "--config", config_path]) == 3
         assert "train.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["train-is-directory", "out-is-file"])
+    def test_unusable_path_exit_3(self, tmp_path, capsys, where):
+        config_path, out = write_config(tmp_path)
+        if where == "train-is-directory":
+            os.mkdir(os.path.join(out, "train.csv"))
+            argv = ["train", "--config", config_path]
+        else:
+            (tmp_path / "taken").write_text("")
+            argv = ["synth", "--config", config_path, "--out", str(tmp_path / "taken")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+        assert "Traceback" not in err
+
     def test_bad_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("point_model:\n  bogus_knob: 3\n")
@@ -195,8 +212,28 @@ class TestCliBehavior:
             ("sweep:\n  d_values: [1, 2.5]\n", "sweep.d_values"),
             # YAML 1.1 reads 1e-6 (no dot) as a string
             ("sequence_model:\n  ridge_lambda: 1e-6\n", "sequence_model.ridge_lambda"),
+            ("eval:\n  spike_interval: x\n", "eval.spike_interval"),
+            ('preprocess:\n  downsample: "2"\n', "preprocess.downsample"),
+            ('point_model:\n  epochs: "3"\n', "point_model.epochs"),
+            ("gate:\n  theta_percentile: abc\n", "gate.theta_percentile"),
+            ("preprocess:\n  stride: 2.5\n", "preprocess.stride"),
+            ("preprocess:\n  window_len: true\n", "preprocess.window_len"),
+            ("point_model:\n  d_lat: [4]\n", "point_model.d_lat"),
+            ("point_model:\n  batch_size: 0\n", "point_model.batch_size"),
+            ("point_model:\n  seed: -1\n", "point_model.seed"),
+            ("point_model:\n  learn_rate: 1e-4\n", "point_model.learn_rate"),
+            ("point_model:\n  learn_rate: .inf\n", "point_model.learn_rate"),
+            ("sequence_model:\n  gamma: 2.0\n", "sequence_model.gamma"),
+            ("sequence_model:\n  delta: 0\n", "sequence_model.delta"),
+            ("gate:\n  theta_percentile: 101\n", "gate.theta_percentile"),
+            ("gate:\n  theta: .nan\n  theta_percentile: null\n", "gate.theta"),
+            ("gate:\n  theta: yes\n  theta_percentile: null\n", "gate.theta"),
         ],
-        ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string"],
+        ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
+             "spike-string", "downsample-string", "epochs-string", "percentile-string",
+             "stride-float", "window-bool", "d-lat-list", "batch-zero", "seed-negative",
+             "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
+             "theta-nan", "theta-bool"],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
         path = tmp_path / "typed.yaml"
@@ -205,6 +242,34 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: {knob} ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, name, damage",
+        [
+            ("score", "point_model.json", lambda text: text[: len(text) // 2]),
+            ("score", "sequence_model.json", lambda text: text.replace('"arrays"', '"arrayz"')),
+            ("score", "preprocess_stats.json", lambda text: "{"),
+            ("score", "train_nominality.csv", lambda text: text + "25,abc\r\n"),
+            ("score", "train_nominality.csv", lambda text: "time_index,score\r\n"),
+            ("eval", "induced.csv", lambda text: text[:-2] + "x\r\n"),
+            ("eval", "labels.csv", lambda text: text.replace(",0\r\n", ",2\r\n", 1)),
+            ("eval", "labels.csv", lambda text: text + "999\r\n"),
+        ],
+        ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
+             "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged"],
+    )
+    def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, name)
+        with open(path, newline="") as fh:
+            text = fh.read()
+        with open(path, "w", newline="") as fh:
+            fh.write(damage(text))
+        assert main([command, "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+        assert name in err and "Traceback" not in err
 
     def test_degenerate_labels_exit_3(self, tmp_path):
         config_path, out = write_config(tmp_path)
@@ -292,3 +357,13 @@ class TestCliBehavior:
             f"output:\n  dir: {out}\n"
         )
         assert main(["synth", "--config", str(cfg)]) == 3
+
+
+def test_cli_import_does_not_load_scipy():
+    """Only train's ridge solve needs scipy, so importing the CLI must not load it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import sys, nominality.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,15 @@
 """Ingestion and preprocessing behavior."""
 
+import csv
+import io
+import math
+import os
+
 import numpy as np
 import pytest
 
 from nominality import (
+    DataError,
     EmptyInput,
     LabeledSeries,
     LabelError,
@@ -18,6 +24,8 @@ from nominality import (
     minmax_invert,
     save_csv,
 )
+from nominality.cli import read_labels_csv, read_score_csv, write_labels_csv, write_score_csv
+from nominality.series import atomic_write, format_rows, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -85,6 +93,190 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.values, original.values)
         np.testing.assert_array_equal(back.labels, original.labels)
         assert back.channel_names == ("u", "v")
+
+
+def reference_load(text, has_header=True):
+    """The per-cell reader the codec replaced: csv.reader rows, forward-fill loop."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    if has_header:
+        rows = rows[1:]
+    values = np.empty((len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            text_j = cell.strip()
+            values[i, j] = math.nan if text_j == "" or text_j.lower() == "nan" else float(text_j)
+    for j in range(values.shape[1]):
+        last = 0.0
+        for i in range(values.shape[0]):
+            if math.isnan(values[i, j]):
+                values[i, j] = last
+            else:
+                last = values[i, j]
+    return values
+
+
+EXTREMES = [-0.0, 5e-324, 1e-300, 0.1, 1e16, 1e22, 1.7976931348623157e308]
+
+
+class TestCsvCodec:
+    def test_extreme_floats_round_trip_exactly(self, tmp_path):
+        values = np.array([EXTREMES, [-v for v in EXTREMES]]).T
+        path = str(tmp_path / "x.csv")
+        save_csv(LabeledSeries(values, labels=[0, 1] * 3 + [1]), path)
+        back = load_csv(path, label_column="label")
+        assert back.values.tobytes() == values.tobytes()  # keeps the sign of -0.0
+        assert back.labels.tolist() == [0, 1, 0, 1, 0, 1, 1]
+
+    def test_scores_round_trip_exactly(self, tmp_path):
+        rng = np.random.default_rng(3)
+        scores = np.concatenate([EXTREMES, rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)])
+        path = str(tmp_path / "s.csv")
+        write_score_csv(ScoreSeries(scores, time_origin=7), path)
+        back = read_score_csv(path)
+        assert back.scores.tobytes() == scores.tobytes() and back.time_origin == 7
+
+    def test_cell_text_is_repr(self):
+        rng = np.random.default_rng(5)
+        block = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-20, 20, (40, 3))
+        block[0] = [-0.0, np.inf, np.nan]
+        assert format_rows(block) == [",".join(repr(float(v)) for v in row) for row in block]
+        assert format_rows(block[:, 0]) == [repr(float(v)) for v in block[:, 0]]
+        assert format_rows(np.array([3, -1, 0])) == ["3", "-1", "0"]
+        assert format_rows(np.zeros((0, 2))) == []
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((25, 3))
+        labels = rng.integers(0, 2, 25)
+        path = str(tmp_path / "w.csv")
+        save_csv(LabeledSeries(values, labels=labels, channel_names=("a", "b,c", 'd"e')), path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["a", "b,c", 'd"e', "label"])
+        for row, label in zip(values, labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        assert open(path, newline="").read() == expected.getvalue()
+        assert load_csv(path).channel_names == ("a", "b,c", 'd"e', "label")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n,2\n3,\n,\n5,6\n",
+            "a,b\nnan,NaN\n 1.5 , 2 \n  ,\t\nNAN,7\n",
+            "a,b\r\n1,2\r\n\r\n,4\r\n",
+            "a\n\n \n2\nnan\n",
+        ],
+        ids=["empty", "nan-and-padding", "crlf-blank-line", "single-column"],
+    )
+    def test_missing_cells_filled_like_reference(self, tmp_path, text):
+        got = load_csv(write(tmp_path, text)).values
+        np.testing.assert_array_equal(got, reference_load(text))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("bad", ["zap", "1..2", '"x"'])
+    def test_bad_cell_row(self, tmp_path, row, bad):
+        lines = ["1,2"] * 5
+        lines[row] = f"3,{bad}"
+        with pytest.raises(ParseError) as err:
+            load_csv(write(tmp_path, "a,b\n" + "\n".join(lines) + "\n"))
+        assert err.value.row == row
+        assert f"row {row}:" in str(err.value) and "data.csv" in str(err.value)
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    @pytest.mark.parametrize("ragged", ["3", "3,4,5"])
+    def test_ragged_row(self, tmp_path, row, ragged):
+        lines = ["1,2"] * 5
+        lines[row] = ragged
+        with pytest.raises(ParseError) as err:
+            load_csv(write(tmp_path, "a,b\n" + "\n".join(lines) + "\n"))
+        assert err.value.row == row
+
+    def test_first_error_in_reading_order_wins(self, tmp_path):
+        with pytest.raises(LabelError, match="row 1:"):
+            load_csv(write(tmp_path, "a,y\n1,0\n2,2\nzap,0\n"), label_column="y")
+        with pytest.raises(ParseError) as err:
+            load_csv(write(tmp_path, "a,y\n1,0\nzap,0\n2,2\n"), label_column="y")
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("label", ["2", "0.5", "x", "", "nan", "-1"])
+    def test_labels_strict(self, tmp_path, label):
+        with pytest.raises(LabelError, match="row 1:"):
+            load_csv(write(tmp_path, f"a,y\n1,0\n2,{label}\n3,1\n"), label_column="y")
+        labels_path = write(tmp_path, f"time_index,label\n4,0\n5,{label}\n", "labels.csv")
+        with pytest.raises(LabelError, match="labels.csv: row 1:"):
+            read_labels_csv(labels_path)
+
+    def test_float_labels_accepted(self, tmp_path):
+        s = load_csv(write(tmp_path, "a,y\n1,1.0\n2,0.0\n3, 1 \n"), label_column="y")
+        assert s.labels.tolist() == [1, 0, 1] and s.labels.dtype == np.int64
+        labels, origin = read_labels_csv(write(tmp_path, "time_index,label\n4,1.0\n5,0\n", "l.csv"))
+        assert labels.tolist() == [1, 0] and origin == 4
+
+    def test_labels_round_trip(self, tmp_path):
+        path = str(tmp_path / "labels.csv")
+        write_labels_csv(np.array([0, 1, 1, 0]), 12, path)
+        labels, origin = read_labels_csv(path)
+        assert labels.tolist() == [0, 1, 1, 0] and origin == 12
+
+    def test_headerless(self, tmp_path):
+        s = load_csv(write(tmp_path, "1,2\n,4\n5,6\n"), has_header=False)
+        assert s.channel_names is None
+        np.testing.assert_array_equal(s.values, [[1, 2], [1, 4], [5, 6]])
+        with pytest.raises(ParseError) as err:
+            load_csv(write(tmp_path, "1,2\n3\n"), has_header=False)
+        assert err.value.row == 1
+        with pytest.raises(LabelError):
+            load_csv(write(tmp_path, "1,2\n"), label_column="y", has_header=False)
+
+    def test_quoted_cells(self, tmp_path):
+        s = load_csv(write(tmp_path, '"a","b"\n"1.5",2\n3,"-0.25"\n""," 7 "\n'))
+        assert s.channel_names == ("a", "b")
+        np.testing.assert_array_equal(s.values, [[1.5, 2.0], [3.0, -0.25], [3.0, 7.0]])
+
+    def test_score_csv_time_index_must_be_integer(self, tmp_path):
+        with pytest.raises(DataError, match="time_index"):
+            read_score_csv(write(tmp_path, "time_index,score\n2.5,1.0\n"))
+        with pytest.raises(ParseError, match="2 columns"):
+            read_score_csv(write(tmp_path, "time_index,score,x\n2,1.0,3\n"))
+
+    def test_text_columns_written_as_given(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_csv(path, ["m", "v"], [["p", "q"], np.array([0.5, 2.0])])
+        assert open(path, newline="").read() == "m,v\r\np,0.5\r\nq,2.0\r\n"
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text("previous\n")
+        # the lone surrogate cannot be encoded, so the write fails partway
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(str(path), "x" * 100_000 + "\ud800")
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["a.json"]
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        save_csv(LabeledSeries(np.ones((2, 1))), str(path))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            save_csv(LabeledSeries(np.zeros((3, 1))), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["s.csv"]
+
+    def test_success_replaces_and_keeps_mode(self, tmp_path):
+        path = tmp_path / "m.json"
+        atomic_write(str(path), "one")
+        atomic_write(str(path), "two")
+        assert path.read_text() == "two" and os.listdir(tmp_path) == ["m.json"]
+        plain = tmp_path / "plain.json"
+        plain.write_text("")  # the mode open() gives under the current umask
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 class TestSeriesInvariants:
