@@ -64,14 +64,11 @@ from .scoring import (
 from .series import (
     LabeledSeries,
     MinMaxStats,
-    PreprocessSpec,
     ScoreSeries,
     downsample,
-    extract_windows,
     load_csv,
     minmax_apply,
     minmax_fit,
-    minmax_invert,
     save_csv,
 )
 from .synthetic import (

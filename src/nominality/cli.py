@@ -33,7 +33,7 @@ from .pipeline import (
     score_split,
     sweep_table,
 )
-from .reconstructors import load_model, save_model
+from .reconstructors import PointModel, SequenceModel, load_model, save_model
 from .series import (
     LabeledSeries,
     MinMaxStats,
@@ -124,27 +124,31 @@ def _stats_path(cfg: PipelineConfig) -> str:
     return os.path.join(cfg.output_dir, "preprocess_stats.json")
 
 
-def _save_stats(stats: MinMaxStats | None, path: str) -> None:
+def _save_stats(stats: MinMaxStats | None, cfg: PipelineConfig) -> None:
+    """Write the fitted min-max statistics and the preprocess section they came from."""
     doc = None
     if stats is not None:
         doc = {
             "mins": [repr(float(v)) for v in stats.mins],
             "maxs": [repr(float(v)) for v in stats.maxs],
         }
-    write_json({"minmax": doc}, path)
+    write_json({"minmax": doc, "preprocess": dataclasses.asdict(cfg.preprocess)}, _stats_path(cfg))
 
 
-def _load_stats(path: str) -> MinMaxStats | None:
+def _load_stats(path: str) -> tuple[MinMaxStats | None, dict | None]:
+    """The saved statistics and the recorded preprocess section (None if absent)."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)["minmax"]
-        if doc is None:
-            return None
-        mins = np.asarray([float(v) for v in doc["mins"]])
-        maxs = np.asarray([float(v) for v in doc["maxs"]])
+            doc = json.load(fh)
+        minmax = doc["minmax"]
+        stats = None
+        if minmax is not None:
+            mins = np.asarray([float(v) for v in minmax["mins"]])
+            maxs = np.asarray([float(v) for v in minmax["maxs"]])
+            stats = MinMaxStats(mins, maxs)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: cannot decode preprocessing stats: {exc!r}") from None
-    return MinMaxStats(mins, maxs)
+    return stats, doc.get("preprocess")
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -217,7 +221,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     nominality_path = os.path.join(cfg.output_dir, "train_nominality.csv")
     save_model(models.point, point_path)
     save_model(models.sequence, seq_path)
-    _save_stats(stats, _stats_path(cfg))
+    _save_stats(stats, cfg)
     write_score_csv(models.train_nominality, nominality_path)
     print(
         f"point model: first epoch loss {models.point.first_epoch_loss}, "
@@ -241,18 +245,30 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def _load_models(cfg: PipelineConfig) -> TrainedModels:
+    """Load the training artifacts; refuse them if the config's training sections changed."""
     point_path = os.path.join(cfg.output_dir, "point_model.json")
     seq_path = os.path.join(cfg.output_dir, "sequence_model.json")
     nominality_path = os.path.join(cfg.output_dir, "train_nominality.csv")
     for path in (point_path, seq_path, nominality_path):
         if not os.path.exists(path):
             raise DataError(f"missing training artifact: {path} (run 'train' first)")
-    return TrainedModels(
-        point=load_model(point_path),
-        sequence=load_model(seq_path),
-        stats=_load_stats(_stats_path(cfg)),
-        train_nominality=read_score_csv(nominality_path, "nominality"),
-    )
+    point, seq = load_model(point_path), load_model(seq_path)
+    for path, model, cls in ((point_path, point, PointModel), (seq_path, seq, SequenceModel)):
+        if not isinstance(model, cls):
+            raise DataError(f"{path}: holds a {type(model).__name__}, not a {cls.__name__}")
+    stats, preprocess = _load_stats(_stats_path(cfg))
+    for section, path, trained, current in (
+        ("preprocess", _stats_path(cfg), preprocess, dataclasses.asdict(cfg.preprocess)),
+        ("point_model", point_path, point.hp, cfg.point_model),
+        ("sequence_model", seq_path, (seq.gamma, seq.delta, seq.ridge_lambda),
+         dataclasses.astuple(cfg.sequence_model)),
+    ):
+        if trained != current:
+            raise ConfigError(
+                f"the {section} section differs from the one recorded in {path}; "
+                f"run 'train' again"
+            )
+    return TrainedModels(point, seq, stats, read_score_csv(nominality_path, "nominality"))
 
 
 def cmd_score(cfg: PipelineConfig) -> int:

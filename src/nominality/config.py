@@ -2,10 +2,12 @@
 
 A run is described by one YAML file with nested sections (data, preprocess,
 point_model, sequence_model, gate, eval, sweep, synth, output).  Every field
-has a default, so a minimal config only names its input files.  Unknown keys
-are rejected except for a small allowlist of legacy architecture knobs
-(n_heads, ff_mult, n_perf, n_enc) that other model families need; they are
-accepted and ignored here so configs can be shared across tools.
+has a default, so a minimal config only names its input files.  Each section
+is a frozen dataclass that checks its own fields when it is built, so a YAML
+file, a CLI override (``dataclasses.replace``) and a library call are held to
+the same rules.  ``point_model`` is :class:`PointHyperparams` and ``gate`` is
+:class:`GateConfig`, the classes the library functions take.  Unknown keys
+are rejected.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import yaml
 
 from .errors import ConfigError
 
-#: Architecture knobs from attention-based reconstructors; meaningless for
-#: the models in this package but accepted so shared configs parse.
-IGNORED_KEYS = {"n_heads", "ff_mult", "n_perf", "n_enc"}
-
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+OPTIMIZERS = ("sgd", "adam")
+GATE_KINDS = ("soft", "hard")
 
 
 def _is_int(value) -> bool:
@@ -35,11 +35,6 @@ def _is_int(value) -> bool:
 def _is_real(value) -> bool:
     """A real number other than NaN; ``True``/``False`` are not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value
-
-
-def _is_count(value) -> bool:
-    """An integer >= 0."""
-    return _is_int(value) and value >= 0
 
 
 def _yaml_hint(value) -> str:
@@ -55,8 +50,6 @@ def _yaml_hint(value) -> str:
 #: Integer knobs as (section, field, lowest allowed value, None allowed).
 INT_KNOBS = (
     ("preprocess", "downsample", 1, False),
-    ("preprocess", "stride", 1, False),
-    ("preprocess", "window_len", 1, False),
     ("point_model", "d_lat", 1, False),
     ("point_model", "batch_size", 1, False),
     ("point_model", "epochs", 0, False),
@@ -73,8 +66,36 @@ REAL_KNOBS = (
     ("point_model", "learn_rate", lambda v: 0 < v < math.inf, "a finite number > 0", False),
     ("sequence_model", "ridge_lambda", lambda v: 0 <= v < math.inf, "a finite number >= 0", False),
     ("gate", "theta_percentile", lambda v: 0 < v <= 100, "a number in (0, 100]", True),
-    ("gate", "theta", lambda v: v > 0, "a number > 0", True),
+    ("gate", "theta_n", lambda v: v > 0, "a number > 0", True),
 )
+
+#: Text knobs as (section, field, allowed values).
+CHOICE_KNOBS = (
+    ("preprocess", "normalization", ("minmax", "none")),
+    ("point_model", "optimizer", OPTIMIZERS),
+    ("gate", "kind", GATE_KINDS),
+    ("synth", "kind", ("trig", "toy", "sensor")),
+)
+
+
+def _check(obj, section: str) -> None:
+    """Raise :class:`ConfigError` for the first field of ``obj`` that breaks its knob rule."""
+    for s, name, low, optional in INT_KNOBS:
+        value = getattr(obj, name, None)
+        if s == section and not (value is None and optional or _is_int(value) and value >= low):
+            raise ConfigError(f"{section}.{name} must be an integer >= {low}, got {value!r}")
+    for s, name, test, wording, optional in REAL_KNOBS:
+        value = getattr(obj, name, None)
+        if s == section and not (value is None and optional or _is_real(value) and test(value)):
+            raise ConfigError(
+                f"{section}.{name} must be {wording}, got {value!r}{_yaml_hint(value)}"
+            )
+    for s, name, choices in CHOICE_KNOBS:
+        value = getattr(obj, name, None)
+        if s == section and value not in choices:
+            raise ConfigError(
+                f"{section}.{name} must be one of {', '.join(choices)}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,18 +109,24 @@ class DataConfig:
 class PreprocessConfig:
     downsample: int = 1
     normalization: str = "minmax"  # or "none"
-    stride: int = 10
-    window_len: int = 50
+
+    def __post_init__(self) -> None:
+        _check(self, "preprocess")
 
 
 @dataclass(frozen=True)
-class PointModelConfig:
+class PointHyperparams:
+    """Training settings for the point autoencoder (the ``point_model`` section)."""
+
     d_lat: int = 10
     learn_rate: float = 1e-4
     optimizer: str = "adam"
     batch_size: int = 64
     epochs: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check(self, "point_model")
 
 
 @dataclass(frozen=True)
@@ -108,13 +135,29 @@ class SequenceModelConfig:
     delta: int = 6
     ridge_lambda: float = 1e-6
 
+    def __post_init__(self) -> None:
+        _check(self, "sequence_model")
+
 
 @dataclass(frozen=True)
-class GateSection:
+class GateConfig:
+    """Gate kind, threshold source, and induction length (the ``gate`` section).
+
+    Exactly one of ``theta_n`` (explicit threshold) and ``theta_percentile``
+    (percentile of the training nominality scores, resolved later via
+    ``scoring.resolve_theta``) must be set.  ``d = 0`` makes the induced
+    score the anomaly score itself.
+    """
+
     kind: str = "soft"
-    theta_percentile: float | None = 98.5
-    theta: float | None = None
-    d: int = 16
+    theta_n: float | None = None
+    theta_percentile: float | None = None
+    d: int = 0
+
+    def __post_init__(self) -> None:
+        _check(self, "gate")
+        if (self.theta_n is None) == (self.theta_percentile is None):
+            raise ConfigError("set exactly one of gate.theta_n and gate.theta_percentile")
 
 
 @dataclass(frozen=True)
@@ -122,10 +165,22 @@ class EvalConfig:
     point_adjust: bool = True
     spike_interval: int | None = None
 
+    def __post_init__(self) -> None:
+        _check(self, "eval")
+
 
 @dataclass(frozen=True)
 class SweepConfig:
     d_values: tuple[int, ...] = SWEEP_D_DEFAULT
+
+    def __post_init__(self) -> None:
+        d_values = self.d_values
+        if not (isinstance(d_values, (list, tuple)) and d_values
+                and all(_is_int(d) and d >= 0 for d in d_values)):
+            raise ConfigError(
+                f"sweep.d_values must be a non-empty list of integers >= 0, got {d_values!r}"
+            )
+        object.__setattr__(self, "d_values", tuple(d_values))
 
 
 @dataclass(frozen=True)
@@ -134,51 +189,21 @@ class SynthConfig:
     seed: int = 0
     options: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        _check(self, "synth")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
     data: DataConfig = field(default_factory=DataConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    point_model: PointModelConfig = field(default_factory=PointModelConfig)
+    point_model: PointHyperparams = field(default_factory=PointHyperparams)
     sequence_model: SequenceModelConfig = field(default_factory=SequenceModelConfig)
-    gate: GateSection = field(default_factory=GateSection)
+    gate: GateConfig = field(default_factory=lambda: GateConfig(theta_percentile=98.5, d=16))
     eval: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     output_dir: str = "out"
-
-    def validate(self) -> None:
-        if self.preprocess.normalization not in ("minmax", "none"):
-            raise ConfigError(
-                f"normalization must be 'minmax' or 'none', got "
-                f"{self.preprocess.normalization!r}"
-            )
-        for section, name, low, optional in INT_KNOBS:
-            value = getattr(getattr(self, section), name)
-            if not (value is None and optional or _is_int(value) and value >= low):
-                raise ConfigError(
-                    f"{section}.{name} must be an integer >= {low}, got {value!r}"
-                )
-        for section, name, test, wording, optional in REAL_KNOBS:
-            value = getattr(getattr(self, section), name)
-            if not (value is None and optional or _is_real(value) and test(value)):
-                raise ConfigError(
-                    f"{section}.{name} must be {wording}, got {value!r}{_yaml_hint(value)}"
-                )
-        if self.gate.kind not in ("soft", "hard"):
-            raise ConfigError(f"gate kind must be soft or hard, got {self.gate.kind!r}")
-        if (self.gate.theta is None) == (self.gate.theta_percentile is None):
-            raise ConfigError("set exactly one of gate.theta and gate.theta_percentile")
-        if self.point_model.optimizer not in ("sgd", "adam"):
-            raise ConfigError("point_model.optimizer must be sgd or adam")
-        d_values = self.sweep.d_values
-        if not (isinstance(d_values, (list, tuple)) and d_values
-                and all(_is_count(d) for d in d_values)):
-            raise ConfigError(
-                f"sweep.d_values must be a non-empty list of integers >= 0, got {d_values!r}"
-            )
-        if self.synth.kind not in ("trig", "toy", "sensor"):
-            raise ConfigError(f"synth.kind must be trig, toy or sensor, got {self.synth.kind!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -190,45 +215,25 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _build_section(cls, raw: dict, name: str):
-    known = {f for f in cls.__dataclass_fields__}
-    cleaned = {}
-    for key, value in raw.items():
-        if key in IGNORED_KEYS:
-            continue
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in section {name!r}")
-        cleaned[key] = value
-    try:
-        return cls(**cleaned)
-    except TypeError as exc:
-        raise ConfigError(f"bad section {name!r}: {exc}") from exc
-
-
 def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build and validate a :class:`PipelineConfig` from nested dicts."""
+    """Build a checked :class:`PipelineConfig` from nested dicts.
+
+    Each section is its default with the given keys replaced.
+    """
     raw = dict(raw or {})
-    sections = {
-        "data": DataConfig,
-        "preprocess": PreprocessConfig,
-        "point_model": PointModelConfig,
-        "sequence_model": SequenceModelConfig,
-        "gate": GateSection,
-        "eval": EvalConfig,
-        "sweep": SweepConfig,
-        "synth": SynthConfig,
-    }
-    kwargs = {}
-    for name, cls in sections.items():
-        block = raw.pop(name, {})
+    defaults = PipelineConfig()
+    sections = {}
+    for name in (f.name for f in fields(PipelineConfig) if f.name != "output_dir"):
+        block = raw.pop(name, None)
         if block is None:
             block = {}
         if not isinstance(block, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
-        if name == "sweep" and isinstance(block.get("d_values"), list):
-            block = dict(block)
-            block["d_values"] = tuple(block["d_values"])
-        kwargs[name] = _build_section(cls, block, name)
+        base = getattr(defaults, name)
+        unknown = [key for key in block if key not in {f.name for f in fields(base)}]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
+        sections[name] = replace(base, **block)
     output = raw.pop("output", {}) or {}
     if not isinstance(output, dict):
         raise ConfigError("section 'output' must be a mapping")
@@ -237,9 +242,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         raise ConfigError(f"unknown key(s) {sorted(extra_out)} in section 'output'")
     if raw:
         raise ConfigError(f"unknown top-level section(s): {sorted(raw)}")
-    cfg = PipelineConfig(output_dir=output.get("dir", "out"), **kwargs)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(output_dir=output.get("dir", "out"), **sections)
 
 
 def load_config(path: str) -> PipelineConfig:
@@ -264,25 +267,17 @@ def apply_overrides(
     seed: int | None = None,
     out_dir: str | None = None,
 ) -> PipelineConfig:
-    """Apply per-command CLI flag overrides to a parsed config."""
-    gate = cfg.gate
-    if d is not None:
-        gate = replace(gate, d=d)
-    if gate_kind is not None:
-        gate = replace(gate, kind=gate_kind)
+    """Apply per-command CLI flag overrides to a parsed config.
+
+    ``replace`` rebuilds each changed section, which checks it again.
+    """
+    gate = {key: value for key, value in
+            (("d", d), ("kind", gate_kind), ("theta_percentile", theta_percentile))
+            if value is not None}
     if theta_percentile is not None:
-        gate = replace(gate, theta_percentile=theta_percentile, theta=None)
-    point = cfg.point_model
-    synth = cfg.synth
+        gate["theta_n"] = None
+    out = replace(cfg, gate=replace(cfg.gate, **gate))
     if seed is not None:
-        point = replace(point, seed=seed)
-        synth = replace(synth, seed=seed)
-    out = replace(
-        cfg,
-        gate=gate,
-        point_model=point,
-        synth=synth,
-        output_dir=out_dir if out_dir is not None else cfg.output_dir,
-    )
-    out.validate()
-    return out
+        out = replace(out, point_model=replace(out.point_model, seed=seed),
+                      synth=replace(out.synth, seed=seed))
+    return out if out_dir is None else replace(out, output_dir=out_dir)

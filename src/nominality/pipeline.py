@@ -19,7 +19,6 @@ from .config import PipelineConfig
 from .errors import DataError, ShapeError
 from .evaluation import EvalReport, evaluate
 from .reconstructors import (
-    PointHyperparams,
     PointModel,
     SequenceModel,
     make_pair,
@@ -89,15 +88,7 @@ def preprocess_split(
 
 def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
     """Train both reconstructors and record the training nominality scores."""
-    hp = PointHyperparams(
-        latent_dim=cfg.point_model.d_lat,
-        learn_rate=cfg.point_model.learn_rate,
-        epochs=cfg.point_model.epochs,
-        batch_size=cfg.point_model.batch_size,
-        seed=cfg.point_model.seed,
-        optimizer=cfg.point_model.optimizer,
-    )
-    point = train_point_model(train, hp)
+    point = train_point_model(train, cfg.point_model)
     seq = train_sequence_model(
         train,
         gamma=cfg.sequence_model.gamma,
@@ -111,16 +102,6 @@ def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
     observed = train.values[pair.valid_range[0] : pair.valid_range[1]]
     train_nominality = nominality_score(pair, observed)
     return TrainedModels(point, seq, None, train_nominality)
-
-
-def gate_config(cfg: PipelineConfig, d: int | None = None) -> GateConfig:
-    """Gate configuration from the config file, optionally overriding d."""
-    return GateConfig(
-        kind=cfg.gate.kind,
-        theta_n=cfg.gate.theta,
-        percentile=cfg.gate.theta_percentile,
-        d=cfg.gate.d if d is None else d,
-    )
 
 
 def score_split(
@@ -144,7 +125,7 @@ def score_split(
     a_point = anomaly_score(pair, observed)
     a_seq = sequence_anomaly_score(pair, observed)
     nominality = nominality_score(pair, observed)
-    gate_cfg = resolve_theta(gate_config(cfg), models.train_nominality)
+    gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
     induced = induced_anomaly_score(a_point, nominality, gate_cfg)
     labels = test.labels[lo:hi] if test.labels is not None else None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)

@@ -1,7 +1,7 @@
 """Point-based and sequence-based reconstruction models.
 
 The point model is a one-hidden-layer tanh autoencoder trained row by row
-with mini-batch gradient descent (optionally Adam), so its output at time t
+with mini-batch Adam (or plain gradient descent), so its output at time t
 depends only on the input at time t.  The sequence model is a closed-form
 ridge regression that predicts the middle ``delta`` points of a window from
 the ``gamma`` points on each side, which forces it to learn time-dependent
@@ -15,46 +15,22 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, ShapeError, SingularSystem, TrainingDiverged
+from .config import PointHyperparams
+from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
 from .series import LabeledSeries, write_json
 
-OPTIMIZERS = ("sgd", "adam")
 MODEL_FORMAT = "nominality-model-v1"
-
-
-@dataclass(frozen=True)
-class PointHyperparams:
-    """Training settings for the point autoencoder."""
-
-    latent_dim: int = 10
-    learn_rate: float = 1e-4
-    epochs: int = 100
-    batch_size: int = 64
-    seed: int = 0
-    optimizer: str = "sgd"
-
-    def __post_init__(self) -> None:
-        if self.latent_dim < 1:
-            raise ShapeError("latent_dim must be >= 1")
-        if self.learn_rate <= 0:
-            raise ShapeError("learn_rate must be > 0")
-        if self.epochs < 0:
-            raise ShapeError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ShapeError("batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ShapeError(f"optimizer must be one of {OPTIMIZERS}")
 
 
 @dataclass
 class PointModel:
     """tanh autoencoder reconstructing each time point independently.
 
-    The latent dimension is a compression bottleneck (latent_dim <= D);
+    The latent dimension is a compression bottleneck (d_lat <= D);
     weights live in plain float64 arrays so reconstruction and persistence
     are exactly reproducible.
     """
@@ -115,11 +91,11 @@ class PointModel:
 def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
     rng = np.random.default_rng(hp.seed)
     enc_bound = 1.0 / np.sqrt(n_channels)
-    dec_bound = 1.0 / np.sqrt(hp.latent_dim)
+    dec_bound = 1.0 / np.sqrt(hp.d_lat)
     return PointModel(
-        enc_w=rng.uniform(-enc_bound, enc_bound, (n_channels, hp.latent_dim)),
-        enc_b=rng.uniform(-enc_bound, enc_bound, hp.latent_dim),
-        dec_w=rng.uniform(-dec_bound, dec_bound, (hp.latent_dim, n_channels)),
+        enc_w=rng.uniform(-enc_bound, enc_bound, (n_channels, hp.d_lat)),
+        enc_b=rng.uniform(-enc_bound, enc_bound, hp.d_lat),
+        dec_w=rng.uniform(-dec_bound, dec_bound, (hp.d_lat, n_channels)),
         dec_b=rng.uniform(-dec_bound, dec_bound, n_channels),
         hp=hp,
     )
@@ -128,8 +104,8 @@ def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
 def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     """Fit the point autoencoder on the rows of the training series.
 
-    Training is plain mini-batch gradient descent (or Adam when configured)
-    with seeded shuffling, so identical inputs and seeds give bitwise
+    Training is mini-batch Adam (or plain gradient descent with
+    ``optimizer="sgd"``) with seeded shuffling, so identical inputs and seeds give bitwise
     identical models.
 
     Raises:
@@ -142,9 +118,9 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
             "point model requires at least 2 channels; univariate input "
             "carries no cross-channel structure to reconstruct"
         )
-    if hp.latent_dim > train.n_channels:
+    if hp.d_lat > train.n_channels:
         raise ShapeError(
-            f"latent_dim {hp.latent_dim} exceeds channel count {train.n_channels}"
+            f"d_lat {hp.d_lat} exceeds channel count {train.n_channels}"
         )
     if train.n_times < hp.batch_size:
         raise ShapeError(
@@ -418,14 +394,7 @@ def save_model(model: PointModel | SequenceModel, path: str) -> None:
         doc = {
             "format": MODEL_FORMAT,
             "kind": "point",
-            "hyperparams": {
-                "latent_dim": model.hp.latent_dim,
-                "learn_rate": model.hp.learn_rate,
-                "epochs": model.hp.epochs,
-                "batch_size": model.hp.batch_size,
-                "seed": model.hp.seed,
-                "optimizer": model.hp.optimizer,
-            },
+            "hyperparams": asdict(model.hp),
             "first_epoch_loss": model.first_epoch_loss,
             "final_epoch_loss": model.final_epoch_loss,
             "arrays": {
@@ -485,7 +454,8 @@ def load_model(path: str) -> PointModel | SequenceModel:
                 n_channels=hp["n_channels"],
                 fit_residual=doc["fit_residual"],
             )
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        # JSONDecodeError, bad base64 and bad shapes are ValueErrors.
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+        # JSONDecodeError, bad base64 and bad shapes are ValueErrors; a
+        # ConfigError is a hyperparameter outside its range.
         raise DataError(f"{path}: cannot decode model: {exc!r}") from None
     raise ShapeError(f"{path}: unknown model kind {doc['kind']!r}")

@@ -18,51 +18,18 @@ independent cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
+from .config import GATE_KINDS, GateConfig
 from .errors import EmptyInput, ShapeError
 from .reconstructors import ReconstructionPair
 from .series import ScoreSeries
 
-GATE_KINDS = ("soft", "hard")
-
 #: Added to the nominality denominator so a perfectly reconstructed point
 #: (zero total deviation) yields a finite score.
 NOMINALITY_EPSILON = 1e-12
-
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Gate kind, threshold source, and induction length.
-
-    Exactly one of ``theta_n`` (explicit threshold) and ``percentile``
-    (percentile of the training nominality scores, resolved later via
-    :func:`resolve_theta`) must be set.  ``d = 0`` makes the induced score
-    the anomaly score itself.
-    """
-
-    kind: str = "soft"
-    theta_n: float | None = None
-    percentile: float | None = None
-    d: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ShapeError(f"gate kind must be one of {GATE_KINDS}, got {self.kind!r}")
-        if (self.theta_n is None) == (self.percentile is None):
-            raise ShapeError("exactly one of theta_n and percentile must be set")
-        if self.theta_n is not None and not self.theta_n > 0:
-            raise ShapeError("theta_n must be > 0")
-        if self.percentile is not None and not 0 < self.percentile <= 100:
-            raise ShapeError("percentile must be in (0, 100]")
-        if self.d < 0:
-            raise ShapeError("induction length d must be >= 0")
-
-    @property
-    def resolved(self) -> bool:
-        return self.theta_n is not None
 
 
 def _aligned(pair: ReconstructionPair, observed: np.ndarray) -> np.ndarray:
@@ -145,10 +112,10 @@ def resolve_theta(
     cfg: GateConfig, train_nominality: ScoreSeries | np.ndarray
 ) -> GateConfig:
     """Turn a percentile-based gate config into one with an explicit threshold."""
-    if cfg.resolved:
+    if cfg.theta_n is not None:
         return cfg
-    theta = theta_from_percentile(train_nominality, cfg.percentile)
-    return replace(cfg, theta_n=theta, percentile=None)
+    theta = theta_from_percentile(train_nominality, cfg.theta_percentile)
+    return replace(cfg, theta_n=theta, theta_percentile=None)
 
 
 def _scores_of(series: ScoreSeries | np.ndarray) -> np.ndarray:
@@ -220,7 +187,7 @@ def induced_anomaly_score(
         raise ShapeError(
             f"anomaly and nominality lengths differ: {a_vals.shape} vs {n_vals.shape}"
         )
-    if not cfg.resolved:
+    if cfg.theta_n is None:
         raise ShapeError("gate threshold is unresolved; call resolve_theta first")
     g = gate(cfg.kind, cfg.theta_n, n_vals)
     origin = a.time_origin if isinstance(a, ScoreSeries) else 0
@@ -243,7 +210,7 @@ def induced_anomaly_score_naive(
         raise ShapeError(
             f"anomaly and nominality lengths differ: {a_vals.shape} vs {n_vals.shape}"
         )
-    if not cfg.resolved:
+    if cfg.theta_n is None:
         raise ShapeError("gate threshold is unresolved; call resolve_theta first")
     g = gate(cfg.kind, cfg.theta_n, n_vals)
     size = a_vals.shape[0]

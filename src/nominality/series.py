@@ -87,30 +87,6 @@ class LabeledSeries:
 
 
 @dataclass(frozen=True)
-class PreprocessSpec:
-    """How raw data is reduced before model training.
-
-    ``window_len`` is the length used when extracting training windows
-    (W for the point model, 2*gamma for the sequence model); min-max
-    statistics are always fit on the training split and reused verbatim
-    on the test split.
-    """
-
-    downsample_factor: int = 1
-    normalize: bool = True
-    stride: int = 1
-    window_len: int = 1
-
-    def __post_init__(self) -> None:
-        if self.downsample_factor < 1:
-            raise ShapeError("downsample_factor must be >= 1")
-        if self.stride < 1:
-            raise ShapeError("stride must be >= 1")
-        if self.window_len < 1:
-            raise ShapeError("window_len must be >= 1")
-
-
-@dataclass(frozen=True)
 class ScoreSeries:
     """Per-time-point real-valued scores sharing the series time index.
 
@@ -411,18 +387,6 @@ def minmax_apply(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
     return series.with_values(out)
 
 
-def minmax_invert(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
-    """Undo :func:`minmax_apply`; constant channels recover their fitted value."""
-    if stats.n_channels != series.n_channels:
-        raise ShapeError(
-            f"stats cover {stats.n_channels} channels, series has {series.n_channels}"
-        )
-    span = stats.maxs - stats.mins
-    out = series.values * span + stats.mins
-    out[:, stats.constant_mask] = stats.mins[stats.constant_mask]
-    return series.with_values(out)
-
-
 def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
     """Aggregate consecutive blocks of ``factor`` rows.
 
@@ -443,29 +407,3 @@ def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
         labels = np.maximum.reduceat(series.labels, starts)
     return LabeledSeries(values, labels, series.channel_names, series.time_origin)
 
-
-def extract_windows(
-    series: LabeledSeries, window_len: int, stride: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slice the series into windows covering every time point.
-
-    Windows start at 0, stride, 2*stride, ...; if that grid misses the tail,
-    one final window anchored at T - window_len is appended so the union of
-    windows is exactly [0, T).
-
-    Returns:
-        (windows, starts): windows has shape (n, window_len, D) and starts
-        holds the source index of each window's first row.
-    """
-    if window_len > series.n_times:
-        raise ShapeError(
-            f"window_len {window_len} exceeds series length {series.n_times}"
-        )
-    if stride < 1:
-        raise ShapeError("stride must be >= 1")
-    last = series.n_times - window_len
-    starts = list(range(0, last + 1, stride))
-    if starts[-1] != last:
-        starts.append(last)
-    windows = np.stack([series.values[s : s + window_len] for s in starts])
-    return windows, np.asarray(starts, dtype=np.int64)

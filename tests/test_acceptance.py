@@ -225,7 +225,7 @@ def test_criterion_7_gradient_check():
         rng = np.random.default_rng(300 + trial)
         dim = int(rng.integers(2, 7))
         hp = PointHyperparams(
-            latent_dim=int(rng.integers(1, min(dim, 3) + 1)),
+            d_lat=int(rng.integers(1, min(dim, 3) + 1)),
             batch_size=int(rng.integers(1, 9)),
             seed=trial,
         )
@@ -283,7 +283,7 @@ def test_criterion_8_ridge_correctness():
 def test_criterion_9_end_to_end_gating_improvement():
     start = time.perf_counter()
     base = {
-        "preprocess": {"downsample": 1, "stride": 10, "window_len": 50},
+        "preprocess": {"downsample": 1},
         "point_model": {"d_lat": 4, "learn_rate": 1e-4, "optimizer": "adam",
                         "batch_size": 64, "epochs": 25},
         "sequence_model": {"gamma": 25, "delta": 6, "ridge_lambda": 1e-6},

@@ -52,20 +52,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"pointmodel": {}})
 
-    def test_legacy_architecture_keys_ignored(self):
-        cfg = config_from_dict(
-            {
-                "point_model": {"d_lat": 4, "n_heads": 9, "ff_mult": 4, "n_perf": 4},
-                "sequence_model": {"n_enc": 8},
-            }
-        )
-        assert cfg.point_model.d_lat == 4
+    @pytest.mark.parametrize(
+        "section, key",
+        [("point_model", "n_heads"), ("sequence_model", "n_enc"),
+         ("preprocess", "stride"), ("preprocess", "window_len")],
+    )
+    def test_removed_keys_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section '{section}'"):
+            config_from_dict({section: {key: 4}})
 
     def test_exactly_one_threshold_source(self):
         with pytest.raises(ConfigError):
-            config_from_dict({"gate": {"theta": 1.5}}).validate()  # both set via default pct
-        cfg = config_from_dict({"gate": {"theta": 1.5, "theta_percentile": None}})
-        assert cfg.gate.theta == 1.5
+            config_from_dict({"gate": {"theta_n": 1.5}})  # both set via default pct
+        cfg = config_from_dict({"gate": {"theta_n": 1.5, "theta_percentile": None}})
+        assert cfg.gate.theta_n == 1.5
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -88,6 +88,6 @@ class TestOverrides:
         assert cfg.output_dir == "elsewhere"
 
     def test_percentile_override_clears_explicit_theta(self):
-        base = config_from_dict({"gate": {"theta": 2.0, "theta_percentile": None}})
+        base = config_from_dict({"gate": {"theta_n": 2.0, "theta_percentile": None}})
         cfg = apply_overrides(base, theta_percentile=95.0)
-        assert cfg.gate.theta is None and cfg.gate.theta_percentile == 95.0
+        assert cfg.gate.theta_n is None and cfg.gate.theta_percentile == 95.0

@@ -1,5 +1,6 @@
 """End-to-end pipeline and CLI behavior on small synthetic runs."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -8,12 +9,13 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from nominality.cli import main, read_score_csv
-from nominality.config import config_from_dict, load_config
+from nominality.config import PipelineConfig, load_config
 from nominality.evaluation import evaluate
 from nominality.pipeline import run_pipeline
-from nominality.reconstructors import PointHyperparams, _init_point_model, load_model
+from nominality.reconstructors import _init_point_model, load_model
 from nominality.scoring import smoothed_score
 from nominality.series import load_csv
 
@@ -23,7 +25,6 @@ data:
   test: {out}/test.csv
 preprocess:
   downsample: 1
-  stride: 10
 point_model:
   d_lat: 2
   learn_rate: 0.001
@@ -216,8 +217,6 @@ class TestCliBehavior:
             ('preprocess:\n  downsample: "2"\n', "preprocess.downsample"),
             ('point_model:\n  epochs: "3"\n', "point_model.epochs"),
             ("gate:\n  theta_percentile: abc\n", "gate.theta_percentile"),
-            ("preprocess:\n  stride: 2.5\n", "preprocess.stride"),
-            ("preprocess:\n  window_len: true\n", "preprocess.window_len"),
             ("point_model:\n  d_lat: [4]\n", "point_model.d_lat"),
             ("point_model:\n  batch_size: 0\n", "point_model.batch_size"),
             ("point_model:\n  seed: -1\n", "point_model.seed"),
@@ -226,12 +225,12 @@ class TestCliBehavior:
             ("sequence_model:\n  gamma: 2.0\n", "sequence_model.gamma"),
             ("sequence_model:\n  delta: 0\n", "sequence_model.delta"),
             ("gate:\n  theta_percentile: 101\n", "gate.theta_percentile"),
-            ("gate:\n  theta: .nan\n  theta_percentile: null\n", "gate.theta"),
-            ("gate:\n  theta: yes\n  theta_percentile: null\n", "gate.theta"),
+            ("gate:\n  theta_n: .nan\n  theta_percentile: null\n", "gate.theta_n"),
+            ("gate:\n  theta_n: yes\n  theta_percentile: null\n", "gate.theta_n"),
         ],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
-             "stride-float", "window-bool", "d-lat-list", "batch-zero", "seed-negative",
+             "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
              "theta-nan", "theta-bool"],
     )
@@ -254,9 +253,12 @@ class TestCliBehavior:
             ("eval", "induced.csv", lambda text: text[:-2] + "x\r\n"),
             ("eval", "labels.csv", lambda text: text.replace(",0\r\n", ",2\r\n", 1)),
             ("eval", "labels.csv", lambda text: text + "999\r\n"),
+            ("score", "point_model.json", lambda text: text.replace('"d_lat": 2', '"d_lat": 0')),
+            ("score", "point_model.json", lambda text: text.replace('"d_lat"', '"latent_dim"')),
         ],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
-             "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged"],
+             "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
+             "point-d-lat-zero", "point-old-format"],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
@@ -270,6 +272,51 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
         assert name in err and "Traceback" not in err
+
+    def test_swapped_model_files_exit_3(self, rundir, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        shutil.copy(os.path.join(out, "sequence_model.json"), os.path.join(out, "point_model.json"))
+        assert main(["score", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "point_model.json" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["score", "sweep"])
+    @pytest.mark.parametrize(
+        "edit, flags, section",
+        [
+            (("gamma: 5", "gamma: 6"), [], "sequence_model"),
+            (("downsample: 1", "downsample: 2"), [], "preprocess"),
+            (("d_lat: 2", "d_lat: 3"), [], "point_model"),
+            (None, ["--seed", "1"], "point_model"),
+        ],
+        ids=["gamma", "downsample", "d-lat", "seed-flag"],
+    )
+    def test_stale_artifacts_exit_2(self, rundir, tmp_path, capsys, command, edit, flags,
+                                    section):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        if edit is not None:
+            text = open(config_path).read()
+            assert edit[0] in text
+            open(config_path, "w").write(text.replace(edit[0], edit[1]))
+        assert main([command, "--config", config_path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: the {section} ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, knob", [(["--d", "-1"], "gate.d"), (["--theta-percentile", "0"],
+                                                    "gate.theta_percentile")],
+        ids=["d-negative", "percentile-zero"],
+    )
+    def test_bad_override_exit_2(self, tmp_path, capsys, flags, knob):
+        config_path, _ = write_config(tmp_path)
+        assert main(["score", "--config", config_path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {knob} ")
+        assert "Traceback" not in err
 
     def test_degenerate_labels_exit_3(self, tmp_path):
         config_path, out = write_config(tmp_path)
@@ -367,3 +414,20 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_quickstart(tmp_path):
+    """README's run.yaml drives every command, and each of its keys is a config field."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    text = open(os.path.join(root, "README.md")).read()
+    block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+    block = block.replace("out/", f"{tmp_path}/").replace("dir: out", f"dir: {tmp_path}")
+    raw = yaml.safe_load(block)
+    defaults = PipelineConfig()
+    for section, keys in raw.items():
+        if section != "output":
+            assert set(keys) <= {f.name for f in dataclasses.fields(getattr(defaults, section))}
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(block)
+    run_all(str(config_path))
+    assert os.path.exists(tmp_path / "sweep.json")

@@ -35,7 +35,7 @@ class TestPointModelTraining:
         data = rng.standard_normal((256, 2)) @ basis
         data *= 0.1 / np.abs(data).max()
         hp = PointHyperparams(
-            latent_dim=2, learn_rate=0.02, epochs=400, batch_size=32, seed=0,
+            d_lat=2, learn_rate=0.02, epochs=400, batch_size=32, seed=0,
             optimizer="adam",
         )
         model = train_point_model(LabeledSeries(data), hp)
@@ -44,7 +44,7 @@ class TestPointModelTraining:
 
     def test_zero_epochs_equals_seeded_init(self):
         series = random_series(1)
-        hp = PointHyperparams(latent_dim=2, epochs=0, batch_size=16, seed=7)
+        hp = PointHyperparams(d_lat=2, epochs=0, batch_size=16, seed=7)
         model = train_point_model(series, hp)
         fresh = _init_point_model(series.n_channels, hp)
         np.testing.assert_array_equal(model.enc_w, fresh.enc_w)
@@ -53,7 +53,7 @@ class TestPointModelTraining:
 
     def test_determinism_bitwise(self):
         series = random_series(2)
-        hp = PointHyperparams(latent_dim=2, learn_rate=0.01, epochs=5, batch_size=16, seed=5)
+        hp = PointHyperparams(d_lat=2, learn_rate=0.01, epochs=5, batch_size=16, seed=5)
         a = train_point_model(series, hp)
         b = train_point_model(series, hp)
         for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
@@ -61,14 +61,15 @@ class TestPointModelTraining:
 
     def test_loss_decreases(self):
         series = random_series(4, n=300, dim=4)
-        hp = PointHyperparams(latent_dim=2, learn_rate=0.01, epochs=20, batch_size=32,
+        hp = PointHyperparams(d_lat=2, learn_rate=0.01, epochs=20, batch_size=32,
                               seed=0, optimizer="adam")
         model = train_point_model(series, hp)
         assert model.final_epoch_loss <= model.first_epoch_loss
 
     def test_divergence_reports_epoch(self):
         series = random_series(5)
-        hp = PointHyperparams(latent_dim=2, learn_rate=1e9, epochs=50, batch_size=16, seed=0)
+        hp = PointHyperparams(d_lat=2, learn_rate=1e9, epochs=50, batch_size=16, seed=0,
+                              optimizer="sgd")
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as err:
                 train_point_model(series, hp)
@@ -78,20 +79,20 @@ class TestPointModelTraining:
         with pytest.raises(ShapeError):
             train_point_model(
                 LabeledSeries(np.ones((64, 1))),
-                PointHyperparams(latent_dim=1, batch_size=8),
+                PointHyperparams(d_lat=1, batch_size=8),
             )
 
     def test_latent_wider_than_input_rejected(self):
         with pytest.raises(ShapeError):
             train_point_model(
                 random_series(0, dim=2),
-                PointHyperparams(latent_dim=3, batch_size=8),
+                PointHyperparams(d_lat=3, batch_size=8),
             )
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ShapeError):
             train_point_model(
-                random_series(0, n=10), PointHyperparams(latent_dim=2, batch_size=64)
+                random_series(0, n=10), PointHyperparams(d_lat=2, batch_size=64)
             )
 
 
@@ -102,7 +103,7 @@ class TestPointModelProperties:
         for trial in range(12):
             rng = np.random.default_rng(50 + trial)
             dim = int(rng.integers(2, 7))
-            hp = PointHyperparams(latent_dim=int(rng.integers(1, min(dim, 3) + 1)),
+            hp = PointHyperparams(d_lat=int(rng.integers(1, min(dim, 3) + 1)),
                                   batch_size=int(rng.integers(1, 9)), seed=trial)
             model = _init_point_model(dim, hp)
             batch = rng.standard_normal((hp.batch_size, dim))
@@ -127,7 +128,7 @@ class TestPointModelProperties:
     def test_row_permutation_commutes(self):
         series = random_series(6, n=50)
         model = train_point_model(
-            series, PointHyperparams(latent_dim=2, epochs=2, batch_size=10, seed=0)
+            series, PointHyperparams(d_lat=2, epochs=2, batch_size=10, seed=0)
         )
         perm = np.random.default_rng(0).permutation(50)
         direct = reconstruct_points(model, series.values[perm])
@@ -135,14 +136,14 @@ class TestPointModelProperties:
         np.testing.assert_array_equal(direct, reordered)
 
     def test_zero_weights_give_zero_output(self):
-        hp = PointHyperparams(latent_dim=2)
+        hp = PointHyperparams(d_lat=2)
         model = _init_point_model(3, hp)
         model.enc_w[:] = 0; model.enc_b[:] = 0; model.dec_w[:] = 0; model.dec_b[:] = 0
         out = model.reconstruct(np.random.default_rng(0).standard_normal((5, 3)))
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_single_row(self):
-        model = _init_point_model(3, PointHyperparams(latent_dim=2))
+        model = _init_point_model(3, PointHyperparams(d_lat=2))
         assert model.reconstruct(np.ones((1, 3))).shape == (1, 3)
 
 
@@ -285,7 +286,7 @@ class TestMakePair:
 class TestPersistence:
     def test_point_roundtrip_bit_exact(self, tmp_path):
         model = train_point_model(
-            random_series(8), PointHyperparams(latent_dim=2, epochs=3, batch_size=16, seed=3)
+            random_series(8), PointHyperparams(d_lat=2, epochs=3, batch_size=16, seed=3)
         )
         path = str(tmp_path / "point.json")
         save_model(model, path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nominality import (
+    ConfigError,
     EmptyInput,
     GateConfig,
     ShapeError,
@@ -121,7 +122,7 @@ class TestInducedScore:
         with pytest.raises(ShapeError):
             induced_anomaly_score(
                 ScoreSeries([1.0]), ScoreSeries([1.0], "nominality"),
-                GateConfig("soft", percentile=98.5, d=1),
+                GateConfig("soft", theta_percentile=98.5, d=1),
             )
 
     @pytest.mark.parametrize("seed", range(25))
@@ -262,9 +263,10 @@ class TestThetaFromPercentile:
             theta_from_percentile(np.array([]), 50)
 
     def test_resolve_theta(self):
-        cfg = GateConfig("soft", percentile=50, d=3)
+        cfg = GateConfig("soft", theta_percentile=50, d=3)
         resolved = resolve_theta(cfg, ScoreSeries([1.0, 2.0, 3.0, 4.0], "nominality"))
-        assert resolved.theta_n == 2.0 and resolved.d == 3 and resolved.resolved
+        assert resolved.theta_n == 2.0 and resolved.d == 3
+        assert resolved.theta_percentile is None
 
 
 class TestSmoothedScore:
@@ -289,17 +291,17 @@ class TestSmoothedScore:
 
 class TestGateConfig:
     def test_requires_exactly_one_threshold_source(self):
-        with pytest.raises(ShapeError):
-            GateConfig("soft", theta_n=1.0, percentile=98.5)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
+            GateConfig("soft", theta_n=1.0, theta_percentile=98.5)
+        with pytest.raises(ConfigError):
             GateConfig("soft")
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             GateConfig("soft", theta_n=-1.0)
-        with pytest.raises(ShapeError):
-            GateConfig("soft", percentile=0.0)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
+            GateConfig("soft", theta_percentile=0.0)
+        with pytest.raises(ConfigError):
             GateConfig("soft", theta_n=1.0, d=-1)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError):
             GateConfig("medium", theta_n=1.0)
