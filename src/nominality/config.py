@@ -23,7 +23,6 @@ import yaml
 from .errors import ConfigError
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-OPTIMIZERS = ("sgd", "adam")
 GATE_KINDS = ("soft", "hard")
 
 
@@ -72,7 +71,7 @@ REAL_KNOBS = (
 #: Text knobs as (section, field, allowed values).
 CHOICE_KNOBS = (
     ("preprocess", "normalization", ("minmax", "none")),
-    ("point_model", "optimizer", OPTIMIZERS),
+    ("point_model", "optimizer", ("sgd", "adam")),
     ("gate", "kind", GATE_KINDS),
     ("synth", "kind", ("trig", "toy", "sensor")),
 )
