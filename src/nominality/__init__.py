@@ -75,12 +75,9 @@ from .synthetic import (
     SensorSpec,
     ToySpec,
     TrigSpec,
-    f_reference_sample,
     gen_sensor,
     gen_toy,
     gen_trig,
-    ks_critical_value,
-    ks_statistic,
     trig_preset,
 )
 

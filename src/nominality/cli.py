@@ -46,15 +46,7 @@ from .series import (
     write_csv,
     write_json,
 )
-from .synthetic import (
-    SensorSpec,
-    ToySpec,
-    TrigSpec,
-    gen_sensor,
-    gen_toy,
-    gen_trig,
-    trig_preset,
-)
+from .synthetic import gen_sensor, gen_toy, gen_trig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,24 +146,17 @@ def _load_stats(path: str) -> tuple[MinMaxStats | None, dict | None]:
 def cmd_synth(cfg: PipelineConfig) -> int:
     """Write a synthetic dataset (CSV + sidecar JSON) into the output dir."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    opts = dict(cfg.synth.options)
-    sidecar: dict = {"kind": cfg.synth.kind, "seed": cfg.synth.seed}
-    files: list[str] = []
+    spec = cfg.synth.spec()
+    sidecar = {"kind": cfg.synth.kind, "seed": cfg.synth.seed, "spec": dataclasses.asdict(spec)}
     if cfg.synth.kind == "trig":
-        if opts:
-            spec = TrigSpec(seed=cfg.synth.seed, **_tupled(opts))
-        else:
-            spec = trig_preset(cfg.synth.seed)
         result = gen_trig(spec)
         train_path = os.path.join(cfg.output_dir, "train.csv")
         test_path = os.path.join(cfg.output_dir, "test.csv")
         save_csv(result.train, train_path)
         save_csv(result.test, test_path)
         files = [train_path, test_path]
-        sidecar["spec"] = dataclasses.asdict(spec)
         sidecar["anomaly_rate"] = result.anomaly_rate
     elif cfg.synth.kind == "toy":
-        spec = ToySpec(seed=cfg.synth.seed, **opts)
         result = gen_toy(spec)
         path = os.path.join(cfg.output_dir, "toy.csv")
         dim = spec.n_channels
@@ -182,30 +167,16 @@ def cmd_synth(cfg: PipelineConfig) -> int:
             [result.context_dev, result.point_dev, result.labels, result.nominality],
         )
         files = [path]
-        sidecar["spec"] = dataclasses.asdict(spec)
     else:
-        spec = SensorSpec(seed=cfg.synth.seed, **_tupled(opts))
         result = gen_sensor(spec)
         path = os.path.join(cfg.output_dir, "sensor.csv")
         save_csv(result.series, path)
         files = [path]
-        sidecar["spec"] = dataclasses.asdict(spec)
         sidecar["tags"] = list(result.tags)
     sidecar["files"] = files
     write_json(sidecar, os.path.join(cfg.output_dir, "synth_spec.json"))
     write_manifest(cfg, "synth", {"outputs": files})
     return EXIT_OK
-
-
-def _tupled(opts: dict) -> dict:
-    """YAML lists become the tuples the spec dataclasses expect."""
-    out = {}
-    for key, value in opts.items():
-        if isinstance(value, list):
-            out[key] = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        else:
-            out[key] = value
-    return out
 
 
 def cmd_train(cfg: PipelineConfig) -> int:

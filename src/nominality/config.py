@@ -17,13 +17,16 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, SpecError
+from .synthetic import SensorSpec, ToySpec, TrigSpec, trig_preset
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 GATE_KINDS = ("soft", "hard")
+SYNTH_SPECS = {"trig": TrigSpec, "toy": ToySpec, "sensor": SensorSpec}
 
 
 def _is_int(value) -> bool:
@@ -73,7 +76,7 @@ CHOICE_KNOBS = (
     ("preprocess", "normalization", ("minmax", "none")),
     ("point_model", "optimizer", ("sgd", "adam")),
     ("gate", "kind", GATE_KINDS),
-    ("synth", "kind", ("trig", "toy", "sensor")),
+    ("synth", "kind", tuple(SYNTH_SPECS)),
 )
 
 
@@ -97,6 +100,25 @@ def _check(obj, section: str) -> None:
             )
 
 
+def _fits(value, hint) -> bool:
+    """Whether a YAML value fits a spec field's type hint; a list stands for a tuple."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if args:  # a union such as ``tuple[float, ...] | None``
+        return any(_fits(value, arg) for arg in args)
+    return {int: _is_int, float: _is_real}.get(hint, lambda v: isinstance(v, hint))(value)
+
+
+def _tupled(value):
+    """A YAML list as the tuple a spec field holds, nested lists included."""
+    return tuple(map(_tupled, value)) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class DataConfig:
     train: str | None = None
@@ -117,11 +139,11 @@ class PreprocessConfig:
 class PointHyperparams:
     """Training settings for the point autoencoder (the ``point_model`` section)."""
 
-    d_lat: int = 10
+    d_lat: int = 4
     learn_rate: float = 1e-4
     optimizer: str = "adam"
     batch_size: int = 64
-    epochs: int = 100
+    epochs: int = 25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -184,12 +206,39 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The ``synth`` section: ``options`` sets the kind's spec fields other than ``seed``.
+
+    YAML lists stand for tuples; ``trig`` with no options is :func:`trig_preset`.
+    """
+
     kind: str = "trig"
     seed: int = 0
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _check(self, "synth")
+        self.spec()
+
+    def spec(self) -> TrigSpec | ToySpec | SensorSpec:
+        """The generator spec; a bad key, type or value raises :class:`ConfigError`."""
+        if not isinstance(self.options, dict):
+            raise ConfigError(f"synth.options must be a mapping, got {self.options!r}")
+        if self.kind == "trig" and not self.options:
+            return trig_preset(self.seed)
+        cls = SYNTH_SPECS[self.kind]
+        hints = {key: hint for key, hint in get_type_hints(cls).items() if key != "seed"}
+        for key, value in self.options.items():
+            if key not in hints:
+                raise ConfigError(f"synth.options has unknown key {key!r} for kind {self.kind}; "
+                                  f"expected one of {', '.join(hints)}")
+            if not _fits(value, hints[key]):
+                raise ConfigError(
+                    f"synth.options.{key} must be {cls.__annotations__[key]}, got {value!r}"
+                )
+        try:
+            return cls(seed=self.seed, **{key: _tupled(v) for key, v in self.options.items()})
+        except (SpecError, TypeError) as exc:  # TypeError: a field without default is unset
+            raise ConfigError(f"synth.options: {exc}") from None
 
 
 @dataclass(frozen=True)

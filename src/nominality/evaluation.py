@@ -63,9 +63,6 @@ class EvalReport:
             doc["spiked_pa_best_f1"] = self.spiked_pa_best_f1
         return doc
 
-    def to_dict(self) -> dict:
-        return {**self._summary(), "curve": [list(row) for row in self.curve]}
-
     def to_json(self, curve_rows: list[str] | None = None) -> str:
         """Sorted, indented JSON with one curve row per line.
 
@@ -186,18 +183,30 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
     )
 
 
+def _oracle_f1(tp: int, fp: int, fn: int) -> float:
+    """F1 of one confusion count in plain Python arithmetic; 0 when TP is 0."""
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2.0 * precision * recall / (precision + recall)
+
+
 def best_f1_bruteforce(
     scores: ScoreSeries | np.ndarray, labels: np.ndarray
 ) -> tuple[float, float]:
-    """Independent oracle: evaluate F1 at every threshold with explicit loops."""
+    """Independent oracle: evaluate F1 at every distinct score with explicit loops.
+
+    The fast sweep's sentinel above the maximum scores F1 0, so it never wins.
+    """
     score_vals, label_vals = _as_arrays(scores, labels)
     _require_both_classes(label_vals)
     best, best_theta = -1.0, 0.0
-    for theta in _threshold_grid(score_vals):
+    for theta in np.unique(score_vals):
         tp, fp, fn, _ = confusion(score_vals >= theta, label_vals)
-        _, _, f1 = _f1_from_counts(tp, fp, fn)
-        if float(f1) > best:
-            best, best_theta = float(f1), float(theta)
+        f1 = _oracle_f1(tp, fp, fn)
+        if f1 > best:
+            best, best_theta = f1, float(theta)
     return best, best_theta
 
 
@@ -258,15 +267,13 @@ def pa_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
 def pa_best_f1_bruteforce(
     scores: ScoreSeries | np.ndarray, labels: np.ndarray
 ) -> float:
-    """Independent oracle: point-adjust the predictions at every threshold."""
+    """Independent oracle: point-adjust the predictions at every distinct score."""
     score_vals, label_vals = _as_arrays(scores, labels)
     _require_both_classes(label_vals)
     best = -1.0
-    for theta in _threshold_grid(score_vals):
+    for theta in np.unique(score_vals):
         adjusted = point_adjust(score_vals >= theta, label_vals)
-        tp, fp, fn, _ = confusion(adjusted, label_vals)
-        _, _, f1 = _f1_from_counts(tp, fp, fn)
-        best = max(best, float(f1))
+        best = max(best, _oracle_f1(*confusion(adjusted, label_vals)[:3]))
     return best
 
 
@@ -292,14 +299,6 @@ def _sorted_ranks(bounds: np.ndarray) -> np.ndarray:
     """Average 1-based rank of each sorted position, given its tie bounds."""
     lo, hi = bounds[:-1], bounds[1:]
     return np.repeat((lo + hi + 1) / 2.0, hi - lo)  # average of lo+1 .. hi
-
-
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned the average of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    ranks[order] = _sorted_ranks(_tie_bounds(values[order]))
-    return ranks
 
 
 def auc_trapezoid(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:

@@ -5,8 +5,8 @@ training-split statistics, fit the point and sequence models on the training
 split, reconstruct the test split both ways, derive anomaly/nominality
 scores on the common valid range, resolve the gate threshold from the
 training nominality distribution, and produce the induced score plus an
-evaluation report.  Labels are trimmed by the same valid range via
-``time_origin`` arithmetic so callers never align offsets by hand.
+evaluation report.  Labels are trimmed with the pair's ``valid_range``, so
+callers never align offsets by hand.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError, ShapeError
-from .evaluation import EvalReport, evaluate
+from .errors import DataError
+from .evaluation import evaluate
 from .reconstructors import (
     PointModel,
     SequenceModel,
@@ -96,11 +96,9 @@ def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
         ridge_lambda=cfg.sequence_model.ridge_lambda,
         stride=None,
     )
-    pair = make_pair(
-        reconstruct_points(point, train), reconstruct_sequence(seq, train), seq.gamma
-    )
-    observed = train.values[pair.valid_range[0] : pair.valid_range[1]]
-    train_nominality = nominality_score(pair, observed)
+    pair = make_pair(train.values, reconstruct_points(point, train),
+                     reconstruct_sequence(seq, train), seq.gamma)
+    train_nominality = nominality_score(pair)
     return TrainedModels(point, seq, None, train_nominality)
 
 
@@ -108,62 +106,20 @@ def score_split(
     cfg: PipelineConfig, models: TrainedModels, test: LabeledSeries
 ) -> ScoreBundle:
     """Reconstruct a split both ways and compute all scores on it."""
-    gamma = models.sequence.gamma
-    delta = models.sequence.delta
-    if test.n_times < 2 * gamma + delta:
-        raise ShapeError(
-            f"test split of length {test.n_times} is shorter than "
-            f"2*gamma + delta = {2 * gamma + delta}"
-        )
     pair = make_pair(
+        test.values,
         reconstruct_points(models.point, test),
         reconstruct_sequence(models.sequence, test),
-        gamma,
+        models.sequence.gamma,
     )
-    lo, hi = pair.valid_range
-    observed = test.values[lo:hi]
-    a_point = anomaly_score(pair, observed)
-    a_seq = sequence_anomaly_score(pair, observed)
-    nominality = nominality_score(pair, observed)
+    a_point = anomaly_score(pair)
+    a_seq = sequence_anomaly_score(pair)
+    nominality = nominality_score(pair)
     gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
     induced = induced_anomaly_score(a_point, nominality, gate_cfg)
+    lo, hi = pair.valid_range
     labels = test.labels[lo:hi] if test.labels is not None else None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
-
-
-def evaluate_bundle(cfg: PipelineConfig, bundle: ScoreBundle) -> EvalReport:
-    """Evaluate the induced score against the trimmed labels."""
-    if bundle.labels is None:
-        raise DataError("cannot evaluate: test split has no labels")
-    return evaluate(
-        bundle.induced,
-        bundle.labels,
-        point_adjusted=cfg.eval.point_adjust,
-        spike_interval=cfg.eval.spike_interval,
-    )
-
-
-def run_pipeline(
-    cfg: PipelineConfig, train: LabeledSeries, test: LabeledSeries
-) -> tuple[TrainedModels, ScoreBundle, EvalReport]:
-    """Single in-process run: preprocess, fit, score, evaluate."""
-    train_prep, stats = preprocess_split(cfg, train)
-    test_prep, _ = preprocess_split(cfg, test, stats)
-    models = fit_models(cfg, train_prep)
-    models.stats = stats
-    bundle = score_split(cfg, models, test_prep)
-    report = evaluate_bundle(cfg, bundle)
-    return models, bundle, report
-
-
-#: Row order of the ablation sweep.
-SWEEP_METHODS = (
-    "point",
-    "sequence",
-    "hard_theta_inf",
-    "hard_theta_pct",
-    "soft_theta_pct",
-)
 
 
 def sweep_table(

@@ -6,9 +6,9 @@ depends only on the input at time t.  The sequence model is a closed-form
 ridge regression that predicts the middle ``delta`` points of a window from
 the ``gamma`` points on each side, which forces it to learn time-dependent
 structure.  Because the sequence model cannot reconstruct the first and last
-``gamma`` points, :func:`make_pair` trims the point reconstruction to the
-same interior range so every covered time point has exactly two
-reconstructed values.
+``gamma`` points, :func:`make_pair` trims the observation and the point
+reconstruction to the same interior range, so every covered time point has
+one observed and exactly two reconstructed values.
 """
 
 from __future__ import annotations
@@ -46,16 +46,6 @@ class PointModel:
     @property
     def n_channels(self) -> int:
         return self.enc_w.shape[0]
-
-    def reconstruct(self, rows: np.ndarray) -> np.ndarray:
-        """Reconstruct a (n, D) batch row by row."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.n_channels:
-            raise ShapeError(
-                f"expected (n, {self.n_channels}) input, got shape {rows.shape}"
-            )
-        hidden = np.tanh(rows @ self.enc_w + self.enc_b)
-        return hidden @ self.dec_w + self.dec_b
 
     def loss_and_grads(
         self, batch: np.ndarray
@@ -179,9 +169,13 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
 def reconstruct_points(
     model: PointModel, series: LabeledSeries | np.ndarray
 ) -> np.ndarray:
-    """Point-wise reconstruction of a whole series; row t depends only on row t."""
+    """Point-wise reconstruction of a whole (n, D) series; row t depends only on row t."""
     values = series.values if isinstance(series, LabeledSeries) else series
-    return model.reconstruct(values)
+    rows = np.asarray(values, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.n_channels:
+        raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {rows.shape}")
+    hidden = np.tanh(rows @ model.enc_w + model.enc_b)
+    return hidden @ model.dec_w + model.dec_b
 
 
 @dataclass
@@ -201,10 +195,6 @@ class SequenceModel:
     weights: np.ndarray
     n_channels: int
     fit_residual: float = 0.0
-
-    @property
-    def context_len(self) -> int:
-        return 2 * self.gamma
 
     def _design_rows(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         g, d = self.gamma, self.delta
@@ -327,23 +317,22 @@ def reconstruct_sequence(
 
 @dataclass(frozen=True)
 class ReconstructionPair:
-    """Aligned point and sequence reconstructions over a common valid range.
+    """An observation and its point and sequence reconstructions on one valid range.
 
     ``valid_range`` is the half-open interval of source indices covered;
-    the first and last gamma points of the point reconstruction are
-    discarded because the sequence model cannot produce them.
+    the first and last gamma points are discarded because the sequence
+    model cannot produce them.  All three arrays share one (n, D) shape.
     """
 
+    observed: np.ndarray
     xc_hat: np.ndarray
     xstar_hat: np.ndarray
     valid_range: tuple[int, int]
 
     def __post_init__(self) -> None:
-        if self.xc_hat.shape != self.xstar_hat.shape:
-            raise ShapeError(
-                f"reconstruction shapes differ: {self.xc_hat.shape} vs "
-                f"{self.xstar_hat.shape}"
-            )
+        shapes = (self.observed.shape, self.xc_hat.shape, self.xstar_hat.shape)
+        if len(set(shapes)) != 1:
+            raise ShapeError(f"observed, point and sequence shapes differ: {shapes}")
         lo, hi = self.valid_range
         if hi - lo != self.xc_hat.shape[0]:
             raise ShapeError(
@@ -352,21 +341,19 @@ class ReconstructionPair:
 
 
 def make_pair(
-    point_rec: np.ndarray, seq_rec: np.ndarray, gamma: int
+    observed: np.ndarray, point_rec: np.ndarray, seq_rec: np.ndarray, gamma: int
 ) -> ReconstructionPair:
-    """Trim the point reconstruction to the sequence model's valid interior."""
-    point_rec = np.asarray(point_rec, dtype=np.float64)
-    seq_rec = np.asarray(seq_rec, dtype=np.float64)
+    """Trim the observation and point reconstruction (T rows) to the sequence one's T - 2*gamma."""
     if gamma < 0:
         raise ShapeError("gamma must be >= 0")
-    n_times = point_rec.shape[0]
-    if seq_rec.shape[0] != n_times - 2 * gamma or seq_rec.shape[1:] != point_rec.shape[1:]:
-        raise ShapeError(
-            f"sequence reconstruction shape {seq_rec.shape} does not match point "
-            f"reconstruction {point_rec.shape} trimmed by gamma={gamma}"
-        )
-    trimmed = point_rec[gamma : n_times - gamma]
-    return ReconstructionPair(trimmed, seq_rec, (gamma, n_times - gamma))
+    observed, point_rec, seq_rec = (np.asarray(a, float) for a in (observed, point_rec, seq_rec))
+    n_times = observed.shape[0]
+    return ReconstructionPair(
+        observed[gamma : n_times - gamma],
+        point_rec[gamma : point_rec.shape[0] - gamma],
+        seq_rec,
+        (gamma, n_times - gamma),
+    )
 
 
 def _encode_array(arr: np.ndarray) -> dict:

@@ -32,34 +32,20 @@ from .series import ScoreSeries
 NOMINALITY_EPSILON = 1e-12
 
 
-def _aligned(pair: ReconstructionPair, observed: np.ndarray) -> np.ndarray:
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.shape != pair.xc_hat.shape:
-        raise ShapeError(
-            f"observed shape {observed.shape} does not match "
-            f"reconstruction shape {pair.xc_hat.shape}"
-        )
-    return observed
-
-
-def anomaly_score(pair: ReconstructionPair, observed: np.ndarray) -> ScoreSeries:
+def anomaly_score(pair: ReconstructionPair) -> ScoreSeries:
     """Squared L2 distance between the point reconstruction and the observation."""
-    observed = _aligned(pair, observed)
-    scores = ((pair.xc_hat - observed) ** 2).sum(axis=1)
+    scores = ((pair.xc_hat - pair.observed) ** 2).sum(axis=1)
     return ScoreSeries(scores, kind="anomaly", time_origin=pair.valid_range[0])
 
 
-def sequence_anomaly_score(pair: ReconstructionPair, observed: np.ndarray) -> ScoreSeries:
+def sequence_anomaly_score(pair: ReconstructionPair) -> ScoreSeries:
     """Squared L2 distance between the sequence reconstruction and the observation."""
-    observed = _aligned(pair, observed)
-    scores = ((pair.xstar_hat - observed) ** 2).sum(axis=1)
+    scores = ((pair.xstar_hat - pair.observed) ** 2).sum(axis=1)
     return ScoreSeries(scores, kind="anomaly", time_origin=pair.valid_range[0])
 
 
 def nominality_score(
-    pair: ReconstructionPair,
-    observed: np.ndarray,
-    epsilon: float = NOMINALITY_EPSILON,
+    pair: ReconstructionPair, epsilon: float = NOMINALITY_EPSILON
 ) -> ScoreSeries:
     """Ratio of squared norms estimating how normal each time point is.
 
@@ -68,9 +54,8 @@ def nominality_score(
     sequence reconstruction) estimates the total deviation.  ``epsilon``
     guards the zero denominator.
     """
-    observed = _aligned(pair, observed)
     num = ((pair.xc_hat - pair.xstar_hat) ** 2).sum(axis=1)
-    den = ((observed - pair.xstar_hat) ** 2).sum(axis=1) + epsilon
+    den = ((pair.observed - pair.xstar_hat) ** 2).sum(axis=1) + epsilon
     return ScoreSeries(num / den, kind="nominality", time_origin=pair.valid_range[0])
 
 

@@ -5,9 +5,9 @@ are channels) with an optional 0/1 label per row.  All containers are frozen
 and their arrays are marked read-only, so instances can be shared freely
 across threads; every operation here returns a new object.
 
-``time_origin`` tracks the index of the first row inside the un-trimmed
-source series, so labels and scores can be re-aligned after boundary
-trimming without the caller doing offset bookkeeping.
+A score series' ``time_origin`` is the index of its first score inside the
+un-trimmed source series, so scores and labels can be re-aligned after
+boundary trimming without the caller doing offset bookkeeping.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import contextlib
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,13 +39,11 @@ class LabeledSeries:
         values: (T, D) float64 matrix, one row per time point.
         labels: optional (T,) vector of 0/1 ints.
         channel_names: optional list of D channel names.
-        time_origin: index of row 0 in the un-trimmed source series.
     """
 
     values: np.ndarray
     labels: np.ndarray | None = None
     channel_names: tuple[str, ...] | None = None
-    time_origin: int = 0
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -80,10 +78,6 @@ class LabeledSeries:
     @property
     def n_channels(self) -> int:
         return self.values.shape[1]
-
-    def with_values(self, values: np.ndarray) -> LabeledSeries:
-        """Same labels/names/origin, new value matrix of identical length."""
-        return LabeledSeries(values, self.labels, self.channel_names, self.time_origin)
 
 
 @dataclass(frozen=True)
@@ -353,7 +347,7 @@ def load_csv(
         labels = table[:, label_idx].astype(np.int64)
         table = np.delete(table, label_idx, axis=1)
         names = header[:label_idx] + header[label_idx + 1 :]
-    return LabeledSeries(_forward_fill(table), labels, names, time_origin=0)
+    return LabeledSeries(_forward_fill(table), labels, names)
 
 
 def save_csv(series: LabeledSeries, path: str, label_column: str = "label") -> None:
@@ -384,7 +378,7 @@ def minmax_apply(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
     safe_span = np.where(span == 0.0, 1.0, span)
     out = (series.values - stats.mins) / safe_span
     out[:, stats.constant_mask] = 0.0
-    return series.with_values(out)
+    return LabeledSeries(out, series.labels, series.channel_names)
 
 
 def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
@@ -405,5 +399,5 @@ def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
     labels = None
     if series.labels is not None:
         labels = np.maximum.reduceat(series.labels, starts)
-    return LabeledSeries(values, labels, series.channel_names, series.time_origin)
+    return LabeledSeries(values, labels, series.channel_names)
 

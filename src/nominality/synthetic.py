@@ -1,4 +1,4 @@
-"""Seeded synthetic generators and distributional check helpers.
+"""Seeded synthetic generators.
 
 Three generators cover the constructions the scoring theory is built on:
 
@@ -11,11 +11,6 @@ Three generators cover the constructions the scoring theory is built on:
 * ``gen_trig`` builds a multichannel trigonometric dataset with an
   anomaly-free training split and a test split containing configured
   point-noise, frequency-shift, and amplitude-shift segments.
-
-The F-distribution reference is sample based (a ratio of normalized sums of
-squared normals is an exact F(D, D) draw), so distribution checks use a
-two-sample Kolmogorov-Smirnov statistic with critical values from the
-asymptotic Kolmogorov series.
 """
 
 from __future__ import annotations
@@ -89,21 +84,6 @@ def gen_toy(spec: ToySpec) -> ToyResult:
     labels[spec.n_normal :] = 1
     nominality = (ctx**2).sum(axis=1) / ((ctx + pt) ** 2).sum(axis=1)
     return ToyResult(ctx, pt, labels, nominality)
-
-
-def f_reference_sample(n_channels: int, count: int, seed: int) -> np.ndarray:
-    """Exact F(D, D) draws as ratios of normalized sums of squared normals."""
-    if n_channels < 1 or count < 1:
-        raise SpecError("n_channels and count must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = np.empty(count)
-    chunk = max(1, 10_000_000 // max(n_channels, 1))
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        num = (rng.standard_normal((hi - lo, n_channels)) ** 2).sum(axis=1)
-        den = (rng.standard_normal((hi - lo, n_channels)) ** 2).sum(axis=1)
-        out[lo:hi] = num / den
-    return out
 
 
 @dataclass(frozen=True)
@@ -337,47 +317,3 @@ def trig_preset(seed: int = 0) -> TrigSpec:
         point_noise_scale=1.0,
         seed=seed,
     )
-
-
-def ks_statistic(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic (sup distance between ECDFs)."""
-    a = np.sort(np.asarray(sample_a, dtype=np.float64))
-    b = np.sort(np.asarray(sample_b, dtype=np.float64))
-    if a.size == 0 or b.size == 0:
-        raise SpecError("KS statistic requires non-empty samples")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.abs(cdf_a - cdf_b).max())
-
-
-def kolmogorov_sf(x: float, terms: int = 100) -> float:
-    """Survival function of the asymptotic Kolmogorov distribution.
-
-    Alternating series truncated at ``terms`` terms; accurate far beyond
-    the tolerances used here for any x of interest.
-    """
-    if x <= 0:
-        return 1.0
-    total = 0.0
-    for k in range(1, terms + 1):
-        total += (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * x * x)
-    return min(1.0, max(0.0, 2.0 * total))
-
-
-def ks_critical_value(n: int, m: int, alpha: float, terms: int = 100) -> float:
-    """Two-sample KS rejection threshold at significance ``alpha``.
-
-    Inverts the asymptotic survival function by bisection and scales by
-    sqrt((n + m) / (n * m)).
-    """
-    if not 0 < alpha < 1:
-        raise SpecError("alpha must be in (0, 1)")
-    lo, hi = 1e-9, 10.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid, terms) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return hi * math.sqrt((n + m) / (n * m))

@@ -18,12 +18,9 @@ from nominality import (
     LabeledSeries,
     PointHyperparams,
     best_f1,
-    f_reference_sample,
     gen_toy,
     gen_trig,
     induced_anomaly_score,
-    ks_critical_value,
-    ks_statistic,
     pa_best_f1,
     reconstruct_sequence,
     smoothed_score,
@@ -37,7 +34,7 @@ from nominality.pipeline import fit_models, preprocess_split, sweep_table
 from nominality.reconstructors import _init_point_model
 from nominality.scoring import induced_anomaly_score_naive
 from nominality.synthetic import ToySpec
-from toy_law import toy_f_variate
+from toy_law import f_reference_sample, ks_critical_value, ks_statistic, toy_f_variate
 
 
 def labeled_instance(seed):

@@ -16,7 +16,7 @@ class TestDefaults:
         cfg = config_from_dict({})
         assert cfg.point_model.learn_rate == 1e-4
         assert cfg.point_model.batch_size == 64
-        assert cfg.point_model.d_lat == 10
+        assert cfg.point_model.d_lat == 4
         assert cfg.gate.theta_percentile == 98.5
         assert cfg.gate.kind == "soft"
         assert cfg.sweep.d_values == (1, 2, 4, 8, 16, 32, 64, 128, 256)

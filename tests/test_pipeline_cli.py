@@ -12,12 +12,13 @@ import pytest
 import yaml
 
 from nominality.cli import main, read_score_csv
-from nominality.config import PipelineConfig, load_config
-from nominality.evaluation import evaluate
-from nominality.pipeline import run_pipeline
+from nominality.config import PipelineConfig, config_from_dict, load_config
+from nominality.evaluation import best_f1, evaluate
+from nominality.pipeline import fit_models, preprocess_split, score_split
 from nominality.reconstructors import _init_point_model, load_model
 from nominality.scoring import smoothed_score
 from nominality.series import load_csv
+from nominality.synthetic import TrigSpec, gen_trig
 
 SMALL_CONFIG = """\
 data:
@@ -123,7 +124,11 @@ class TestEndToEnd:
         cfg = load_config(config_path)
         train = load_csv(os.path.join(out, "train.csv"), label_column="label")
         test = load_csv(os.path.join(out, "test.csv"), label_column="label")
-        _, bundle, report = run_pipeline(cfg, train, test)
+        train_prep, stats = preprocess_split(cfg, train)
+        test_prep, _ = preprocess_split(cfg, test, stats)
+        bundle = score_split(cfg, fit_models(cfg, train_prep), test_prep)
+        report = evaluate(bundle.induced, bundle.labels, point_adjusted=cfg.eval.point_adjust,
+                          spike_interval=cfg.eval.spike_interval)
         on_disk = json.load(open(os.path.join(out, "eval_report.json")))
         assert on_disk["best_f1"] == report.best_f1
         assert on_disk["best_threshold"] == report.best_threshold
@@ -394,16 +399,30 @@ class TestCliBehavior:
         assert sidecar["kind"] == "sensor"
         assert sidecar["tags"][35] == "contextual-anomaly"
 
-    def test_bad_synth_spec_exit_3(self, tmp_path):
-        out = tmp_path / "x"
-        out.mkdir()
-        cfg = tmp_path / "bad_synth.yaml"
-        cfg.write_text(
-            "synth:\n  kind: trig\n  options:\n    n_channels: 2\n    n_train: 100\n"
-            "    n_test: 100\n    segments:\n      - [90, 120, frequency-shift]\n"
-            f"output:\n  dir: {out}\n"
-        )
-        assert main(["synth", "--config", str(cfg)]) == 3
+    @pytest.mark.parametrize(
+        "synth",
+        [
+            "  options:\n    bogus: 1\n",
+            "  options: [1]\n",
+            "  kind: toy\n  options:\n    n_channels: 2\n    alpha: x\n"
+            "    n_normal: 5\n    n_anomaly: 5\n",
+            "  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n",
+            "  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+            "    segments:\n      - [90, 120, frequency-shift]\n",
+            "  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+            "    segments:\n      - [90, 95]\n",
+            "  kind: sensor\n",
+        ],
+        ids=["unknown-key", "options-list", "toy-alpha-string", "channels-zero",
+             "segment-outside", "segment-short", "sensor-unset"],
+    )
+    def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth):
+        path = tmp_path / "synth.yaml"
+        path.write_text(f"synth:\n{synth}output:\n  dir: {tmp_path}\n")
+        assert main(["synth", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: synth.options")
+        assert "Traceback" not in err
 
 
 def test_cli_import_does_not_load_scipy():
@@ -414,6 +433,31 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_code_defaults_run_every_command(tmp_path):
+    """A config that names only the data paths runs the chain on the default dataset."""
+    path = tmp_path / "run.yaml"
+    path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
+                    f"output:\n  dir: {tmp_path}\n")
+    run_all(str(path))
+
+
+def test_readme_library_example(capsys):
+    """README's library example runs, and its induced score is the pipeline's."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    text = open(os.path.join(root, "README.md")).read()
+    code = text.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    segments = ((300, 360, "frequency-shift"), (500, 501, "point-noise"))
+    data = gen_trig(TrigSpec(n_channels=5, n_train=2000, n_test=800, segments=segments))
+    scope = {"train_values": data.train.values, "test_values": data.test.values,
+             "test_labels": data.test.labels}
+    exec(code, scope)
+    cfg = config_from_dict({"preprocess": {"normalization": "none"},
+                            "point_model": {"d_lat": 4, "epochs": 25}})
+    bundle = score_split(cfg, fit_models(cfg, data.train), data.test)
+    np.testing.assert_array_equal(scope["induced"].scores, bundle.induced.scores)
+    assert float(capsys.readouterr().out) == best_f1(bundle.induced, bundle.labels).best_f1
 
 
 def test_readme_quickstart(tmp_path):

@@ -139,12 +139,12 @@ class TestPointModelProperties:
         hp = PointHyperparams(d_lat=2)
         model = _init_point_model(3, hp)
         model.enc_w[:] = 0; model.enc_b[:] = 0; model.dec_w[:] = 0; model.dec_b[:] = 0
-        out = model.reconstruct(np.random.default_rng(0).standard_normal((5, 3)))
+        out = reconstruct_points(model, np.random.default_rng(0).standard_normal((5, 3)))
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_single_row(self):
         model = _init_point_model(3, PointHyperparams(d_lat=2))
-        assert model.reconstruct(np.ones((1, 3))).shape == (1, 3)
+        assert reconstruct_points(model, np.ones((1, 3))).shape == (1, 3)
 
 
 class TestSequenceModel:
@@ -268,19 +268,20 @@ class TestSequenceReconstruction:
 
 class TestMakePair:
     def test_trims_point_reconstruction(self):
-        pair = make_pair(np.arange(20.0).reshape(10, 2), np.arange(12.0).reshape(6, 2), 2)
+        pair = make_pair(np.zeros((10, 2)), np.arange(20.0).reshape(10, 2),
+                         np.arange(12.0).reshape(6, 2), 2)
         assert pair.valid_range == (2, 8)
         np.testing.assert_array_equal(pair.xc_hat[0], [4.0, 5.0])
 
     def test_gamma_zero_identity(self):
         point = np.ones((5, 2))
-        pair = make_pair(point, np.zeros((5, 2)), 0)
+        pair = make_pair(point, point, np.zeros((5, 2)), 0)
         assert pair.valid_range == (0, 5)
         np.testing.assert_array_equal(pair.xc_hat, point)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            make_pair(np.ones((10, 2)), np.ones((5, 2)), 2)
+            make_pair(np.ones((10, 2)), np.ones((10, 2)), np.ones((5, 2)), 2)
 
 
 class TestPersistence:

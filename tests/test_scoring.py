@@ -22,50 +22,49 @@ from nominality.scoring import induced_anomaly_score_naive
 from nominality.series import ScoreSeries
 
 
-def pair_from(xc, xstar):
+def pair_from(xc, xstar, observed):
     xc = np.atleast_2d(np.asarray(xc, dtype=float))
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
-    return make_pair(xc, xstar, 0)
+    return make_pair(observed, xc, xstar, 0)
 
 
 class TestAnomalyScore:
     def test_unit_distance(self):
-        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]])
-        assert anomaly_score(pair, [[2.0, 0.0]]).scores[0] == 1.0
+        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]], [[2.0, 0.0]])
+        assert anomaly_score(pair).scores[0] == 1.0
 
     def test_zero_when_exact(self):
-        pair = pair_from([[3.0, 4.0]], [[0.0, 0.0]])
-        assert anomaly_score(pair, [[3.0, 4.0]]).scores[0] == 0.0
+        pair = pair_from([[3.0, 4.0]], [[0.0, 0.0]], [[3.0, 4.0]])
+        assert anomaly_score(pair).scores[0] == 0.0
 
     def test_squared_norm(self):
-        pair = pair_from([[0.0, 0.0]], [[0.0, 0.0]])
-        assert anomaly_score(pair, [[3.0, 4.0]]).scores[0] == 25.0
+        pair = pair_from([[0.0, 0.0]], [[0.0, 0.0]], [[3.0, 4.0]])
+        assert anomaly_score(pair).scores[0] == 25.0
 
     def test_shape_mismatch(self):
-        pair = pair_from([[0.0, 0.0]], [[0.0, 0.0]])
         with pytest.raises(ShapeError):
-            anomaly_score(pair, [[1.0, 2.0], [3.0, 4.0]])
+            pair_from([[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestNominalityScore:
     def test_quarter_ratio(self):
-        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]])
-        n = nominality_score(pair, [[2.0, 0.0]], epsilon=0.0)
+        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]], [[2.0, 0.0]])
+        n = nominality_score(pair, epsilon=0.0)
         assert n.scores[0] == 0.25
 
     def test_perfect_point_reconstruction_gives_one(self):
-        pair = pair_from([[2.0, 1.0]], [[0.5, 0.5]])
-        n = nominality_score(pair, [[2.0, 1.0]])
+        pair = pair_from([[2.0, 1.0]], [[0.5, 0.5]], [[2.0, 1.0]])
+        n = nominality_score(pair)
         assert n.scores[0] == pytest.approx(1.0, rel=1e-9)
 
     def test_matching_reconstructions_give_zero(self):
-        pair = pair_from([[0.5, 0.5]], [[0.5, 0.5]])
-        n = nominality_score(pair, [[2.0, 1.0]])
+        pair = pair_from([[0.5, 0.5]], [[0.5, 0.5]], [[2.0, 1.0]])
+        n = nominality_score(pair)
         assert n.scores[0] == 0.0
 
     def test_epsilon_guards_zero_denominator(self):
-        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]])
-        n = nominality_score(pair, [[0.0, 0.0]])  # observed == xstar
+        pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]], [[0.0, 0.0]])  # observed == xstar
+        n = nominality_score(pair)
         assert np.isfinite(n.scores[0])
 
 

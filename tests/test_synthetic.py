@@ -11,16 +11,18 @@ from nominality import (
     SpecError,
     ToySpec,
     TrigSpec,
-    f_reference_sample,
     gen_sensor,
     gen_toy,
     gen_trig,
-    ks_critical_value,
-    ks_statistic,
     trig_preset,
 )
-from nominality.synthetic import kolmogorov_sf
-from toy_law import toy_f_variate
+from toy_law import (
+    f_reference_sample,
+    kolmogorov_sf,
+    ks_critical_value,
+    ks_statistic,
+    toy_f_variate,
+)
 
 
 class TestToyDataset:
