@@ -207,6 +207,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
             "final_losses": {
                 "point_first_epoch": models.point.first_epoch_loss,
                 "point_final_epoch": models.point.final_epoch_loss,
+                "point_epoch_losses": models.point.epoch_losses,
                 "sequence_fit_residual": models.sequence.fit_residual,
             },
             "outputs": [point_path, seq_path, nominality_path],

@@ -101,7 +101,11 @@ def _check(obj, section: str) -> None:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a YAML value fits a spec field's type hint; a list stands for a tuple."""
+    """Whether a YAML value fits a spec field's type hint; a list stands for a tuple.
+
+    A ``float`` must be finite: no generator has a use for an infinite
+    amplitude, frequency or scale.
+    """
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
@@ -111,7 +115,9 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(map(_fits, value, args))
     if args:  # a union such as ``tuple[float, ...] | None``
         return any(_fits(value, arg) for arg in args)
-    return {int: _is_int, float: _is_real}.get(hint, lambda v: isinstance(v, hint))(value)
+    if hint is float:
+        return _is_real(value) and math.isfinite(value)
+    return _is_int(value) if hint is int else isinstance(value, hint)
 
 
 def _tupled(value):

@@ -2,7 +2,10 @@
 
 The point model is a one-hidden-layer tanh autoencoder trained row by row
 with mini-batch Adam (or plain gradient descent), so its output at time t
-depends only on the input at time t.  The sequence model is a closed-form
+depends only on the input at time t.  Its fit keeps the four weight arrays
+as views of one flat float64 buffer and updates the whole buffer with a few
+in-place ufuncs per step, in the same operation order as a per-array Adam,
+so the weights are the same bits.  The sequence model is a closed-form
 ridge regression that predicts the middle ``delta`` points of a window from
 the ``gamma`` points on each side, which forces it to learn time-dependent
 structure.  Because the sequence model cannot reconstruct the first and last
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,7 +35,9 @@ class PointModel:
 
     The latent dimension is a compression bottleneck (d_lat <= D);
     weights live in plain float64 arrays so reconstruction and persistence
-    are exactly reproducible.
+    are exactly reproducible.  ``epoch_losses`` is the mean loss of each
+    epoch of the fit that made the model; :func:`save_model` keeps only its
+    first and last entries, so it is empty after :func:`load_model`.
     """
 
     enc_w: np.ndarray
@@ -42,61 +47,102 @@ class PointModel:
     hp: PointHyperparams
     first_epoch_loss: float | None = None
     final_epoch_loss: float | None = None
+    epoch_losses: list[float] = field(default_factory=list)
 
     @property
     def n_channels(self) -> int:
         return self.enc_w.shape[0]
 
     def loss_and_grads(
-        self, batch: np.ndarray
+        self, batch: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean squared reconstruction error of a batch and its gradients.
 
         The loss is averaged over all batch elements (rows times channels).
         Gradients are exact; the finite-difference check in the test suite
-        validates them against central differences.
+        validates them against central differences.  They are written into
+        ``out``, a flat float64 buffer laid out as :func:`_param_views`
+        describes (a new one if None), and returned as views of it.
         """
         batch = np.asarray(batch, dtype=np.float64)
         n, dim = batch.shape
-        pre = batch @ self.enc_w + self.enc_b
-        hidden = np.tanh(pre)
-        recon = hidden @ self.dec_w + self.dec_b
-        resid = recon - batch
-        loss = float((resid**2).mean())
-        d_recon = 2.0 * resid / (n * dim)
-        d_dec_w = hidden.T @ d_recon
-        d_dec_b = d_recon.sum(axis=0)
-        d_hidden = d_recon @ self.dec_w.T
-        d_pre = d_hidden * (1.0 - hidden**2)
-        d_enc_w = batch.T @ d_pre
-        d_enc_b = d_pre.sum(axis=0)
-        return loss, {
-            "enc_w": d_enc_w,
-            "enc_b": d_enc_b,
-            "dec_w": d_dec_w,
-            "dec_b": d_dec_b,
-        }
+        if out is None:
+            out = np.empty(2 * self.enc_w.size + self.enc_b.size + self.dec_b.size)
+        grads = _param_views(out, *self.enc_w.shape)
+        # In place, but one rounding at a time in the order of the plain
+        # expressions (tanh(x @ W + b), 2 * resid / (n * D), ...), so the bits match them.
+        hidden = batch @ self.enc_w
+        hidden += self.enc_b
+        np.tanh(hidden, out=hidden)
+        resid = hidden @ self.dec_w
+        resid += self.dec_b
+        resid -= batch
+        sq = np.square(resid)
+        # np.add.reduce / size is what ndarray.mean computes, without its Python overhead.
+        loss = float(np.add.reduce(sq, axis=None) / sq.size)
+        d_recon = resid
+        d_recon *= 2.0
+        d_recon /= n * dim
+        np.matmul(hidden.T, d_recon, out=grads["dec_w"])
+        np.add.reduce(d_recon, axis=0, out=grads["dec_b"])
+        d_pre = d_recon @ self.dec_w.T
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        d_pre *= hidden
+        np.matmul(batch.T, d_pre, out=grads["enc_w"])
+        np.add.reduce(d_pre, axis=0, out=grads["enc_b"])
+        return loss, grads
 
 
-def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
+def _param_views(flat: np.ndarray, n_channels: int, d_lat: int) -> dict[str, np.ndarray]:
+    """``enc_w``, ``enc_b``, ``dec_w`` and ``dec_b`` as reshaped views of one flat buffer.
+
+    The buffer holds them back to back in that order, each row-major, so it
+    has 2 * n_channels * d_lat + d_lat + n_channels elements.
+    """
+    a = n_channels * d_lat
+    b = a + d_lat
+    c = b + a
+    return {
+        "enc_w": flat[:a].reshape(n_channels, d_lat),
+        "enc_b": flat[a:b],
+        "dec_w": flat[b:c].reshape(d_lat, n_channels),
+        "dec_b": flat[c:],
+    }
+
+
+def _init_params(n_channels: int, hp: PointHyperparams) -> np.ndarray:
+    """The seeded initial weights as one flat buffer (layout: :func:`_param_views`)."""
     rng = np.random.default_rng(hp.seed)
     enc_bound = 1.0 / np.sqrt(n_channels)
     dec_bound = 1.0 / np.sqrt(hp.d_lat)
-    return PointModel(
-        enc_w=rng.uniform(-enc_bound, enc_bound, (n_channels, hp.d_lat)),
-        enc_b=rng.uniform(-enc_bound, enc_bound, hp.d_lat),
-        dec_w=rng.uniform(-dec_bound, dec_bound, (hp.d_lat, n_channels)),
-        dec_b=rng.uniform(-dec_bound, dec_bound, n_channels),
-        hp=hp,
-    )
+    return np.concatenate([
+        rng.uniform(-enc_bound, enc_bound, (n_channels, hp.d_lat)).ravel(),
+        rng.uniform(-enc_bound, enc_bound, hp.d_lat),
+        rng.uniform(-dec_bound, dec_bound, (hp.d_lat, n_channels)).ravel(),
+        rng.uniform(-dec_bound, dec_bound, n_channels),
+    ])
+
+
+def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
+    flat = _init_params(n_channels, hp)
+    return PointModel(**_param_views(flat, n_channels, hp.d_lat), hp=hp)
 
 
 def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     """Fit the point autoencoder on the rows of the training series.
 
-    Training is mini-batch Adam (or plain gradient descent with
-    ``optimizer="sgd"``) with seeded shuffling, so identical inputs and seeds give bitwise
-    identical models.
+    Training is mini-batch Adam (Kingma & Ba, ICLR 2015, Alg. 1) or, with
+    ``optimizer="sgd"``, plain gradient descent, with seeded shuffling, so
+    identical inputs and seeds give bitwise identical models.  The four
+    weight arrays of the returned model are views of one flat float64
+    buffer; the gradient, both Adam moments and two scratch arrays are flat
+    buffers of the same size, so each step updates every parameter with a
+    few in-place ufuncs.  The arithmetic is, element by element and in this
+    order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)``, which is
+    what a per-array update computes.  Each epoch gathers its shuffled rows
+    once and takes the batches as contiguous slices of them.
 
     Raises:
         ShapeError: fewer than 2 channels, latent wider than the input, or
@@ -116,50 +162,52 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
         raise ShapeError(
             f"need at least batch_size={hp.batch_size} rows, got {train.n_times}"
         )
-    model = _init_point_model(train.n_channels, hp)
+    flat = _init_params(train.n_channels, hp)
+    model = PointModel(**_param_views(flat, train.n_channels, hp.d_lat), hp=hp)
     rows = train.values
+    n_rows, batch_size = rows.shape[0], hp.batch_size
+    n_batches = -(-n_rows // batch_size)
     rng = np.random.default_rng(hp.seed + 1)
-    params = {
-        "enc_w": model.enc_w,
-        "enc_b": model.enc_b,
-        "dec_w": model.dec_w,
-        "dec_b": model.dec_b,
-    }
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    grad, adam_m, adam_v, tmp, tmp2 = (np.zeros_like(flat) for _ in range(5))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = hp.learn_rate
     step = 0
     for epoch in range(hp.epochs):
-        order = rng.permutation(rows.shape[0])
+        shuffled = rows[rng.permutation(n_rows)]
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, rows.shape[0], hp.batch_size):
-            batch = rows[order[start : start + hp.batch_size]]
-            loss, grads = model.loss_and_grads(batch)
+        for start in range(0, n_rows, batch_size):
+            loss, _ = model.loss_and_grads(shuffled[start : start + batch_size], out=grad)
             epoch_loss += loss
-            n_batches += 1
             step += 1
             if hp.optimizer == "adam":
-                for key, grad in grads.items():
-                    adam_m[key] = beta1 * adam_m[key] + (1 - beta1) * grad
-                    adam_v[key] = beta2 * adam_v[key] + (1 - beta2) * grad**2
-                    m_hat = adam_m[key] / (1 - beta1**step)
-                    v_hat = adam_v[key] / (1 - beta2**step)
-                    params[key] -= hp.learn_rate * m_hat / (np.sqrt(v_hat) + eps)
+                adam_m *= beta1
+                np.multiply(grad, 1 - beta1, out=tmp)
+                adam_m += tmp
+                np.square(grad, out=tmp)
+                tmp *= 1 - beta2
+                adam_v *= beta2
+                adam_v += tmp
+                np.divide(adam_m, 1 - beta1**step, out=tmp)
+                tmp *= lr
+                np.divide(adam_v, 1 - beta2**step, out=tmp2)
+                np.sqrt(tmp2, out=tmp2)
+                tmp2 += eps
+                tmp /= tmp2
             else:
-                for key, grad in grads.items():
-                    params[key] -= hp.learn_rate * grad
+                np.multiply(grad, lr, out=tmp)
+            flat -= tmp
         epoch_loss /= n_batches
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(
                 f"training loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if epoch == 0:
-            model.first_epoch_loss = epoch_loss
-        model.final_epoch_loss = epoch_loss
+        model.epoch_losses.append(epoch_loss)
+    if model.epoch_losses:
+        model.first_epoch_loss = model.epoch_losses[0]
+        model.final_epoch_loss = model.epoch_losses[-1]
     # The epoch loss is computed before each update, so the very last update
     # could still blow up without being seen; keep the finite-weights promise.
-    if any(not np.isfinite(p).all() for p in params.values()):
+    if not np.isfinite(flat).all():
         raise TrainingDiverged(
             f"weights became non-finite at epoch {hp.epochs - 1}", epoch=hp.epochs - 1
         )

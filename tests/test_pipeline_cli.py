@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,7 +13,14 @@ import pytest
 import yaml
 
 from nominality.cli import main, read_score_csv
-from nominality.config import PipelineConfig, config_from_dict, load_config
+from nominality.config import (
+    CHOICE_KNOBS,
+    INT_KNOBS,
+    REAL_KNOBS,
+    PipelineConfig,
+    config_from_dict,
+    load_config,
+)
 from nominality.evaluation import best_f1, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split
 from nominality.reconstructors import _init_point_model, load_model
@@ -61,6 +69,28 @@ output:
 """
 
 
+def _table_knob_cases():
+    """Every knob of the config's tables with each kind of bad value: (YAML, knob, id).
+
+    Each knob gets a string, a bool, a list, NaN and a value out of its range
+    (one below the lowest integer, -1 for a real, an unlisted word for a
+    choice); a real whose test refuses infinity also gets ``.inf``.
+    """
+    wrong_type = {"string": "abc", "bool": "true", "list": "[1]", "nan": ".nan"}
+    knobs = [(section, name, {**wrong_type, "range": low - 1})
+             for section, name, low, _ in INT_KNOBS]
+    knobs += [(section, name, {**wrong_type, "range": -1.0,
+                               **({} if test(math.inf) else {"inf": ".inf"})})
+              for section, name, test, _, _ in REAL_KNOBS]
+    knobs += [(section, name, {**wrong_type, "range": choices[0].upper()})
+              for section, name, choices in CHOICE_KNOBS]
+    return [(f"{section}:\n  {name}: {value}\n", f"{section}.{name}", f"{section}.{name}-{kind}")
+            for section, name, values in knobs for kind, value in values.items()]
+
+
+TABLE_KNOB_CASES = _table_knob_cases()
+
+
 def write_config(tmp_path, out_name="run"):
     out = tmp_path / out_name
     out.mkdir(exist_ok=True)
@@ -102,6 +132,15 @@ class TestEndToEnd:
         train_manifest = json.load(open(os.path.join(out, "manifest_train.json")))
         assert train_manifest["seeds"] == {"point_model": 0}
         assert "final_losses" in train_manifest
+
+    def test_train_manifest_loss_curve(self, rundir):
+        _, out = rundir
+        losses = json.load(open(os.path.join(out, "manifest_train.json")))["final_losses"]
+        curve = losses["point_epoch_losses"]
+        assert len(curve) == 3  # SMALL_CONFIG's epochs
+        assert curve[0] == losses["point_first_epoch"]
+        assert curve[-1] == losses["point_final_epoch"]
+        assert "epoch_losses" not in open(os.path.join(out, "point_model.json")).read()
 
     def test_score_alignment(self, rundir):
         _, out = rundir
@@ -232,12 +271,12 @@ class TestCliBehavior:
             ("gate:\n  theta_percentile: 101\n", "gate.theta_percentile"),
             ("gate:\n  theta_n: .nan\n  theta_percentile: null\n", "gate.theta_n"),
             ("gate:\n  theta_n: yes\n  theta_percentile: null\n", "gate.theta_n"),
-        ],
+        ] + [case[:2] for case in TABLE_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
-             "theta-nan", "theta-bool"],
+             "theta-nan", "theta-bool"] + [case[2] for case in TABLE_KNOB_CASES],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
         path = tmp_path / "typed.yaml"
@@ -400,28 +439,39 @@ class TestCliBehavior:
         assert sidecar["tags"][35] == "contextual-anomaly"
 
     @pytest.mark.parametrize(
-        "synth",
+        "synth, key",
         [
-            "  options:\n    bogus: 1\n",
-            "  options: [1]\n",
-            "  kind: toy\n  options:\n    n_channels: 2\n    alpha: x\n"
-            "    n_normal: 5\n    n_anomaly: 5\n",
-            "  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n",
-            "  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-            "    segments:\n      - [90, 120, frequency-shift]\n",
-            "  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-            "    segments:\n      - [90, 95]\n",
-            "  kind: sensor\n",
+            ("  options:\n    bogus: 1\n", ""),
+            ("  options: [1]\n", ""),
+            ("  kind: toy\n  options:\n    n_channels: 2\n    alpha: x\n"
+             "    n_normal: 5\n    n_anomaly: 5\n", ".alpha"),
+            ("  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n", ""),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    segments:\n      - [90, 120, frequency-shift]\n", ""),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    segments:\n      - [90, 95]\n", ".segments"),
+            ("  kind: sensor\n", ""),
+            ("  kind: toy\n  options:\n    n_channels: 2\n    alpha: .inf\n"
+             "    n_normal: 5\n    n_anomaly: 5\n", ".alpha"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    point_noise_scale: .inf\n    segments:\n      - [50, 51, point-noise]\n",
+             ".point_noise_scale"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    frequencies: [.inf, 1.0]\n", ".frequencies"),
+            ("  kind: sensor\n  options:\n    omega: .inf\n    omega_slow: 0.05\n"
+             "    radius: 1.0\n    radius_min: 0.8\n    radius_max: 1.2\n    n_times: 100\n",
+             ".omega"),
         ],
         ids=["unknown-key", "options-list", "toy-alpha-string", "channels-zero",
-             "segment-outside", "segment-short", "sensor-unset"],
+             "segment-outside", "segment-short", "sensor-unset", "toy-alpha-inf",
+             "trig-point-noise-inf", "trig-frequency-inf", "sensor-omega-inf"],
     )
-    def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth):
+    def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth, key):
         path = tmp_path / "synth.yaml"
         path.write_text(f"synth:\n{synth}output:\n  dir: {tmp_path}\n")
         assert main(["synth", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("config error: synth.options")
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
         assert "Traceback" not in err
 
 

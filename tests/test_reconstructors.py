@@ -1,7 +1,10 @@
 """Point autoencoder and ridge sequence model behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from point_fit_reference import reference_loss_and_grads, reference_train_point_model
 
 from nominality import (
     LabeledSeries,
@@ -17,7 +20,7 @@ from nominality import (
     train_point_model,
     train_sequence_model,
 )
-from nominality.reconstructors import _init_point_model
+from nominality.reconstructors import PointModel, _init_point_model
 
 
 def random_series(seed, n=200, dim=3):
@@ -94,6 +97,59 @@ class TestPointModelTraining:
             train_point_model(
                 random_series(0, n=10), PointHyperparams(d_lat=2, batch_size=64)
             )
+
+
+class TestFlatFitMatchesReference:
+    """The flat-buffer fit against the per-key reference fit, bit for bit."""
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    @pytest.mark.parametrize("d_lat", [1, 4])
+    @pytest.mark.parametrize("batch_size", [20, 16], ids=["divides", "ragged"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_weights_and_losses_bitwise(self, monkeypatch, optimizer, batch_size, d_lat, epochs):
+        series = random_series(11, n=100, dim=4)
+        hp = PointHyperparams(d_lat=d_lat, learn_rate=0.01, optimizer=optimizer,
+                              batch_size=batch_size, epochs=epochs, seed=2)
+        fast = train_point_model(series, hp)
+        with monkeypatch.context() as patch:
+            patch.setattr(PointModel, "loss_and_grads", reference_loss_and_grads)
+            reference = reference_train_point_model(series, hp)
+        for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
+            ours, theirs = getattr(fast, key), getattr(reference, key)
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), key
+        assert fast.first_epoch_loss == reference.first_epoch_loss
+        assert fast.final_epoch_loss == reference.final_epoch_loss
+        assert len(fast.epoch_losses) == epochs
+        if epochs:
+            assert fast.epoch_losses[0] == fast.first_epoch_loss
+            assert fast.epoch_losses[-1] == fast.final_epoch_loss
+
+    def test_one_loss_and_grads_call_per_batch(self, monkeypatch):
+        sizes = []
+        original = PointModel.loss_and_grads
+
+        def spy(self, batch, out=None):
+            sizes.append(len(batch))
+            return original(self, batch, out=out)
+
+        monkeypatch.setattr(PointModel, "loss_and_grads", spy)
+        epochs, n_rows, batch_size = 3, 100, 16
+        train_point_model(random_series(12, n=n_rows, dim=4),
+                          PointHyperparams(d_lat=2, batch_size=batch_size, epochs=epochs))
+        assert len(sizes) == epochs * math.ceil(n_rows / batch_size)
+        assert sizes[:7] == [16] * 6 + [4]
+
+    def test_out_buffer_receives_the_gradients(self):
+        model = _init_point_model(5, PointHyperparams(d_lat=3))
+        batch = np.random.default_rng(13).standard_normal((7, 5))
+        out = np.full(2 * 5 * 3 + 3 + 5, np.nan)
+        loss, grads = model.loss_and_grads(batch, out=out)
+        ref_loss, ref_grads = reference_loss_and_grads(model, batch)
+        assert loss == ref_loss
+        assert out.tobytes() == np.concatenate([ref_grads[key].ravel() for key in
+                                                ("enc_w", "enc_b", "dec_w", "dec_b")]).tobytes()
+        for key, grad in grads.items():
+            assert np.shares_memory(grad, out) and grad.shape == getattr(model, key).shape
 
 
 class TestPointModelProperties:
