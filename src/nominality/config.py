@@ -215,6 +215,8 @@ class SynthConfig:
     """The ``synth`` section: ``options`` sets the kind's spec fields other than ``seed``.
 
     YAML lists stand for tuples; ``trig`` with no options is :func:`trig_preset`.
+    Parsing builds the spec to check it, except that preset: it is always
+    valid, and only ``synth`` needs it.
     """
 
     kind: str = "trig"
@@ -223,7 +225,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         _check(self, "synth")
-        self.spec()
+        if self.kind != "trig" or self.options != {}:
+            self.spec()
 
     def spec(self) -> TrigSpec | ToySpec | SensorSpec:
         """The generator spec; a bad key, type or value raises :class:`ConfigError`."""

@@ -134,16 +134,21 @@ def _with_sentinel(distinct: np.ndarray) -> np.ndarray:
     return np.append(distinct, top)
 
 
-def _threshold_grid(score_vals: np.ndarray) -> np.ndarray:
-    """Distinct scores ascending, plus a sentinel strictly above the maximum."""
-    return _with_sentinel(np.unique(score_vals))
-
-
 def _tie_bounds(sorted_vals: np.ndarray) -> np.ndarray:
     """Start index of each run of equal values in a sorted array, then its length."""
     return np.concatenate(
         [[0], np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, [sorted_vals.shape[0]]]
     )
+
+
+def _threshold_grid(score_vals: np.ndarray) -> np.ndarray:
+    """Distinct scores ascending, plus a sentinel strictly above the maximum.
+
+    The distinct values are taken from a sort, as in :func:`best_f1`, rather
+    than with ``np.unique``, which in numpy 2 imports ``numpy.ma``.
+    """
+    sorted_vals = np.sort(score_vals)
+    return _with_sentinel(sorted_vals[_tie_bounds(sorted_vals)[:-1]])
 
 
 def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:

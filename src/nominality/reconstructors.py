@@ -8,10 +8,11 @@ in-place ufuncs per step, in the same operation order as a per-array Adam,
 so the weights are the same bits.  The sequence model is a closed-form
 ridge regression that predicts the middle ``delta`` points of a window from
 the ``gamma`` points on each side, which forces it to learn time-dependent
-structure.  Because the sequence model cannot reconstruct the first and last
-``gamma`` points, :func:`make_pair` trims the observation and the point
-reconstruction to the same interior range, so every covered time point has
-one observed and exactly two reconstructed values.
+structure; numpy's LAPACK checks its normal matrix with a Cholesky
+factorization and solves it.  Because the sequence model cannot reconstruct
+the first and last ``gamma`` points, :func:`make_pair` trims the observation
+and the point reconstruction to the same interior range, so every covered
+time point has one observed and exactly two reconstructed values.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import ConfigError, DataError, ShapeError, SingularSystem, Training
 from .series import LabeledSeries, write_json
 
 MODEL_FORMAT = "nominality-model-v1"
+_GATHER_ROWS = 256  # design rows per fancy-index copy in SequenceModel._design_rows
 
 
 @dataclass
@@ -246,12 +248,16 @@ class SequenceModel:
 
     def _design_rows(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         g, d = self.gamma, self.delta
-        rows = np.empty((starts.shape[0], self.weights.shape[0]))
-        for i, s in enumerate(starts):
-            before = values[s - g : s].ravel()
-            after = values[s + d : s + d + g].ravel()
-            rows[i, :-1] = np.concatenate([before, after])
-            rows[i, -1] = 1.0
+        n = starts.shape[0]
+        rows = np.empty((n, self.weights.shape[0]))
+        rows[:, -1] = 1.0
+        windows = _flat_windows(values, g)
+        contexts = np.stack([starts - g, starts + d], axis=1)  # window before, window after
+        body = rows[:, :-1].reshape(n, 2, g * self.n_channels)  # a view; the bias column stays
+        # Gathered a chunk at a time, so the fancy index's copy stays small
+        # next to the design it fills.
+        for lo in range(0, n, _GATHER_ROWS):
+            body[lo : lo + _GATHER_ROWS] = windows[contexts[lo : lo + _GATHER_ROWS]]
         return rows
 
     def predict_blocks(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -261,11 +267,15 @@ class SequenceModel:
         return flat.reshape(starts.shape[0], self.delta, self.n_channels)
 
 
+def _flat_windows(values: np.ndarray, width: int) -> np.ndarray:
+    """Row j is ``values[j : j + width].ravel()`` (time-major); a view where values is C-ordered."""
+    dim = values.shape[1]
+    return np.lib.stride_tricks.sliding_window_view(values.ravel(), width * dim)[::dim]
+
+
 def _block_grid(gamma: int, delta: int, n_times: int, stride: int) -> np.ndarray:
     """Valid target-block starts: a stride grid over [gamma, T - gamma - delta]."""
-    last = n_times - gamma - delta
-    starts = list(range(gamma, last + 1, stride))
-    return np.asarray(starts, dtype=np.int64)
+    return np.arange(gamma, n_times - gamma - delta + 1, stride, dtype=np.int64)
 
 
 def train_sequence_model(
@@ -278,8 +288,10 @@ def train_sequence_model(
     """Solve the context-to-middle ridge regression in closed form.
 
     Target blocks are sampled on a stride grid (default: stride = delta, so
-    training targets do not overlap).  The normal equations are solved with a
-    Cholesky factorization; the bias row is excluded from the penalty.
+    training targets do not overlap); the bias row is excluded from the
+    penalty.  ``np.linalg.cholesky`` checks that the normal matrix is
+    positive definite and ``np.linalg.solve`` (LU with partial pivoting)
+    solves the normal equations.
 
     Raises:
         ShapeError: series shorter than 2*gamma + delta or bad parameters.
@@ -301,16 +313,13 @@ def train_sequence_model(
         stride = delta
     if stride < 1:
         raise ShapeError("stride must be >= 1")
-    # Imported here: scipy.linalg takes ~0.3 s to import and only this solve uses it.
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     values = train.values
     dim = train.n_channels
     starts = _block_grid(gamma, delta, train.n_times, stride)
     n_features = 2 * gamma * dim + 1
     model = SequenceModel(gamma, delta, ridge_lambda, np.zeros((n_features, delta * dim)), dim)
     design = model._design_rows(values, starts)
-    targets = np.stack([values[s : s + delta].ravel() for s in starts])
+    targets = _flat_windows(values, delta)[starts]
 
     gram = design.T @ design
     penalty = np.eye(n_features)
@@ -318,14 +327,14 @@ def train_sequence_model(
     lhs = gram + ridge_lambda * penalty
     rhs = design.T @ targets
     try:
-        factor = cho_factor(lhs)
-    except LinAlgError as exc:
+        np.linalg.cholesky(lhs)  # raises unless lhs is positive definite
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(
             "normal matrix is singular; refit with ridge_lambda > 0"
         ) from exc
-    # C-ordered so predictions are bitwise identical before and after a
-    # save/load round trip (cho_solve hands back Fortran order).
-    model.weights = np.ascontiguousarray(cho_solve(factor, rhs))
+    # C-ordered, so predictions are bitwise identical before and after a
+    # save/load round trip (a no-op where solve already returns C order).
+    model.weights = np.ascontiguousarray(np.linalg.solve(lhs, rhs))
     model.fit_residual = float(np.abs(lhs @ model.weights - rhs).max())
     return model
 
@@ -352,14 +361,16 @@ def reconstruct_sequence(
         raise ShapeError(
             f"series length {n_times} is shorter than 2*gamma + delta = {2 * g + d}"
         )
-    starts = list(range(g, n_times - g - d + 1, d))
+    starts = _block_grid(g, d, n_times, d)
+    n_tiled = starts.shape[0]
     if starts[-1] != n_times - g - d:
-        starts.append(n_times - g - d)
-    starts = np.asarray(starts, dtype=np.int64)
+        starts = np.append(starts, n_times - g - d)
     blocks = model.predict_blocks(values, starts)
     out = np.empty((n_times - 2 * g, dim))
-    for s, block in zip(starts, blocks):
-        out[s - g : s - g + d] = block
+    out[: n_tiled * d] = blocks[:n_tiled].reshape(n_tiled * d, dim)
+    # The anchored final block overwrites the overlap; without one this
+    # rewrites the last tiled block with itself.
+    out[-d:] = blocks[-1]
     return out
 
 

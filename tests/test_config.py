@@ -67,6 +67,18 @@ class TestParsing:
         cfg = config_from_dict({"gate": {"theta_n": 1.5, "theta_percentile": None}})
         assert cfg.gate.theta_n == 1.5
 
+    def test_preset_built_only_when_asked(self, monkeypatch):
+        """Parsing skips the always-valid trig preset; the other synth sections are checked."""
+        calls = []
+        monkeypatch.setattr("nominality.config.trig_preset", lambda seed: calls.append(seed))
+        cfg = config_from_dict({"synth": {"seed": 3}})
+        assert calls == []
+        cfg.synth.spec()
+        assert calls == [3]
+        for synth in ({"options": None}, {"options": []}, {"kind": "sensor"}):
+            with pytest.raises(ConfigError):
+                config_from_dict({"synth": synth})
+
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"gate": {"kind": "medium"}})

@@ -198,6 +198,10 @@ class TestRankAndThresholdPath:
         ranks[order] = _sorted_ranks(_tie_bounds(values[order]))
         assert np.array_equal(ranks, rankdata(values, method="average"))
 
+    @pytest.mark.parametrize("values", [v for v, _ in HEAVY_TIES] + [np.array([4.0])])
+    def test_threshold_grid_is_unique_plus_sentinel(self, values):
+        assert np.array_equal(_threshold_grid(values), np.append(np.unique(values), values.max() + 1))
+
     @pytest.mark.parametrize("scores, labels", HEAVY_TIES)
     def test_curve_matches_grid_and_confusion(self, scores, labels):
         report = best_f1(scores, labels)

@@ -475,14 +475,63 @@ class TestCliBehavior:
         assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy():
-    """Only train's ridge solve needs scipy, so importing the CLI must not load it."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    code = "import sys, nominality.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _loaded_modules(argv, pythonpath=(SRC,)):
+    """Run ``main(argv)`` (no command: just import the CLI) in a fresh interpreter.
+
+    Returns its exit code and the names in ``sys.modules`` when it returned.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([*pythonpath, os.environ.get("PYTHONPATH", "")]))
+    code = ("import json, sys\nfrom nominality.cli import main\n"
+            "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rc, modules = json.loads(done.stdout.splitlines()[-1])
+    return rc, modules
+
+
+def _under(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_cli_import_does_not_load_scipy(tmp_path):
+    """No command loads scipy; score, eval and sweep load neither numpy.random nor numpy.ma.
+
+    ``train`` needs numpy.random for the point model's seeded initialization
+    and ``synth`` for the generators. The later commands run on a config
+    without a ``synth`` section, whose default (the preset) they never build.
+    """
+    synth_path, out = write_config(tmp_path)
+    text = open(synth_path).read()
+    chain_path = tmp_path / "chain.yaml"
+    chain_path.write_text(text[: text.index("synth:")] + text[text.index("output:"):])
+    assert _under(_loaded_modules([])[1], "scipy") == []
+    for command in ("synth", "train", "score", "eval", "sweep"):
+        rc, modules = _loaded_modules([command, "--config",
+                                       synth_path if command == "synth" else str(chain_path)])
+        assert rc == 0
+        assert _under(modules, "scipy") == [], command
+        if command in ("score", "eval", "sweep"):
+            assert _under(modules, "numpy.random") == [], command
+            assert _under(modules, "numpy.ma") == [], command
+    assert os.path.exists(os.path.join(out, "sweep.json"))
+
+
+def test_train_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: train fits both models where it cannot be imported."""
+    blocker = tmp_path / "no_scipy" / "scipy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
+    path, out = write_config(tmp_path)
+    pythonpath = (str(tmp_path / "no_scipy"), SRC)
+    assert _loaded_modules(["synth", "--config", path], pythonpath)[0] == 0
+    assert _loaded_modules(["train", "--config", path], pythonpath)[0] == 0
+    assert isinstance(load_model(os.path.join(out, "sequence_model.json")).weights, np.ndarray)
 
 
 def test_code_defaults_run_every_command(tmp_path):
