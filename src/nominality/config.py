@@ -225,15 +225,18 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         _check(self, "synth")
-        if self.kind != "trig" or self.options != {}:
+        if not self._is_preset():
             self.spec()
+
+    def _is_preset(self) -> bool:
+        return self.kind == "trig" and isinstance(self.options, dict) and not self.options
 
     def spec(self) -> TrigSpec | ToySpec | SensorSpec:
         """The generator spec; a bad key, type or value raises :class:`ConfigError`."""
+        if self._is_preset():
+            return trig_preset(self.seed)
         if not isinstance(self.options, dict):
             raise ConfigError(f"synth.options must be a mapping, got {self.options!r}")
-        if self.kind == "trig" and not self.options:
-            return trig_preset(self.seed)
         cls = SYNTH_SPECS[self.kind]
         hints = {key: hint for key, hint in get_type_hints(cls).items() if key != "seed"}
         for key, value in self.options.items():
