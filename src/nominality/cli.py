@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, apply_overrides, load_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate
 from .pipeline import (
     TrainedModels,
@@ -82,15 +82,30 @@ def write_score_csv(series: ScoreSeries, path: str) -> None:
 
 
 def _time_origin(table: np.ndarray, path: str) -> int:
-    origin = float(table[0, 0])
+    """The first time index; the indices must count up from it by one."""
+    index = table[:, 0]
+    origin = float(index[0])
     if not origin.is_integer():
         raise DataError(f"{path}: time_index {origin!r} is not an integer")
+    skips = np.flatnonzero(index != origin + np.arange(index.shape[0]))
+    if skips.size:
+        row = int(skips[0])
+        raise DataError(f"{path}: row {row}: time_index {float(index[row])!r} "
+                        f"is not {int(origin) + row}; indices must be consecutive")
     return int(origin)
 
 
 def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
     table = read_table(path, 2)
-    return ScoreSeries(table[:, 1], kind, _time_origin(table, path))
+    origin = _time_origin(table, path)
+    bad = np.flatnonzero(~np.isfinite(table[:, 1]))
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(f"{path}: row {row}: score {float(table[row, 1])!r} is not finite")
+    try:
+        return ScoreSeries(table[:, 1], kind, origin)
+    except ShapeError as exc:  # a negative nominality score
+        raise DataError(f"{path}: {exc}") from None
 
 
 def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
@@ -138,7 +153,7 @@ def _load_stats(path: str) -> tuple[MinMaxStats | None, dict | None]:
             mins = np.asarray([float(v) for v in minmax["mins"]])
             maxs = np.asarray([float(v) for v in minmax["maxs"]])
             stats = MinMaxStats(mins, maxs)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ShapeError) as exc:
         raise DataError(f"{path}: cannot decode preprocessing stats: {exc!r}") from None
     return stats, doc.get("preprocess")
 

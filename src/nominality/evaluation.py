@@ -4,18 +4,23 @@ A point is predicted anomalous when its score is >= the threshold, and the
 sweep visits every distinct score plus one sentinel above the maximum (the
 all-negative prediction), which is sufficient because the F1 score only
 changes at observed values.  Ties in the best F1 are broken toward the
-smallest threshold.
+smallest threshold.  Scores must be finite.
+
+All three metrics come from one sort of the scores: the bounds of its tie
+groups give the thresholds, and a cumulative sum of the sorted labels gives
+the positives (and so the negatives) at or above each threshold.  Best F1
+reads its curve from those counts, the AUC is their Mann-Whitney U
+statistic, and the point-adjusted F1 counts each label run at its maximum's
+sorted position.  Counts at tie bounds do not depend on the order inside a
+tie, so the sort need not be stable; a tie group holding both ``0.0`` and
+``-0.0`` may be named by either sign.
 
 Each metric has a deliberately simple brute-force twin
 (``*_bruteforce`` / :func:`auc_trapezoid`) used as an independent oracle in
 the test suite.  The fast best F1 and point-adjusted best F1 must match
-theirs exactly.  The rank-statistic AUC must agree with the trapezoid within
+theirs exactly.  The U-statistic AUC must agree with the trapezoid within
 1e-10: the two sum the same area in different orders, so they can differ in
 the last bits (3.6e-15 on the preset dataset).
-
-:func:`best_f1` sorts the scores once.  The tie groups of that order give the
-thresholds, the cut index of every threshold and the average ranks for the
-AUC, so the sweep needs no second sort or search.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ def _as_arrays(
         raise ShapeError(
             f"scores and labels lengths differ: {score_vals.shape} vs {label_vals.shape}"
         )
+    if not np.isfinite(score_vals).all():
+        raise ShapeError("scores must be finite")
     return score_vals, label_vals.astype(np.int64)
 
 
@@ -126,29 +133,33 @@ def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
     return precision, recall, f1
 
 
-def _with_sentinel(distinct: np.ndarray) -> np.ndarray:
-    """Append a threshold strictly above the largest of the ascending ``distinct``."""
-    top = distinct[-1] + 1.0
-    if top == distinct[-1]:  # +1 fell below one ulp of a huge score
-        top = np.inf
-    return np.append(distinct, top)
+def _at_or_above(sorted_weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sum of the weights from each bound to the end, from one cumulative sum."""
+    below = np.concatenate([[0], np.cumsum(sorted_weights)])
+    return below[-1] - below[bounds]
 
 
-def _tie_bounds(sorted_vals: np.ndarray) -> np.ndarray:
-    """Start index of each run of equal values in a sorted array, then its length."""
-    return np.concatenate(
-        [[0], np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1, [sorted_vals.shape[0]]]
-    )
+def _sweep(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Validate the inputs and count at every threshold from one sort of the scores.
 
-
-def _threshold_grid(score_vals: np.ndarray) -> np.ndarray:
-    """Distinct scores ascending, plus a sentinel strictly above the maximum.
-
-    The distinct values are taken from a sort, as in :func:`best_f1`, rather
-    than with ``np.unique``, which in numpy 2 imports ``numpy.ma``.
+    Returns ``(thresholds, tp, fp, labels, order, bounds)``: the distinct
+    scores ascending, then a sentinel above the maximum; the positives and
+    the negatives scoring at or above each threshold; the labels as int64;
+    the sort; and the first sorted position at or above each threshold.
     """
-    sorted_vals = np.sort(score_vals)
-    return _with_sentinel(sorted_vals[_tie_bounds(sorted_vals)[:-1]])
+    score_vals, label_vals = _as_arrays(scores, labels)
+    _require_both_classes(label_vals)
+    order = np.argsort(score_vals)
+    sorted_scores = score_vals[order]
+    bounds = np.concatenate(
+        [[0], np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, [order.shape[0]]]
+    )
+    top = sorted_scores[-1] + 1.0
+    if top == sorted_scores[-1]:  # +1 fell below one ulp of a huge score
+        top = np.inf
+    tp = _at_or_above(label_vals[order], bounds)
+    fp = (order.shape[0] - bounds) - tp
+    return np.append(sorted_scores[bounds[:-1]], top), tp, fp, label_vals, order, bounds
 
 
 def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -156,35 +167,18 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
 
     Raises:
         DegenerateLabels: labels are all 0 or all 1.
+        ShapeError: the lengths differ or a score is not finite.
     """
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
-
-    order = np.argsort(score_vals, kind="stable")
-    sorted_scores = score_vals[order]
-    sorted_labels = label_vals[order]
-    # bounds[i] is the first sorted index at or above threshold i; the
-    # sentinel's is the length
-    bounds = _tie_bounds(sorted_scores)
-    thresholds = _with_sentinel(sorted_scores[bounds[:-1]])
-    total_pos = int(sorted_labels.sum())
-    # positives strictly below each threshold; predictions are score >= theta
-    pos_below = np.concatenate([[0], np.cumsum(sorted_labels)])
-    tp = total_pos - pos_below[bounds]
-    pred_pos = score_vals.shape[0] - bounds
-    fp = pred_pos - tp
-    fn = total_pos - tp
-    precision, recall, f1 = _f1_from_counts(tp, fp, fn)
-
+    thresholds, tp, fp, *_ = _sweep(scores, labels)
+    precision, recall, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
     best_idx = int(np.argmax(f1))  # first occurrence = smallest threshold
-    curve = np.column_stack([thresholds, precision, recall, f1])
     return EvalReport(
         best_f1=float(f1[best_idx]),
         best_threshold=float(thresholds[best_idx]),
         precision=float(precision[best_idx]),
         recall=float(recall[best_idx]),
-        auc=_sorted_auc(sorted_labels, bounds),
-        curve=curve,
+        auc=_u_auc(tp, fp),
+        curve=np.column_stack([thresholds, precision, recall, f1]),
     )
 
 
@@ -227,45 +221,37 @@ def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if pred.shape != labels.shape:
         raise ShapeError(f"pred and labels lengths differ: {pred.shape} vs {labels.shape}")
     adjusted = pred.copy()
-    for start, stop in _label_runs(labels):
+    for start, stop in zip(*_label_runs(labels)):
         if adjusted[start:stop].any():
             adjusted[start:stop] = 1
     return adjusted
 
 
-def _label_runs(labels: np.ndarray) -> list[tuple[int, int]]:
-    """Half-open (start, stop) bounds of each maximal run of 1s."""
+def _label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open start and stop indices of each maximal run of 1s."""
     diff = np.diff(np.concatenate([[0], labels, [0]]))
-    starts = np.flatnonzero(diff == 1)
-    stops = np.flatnonzero(diff == -1)
-    return list(zip(starts.tolist(), stops.tolist()))
+    return np.flatnonzero(diff == 1), np.flatnonzero(diff == -1)
 
 
 def pa_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     """Best F1 over the same threshold sweep, scored after point-adjustment.
 
     Adjustment turns a run into all-TP as soon as its maximal score clears
-    the threshold and leaves false positives untouched, which is what the
-    run-based counting below computes directly.
+    the threshold and leaves false positives untouched.  So each run puts its
+    length at the sorted position of its maximum, the largest position
+    inside the run, and the adjusted TP count at a threshold is the sum of
+    those lengths at or above it.
     """
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
-    runs = _label_runs(label_vals)
-    run_max = np.asarray([score_vals[s:e].max() for s, e in runs])
-    run_len = np.asarray([e - s for s, e in runs], dtype=np.int64)
-
-    order = np.argsort(run_max, kind="stable")
-    run_max_sorted = run_max[order]
-    len_after = np.concatenate(
-        [np.cumsum(run_len[order][::-1])[::-1], [0]]
-    )  # run lengths with max >= position
-    neg_sorted = np.sort(score_vals[label_vals == 0])
-
-    thresholds = _threshold_grid(score_vals)
-    tp = len_after[np.searchsorted(run_max_sorted, thresholds, side="left")]
-    fp = neg_sorted.shape[0] - np.searchsorted(neg_sorted, thresholds, side="left")
-    fn = int(run_len.sum()) - tp
-    _, _, f1 = _f1_from_counts(tp, fp, fn)
+    _, _, fp, label_vals, order, bounds = _sweep(scores, labels)
+    starts, stops = _label_runs(label_vals)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.shape[0])
+    # -1 outside the runs: each segment from a run start to the next peaks in its run
+    run_top = np.maximum.reduceat(np.where(label_vals == 1, position, -1), starts)
+    run_weights = np.zeros_like(position)
+    run_weights[run_top] = stops - starts
+    tp = _at_or_above(run_weights, bounds)
+    _, _, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
     return float(f1.max())
 
 
@@ -283,27 +269,20 @@ def pa_best_f1_bruteforce(
 
 
 def auc(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
-    """ROC-AUC via the rank statistic; tied scores contribute half credit."""
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
-    order = np.argsort(score_vals, kind="stable")
-    return _sorted_auc(label_vals[order], _tie_bounds(score_vals[order]))
+    """ROC-AUC as the Mann-Whitney U statistic; tied scores contribute half credit."""
+    _, tp, fp, *_ = _sweep(scores, labels)
+    return _u_auc(tp, fp)
 
 
-def _sorted_auc(sorted_labels: np.ndarray, bounds: np.ndarray) -> float:
-    """Rank-statistic AUC from labels in score order and their tie bounds."""
-    ranks = _sorted_ranks(bounds)
-    n_pos = int(sorted_labels.sum())
-    n_neg = sorted_labels.shape[0] - n_pos
-    # half-integer ranks sum exactly in any order (far below 2**53)
-    u_stat = ranks[sorted_labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u_stat / (n_pos * n_neg))
+def _u_auc(tp: np.ndarray, fp: np.ndarray) -> float:
+    """U / (P * N) from the counts at or above each threshold.
 
-
-def _sorted_ranks(bounds: np.ndarray) -> np.ndarray:
-    """Average 1-based rank of each sorted position, given its tie bounds."""
-    lo, hi = bounds[:-1], bounds[1:]
-    return np.repeat((lo + hi + 1) / 2.0, hi - lo)  # average of lo+1 .. hi
+    Each positive of tie group i beats the N - fp[i] negatives below the
+    group and ties with its fp[i] - fp[i + 1], so 2U is an exact integer.
+    """
+    n_pos, n_neg = int(tp[0]), int(fp[0])
+    twice_u = int(((tp[:-1] - tp[1:]) * (2 * n_neg - fp[:-1] - fp[1:])).sum())
+    return twice_u / 2 / (n_pos * n_neg)
 
 
 def auc_trapezoid(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:

@@ -468,36 +468,49 @@ def save_model(model: PointModel | SequenceModel, path: str) -> None:
     write_json(doc, path)
 
 
+def _checked(path: str, arrays: dict[str, np.ndarray], **shapes: tuple) -> dict[str, np.ndarray]:
+    """The named ``arrays``, each required to have its shape and finite entries."""
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"{path}: {name} holds a non-finite value")
+    return {name: arrays[name] for name in shapes}
+
+
 def load_model(path: str) -> PointModel | SequenceModel:
     """Read a model written by :func:`save_model`.
 
     Raises:
-        DataError: the file is not valid JSON or not a decodable model.
+        DataError: the file is not valid JSON or not a decodable model, or an
+            array's shape disagrees with the hyperparameters or holds a
+            non-finite value.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
         if doc.get("format") != MODEL_FORMAT:
             raise ShapeError(f"{path}: not a {MODEL_FORMAT} file")
-        arrays = doc["arrays"]
+        arrays = {name: _decode_array(entry) for name, entry in doc["arrays"].items()}
         if doc["kind"] == "point":
+            hp = PointHyperparams(**doc["hyperparams"])
+            n_channels, d_lat = arrays["dec_b"].size, hp.d_lat
             return PointModel(
-                enc_w=_decode_array(arrays["enc_w"]),
-                enc_b=_decode_array(arrays["enc_b"]),
-                dec_w=_decode_array(arrays["dec_w"]),
-                dec_b=_decode_array(arrays["dec_b"]),
-                hp=PointHyperparams(**doc["hyperparams"]),
+                **_checked(path, arrays, enc_w=(n_channels, d_lat), enc_b=(d_lat,),
+                           dec_w=(d_lat, n_channels), dec_b=(n_channels,)),
+                hp=hp,
                 first_epoch_loss=doc["first_epoch_loss"],
                 final_epoch_loss=doc["final_epoch_loss"],
             )
         if doc["kind"] == "sequence":
             hp = doc["hyperparams"]
+            gamma, delta, n_channels = hp["gamma"], hp["delta"], hp["n_channels"]
             return SequenceModel(
-                gamma=hp["gamma"],
-                delta=hp["delta"],
+                gamma=gamma,
+                delta=delta,
                 ridge_lambda=hp["ridge_lambda"],
-                weights=_decode_array(arrays["weights"]),
-                n_channels=hp["n_channels"],
+                **_checked(path, arrays, weights=(2 * gamma * n_channels + 1, delta * n_channels)),
+                n_channels=n_channels,
                 fit_residual=doc["fit_residual"],
             )
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:

@@ -160,12 +160,10 @@ def _induction_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
     return a + left + right
 
 
-def induced_anomaly_score(
-    a: ScoreSeries | np.ndarray,
-    n: ScoreSeries | np.ndarray,
-    cfg: GateConfig,
-) -> ScoreSeries:
-    """Sum gated anomaly-score contributions over a +-d window around each point."""
+def _gated(
+    a: ScoreSeries | np.ndarray, n: ScoreSeries | np.ndarray, cfg: GateConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The anomaly scores, their gate values and their time origin, checked."""
     a_vals = _scores_of(a)
     n_vals = _scores_of(n)
     if a_vals.shape != n_vals.shape:
@@ -174,8 +172,17 @@ def induced_anomaly_score(
         )
     if cfg.theta_n is None:
         raise ShapeError("gate threshold is unresolved; call resolve_theta first")
-    g = gate(cfg.kind, cfg.theta_n, n_vals)
     origin = a.time_origin if isinstance(a, ScoreSeries) else 0
+    return a_vals, gate(cfg.kind, cfg.theta_n, n_vals), origin
+
+
+def induced_anomaly_score(
+    a: ScoreSeries | np.ndarray,
+    n: ScoreSeries | np.ndarray,
+    cfg: GateConfig,
+) -> ScoreSeries:
+    """Sum gated anomaly-score contributions over a +-d window around each point."""
+    a_vals, g, origin = _gated(a, n, cfg)
     return ScoreSeries(_induction_sum(a_vals, g, cfg.d), "induced", origin)
 
 
@@ -189,15 +196,7 @@ def induced_anomaly_score_naive(
     Kept deliberately transparent as the independent cross-check for the
     optimized version; quadratic in d, so only suitable for short series.
     """
-    a_vals = _scores_of(a)
-    n_vals = _scores_of(n)
-    if a_vals.shape != n_vals.shape:
-        raise ShapeError(
-            f"anomaly and nominality lengths differ: {a_vals.shape} vs {n_vals.shape}"
-        )
-    if cfg.theta_n is None:
-        raise ShapeError("gate threshold is unresolved; call resolve_theta first")
-    g = gate(cfg.kind, cfg.theta_n, n_vals)
+    a_vals, g, origin = _gated(a, n, cfg)
     size = a_vals.shape[0]
     out = np.zeros(size)
     for t in range(size):
@@ -212,7 +211,6 @@ def induced_anomaly_score_naive(
                     term *= g[k]
             total += term
         out[t] = total
-    origin = a.time_origin if isinstance(a, ScoreSeries) else 0
     return ScoreSeries(out, "induced", origin)
 
 

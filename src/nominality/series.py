@@ -119,6 +119,8 @@ class MinMaxStats:
         maxs = _freeze(np.asarray(self.maxs, dtype=np.float64))
         if mins.shape != maxs.shape or mins.ndim != 1:
             raise ShapeError("mins and maxs must be 1-D arrays of equal length")
+        if not (np.isfinite(mins).all() and np.isfinite(maxs).all()):
+            raise ShapeError("mins and maxs must be finite")
         if (mins > maxs).any():
             raise ShapeError("per-channel min must not exceed max")
         object.__setattr__(self, "mins", mins)

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import rankdata
+from scipy.stats import mannwhitneyu
 
 from nominality import (
     DegenerateLabels,
@@ -20,9 +20,6 @@ from nominality import (
 )
 from nominality.evaluation import (
     _f1_from_counts,
-    _sorted_ranks,
-    _threshold_grid,
-    _tie_bounds,
     auc_trapezoid,
     best_f1_bruteforce,
     pa_best_f1_bruteforce,
@@ -191,21 +188,27 @@ HEAVY_TIES = [heavy_tie_instance(seed) for seed in range(40)] + [
 class TestRankAndThresholdPath:
     """The one-sort sweep against its definitions on heavily tied scores."""
 
-    @pytest.mark.parametrize("values", [v for v, _ in HEAVY_TIES] + [np.array([4.0])])
-    def test_average_ranks_match_scipy(self, values):
-        order = np.argsort(values, kind="stable")
-        ranks = np.empty(values.shape[0])
-        ranks[order] = _sorted_ranks(_tie_bounds(values[order]))
-        assert np.array_equal(ranks, rankdata(values, method="average"))
+    @pytest.mark.parametrize(
+        "scores, labels",  # ids valuesN, as the grid test's below
+        [pytest.param(s, l, id=f"values{i}") for i, (s, l) in enumerate(
+            HEAVY_TIES + [(np.array([4.0, 3.0]), np.array([0, 1]))])],
+    )
+    def test_average_ranks_match_scipy(self, scores, labels):
+        """The AUC is scipy's Mann-Whitney U over P * N; scipy takes U from average ranks."""
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        expected = mannwhitneyu(pos, neg).statistic / (pos.shape[0] * neg.shape[0])
+        assert auc(scores, labels) == expected
 
     @pytest.mark.parametrize("values", [v for v, _ in HEAVY_TIES] + [np.array([4.0])])
     def test_threshold_grid_is_unique_plus_sentinel(self, values):
-        assert np.array_equal(_threshold_grid(values), np.append(np.unique(values), values.max() + 1))
+        # each value once as a negative and once as a positive
+        both = best_f1(np.append(values, values), np.repeat([0, 1], values.shape[0]))
+        assert np.array_equal(both.curve[:, 0], np.append(np.unique(values), values.max() + 1))
 
     @pytest.mark.parametrize("scores, labels", HEAVY_TIES)
     def test_curve_matches_grid_and_confusion(self, scores, labels):
         report = best_f1(scores, labels)
-        thresholds = _threshold_grid(scores)
+        thresholds = np.append(np.unique(scores), scores.max() + 1)
         counts = np.array([confusion(scores >= t, labels)[:3] for t in thresholds])
         precision, recall, f1 = _f1_from_counts(*counts.T)
         expected = np.column_stack([thresholds, precision, recall, f1])
@@ -213,6 +216,24 @@ class TestRankAndThresholdPath:
         assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
         assert report.auc == auc(scores, labels)
         assert report.auc == pytest.approx(auc_trapezoid(scores, labels), abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(len(HEAVY_TIES)))
+    def test_shuffled_inputs_give_the_same_sweep(self, seed):
+        """The sort need not be stable: counts at tie bounds ignore the order inside a tie."""
+        scores, labels = HEAVY_TIES[seed]
+        perm = np.random.default_rng(seed).permutation(scores.shape[0])
+        report, shuffled = best_f1(scores, labels), best_f1(scores[perm], labels[perm])
+        assert np.array_equal(report.curve, shuffled.curve)
+        assert (report.best_f1, report.best_threshold, report.auc) == (
+            shuffled.best_f1, shuffled.best_threshold, shuffled.auc)
+        assert auc(scores[perm], labels[perm]) == report.auc
+
+    @pytest.mark.parametrize("metric", [best_f1, auc, pa_best_f1], ids=["best-f1", "auc", "pa"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_score_raises(self, metric, bad):
+        scores = np.array([0.1, 0.5, bad, 0.3, 0.9, 0.2])
+        with pytest.raises(ShapeError, match="finite"):
+            metric(scores, np.array([0, 1, 1, 0, 1, 0]))
 
 
 class TestSpikeAugment:

@@ -23,7 +23,7 @@ from nominality.config import (
 )
 from nominality.evaluation import best_f1, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split
-from nominality.reconstructors import _init_point_model, load_model
+from nominality.reconstructors import _decode_array, _encode_array, _init_point_model, load_model
 from nominality.scoring import smoothed_score
 from nominality.series import load_csv
 from nominality.synthetic import TrigSpec, gen_trig
@@ -89,6 +89,50 @@ def _table_knob_cases():
 
 
 TABLE_KNOB_CASES = _table_knob_cases()
+
+
+def _edit_json(edit):
+    """A damage that edits the decoded JSON document in place."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
+def _edit_array(name, edit):
+    """A damage that replaces one array of a model file by ``edit`` of it."""
+    def replace(doc):
+        doc["arrays"][name] = _encode_array(edit(_decode_array(doc["arrays"][name])))
+    return _edit_json(replace)
+
+
+def _first_nan(arr):
+    out = arr.copy()
+    out.flat[0] = np.nan
+    return out
+
+
+def _first_min_nan(doc):
+    doc["minmax"]["mins"][0] = "nan"
+
+
+def _edit_rows(edit):
+    """A damage that rewrites the cells of each data row i as ``edit(i, cells)``."""
+    def damage(text):
+        header, *rows = text.split("\r\n")[:-1]
+        rows = [",".join(edit(i, row.split(","))) for i, row in enumerate(rows)]
+        return "\r\n".join([header, *rows, ""])
+    return damage
+
+
+def _score_cell(cell):
+    """A damage that writes ``cell`` as the score of data row 3."""
+    return _edit_rows(lambda i, cells: [cells[0], cell] if i == 3 else cells)
+
+
+# every index from data row 3 on moves up by one, so the file skips an index
+_SKIP_INDEX = _edit_rows(lambda i, cells: [str(int(cells[0]) + (i >= 3)), cells[1]])
 
 
 def write_config(tmp_path, out_name="run"):
@@ -299,10 +343,27 @@ class TestCliBehavior:
             ("eval", "labels.csv", lambda text: text + "999\r\n"),
             ("score", "point_model.json", lambda text: text.replace('"d_lat": 2', '"d_lat": 0')),
             ("score", "point_model.json", lambda text: text.replace('"d_lat"', '"latent_dim"')),
+            ("score", "point_model.json", _edit_array("enc_b", lambda b: b[:-1])),
+            ("score", "point_model.json", _edit_array("dec_w", lambda w: w.T.copy())),
+            ("score", "sequence_model.json", _edit_array("weights", lambda w: w[:-1])),
+            ("score", "point_model.json", _edit_array("enc_w", _first_nan)),
+            ("score", "sequence_model.json", _edit_array("weights", _first_nan)),
+            ("score", "preprocess_stats.json", _edit_json(_first_min_nan)),
+            ("score", "train_nominality.csv", _score_cell("-1.0")),
+            ("score", "train_nominality.csv", _score_cell("inf")),
+            ("score", "train_nominality.csv", _SKIP_INDEX),
+            ("eval", "induced.csv", _score_cell("nan")),
+            ("eval", "induced.csv", _score_cell("")),
+            ("eval", "induced.csv", _score_cell("inf")),
+            ("eval", "induced.csv", _SKIP_INDEX),
+            ("eval", "labels.csv", _SKIP_INDEX),
         ],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
-             "point-d-lat-zero", "point-old-format"],
+             "point-d-lat-zero", "point-old-format", "point-enc-b-short", "point-dec-w-transposed",
+             "sequence-row-missing", "point-weight-nan", "sequence-weight-nan", "stats-min-nan",
+             "nominality-negative", "nominality-inf", "nominality-index-skip", "induced-nan",
+             "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip"],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
