@@ -169,7 +169,12 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
         DegenerateLabels: labels are all 0 or all 1.
         ShapeError: the lengths differ or a score is not finite.
     """
-    thresholds, tp, fp, *_ = _sweep(scores, labels)
+    return _best_report(_sweep(scores, labels))
+
+
+def _best_report(sweep: tuple[np.ndarray, ...]) -> EvalReport:
+    """:func:`best_f1`'s report from the counts of one :func:`_sweep`."""
+    thresholds, tp, fp, *_ = sweep
     precision, recall, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
     best_idx = int(np.argmax(f1))  # first occurrence = smallest threshold
     return EvalReport(
@@ -242,7 +247,12 @@ def pa_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     inside the run, and the adjusted TP count at a threshold is the sum of
     those lengths at or above it.
     """
-    _, _, fp, label_vals, order, bounds = _sweep(scores, labels)
+    return _pa_f1(_sweep(scores, labels))
+
+
+def _pa_f1(sweep: tuple[np.ndarray, ...]) -> float:
+    """:func:`pa_best_f1` from the counts and sort of one :func:`_sweep`."""
+    _, _, fp, label_vals, order, bounds = sweep
     starts, stops = _label_runs(label_vals)
     position = np.empty_like(order)
     position[order] = np.arange(order.shape[0])
@@ -324,10 +334,15 @@ def evaluate(
     point_adjusted: bool = False,
     spike_interval: int | None = None,
 ) -> EvalReport:
-    """Full report: threshold sweep, AUC, optional point-adjusted variants."""
-    report = best_f1(scores, labels)
+    """Full report: threshold sweep, AUC, optional point-adjusted variants.
+
+    The best F1, the AUC and the point-adjusted best F1 share one sweep of
+    the scores; the spiked scores are another array and get their own.
+    """
+    sweep = _sweep(scores, labels)
+    report = _best_report(sweep)
     if point_adjusted:
-        report.pa_best_f1 = pa_best_f1(scores, labels)
+        report.pa_best_f1 = _pa_f1(sweep)
     if spike_interval is not None:
         series = scores if isinstance(scores, ScoreSeries) else ScoreSeries(scores)
         spiked = spike_augment(series, spike_interval)

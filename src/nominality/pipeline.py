@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError
+from .errors import DataError, ShapeError
 from .evaluation import evaluate
 from .reconstructors import (
     PointModel,
+    ReconstructionPair,
     SequenceModel,
     make_pair,
     reconstruct_points,
@@ -105,21 +106,54 @@ def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
 def score_split(
     cfg: PipelineConfig, models: TrainedModels, test: LabeledSeries
 ) -> ScoreBundle:
-    """Reconstruct a split both ways and compute all scores on it."""
-    pair = make_pair(
-        test.values,
-        reconstruct_points(models.point, test),
-        reconstruct_sequence(models.sequence, test),
-        models.sequence.gamma,
-    )
-    a_point = anomaly_score(pair)
-    a_seq = sequence_anomaly_score(pair)
-    nominality = nominality_score(pair)
+    """Reconstruct a split both ways and compute all scores on it.
+
+    Raises:
+        DataError: a test value is so large that a score overflows; the
+            message names the data row of the first time point whose scores
+            are not finite (the first row of its block when downsampling).
+    """
+    # A huge but finite value can overflow a squared distance; the scores
+    # are checked for that here rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = make_pair(
+            test.values,
+            reconstruct_points(models.point, test),
+            reconstruct_sequence(models.sequence, test),
+            models.sequence.gamma,
+        )
+        a_point = anomaly_score(pair)
+        a_seq = sequence_anomaly_score(pair)
+        try:
+            nominality = nominality_score(pair)
+        except ShapeError:  # a non-finite ratio, located below
+            nominality = None
+        if nominality is None or not (np.isfinite(a_point.scores).all()
+                                      and np.isfinite(a_seq.scores).all()):
+            raise _overflow_error(cfg, pair, a_point, a_seq)
     gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
     induced = induced_anomaly_score(a_point, nominality, gate_cfg)
     lo, hi = pair.valid_range
     labels = test.labels[lo:hi] if test.labels is not None else None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
+
+
+def _overflow_error(cfg: PipelineConfig, pair: ReconstructionPair, a_point: ScoreSeries,
+                    a_seq: ScoreSeries) -> DataError:
+    """The error naming the data row of the first time point whose scores are not finite.
+
+    A point score depends on its own row only, so where one overflowed, the
+    first such row is named: it holds the huge value.
+    """
+    finite = np.isfinite(a_point.scores)
+    if finite.all():
+        # The nominality is finite exactly where its numerator is, since its
+        # denominator is at least epsilon.
+        finite = np.isfinite(a_seq.scores)
+        finite &= np.isfinite(np.square(pair.xc_hat - pair.xstar_hat).sum(axis=1))
+    row = (pair.valid_range[0] + int(np.flatnonzero(~finite)[0])) * cfg.preprocess.downsample
+    return DataError(f"{cfg.data.test or 'test split'}: row {row}: a value at or near this "
+                     f"row is too large to score (the scores overflow)")
 
 
 def sweep_table(

@@ -9,10 +9,13 @@ so the weights are the same bits.  The sequence model is a closed-form
 ridge regression that predicts the middle ``delta`` points of a window from
 the ``gamma`` points on each side, which forces it to learn time-dependent
 structure; numpy's LAPACK checks its normal matrix with a Cholesky
-factorization and solves it.  Because the sequence model cannot reconstruct
-the first and last ``gamma`` points, :func:`make_pair` trims the observation
-and the point reconstruction to the same interior range, so every covered
-time point has one observed and exactly two reconstructed values.
+factorization and solves it.  Its predictions gather the design and
+multiply it by the weights one fixed-size chunk of blocks at a time, so
+scoring holds one chunk of the design rather than all of it.  Because the
+sequence model cannot reconstruct the first and last ``gamma`` points,
+:func:`make_pair` trims the observation and the point reconstruction to the
+same interior range, so every covered time point has one observed and
+exactly two reconstructed values.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .errors import ConfigError, DataError, ShapeError, SingularSystem, Training
 from .series import LabeledSeries, write_json
 
 MODEL_FORMAT = "nominality-model-v1"
-_GATHER_ROWS = 256  # design rows per fancy-index copy in SequenceModel._design_rows
+# Design rows per fancy-index copy in SequenceModel._design_rows, and per
+# gather-and-multiply chunk in SequenceModel.predict_blocks.
+_GATHER_ROWS = 256
 
 
 @dataclass
@@ -261,10 +266,26 @@ class SequenceModel:
         return rows
 
     def predict_blocks(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Predict the delta-blocks starting at ``starts``; shape (n, delta, D)."""
-        design = self._design_rows(values, starts)
-        flat = design @ self.weights
-        return flat.reshape(starts.shape[0], self.delta, self.n_channels)
+        """Predict the delta-blocks starting at ``starts``; shape (n, delta, D).
+
+        The design is gathered and multiplied by ``weights`` one chunk of
+        ``_GATHER_ROWS`` blocks at a time, so only one chunk of it is ever
+        held.  Every product has the same row count (``n`` when fewer): the
+        last chunk is anchored at ``n - _GATHER_ROWS`` and rewrites the rows
+        it shares with the one before, as :func:`reconstruct_sequence`
+        anchors its last block.  A BLAS product need not give a row the same
+        bits at every row count (1- and 7-row products can differ in the last
+        bits), so the count stays fixed.  At 8 channels the tests require the
+        whole-design product's bits; at 38 they differ in the last bits.
+        """
+        n = starts.shape[0]
+        out = np.empty((n, self.delta * self.n_channels))
+        size = min(n, _GATHER_ROWS)
+        for lo in range(0, n, _GATHER_ROWS):
+            lo = min(lo, n - size)  # the last chunk ends at n
+            design = self._design_rows(values, starts[lo : lo + size])
+            np.matmul(design, self.weights, out=out[lo : lo + size])
+        return out.reshape(n, self.delta, self.n_channels)
 
 
 def _flat_windows(values: np.ndarray, width: int) -> np.ndarray:

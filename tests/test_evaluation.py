@@ -1,5 +1,6 @@
 """Threshold-sweep metrics against brute-force oracles."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from nominality import (
     point_adjust,
     spike_augment,
 )
+from nominality import evaluation
 from nominality.evaluation import (
     _f1_from_counts,
     auc_trapezoid,
@@ -273,6 +275,23 @@ class TestEvaluate:
         scores, labels = random_instance(4)
         report = evaluate(scores, labels, spike_interval=3)
         assert report.spiked_pa_best_f1 is not None
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_sweep_same_figures(self, monkeypatch, seed):
+        # evaluate sorts the scores once for best F1, AUC and the
+        # point-adjusted F1; the spiked scores are another array.
+        scores, labels = random_instance(seed)
+        calls = []
+        sweep = evaluation._sweep
+        monkeypatch.setattr(evaluation, "_sweep", lambda *a: calls.append(1) or sweep(*a))
+        report = evaluate(scores, labels, point_adjusted=True, spike_interval=3)
+        assert len(calls) == 2
+        alone = best_f1(scores, labels)
+        assert report.to_json() == dataclasses.replace(
+            alone, pa_best_f1=pa_best_f1(scores, labels),
+            spiked_pa_best_f1=pa_best_f1(spike_augment(ScoreSeries(scores), 3), labels),
+        ).to_json()
+        assert report.auc == auc(scores, labels)
 
     def test_json_roundtrip(self):
         import json

@@ -21,6 +21,7 @@ from nominality.config import (
     config_from_dict,
     load_config,
 )
+from nominality.errors import DataError
 from nominality.evaluation import best_f1, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split
 from nominality.reconstructors import _decode_array, _encode_array, _init_point_model, load_model
@@ -133,6 +134,9 @@ def _score_cell(cell):
 
 # every index from data row 3 on moves up by one, so the file skips an index
 _SKIP_INDEX = _edit_rows(lambda i, cells: [str(int(cells[0]) + (i >= 3)), cells[1]])
+
+# a finite value of data row 150 whose squared error overflows
+_HUGE_VALUE = _edit_rows(lambda i, cells: [cells[0], "1e200", *cells[2:]] if i == 150 else cells)
 
 
 def write_config(tmp_path, out_name="run"):
@@ -357,13 +361,16 @@ class TestCliBehavior:
             ("eval", "induced.csv", _score_cell("inf")),
             ("eval", "induced.csv", _SKIP_INDEX),
             ("eval", "labels.csv", _SKIP_INDEX),
+            ("score", "test.csv", _HUGE_VALUE),
+            ("sweep", "test.csv", _HUGE_VALUE),
         ],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
              "point-d-lat-zero", "point-old-format", "point-enc-b-short", "point-dec-w-transposed",
              "sequence-row-missing", "point-weight-nan", "sequence-weight-nan", "stats-min-nan",
              "nominality-negative", "nominality-inf", "nominality-index-skip", "induced-nan",
-             "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip"],
+             "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
+             "test-value-huge-score", "test-value-huge-sweep"],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
@@ -605,6 +612,26 @@ def test_code_defaults_run_every_command(tmp_path):
     path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
                     f"output:\n  dir: {tmp_path}\n")
     run_all(str(path))
+
+
+@pytest.mark.parametrize("downsample, row, named", [(1, 300, 300), (2, 301, 300), (1, 3, 5)])
+def test_huge_test_value_names_its_row(downsample, row, named):
+    """A score overflow names the first row of the block that holds the huge value.
+
+    Row 3 lies before the first scored row (gamma 5), so only sequence
+    contexts see it; the first of them predicts row 5, which is named.
+    """
+    data = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=600))
+    cfg = config_from_dict({"data": {"test": "test.csv"},
+                            "preprocess": {"downsample": downsample},
+                            "point_model": {"d_lat": 2, "epochs": 2},
+                            "sequence_model": {"gamma": 5, "delta": 2}})
+    train, stats = preprocess_split(cfg, data.train)
+    values = data.test.values.copy()
+    values[row, 1] = 1e200
+    test, _ = preprocess_split(cfg, dataclasses.replace(data.test, values=values), stats)
+    with pytest.raises(DataError, match=f"^test.csv: row {named}: "):
+        score_split(cfg, fit_models(cfg, train), test)
 
 
 def test_readme_library_example(capsys):

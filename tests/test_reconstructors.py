@@ -1,6 +1,7 @@
 """Point autoencoder and ridge sequence model behavior."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from point_fit_reference import reference_loss_and_grads, reference_train_point_
 from scipy.linalg import cho_factor, cho_solve
 from sequence_reference import (
     reference_design_rows,
+    reference_predict_blocks,
     reference_reconstruct_sequence,
     reference_targets,
 )
@@ -335,6 +337,37 @@ class TestSequenceMatchesReference:
                               reference_design_rows(model, vals, starts))
         assert model._design_rows(vals, starts[:0]).shape == (0, 2 * gamma * 4 + 1)
 
+    @pytest.mark.parametrize("order", ["grid", "unsorted"])
+    @pytest.mark.parametrize("n_blocks", [0, 1, _GATHER_ROWS - 1, _GATHER_ROWS, _GATHER_ROWS + 1,
+                                          2 * _GATHER_ROWS + 1, 3 * _GATHER_ROWS - 5])
+    def test_predict_blocks_in_chunks(self, n_blocks, order):
+        # The benchmark's shape (gamma 25, delta 6, 8 channels): no block, one
+        # chunk, whole chunks, and chunks with an anchored last one that overlaps.
+        rng = np.random.default_rng(n_blocks)
+        model = train_sequence_model(LabeledSeries(rng.random((600, 8))), 25, 6, 1e-6)
+        vals = rng.random((6 * n_blocks + 56, 8))
+        starts = _block_grid(25, 6, vals.shape[0], 6)[:n_blocks]
+        if order == "unsorted":
+            starts = rng.integers(25, vals.shape[0] - 30, n_blocks)
+        assert np.array_equal(model.predict_blocks(vals, starts),
+                              reference_predict_blocks(model, vals, starts))
+
+    def test_predict_blocks_wide(self):
+        """At 38 channels the chunks agree with the whole product to rounding only.
+
+        A BLAS product need not give a row the same bits at every row count:
+        with delta 6 (228 output columns), OpenBLAS 0.3.31 differed from the
+        whole product by up to 1.3e-15 in a few rows at every chunk size tried
+        (8 to 2 048 rows).
+        """
+        rng = np.random.default_rng(38)
+        model = train_sequence_model(LabeledSeries(rng.random((2000, 38))), 25, 6, 1e-6)
+        vals = rng.random((3000, 38))
+        starts = _block_grid(25, 6, vals.shape[0], 6)
+        np.testing.assert_allclose(model.predict_blocks(vals, starts),
+                                   reference_predict_blocks(model, vals, starts),
+                                   rtol=0, atol=100 * np.finfo(np.float64).eps)
+
     @pytest.mark.parametrize("gamma, delta, n_times", SHAPES)
     def test_reconstruction(self, gamma, delta, n_times):
         rng = np.random.default_rng(n_times + 1)
@@ -343,6 +376,24 @@ class TestSequenceMatchesReference:
         vals = rng.standard_normal((n_times, 3))
         assert np.array_equal(reconstruct_sequence(model, vals),
                               reference_reconstruct_sequence(model, vals))
+
+
+def test_reconstruct_sequence_memory_is_bounded():
+    """Scoring holds one chunk of the design, not all of it.
+
+    On 30 000 x 8 rows (gamma 25, delta 6) the whole design is 4 991 x 401
+    float64, 16 MB; predicting it a chunk at a time peaked at 4.4 MB here.
+    """
+    rng = np.random.default_rng(0)
+    model = train_sequence_model(LabeledSeries(rng.random((2000, 8))), 25, 6, 1e-6)
+    vals = rng.random((30000, 8))
+    tracemalloc.start()
+    try:
+        reconstruct_sequence(model, vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_ridge_weights_match_scipy_cholesky():
