@@ -8,6 +8,13 @@ produces the gate-ablation table.  Every command writes a JSON manifest
 to reproduce the run bit-exactly; nothing time- or host-dependent goes into
 any output file.
 
+``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
+test split again.  ``score`` records in its manifest the sha256 of every file
+it read or wrote, keyed by basename (the test split by ``data.test``), and
+``sweep`` refuses to run unless the config's ``preprocess``, ``point_model``,
+``sequence_model`` and ``data.label_column`` match the ones ``score`` ran
+with (exit 2) and every recorded file is unchanged (exit 3).
+
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
 failure.
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -27,6 +35,7 @@ from .config import PipelineConfig, apply_overrides, load_config
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate
 from .pipeline import (
+    ScoreBundle,
     TrainedModels,
     fit_models,
     preprocess_split,
@@ -34,6 +43,7 @@ from .pipeline import (
     sweep_table,
 )
 from .reconstructors import PointModel, SequenceModel, load_model, save_model
+from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
     MinMaxStats,
@@ -72,12 +82,20 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
     return path
 
 
-def write_score_csv(series: ScoreSeries, path: str) -> None:
+def time_index(length: int, time_origin: int) -> list[str]:
+    """The time_index column of a score or label CSV, formatted."""
+    return format_rows(np.arange(length) + time_origin)
+
+
+def write_score_csv(series: ScoreSeries, path: str, index: list[str] | None = None) -> None:
     """Two-column CSV (time_index, score) with the valid-range offset applied.
 
     Scores are serialized with ``repr``, which round-trips float64 exactly.
+    ``index`` is the series' :func:`time_index`, passed by a caller that
+    writes several aligned series so it is formatted once.
     """
-    index = np.arange(len(series)) + series.time_origin
+    if index is None:
+        index = time_index(len(series), series.time_origin)
     write_csv(path, ["time_index", "score"], [index, series.scores])
 
 
@@ -108,8 +126,11 @@ def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
-    index = np.arange(labels.shape[0]) + time_origin
+def write_labels_csv(labels: np.ndarray, time_origin: int, path: str,
+                     index: list[str] | None = None) -> None:
+    """Two-column CSV (time_index, label); ``index`` as in :func:`write_score_csv`."""
+    if index is None:
+        index = time_index(labels.shape[0], time_origin)
     write_csv(path, ["time_index", "label"], [index, np.asarray(labels, dtype=np.int64)])
 
 
@@ -118,13 +139,27 @@ def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
     return table[:, 1].astype(np.int64), _time_origin(table, path)
 
 
-def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _split_path(cfg: PipelineConfig, which: str) -> str:
     path = getattr(cfg.data, which)
     if path is None:
         raise ConfigError(f"config is missing data.{which}")
     if not os.path.exists(path):
         raise DataError(f"{which} file not found: {path}")
-    return load_csv(path, label_column=cfg.data.label_column)
+    return path
+
+
+def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
+    return load_csv(_split_path(cfg, which), label_column=cfg.data.label_column)
+
+
+#: The files ``train`` writes and ``score`` reads.
+TRAIN_ARTIFACTS = ("point_model.json", "sequence_model.json", "preprocess_stats.json",
+                   "train_nominality.csv")
 
 
 def _stats_path(cfg: PipelineConfig) -> str:
@@ -265,7 +300,9 @@ def cmd_score(cfg: PipelineConfig) -> int:
     test_prep, _ = preprocess_split(cfg, test_raw, models.stats)
     bundle = score_split(cfg, models, test_prep)
 
-    outputs = {}
+    # Every series shares the valid range, so the time_index column is formatted once.
+    index = time_index(len(bundle.induced), bundle.induced.time_origin)
+    outputs = []
     for name, series in (
         ("anomaly", bundle.anomaly),
         ("sequence_anomaly", bundle.seq_anomaly),
@@ -273,16 +310,19 @@ def cmd_score(cfg: PipelineConfig) -> int:
         ("induced", bundle.induced),
     ):
         path = os.path.join(cfg.output_dir, f"{name}.csv")
-        write_score_csv(series, path)
-        outputs[name] = path
+        write_score_csv(series, path, index)
+        outputs.append(path)
     if bundle.labels is not None:
         labels_path = os.path.join(cfg.output_dir, "labels.csv")
-        write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
-        outputs["labels"] = labels_path
+        write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path, index)
+        outputs.append(labels_path)
+    digests = {"data.test": _sha256(cfg.data.test)}
+    for path in [*(os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS), *outputs]:
+        digests[os.path.basename(path)] = _sha256(path)
     write_manifest(
         cfg,
         "score",
-        {"resolved_theta": bundle.theta, "outputs": sorted(outputs.values())},
+        {"resolved_theta": bundle.theta, "outputs": sorted(outputs), "digests": digests},
     )
     return EXIT_OK
 
@@ -319,12 +359,64 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
+def _check_scored(cfg: PipelineConfig) -> dict[str, str]:
+    """The digests ``score`` recorded, once its run is shown to match the config and the files.
+
+    Raises:
+        ConfigError: a section the scores depend on differs from the one
+            ``score`` ran with.
+        DataError: ``score`` has not run, or a file it read or wrote changed since.
+    """
+    path = os.path.join(cfg.output_dir, "manifest_score.json")
+    if not os.path.exists(path):
+        raise DataError(f"missing {path} (run 'score' first)")
+    try:
+        with open(path, "rb") as fh:
+            doc = json.load(fh)
+        recorded, digests = doc["config"], dict(doc["digests"])
+        sections = [(name, recorded[name], dataclasses.asdict(getattr(cfg, name)),
+                     "'train' and 'score'")
+                    for name in ("preprocess", "point_model", "sequence_model")]
+        sections.append(("data.label_column", recorded["data"]["label_column"],
+                         cfg.data.label_column, "'score'"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: cannot decode the score manifest: {exc!r}; "
+                        f"run 'score' again") from None
+    for name, scored, current, commands in sections:
+        if scored != current:
+            raise ConfigError(f"the {name} section differs from the one recorded in {path}; "
+                              f"run {commands} again")
+    for key, digest in digests.items():
+        if key == "data.test":
+            file = _split_path(cfg, "test")
+        else:
+            file = os.path.join(cfg.output_dir, key)
+        if _sha256(file) != digest:
+            raise DataError(f"{file} changed since 'score' ran (its sha256 differs from the "
+                            f"one in {path}); run 'score' again")
+    return digests
+
+
 def cmd_sweep(cfg: PipelineConfig) -> int:
-    """Run the gate-ablation table over the configured induction lengths."""
-    models = _load_models(cfg)
-    test_raw = _load_split(cfg, "test")
-    test_prep, _ = preprocess_split(cfg, test_raw, models.stats)
-    table = sweep_table(cfg, models, test_prep)
+    """Run the gate-ablation table over the configured induction lengths.
+
+    Reads the score CSVs that ``score`` wrote, once :func:`_check_scored`
+    shows they belong to this config, and resolves the threshold from the
+    training nominality with the current ``gate`` section.
+    """
+    labeled = "labels.csv" in _check_scored(cfg)  # score writes no labels for an unlabeled split
+    inputs = {name: os.path.join(cfg.output_dir, f"{name}.csv") for name in (
+        "train_nominality", "anomaly", "sequence_anomaly", "nominality", "labels")}
+    train_nominality = read_score_csv(inputs["train_nominality"], "nominality")
+    bundle = ScoreBundle(
+        anomaly=read_score_csv(inputs["anomaly"]),
+        seq_anomaly=read_score_csv(inputs["sequence_anomaly"]),
+        nominality=read_score_csv(inputs["nominality"], "nominality"),
+        induced=None,
+        labels=read_labels_csv(inputs["labels"])[0] if labeled else None,
+        theta=resolve_theta(cfg.gate, train_nominality).theta_n,
+    )
+    table = sweep_table(cfg, bundle)
 
     json_path = os.path.join(cfg.output_dir, "sweep.json")
     write_json(table, json_path)
@@ -338,7 +430,10 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     write_csv(csv_path, ["method", "d", "auc", "best_f1"],
               [methods, ds, np.asarray(aucs, dtype=np.float64), np.asarray(f1s, dtype=np.float64)])
     write_manifest(
-        cfg, "sweep", {"resolved_theta": table["theta"], "outputs": [json_path, csv_path]}
+        cfg, "sweep",
+        {"resolved_theta": table["theta"],
+         "inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), *inputs.values()],
+         "outputs": [json_path, csv_path]},
     )
     return EXIT_OK
 

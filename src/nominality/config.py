@@ -305,13 +305,45 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     return PipelineConfig(output_dir=output.get("dir", "out"), **sections)
 
 
+#: libyaml's parser where PyYAML was built with it; both give the same documents.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _line_column(text: str, offset: int) -> str:
+    """``line L, column C`` (both from 1) of a character offset into ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
+
+
+def _yaml_error(path: str, text: str, exc: yaml.YAMLError) -> ConfigError:
+    """A one-line error naming the file and the line and column YAML stopped at."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        where, problem = f"line {mark.line + 1}, column {mark.column + 1}", exc.problem
+    elif isinstance(exc, yaml.reader.ReaderError):  # a control character
+        where = _line_column(text, text.index(chr(exc.character)))
+        problem = f"character #x{exc.character:04x} is not allowed"
+    else:
+        where, problem = "", " ".join(str(exc).split())
+    return ConfigError(f"{path}: {where + ': ' if where else ''}invalid YAML: {problem}")
+
+
 def load_config(path: str) -> PipelineConfig:
-    """Parse a YAML config file."""
+    """Parse a YAML config file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        where = _line_column(before, len(before))
+        raise ConfigError(
+            f"{path}: {where}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    try:
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+        raise _yaml_error(path, text, exc) from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -187,6 +187,16 @@ def _best_report(sweep: tuple[np.ndarray, ...]) -> EvalReport:
     )
 
 
+def auc_and_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """The AUC and the best F1 of :func:`evaluate`, from the counts alone.
+
+    Builds no curve, so it suits callers that evaluate many score series.
+    """
+    _, tp, fp, *_ = _sweep(scores, labels)
+    _, _, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
+    return _u_auc(tp, fp), float(f1.max())
+
+
 def _oracle_f1(tp: int, fp: int, fn: int) -> float:
     """F1 of one confusion count in plain Python arithmetic; 0 when TP is 0."""
     if tp == 0:

@@ -7,6 +7,11 @@ scores on the common valid range, resolve the gate threshold from the
 training nominality distribution, and produce the induced score plus an
 evaluation report.  Labels are trimmed with the pair's ``valid_range``, so
 callers never align offsets by hand.
+
+:func:`score_split` is the only code that computes the scores of a split.
+:func:`sweep_table` takes them as a :class:`ScoreBundle`, either the one
+``score_split`` returns or one read back from the score CSVs, and only
+evaluates them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import DataError, ShapeError
-from .evaluation import evaluate
+from .evaluation import auc_and_best_f1
 from .reconstructors import (
     PointModel,
     ReconstructionPair,
@@ -29,13 +34,13 @@ from .reconstructors import (
     train_sequence_model,
 )
 from .scoring import (
-    GateConfig,
     anomaly_score,
+    gate,
     induced_anomaly_score,
+    induction_sums,
     nominality_score,
     resolve_theta,
     sequence_anomaly_score,
-    smoothed_score,
 )
 from .series import (
     LabeledSeries,
@@ -64,7 +69,7 @@ class ScoreBundle:
     anomaly: ScoreSeries
     seq_anomaly: ScoreSeries
     nominality: ScoreSeries
-    induced: ScoreSeries
+    induced: ScoreSeries | None  # None in a bundle read back for the sweep, which never uses it
     labels: np.ndarray | None
     theta: float
 
@@ -156,55 +161,38 @@ def _overflow_error(cfg: PipelineConfig, pair: ReconstructionPair, a_point: Scor
                      f"row is too large to score (the scores overflow)")
 
 
-def sweep_table(
-    cfg: PipelineConfig, models: TrainedModels, test: LabeledSeries
-) -> dict:
+def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     """Five scoring methods evaluated across the configured induction lengths.
 
-    The first two rows use the raw point/sequence reconstruction errors and
-    ignore d; the gated rows reuse the point-based anomaly score.  Returns a
-    JSON-ready dict with per-d AUC and best F1 plus their mean and standard
-    deviation across d.
+    Takes the bundle's anomaly, sequence anomaly and nominality scores, its
+    labels and its threshold; its induced score is not read.  The first two
+    rows use the raw point/sequence reconstruction errors and ignore d; the
+    gated rows induce the point-based anomaly score through an open gate (the
+    moving sum), a hard gate and a soft gate at the threshold, each from one
+    set of doubling blocks shared by every d.  Returns a JSON-ready dict with
+    per-d AUC and best F1 plus their mean and standard deviation across d.
     """
-    bundle = score_split(cfg, models, test)
     if bundle.labels is None:
         raise DataError("cannot sweep: test split has no labels")
     labels = bundle.labels
     d_values = list(cfg.sweep.d_values)
     theta = bundle.theta
-
-    def metrics(scores: ScoreSeries) -> tuple[float, float]:
-        report = evaluate(scores, labels)
-        return report.auc, report.best_f1
+    anomaly = bundle.anomaly.scores
 
     rows: dict[str, dict] = {}
-    point_metrics = metrics(bundle.anomaly)
-    seq_metrics = metrics(bundle.seq_anomaly)
-    rows["point"] = {"auc": [point_metrics[0]] * len(d_values),
-                     "best_f1": [point_metrics[1]] * len(d_values)}
-    rows["sequence"] = {"auc": [seq_metrics[0]] * len(d_values),
-                        "best_f1": [seq_metrics[1]] * len(d_values)}
+    for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
+        auc_val, f1_val = auc_and_best_f1(series, labels)
+        rows[name] = {"auc": [auc_val] * len(d_values), "best_f1": [f1_val] * len(d_values)}
 
-    gated = {
-        "hard_theta_inf": None,
-        "hard_theta_pct": GateConfig(kind="hard", theta_n=theta, d=0),
-        "soft_theta_pct": GateConfig(kind="soft", theta_n=theta, d=0),
+    gates = {
+        "hard_theta_inf": np.ones_like(anomaly),
+        "hard_theta_pct": gate("hard", theta, bundle.nominality.scores),
+        "soft_theta_pct": gate("soft", theta, bundle.nominality.scores),
     }
-    for name, base in gated.items():
-        aucs, f1s = [], []
-        for d in d_values:
-            if base is None:
-                induced = smoothed_score(bundle.anomaly, d)
-            else:
-                induced = induced_anomaly_score(
-                    bundle.anomaly,
-                    bundle.nominality,
-                    GateConfig(kind=base.kind, theta_n=base.theta_n, d=d),
-                )
-            auc_val, f1_val = metrics(induced)
-            aucs.append(auc_val)
-            f1s.append(f1_val)
-        rows[name] = {"auc": aucs, "best_f1": f1s}
+    for name, g in gates.items():
+        pairs = [auc_and_best_f1(induced, labels)
+                 for induced in induction_sums(anomaly, g, d_values)]
+        rows[name] = {"auc": [p[0] for p in pairs], "best_f1": [p[1] for p in pairs]}
 
     for row in rows.values():
         for metric in ("auc", "best_f1"):

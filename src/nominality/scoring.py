@@ -116,48 +116,68 @@ def _shifted(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _left_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """Gated sum of the d left neighbours: sum over j in 1..d of a[t-j] * prod g(t-j, t].
+def _doubling_blocks(a: np.ndarray, g: np.ndarray, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (P, S) blocks of 1, 2, 4, ... offsets, up to the largest span <= d.
 
     A block (P, S) of m offsets ending at t holds P[t], the product of g over
     (t-m, t], and S[t], the gated sum of a over [t-m, t).  A block ending at t
     followed by an older one ending at t-m composes as
-    (P, S) o (P', S') = (P * P', S + P * S'), so blocks of 1, 2, 4, ...
-    offsets come from doubling, and the binary digits of d select the ones
-    summed.  Neighbours before index 0 are zeros.  Where g[t] = 0 every P[t]
-    and S[t] is exactly 0.
+    (P, S) o (P', S') = (P * P', S + P * S'), so each block is the previous
+    one composed with itself.  Neighbours before index 0 are zeros.
     """
-    span_p, span_s = g, _shifted(a, 1) * g  # blocks of span = 1 offset
-    acc_p = acc_s = None  # the selected blocks so far, covering acc_len offsets
-    acc_len, span = 0, 1
-    while span <= d:
-        if d & span:
-            if acc_s is None:
-                acc_p, acc_s = span_p, span_s
-            else:
-                acc_s = acc_s + acc_p * _shifted(span_s, acc_len)
-                acc_p = acc_p * _shifted(span_p, acc_len)
-            acc_len += span
-        if 2 * span <= d:  # double the block for the next binary digit
-            span_s = span_s + span_p * _shifted(span_s, span)
-            span_p = span_p * _shifted(span_p, span)
+    blocks = [(g, _shifted(a, 1) * g)]
+    span = 1
+    while 2 * span <= d:
+        span_p, span_s = blocks[-1]
+        blocks.append((span_p * _shifted(span_p, span), span_s + span_p * _shifted(span_s, span)))
         span *= 2
-    return np.zeros_like(a) if acc_s is None else acc_s
+    return blocks
+
+
+def _left_sum(blocks: list[tuple[np.ndarray, np.ndarray]], d: int) -> np.ndarray:
+    """Gated sum of the d left neighbours: sum over j in 1..d of a[t-j] * prod g(t-j, t].
+
+    The binary digits of d select the blocks of :func:`_doubling_blocks`
+    (built for at least d), composed from the shortest up.  Where g[t] = 0
+    the sum is exactly 0.
+    """
+    acc_p = acc_s = None  # the selected blocks so far, covering acc_len offsets
+    acc_len = 0
+    for k, (span_p, span_s) in enumerate(blocks):
+        span = 1 << k
+        if not d & span:
+            continue
+        if acc_s is None:
+            acc_p, acc_s = span_p, span_s
+        else:
+            acc_s = acc_s + acc_p * _shifted(span_s, acc_len)
+            if d >> (k + 1):  # a longer block follows
+                acc_p = acc_p * _shifted(span_p, acc_len)
+        acc_len += span
+    return np.zeros_like(blocks[0][1]) if acc_s is None else acc_s
+
+
+def induction_sums(a: np.ndarray, g: np.ndarray, d_values) -> list[np.ndarray]:
+    """a[t] plus the gated sums of its d left and d right neighbours, for each d.
+
+    ``g`` holds the gate values of ``a``'s points (see :func:`gate`; all ones
+    give the moving sum).  The left sum at t weights a[t-j] by the product of
+    g over (t-j, t]; the right sum weights a[t+j] by the product over
+    [t, t+j), which is the left sum of the reversed arrays, reversed.  Each d
+    is clipped to n - 1.  The doubling blocks of each side are built once,
+    for the largest d, and shared by all, and each d composes them in the
+    order a scan for that d alone would, so its sums keep their bits.  Where
+    g[t] = 0 both sums are exactly 0, so the result is a[t] bit for bit.
+    """
+    ds = [min(d, a.shape[0] - 1) for d in d_values]
+    left = _doubling_blocks(a, g, max(ds))
+    right = _doubling_blocks(a[::-1], g[::-1], max(ds))
+    return [a + _left_sum(left, d) + _left_sum(right, d)[::-1] for d in ds]
 
 
 def _induction_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """a[t] plus the gated sums of its d left and d right neighbours.
-
-    The left sum at t weights a[t-j] by the product of g over (t-j, t]; the
-    right sum weights a[t+j] by the product over [t, t+j), which is the left
-    sum of the reversed arrays, reversed.  Both come from the doubling scan
-    in :func:`_left_sum`, with d clipped to n - 1.  Where g[t] = 0 both sums
-    are exactly 0, so the result is a[t] bit for bit.
-    """
-    d = min(d, a.shape[0] - 1)
-    left = _left_sum(a, g, d)
-    right = _left_sum(a[::-1], g[::-1], d)[::-1]
-    return a + left + right
+    """:func:`induction_sums` for one d."""
+    return induction_sums(a, g, (d,))[0]
 
 
 def _gated(

@@ -140,10 +140,10 @@ class MinMaxStats:
 #
 # Every CSV the package reads or writes goes through the helpers below.
 # Floats are written as ``repr(float(v))``, the shortest text that reads back
-# as the same float64, and rows end in ``\r\n``.  Reading parses the whole
-# table in one ``np.loadtxt`` call.  A table it rejects (empty or padded
-# quoted cells) is cast again after trimming each cell, and only a table that
-# still fails is scanned cell by cell, to name the first bad row.
+# as the same float64, rows end in ``\r\n`` and files are UTF-8 text.  Reading
+# parses the whole table in one ``np.loadtxt`` call.  A table it rejects (empty
+# or padded quoted cells) is cast again after trimming each cell, and only a
+# table that still fails is scanned cell by cell, to name the first bad row.
 
 LINE_END = "\r\n"
 
@@ -158,7 +158,7 @@ def atomic_write(path: str, text: str) -> None:
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", newline="") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -244,9 +244,20 @@ def _locate_error(
 
 
 def _read_lines(path: str, has_header: bool) -> tuple[tuple[str, ...] | None, list[str]]:
-    """The header (if any) and the non-blank data lines of a CSV file."""
-    with open(path, newline="") as fh:
-        lines = list(filter(None, fh.read().splitlines()))
+    """The header (if any) and the non-blank data lines of a CSV file.
+
+    Raises:
+        ParseError: the file is not UTF-8 text; the message names the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    lines = list(filter(None, text.splitlines()))
     if not lines:
         raise EmptyInput(f"{path}: file contains no rows")
     if not has_header:

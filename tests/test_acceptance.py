@@ -30,7 +30,7 @@ from nominality import (
 from nominality.cli import main
 from nominality.config import config_from_dict
 from nominality.evaluation import best_f1_bruteforce, pa_best_f1_bruteforce
-from nominality.pipeline import fit_models, preprocess_split, sweep_table
+from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
 from nominality.reconstructors import _init_point_model
 from nominality.scoring import induced_anomaly_score_naive
 from nominality.synthetic import ToySpec
@@ -295,7 +295,7 @@ def test_criterion_9_end_to_end_gating_improvement():
         train, stats = preprocess_split(cfg, data.train)
         test, _ = preprocess_split(cfg, data.test, stats)
         models = fit_models(cfg, train)
-        table = sweep_table(cfg, models, test)
+        table = sweep_table(cfg, score_split(cfg, models, test))
         soft = table["rows"]["soft_theta_pct"]
         best = int(np.argmax(soft["best_f1"]))
         point_f1.append(table["rows"]["point"]["best_f1"][0])

@@ -1,7 +1,11 @@
 """Config parsing, defaults, and overrides."""
 
-import pytest
+import os
 
+import pytest
+import yaml
+
+from nominality import config
 from nominality.config import (
     PipelineConfig,
     apply_overrides,
@@ -103,3 +107,56 @@ class TestOverrides:
         base = config_from_dict({"gate": {"theta_n": 2.0, "theta_percentile": None}})
         cfg = apply_overrides(base, theta_percentile=95.0)
         assert cfg.gate.theta_n is None and cfg.gate.theta_percentile == 95.0
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+SYNTH_OPTIONS = """\
+synth:
+  kind: trig
+  seed: 7
+  options:
+    n_channels: 3
+    n_train: 500
+    n_test: 400
+    frequencies: [0.5, 1.25, 2.0e-1]
+    segments:
+      - [100, 130, frequency-shift]
+      - [200, 201, point-noise]
+sweep:
+  d_values: [0, 3, 255]
+gate:
+  theta_n: .5
+  theta_percentile: ~
+eval:
+  spike_interval: 4
+"""
+
+
+class TestYamlLoaders:
+    """libyaml's loader, where PyYAML has it, reads configs exactly as the pure-Python one."""
+
+    @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+    def loader(self, request, monkeypatch):
+        if not hasattr(yaml, request.param):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(config, "YAML_LOADER", getattr(yaml, request.param))
+
+    @pytest.mark.parametrize("which", ["readme", "synth-options"])
+    def test_same_config(self, loader, tmp_path, which):
+        if which == "readme":
+            text = open(README).read().split("with a `run.yaml` like:\n\n```yaml\n", 1)[1]
+            text = text.split("```", 1)[0]
+        else:
+            text = SYNTH_OPTIONS
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        cfg = load_config(str(path))
+        expected = config_from_dict(yaml.load(text, Loader=yaml.SafeLoader))
+        assert cfg == expected
+        assert cfg.config_hash() == expected.config_hash()
+
+    def test_string_hint(self, loader, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("sequence_model:\n  ridge_lambda: 1e-6\n")
+        with pytest.raises(ConfigError, match="YAML reads 1e-6 as a string; write 1e-06"):
+            load_config(str(path))

@@ -293,6 +293,13 @@ class TestEvaluate:
         ).to_json()
         assert report.auc == auc(scores, labels)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_auc_and_best_f1_are_the_reports(self, seed):
+        """The sweep table's figures without the curve equal evaluate's, bit for bit."""
+        scores, labels = random_instance(seed)
+        report = evaluate(scores, labels)
+        assert evaluation.auc_and_best_f1(scores, labels) == (report.auc, report.best_f1)
+
     def test_json_roundtrip(self):
         import json
 

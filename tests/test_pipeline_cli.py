@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nominality.cli import main, read_score_csv
+from nominality.cli import _load_models, main, read_score_csv
 from nominality.config import (
     CHOICE_KNOBS,
     INT_KNOBS,
@@ -23,9 +23,9 @@ from nominality.config import (
 )
 from nominality.errors import DataError
 from nominality.evaluation import best_f1, evaluate
-from nominality.pipeline import fit_models, preprocess_split, score_split
+from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
 from nominality.reconstructors import _decode_array, _encode_array, _init_point_model, load_model
-from nominality.scoring import smoothed_score
+from nominality.scoring import smoothed_score, theta_from_percentile
 from nominality.series import load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 
@@ -137,6 +137,14 @@ _SKIP_INDEX = _edit_rows(lambda i, cells: [str(int(cells[0]) + (i >= 3)), cells[
 
 # a finite value of data row 150 whose squared error overflows
 _HUGE_VALUE = _edit_rows(lambda i, cells: [cells[0], "1e200", *cells[2:]] if i == 150 else cells)
+
+# the last digit of data row 10's first cell changed: one byte of the file differs
+_ONE_BYTE = _edit_rows(lambda i, cells: [
+    cells[0][:-1] + ("3" if cells[0][-1] == "2" else "2"), *cells[1:]] if i == 10 else cells)
+
+# one byte of data row 3 that is not UTF-8 (the file is rewritten as Latin-1)
+_NOT_UTF8 = _edit_rows(
+    lambda i, cells: [cells[0], "\xff" + cells[1], *cells[2:]] if i == 3 else cells)
 
 
 def write_config(tmp_path, out_name="run"):
@@ -298,6 +306,25 @@ class TestCliBehavior:
         assert main(["train", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"\xff\xfe", "line 1, column 1: byte 0xff is not UTF-8 text"),
+            (b"gate:\n  d: 4\n  \xe9: 1\n", "line 3, column 3: byte 0xe9 is not UTF-8 text"),
+            (b"data: [\n", "line 2, column 1: invalid YAML: "),
+            (b"gate:\n  d: 4\n  kind: soft: hard\n", "line 3, column 13: invalid YAML: "),
+            (b"gate:\n  d: 4\n\x00kind: soft\n", "line 3, column 1: invalid YAML: "),
+        ],
+        ids=["utf16-bom", "latin1-key", "open-flow", "double-colon", "nul"],
+    )
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, data, where):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(data)
+        assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {path}: {where}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "text, knob",
         [
             ("gate:\n  d: abc\n", "gate.d"),
@@ -363,6 +390,8 @@ class TestCliBehavior:
             ("eval", "labels.csv", _SKIP_INDEX),
             ("score", "test.csv", _HUGE_VALUE),
             ("sweep", "test.csv", _HUGE_VALUE),
+            ("score", "test.csv", _NOT_UTF8),
+            ("eval", "induced.csv", _NOT_UTF8),
         ],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
@@ -370,15 +399,17 @@ class TestCliBehavior:
              "sequence-row-missing", "point-weight-nan", "sequence-weight-nan", "stats-min-nan",
              "nominality-negative", "nominality-inf", "nominality-index-skip", "induced-nan",
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
-             "test-value-huge-score", "test-value-huge-sweep"],
+             "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
+             "induced-not-utf8"],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         path = os.path.join(out, name)
-        with open(path, newline="") as fh:
+        # Latin-1 maps each byte to one character, so a damage can write any byte.
+        with open(path, encoding="latin-1", newline="") as fh:
             text = fh.read()
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="latin-1", newline="") as fh:
             fh.write(damage(text))
         assert main([command, "--config", config_path]) == 3
         err = capsys.readouterr().err
@@ -541,6 +572,85 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
         assert "Traceback" not in err
+
+
+def _retrained(text):
+    """train_nominality.csv as another training run might have written it: valid, other values."""
+    header, *rows = text.split("\r\n")[:-1]
+    return "\r\n".join([header, *(f"{row.split(',')[0]},{2.0 ** -i!r}"
+                                   for i, row in enumerate(rows)), ""])
+
+
+class TestSweepFromScores:
+    """``sweep`` reads what ``score`` wrote and refuses it once anything it depends on changed."""
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("test.csv", _ONE_BYTE),
+            ("train_nominality.csv", _retrained),
+            ("nominality.csv", _score_cell("0.5")),
+        ],
+        ids=["test-byte", "train-nominality-retrained", "nominality-edited"],
+    )
+    def test_changed_since_score_exit_3(self, rundir, tmp_path, capsys, name, damage):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, name)
+        with open(path, newline="") as fh:
+            text = fh.read()
+        with open(path, "w", newline="") as fh:
+            fh.write(damage(text))
+        assert main(["sweep", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
+        assert err.rstrip().endswith("run 'score' again")
+
+    def test_sweep_before_score_exit_3(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        assert main(["synth", "--config", config_path]) == 0
+        assert main(["train", "--config", config_path]) == 0
+        assert main(["sweep", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "(run 'score' first)" in err
+
+    def test_unlabeled_test_split_exit_3(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        text = open(config_path).read().replace("data:\n", "data:\n  label_column: null\n", 1)
+        open(config_path, "w").write(text)
+        for command in ("synth", "train", "score"):
+            assert main([command, "--config", config_path]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--config", config_path]) == 3
+        assert capsys.readouterr().err == "data error: cannot sweep: test split has no labels\n"
+
+    def test_theta_percentile_override(self, rundir, tmp_path):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        assert main(["sweep", "--config", config_path, "--theta-percentile", "99"]) == 0
+        theta = json.load(open(os.path.join(out, "sweep.json")))["theta"]
+        assert json.load(open(os.path.join(out, "manifest_sweep.json")))["resolved_theta"] == theta
+        train_nominality = read_score_csv(os.path.join(out, "train_nominality.csv"), "nominality")
+        assert theta == theta_from_percentile(train_nominality, 99)
+        assert theta != json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"]
+        assert main(["score", "--config", config_path, "--theta-percentile", "99"]) == 0
+        assert json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"] == theta
+
+    def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
+        """For README's run.yaml, the table from the score CSVs is the in-process one, bit for bit."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        text = open(os.path.join(root, "README.md")).read()
+        block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        config_path = tmp_path / "run.yaml"
+        config_path.write_text(block.replace("out/", f"{tmp_path}/")
+                               .replace("dir: out", f"dir: {tmp_path}"))
+        run_all(str(config_path))
+        cfg = load_config(str(config_path))
+        models = _load_models(cfg)
+        test = load_csv(cfg.data.test, label_column=cfg.data.label_column)
+        test, _ = preprocess_split(cfg, test, models.stats)
+        expected = sweep_table(cfg, score_split(cfg, models, test))
+        assert json.load(open(tmp_path / "sweep.json")) == expected
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

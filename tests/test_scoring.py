@@ -18,7 +18,7 @@ from nominality import (
     smoothed_score,
     theta_from_percentile,
 )
-from nominality.scoring import induced_anomaly_score_naive
+from nominality.scoring import induced_anomaly_score_naive, induction_sums
 from nominality.series import ScoreSeries
 
 
@@ -206,6 +206,63 @@ class TestDoublingKernel:
         fast = induced_anomaly_score(a, n, cfg).scores
         naive = induced_anomaly_score_naive(a, n, cfg).scores
         assert (np.abs(fast - naive) / naive).max() < 1e-12
+
+
+def _shifted(x, k):
+    out = np.zeros_like(x)
+    out[k:] = x[: x.shape[0] - k]
+    return out
+
+
+def _per_d_left_sum(a, g, d):
+    """The doubling scan for one d, building its own blocks: the reference for shared blocks."""
+    span_p, span_s = g, _shifted(a, 1) * g
+    acc_p = acc_s = None
+    acc_len, span = 0, 1
+    while span <= d:
+        if d & span:
+            if acc_s is None:
+                acc_p, acc_s = span_p, span_s
+            else:
+                acc_s = acc_s + acc_p * _shifted(span_s, acc_len)
+                acc_p = acc_p * _shifted(span_p, acc_len)
+            acc_len += span
+        if 2 * span <= d:
+            span_s = span_s + span_p * _shifted(span_s, span)
+            span_p = span_p * _shifted(span_p, span)
+        span *= 2
+    return np.zeros_like(a) if acc_s is None else acc_s
+
+
+def _per_d_induction_sum(a, g, d):
+    d = min(d, a.shape[0] - 1)
+    return a + _per_d_left_sum(a, g, d) + _per_d_left_sum(a[::-1], g[::-1], d)[::-1]
+
+
+class TestSharedBlocks:
+    """induction_sums builds each side's blocks once for all d and keeps every d's bits."""
+
+    @pytest.mark.parametrize("gate_kind", ["open", "soft", "hard"])
+    @pytest.mark.parametrize("size", [1, 2, 300])
+    def test_equals_per_d_scan(self, size, gate_kind):
+        rng = np.random.default_rng(size)
+        a = rng.exponential(1.0, size)
+        n = rng.uniform(0, 3, size)
+        g = np.ones(size) if gate_kind == "open" else gate(gate_kind, 1.5, n)
+        d_values = [257, 0, 1, 2, 3, 5, 16, 255, 256, size - 1, size, 10 * size, 3, 0]
+        got = induction_sums(a, g, d_values)
+        assert len(got) == len(d_values)
+        for d, sums in zip(d_values, got):
+            np.testing.assert_array_equal(sums, _per_d_induction_sum(a, g, d), err_msg=f"d={d}")
+
+    def test_induced_and_smoothed_scores_share_the_kernel(self):
+        rng = np.random.default_rng(3)
+        a, n = rng.exponential(1.0, 200), rng.uniform(0, 3, 200)
+        cfg = GateConfig("soft", theta_n=1.5, d=37)
+        np.testing.assert_array_equal(induced_anomaly_score(a, n, cfg).scores,
+                                      _per_d_induction_sum(a, gate("soft", 1.5, n), 37))
+        np.testing.assert_array_equal(smoothed_score(a, 37).scores,
+                                      _per_d_induction_sum(a, np.ones(200), 37))
 
 
 class TestClaims:
