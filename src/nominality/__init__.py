@@ -71,14 +71,6 @@ from .series import (
     minmax_fit,
     save_csv,
 )
-from .synthetic import (
-    SensorSpec,
-    ToySpec,
-    TrigSpec,
-    gen_sensor,
-    gen_toy,
-    gen_trig,
-    trig_preset,
-)
+from .synthetic import TrigSpec, gen_trig, trig_preset
 
 __all__ = [name for name in dir() if not name.startswith("_")]

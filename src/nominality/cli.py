@@ -8,12 +8,17 @@ produces the gate-ablation table.  Every command writes a JSON manifest
 to reproduce the run bit-exactly; nothing time- or host-dependent goes into
 any output file.
 
+``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
-test split again.  ``score`` records in its manifest the sha256 of every file
-it read or wrote, keyed by basename (the test split by ``data.test``), and
-``sweep`` refuses to run unless the config's ``preprocess``, ``point_model``,
-``sequence_model`` and ``data.label_column`` match the ones ``score`` ran
-with (exit 2) and every recorded file is unchanged (exit 3).
+test split again, and ``eval`` reads ``induced.csv`` and ``labels.csv`` unless
+``--scores`` and ``--labels`` name other files.  ``score`` records in its
+manifest the sha256 of every file it read or wrote, keyed by basename (the
+test split by ``data.test``), and both commands refuse to run unless the
+config's ``preprocess``, ``point_model``, ``sequence_model`` and
+``data.label_column`` match the ones ``score`` ran with (exit 2) and every
+recorded file is unchanged (exit 3).  ``eval`` also requires the ``gate``
+section ``score`` ran with; ``sweep`` resolves the gate itself.
+``eval_report.json`` holds the summary figures and ``curve.csv`` the curve.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
 failure.
@@ -56,7 +61,7 @@ from .series import (
     write_csv,
     write_json,
 )
-from .synthetic import gen_sensor, gen_toy, gen_trig
+from .synthetic import gen_trig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,36 +199,15 @@ def _load_stats(path: str) -> tuple[MinMaxStats | None, dict | None]:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    """Write a synthetic dataset (CSV + sidecar JSON) into the output dir."""
+    """Write the synthetic train and test splits (CSV + sidecar JSON) into the output dir."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.synth.spec()
-    sidecar = {"kind": cfg.synth.kind, "seed": cfg.synth.seed, "spec": dataclasses.asdict(spec)}
-    if cfg.synth.kind == "trig":
-        result = gen_trig(spec)
-        train_path = os.path.join(cfg.output_dir, "train.csv")
-        test_path = os.path.join(cfg.output_dir, "test.csv")
-        save_csv(result.train, train_path)
-        save_csv(result.test, test_path)
-        files = [train_path, test_path]
-        sidecar["anomaly_rate"] = result.anomaly_rate
-    elif cfg.synth.kind == "toy":
-        result = gen_toy(spec)
-        path = os.path.join(cfg.output_dir, "toy.csv")
-        dim = spec.n_channels
-        header = [f"dxc_{j}" for j in range(dim)] + [f"dxp_{j}" for j in range(dim)]
-        write_csv(
-            path,
-            header + ["label", "nominality"],
-            [result.context_dev, result.point_dev, result.labels, result.nominality],
-        )
-        files = [path]
-    else:
-        result = gen_sensor(spec)
-        path = os.path.join(cfg.output_dir, "sensor.csv")
-        save_csv(result.series, path)
-        files = [path]
-        sidecar["tags"] = list(result.tags)
-    sidecar["files"] = files
+    result = gen_trig(spec)
+    files = [os.path.join(cfg.output_dir, name) for name in ("train.csv", "test.csv")]
+    save_csv(result.train, files[0])
+    save_csv(result.test, files[1])
+    sidecar = {"kind": cfg.synth.kind, "seed": cfg.synth.seed, "spec": dataclasses.asdict(spec),
+               "anomaly_rate": result.anomaly_rate, "files": files}
     write_json(sidecar, os.path.join(cfg.output_dir, "synth_spec.json"))
     write_manifest(cfg, "synth", {"outputs": files})
     return EXIT_OK
@@ -328,7 +312,14 @@ def cmd_score(cfg: PipelineConfig) -> int:
 
 
 def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | None) -> int:
-    """Evaluate a score CSV against the aligned label CSV."""
+    """Evaluate a score CSV against the aligned label CSV.
+
+    Where either path is left to its default, the file is ``score``'s own,
+    so :func:`_check_scored` first shows that ``score`` ran with this
+    config's sections, ``gate`` included, and that its files are unchanged.
+    """
+    if scores_path is None or labels_path is None:
+        _check_scored(cfg, gate=True)
     scores_path = scores_path or os.path.join(cfg.output_dir, "induced.csv")
     labels_path = labels_path or os.path.join(cfg.output_dir, "labels.csv")
     for path in (scores_path, labels_path):
@@ -346,12 +337,10 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         point_adjusted=cfg.eval.point_adjust,
         spike_interval=cfg.eval.spike_interval,
     )
-    # The curve is formatted once and shared by the CSV and the JSON report.
-    curve_rows = format_rows(report.curve)
     report_path = os.path.join(cfg.output_dir, "eval_report.json")
-    atomic_write(report_path, report.to_json(curve_rows) + "\n")
+    atomic_write(report_path, report.to_json() + "\n")
     curve_path = os.path.join(cfg.output_dir, "curve.csv")
-    write_csv(curve_path, ["threshold", "precision", "recall", "f1"], [curve_rows])
+    write_csv(curve_path, ["threshold", "precision", "recall", "f1"], [report.curve])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
     write_manifest(
         cfg, "eval", {"inputs": [scores_path, labels_path], "outputs": [report_path, curve_path]}
@@ -359,8 +348,11 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
-def _check_scored(cfg: PipelineConfig) -> dict[str, str]:
+def _check_scored(cfg: PipelineConfig, gate: bool = False) -> dict[str, str]:
     """The digests ``score`` recorded, once its run is shown to match the config and the files.
+
+    With ``gate`` the ``gate`` section must match too, as ``induced.csv``
+    depends on it.
 
     Raises:
         ConfigError: a section the scores depend on differs from the one
@@ -379,6 +371,8 @@ def _check_scored(cfg: PipelineConfig) -> dict[str, str]:
                     for name in ("preprocess", "point_model", "sequence_model")]
         sections.append(("data.label_column", recorded["data"]["label_column"],
                          cfg.data.label_column, "'score'"))
+        if gate:
+            sections.append(("gate", recorded["gate"], dataclasses.asdict(cfg.gate), "'score'"))
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: cannot decode the score manifest: {exc!r}; "
                         f"run 'score' again") from None

@@ -22,11 +22,10 @@ from typing import get_args, get_origin, get_type_hints
 import yaml
 
 from .errors import ConfigError, SpecError
-from .synthetic import SensorSpec, ToySpec, TrigSpec, trig_preset
+from .synthetic import TrigSpec, trig_preset
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 GATE_KINDS = ("soft", "hard")
-SYNTH_SPECS = {"trig": TrigSpec, "toy": ToySpec, "sensor": SensorSpec}
 
 
 def _is_int(value) -> bool:
@@ -76,7 +75,7 @@ CHOICE_KNOBS = (
     ("preprocess", "normalization", ("minmax", "none")),
     ("point_model", "optimizer", ("sgd", "adam")),
     ("gate", "kind", GATE_KINDS),
-    ("synth", "kind", tuple(SYNTH_SPECS)),
+    ("synth", "kind", ("trig",)),
 )
 
 
@@ -212,9 +211,10 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """The ``synth`` section: ``options`` sets the kind's spec fields other than ``seed``.
+    """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
 
-    YAML lists stand for tuples; ``trig`` with no options is :func:`trig_preset`.
+    ``kind`` has the one value ``trig``.  YAML lists stand for tuples; no
+    options is :func:`trig_preset`.
     Parsing builds the spec to check it, except that preset: it is always
     valid, and only ``synth`` needs it.
     """
@@ -229,26 +229,25 @@ class SynthConfig:
             self.spec()
 
     def _is_preset(self) -> bool:
-        return self.kind == "trig" and isinstance(self.options, dict) and not self.options
+        return isinstance(self.options, dict) and not self.options
 
-    def spec(self) -> TrigSpec | ToySpec | SensorSpec:
+    def spec(self) -> TrigSpec:
         """The generator spec; a bad key, type or value raises :class:`ConfigError`."""
         if self._is_preset():
             return trig_preset(self.seed)
         if not isinstance(self.options, dict):
             raise ConfigError(f"synth.options must be a mapping, got {self.options!r}")
-        cls = SYNTH_SPECS[self.kind]
-        hints = {key: hint for key, hint in get_type_hints(cls).items() if key != "seed"}
+        hints = {key: hint for key, hint in get_type_hints(TrigSpec).items() if key != "seed"}
         for key, value in self.options.items():
             if key not in hints:
-                raise ConfigError(f"synth.options has unknown key {key!r} for kind {self.kind}; "
+                raise ConfigError(f"synth.options has unknown key {key!r}; "
                                   f"expected one of {', '.join(hints)}")
             if not _fits(value, hints[key]):
                 raise ConfigError(
-                    f"synth.options.{key} must be {cls.__annotations__[key]}, got {value!r}"
+                    f"synth.options.{key} must be {TrigSpec.__annotations__[key]}, got {value!r}"
                 )
         try:
-            return cls(seed=self.seed, **{key: _tupled(v) for key, v in self.options.items()})
+            return TrigSpec(seed=self.seed, **{key: _tupled(v) for key, v in self.options.items()})
         except (SpecError, TypeError) as exc:  # TypeError: a field without default is unset
             raise ConfigError(f"synth.options: {exc}") from None
 

@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, ShapeError
-from .series import ScoreSeries, format_rows
-
-_CURVE_SLOT = "@curve@"  # placeholder swapped for the pre-formatted curve
+from .series import ScoreSeries
 
 
 @dataclass
@@ -41,8 +39,9 @@ class EvalReport:
     """Threshold-sweep results for one score series.
 
     ``curve`` is an (n, 4) array with columns (threshold, precision, recall,
-    f1), sorted by threshold; ``pa_best_f1`` and ``spiked_pa_best_f1`` are
-    filled only when requested.
+    f1), sorted by threshold; the CLI writes it to ``curve.csv`` and the
+    other figures to ``eval_report.json``.  ``pa_best_f1`` and
+    ``spiked_pa_best_f1`` are filled only when requested.
     """
 
     best_f1: float
@@ -54,7 +53,8 @@ class EvalReport:
     pa_best_f1: float | None = None
     spiked_pa_best_f1: float | None = None
 
-    def _summary(self) -> dict:
+    def to_json(self) -> str:
+        """The summary figures as sorted, indented JSON; the curve is not included."""
         doc = {
             "best_f1": self.best_f1,
             "best_threshold": self.best_threshold,
@@ -66,21 +66,7 @@ class EvalReport:
             doc["pa_best_f1"] = self.pa_best_f1
         if self.spiked_pa_best_f1 is not None:
             doc["spiked_pa_best_f1"] = self.spiked_pa_best_f1
-        return doc
-
-    def to_json(self, curve_rows: list[str] | None = None) -> str:
-        """Sorted, indented JSON with one curve row per line.
-
-        ``curve_rows`` is the curve as :func:`~nominality.series.format_rows`
-        text, so a caller that also writes the curve CSV formats it once.
-        """
-        if curve_rows is None:
-            curve_rows = format_rows(self.curve)
-        curve = "[\n  [" + "],\n  [".join(curve_rows) + "]\n ]" if curve_rows else "[]"
-        # repr spells non-finite floats inf/nan; JSON (as json.dumps) wants Infinity/NaN.
-        curve = curve.replace("inf", "Infinity").replace("nan", "NaN")
-        text = json.dumps({**self._summary(), "curve": _CURVE_SLOT}, sort_keys=True, indent=1)
-        return text.replace(f'"{_CURVE_SLOT}"', curve)
+        return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def _as_arrays(

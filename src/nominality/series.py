@@ -243,10 +243,11 @@ def _locate_error(
     return ParseError(f"{path}: table could not be parsed")
 
 
-def _read_lines(path: str, has_header: bool) -> tuple[tuple[str, ...] | None, list[str]]:
-    """The header (if any) and the non-blank data lines of a CSV file.
+def _read_lines(path: str) -> tuple[tuple[str, ...], list[str]]:
+    """The header and the non-blank data lines of a CSV file.
 
     Raises:
+        EmptyInput: the file holds no header or no data rows.
         ParseError: the file is not UTF-8 text; the message names the line.
     """
     with open(path, "rb") as fh:
@@ -260,8 +261,6 @@ def _read_lines(path: str, has_header: bool) -> tuple[tuple[str, ...] | None, li
     lines = list(filter(None, text.splitlines()))
     if not lines:
         raise EmptyInput(f"{path}: file contains no rows")
-    if not has_header:
-        return None, lines
     if len(lines) < 2:
         raise EmptyInput(f"{path}: file contains a header but no data rows")
     return tuple(name.strip() for name in next(csv.reader(lines[:1]))), lines[1:]
@@ -310,7 +309,7 @@ def read_table(path: str, width: int, label_idx: int | None = None) -> np.ndarra
     Cells follow :func:`_parse_lines`; a file with no data rows raises
     :class:`EmptyInput` and a header of another width :class:`ParseError`.
     """
-    header, lines = _read_lines(path, has_header=True)
+    header, lines = _read_lines(path)
     if len(header) != width:
         raise ParseError(f"{path}: expected {width} columns, the header has {len(header)}")
     return _parse_lines(lines, width, path, label_idx)
@@ -328,32 +327,26 @@ def _forward_fill(values: np.ndarray) -> np.ndarray:
     return filled
 
 
-def load_csv(
-    path: str,
-    label_column: str | None = None,
-    has_header: bool = True,
-) -> LabeledSeries:
+def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
     """Read a comma-separated series file into a :class:`LabeledSeries`.
 
-    Empty cells and literal ``nan`` entries are forward-filled per channel;
-    a NaN with no predecessor becomes 0.  The label column, when named, is
-    excluded from the value matrix and must contain only 0/1.
+    The first row is a header.  Empty cells and literal ``nan`` entries are
+    forward-filled per channel; a NaN with no predecessor becomes 0.  The
+    label column, when named, is excluded from the value matrix and must
+    contain only 0/1.
 
     Raises:
         EmptyInput: the file holds no data rows.
         ParseError: a row has the wrong width or a cell is not numeric.
         LabelError: a label value is not 0 or 1, or the column is missing.
     """
-    header, lines = _read_lines(path, has_header)
-    width = len(header) if header is not None else len(lines[0].split(","))
+    header, lines = _read_lines(path)
     label_idx: int | None = None
     if label_column is not None:
-        if header is None:
-            raise LabelError("label_column requires a header row")
         if label_column not in header:
             raise LabelError(f"{path}: label column {label_column!r} not found in header")
         label_idx = header.index(label_column)
-    table = _parse_lines(lines, width, path, label_idx)
+    table = _parse_lines(lines, len(header), path, label_idx)
     labels = None
     names = header
     if label_idx is not None:

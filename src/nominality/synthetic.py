@@ -1,16 +1,9 @@
-"""Seeded synthetic generators.
+"""Seeded synthetic data: the trigonometric dataset every command runs on.
 
-Three generators cover the constructions the scoring theory is built on:
-
-* ``gen_toy`` draws isotropic Gaussian deviation pairs whose nominality
-  ratios concentrate below the normal population's when the out-of-
-  distribution noise is inflated, making appropriateness checkable.
-* ``gen_sensor`` simulates a 2-D circular-motion sensor with an angular
-  slowdown (contextual anomalies) and injected measurement noise (point
-  anomalies when the reading leaves the nominal annulus).
-* ``gen_trig`` builds a multichannel trigonometric dataset with an
-  anomaly-free training split and a test split containing configured
-  point-noise, frequency-shift, and amplitude-shift segments.
+``gen_trig`` builds a multichannel trigonometric dataset with an
+anomaly-free training split and a test split containing configured
+point-noise, frequency-shift, and amplitude-shift segments;
+``trig_preset`` is the default one.
 """
 
 from __future__ import annotations
@@ -26,162 +19,6 @@ from .series import LabeledSeries
 SEGMENT_KINDS = ("point-noise", "frequency-shift", "amplitude-shift")
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-@dataclass(frozen=True)
-class ToySpec:
-    """Gaussian deviation-pair dataset: anomalies get alpha-inflated noise."""
-
-    n_channels: int
-    alpha: float
-    n_normal: int
-    n_anomaly: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_channels < 1:
-            raise SpecError("n_channels must be >= 1")
-        if not self.alpha > 0:
-            raise SpecError("alpha must be > 0")
-        if self.n_normal < 1 or self.n_anomaly < 1:
-            raise SpecError("sample counts must be >= 1")
-
-
-@dataclass(frozen=True)
-class ToyResult:
-    """Per-sample deviations, labels, and exact nominality ratios."""
-
-    context_dev: np.ndarray
-    point_dev: np.ndarray
-    labels: np.ndarray
-    nominality: np.ndarray
-
-    @property
-    def normal_nominality(self) -> np.ndarray:
-        return self.nominality[self.labels == 0]
-
-    @property
-    def anomaly_nominality(self) -> np.ndarray:
-        return self.nominality[self.labels == 1]
-
-
-def gen_toy(spec: ToySpec) -> ToyResult:
-    """Draw deviation pairs and return their exact nominality ratios.
-
-    Normal samples use unit-variance in-distribution and out-of-distribution
-    deviations; anomaly samples scale the out-of-distribution part by alpha.
-    The nominality ratio is |ctx|^2 / |ctx + pt|^2 with no epsilon guard
-    (the denominator is almost surely nonzero).  With t = 1 - (1 + alpha^2) N
-    and s = sqrt(t^2 + 4 alpha^2 N), r_alpha(N) = (s - t) / (s + t) is
-    exactly F(D, D); the median of (1 + alpha^2) N is exactly 1.
-    """
-    rng = np.random.default_rng(spec.seed)
-    n_total = spec.n_normal + spec.n_anomaly
-    ctx = rng.standard_normal((n_total, spec.n_channels))
-    pt = rng.standard_normal((n_total, spec.n_channels))
-    pt[spec.n_normal :] *= spec.alpha
-    labels = np.zeros(n_total, dtype=np.int64)
-    labels[spec.n_normal :] = 1
-    nominality = (ctx**2).sum(axis=1) / ((ctx + pt) ** 2).sum(axis=1)
-    return ToyResult(ctx, pt, labels, nominality)
-
-
-@dataclass(frozen=True)
-class SensorSpec:
-    """2-D circular-motion sensor with a slowdown interval and noise points.
-
-    ``slowdown`` is an inclusive (t1, t2) index interval; t1 > t2 disables
-    it.  ``noise_points`` lists (t, w_x, w_y) measurement offsets.  The
-    nominal annulus is radius_min <= r <= radius_max.
-    """
-
-    omega: float
-    omega_slow: float
-    radius: float
-    radius_min: float
-    radius_max: float
-    n_times: int
-    slowdown: tuple[int, int] | None = None
-    noise_points: tuple[tuple[int, float, float], ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.radius_min <= self.radius <= self.radius_max:
-            raise SpecError("radius must lie within [radius_min, radius_max]")
-        if self.n_times < 1:
-            raise SpecError("n_times must be >= 1")
-        if self.slowdown is not None:
-            t1, t2 = self.slowdown
-            if t1 <= t2 and not (0 <= t1 and t2 < self.n_times):
-                raise SpecError(f"slowdown interval {self.slowdown} out of range")
-        for t, _, _ in self.noise_points:
-            if not 0 <= t < self.n_times:
-                raise SpecError(f"noise point index {t} out of range")
-
-
-@dataclass(frozen=True)
-class SensorResult:
-    """Observed sensor series plus its exact deviation decomposition.
-
-    ``tags`` holds one of "normal", "point-anomaly", "contextual-anomaly",
-    "both" per time point; noise landing inside the annulus counts as
-    contextual because no single observation can reveal it.
-    """
-
-    series: LabeledSeries
-    tags: tuple[str, ...]
-    nominal: np.ndarray
-    context_dev: np.ndarray
-    point_dev: np.ndarray
-
-
-def gen_sensor(spec: SensorSpec) -> SensorResult:
-    """Simulate the sensor and tag each time point by its deviation type."""
-    t = np.arange(spec.n_times, dtype=np.float64)
-    nominal = spec.radius * np.column_stack([np.cos(spec.omega * t), np.sin(spec.omega * t)])
-
-    context_dev = np.zeros_like(nominal)
-    slow_active = np.zeros(spec.n_times, dtype=bool)
-    if spec.slowdown is not None:
-        t1, t2 = spec.slowdown
-        if t1 <= t2:
-            slow_active[t1 : t2 + 1] = True
-            ts = t[slow_active]
-            context_dev[slow_active, 0] = spec.radius * (
-                np.cos(spec.omega_slow * ts) - np.cos(spec.omega * ts)
-            )
-            context_dev[slow_active, 1] = spec.radius * (
-                np.sin(spec.omega_slow * ts) - np.sin(spec.omega * ts)
-            )
-
-    point_dev = np.zeros_like(nominal)
-    noisy = np.zeros(spec.n_times, dtype=bool)
-    for idx, w_x, w_y in spec.noise_points:
-        point_dev[idx, 0] += w_x
-        point_dev[idx, 1] += w_y
-        if w_x != 0.0 or w_y != 0.0:
-            noisy[idx] = True
-
-    observed = nominal + context_dev + point_dev
-    radii = np.sqrt((observed**2).sum(axis=1))
-    inside = (radii >= spec.radius_min) & (radii <= spec.radius_max)
-
-    contextual = slow_active | (noisy & inside)
-    point = noisy & ~inside
-    labels = (contextual | point).astype(np.int64)
-    tags = []
-    for is_ctx, is_pt in zip(contextual, point):
-        if is_ctx and is_pt:
-            tags.append("both")
-        elif is_pt:
-            tags.append("point-anomaly")
-        elif is_ctx:
-            tags.append("contextual-anomaly")
-        else:
-            tags.append("normal")
-
-    series = LabeledSeries(observed, labels, ("x", "y"))
-    return SensorResult(series, tuple(tags), nominal, context_dev, point_dev)
 
 
 @dataclass(frozen=True)

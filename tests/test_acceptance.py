@@ -18,7 +18,6 @@ from nominality import (
     LabeledSeries,
     PointHyperparams,
     best_f1,
-    gen_toy,
     gen_trig,
     induced_anomaly_score,
     pa_best_f1,
@@ -33,8 +32,14 @@ from nominality.evaluation import best_f1_bruteforce, pa_best_f1_bruteforce
 from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
 from nominality.reconstructors import _init_point_model
 from nominality.scoring import induced_anomaly_score_naive
-from nominality.synthetic import ToySpec
-from toy_law import f_reference_sample, ks_critical_value, ks_statistic, toy_f_variate
+from toy_law import (
+    ToySpec,
+    f_reference_sample,
+    gen_toy,
+    ks_critical_value,
+    ks_statistic,
+    toy_f_variate,
+)
 
 
 def labeled_instance(seed):

@@ -291,6 +291,7 @@ class TestEvaluate:
             alone, pa_best_f1=pa_best_f1(scores, labels),
             spiked_pa_best_f1=pa_best_f1(spike_augment(ScoreSeries(scores), 3), labels),
         ).to_json()
+        assert np.array_equal(report.curve, alone.curve)
         assert report.auc == auc(scores, labels)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -301,10 +302,10 @@ class TestEvaluate:
         assert evaluation.auc_and_best_f1(scores, labels) == (report.auc, report.best_f1)
 
     def test_json_roundtrip(self):
-        import json
-
         scores, labels = random_instance(5)
         report = evaluate(scores, labels, point_adjusted=True)
         doc = json.loads(report.to_json())
-        assert doc["best_f1"] == report.best_f1
-        assert doc["curve"][0][0] == report.curve[0][0]
+        assert set(doc) == {"best_f1", "best_threshold", "precision", "recall", "auc",
+                            "pa_best_f1"}
+        for key, value in doc.items():
+            assert value == getattr(report, key), key

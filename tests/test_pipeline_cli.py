@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nominality.cli import _load_models, main, read_score_csv
+from nominality.cli import _load_models, main, read_labels_csv, read_score_csv
 from nominality.config import (
     CHOICE_KNOBS,
     INT_KNOBS,
@@ -26,7 +26,7 @@ from nominality.evaluation import best_f1, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
 from nominality.reconstructors import _decode_array, _encode_array, _init_point_model, load_model
 from nominality.scoring import smoothed_score, theta_from_percentile
-from nominality.series import load_csv
+from nominality.series import format_rows, load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 
 SMALL_CONFIG = """\
@@ -208,11 +208,16 @@ class TestEndToEnd:
     def test_eval_report_contents(self, rundir):
         _, out = rundir
         report = json.load(open(os.path.join(out, "eval_report.json")))
-        for key in ("best_f1", "best_threshold", "precision", "recall", "auc", "curve",
-                    "pa_best_f1"):
-            assert key in report
+        assert set(report) == {"best_f1", "best_threshold", "precision", "recall", "auc",
+                               "pa_best_f1"}
         assert 0.0 <= report["best_f1"] <= 1.0
         assert report["pa_best_f1"] >= report["best_f1"]
+        induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
+        labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
+        curve = evaluate(induced, labels, point_adjusted=True).curve
+        lines = open(os.path.join(out, "curve.csv"), newline="").read().split("\r\n")
+        assert lines[0] == "threshold,precision,recall,f1" and lines[-1] == ""
+        assert lines[1:-1] == format_rows(curve)
 
     def test_file_roundtrip_matches_in_process(self, rundir):
         config_path, out = rundir
@@ -265,7 +270,7 @@ class TestDeterminism:
         run_all(config_b)
         for name in ("train.csv", "point_model.json", "sequence_model.json",
                      "anomaly.csv", "nominality.csv", "induced.csv",
-                     "eval_report.json", "sweep.json"):
+                     "eval_report.json", "curve.csv", "sweep.json"):
             bytes_a = open(os.path.join(out_a, name), "rb").read()
             bytes_b = open(os.path.join(out_b, name), "rb").read()
             assert bytes_a == bytes_b, name
@@ -411,7 +416,10 @@ class TestCliBehavior:
             text = fh.read()
         with open(path, "w", encoding="latin-1", newline="") as fh:
             fh.write(damage(text))
-        assert main([command, "--config", config_path]) == 3
+        # Named paths skip eval's digest check, so the damage reaches the CSV reader.
+        paths = ["--scores", os.path.join(out, "induced.csv"),
+                 "--labels", os.path.join(out, "labels.csv")] if command == "eval" else []
+        assert main([command, "--config", config_path, *paths]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
         assert name in err and "Traceback" not in err
@@ -511,59 +519,32 @@ class TestCliBehavior:
         induced = read_score_csv(str(out / "induced.csv"), "induced")
         assert len(induced) == 6 and induced.time_origin == 2
 
-    def test_synth_toy_and_sensor(self, tmp_path):
-        out = tmp_path / "s"
-        out.mkdir()
-        toy_cfg = tmp_path / "toy.yaml"
-        toy_cfg.write_text(
-            "synth:\n  kind: toy\n  options:\n    n_channels: 2\n    alpha: 2.0\n"
-            "    n_normal: 50\n    n_anomaly: 20\n"
-            f"output:\n  dir: {out}\n"
-        )
-        assert main(["synth", "--config", str(toy_cfg)]) == 0
-        assert os.path.exists(out / "toy.csv")
-        header = open(out / "toy.csv").readline().strip().split(",")
-        assert header[-2:] == ["label", "nominality"]
-
-        sensor_cfg = tmp_path / "sensor.yaml"
-        sensor_cfg.write_text(
-            "synth:\n  kind: sensor\n  options:\n    omega: 0.1\n    omega_slow: 0.05\n"
-            "    radius: 1.0\n    radius_min: 0.8\n    radius_max: 1.2\n    n_times: 100\n"
-            "    slowdown: [30, 40]\n"
-            f"output:\n  dir: {out}\n"
-        )
-        assert main(["synth", "--config", str(sensor_cfg)]) == 0
-        sidecar = json.load(open(out / "synth_spec.json"))
-        assert sidecar["kind"] == "sensor"
-        assert sidecar["tags"][35] == "contextual-anomaly"
-
     @pytest.mark.parametrize(
         "synth, key",
         [
             ("  options:\n    bogus: 1\n", ""),
             ("  options: [1]\n", ""),
-            ("  kind: toy\n  options:\n    n_channels: 2\n    alpha: x\n"
-             "    n_normal: 5\n    n_anomaly: 5\n", ".alpha"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    noise_sigma: x\n", ".noise_sigma"),
             ("  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n", ""),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    segments:\n      - [90, 120, frequency-shift]\n", ""),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    segments:\n      - [90, 95]\n", ".segments"),
-            ("  kind: sensor\n", ""),
-            ("  kind: toy\n  options:\n    n_channels: 2\n    alpha: .inf\n"
-             "    n_normal: 5\n    n_anomaly: 5\n", ".alpha"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n", ""),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    noise_sigma: .inf\n", ".noise_sigma"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    point_noise_scale: .inf\n    segments:\n      - [50, 51, point-noise]\n",
              ".point_noise_scale"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    frequencies: [.inf, 1.0]\n", ".frequencies"),
-            ("  kind: sensor\n  options:\n    omega: .inf\n    omega_slow: 0.05\n"
-             "    radius: 1.0\n    radius_min: 0.8\n    radius_max: 1.2\n    n_times: 100\n",
-             ".omega"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    phases: [0.0, .nan]\n", ".phases"),
         ],
-        ids=["unknown-key", "options-list", "toy-alpha-string", "channels-zero",
-             "segment-outside", "segment-short", "sensor-unset", "toy-alpha-inf",
-             "trig-point-noise-inf", "trig-frequency-inf", "sensor-omega-inf"],
+        ids=["unknown-key", "options-list", "trig-noise-string", "channels-zero",
+             "segment-outside", "segment-short", "trig-n-test-unset", "trig-noise-inf",
+             "trig-point-noise-inf", "trig-frequency-inf", "trig-phase-nan"],
     )
     def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth, key):
         path = tmp_path / "synth.yaml"
@@ -572,6 +553,15 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
         assert "Traceback" not in err
+
+    def test_synth_toy_and_sensor(self, tmp_path, capsys):
+        """``trig`` is the one synth kind; ``toy`` and ``sensor`` exit 2 like any unknown one."""
+        path = tmp_path / "synth.yaml"
+        for kind in ("toy", "sensor"):
+            path.write_text(f"synth:\n  kind: {kind}\noutput:\n  dir: {tmp_path}\n")
+            assert main(["synth", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: synth.kind must be one of trig, got {kind!r}\n"
 
 
 def _retrained(text):
@@ -651,6 +641,61 @@ class TestSweepFromScores:
         test, _ = preprocess_split(cfg, test, models.stats)
         expected = sweep_table(cfg, score_split(cfg, models, test))
         assert json.load(open(tmp_path / "sweep.json")) == expected
+
+
+class TestEvalFromScores:
+    """``eval`` on ``score``'s own files refuses them once the config or a file changed."""
+
+    def test_d_override_exit_2(self, rundir, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        assert main(["eval", "--config", config_path, "--d", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: the gate section ")
+        assert err.rstrip().endswith("run 'score' again")
+
+    def test_retrained_exit_2_then_3(self, rundir, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        assert main(["train", "--config", config_path, "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: the point_model ")
+        assert main(["eval", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "point_model.json changed " in err
+
+    def test_edited_induced_exit_3(self, rundir, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, "induced.csv")
+        with open(path, newline="") as fh:
+            text = fh.read()
+        with open(path, "w", newline="") as fh:
+            fh.write(_score_cell("0.5")(text))
+        assert main(["eval", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
+
+    def test_eval_before_score_exit_3(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        assert main(["synth", "--config", config_path]) == 0
+        assert main(["train", "--config", config_path]) == 0
+        assert main(["eval", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "(run 'score' first)" in err
+
+    def test_explicit_paths_are_not_checked(self, rundir, tmp_path):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        os.remove(os.path.join(out, "manifest_score.json"))
+        anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
+        assert main(["eval", "--config", config_path, "--d", "1",
+                     "--scores", anomaly, "--labels", labels]) == 0
+        expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0],
+                            point_adjusted=True)
+        assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

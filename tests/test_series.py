@@ -74,8 +74,9 @@ class TestLoadCsv:
             load_csv(write(tmp_path, "a,b\n1,2\n"), label_column="y")
 
     def test_no_header(self, tmp_path):
-        s = load_csv(write(tmp_path, "1,2\n3,4\n"), has_header=False)
-        assert s.channel_names is None and s.n_times == 2
+        # The first row is always the header, so a file without one loses its first row.
+        s = load_csv(write(tmp_path, "1,2\n3,4\n"))
+        assert s.channel_names == ("1", "2") and s.n_times == 1
 
     def test_no_nan_after_ingestion(self, tmp_path):
         s = load_csv(write(tmp_path, "a,b\n,\n3,\n,4\n"))
@@ -93,11 +94,9 @@ class TestLoadCsv:
         assert back.channel_names == ("u", "v")
 
 
-def reference_load(text, has_header=True):
-    """The per-cell reader the codec replaced: csv.reader rows, forward-fill loop."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    if has_header:
-        rows = rows[1:]
+def reference_load(text):
+    """The per-cell reader the codec replaced: csv.reader data rows, forward-fill loop."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
     values = np.empty((len(rows), len(rows[0])))
     for i, row in enumerate(rows):
         for j, cell in enumerate(row):
@@ -217,14 +216,14 @@ class TestCsvCodec:
         assert labels.tolist() == [0, 1, 1, 0] and origin == 12
 
     def test_headerless(self, tmp_path):
-        s = load_csv(write(tmp_path, "1,2\n,4\n5,6\n"), has_header=False)
-        assert s.channel_names is None
-        np.testing.assert_array_equal(s.values, [[1, 2], [1, 4], [5, 6]])
+        """A file without a header is read as if its first row were one."""
+        s = load_csv(write(tmp_path, "1,2\n,4\n5,6\n"))
+        np.testing.assert_array_equal(s.values, [[0, 4], [5, 6]])
         with pytest.raises(ParseError) as err:
-            load_csv(write(tmp_path, "1,2\n3\n"), has_header=False)
-        assert err.value.row == 1
+            load_csv(write(tmp_path, "1,2\n3\n"))
+        assert err.value.row == 0
         with pytest.raises(LabelError):
-            load_csv(write(tmp_path, "1,2\n"), label_column="y", has_header=False)
+            load_csv(write(tmp_path, "1,2\n3,4\n"), label_column="y")
 
     def test_quoted_cells(self, tmp_path):
         s = load_csv(write(tmp_path, '"a","b"\n"1.5",2\n3,"-0.25"\n""," 7 "\n'))

@@ -6,18 +6,11 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from nominality import (
-    SensorSpec,
-    SpecError,
-    ToySpec,
-    TrigSpec,
-    gen_sensor,
-    gen_toy,
-    gen_trig,
-    trig_preset,
-)
+from nominality import SpecError, TrigSpec, gen_trig, trig_preset
 from toy_law import (
+    ToySpec,
     f_reference_sample,
+    gen_toy,
     kolmogorov_sf,
     ks_critical_value,
     ks_statistic,
@@ -137,65 +130,6 @@ class TestKolmogorovSmirnov:
             if ks_statistic(x, y) > ks_critical_value(2000, 2000, 0.01):
                 rejections += 1
         assert rejections <= 1
-
-
-class TestSensor:
-    def base_spec(self, **kw):
-        defaults = dict(
-            omega=0.1, omega_slow=0.05, radius=1.0, radius_min=0.8, radius_max=1.2,
-            n_times=200,
-        )
-        defaults.update(kw)
-        return SensorSpec(**defaults)
-
-    def test_clean_run_matches_nominal(self):
-        res = gen_sensor(self.base_spec(slowdown=(5, 2)))  # t1 > t2 disables it
-        assert res.series.labels.sum() == 0
-        np.testing.assert_array_equal(res.series.values, res.nominal)
-        assert all(t == "normal" for t in res.tags)
-
-    def test_slowdown_preserves_radius_and_tags_contextual(self):
-        res = gen_sensor(self.base_spec(slowdown=(50, 80)))
-        radii = np.sqrt((res.series.values[50:81] ** 2).sum(axis=1))
-        np.testing.assert_allclose(radii, 1.0, atol=1e-12)
-        assert set(res.tags[50:81]) == {"contextual-anomaly"}
-        assert res.series.labels[50:81].tolist() == [1] * 31
-
-    def test_noise_inside_annulus_is_contextual(self):
-        # Push the point along its own direction by less than the band width:
-        # the reading stays inside the annulus, so the deviation is invisible
-        # point-wise.
-        t = 30
-        direction = np.array([math.cos(0.1 * t), math.sin(0.1 * t)])
-        w = 0.1 * direction
-        res = gen_sensor(self.base_spec(noise_points=((t, w[0], w[1]),)))
-        assert res.tags[t] == "contextual-anomaly"
-        assert res.series.labels[t] == 1
-
-    def test_noise_outside_annulus_is_point(self):
-        res = gen_sensor(self.base_spec(noise_points=((30, 5.0, 5.0),)))
-        assert res.tags[30] == "point-anomaly"
-
-    def test_both_tag(self):
-        res = gen_sensor(self.base_spec(slowdown=(30, 30), noise_points=((30, 5.0, 5.0),)))
-        assert res.tags[30] == "both"
-
-    def test_decomposition_exact(self):
-        res = gen_sensor(self.base_spec(slowdown=(50, 80), noise_points=((10, 2.0, -1.0),)))
-        np.testing.assert_array_equal(
-            res.series.values - res.nominal, res.context_dev + res.point_dev
-        )
-        outside = np.ones(200, dtype=bool)
-        outside[50:81] = False
-        assert (res.context_dev[outside] == 0).all()
-
-    def test_noise_index_out_of_range(self):
-        with pytest.raises(SpecError):
-            self.base_spec(noise_points=((500, 1.0, 1.0),))
-
-    def test_radius_band_validated(self):
-        with pytest.raises(SpecError):
-            self.base_spec(radius=2.0)
 
 
 class TestTrig:

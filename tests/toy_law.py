@@ -1,6 +1,9 @@
-"""Exact law of the toy nominality ratio, shared by the toy-dataset tests.
+"""The toy dataset and the exact law of its nominality ratio.
 
-The toy generator draws N = |c|^2 / |c + p|^2 with c ~ N(0, I_D) and
+``gen_toy`` draws isotropic Gaussian deviation pairs whose nominality
+ratios concentrate below the normal population's when the out-of-
+distribution noise is inflated, making appropriateness checkable.  It
+draws N = |c|^2 / |c + p|^2 with c ~ N(0, I_D) and
 p = alpha * z, z ~ N(0, I_D).  The event N <= x is
 
     sum_j [(1 - x) c_j^2 - 2 alpha x c_j z_j - alpha^2 x z_j^2] <= 0.
@@ -25,10 +28,67 @@ asymptotic Kolmogorov series.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from nominality.errors import SpecError
+
+
+@dataclass(frozen=True)
+class ToySpec:
+    """Gaussian deviation-pair dataset: anomalies get alpha-inflated noise."""
+
+    n_channels: int
+    alpha: float
+    n_normal: int
+    n_anomaly: int
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_channels < 1:
+            raise SpecError("n_channels must be >= 1")
+        if not self.alpha > 0:
+            raise SpecError("alpha must be > 0")
+        if self.n_normal < 1 or self.n_anomaly < 1:
+            raise SpecError("sample counts must be >= 1")
+
+
+@dataclass(frozen=True)
+class ToyResult:
+    """Per-sample deviations, labels, and exact nominality ratios."""
+
+    context_dev: np.ndarray
+    point_dev: np.ndarray
+    labels: np.ndarray
+    nominality: np.ndarray
+
+    @property
+    def normal_nominality(self) -> np.ndarray:
+        return self.nominality[self.labels == 0]
+
+    @property
+    def anomaly_nominality(self) -> np.ndarray:
+        return self.nominality[self.labels == 1]
+
+
+def gen_toy(spec: ToySpec) -> ToyResult:
+    """Draw deviation pairs and return their exact nominality ratios.
+
+    Normal samples use unit-variance in-distribution and out-of-distribution
+    deviations; anomaly samples scale the out-of-distribution part by alpha.
+    The nominality ratio is |ctx|^2 / |ctx + pt|^2 with no epsilon guard
+    (the denominator is almost surely nonzero).
+    """
+    rng = np.random.default_rng(spec.seed)
+    n_total = spec.n_normal + spec.n_anomaly
+    ctx = rng.standard_normal((n_total, spec.n_channels))
+    pt = rng.standard_normal((n_total, spec.n_channels))
+    pt[spec.n_normal :] *= spec.alpha
+    labels = np.zeros(n_total, dtype=np.int64)
+    labels[spec.n_normal :] = 1
+    nominality = (ctx**2).sum(axis=1) / ((ctx + pt) ** 2).sum(axis=1)
+    return ToyResult(ctx, pt, labels, nominality)
 
 
 def toy_f_variate(nominality, alpha):
