@@ -11,13 +11,16 @@ any output file.
 ``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
 test split again, and ``eval`` reads ``induced.csv`` and ``labels.csv`` unless
-``--scores`` and ``--labels`` name other files.  ``score`` records in its
-manifest the sha256 of every file it read or wrote, keyed by basename (the
-test split by ``data.test``), and both commands refuse to run unless the
-config's ``preprocess``, ``point_model``, ``sequence_model`` and
-``data.label_column`` match the ones ``score`` ran with (exit 2) and every
-recorded file is unchanged (exit 3).  ``eval`` also requires the ``gate``
-section ``score`` ran with; ``sweep`` resolves the gate itself.
+``--scores`` and ``--labels`` name other files.  ``train`` and ``score``
+record in their manifests the sha256 of every file they read or wrote, keyed
+by basename (a split by ``data.train`` or ``data.test``).  A command that
+reads another command's files refuses to run unless that command ran with the
+config sections the files depend on (exit 2) and every file it recorded is
+unchanged (exit 3): ``score`` checks ``train``'s ``preprocess``,
+``point_model`` and ``sequence_model``; ``sweep`` checks those and
+``data.label_column`` in ``score``'s manifest, and ``eval`` checks those,
+``data.label_column`` if it reads the default ``labels.csv`` and ``gate`` if
+it reads the default ``induced.csv``.
 ``eval_report.json`` holds the summary figures and ``curve.csv`` the curve.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -166,36 +170,39 @@ def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
 TRAIN_ARTIFACTS = ("point_model.json", "sequence_model.json", "preprocess_stats.json",
                    "train_nominality.csv")
 
+#: The config sections the training artifacts depend on.
+TRAINED_SECTIONS = ("preprocess", "point_model", "sequence_model")
 
-def _stats_path(cfg: PipelineConfig) -> str:
-    return os.path.join(cfg.output_dir, "preprocess_stats.json")
+
+def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
+    """The sha256 of the split, keyed ``data.<split>``, and of each path, keyed by basename."""
+    digests = {f"data.{split}": _sha256(getattr(cfg.data, split))}
+    digests.update((os.path.basename(path), _sha256(path)) for path in paths)
+    return digests
 
 
-def _save_stats(stats: MinMaxStats | None, cfg: PipelineConfig) -> None:
-    """Write the fitted min-max statistics and the preprocess section they came from."""
+def _save_stats(stats: MinMaxStats | None, path: str) -> None:
+    """Write the fitted min-max statistics (null without min-max normalization)."""
     doc = None
     if stats is not None:
         doc = {
             "mins": [repr(float(v)) for v in stats.mins],
             "maxs": [repr(float(v)) for v in stats.maxs],
         }
-    write_json({"minmax": doc, "preprocess": dataclasses.asdict(cfg.preprocess)}, _stats_path(cfg))
+    write_json({"minmax": doc}, path)
 
 
-def _load_stats(path: str) -> tuple[MinMaxStats | None, dict | None]:
-    """The saved statistics and the recorded preprocess section (None if absent)."""
+def _load_stats(path: str) -> MinMaxStats | None:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-        minmax = doc["minmax"]
-        stats = None
-        if minmax is not None:
-            mins = np.asarray([float(v) for v in minmax["mins"]])
-            maxs = np.asarray([float(v) for v in minmax["maxs"]])
-            stats = MinMaxStats(mins, maxs)
+            minmax = json.load(fh)["minmax"]
+        if minmax is None:
+            return None
+        mins = np.asarray([float(v) for v in minmax["mins"]])
+        maxs = np.asarray([float(v) for v in minmax["maxs"]])
+        return MinMaxStats(mins, maxs)
     except (ValueError, KeyError, TypeError, ShapeError) as exc:
         raise DataError(f"{path}: cannot decode preprocessing stats: {exc!r}") from None
-    return stats, doc.get("preprocess")
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -221,12 +228,11 @@ def cmd_train(cfg: PipelineConfig) -> int:
     models = fit_models(cfg, train_prep)
     models.stats = stats
 
-    point_path = os.path.join(cfg.output_dir, "point_model.json")
-    seq_path = os.path.join(cfg.output_dir, "sequence_model.json")
-    nominality_path = os.path.join(cfg.output_dir, "train_nominality.csv")
+    point_path, seq_path, stats_path, nominality_path = (
+        os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS)
     save_model(models.point, point_path)
     save_model(models.sequence, seq_path)
-    _save_stats(stats, cfg)
+    _save_stats(stats, stats_path)
     write_score_csv(models.train_nominality, nominality_path)
     print(
         f"point model: first epoch loss {models.point.first_epoch_loss}, "
@@ -245,40 +251,31 @@ def cmd_train(cfg: PipelineConfig) -> int:
                 "sequence_fit_residual": models.sequence.fit_residual,
             },
             "outputs": [point_path, seq_path, nominality_path],
+            "digests": _digests(cfg, "train", (point_path, seq_path, stats_path, nominality_path)),
         },
     )
     return EXIT_OK
 
 
 def _load_models(cfg: PipelineConfig) -> TrainedModels:
-    """Load the training artifacts; refuse them if the config's training sections changed."""
-    point_path = os.path.join(cfg.output_dir, "point_model.json")
-    seq_path = os.path.join(cfg.output_dir, "sequence_model.json")
-    nominality_path = os.path.join(cfg.output_dir, "train_nominality.csv")
-    for path in (point_path, seq_path, nominality_path):
-        if not os.path.exists(path):
-            raise DataError(f"missing training artifact: {path} (run 'train' first)")
+    """Load the training artifacts; ``score`` first checks them with :func:`_check_manifest`."""
+    point_path, seq_path, stats_path, nominality_path = (
+        os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS)
     point, seq = load_model(point_path), load_model(seq_path)
     for path, model, cls in ((point_path, point, PointModel), (seq_path, seq, SequenceModel)):
         if not isinstance(model, cls):
             raise DataError(f"{path}: holds a {type(model).__name__}, not a {cls.__name__}")
-    stats, preprocess = _load_stats(_stats_path(cfg))
-    for section, path, trained, current in (
-        ("preprocess", _stats_path(cfg), preprocess, dataclasses.asdict(cfg.preprocess)),
-        ("point_model", point_path, point.hp, cfg.point_model),
-        ("sequence_model", seq_path, (seq.gamma, seq.delta, seq.ridge_lambda),
-         dataclasses.astuple(cfg.sequence_model)),
-    ):
-        if trained != current:
-            raise ConfigError(
-                f"the {section} section differs from the one recorded in {path}; "
-                f"run 'train' again"
-            )
-    return TrainedModels(point, seq, stats, read_score_csv(nominality_path, "nominality"))
+    return TrainedModels(point, seq, _load_stats(stats_path),
+                         read_score_csv(nominality_path, "nominality"))
 
 
 def cmd_score(cfg: PipelineConfig) -> int:
-    """Score the test split and write the aligned score CSVs."""
+    """Score the test split and write the aligned score CSVs.
+
+    :func:`_check_manifest` first shows that ``train`` ran with this config's
+    trained sections and that its files are unchanged.
+    """
+    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS)
     models = _load_models(cfg)
     test_raw = _load_split(cfg, "test")
     test_prep, _ = preprocess_split(cfg, test_raw, models.stats)
@@ -300,9 +297,7 @@ def cmd_score(cfg: PipelineConfig) -> int:
         labels_path = os.path.join(cfg.output_dir, "labels.csv")
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path, index)
         outputs.append(labels_path)
-    digests = {"data.test": _sha256(cfg.data.test)}
-    for path in [*(os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS), *outputs]:
-        digests[os.path.basename(path)] = _sha256(path)
+    digests = {**train_digests, **_digests(cfg, "test", outputs)}
     write_manifest(
         cfg,
         "score",
@@ -314,12 +309,14 @@ def cmd_score(cfg: PipelineConfig) -> int:
 def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | None) -> int:
     """Evaluate a score CSV against the aligned label CSV.
 
-    Where either path is left to its default, the file is ``score``'s own,
-    so :func:`_check_scored` first shows that ``score`` ran with this
-    config's sections, ``gate`` included, and that its files are unchanged.
+    Where either path is left to its default, the file is ``score``'s own, so
+    :func:`_check_manifest` first checks ``score``'s files and trained sections,
+    plus ``data.label_column`` for ``labels.csv`` and ``gate`` for ``induced.csv``.
     """
-    if scores_path is None or labels_path is None:
-        _check_scored(cfg, gate=True)
+    own = [name for name, path in (("data.label_column", labels_path), ("gate", scores_path))
+           if path is None]
+    if own:
+        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *own])
     scores_path = scores_path or os.path.join(cfg.output_dir, "induced.csv")
     labels_path = labels_path or os.path.join(cfg.output_dir, "labels.csv")
     for path in (scores_path, labels_path):
@@ -348,57 +345,50 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
-def _check_scored(cfg: PipelineConfig, gate: bool = False) -> dict[str, str]:
-    """The digests ``score`` recorded, once its run is shown to match the config and the files.
+def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, str]:
+    """The digests ``command`` recorded, once its run is shown to match the config and the files.
 
-    With ``gate`` the ``gate`` section must match too, as ``induced.csv``
-    depends on it.
-
-    Raises:
-        ConfigError: a section the scores depend on differs from the one
-            ``score`` ran with.
-        DataError: ``score`` has not run, or a file it read or wrote changed since.
+    Each of ``sections`` (such as ``gate`` or ``data.label_column``) must equal the one in
+    ``manifest_<command>.json`` (else :class:`ConfigError`) and every recorded file must be
+    unchanged (else :class:`DataError`); a ``data.<split>`` key names the config's split.
     """
-    path = os.path.join(cfg.output_dir, "manifest_score.json")
+    path = os.path.join(cfg.output_dir, f"manifest_{command}.json")
     if not os.path.exists(path):
-        raise DataError(f"missing {path} (run 'score' first)")
+        raise DataError(f"missing {path} (run '{command}' first)")
+    current = cfg.to_dict()
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
-        recorded, digests = doc["config"], dict(doc["digests"])
-        sections = [(name, recorded[name], dataclasses.asdict(getattr(cfg, name)),
-                     "'train' and 'score'")
-                    for name in ("preprocess", "point_model", "sequence_model")]
-        sections.append(("data.label_column", recorded["data"]["label_column"],
-                         cfg.data.label_column, "'score'"))
-        if gate:
-            sections.append(("gate", recorded["gate"], dataclasses.asdict(cfg.gate), "'score'"))
+        digests = dict(doc["digests"])
+        recorded = [functools.reduce(dict.__getitem__, name.split("."), doc["config"])
+                    for name in sections]
     except (ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"{path}: cannot decode the score manifest: {exc!r}; "
-                        f"run 'score' again") from None
-    for name, scored, current, commands in sections:
-        if scored != current:
+        raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "
+                        f"run '{command}' again") from None
+    for name, value in zip(sections, recorded):
+        if value != functools.reduce(dict.__getitem__, name.split("."), current):
             raise ConfigError(f"the {name} section differs from the one recorded in {path}; "
-                              f"run {commands} again")
+                              f"run '{command}' again")
     for key, digest in digests.items():
-        if key == "data.test":
-            file = _split_path(cfg, "test")
+        if key in ("data.train", "data.test"):
+            file = _split_path(cfg, key[len("data."):])
         else:
             file = os.path.join(cfg.output_dir, key)
         if _sha256(file) != digest:
-            raise DataError(f"{file} changed since 'score' ran (its sha256 differs from the "
-                            f"one in {path}); run 'score' again")
+            raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
+                            f"one in {path}); run '{command}' again")
     return digests
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
     """Run the gate-ablation table over the configured induction lengths.
 
-    Reads the score CSVs that ``score`` wrote, once :func:`_check_scored`
+    Reads the score CSVs that ``score`` wrote, once :func:`_check_manifest`
     shows they belong to this config, and resolves the threshold from the
     training nominality with the current ``gate`` section.
     """
-    labeled = "labels.csv" in _check_scored(cfg)  # score writes no labels for an unlabeled split
+    digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"])
+    labeled = "labels.csv" in digests  # score writes no labels for an unlabeled split
     inputs = {name: os.path.join(cfg.output_dir, f"{name}.csv") for name in (
         "train_nominality", "anomaly", "sequence_anomaly", "nominality", "labels")}
     train_nominality = read_score_csv(inputs["train_nominality"], "nominality")

@@ -130,6 +130,12 @@ class DataConfig:
     test: str | None = None
     label_column: str | None = "label"
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None or isinstance(value, str)):
+                raise ConfigError(f"data.{f.name} must be a string or null, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -263,6 +269,10 @@ class PipelineConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     output_dir: str = "out"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output.dir must be a string, got {self.output_dir!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)

@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI behavior on small synthetic runs."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nominality.cli import _load_models, main, read_labels_csv, read_score_csv
+from nominality.cli import TRAIN_ARTIFACTS, _load_models, main, read_labels_csv, read_score_csv
 from nominality.config import (
     CHOICE_KNOBS,
     INT_KNOBS,
@@ -24,7 +25,14 @@ from nominality.config import (
 from nominality.errors import DataError
 from nominality.evaluation import best_f1, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
-from nominality.reconstructors import _decode_array, _encode_array, _init_point_model, load_model
+from nominality.reconstructors import (
+    _decode_array,
+    _encode_array,
+    _init_point_model,
+    load_model,
+    save_model,
+    train_point_model,
+)
 from nominality.scoring import smoothed_score, theta_from_percentile
 from nominality.series import format_rows, load_csv
 from nominality.synthetic import TrigSpec, gen_trig
@@ -147,6 +155,20 @@ _NOT_UTF8 = _edit_rows(
     lambda i, cells: [cells[0], "\xff" + cells[1], *cells[2:]] if i == 3 else cells)
 
 
+def _record_digest(out, name):
+    """Record ``name``'s current sha256 in manifest_train.json, as if ``train`` had written it.
+
+    Then ``score``'s digest check passes, and a damage reaches the decoder it names.
+    """
+    path = os.path.join(out, "manifest_train.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    with open(os.path.join(out, name), "rb") as fh:
+        doc["digests"][name] = hashlib.sha256(fh.read()).hexdigest()
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 def write_config(tmp_path, out_name="run"):
     out = tmp_path / out_name
     out.mkdir(exist_ok=True)
@@ -188,6 +210,13 @@ class TestEndToEnd:
         train_manifest = json.load(open(os.path.join(out, "manifest_train.json")))
         assert train_manifest["seeds"] == {"point_model": 0}
         assert "final_losses" in train_manifest
+        train_digests = train_manifest["digests"]
+        assert set(train_digests) == {"data.train", *TRAIN_ARTIFACTS}
+        assert score_manifest["digests"].items() >= train_digests.items()
+        assert set(score_manifest["digests"]) - set(train_digests) == {
+            "data.test", "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
+            "labels.csv"}
+        assert set(json.load(open(os.path.join(out, "preprocess_stats.json")))) == {"minmax"}
 
     def test_train_manifest_loss_curve(self, rundir):
         _, out = rundir
@@ -351,12 +380,22 @@ class TestCliBehavior:
             ("gate:\n  theta_percentile: 101\n", "gate.theta_percentile"),
             ("gate:\n  theta_n: .nan\n  theta_percentile: null\n", "gate.theta_n"),
             ("gate:\n  theta_n: yes\n  theta_percentile: null\n", "gate.theta_n"),
+            ("data:\n  train: [a]\n", "data.train"),
+            ("data:\n  train: {a: 1}\n", "data.train"),
+            ("data:\n  train: 5\n", "data.train"),
+            ("data:\n  test: 1.5\n", "data.test"),
+            ("data:\n  label_column: 3\n", "data.label_column"),
+            ("output:\n  dir: null\n", "output.dir"),
+            ("output:\n  dir: 7\n", "output.dir"),
+            ("output:\n  dir: [a]\n", "output.dir"),
         ] + [case[:2] for case in TABLE_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
-             "theta-nan", "theta-bool"] + [case[2] for case in TABLE_KNOB_CASES],
+             "theta-nan", "theta-bool", "train-list", "train-mapping", "train-int", "test-float",
+             "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list"]
+            + [case[2] for case in TABLE_KNOB_CASES],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
         path = tmp_path / "typed.yaml"
@@ -416,6 +455,8 @@ class TestCliBehavior:
             text = fh.read()
         with open(path, "w", encoding="latin-1", newline="") as fh:
             fh.write(damage(text))
+        if command == "score" and name in TRAIN_ARTIFACTS:
+            _record_digest(out, name)
         # Named paths skip eval's digest check, so the damage reaches the CSV reader.
         paths = ["--scores", os.path.join(out, "induced.csv"),
                  "--labels", os.path.join(out, "labels.csv")] if command == "eval" else []
@@ -423,14 +464,17 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
         assert name in err and "Traceback" not in err
+        assert command != "score" or " changed since " not in err
 
     def test_swapped_model_files_exit_3(self, rundir, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         shutil.copy(os.path.join(out, "sequence_model.json"), os.path.join(out, "point_model.json"))
+        _record_digest(out, "point_model.json")
         assert main(["score", "--config", config_path]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "point_model.json" in err
+        assert "holds a SequenceModel, not a PointModel" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["score", "sweep"])
@@ -571,6 +615,79 @@ def _retrained(text):
                                    for i, row in enumerate(rows)), ""])
 
 
+def _rewrite(path, damage):
+    """Rewrite the file at ``path`` as ``damage`` of its text; return the path."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    with open(path, "w", newline="") as fh:
+        fh.write(damage(text))
+    return path
+
+
+def _other_point_model(config_path, out, tmp_path):
+    """point_model.json as a run on other data (the test split) with the same hyperparameters."""
+    cfg = load_config(config_path)
+    other, _ = preprocess_split(cfg, load_csv(cfg.data.test, label_column="label"))
+    path = os.path.join(out, "point_model.json")
+    before = open(path, "rb").read()
+    save_model(train_point_model(other, cfg.point_model), path)
+    assert open(path, "rb").read() != before
+    return path
+
+
+def _other_train_split(config_path, out, tmp_path):
+    """The config names another training split, one byte off the one ``train`` read."""
+    other = str(tmp_path / "other_train.csv")
+    shutil.copy(os.path.join(out, "train.csv"), other)
+    text = open(config_path).read()
+    open(config_path, "w").write(text.replace(f"train: {out}/train.csv", f"train: {other}"))
+    return _rewrite(other, _ONE_BYTE)
+
+
+class TestScoreFromTraining:
+    """``score`` refuses the training artifacts once anything they depend on changed."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda config_path, out, tmp_path: _rewrite(
+                os.path.join(out, "train_nominality.csv"), _retrained),
+            _other_point_model,
+            _other_train_split,
+            lambda config_path, out, tmp_path: _rewrite(os.path.join(out, "train.csv"), _ONE_BYTE),
+        ],
+        ids=["train-nominality-retrained", "point-model-other-data", "other-train-split",
+             "train-byte"],
+    )
+    def test_changed_since_train_exit_3(self, rundir, tmp_path, capsys, change):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = change(config_path, out, tmp_path)
+        assert main(["score", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
+        assert err.rstrip().endswith("run 'train' again")
+
+    def test_score_before_train_exit_3(self, tmp_path, capsys):
+        config_path, _ = write_config(tmp_path)
+        assert main(["synth", "--config", config_path]) == 0
+        assert main(["score", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "(run 'train' first)" in err
+
+    def test_manifest_without_digests_exit_3(self, rundir, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, "manifest_train.json")
+        doc = json.load(open(path))
+        del doc["digests"]
+        json.dump(doc, open(path, "w"))
+        assert main(["score", "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path}: ")
+        assert err.rstrip().endswith("run 'train' again")
+
+
 class TestSweepFromScores:
     """``sweep`` reads what ``score`` wrote and refuses it once anything it depends on changed."""
 
@@ -696,6 +813,24 @@ class TestEvalFromScores:
         expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0],
                             point_adjusted=True)
         assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
+
+
+def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys):
+    """The gate only for the default induced.csv, data.label_column only for labels.csv."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
+    assert main(["eval", "--config", config_path, "--d", "1", "--scores", anomaly]) == 0
+    expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0], point_adjusted=True)
+    assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
+    capsys.readouterr()
+    assert main(["eval", "--config", config_path, "--d", "1", "--labels", labels]) == 2
+    assert capsys.readouterr().err.startswith("config error: the gate section ")
+    text = open(config_path).read().replace("data:\n", "data:\n  label_column: y\n", 1)
+    open(config_path, "w").write(text)
+    assert main(["eval", "--config", config_path, "--scores", anomaly]) == 2
+    assert capsys.readouterr().err.startswith("config error: the data.label_column section ")
+    assert main(["eval", "--config", config_path, "--labels", labels]) == 0
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
