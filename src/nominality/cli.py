@@ -4,9 +4,11 @@ Subcommands mirror the pipeline stages: ``synth`` writes a synthetic
 dataset, ``train`` fits and saves both models, ``score`` writes the aligned
 score CSVs, ``eval`` turns scores plus labels into a report, and ``sweep``
 produces the gate-ablation table.  Every command writes a JSON manifest
-(config hash, seeds, resolved gate threshold, library versions) sufficient
-to reproduce the run bit-exactly; nothing time- or host-dependent goes into
-any output file.
+(the config and library versions, sufficient to reproduce the run
+bit-exactly) plus what only that command knows: ``synth``'s generator spec
+and anomaly rate, ``train``'s epoch losses and normal-equation residual,
+``score``'s resolved gate threshold.  Each fact is written once, and nothing
+time- or host-dependent goes into any output file.
 
 ``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
@@ -78,7 +80,6 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
     doc = {
         "command": command,
         "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
         "versions": {
             "nominality": __version__,
             "numpy": np.__version__,
@@ -206,17 +207,15 @@ def _load_stats(path: str) -> MinMaxStats | None:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    """Write the synthetic train and test splits (CSV + sidecar JSON) into the output dir."""
+    """Write the synthetic train and test splits; the manifest records the spec."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.synth.spec()
     result = gen_trig(spec)
     files = [os.path.join(cfg.output_dir, name) for name in ("train.csv", "test.csv")]
     save_csv(result.train, files[0])
     save_csv(result.test, files[1])
-    sidecar = {"kind": cfg.synth.kind, "seed": cfg.synth.seed, "spec": dataclasses.asdict(spec),
-               "anomaly_rate": result.anomaly_rate, "files": files}
-    write_json(sidecar, os.path.join(cfg.output_dir, "synth_spec.json"))
-    write_manifest(cfg, "synth", {"outputs": files})
+    write_manifest(cfg, "synth", {"spec": dataclasses.asdict(spec),
+                                  "anomaly_rate": result.anomaly_rate, "outputs": files})
     return EXIT_OK
 
 
@@ -234,23 +233,17 @@ def cmd_train(cfg: PipelineConfig) -> int:
     save_model(models.sequence, seq_path)
     _save_stats(stats, stats_path)
     write_score_csv(models.train_nominality, nominality_path)
-    print(
-        f"point model: first epoch loss {models.point.first_epoch_loss}, "
-        f"final epoch loss {models.point.final_epoch_loss}"
-    )
+    losses = models.point.epoch_losses or [None]
+    print(f"point model: first epoch loss {losses[0]}, final epoch loss {losses[-1]}")
     print(f"sequence model: normal-equation residual {models.sequence.fit_residual:.3e}")
     write_manifest(
         cfg,
         "train",
         {
-            "seeds": {"point_model": cfg.point_model.seed},
             "final_losses": {
-                "point_first_epoch": models.point.first_epoch_loss,
-                "point_final_epoch": models.point.final_epoch_loss,
                 "point_epoch_losses": models.point.epoch_losses,
                 "sequence_fit_residual": models.sequence.fit_residual,
             },
-            "outputs": [point_path, seq_path, nominality_path],
             "digests": _digests(cfg, "train", (point_path, seq_path, stats_path, nominality_path)),
         },
     )
@@ -298,11 +291,7 @@ def cmd_score(cfg: PipelineConfig) -> int:
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path, index)
         outputs.append(labels_path)
     digests = {**train_digests, **_digests(cfg, "test", outputs)}
-    write_manifest(
-        cfg,
-        "score",
-        {"resolved_theta": bundle.theta, "outputs": sorted(outputs), "digests": digests},
-    )
+    write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})
     return EXIT_OK
 
 
@@ -404,20 +393,10 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
 
     json_path = os.path.join(cfg.output_dir, "sweep.json")
     write_json(table, json_path)
-    csv_path = os.path.join(cfg.output_dir, "sweep.csv")
-    methods, ds, aucs, f1s = [], [], [], []
-    for method, row in table["rows"].items():
-        methods += [method] * (len(table["d_values"]) + 2)
-        ds += [str(d) for d in table["d_values"]] + ["mean", "std"]
-        aucs += [*row["auc"], row["auc_mean"], row["auc_std"]]
-        f1s += [*row["best_f1"], row["best_f1_mean"], row["best_f1_std"]]
-    write_csv(csv_path, ["method", "d", "auc", "best_f1"],
-              [methods, ds, np.asarray(aucs, dtype=np.float64), np.asarray(f1s, dtype=np.float64)])
     write_manifest(
         cfg, "sweep",
-        {"resolved_theta": table["theta"],
-         "inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), *inputs.values()],
-         "outputs": [json_path, csv_path]},
+        {"inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), *inputs.values()],
+         "outputs": [json_path]},
     )
     return EXIT_OK
 

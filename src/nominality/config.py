@@ -12,8 +12,6 @@ are rejected.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -133,8 +131,9 @@ class DataConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (value is None or isinstance(value, str)):
-                raise ConfigError(f"data.{f.name} must be a string or null, got {value!r}")
+            if not (value is None or isinstance(value, str) and value):
+                raise ConfigError(
+                    f"data.{f.name} must be a non-empty string or null, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -271,17 +270,13 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output.dir must be a string, got {self.output_dir!r}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError(f"output.dir must be a non-empty string, got {self.output_dir!r}")
 
     def to_dict(self) -> dict:
         doc = asdict(self)
         doc["sweep"]["d_values"] = list(self.sweep.d_values)
         return doc
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:

@@ -43,8 +43,9 @@ class PointModel:
     The latent dimension is a compression bottleneck (d_lat <= D);
     weights live in plain float64 arrays so reconstruction and persistence
     are exactly reproducible.  ``epoch_losses`` is the mean loss of each
-    epoch of the fit that made the model; :func:`save_model` keeps only its
-    first and last entries, so it is empty after :func:`load_model`.
+    epoch of the fit that made the model; it is training history, not part of
+    the model, so :func:`save_model` does not write it and it is empty after
+    :func:`load_model`.
     """
 
     enc_w: np.ndarray
@@ -52,8 +53,6 @@ class PointModel:
     dec_w: np.ndarray
     dec_b: np.ndarray
     hp: PointHyperparams
-    first_epoch_loss: float | None = None
-    final_epoch_loss: float | None = None
     epoch_losses: list[float] = field(default_factory=list)
 
     @property
@@ -131,11 +130,6 @@ def _init_params(n_channels: int, hp: PointHyperparams) -> np.ndarray:
     ])
 
 
-def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
-    flat = _init_params(n_channels, hp)
-    return PointModel(**_param_views(flat, n_channels, hp.d_lat), hp=hp)
-
-
 def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     """Fit the point autoencoder on the rows of the training series.
 
@@ -209,9 +203,6 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
                 f"training loss became non-finite at epoch {epoch}", epoch=epoch
             )
         model.epoch_losses.append(epoch_loss)
-    if model.epoch_losses:
-        model.first_epoch_loss = model.epoch_losses[0]
-        model.final_epoch_loss = model.epoch_losses[-1]
     # The epoch loss is computed before each update, so the very last update
     # could still blow up without being seen; keep the finite-weights promise.
     if not np.isfinite(flat).all():
@@ -241,7 +232,10 @@ class SequenceModel:
     block and the gamma points after, flattened time-major) plus a trailing
     bias row; columns are the flattened delta target points.  The bias row is
     not penalized, so in the large-lambda limit predictions collapse to the
-    target column means.
+    target column means.  ``fit_residual`` is the largest normal-equation
+    residual of the fit that made the model; like the point model's
+    ``epoch_losses`` it is training history, so :func:`save_model` does not
+    write it and it is None after :func:`load_model`.
     """
 
     gamma: int
@@ -249,7 +243,7 @@ class SequenceModel:
     ridge_lambda: float
     weights: np.ndarray
     n_channels: int
-    fit_residual: float = 0.0
+    fit_residual: float | None = None
 
     def _design_rows(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         g, d = self.gamma, self.delta
@@ -342,10 +336,9 @@ def train_sequence_model(
     design = model._design_rows(values, starts)
     targets = _flat_windows(values, delta)[starts]
 
-    gram = design.T @ design
-    penalty = np.eye(n_features)
-    penalty[-1, -1] = 0.0  # leave the bias unpenalized
-    lhs = gram + ridge_lambda * penalty
+    lhs = design.T @ design
+    # lambda on the diagonal in place, every entry but the last: the bias stays unpenalized.
+    lhs.flat[: -1 : n_features + 1] += ridge_lambda
     rhs = design.T @ targets
     try:
         np.linalg.cholesky(lhs)  # raises unless lhs is positive definite
@@ -454,7 +447,9 @@ def _decode_array(entry: dict) -> np.ndarray:
 def save_model(model: PointModel | SequenceModel, path: str) -> None:
     """Write a model as deterministic JSON (arrays as base64 row-major bytes).
 
-    The file is self-describing (shapes, hyperparameters, seed) and the
+    The file holds the model and nothing else: its hyperparameters (the
+    point model's include its seed) and weights.  The fit's history (epoch
+    losses, normal-equation residual) is in ``manifest_train.json``.  The
     round-trip through :func:`load_model` is bit-exact.
     """
     if isinstance(model, PointModel):
@@ -462,8 +457,6 @@ def save_model(model: PointModel | SequenceModel, path: str) -> None:
             "format": MODEL_FORMAT,
             "kind": "point",
             "hyperparams": asdict(model.hp),
-            "first_epoch_loss": model.first_epoch_loss,
-            "final_epoch_loss": model.final_epoch_loss,
             "arrays": {
                 "enc_w": _encode_array(model.enc_w),
                 "enc_b": _encode_array(model.enc_b),
@@ -481,7 +474,6 @@ def save_model(model: PointModel | SequenceModel, path: str) -> None:
                 "ridge_lambda": model.ridge_lambda,
                 "n_channels": model.n_channels,
             },
-            "fit_residual": model.fit_residual,
             "arrays": {"weights": _encode_array(model.weights)},
         }
     else:
@@ -520,8 +512,6 @@ def load_model(path: str) -> PointModel | SequenceModel:
                 **_checked(path, arrays, enc_w=(n_channels, d_lat), enc_b=(d_lat,),
                            dec_w=(d_lat, n_channels), dec_b=(n_channels,)),
                 hp=hp,
-                first_epoch_loss=doc["first_epoch_loss"],
-                final_epoch_loss=doc["final_epoch_loss"],
             )
         if doc["kind"] == "sequence":
             hp = doc["hyperparams"]
@@ -532,7 +522,6 @@ def load_model(path: str) -> PointModel | SequenceModel:
                 ridge_lambda=hp["ridge_lambda"],
                 **_checked(path, arrays, weights=(2 * gamma * n_channels + 1, delta * n_channels)),
                 n_channels=n_channels,
-                fit_residual=doc["fit_residual"],
             )
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
         # JSONDecodeError, bad base64 and bad shapes are ValueErrors; a

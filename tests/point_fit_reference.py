@@ -7,15 +7,22 @@ gradient descent) applied parameter by parameter over three dicts.  The
 fast fit in ``nominality.reconstructors`` must give the same weights and
 losses bit for bit.  Install ``reference_loss_and_grads`` as
 ``PointModel.loss_and_grads`` while the reference fit runs, so neither
-half of the reference uses the fast code.
+half of the reference uses the fast code.  ``_init_point_model`` is the
+seeded model both fits start from.
 """
 
 import numpy as np
 
 from nominality.config import PointHyperparams
 from nominality.errors import ShapeError, TrainingDiverged
-from nominality.reconstructors import PointModel, _init_point_model
+from nominality.reconstructors import PointModel, _init_params, _param_views
 from nominality.series import LabeledSeries
+
+
+def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
+    """The model ``train_point_model`` starts from: the seeded weights, before any epoch."""
+    flat = _init_params(n_channels, hp)
+    return PointModel(**_param_views(flat, n_channels, hp.d_lat), hp=hp)
 
 
 def reference_loss_and_grads(
@@ -112,9 +119,7 @@ def reference_train_point_model(train: LabeledSeries, hp: PointHyperparams) -> P
             raise TrainingDiverged(
                 f"training loss became non-finite at epoch {epoch}", epoch=epoch
             )
-        if epoch == 0:
-            model.first_epoch_loss = epoch_loss
-        model.final_epoch_loss = epoch_loss
+        model.epoch_losses.append(epoch_loss)
     # The epoch loss is computed before each update, so the very last update
     # could still blow up without being seen; keep the finite-weights promise.
     if any(not np.isfinite(p).all() for p in params.values()):

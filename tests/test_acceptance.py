@@ -30,8 +30,8 @@ from nominality.cli import main
 from nominality.config import config_from_dict
 from nominality.evaluation import best_f1_bruteforce, pa_best_f1_bruteforce
 from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
-from nominality.reconstructors import _init_point_model
 from nominality.scoring import induced_anomaly_score_naive
+from point_fit_reference import _init_point_model
 from toy_law import (
     ToySpec,
     f_reference_sample,

@@ -28,7 +28,6 @@ from nominality.pipeline import fit_models, preprocess_split, score_split, sweep
 from nominality.reconstructors import (
     _decode_array,
     _encode_array,
-    _init_point_model,
     load_model,
     save_model,
     train_point_model,
@@ -36,6 +35,7 @@ from nominality.reconstructors import (
 from nominality.scoring import smoothed_score, theta_from_percentile
 from nominality.series import format_rows, load_csv
 from nominality.synthetic import TrigSpec, gen_trig
+from point_fit_reference import _init_point_model
 
 SMALL_CONFIG = """\
 data:
@@ -194,21 +194,44 @@ class TestEndToEnd:
     def test_all_artifacts_written(self, rundir):
         _, out = rundir
         for name in (
-            "train.csv", "test.csv", "synth_spec.json", "point_model.json",
+            "train.csv", "test.csv", "point_model.json",
             "sequence_model.json", "preprocess_stats.json", "train_nominality.csv",
             "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
-            "labels.csv", "eval_report.json", "curve.csv", "sweep.json", "sweep.csv",
+            "labels.csv", "eval_report.json", "curve.csv", "sweep.json",
         ):
             assert os.path.exists(os.path.join(out, name)), name
+        # their facts are in manifest_synth.json and sweep.json
+        for name in ("synth_spec.json", "sweep.csv"):
+            assert not os.path.exists(os.path.join(out, name)), name
+
+    def test_each_record_holds_its_own_fields(self, rundir):
+        """The exact keys of every manifest and model file: no record restates another."""
+        config_path, out = rundir
+        common = {"command", "config", "versions"}
+        expected = {
+            "manifest_synth.json": common | {"spec", "anomaly_rate", "outputs"},
+            "manifest_train.json": common | {"final_losses", "digests"},
+            "manifest_score.json": common | {"resolved_theta", "digests"},
+            "manifest_eval.json": common | {"inputs", "outputs"},
+            "manifest_sweep.json": common | {"inputs", "outputs"},
+            "point_model.json": {"format", "kind", "hyperparams", "arrays"},
+            "sequence_model.json": {"format", "kind", "hyperparams", "arrays"},
+        }
+        docs = {name: json.load(open(os.path.join(out, name))) for name in expected}
+        for name, keys in expected.items():
+            assert set(docs[name]) == keys, name
+        assert set(docs["manifest_train.json"]["final_losses"]) == {
+            "point_epoch_losses", "sequence_fit_residual"}
+        spec = dataclasses.asdict(load_config(config_path).synth.spec())
+        assert docs["manifest_synth.json"]["spec"] == json.loads(json.dumps(spec))
+        assert 0 < docs["manifest_synth.json"]["anomaly_rate"] < 1
 
     def test_manifests_reproducible_fields(self, rundir):
         _, out = rundir
         score_manifest = json.load(open(os.path.join(out, "manifest_score.json")))
         assert "resolved_theta" in score_manifest
         assert score_manifest["resolved_theta"] > 0
-        assert len(score_manifest["config_hash"]) == 64
         train_manifest = json.load(open(os.path.join(out, "manifest_train.json")))
-        assert train_manifest["seeds"] == {"point_model": 0}
         assert "final_losses" in train_manifest
         train_digests = train_manifest["digests"]
         assert set(train_digests) == {"data.train", *TRAIN_ARTIFACTS}
@@ -223,9 +246,7 @@ class TestEndToEnd:
         losses = json.load(open(os.path.join(out, "manifest_train.json")))["final_losses"]
         curve = losses["point_epoch_losses"]
         assert len(curve) == 3  # SMALL_CONFIG's epochs
-        assert curve[0] == losses["point_first_epoch"]
-        assert curve[-1] == losses["point_final_epoch"]
-        assert "epoch_losses" not in open(os.path.join(out, "point_model.json")).read()
+        assert all(math.isfinite(loss) and loss > 0 for loss in curve)
 
     def test_score_alignment(self, rundir):
         _, out = rundir
@@ -388,13 +409,18 @@ class TestCliBehavior:
             ("output:\n  dir: null\n", "output.dir"),
             ("output:\n  dir: 7\n", "output.dir"),
             ("output:\n  dir: [a]\n", "output.dir"),
+            ('data:\n  train: ""\n', "data.train"),
+            ('data:\n  test: ""\n', "data.test"),
+            ('data:\n  label_column: ""\n', "data.label_column"),
+            ('output:\n  dir: ""\n', "output.dir"),
         ] + [case[:2] for case in TABLE_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
              "theta-nan", "theta-bool", "train-list", "train-mapping", "train-int", "test-float",
-             "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list"]
+             "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list", "train-empty",
+             "test-empty", "label-column-empty", "out-dir-empty"]
             + [case[2] for case in TABLE_KNOB_CASES],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
@@ -502,9 +528,10 @@ class TestCliBehavior:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flags, knob", [(["--d", "-1"], "gate.d"), (["--theta-percentile", "0"],
-                                                    "gate.theta_percentile")],
-        ids=["d-negative", "percentile-zero"],
+        "flags, knob", [(["--d", "-1"], "gate.d"),
+                        (["--theta-percentile", "0"], "gate.theta_percentile"),
+                        (["--out", ""], "output.dir")],
+        ids=["d-negative", "percentile-zero", "out-empty"],
     )
     def test_bad_override_exit_2(self, tmp_path, capsys, flags, knob):
         config_path, _ = write_config(tmp_path)
@@ -736,7 +763,6 @@ class TestSweepFromScores:
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         assert main(["sweep", "--config", config_path, "--theta-percentile", "99"]) == 0
         theta = json.load(open(os.path.join(out, "sweep.json")))["theta"]
-        assert json.load(open(os.path.join(out, "manifest_sweep.json")))["resolved_theta"] == theta
         train_nominality = read_score_csv(os.path.join(out, "train_nominality.csv"), "nominality")
         assert theta == theta_from_percentile(train_nominality, 99)
         assert theta != json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"]

@@ -5,7 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from point_fit_reference import reference_loss_and_grads, reference_train_point_model
+from point_fit_reference import (
+    _init_point_model,
+    reference_loss_and_grads,
+    reference_train_point_model,
+)
 from scipy.linalg import cho_factor, cho_solve
 from sequence_reference import (
     reference_design_rows,
@@ -33,7 +37,6 @@ from nominality.reconstructors import (
     PointModel,
     _block_grid,
     _flat_windows,
-    _init_point_model,
 )
 from nominality.series import minmax_apply, minmax_fit
 from nominality.synthetic import gen_trig, trig_preset
@@ -68,7 +71,7 @@ class TestPointModelTraining:
         fresh = _init_point_model(series.n_channels, hp)
         np.testing.assert_array_equal(model.enc_w, fresh.enc_w)
         np.testing.assert_array_equal(model.dec_b, fresh.dec_b)
-        assert model.final_epoch_loss is None
+        assert model.epoch_losses == []
 
     def test_determinism_bitwise(self):
         series = random_series(2)
@@ -83,7 +86,7 @@ class TestPointModelTraining:
         hp = PointHyperparams(d_lat=2, learn_rate=0.01, epochs=20, batch_size=32,
                               seed=0, optimizer="adam")
         model = train_point_model(series, hp)
-        assert model.final_epoch_loss <= model.first_epoch_loss
+        assert model.epoch_losses[-1] <= model.epoch_losses[0]
 
     def test_divergence_reports_epoch(self):
         series = random_series(5)
@@ -133,12 +136,8 @@ class TestFlatFitMatchesReference:
         for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
             ours, theirs = getattr(fast, key), getattr(reference, key)
             assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes(), key
-        assert fast.first_epoch_loss == reference.first_epoch_loss
-        assert fast.final_epoch_loss == reference.final_epoch_loss
         assert len(fast.epoch_losses) == epochs
-        if epochs:
-            assert fast.epoch_losses[0] == fast.first_epoch_loss
-            assert fast.epoch_losses[-1] == fast.final_epoch_loss
+        assert fast.epoch_losses == reference.epoch_losses
 
     def test_one_loss_and_grads_call_per_batch(self, monkeypatch):
         sizes = []
@@ -485,7 +484,7 @@ class TestPersistence:
         for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
             np.testing.assert_array_equal(getattr(back, key), getattr(model, key))
         assert back.hp == model.hp
-        assert back.final_epoch_loss == model.final_epoch_loss
+        assert len(model.epoch_losses) == 3 and back.epoch_losses == []  # history, not the model
 
     def test_sequence_roundtrip_bit_exact(self, tmp_path):
         model = train_sequence_model(random_series(9), gamma=3, delta=2, ridge_lambda=1e-5)
@@ -494,7 +493,7 @@ class TestPersistence:
         back = load_model(path)
         np.testing.assert_array_equal(back.weights, model.weights)
         assert (back.gamma, back.delta, back.ridge_lambda) == (3, 2, 1e-5)
-        assert back.fit_residual == model.fit_residual
+        assert model.fit_residual is not None and back.fit_residual is None  # history
 
     def test_save_twice_identical_bytes(self, tmp_path):
         model = train_sequence_model(random_series(10), gamma=2, delta=1, ridge_lambda=1e-5)
