@@ -42,6 +42,7 @@ from .reconstructors import (
     PointModel,
     ReconstructionPair,
     SequenceModel,
+    TrainedModels,
     load_model,
     make_pair,
     reconstruct_points,

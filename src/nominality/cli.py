@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages: ``synth`` writes a synthetic
-dataset, ``train`` fits and saves both models, ``score`` writes the aligned
-score CSVs, ``eval`` turns scores plus labels into a report, and ``sweep``
+dataset, ``train`` fits both models and saves the trained detector (both
+models, the min-max statistics, the training nominality and the channel
+names) as one file, ``model.json``, ``score`` writes the aligned score
+CSVs, ``eval`` turns scores plus labels into a report, and ``sweep``
 produces the gate-ablation table.  Every command writes a JSON manifest
 (the config and library versions, sufficient to reproduce the run
 bit-exactly) plus what only that command knows: ``synth``'s generator spec
@@ -11,8 +13,10 @@ and anomaly rate, ``train``'s epoch losses and normal-equation residual,
 time- or host-dependent goes into any output file.
 
 ``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`.
+``score`` refuses a test split whose channels are not the training split's.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
-test split again, and ``eval`` reads ``induced.csv`` and ``labels.csv`` unless
+test split again, and the training nominality for its threshold from
+``model.json``; ``eval`` reads ``induced.csv`` and ``labels.csv`` unless
 ``--scores`` and ``--labels`` name other files.  ``train`` and ``score``
 record in their manifests the sha256 of every file they read or wrote, keyed
 by basename (a split by ``data.train`` or ``data.test``).  A command that
@@ -23,7 +27,8 @@ unchanged (exit 3): ``score`` checks ``train``'s ``preprocess``,
 ``data.label_column`` in ``score``'s manifest, and ``eval`` checks those,
 ``data.label_column`` if it reads the default ``labels.csv`` and ``gate`` if
 it reads the default ``induced.csv``.
-``eval_report.json`` holds the summary figures and ``curve.csv`` the curve.
+``eval_report.json`` holds the summary figures and ``curve.csv`` the curve:
+the positives and negatives at or above every threshold.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
 failure.
@@ -47,17 +52,15 @@ from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate
 from .pipeline import (
     ScoreBundle,
-    TrainedModels,
     fit_models,
     preprocess_split,
     score_split,
     sweep_table,
 )
-from .reconstructors import PointModel, SequenceModel, load_model, save_model
+from .reconstructors import load_model, save_model
 from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
-    MinMaxStats,
     ScoreSeries,
     atomic_write,
     format_rows,
@@ -167,9 +170,8 @@ def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
     return load_csv(_split_path(cfg, which), label_column=cfg.data.label_column)
 
 
-#: The files ``train`` writes and ``score`` reads.
-TRAIN_ARTIFACTS = ("point_model.json", "sequence_model.json", "preprocess_stats.json",
-                   "train_nominality.csv")
+#: The file ``train`` writes and ``score`` and ``sweep`` read.
+MODEL_FILE = "model.json"
 
 #: The config sections the training artifacts depend on.
 TRAINED_SECTIONS = ("preprocess", "point_model", "sequence_model")
@@ -180,30 +182,6 @@ def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
     digests = {f"data.{split}": _sha256(getattr(cfg.data, split))}
     digests.update((os.path.basename(path), _sha256(path)) for path in paths)
     return digests
-
-
-def _save_stats(stats: MinMaxStats | None, path: str) -> None:
-    """Write the fitted min-max statistics (null without min-max normalization)."""
-    doc = None
-    if stats is not None:
-        doc = {
-            "mins": [repr(float(v)) for v in stats.mins],
-            "maxs": [repr(float(v)) for v in stats.maxs],
-        }
-    write_json({"minmax": doc}, path)
-
-
-def _load_stats(path: str) -> MinMaxStats | None:
-    try:
-        with open(path) as fh:
-            minmax = json.load(fh)["minmax"]
-        if minmax is None:
-            return None
-        mins = np.asarray([float(v) for v in minmax["mins"]])
-        maxs = np.asarray([float(v) for v in minmax["maxs"]])
-        return MinMaxStats(mins, maxs)
-    except (ValueError, KeyError, TypeError, ShapeError) as exc:
-        raise DataError(f"{path}: cannot decode preprocessing stats: {exc!r}") from None
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -220,19 +198,14 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
-    """Fit both models on the training split and save all artifacts."""
+    """Fit both models on the training split and save them to ``model.json``."""
     os.makedirs(cfg.output_dir, exist_ok=True)
     train_raw = _load_split(cfg, "train")
     train_prep, stats = preprocess_split(cfg, train_raw)
     models = fit_models(cfg, train_prep)
     models.stats = stats
-
-    point_path, seq_path, stats_path, nominality_path = (
-        os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS)
-    save_model(models.point, point_path)
-    save_model(models.sequence, seq_path)
-    _save_stats(stats, stats_path)
-    write_score_csv(models.train_nominality, nominality_path)
+    model_path = os.path.join(cfg.output_dir, MODEL_FILE)
+    save_model(models, model_path)
     losses = models.point.epoch_losses or [None]
     print(f"point model: first epoch loss {losses[0]}, final epoch loss {losses[-1]}")
     print(f"sequence model: normal-equation residual {models.sequence.fit_residual:.3e}")
@@ -244,33 +217,25 @@ def cmd_train(cfg: PipelineConfig) -> int:
                 "point_epoch_losses": models.point.epoch_losses,
                 "sequence_fit_residual": models.sequence.fit_residual,
             },
-            "digests": _digests(cfg, "train", (point_path, seq_path, stats_path, nominality_path)),
+            "digests": _digests(cfg, "train", (model_path,)),
         },
     )
     return EXIT_OK
-
-
-def _load_models(cfg: PipelineConfig) -> TrainedModels:
-    """Load the training artifacts; ``score`` first checks them with :func:`_check_manifest`."""
-    point_path, seq_path, stats_path, nominality_path = (
-        os.path.join(cfg.output_dir, name) for name in TRAIN_ARTIFACTS)
-    point, seq = load_model(point_path), load_model(seq_path)
-    for path, model, cls in ((point_path, point, PointModel), (seq_path, seq, SequenceModel)):
-        if not isinstance(model, cls):
-            raise DataError(f"{path}: holds a {type(model).__name__}, not a {cls.__name__}")
-    return TrainedModels(point, seq, _load_stats(stats_path),
-                         read_score_csv(nominality_path, "nominality"))
 
 
 def cmd_score(cfg: PipelineConfig) -> int:
     """Score the test split and write the aligned score CSVs.
 
     :func:`_check_manifest` first shows that ``train`` ran with this config's
-    trained sections and that its files are unchanged.
+    trained sections and that its files are unchanged, and the test split
+    must have the training split's channels, in its order.
     """
     train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS)
-    models = _load_models(cfg)
+    models = load_model(os.path.join(cfg.output_dir, MODEL_FILE))
     test_raw = _load_split(cfg, "test")
+    if models.channel_names is not None and test_raw.channel_names != models.channel_names:
+        raise DataError(f"{cfg.data.test}: channels {list(test_raw.channel_names)} are not the "
+                        f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
     test_prep, _ = preprocess_split(cfg, test_raw, models.stats)
     bundle = score_split(cfg, models, test_prep)
 
@@ -326,7 +291,8 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     report_path = os.path.join(cfg.output_dir, "eval_report.json")
     atomic_write(report_path, report.to_json() + "\n")
     curve_path = os.path.join(cfg.output_dir, "curve.csv")
-    write_csv(curve_path, ["threshold", "precision", "recall", "f1"], [report.curve])
+    write_csv(curve_path, ["threshold", "tp", "fp"],
+              [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
     write_manifest(
         cfg, "eval", {"inputs": [scores_path, labels_path], "outputs": [report_path, curve_path]}
@@ -374,13 +340,14 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
 
     Reads the score CSVs that ``score`` wrote, once :func:`_check_manifest`
     shows they belong to this config, and resolves the threshold from the
-    training nominality with the current ``gate`` section.
+    training nominality in ``model.json`` with the current ``gate`` section.
     """
     digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"])
     labeled = "labels.csv" in digests  # score writes no labels for an unlabeled split
     inputs = {name: os.path.join(cfg.output_dir, f"{name}.csv") for name in (
-        "train_nominality", "anomaly", "sequence_anomaly", "nominality", "labels")}
-    train_nominality = read_score_csv(inputs["train_nominality"], "nominality")
+        "anomaly", "sequence_anomaly", "nominality", "labels")}
+    model_path = os.path.join(cfg.output_dir, MODEL_FILE)
+    train_nominality = load_model(model_path).train_nominality
     bundle = ScoreBundle(
         anomaly=read_score_csv(inputs["anomaly"]),
         seq_anomaly=read_score_csv(inputs["sequence_anomaly"]),
@@ -395,7 +362,8 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     write_json(table, json_path)
     write_manifest(
         cfg, "sweep",
-        {"inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), *inputs.values()],
+        {"inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), model_path,
+                    *inputs.values()],
          "outputs": [json_path]},
     )
     return EXIT_OK

@@ -8,10 +8,10 @@ smallest threshold.  Scores must be finite.
 
 All three metrics come from one sort of the scores: the bounds of its tie
 groups give the thresholds, and a cumulative sum of the sorted labels gives
-the positives (and so the negatives) at or above each threshold.  Best F1
-reads its curve from those counts, the AUC is their Mann-Whitney U
-statistic, and the point-adjusted F1 counts each label run at its maximum's
-sorted position.  Counts at tie bounds do not depend on the order inside a
+the positives (and so the negatives) at or above each threshold.  Those
+counts are the curve, best F1 is read from them, the AUC is their
+Mann-Whitney U statistic, and the point-adjusted F1 counts each label run
+at its maximum's sorted position.  Counts at tie bounds do not depend on the order inside a
 tie, so the sort need not be stable; a tie group holding both ``0.0`` and
 ``-0.0`` may be named by either sign.
 
@@ -38,10 +38,13 @@ from .series import ScoreSeries
 class EvalReport:
     """Threshold-sweep results for one score series.
 
-    ``curve`` is an (n, 4) array with columns (threshold, precision, recall,
-    f1), sorted by threshold; the CLI writes it to ``curve.csv`` and the
-    other figures to ``eval_report.json``.  ``pa_best_f1`` and
-    ``spiked_pa_best_f1`` are filled only when requested.
+    ``curve`` is an (n, 3) array with columns (threshold, tp, fp), sorted by
+    threshold: the positives and the negatives scoring at or above each
+    threshold.  With ``positives`` and ``negatives`` (the first row's counts)
+    they give the precision, recall and F1 at every threshold.  The CLI
+    writes the curve to ``curve.csv`` and the other figures to
+    ``eval_report.json``.  ``pa_best_f1`` and ``spiked_pa_best_f1`` are
+    filled only when requested.
     """
 
     best_f1: float
@@ -49,6 +52,8 @@ class EvalReport:
     precision: float
     recall: float
     auc: float
+    positives: int
+    negatives: int
     curve: np.ndarray
     pa_best_f1: float | None = None
     spiked_pa_best_f1: float | None = None
@@ -61,6 +66,8 @@ class EvalReport:
             "precision": self.precision,
             "recall": self.recall,
             "auc": self.auc,
+            "positives": self.positives,
+            "negatives": self.negatives,
         }
         if self.pa_best_f1 is not None:
             doc["pa_best_f1"] = self.pa_best_f1
@@ -169,18 +176,10 @@ def _best_report(sweep: tuple[np.ndarray, ...]) -> EvalReport:
         precision=float(precision[best_idx]),
         recall=float(recall[best_idx]),
         auc=_u_auc(tp, fp),
-        curve=np.column_stack([thresholds, precision, recall, f1]),
+        positives=int(tp[0]),
+        negatives=int(fp[0]),
+        curve=np.column_stack([thresholds, tp, fp]),
     )
-
-
-def auc_and_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """The AUC and the best F1 of :func:`evaluate`, from the counts alone.
-
-    Builds no curve, so it suits callers that evaluate many score series.
-    """
-    _, tp, fp, *_ = _sweep(scores, labels)
-    _, _, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
-    return _u_auc(tp, fp), float(f1.max())
 
 
 def _oracle_f1(tp: int, fp: int, fn: int) -> float:

@@ -22,11 +22,10 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import DataError, ShapeError
-from .evaluation import auc_and_best_f1
+from .evaluation import best_f1
 from .reconstructors import (
-    PointModel,
     ReconstructionPair,
-    SequenceModel,
+    TrainedModels,
     make_pair,
     reconstruct_points,
     reconstruct_sequence,
@@ -50,16 +49,6 @@ from .series import (
     minmax_apply,
     minmax_fit,
 )
-
-
-@dataclass
-class TrainedModels:
-    """Fitted models plus everything needed to score a new split."""
-
-    point: PointModel
-    sequence: SequenceModel
-    stats: MinMaxStats | None
-    train_nominality: ScoreSeries
 
 
 @dataclass
@@ -93,7 +82,10 @@ def preprocess_split(
 
 
 def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
-    """Train both reconstructors and record the training nominality scores."""
+    """Train both reconstructors and record the training nominality scores.
+
+    The statistics are left None: :func:`preprocess_split` fits them.
+    """
     point = train_point_model(train, cfg.point_model)
     seq = train_sequence_model(
         train,
@@ -104,8 +96,7 @@ def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
     )
     pair = make_pair(train.values, reconstruct_points(point, train),
                      reconstruct_sequence(seq, train), seq.gamma)
-    train_nominality = nominality_score(pair)
-    return TrainedModels(point, seq, None, train_nominality)
+    return TrainedModels(point, seq, None, nominality_score(pair), train.channel_names)
 
 
 def score_split(
@@ -179,9 +170,14 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     theta = bundle.theta
     anomaly = bundle.anomaly.scores
 
+    def figures(series) -> tuple[float, float]:
+        # Only the two figures are kept, so no more than one report's curve is held.
+        report = best_f1(series, labels)
+        return report.auc, report.best_f1
+
     rows: dict[str, dict] = {}
     for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
-        auc_val, f1_val = auc_and_best_f1(series, labels)
+        auc_val, f1_val = figures(series)
         rows[name] = {"auc": [auc_val] * len(d_values), "best_f1": [f1_val] * len(d_values)}
 
     gates = {
@@ -190,8 +186,7 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
         "soft_theta_pct": gate("soft", theta, bundle.nominality.scores),
     }
     for name, g in gates.items():
-        pairs = [auc_and_best_f1(induced, labels)
-                 for induced in induction_sums(anomaly, g, d_values)]
+        pairs = [figures(induced) for induced in induction_sums(anomaly, g, d_values)]
         rows[name] = {"auc": [p[0] for p in pairs], "best_f1": [p[1] for p in pairs]}
 
     for row in rows.values():

@@ -15,7 +15,10 @@ scoring holds one chunk of the design rather than all of it.  Because the
 sequence model cannot reconstruct the first and last ``gamma`` points,
 :func:`make_pair` trims the observation and the point reconstruction to the
 same interior range, so every covered time point has one observed and
-exactly two reconstructed values.
+exactly two reconstructed values.  :class:`TrainedModels` is one trained
+detector (both models, the normalization and the training nominality), and
+:func:`save_model` writes it as one JSON file, with every array in the same
+base64 codec.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ import numpy as np
 
 from .config import PointHyperparams
 from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
-from .series import LabeledSeries, write_json
+from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
-MODEL_FORMAT = "nominality-model-v1"
+MODEL_FORMAT = "nominality-model-v2"
 # Design rows per fancy-index copy in SequenceModel._design_rows, and per
 # gather-and-multiply chunk in SequenceModel.predict_blocks.
 _GATHER_ROWS = 256
@@ -444,87 +447,101 @@ def _decode_array(entry: dict) -> np.ndarray:
     return arr.reshape(entry["shape"])
 
 
-def save_model(model: PointModel | SequenceModel, path: str) -> None:
-    """Write a model as deterministic JSON (arrays as base64 row-major bytes).
+@dataclass
+class TrainedModels:
+    """One trained detector: what ``train`` writes to ``model.json`` and ``score`` reads.
 
-    The file holds the model and nothing else: its hyperparameters (the
-    point model's include its seed) and weights.  The fit's history (epoch
-    losses, normal-equation residual) is in ``manifest_train.json``.  The
-    round-trip through :func:`load_model` is bit-exact.
+    Both models, the min-max statistics (None without min-max normalization),
+    the training nominality that the gate's threshold comes from, and the
+    training split's channel names (None for a split that has none).
     """
-    if isinstance(model, PointModel):
-        doc = {
-            "format": MODEL_FORMAT,
-            "kind": "point",
-            "hyperparams": asdict(model.hp),
-            "arrays": {
-                "enc_w": _encode_array(model.enc_w),
-                "enc_b": _encode_array(model.enc_b),
-                "dec_w": _encode_array(model.dec_w),
-                "dec_b": _encode_array(model.dec_b),
-            },
-        }
-    elif isinstance(model, SequenceModel):
-        doc = {
-            "format": MODEL_FORMAT,
-            "kind": "sequence",
-            "hyperparams": {
-                "gamma": model.gamma,
-                "delta": model.delta,
-                "ridge_lambda": model.ridge_lambda,
-                "n_channels": model.n_channels,
-            },
-            "arrays": {"weights": _encode_array(model.weights)},
-        }
-    else:
-        raise ShapeError(f"cannot save object of type {type(model).__name__}")
+
+    point: PointModel
+    sequence: SequenceModel
+    stats: MinMaxStats | None
+    train_nominality: ScoreSeries
+    channel_names: tuple[str, ...] | None
+
+
+_POINT_ARRAYS = ("enc_w", "enc_b", "dec_w", "dec_b")
+
+
+def save_model(models: TrainedModels, path: str) -> None:
+    """Write a trained detector as deterministic JSON (arrays as base64 row-major bytes).
+
+    The file holds the detector and nothing else: the point model's
+    hyperparameters (its seed included) and weights, the sequence model's
+    and its weights, the min-max statistics, the training nominality and the
+    channel names.  The fit's history (epoch losses, normal-equation
+    residual) is in ``manifest_train.json``.  The round-trip through
+    :func:`load_model` is bit-exact.
+    """
+    point, seq, stats = models.point, models.sequence, models.stats
+    doc = {
+        "format": MODEL_FORMAT,
+        "channel_names": None if models.channel_names is None else list(models.channel_names),
+        "point": {"hyperparams": asdict(point.hp),
+                  **{name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS}},
+        "sequence": {"gamma": seq.gamma, "delta": seq.delta, "ridge_lambda": seq.ridge_lambda,
+                     "n_channels": seq.n_channels, "weights": _encode_array(seq.weights)},
+        "minmax": None if stats is None else {"mins": _encode_array(stats.mins),
+                                              "maxs": _encode_array(stats.maxs)},
+        "train_nominality": _encode_array(models.train_nominality.scores),
+    }
     write_json(doc, path)
 
 
-def _checked(path: str, arrays: dict[str, np.ndarray], **shapes: tuple) -> dict[str, np.ndarray]:
-    """The named ``arrays``, each required to have its shape and finite entries."""
+def _checked(path: str, section: dict, **shapes: tuple) -> dict[str, np.ndarray]:
+    """The named arrays of ``section``, decoded; each must have its shape and finite entries."""
+    arrays = {}
     for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise DataError(f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
-        if not np.isfinite(arrays[name]).all():
+        arr = _decode_array(section[name])
+        if arr.shape != shape:
+            raise DataError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
             raise DataError(f"{path}: {name} holds a non-finite value")
-    return {name: arrays[name] for name in shapes}
+        arrays[name] = arr
+    return arrays
 
 
-def load_model(path: str) -> PointModel | SequenceModel:
-    """Read a model written by :func:`save_model`.
+def load_model(path: str) -> TrainedModels:
+    """Read a trained detector written by :func:`save_model`.
+
+    Every array's shape follows from the sequence model's ``n_channels`` and
+    the hyperparameters, and every entry must be finite.
 
     Raises:
-        DataError: the file is not valid JSON or not a decodable model, or an
-            array's shape disagrees with the hyperparameters or holds a
-            non-finite value.
+        DataError: naming the file, if it is not valid JSON or not a decodable
+            model, a hyperparameter is out of its range, an array's shape
+            disagrees with the hyperparameters or holds a non-finite value, a
+            channel minimum exceeds its maximum, or the training nominality is
+            empty or holds a negative score.
     """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format") != MODEL_FORMAT:
-            raise ShapeError(f"{path}: not a {MODEL_FORMAT} file")
-        arrays = {name: _decode_array(entry) for name, entry in doc["arrays"].items()}
-        if doc["kind"] == "point":
-            hp = PointHyperparams(**doc["hyperparams"])
-            n_channels, d_lat = arrays["dec_b"].size, hp.d_lat
-            return PointModel(
-                **_checked(path, arrays, enc_w=(n_channels, d_lat), enc_b=(d_lat,),
-                           dec_w=(d_lat, n_channels), dec_b=(n_channels,)),
-                hp=hp,
-            )
-        if doc["kind"] == "sequence":
-            hp = doc["hyperparams"]
-            gamma, delta, n_channels = hp["gamma"], hp["delta"], hp["n_channels"]
-            return SequenceModel(
-                gamma=gamma,
-                delta=delta,
-                ridge_lambda=hp["ridge_lambda"],
-                **_checked(path, arrays, weights=(2 * gamma * n_channels + 1, delta * n_channels)),
-                n_channels=n_channels,
-            )
-    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
-        # JSONDecodeError, bad base64 and bad shapes are ValueErrors; a
-        # ConfigError is a hyperparameter outside its range.
+        if doc["format"] != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} file")
+        seq = doc["sequence"]
+        gamma, delta, dim = seq["gamma"], seq["delta"], seq["n_channels"]
+        hp = PointHyperparams(**doc["point"]["hyperparams"])
+        point = PointModel(**_checked(path, doc["point"], enc_w=(dim, hp.d_lat), enc_b=(hp.d_lat,),
+                                      dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
+        weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
+        sequence = SequenceModel(gamma, delta, seq["ridge_lambda"], weights, dim)
+        stats = None
+        if doc["minmax"] is not None:
+            stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
+        nominality = ScoreSeries(_decode_array(doc["train_nominality"]), "nominality", gamma)
+        if not len(nominality):
+            raise ValueError("train_nominality is empty")
+        names = doc["channel_names"]
+        if names is not None and len(names) != dim:
+            raise ValueError(f"{len(names)} channel names for {dim} channels")
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError, ShapeError) as exc:
+        # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a
+        # hyperparameter outside its range, a ShapeError invalid min-max
+        # statistics or a negative or non-finite nominality score.
         raise DataError(f"{path}: cannot decode model: {exc!r}") from None
-    raise ShapeError(f"{path}: unknown model kind {doc['kind']!r}")
+    return TrainedModels(point, sequence, stats, nominality,
+                         None if names is None else tuple(names))

@@ -352,7 +352,7 @@ def test_criterion_12_full_pipeline_determinism(tmp_path):
             assert main([command, "--config", str(config)]) == 0
         outputs.append(out)
     compared = 0
-    for fname in ("train.csv", "test.csv", "point_model.json", "sequence_model.json",
+    for fname in ("train.csv", "test.csv", "model.json",
                   "anomaly.csv", "sequence_anomaly.csv", "nominality.csv",
                   "induced.csv", "labels.csv", "eval_report.json", "curve.csv"):
         a = (outputs[0] / fname).read_bytes()

@@ -20,12 +20,14 @@ from nominality import (
     spike_augment,
 )
 from nominality import evaluation
+from nominality.config import config_from_dict
 from nominality.evaluation import (
     _f1_from_counts,
     auc_trapezoid,
     best_f1_bruteforce,
     pa_best_f1_bruteforce,
 )
+from nominality.pipeline import ScoreBundle, sweep_table
 
 
 def random_instance(seed, max_len=200):
@@ -75,17 +77,16 @@ class TestBestF1:
     def test_curve_invariants(self):
         scores, labels = random_instance(0)
         report = best_f1(scores, labels)
-        thresholds, precision, recall, f1 = report.curve.T
+        thresholds, tp, fp = report.curve.T
+        # the first row predicts every point positive
+        assert (tp[0], fp[0]) == (report.positives, report.negatives) == (
+            labels.sum(), labels.shape[0] - labels.sum())
+        assert (np.diff(tp) <= 0).all() and (np.diff(fp) <= 0).all()
+        _, _, f1 = _f1_from_counts(tp, fp, report.positives - tp)
         assert report.best_f1 == f1.max()
-        # f1 column is the harmonic mean of its own P/R columns
-        with np.errstate(invalid="ignore"):
-            expected = np.where(
-                precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0
-            )
-        np.testing.assert_array_equal(f1, expected)
         # sentinel row: everything predicted negative
         assert thresholds[-1] > scores.max()
-        assert f1[-1] == 0.0
+        assert tp[-1] == fp[-1] == 0.0
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_bruteforce_exactly(self, seed):
@@ -211,9 +212,8 @@ class TestRankAndThresholdPath:
     def test_curve_matches_grid_and_confusion(self, scores, labels):
         report = best_f1(scores, labels)
         thresholds = np.append(np.unique(scores), scores.max() + 1)
-        counts = np.array([confusion(scores >= t, labels)[:3] for t in thresholds])
-        precision, recall, f1 = _f1_from_counts(*counts.T)
-        expected = np.column_stack([thresholds, precision, recall, f1])
+        counts = np.array([confusion(scores >= t, labels)[:2] for t in thresholds])
+        expected = np.column_stack([thresholds, counts])
         assert np.array_equal(report.curve, expected)
         assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
         assert report.auc == auc(scores, labels)
@@ -296,16 +296,21 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auc_and_best_f1_are_the_reports(self, seed):
-        """The sweep table's figures without the curve equal evaluate's, bit for bit."""
+        """The sweep table's AUC and best F1 of a score series equal evaluate's, bit for bit."""
         scores, labels = random_instance(seed)
-        report = evaluate(scores, labels)
-        assert evaluation.auc_and_best_f1(scores, labels) == (report.auc, report.best_f1)
+        bundle = ScoreBundle(ScoreSeries(scores), ScoreSeries(scores[::-1].copy()),
+                             ScoreSeries(np.abs(scores), "nominality"), None, labels, 1.0)
+        rows = sweep_table(config_from_dict({"sweep": {"d_values": [1, 2]}}), bundle)["rows"]
+        for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
+            report = evaluate(series, labels)
+            assert rows[name]["auc"] == [report.auc] * 2
+            assert rows[name]["best_f1"] == [report.best_f1] * 2
 
     def test_json_roundtrip(self):
         scores, labels = random_instance(5)
         report = evaluate(scores, labels, point_adjusted=True)
         doc = json.loads(report.to_json())
         assert set(doc) == {"best_f1", "best_threshold", "precision", "recall", "auc",
-                            "pa_best_f1"}
+                            "positives", "negatives", "pa_best_f1"}
         for key, value in doc.items():
             assert value == getattr(report, key), key

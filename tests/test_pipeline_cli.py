@@ -1,6 +1,7 @@
 """End-to-end pipeline and CLI behavior on small synthetic runs."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nominality.cli import TRAIN_ARTIFACTS, _load_models, main, read_labels_csv, read_score_csv
+from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
     CHOICE_KNOBS,
     INT_KNOBS,
@@ -23,7 +24,7 @@ from nominality.config import (
     load_config,
 )
 from nominality.errors import DataError
-from nominality.evaluation import best_f1, evaluate
+from nominality.evaluation import _f1_from_counts, best_f1, confusion, evaluate
 from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
 from nominality.reconstructors import (
     _decode_array,
@@ -109,21 +110,22 @@ def _edit_json(edit):
     return damage
 
 
-def _edit_array(name, edit):
-    """A damage that replaces one array of a model file by ``edit`` of it."""
+def _edit_array(keys, edit):
+    """A damage that replaces the array of model.json at ``keys`` by ``edit`` of it."""
     def replace(doc):
-        doc["arrays"][name] = _encode_array(edit(_decode_array(doc["arrays"][name])))
+        *outer, leaf = keys
+        section = functools.reduce(dict.__getitem__, outer, doc)
+        section[leaf] = _encode_array(edit(_decode_array(section[leaf])))
     return _edit_json(replace)
 
 
-def _first_nan(arr):
-    out = arr.copy()
-    out.flat[0] = np.nan
-    return out
-
-
-def _first_min_nan(doc):
-    doc["minmax"]["mins"][0] = "nan"
+def _first_to(value):
+    """An array edit that sets the first entry to ``value``."""
+    def edit(arr):
+        out = arr.copy()
+        out.flat[0] = value
+        return out
+    return edit
 
 
 def _edit_rows(edit):
@@ -153,6 +155,15 @@ _ONE_BYTE = _edit_rows(lambda i, cells: [
 # one byte of data row 3 that is not UTF-8 (the file is rewritten as Latin-1)
 _NOT_UTF8 = _edit_rows(
     lambda i, cells: [cells[0], "\xff" + cells[1], *cells[2:]] if i == 3 else cells)
+
+
+def _channels(order):
+    """A damage that keeps the channel columns of a split in ``order``, then its label column."""
+    def damage(text):
+        rows = [line.split(",") for line in text.split("\r\n")[:-1]]
+        return "\r\n".join([",".join([cells[j] for j in order] + cells[-1:]) for cells in rows]
+                           + [""])
+    return damage
 
 
 def _record_digest(out, name):
@@ -194,14 +205,14 @@ class TestEndToEnd:
     def test_all_artifacts_written(self, rundir):
         _, out = rundir
         for name in (
-            "train.csv", "test.csv", "point_model.json",
-            "sequence_model.json", "preprocess_stats.json", "train_nominality.csv",
+            "train.csv", "test.csv", "model.json",
             "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
             "labels.csv", "eval_report.json", "curve.csv", "sweep.json",
         ):
             assert os.path.exists(os.path.join(out, name)), name
-        # their facts are in manifest_synth.json and sweep.json
-        for name in ("synth_spec.json", "sweep.csv"):
+        # their facts are in manifest_synth.json, sweep.json and model.json
+        for name in ("synth_spec.json", "sweep.csv", "point_model.json", "sequence_model.json",
+                     "preprocess_stats.json", "train_nominality.csv"):
             assert not os.path.exists(os.path.join(out, name)), name
 
     def test_each_record_holds_its_own_fields(self, rundir):
@@ -214,12 +225,18 @@ class TestEndToEnd:
             "manifest_score.json": common | {"resolved_theta", "digests"},
             "manifest_eval.json": common | {"inputs", "outputs"},
             "manifest_sweep.json": common | {"inputs", "outputs"},
-            "point_model.json": {"format", "kind", "hyperparams", "arrays"},
-            "sequence_model.json": {"format", "kind", "hyperparams", "arrays"},
+            "model.json": {"format", "channel_names", "point", "sequence", "minmax",
+                           "train_nominality"},
         }
         docs = {name: json.load(open(os.path.join(out, name))) for name in expected}
         for name, keys in expected.items():
             assert set(docs[name]) == keys, name
+        model = docs["model.json"]
+        assert set(model["point"]) == {"hyperparams", "enc_w", "enc_b", "dec_w", "dec_b"}
+        assert set(model["sequence"]) == {"gamma", "delta", "ridge_lambda", "n_channels",
+                                          "weights"}
+        assert set(model["minmax"]) == {"mins", "maxs"}
+        assert model["channel_names"] == ["c0", "c1", "c2", "c3"]
         assert set(docs["manifest_train.json"]["final_losses"]) == {
             "point_epoch_losses", "sequence_fit_residual"}
         spec = dataclasses.asdict(load_config(config_path).synth.spec())
@@ -234,12 +251,11 @@ class TestEndToEnd:
         train_manifest = json.load(open(os.path.join(out, "manifest_train.json")))
         assert "final_losses" in train_manifest
         train_digests = train_manifest["digests"]
-        assert set(train_digests) == {"data.train", *TRAIN_ARTIFACTS}
+        assert set(train_digests) == {"data.train", "model.json"}
         assert score_manifest["digests"].items() >= train_digests.items()
         assert set(score_manifest["digests"]) - set(train_digests) == {
             "data.test", "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
             "labels.csv"}
-        assert set(json.load(open(os.path.join(out, "preprocess_stats.json")))) == {"minmax"}
 
     def test_train_manifest_loss_curve(self, rundir):
         _, out = rundir
@@ -259,15 +275,39 @@ class TestEndToEnd:
         _, out = rundir
         report = json.load(open(os.path.join(out, "eval_report.json")))
         assert set(report) == {"best_f1", "best_threshold", "precision", "recall", "auc",
-                               "pa_best_f1"}
+                               "positives", "negatives", "pa_best_f1"}
         assert 0.0 <= report["best_f1"] <= 1.0
         assert report["pa_best_f1"] >= report["best_f1"]
         induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
         labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
+        assert (report["positives"], report["negatives"]) == (labels.sum(), (labels == 0).sum())
         curve = evaluate(induced, labels, point_adjusted=True).curve
         lines = open(os.path.join(out, "curve.csv"), newline="").read().split("\r\n")
-        assert lines[0] == "threshold,precision,recall,f1" and lines[-1] == ""
-        assert lines[1:-1] == format_rows(curve)
+        assert lines[0] == "threshold,tp,fp" and lines[-1] == ""
+        counts = [f"{int(tp)},{int(fp)}" for tp, fp in curve[:, 1:]]  # integers, not 1.0
+        assert lines[1:-1] == [f"{t},{c}" for t, c in zip(format_rows(curve[:, 0]), counts)]
+
+    def test_curve_rebuilds_precision_recall_f1(self, rundir):
+        """curve.csv and the report's counts give the precision, recall and F1 at every
+        threshold, bit for bit the ones that confusion counts give (the columns curve.csv
+        held before it held counts)."""
+        _, out = rundir
+        report = json.load(open(os.path.join(out, "eval_report.json")))
+        thresholds, tp, fp = np.loadtxt(os.path.join(out, "curve.csv"), delimiter=",",
+                                        skiprows=1).T
+        assert (tp[0], fp[0]) == (report["positives"], report["negatives"])
+        with np.errstate(invalid="ignore"):
+            precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+            recall = tp / report["positives"]
+            f1 = np.where(tp > 0, 2 * precision * recall / (precision + recall), 0.0)
+        scores = read_score_csv(os.path.join(out, "induced.csv"), "induced").scores
+        labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
+        counts = np.array([confusion(scores >= t, labels)[:3] for t in thresholds])
+        for rebuilt, expected in zip((precision, recall, f1), _f1_from_counts(*counts.T)):
+            assert np.array_equal(rebuilt, expected)
+        best = int(np.argmax(f1))
+        assert (f1[best], thresholds[best], precision[best], recall[best]) == (
+            report["best_f1"], report["best_threshold"], report["precision"], report["recall"])
 
     def test_file_roundtrip_matches_in_process(self, rundir):
         config_path, out = rundir
@@ -318,7 +358,7 @@ class TestDeterminism:
         config_b, out_b = write_config(tmp_path, "b")
         run_all(config_a)
         run_all(config_b)
-        for name in ("train.csv", "point_model.json", "sequence_model.json",
+        for name in ("train.csv", "model.json",
                      "anomaly.csv", "nominality.csv", "induced.csv",
                      "eval_report.json", "curve.csv", "sweep.json"):
             bytes_a = open(os.path.join(out_a, name), "rb").read()
@@ -434,25 +474,25 @@ class TestCliBehavior:
     @pytest.mark.parametrize(
         "command, name, damage",
         [
-            ("score", "point_model.json", lambda text: text[: len(text) // 2]),
-            ("score", "sequence_model.json", lambda text: text.replace('"arrays"', '"arrayz"')),
-            ("score", "preprocess_stats.json", lambda text: "{"),
-            ("score", "train_nominality.csv", lambda text: text + "25,abc\r\n"),
-            ("score", "train_nominality.csv", lambda text: "time_index,score\r\n"),
+            ("score", "model.json", lambda text: text[: len(text) // 2]),
+            ("score", "model.json", _edit_json(lambda doc: doc["sequence"].pop("weights"))),
+            ("score", "model.json", _edit_json(lambda doc: doc["minmax"].pop("maxs"))),
+            ("score", "model.json",
+             _edit_json(lambda doc: doc["train_nominality"].update(data="abc"))),
+            ("score", "model.json", _edit_array(["train_nominality"], lambda n: n[:0])),
             ("eval", "induced.csv", lambda text: text[:-2] + "x\r\n"),
             ("eval", "labels.csv", lambda text: text.replace(",0\r\n", ",2\r\n", 1)),
             ("eval", "labels.csv", lambda text: text + "999\r\n"),
-            ("score", "point_model.json", lambda text: text.replace('"d_lat": 2', '"d_lat": 0')),
-            ("score", "point_model.json", lambda text: text.replace('"d_lat"', '"latent_dim"')),
-            ("score", "point_model.json", _edit_array("enc_b", lambda b: b[:-1])),
-            ("score", "point_model.json", _edit_array("dec_w", lambda w: w.T.copy())),
-            ("score", "sequence_model.json", _edit_array("weights", lambda w: w[:-1])),
-            ("score", "point_model.json", _edit_array("enc_w", _first_nan)),
-            ("score", "sequence_model.json", _edit_array("weights", _first_nan)),
-            ("score", "preprocess_stats.json", _edit_json(_first_min_nan)),
-            ("score", "train_nominality.csv", _score_cell("-1.0")),
-            ("score", "train_nominality.csv", _score_cell("inf")),
-            ("score", "train_nominality.csv", _SKIP_INDEX),
+            ("score", "model.json", lambda text: text.replace('"d_lat": 2', '"d_lat": 0')),
+            ("score", "model.json", lambda text: text.replace('"d_lat"', '"latent_dim"')),
+            ("score", "model.json", _edit_array(["point", "enc_b"], lambda b: b[:-1])),
+            ("score", "model.json", _edit_array(["point", "dec_w"], lambda w: w.T.copy())),
+            ("score", "model.json", _edit_array(["sequence", "weights"], lambda w: w[:-1])),
+            ("score", "model.json", _edit_array(["point", "enc_w"], _first_to(np.nan))),
+            ("score", "model.json", _edit_array(["sequence", "weights"], _first_to(np.nan))),
+            ("score", "model.json", _edit_array(["minmax", "mins"], _first_to(np.nan))),
+            ("score", "model.json", _edit_array(["train_nominality"], _first_to(-1.0))),
+            ("score", "model.json", _edit_array(["train_nominality"], _first_to(np.inf))),
             ("eval", "induced.csv", _score_cell("nan")),
             ("eval", "induced.csv", _score_cell("")),
             ("eval", "induced.csv", _score_cell("inf")),
@@ -462,15 +502,19 @@ class TestCliBehavior:
             ("sweep", "test.csv", _HUGE_VALUE),
             ("score", "test.csv", _NOT_UTF8),
             ("eval", "induced.csv", _NOT_UTF8),
+            ("score", "model.json", _edit_array(["minmax", "mins"], _first_to(1e300))),
+            ("score", "model.json", _edit_json(lambda doc: doc["channel_names"].pop())),
+            ("score", "model.json", lambda text: text.replace("nominality-model-v2",
+                                                              "nominality-model-v1")),
         ],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
              "point-d-lat-zero", "point-old-format", "point-enc-b-short", "point-dec-w-transposed",
              "sequence-row-missing", "point-weight-nan", "sequence-weight-nan", "stats-min-nan",
-             "nominality-negative", "nominality-inf", "nominality-index-skip", "induced-nan",
+             "nominality-negative", "nominality-inf", "induced-nan",
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
-             "induced-not-utf8"],
+             "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format"],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
@@ -481,7 +525,7 @@ class TestCliBehavior:
             text = fh.read()
         with open(path, "w", encoding="latin-1", newline="") as fh:
             fh.write(damage(text))
-        if command == "score" and name in TRAIN_ARTIFACTS:
+        if command == "score" and name == "model.json":
             _record_digest(out, name)
         # Named paths skip eval's digest check, so the damage reaches the CSV reader.
         paths = ["--scores", os.path.join(out, "induced.csv"),
@@ -493,14 +537,18 @@ class TestCliBehavior:
         assert command != "score" or " changed since " not in err
 
     def test_swapped_model_files_exit_3(self, rundir, tmp_path, capsys):
+        """model.json with its point and sequence sections swapped."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        shutil.copy(os.path.join(out, "sequence_model.json"), os.path.join(out, "point_model.json"))
-        _record_digest(out, "point_model.json")
+        path = os.path.join(out, "model.json")
+        doc = json.load(open(path))
+        doc["point"], doc["sequence"] = doc["sequence"], doc["point"]
+        json.dump(doc, open(path, "w"))
+        _record_digest(out, "model.json")
         assert main(["score", "--config", config_path]) == 3
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "point_model.json" in err
-        assert "holds a SequenceModel, not a PointModel" in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {path}: cannot decode model: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["score", "sweep"])
@@ -560,7 +608,7 @@ class TestCliBehavior:
         open(config_path, "w").write(text)
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
-        model = load_model(os.path.join(out, "point_model.json"))
+        model = load_model(os.path.join(out, "model.json")).point
         fresh = _init_point_model(4, model.hp)
         np.testing.assert_array_equal(model.enc_w, fresh.enc_w)
         np.testing.assert_array_equal(model.dec_b, fresh.dec_b)
@@ -635,11 +683,8 @@ class TestCliBehavior:
             assert err == f"config error: synth.kind must be one of trig, got {kind!r}\n"
 
 
-def _retrained(text):
-    """train_nominality.csv as another training run might have written it: valid, other values."""
-    header, *rows = text.split("\r\n")[:-1]
-    return "\r\n".join([header, *(f"{row.split(',')[0]},{2.0 ** -i!r}"
-                                   for i, row in enumerate(rows)), ""])
+# model.json with the training nominality another training run might have written: valid values
+_retrained = _edit_array(["train_nominality"], lambda n: 2.0 ** -np.arange(n.shape[0]))
 
 
 def _rewrite(path, damage):
@@ -652,12 +697,14 @@ def _rewrite(path, damage):
 
 
 def _other_point_model(config_path, out, tmp_path):
-    """point_model.json as a run on other data (the test split) with the same hyperparameters."""
+    """model.json with the point model of a run on the test split, with the same hyperparameters."""
     cfg = load_config(config_path)
     other, _ = preprocess_split(cfg, load_csv(cfg.data.test, label_column="label"))
-    path = os.path.join(out, "point_model.json")
+    path = os.path.join(out, "model.json")
     before = open(path, "rb").read()
-    save_model(train_point_model(other, cfg.point_model), path)
+    models = load_model(path)
+    models.point = train_point_model(other, cfg.point_model)
+    save_model(models, path)
     assert open(path, "rb").read() != before
     return path
 
@@ -678,7 +725,7 @@ class TestScoreFromTraining:
         "change",
         [
             lambda config_path, out, tmp_path: _rewrite(
-                os.path.join(out, "train_nominality.csv"), _retrained),
+                os.path.join(out, "model.json"), _retrained),
             _other_point_model,
             _other_train_split,
             lambda config_path, out, tmp_path: _rewrite(os.path.join(out, "train.csv"), _ONE_BYTE),
@@ -694,6 +741,18 @@ class TestScoreFromTraining:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
         assert err.rstrip().endswith("run 'train' again")
+
+    @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 1, 2]], ids=["permuted", "dropped"])
+    def test_other_channels_exit_3(self, rundir, tmp_path, capsys, order):
+        """A test split must have the training split's channels, in the same order."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = _rewrite(os.path.join(out, "test.csv"), _channels(order))
+        assert main(["score", "--config", config_path]) == 3
+        channels = [f"c{j}" for j in order]
+        assert capsys.readouterr().err == (
+            f"data error: {path}: channels {channels} are not the training split's "
+            f"['c0', 'c1', 'c2', 'c3'] (from model.json)\n")
 
     def test_score_before_train_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
@@ -722,7 +781,7 @@ class TestSweepFromScores:
         "name, damage",
         [
             ("test.csv", _ONE_BYTE),
-            ("train_nominality.csv", _retrained),
+            ("model.json", _retrained),
             ("nominality.csv", _score_cell("0.5")),
         ],
         ids=["test-byte", "train-nominality-retrained", "nominality-edited"],
@@ -763,7 +822,7 @@ class TestSweepFromScores:
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         assert main(["sweep", "--config", config_path, "--theta-percentile", "99"]) == 0
         theta = json.load(open(os.path.join(out, "sweep.json")))["theta"]
-        train_nominality = read_score_csv(os.path.join(out, "train_nominality.csv"), "nominality")
+        train_nominality = load_model(os.path.join(out, "model.json")).train_nominality
         assert theta == theta_from_percentile(train_nominality, 99)
         assert theta != json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"]
         assert main(["score", "--config", config_path, "--theta-percentile", "99"]) == 0
@@ -779,7 +838,7 @@ class TestSweepFromScores:
                                .replace("dir: out", f"dir: {tmp_path}"))
         run_all(str(config_path))
         cfg = load_config(str(config_path))
-        models = _load_models(cfg)
+        models = load_model(os.path.join(cfg.output_dir, "model.json"))
         test = load_csv(cfg.data.test, label_column=cfg.data.label_column)
         test, _ = preprocess_split(cfg, test, models.stats)
         expected = sweep_table(cfg, score_split(cfg, models, test))
@@ -807,7 +866,7 @@ class TestEvalFromScores:
         assert len(err.splitlines()) == 1 and err.startswith("config error: the point_model ")
         assert main(["eval", "--config", config_path]) == 3
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "point_model.json changed " in err
+        assert len(err.splitlines()) == 1 and "model.json changed " in err
 
     def test_edited_induced_exit_3(self, rundir, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
@@ -919,7 +978,7 @@ def test_train_runs_without_scipy(tmp_path):
     pythonpath = (str(tmp_path / "no_scipy"), SRC)
     assert _loaded_modules(["synth", "--config", path], pythonpath)[0] == 0
     assert _loaded_modules(["train", "--config", path], pythonpath)[0] == 0
-    assert isinstance(load_model(os.path.join(out, "sequence_model.json")).weights, np.ndarray)
+    assert isinstance(load_model(os.path.join(out, "model.json")).sequence.weights, np.ndarray)
 
 
 def test_code_defaults_run_every_command(tmp_path):

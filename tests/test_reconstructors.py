@@ -21,8 +21,10 @@ from sequence_reference import (
 from nominality import (
     LabeledSeries,
     PointHyperparams,
+    ScoreSeries,
     ShapeError,
     SingularSystem,
+    TrainedModels,
     TrainingDiverged,
     load_model,
     make_pair,
@@ -473,31 +475,54 @@ class TestMakePair:
             make_pair(np.ones((10, 2)), np.ones((10, 2)), np.ones((5, 2)), 2)
 
 
+def _trained(seed, channel_names=None, normalize=True):
+    """A detector of small fits on a random series, put together as ``fit_models`` does."""
+    series = LabeledSeries(random_series(seed).values, channel_names=channel_names)
+    point = train_point_model(series, PointHyperparams(d_lat=2, epochs=3, batch_size=16, seed=3))
+    seq = train_sequence_model(series, gamma=3, delta=2, ridge_lambda=1e-5)
+    nominality = ScoreSeries(np.abs(series.values[3:-3, 0]), "nominality", 3)
+    return TrainedModels(point, seq, minmax_fit(series) if normalize else None, nominality,
+                         series.channel_names)
+
+
 class TestPersistence:
     def test_point_roundtrip_bit_exact(self, tmp_path):
-        model = train_point_model(
-            random_series(8), PointHyperparams(d_lat=2, epochs=3, batch_size=16, seed=3)
-        )
-        path = str(tmp_path / "point.json")
-        save_model(model, path)
-        back = load_model(path)
+        models = _trained(8)
+        path = str(tmp_path / "model.json")
+        save_model(models, path)
+        model, back = models.point, load_model(path).point
         for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
             np.testing.assert_array_equal(getattr(back, key), getattr(model, key))
         assert back.hp == model.hp
         assert len(model.epoch_losses) == 3 and back.epoch_losses == []  # history, not the model
 
     def test_sequence_roundtrip_bit_exact(self, tmp_path):
-        model = train_sequence_model(random_series(9), gamma=3, delta=2, ridge_lambda=1e-5)
-        path = str(tmp_path / "seq.json")
-        save_model(model, path)
-        back = load_model(path)
+        models = _trained(9)
+        path = str(tmp_path / "model.json")
+        save_model(models, path)
+        model, back = models.sequence, load_model(path).sequence
         np.testing.assert_array_equal(back.weights, model.weights)
-        assert (back.gamma, back.delta, back.ridge_lambda) == (3, 2, 1e-5)
+        assert (back.gamma, back.delta, back.ridge_lambda, back.n_channels) == (3, 2, 1e-5, 3)
         assert model.fit_residual is not None and back.fit_residual is None  # history
 
+    @pytest.mark.parametrize("names, normalize", [(("a", "b", "c"), True), (None, False)])
+    def test_stats_nominality_and_names_roundtrip(self, tmp_path, names, normalize):
+        models = _trained(11, names, normalize)
+        path = str(tmp_path / "model.json")
+        save_model(models, path)
+        back = load_model(path)
+        if normalize:
+            np.testing.assert_array_equal(back.stats.mins, models.stats.mins)
+            np.testing.assert_array_equal(back.stats.maxs, models.stats.maxs)
+        else:
+            assert back.stats is None
+        np.testing.assert_array_equal(back.train_nominality.scores, models.train_nominality.scores)
+        assert back.train_nominality.time_origin == models.train_nominality.time_origin == 3
+        assert back.channel_names == names
+
     def test_save_twice_identical_bytes(self, tmp_path):
-        model = train_sequence_model(random_series(10), gamma=2, delta=1, ridge_lambda=1e-5)
+        models = _trained(10)
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        save_model(model, p1)
-        save_model(model, p2)
+        save_model(models, p1)
+        save_model(models, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
