@@ -5,9 +5,12 @@ dataset, ``train`` fits both models and saves the trained detector (both
 models, the min-max statistics, the training nominality and the channel
 names) as one file, ``model.json``, ``score`` writes the aligned score
 CSVs, ``eval`` turns scores plus labels into a report, and ``sweep``
-produces the gate-ablation table.  Every command writes a JSON manifest
-(the config and library versions, sufficient to reproduce the run
-bit-exactly) plus what only that command knows: ``synth``'s generator spec
+produces the gate-ablation table.  The config file named by ``--config`` is
+the only source of settings: no flag sets a config key, and ``eval``'s
+``--scores`` and ``--labels`` only name its input files.  Every command
+writes a JSON manifest (the config, in the shape a config file has, so it
+loads as one and replays the run bit-exactly, and the library versions) plus
+what only that command knows: ``synth``'s generator spec
 and anomaly rate, ``train``'s epoch losses and normal-equation residual,
 ``score``'s resolved gate threshold.  Each fact is written once, and nothing
 time- or host-dependent goes into any output file.
@@ -47,17 +50,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import PipelineConfig, load_config
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate
-from .pipeline import (
-    ScoreBundle,
-    fit_models,
-    preprocess_split,
-    score_split,
-    sweep_table,
-)
-from .reconstructors import load_model, save_model
+from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
+from .reconstructors import MODEL_FILE, load_model, save_model
 from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
@@ -90,7 +87,7 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
         },
     }
     doc.update(extra)
-    path = os.path.join(cfg.output_dir, f"manifest_{command}.json")
+    path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
     write_json(doc, path)
     return path
 
@@ -170,9 +167,6 @@ def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
     return load_csv(_split_path(cfg, which), label_column=cfg.data.label_column)
 
 
-#: The file ``train`` writes and ``score`` and ``sweep`` read.
-MODEL_FILE = "model.json"
-
 #: The config sections the training artifacts depend on.
 TRAINED_SECTIONS = ("preprocess", "point_model", "sequence_model")
 
@@ -186,10 +180,9 @@ def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
 
 def cmd_synth(cfg: PipelineConfig) -> int:
     """Write the synthetic train and test splits; the manifest records the spec."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
     spec = cfg.synth.spec()
     result = gen_trig(spec)
-    files = [os.path.join(cfg.output_dir, name) for name in ("train.csv", "test.csv")]
+    files = [os.path.join(cfg.output.dir, name) for name in ("train.csv", "test.csv")]
     save_csv(result.train, files[0])
     save_csv(result.test, files[1])
     write_manifest(cfg, "synth", {"spec": dataclasses.asdict(spec),
@@ -199,12 +192,8 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 def cmd_train(cfg: PipelineConfig) -> int:
     """Fit both models on the training split and save them to ``model.json``."""
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    train_raw = _load_split(cfg, "train")
-    train_prep, stats = preprocess_split(cfg, train_raw)
-    models = fit_models(cfg, train_prep)
-    models.stats = stats
-    model_path = os.path.join(cfg.output_dir, MODEL_FILE)
+    models = fit_models(cfg, _load_split(cfg, "train"))
+    model_path = os.path.join(cfg.output.dir, MODEL_FILE)
     save_model(models, model_path)
     losses = models.point.epoch_losses or [None]
     print(f"point model: first epoch loss {losses[0]}, final epoch loss {losses[-1]}")
@@ -227,17 +216,12 @@ def cmd_score(cfg: PipelineConfig) -> int:
     """Score the test split and write the aligned score CSVs.
 
     :func:`_check_manifest` first shows that ``train`` ran with this config's
-    trained sections and that its files are unchanged, and the test split
-    must have the training split's channels, in its order.
+    trained sections and that its files are unchanged, and :func:`score_split`
+    refuses a test split without the training split's channels, in its order.
     """
     train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS)
-    models = load_model(os.path.join(cfg.output_dir, MODEL_FILE))
-    test_raw = _load_split(cfg, "test")
-    if models.channel_names is not None and test_raw.channel_names != models.channel_names:
-        raise DataError(f"{cfg.data.test}: channels {list(test_raw.channel_names)} are not the "
-                        f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
-    test_prep, _ = preprocess_split(cfg, test_raw, models.stats)
-    bundle = score_split(cfg, models, test_prep)
+    models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
+    bundle = score_split(cfg, models, _load_split(cfg, "test"))
 
     # Every series shares the valid range, so the time_index column is formatted once.
     index = time_index(len(bundle.induced), bundle.induced.time_origin)
@@ -248,11 +232,11 @@ def cmd_score(cfg: PipelineConfig) -> int:
         ("nominality", bundle.nominality),
         ("induced", bundle.induced),
     ):
-        path = os.path.join(cfg.output_dir, f"{name}.csv")
+        path = os.path.join(cfg.output.dir, f"{name}.csv")
         write_score_csv(series, path, index)
         outputs.append(path)
     if bundle.labels is not None:
-        labels_path = os.path.join(cfg.output_dir, "labels.csv")
+        labels_path = os.path.join(cfg.output.dir, "labels.csv")
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path, index)
         outputs.append(labels_path)
     digests = {**train_digests, **_digests(cfg, "test", outputs)}
@@ -271,8 +255,8 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
            if path is None]
     if own:
         _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *own])
-    scores_path = scores_path or os.path.join(cfg.output_dir, "induced.csv")
-    labels_path = labels_path or os.path.join(cfg.output_dir, "labels.csv")
+    scores_path = scores_path or os.path.join(cfg.output.dir, "induced.csv")
+    labels_path = labels_path or os.path.join(cfg.output.dir, "labels.csv")
     for path in (scores_path, labels_path):
         if not os.path.exists(path):
             raise DataError(f"missing input: {path}")
@@ -288,9 +272,9 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         point_adjusted=cfg.eval.point_adjust,
         spike_interval=cfg.eval.spike_interval,
     )
-    report_path = os.path.join(cfg.output_dir, "eval_report.json")
+    report_path = os.path.join(cfg.output.dir, "eval_report.json")
     atomic_write(report_path, report.to_json() + "\n")
-    curve_path = os.path.join(cfg.output_dir, "curve.csv")
+    curve_path = os.path.join(cfg.output.dir, "curve.csv")
     write_csv(curve_path, ["threshold", "tp", "fp"],
               [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
@@ -307,7 +291,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, st
     ``manifest_<command>.json`` (else :class:`ConfigError`) and every recorded file must be
     unchanged (else :class:`DataError`); a ``data.<split>`` key names the config's split.
     """
-    path = os.path.join(cfg.output_dir, f"manifest_{command}.json")
+    path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
     if not os.path.exists(path):
         raise DataError(f"missing {path} (run '{command}' first)")
     current = cfg.to_dict()
@@ -328,7 +312,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, st
         if key in ("data.train", "data.test"):
             file = _split_path(cfg, key[len("data."):])
         else:
-            file = os.path.join(cfg.output_dir, key)
+            file = os.path.join(cfg.output.dir, key)
         if _sha256(file) != digest:
             raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
                             f"one in {path}); run '{command}' again")
@@ -344,9 +328,9 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     """
     digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"])
     labeled = "labels.csv" in digests  # score writes no labels for an unlabeled split
-    inputs = {name: os.path.join(cfg.output_dir, f"{name}.csv") for name in (
+    inputs = {name: os.path.join(cfg.output.dir, f"{name}.csv") for name in (
         "anomaly", "sequence_anomaly", "nominality", "labels")}
-    model_path = os.path.join(cfg.output_dir, MODEL_FILE)
+    model_path = os.path.join(cfg.output.dir, MODEL_FILE)
     train_nominality = load_model(model_path).train_nominality
     bundle = ScoreBundle(
         anomaly=read_score_csv(inputs["anomaly"]),
@@ -358,11 +342,11 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     )
     table = sweep_table(cfg, bundle)
 
-    json_path = os.path.join(cfg.output_dir, "sweep.json")
+    json_path = os.path.join(cfg.output.dir, "sweep.json")
     write_json(table, json_path)
     write_manifest(
         cfg, "sweep",
-        {"inputs": [os.path.join(cfg.output_dir, "manifest_score.json"), model_path,
+        {"inputs": [os.path.join(cfg.output.dir, "manifest_score.json"), model_path,
                     *inputs.values()],
          "outputs": [json_path]},
     )
@@ -384,16 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="YAML config file")
-        cmd.add_argument("--d", type=int, help="override the induction length")
-        cmd.add_argument("--gate", choices=("soft", "hard"), help="override the gate kind")
-        cmd.add_argument(
-            "--theta-percentile", type=float, help="override the threshold percentile"
-        )
-        cmd.add_argument("--seed", type=int, help="override model and synth seeds")
-        cmd.add_argument("--out", help="override the output directory")
         if name == "eval":
-            cmd.add_argument("--scores", help="score CSV (default: <out>/induced.csv)")
-            cmd.add_argument("--labels", help="label CSV (default: <out>/labels.csv)")
+            cmd.add_argument("--scores", help="score CSV (default: <output.dir>/induced.csv)")
+            cmd.add_argument("--labels", help="label CSV (default: <output.dir>/labels.csv)")
     return parser
 
 
@@ -401,15 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()
-        cfg = apply_overrides(
-            cfg,
-            d=args.d,
-            gate_kind=args.gate,
-            theta_percentile=args.theta_percentile,
-            seed=args.seed,
-            out_dir=args.out,
-        )
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        os.makedirs(cfg.output.dir, exist_ok=True)
         if args.command == "synth":
             return cmd_synth(cfg)
         if args.command == "train":

@@ -4,8 +4,10 @@ A run is described by one YAML file with nested sections (data, preprocess,
 point_model, sequence_model, gate, eval, sweep, synth, output).  Every field
 has a default, so a minimal config only names its input files.  Each section
 is a frozen dataclass that checks its own fields when it is built, so a YAML
-file, a CLI override (``dataclasses.replace``) and a library call are held to
-the same rules.  ``point_model`` is :class:`PointHyperparams` and ``gate`` is
+file, ``dataclasses.replace`` and a library call are held to the same rules.
+:meth:`PipelineConfig.to_dict` gives back the nested dicts that
+:func:`config_from_dict` reads, so a recorded config loads as a config.
+``point_model`` is :class:`PointHyperparams` and ``gate`` is
 :class:`GateConfig`, the classes the library functions take.  Unknown keys
 are rejected.
 """
@@ -258,6 +260,17 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
+class OutputConfig:
+    """The ``output`` section: the directory every command writes to and reads from."""
+
+    dir: str = "out"
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.dir, str) and self.dir):
+            raise ConfigError(f"output.dir must be a non-empty string, got {self.dir!r}")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     data: DataConfig = field(default_factory=DataConfig)
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
@@ -267,11 +280,7 @@ class PipelineConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
-    output_dir: str = "out"
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.output_dir, str) and self.output_dir):
-            raise ConfigError(f"output.dir must be a non-empty string, got {self.output_dir!r}")
+    output: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self) -> dict:
         doc = asdict(self)
@@ -287,7 +296,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
     raw = dict(raw or {})
     defaults = PipelineConfig()
     sections = {}
-    for name in (f.name for f in fields(PipelineConfig) if f.name != "output_dir"):
+    for name in (f.name for f in fields(PipelineConfig)):
         block = raw.pop(name, None)
         if block is None:
             block = {}
@@ -298,15 +307,9 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
         sections[name] = replace(base, **block)
-    output = raw.pop("output", {}) or {}
-    if not isinstance(output, dict):
-        raise ConfigError("section 'output' must be a mapping")
-    extra_out = set(output) - {"dir"}
-    if extra_out:
-        raise ConfigError(f"unknown key(s) {sorted(extra_out)} in section 'output'")
     if raw:
         raise ConfigError(f"unknown top-level section(s): {sorted(raw)}")
-    return PipelineConfig(output_dir=output.get("dir", "out"), **sections)
+    return PipelineConfig(**sections)
 
 
 #: libyaml's parser where PyYAML was built with it; both give the same documents.
@@ -353,27 +356,3 @@ def load_config(path: str) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return config_from_dict(raw)
-
-
-def apply_overrides(
-    cfg: PipelineConfig,
-    d: int | None = None,
-    gate_kind: str | None = None,
-    theta_percentile: float | None = None,
-    seed: int | None = None,
-    out_dir: str | None = None,
-) -> PipelineConfig:
-    """Apply per-command CLI flag overrides to a parsed config.
-
-    ``replace`` rebuilds each changed section, which checks it again.
-    """
-    gate = {key: value for key, value in
-            (("d", d), ("kind", gate_kind), ("theta_percentile", theta_percentile))
-            if value is not None}
-    if theta_percentile is not None:
-        gate["theta_n"] = None
-    out = replace(cfg, gate=replace(cfg.gate, **gate))
-    if seed is not None:
-        out = replace(out, point_model=replace(out.point_model, seed=seed),
-                      synth=replace(out.synth, seed=seed))
-    return out if out_dir is None else replace(out, output_dir=out_dir)

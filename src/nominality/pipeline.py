@@ -8,7 +8,9 @@ training nominality distribution, and produce the induced score plus an
 evaluation report.  Labels are trimmed with the pair's ``valid_range``, so
 callers never align offsets by hand.
 
-:func:`score_split` is the only code that computes the scores of a split.
+:func:`fit_models` builds the whole detector, min-max statistics included,
+from the raw training split.  :func:`score_split` preprocesses a raw split
+with those statistics and is the only code that computes the scores of a split.
 :func:`sweep_table` takes them as a :class:`ScoreBundle`, either the one
 ``score_split`` returns or one read back from the score CSVs, and only
 evaluates them.
@@ -24,6 +26,7 @@ from .config import PipelineConfig
 from .errors import DataError, ShapeError
 from .evaluation import best_f1
 from .reconstructors import (
+    MODEL_FILE,
     ReconstructionPair,
     TrainedModels,
     make_pair,
@@ -43,7 +46,6 @@ from .scoring import (
 )
 from .series import (
     LabeledSeries,
-    MinMaxStats,
     ScoreSeries,
     downsample,
     minmax_apply,
@@ -63,29 +65,17 @@ class ScoreBundle:
     theta: float
 
 
-def preprocess_split(
-    cfg: PipelineConfig,
-    series: LabeledSeries,
-    stats: MinMaxStats | None = None,
-) -> tuple[LabeledSeries, MinMaxStats | None]:
-    """Downsample, then normalize with (or fit) min-max statistics.
+def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
+    """Build the whole detector from the raw training split.
 
-    Pass ``stats=None`` for the training split (statistics are fitted and
-    returned) and the fitted statistics for the test split.
+    Downsamples the split, fits the min-max statistics (none with
+    ``normalization: none``) and applies them, trains both reconstructors
+    and records the training nominality scores.
     """
-    out = downsample(series, cfg.preprocess.downsample)
-    if cfg.preprocess.normalization == "none":
-        return out, stats
-    if stats is None:
-        stats = minmax_fit(out)
-    return minmax_apply(out, stats), stats
-
-
-def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
-    """Train both reconstructors and record the training nominality scores.
-
-    The statistics are left None: :func:`preprocess_split` fits them.
-    """
+    train = downsample(train_raw, cfg.preprocess.downsample)
+    stats = minmax_fit(train) if cfg.preprocess.normalization == "minmax" else None
+    if stats is not None:
+        train = minmax_apply(train, stats)
     point = train_point_model(train, cfg.point_model)
     seq = train_sequence_model(
         train,
@@ -96,19 +86,31 @@ def fit_models(cfg: PipelineConfig, train: LabeledSeries) -> TrainedModels:
     )
     pair = make_pair(train.values, reconstruct_points(point, train),
                      reconstruct_sequence(seq, train), seq.gamma)
-    return TrainedModels(point, seq, None, nominality_score(pair), train.channel_names)
+    return TrainedModels(point, seq, stats, nominality_score(pair), train.channel_names)
 
 
 def score_split(
-    cfg: PipelineConfig, models: TrainedModels, test: LabeledSeries
+    cfg: PipelineConfig, models: TrainedModels, test_raw: LabeledSeries
 ) -> ScoreBundle:
-    """Reconstruct a split both ways and compute all scores on it.
+    """Reconstruct a raw split both ways and compute all scores on it.
+
+    The split is first downsampled, then normalized with ``models.stats``
+    unless they are None, as the training split was.
 
     Raises:
-        DataError: a test value is so large that a score overflows; the
-            message names the data row of the first time point whose scores
-            are not finite (the first row of its block when downsampling).
+        DataError: the split's channels are not the training split's, by name
+            and in order; or a test value is so large that a score
+            overflows, and the message names the data row of the first time
+            point whose scores are not finite (the first row of its block
+            when downsampling).
     """
+    if models.channel_names is not None and test_raw.channel_names != models.channel_names:
+        raise DataError(f"{cfg.data.test or 'test split'}: channels "
+                        f"{list(test_raw.channel_names)} are not the training split's "
+                        f"{list(models.channel_names)} (from {MODEL_FILE})")
+    test = downsample(test_raw, cfg.preprocess.downsample)
+    if models.stats is not None:
+        test = minmax_apply(test, models.stats)
     # A huge but finite value can overflow a squared distance; the scores
     # are checked for that here rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,6 +34,8 @@ from .errors import ConfigError, DataError, ShapeError, SingularSystem, Training
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
 MODEL_FORMAT = "nominality-model-v2"
+#: The file ``train`` writes the detector to, and ``score`` and ``sweep`` read.
+MODEL_FILE = "model.json"
 # Design rows per fancy-index copy in SequenceModel._design_rows, and per
 # gather-and-multiply chunk in SequenceModel.predict_blocks.
 _GATHER_ROWS = 256

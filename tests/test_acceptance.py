@@ -29,7 +29,7 @@ from nominality import (
 from nominality.cli import main
 from nominality.config import config_from_dict
 from nominality.evaluation import best_f1_bruteforce, pa_best_f1_bruteforce
-from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
+from nominality.pipeline import fit_models, score_split, sweep_table
 from nominality.scoring import induced_anomaly_score_naive
 from point_fit_reference import _init_point_model
 from toy_law import (
@@ -297,10 +297,8 @@ def test_criterion_9_end_to_end_gating_improvement():
         raw["point_model"] = dict(base["point_model"], seed=seed)
         cfg = config_from_dict(raw)
         data = gen_trig(trig_preset(seed))
-        train, stats = preprocess_split(cfg, data.train)
-        test, _ = preprocess_split(cfg, data.test, stats)
-        models = fit_models(cfg, train)
-        table = sweep_table(cfg, score_split(cfg, models, test))
+        models = fit_models(cfg, data.train)
+        table = sweep_table(cfg, score_split(cfg, models, data.test))
         soft = table["rows"]["soft_theta_pct"]
         best = int(np.argmax(soft["best_f1"]))
         point_f1.append(table["rows"]["point"]["best_f1"][0])

@@ -1,4 +1,4 @@
-"""Config parsing, defaults, and overrides."""
+"""Config parsing and defaults."""
 
 import os
 
@@ -8,7 +8,6 @@ import yaml
 from nominality import config
 from nominality.config import (
     PipelineConfig,
-    apply_overrides,
     config_from_dict,
     load_config,
 )
@@ -24,6 +23,8 @@ class TestDefaults:
         assert cfg.gate.theta_percentile == 98.5
         assert cfg.gate.kind == "soft"
         assert cfg.sweep.d_values == (1, 2, 4, 8, 16, 32, 64, 128, 256)
+        assert cfg.output.dir == "out"
+        assert config_from_dict(cfg.to_dict()) == cfg == PipelineConfig()
 
 
 class TestParsing:
@@ -31,15 +32,19 @@ class TestParsing:
         path = tmp_path / "run.yaml"
         path.write_text(
             "data:\n  train: tr.csv\n  test: te.csv\n"
-            "point_model:\n  d_lat: 4\n  epochs: 25\n"
+            "point_model:\n  d_lat: 4\n  epochs: 25\n  seed: 11\n"
             "gate:\n  kind: hard\n  theta_percentile: 99.85\n  d: 32\n"
+            "synth:\n  seed: 11\n"
             "output:\n  dir: results\n"
         )
         cfg = load_config(str(path))
         assert cfg.data.train == "tr.csv"
         assert cfg.point_model.d_lat == 4
         assert cfg.gate.kind == "hard" and cfg.gate.d == 32
-        assert cfg.output_dir == "results"
+        assert cfg.gate.theta_percentile == 99.85
+        assert cfg.point_model.seed == 11 and cfg.synth.seed == 11
+        assert cfg.output.dir == "results"
+        assert config_from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -83,23 +88,6 @@ class TestParsing:
             config_from_dict({"preprocess": {"normalization": "zscore"}})
         with pytest.raises(ConfigError):
             config_from_dict({"eval": {"spike_interval": 0}})
-
-
-class TestOverrides:
-    def test_flags_change_sections(self):
-        cfg = apply_overrides(
-            PipelineConfig(), d=64, gate_kind="hard", theta_percentile=99.85,
-            seed=11, out_dir="elsewhere",
-        )
-        assert cfg.gate.d == 64 and cfg.gate.kind == "hard"
-        assert cfg.gate.theta_percentile == 99.85
-        assert cfg.point_model.seed == 11 and cfg.synth.seed == 11
-        assert cfg.output_dir == "elsewhere"
-
-    def test_percentile_override_clears_explicit_theta(self):
-        base = config_from_dict({"gate": {"theta_n": 2.0, "theta_percentile": None}})
-        cfg = apply_overrides(base, theta_percentile=95.0)
-        assert cfg.gate.theta_n is None and cfg.gate.theta_percentile == 95.0
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

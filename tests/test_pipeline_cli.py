@@ -25,13 +25,12 @@ from nominality.config import (
 )
 from nominality.errors import DataError
 from nominality.evaluation import _f1_from_counts, best_f1, confusion, evaluate
-from nominality.pipeline import fit_models, preprocess_split, score_split, sweep_table
+from nominality.pipeline import fit_models, score_split, sweep_table
 from nominality.reconstructors import (
     _decode_array,
     _encode_array,
     load_model,
     save_model,
-    train_point_model,
 )
 from nominality.scoring import smoothed_score, theta_from_percentile
 from nominality.series import format_rows, load_csv
@@ -188,6 +187,20 @@ def write_config(tmp_path, out_name="run"):
     return str(path), str(out)
 
 
+def second_config(config_path, old, new):
+    """A second config file: ``config_path``'s text with ``old`` replaced by ``new`` once."""
+    text = open(config_path).read()
+    assert old in text
+    path = "_second".join(os.path.splitext(config_path))
+    open(path, "w").write(text.replace(old, new, 1))
+    return path
+
+
+# SMALL_CONFIG's gate.d and point_model.seed, as second_config edits
+GATE_D_1 = ("  d: 8\n", "  d: 1\n")
+POINT_SEED_1 = ("  seed: 0\nsequence_model:", "  seed: 1\nsequence_model:")
+
+
 def run_all(config_path):
     for command in ("synth", "train", "score", "eval", "sweep"):
         assert main([command, "--config", config_path]) == 0
@@ -314,9 +327,7 @@ class TestEndToEnd:
         cfg = load_config(config_path)
         train = load_csv(os.path.join(out, "train.csv"), label_column="label")
         test = load_csv(os.path.join(out, "test.csv"), label_column="label")
-        train_prep, stats = preprocess_split(cfg, train)
-        test_prep, _ = preprocess_split(cfg, test, stats)
-        bundle = score_split(cfg, fit_models(cfg, train_prep), test_prep)
+        bundle = score_split(cfg, fit_models(cfg, train), test)
         report = evaluate(bundle.induced, bundle.labels, point_adjusted=cfg.eval.point_adjust,
                           spike_interval=cfg.eval.spike_interval)
         on_disk = json.load(open(os.path.join(out, "eval_report.json")))
@@ -352,6 +363,42 @@ class TestEndToEnd:
             assert table["rows"]["hard_theta_inf"]["auc"][i] == report.auc
 
 
+class TestOneConfig:
+    """The config file is the only source of settings, and every manifest records it as one."""
+
+    def test_manifest_configs_load_as_the_run_config(self, rundir):
+        config_path, out = rundir
+        cfg = load_config(config_path)
+        for command in ("synth", "train", "score", "eval", "sweep"):
+            doc = json.load(open(os.path.join(out, f"manifest_{command}.json")))
+            assert config_from_dict(doc["config"]) == cfg, command
+
+    def test_score_manifest_config_replays_score(self, tmp_path):
+        """manifest_score.json's config, written out as YAML, rewrites induced.csv byte for byte."""
+        config_path, out = write_config(tmp_path)
+        for command in ("synth", "train", "score"):
+            assert main([command, "--config", config_path]) == 0
+        induced = os.path.join(out, "induced.csv")
+        first = open(induced, "rb").read()
+        os.remove(induced)
+        replay = tmp_path / "replay.yaml"
+        replay.write_text(yaml.safe_dump(
+            json.load(open(os.path.join(out, "manifest_score.json")))["config"]))
+        assert main(["score", "--config", str(replay)]) == 0
+        assert open(induced, "rb").read() == first
+
+    @pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--d", "1"), ("--gate", "hard"),
+                                             ("--theta-percentile", "99"), ("--seed", "1"),
+                                             ("--out", "elsewhere")])
+    def test_removed_flag_exit_2(self, tmp_path, capsys, command, flag, value):
+        config_path, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", config_path, flag, value])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
         config_a, out_a = write_config(tmp_path, "a")
@@ -371,7 +418,8 @@ class TestCliBehavior:
         config_path, out = write_config(tmp_path)
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
-        assert main(["score", "--config", config_path, "--d", "0"]) == 0
+        d_zero = second_config(config_path, "  d: 8\n", "  d: 0\n")
+        assert main(["score", "--config", d_zero]) == 0
         anomaly = open(os.path.join(out, "anomaly.csv")).read()
         induced = open(os.path.join(out, "induced.csv")).read()
         assert anomaly == induced
@@ -389,7 +437,8 @@ class TestCliBehavior:
             argv = ["train", "--config", config_path]
         else:
             (tmp_path / "taken").write_text("")
-            argv = ["synth", "--config", config_path, "--out", str(tmp_path / "taken")]
+            argv = ["synth", "--config",
+                    second_config(config_path, f"  dir: {out}\n", f"  dir: {tmp_path}/taken\n")]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
@@ -439,6 +488,7 @@ class TestCliBehavior:
             ("sequence_model:\n  gamma: 2.0\n", "sequence_model.gamma"),
             ("sequence_model:\n  delta: 0\n", "sequence_model.delta"),
             ("gate:\n  theta_percentile: 101\n", "gate.theta_percentile"),
+            ("gate:\n  theta_percentile: 0\n", "gate.theta_percentile"),
             ("gate:\n  theta_n: .nan\n  theta_percentile: null\n", "gate.theta_n"),
             ("gate:\n  theta_n: yes\n  theta_percentile: null\n", "gate.theta_n"),
             ("data:\n  train: [a]\n", "data.train"),
@@ -458,6 +508,7 @@ class TestCliBehavior:
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
+             "percentile-zero",
              "theta-nan", "theta-bool", "train-list", "train-mapping", "train-int", "test-float",
              "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list", "train-empty",
              "test-empty", "label-column-empty", "out-dir-empty"]
@@ -553,39 +604,21 @@ class TestCliBehavior:
 
     @pytest.mark.parametrize("command", ["score", "sweep"])
     @pytest.mark.parametrize(
-        "edit, flags, section",
+        "edit, section",
         [
-            (("gamma: 5", "gamma: 6"), [], "sequence_model"),
-            (("downsample: 1", "downsample: 2"), [], "preprocess"),
-            (("d_lat: 2", "d_lat: 3"), [], "point_model"),
-            (None, ["--seed", "1"], "point_model"),
+            (("gamma: 5", "gamma: 6"), "sequence_model"),
+            (("downsample: 1", "downsample: 2"), "preprocess"),
+            (("d_lat: 2", "d_lat: 3"), "point_model"),
+            (POINT_SEED_1, "point_model"),
         ],
-        ids=["gamma", "downsample", "d-lat", "seed-flag"],
+        ids=["gamma", "downsample", "d-lat", "seed"],
     )
-    def test_stale_artifacts_exit_2(self, rundir, tmp_path, capsys, command, edit, flags,
-                                    section):
+    def test_stale_artifacts_exit_2(self, rundir, tmp_path, capsys, command, edit, section):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        if edit is not None:
-            text = open(config_path).read()
-            assert edit[0] in text
-            open(config_path, "w").write(text.replace(edit[0], edit[1]))
-        assert main([command, "--config", config_path, *flags]) == 2
+        assert main([command, "--config", second_config(config_path, *edit)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: the {section} ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "flags, knob", [(["--d", "-1"], "gate.d"),
-                        (["--theta-percentile", "0"], "gate.theta_percentile"),
-                        (["--out", ""], "output.dir")],
-        ids=["d-negative", "percentile-zero", "out-empty"],
-    )
-    def test_bad_override_exit_2(self, tmp_path, capsys, flags, knob):
-        config_path, _ = write_config(tmp_path)
-        assert main(["score", "--config", config_path, *flags]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {knob} ")
         assert "Traceback" not in err
 
     def test_degenerate_labels_exit_3(self, tmp_path):
@@ -699,11 +732,10 @@ def _rewrite(path, damage):
 def _other_point_model(config_path, out, tmp_path):
     """model.json with the point model of a run on the test split, with the same hyperparameters."""
     cfg = load_config(config_path)
-    other, _ = preprocess_split(cfg, load_csv(cfg.data.test, label_column="label"))
     path = os.path.join(out, "model.json")
     before = open(path, "rb").read()
     models = load_model(path)
-    models.point = train_point_model(other, cfg.point_model)
+    models.point = fit_models(cfg, load_csv(cfg.data.test, label_column="label")).point
     save_model(models, path)
     assert open(path, "rb").read() != before
     return path
@@ -820,12 +852,13 @@ class TestSweepFromScores:
     def test_theta_percentile_override(self, rundir, tmp_path):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        assert main(["sweep", "--config", config_path, "--theta-percentile", "99"]) == 0
+        second = second_config(config_path, "theta_percentile: 98.5", "theta_percentile: 99")
+        assert main(["sweep", "--config", second]) == 0
         theta = json.load(open(os.path.join(out, "sweep.json")))["theta"]
         train_nominality = load_model(os.path.join(out, "model.json")).train_nominality
         assert theta == theta_from_percentile(train_nominality, 99)
         assert theta != json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"]
-        assert main(["score", "--config", config_path, "--theta-percentile", "99"]) == 0
+        assert main(["score", "--config", second]) == 0
         assert json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"] == theta
 
     def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
@@ -838,9 +871,8 @@ class TestSweepFromScores:
                                .replace("dir: out", f"dir: {tmp_path}"))
         run_all(str(config_path))
         cfg = load_config(str(config_path))
-        models = load_model(os.path.join(cfg.output_dir, "model.json"))
+        models = load_model(os.path.join(cfg.output.dir, "model.json"))
         test = load_csv(cfg.data.test, label_column=cfg.data.label_column)
-        test, _ = preprocess_split(cfg, test, models.stats)
         expected = sweep_table(cfg, score_split(cfg, models, test))
         assert json.load(open(tmp_path / "sweep.json")) == expected
 
@@ -851,7 +883,7 @@ class TestEvalFromScores:
     def test_d_override_exit_2(self, rundir, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        assert main(["eval", "--config", config_path, "--d", "1"]) == 2
+        assert main(["eval", "--config", second_config(config_path, *GATE_D_1)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: the gate section ")
         assert err.rstrip().endswith("run 'score' again")
@@ -859,9 +891,10 @@ class TestEvalFromScores:
     def test_retrained_exit_2_then_3(self, rundir, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        assert main(["train", "--config", config_path, "--seed", "1"]) == 0
+        second = second_config(config_path, *POINT_SEED_1)
+        assert main(["train", "--config", second]) == 0
         capsys.readouterr()
-        assert main(["eval", "--config", config_path, "--seed", "1"]) == 2
+        assert main(["eval", "--config", second]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("config error: the point_model ")
         assert main(["eval", "--config", config_path]) == 3
@@ -893,7 +926,7 @@ class TestEvalFromScores:
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         os.remove(os.path.join(out, "manifest_score.json"))
         anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
-        assert main(["eval", "--config", config_path, "--d", "1",
+        assert main(["eval", "--config", second_config(config_path, *GATE_D_1),
                      "--scores", anomaly, "--labels", labels]) == 0
         expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0],
                             point_adjusted=True)
@@ -905,11 +938,12 @@ def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys
     config_path, out = write_config(tmp_path)
     shutil.copytree(rundir[1], out, dirs_exist_ok=True)
     anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
-    assert main(["eval", "--config", config_path, "--d", "1", "--scores", anomaly]) == 0
+    gate_d_1 = second_config(config_path, *GATE_D_1)
+    assert main(["eval", "--config", gate_d_1, "--scores", anomaly]) == 0
     expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0], point_adjusted=True)
     assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
     capsys.readouterr()
-    assert main(["eval", "--config", config_path, "--d", "1", "--labels", labels]) == 2
+    assert main(["eval", "--config", gate_d_1, "--labels", labels]) == 2
     assert capsys.readouterr().err.startswith("config error: the gate section ")
     text = open(config_path).read().replace("data:\n", "data:\n  label_column: y\n", 1)
     open(config_path, "w").write(text)
@@ -1001,12 +1035,11 @@ def test_huge_test_value_names_its_row(downsample, row, named):
                             "preprocess": {"downsample": downsample},
                             "point_model": {"d_lat": 2, "epochs": 2},
                             "sequence_model": {"gamma": 5, "delta": 2}})
-    train, stats = preprocess_split(cfg, data.train)
+    models = fit_models(cfg, data.train)
     values = data.test.values.copy()
     values[row, 1] = 1e200
-    test, _ = preprocess_split(cfg, dataclasses.replace(data.test, values=values), stats)
     with pytest.raises(DataError, match=f"^test.csv: row {named}: "):
-        score_split(cfg, fit_models(cfg, train), test)
+        score_split(cfg, models, dataclasses.replace(data.test, values=values))
 
 
 def test_readme_library_example(capsys):
@@ -1035,8 +1068,7 @@ def test_readme_quickstart(tmp_path):
     raw = yaml.safe_load(block)
     defaults = PipelineConfig()
     for section, keys in raw.items():
-        if section != "output":
-            assert set(keys) <= {f.name for f in dataclasses.fields(getattr(defaults, section))}
+        assert set(keys) <= {f.name for f in dataclasses.fields(getattr(defaults, section))}
     config_path = tmp_path / "run.yaml"
     config_path.write_text(block)
     run_all(str(config_path))
