@@ -32,17 +32,14 @@ class TestParsing:
         path = tmp_path / "run.yaml"
         path.write_text(
             "data:\n  train: tr.csv\n  test: te.csv\n"
-            "point_model:\n  d_lat: 4\n  epochs: 25\n  seed: 11\n"
+            "point_model:\n  d_lat: 4\n  epochs: 25\n"
             "gate:\n  kind: hard\n  theta_percentile: 99.85\n  d: 32\n"
-            "synth:\n  seed: 11\n"
             "output:\n  dir: results\n"
         )
         cfg = load_config(str(path))
         assert cfg.data.train == "tr.csv"
         assert cfg.point_model.d_lat == 4
         assert cfg.gate.kind == "hard" and cfg.gate.d == 32
-        assert cfg.gate.theta_percentile == 99.85
-        assert cfg.point_model.seed == 11 and cfg.synth.seed == 11
         assert cfg.output.dir == "results"
         assert config_from_dict(cfg.to_dict()) == cfg
 
@@ -88,6 +85,25 @@ class TestParsing:
             config_from_dict({"preprocess": {"normalization": "zscore"}})
         with pytest.raises(ConfigError):
             config_from_dict({"eval": {"spike_interval": 0}})
+
+
+class TestOverrides:
+    def test_flags_change_sections(self, tmp_path):
+        """What the removed --d, --gate, --theta-percentile, --seed and --out
+        flags set is set by a second config's sections."""
+        path = tmp_path / "override.yaml"
+        path.write_text(
+            "gate:\n  d: 64\n  kind: hard\n  theta_percentile: 99.85\n"
+            "point_model:\n  seed: 11\n"
+            "synth:\n  seed: 11\n"
+            "output:\n  dir: elsewhere\n"
+        )
+        cfg = load_config(str(path))
+        assert cfg.gate.d == 64 and cfg.gate.kind == "hard"
+        assert cfg.gate.theta_percentile == 99.85
+        assert cfg.point_model.seed == 11 and cfg.synth.seed == 11
+        assert cfg.output.dir == "elsewhere"
+        assert config_from_dict(cfg.to_dict()) == cfg
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
