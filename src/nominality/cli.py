@@ -60,7 +60,6 @@ from .series import (
     LabeledSeries,
     ScoreSeries,
     atomic_write,
-    format_rows,
     load_csv,
     read_table,
     save_csv,
@@ -92,20 +91,12 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
     return path
 
 
-def time_index(length: int, time_origin: int) -> list[str]:
-    """The time_index column of a score or label CSV, formatted."""
-    return format_rows(np.arange(length) + time_origin)
-
-
-def write_score_csv(series: ScoreSeries, path: str, index: list[str] | None = None) -> None:
+def write_score_csv(series: ScoreSeries, path: str) -> None:
     """Two-column CSV (time_index, score) with the valid-range offset applied.
 
-    Scores are serialized with ``repr``, which round-trips float64 exactly.
-    ``index`` is the series' :func:`time_index`, passed by a caller that
-    writes several aligned series so it is formatted once.
+    Scores are written as ``repr`` writes them, which round-trips float64 exactly.
     """
-    if index is None:
-        index = time_index(len(series), series.time_origin)
+    index = np.arange(len(series)) + series.time_origin
     write_csv(path, ["time_index", "score"], [index, series.scores])
 
 
@@ -136,11 +127,9 @@ def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
         raise DataError(f"{path}: {exc}") from None
 
 
-def write_labels_csv(labels: np.ndarray, time_origin: int, path: str,
-                     index: list[str] | None = None) -> None:
-    """Two-column CSV (time_index, label); ``index`` as in :func:`write_score_csv`."""
-    if index is None:
-        index = time_index(labels.shape[0], time_origin)
+def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
+    """Two-column CSV (time_index, label), indexed as in :func:`write_score_csv`."""
+    index = np.arange(labels.shape[0]) + time_origin
     write_csv(path, ["time_index", "label"], [index, np.asarray(labels, dtype=np.int64)])
 
 
@@ -222,9 +211,6 @@ def cmd_score(cfg: PipelineConfig) -> int:
     train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS)
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
-
-    # Every series shares the valid range, so the time_index column is formatted once.
-    index = time_index(len(bundle.induced), bundle.induced.time_origin)
     outputs = []
     for name, series in (
         ("anomaly", bundle.anomaly),
@@ -233,11 +219,11 @@ def cmd_score(cfg: PipelineConfig) -> int:
         ("induced", bundle.induced),
     ):
         path = os.path.join(cfg.output.dir, f"{name}.csv")
-        write_score_csv(series, path, index)
+        write_score_csv(series, path)
         outputs.append(path)
     if bundle.labels is not None:
         labels_path = os.path.join(cfg.output.dir, "labels.csv")
-        write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path, index)
+        write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
         outputs.append(labels_path)
     digests = {**train_digests, **_digests(cfg, "test", outputs)}
     write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})
@@ -357,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nominality",
         description="Gated anomaly scoring for multivariate time series.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
@@ -366,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", "evaluate scores against labels"),
         ("sweep", "gate ablation across induction lengths"),
     ):
-        cmd = sub.add_parser(name, help=helptext)
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="YAML config file")
         if name == "eval":
             cmd.add_argument("--scores", help="score CSV (default: <output.dir>/induced.csv)")

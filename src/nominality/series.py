@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import numtext
 from .errors import DataError, EmptyInput, LabelError, ParseError, ShapeError
 
 SCORE_KINDS = ("anomaly", "nominality", "induced")
@@ -139,27 +141,36 @@ class MinMaxStats:
 # --- CSV codec -------------------------------------------------------------
 #
 # Every CSV the package reads or writes goes through the helpers below.
-# Floats are written as ``repr(float(v))``, the shortest text that reads back
-# as the same float64, rows end in ``\r\n`` and files are UTF-8 text.  Reading
-# parses the whole table in one ``np.loadtxt`` call.  A table it rejects (empty
-# or padded quoted cells) is cast again after trimming each cell, and only a
-# table that still fails is scanned cell by cell, to name the first bad row.
+# Floats are written exactly as ``repr(float(v))`` writes them, the shortest
+# text that reads back as the same float64; :mod:`nominality.numtext` formats
+# them, and integers, in vectorized blocks of about ``_GATHER_CELLS`` cells, with
+# ``repr`` as the fallback for the values its kernel leaves out and as its
+# oracle in the tests.  Rows end in ``\r\n`` and files are UTF-8 text; a file
+# is written block by block and never held whole.  Reading accepts a UTF-8
+# byte-order mark and parses the whole table in one ``np.loadtxt`` call.  A
+# table it rejects (empty or padded quoted cells) is cast again after
+# trimming each cell, and only a table that still fails is scanned cell by
+# cell, to name the first bad row.
 
 LINE_END = "\r\n"
+_GATHER_CELLS = 8192  # cells formatted at a time: rows of a block times columns
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step.
+def atomic_write(path: str, data) -> None:
+    """Replace ``path`` with ``data``, a string or an iterable of byte chunks, in one step.
 
-    The text goes to a fresh file in the same directory, which then replaces
+    The data goes to a fresh file in the same directory, which then replaces
     ``path`` with ``os.replace``; a write that fails partway leaves the
     previous file intact and removes the temporary one.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "xb") as fh:
+            if isinstance(data, str):
+                fh.write(data.encode("utf-8"))
+            else:
+                fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -179,31 +190,37 @@ def _quote(text: str) -> str:
     return text
 
 
+def _as_block(column) -> np.ndarray:
+    """A (T,) or (T, k) column as a (T, k) int64 or float64 array."""
+    arr = np.asarray(column)
+    arr = arr.astype(np.int64 if arr.dtype.kind in "biu" else np.float64, copy=False)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
+def _row_blocks(columns: list[np.ndarray]):
+    """The bytes of the rows of ``columns``, a block of rows at a time."""
+    rows = max(1, _GATHER_CELLS // sum(col.shape[1] for col in columns))
+    for lo in range(0, columns[0].shape[0], rows):
+        yield numtext.csv_rows([col[lo : lo + rows] for col in columns])
+
+
 def format_rows(block) -> list[str]:
     """Cell text of a (T,) or (T, k) array, one comma-joined string per row.
 
-    Integer arrays print as integers and all others as ``repr(float(v))``,
-    formatted in one pass through ``repr`` of the nested list.  A list of
-    strings is taken as already formatted and returned as it is.
+    Integer arrays print as integers and all others exactly as
+    ``repr(float(v))``, by the vectorized kernel of :mod:`nominality.numtext`
+    that :func:`write_csv` uses; the values it leaves out (zero, subnormals,
+    inf, nan and some with trailing zeros, such as 0.5) go to ``repr`` itself.
     """
-    if isinstance(block, list):
-        return block
-    arr = np.asarray(block)
-    if arr.shape[0] == 0:
-        return []
-    arr = arr.astype(np.int64 if arr.dtype.kind in "biu" else np.float64, copy=False)
-    text = repr(arr.tolist())
-    if arr.ndim == 1:
-        return text[1:-1].split(", ")
-    return text[2:-2].replace(", ", ",").split("],[")
+    text = b"".join(_row_blocks([_as_block(block)])).decode()
+    return text.split(LINE_END)[:-1]
 
 
 def write_csv(path: str, header, columns) -> None:
-    """Write a header row and the row-aligned ``columns`` (see :func:`format_rows`)."""
-    texts = [format_rows(col) for col in columns]
-    lines = [",".join(_quote(name) for name in header)]
-    lines.extend(map(",".join, zip(*texts)))
-    atomic_write(path, LINE_END.join(lines) + LINE_END)
+    """Write a header row and the row-aligned arrays ``columns`` (see :func:`format_rows`)."""
+    columns = [_as_block(col) for col in columns]
+    head = (",".join(_quote(name) for name in header) + LINE_END).encode()
+    atomic_write(path, itertools.chain([head], _row_blocks(columns)))
 
 
 def _cell_text(cell: str) -> str:
@@ -246,6 +263,9 @@ def _locate_error(
 def _read_lines(path: str) -> tuple[tuple[str, ...], list[str]]:
     """The header and the non-blank data lines of a CSV file.
 
+    A UTF-8 byte-order mark, which spreadsheets write, is dropped rather than
+    read as part of the first header name.
+
     Raises:
         EmptyInput: the file holds no header or no data rows.
         ParseError: the file is not UTF-8 text; the message names the line.
@@ -253,11 +273,11 @@ def _read_lines(path: str) -> tuple[tuple[str, ...], list[str]]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(
-            f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after any mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} "
+                         "is not UTF-8 text") from None
     lines = list(filter(None, text.splitlines()))
     if not lines:
         raise EmptyInput(f"{path}: file contains no rows")

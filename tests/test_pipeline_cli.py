@@ -398,6 +398,20 @@ class TestOneConfig:
         assert exc.value.code == 2
         assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--sc", "anomaly.csv"), ("--lab", "labels.csv"),
+                                             ("--conf", "run.yaml")])
+    def test_flag_prefix_exit_2(self, tmp_path, capsys, flag, value):
+        """A prefix of a flag is not taken for it: ``eval --sc anomaly.csv`` reads no file."""
+        config_path, out = write_config(tmp_path)
+        argv = ["eval", flag, value] if flag == "--conf" else ["eval", "--config", config_path,
+                                                                 flag, os.path.join(out, value)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: nominality ")
+        assert error == f"nominality: error: unrecognized arguments: {' '.join(argv[-2:])}"
+
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
@@ -785,6 +799,22 @@ class TestScoreFromTraining:
         assert capsys.readouterr().err == (
             f"data error: {path}: channels {channels} are not the training split's "
             f"['c0', 'c1', 'c2', 'c3'] (from model.json)\n")
+
+    def test_byte_order_mark_in_train_split(self, rundir, tmp_path):
+        """A training split saved with a UTF-8 byte-order mark (spreadsheets' "CSV UTF-8")
+        trains the same model, so ``score`` accepts the test split without one."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        train = os.path.join(out, "train.csv")
+        with open(train, "rb") as fh:
+            data = fh.read()
+        with open(train, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + data)
+        assert main(["train", "--config", config_path]) == 0
+        assert main(["score", "--config", config_path]) == 0
+        for name in ("model.json", "induced.csv"):
+            with open(os.path.join(rundir[1], name), "rb") as fh:
+                assert open(os.path.join(out, name), "rb").read() == fh.read(), name
 
     def test_score_before_train_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ class TestLoadCsv:
     def test_no_nan_after_ingestion(self, tmp_path):
         s = load_csv(write(tmp_path, "a,b\n,\n3,\n,4\n"))
         assert np.isfinite(s.values).all()
+
+    @pytest.mark.parametrize("header", ["label,a,b", "a,b,label"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        """A UTF-8 byte-order mark (spreadsheets' "CSV UTF-8") is not part of the first name."""
+        text = header + "\n0,2,0\n1,4,1\n"
+        plain = load_csv(write(tmp_path, text), label_column="label")
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        marked = load_csv(str(path), label_column="label")
+        assert marked.channel_names == plain.channel_names == ("a", "b")
+        assert marked.values.tolist() == plain.values.tolist()
+        assert marked.labels.tolist() == plain.labels.tolist()
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_not_utf8_names_its_line(self, tmp_path, mark):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(mark + b"a,b\n1,2\n3,\xe9\n")
+        with pytest.raises(ParseError, match=r"latin1.csv: line 3: byte 0xe9 is not UTF-8 text$"):
+            load_csv(str(path))
 
     def test_roundtrip_via_save(self, tmp_path):
         original = LabeledSeries(
@@ -236,10 +256,40 @@ class TestCsvCodec:
         with pytest.raises(ParseError, match="2 columns"):
             read_score_csv(write(tmp_path, "time_index,score,x\n2,1.0,3\n"))
 
-    def test_text_columns_written_as_given(self, tmp_path):
-        path = str(tmp_path / "t.csv")
-        write_csv(path, ["m", "v"], [["p", "q"], np.array([0.5, 2.0])])
-        assert open(path, newline="").read() == "m,v\r\np,0.5\r\nq,2.0\r\n"
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.zeros((0, 3)),
+            np.array([[-0.001, 1e16, 2.5e-7]]),
+            np.arange(-600.0, 600.0).reshape(-1, 3),  # integer-valued floats
+            np.array([0.0, -0.0, 0.5, 12.0, np.inf, -np.inf, np.nan, 5e-324, 2.0**60]
+                     * 2000).reshape(-1, 3),  # every value left to repr, over several blocks
+        ],
+        ids=["no-rows", "one-row", "integer-valued", "all-repr"],
+    )
+    def test_write_csv_bytes_match_csv_writer(self, tmp_path, values):
+        labels = np.arange(values.shape[0]) % 2
+        path = str(tmp_path / "w.csv")
+        write_csv(path, ["a", "b", "c", "label"], [values, labels])
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["a", "b", "c", "label"])
+        for row, label in zip(values.tolist(), labels.tolist()):
+            writer.writerow([repr(v) for v in row] + [label])
+        assert open(path, "rb").read() == expected.getvalue().encode()
+
+    def test_save_csv_memory_is_bounded(self, tmp_path):
+        """The text is formatted and written a block at a time, never held whole."""
+        rng = np.random.default_rng(4)
+        series = LabeledSeries(rng.standard_normal((30_000, 8)), labels=rng.integers(0, 2, 30_000))
+        save_csv(series, str(tmp_path / "warm.csv"))  # the kernel's tables, built once
+        tracemalloc.start()
+        try:
+            save_csv(series, str(tmp_path / "s.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.4e6
 
 
 class TestAtomicWrite:
