@@ -15,7 +15,8 @@ and anomaly rate, ``train``'s epoch losses and normal-equation residual,
 ``score``'s resolved gate threshold.  Each fact is written once, and nothing
 time- or host-dependent goes into any output file.
 
-``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`.
+``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`
+to ``data.train`` and ``data.test``, creating their directories.
 ``score`` refuses a test split whose channels are not the training split's.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
 test split again, and the training nominality for its threshold from
@@ -143,11 +144,12 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _split_path(cfg: PipelineConfig, which: str) -> str:
+def _split_path(cfg: PipelineConfig, which: str, exists: bool = True) -> str:
+    """``data.<which>``, the path of a split; the file must exist unless ``exists`` is false."""
     path = getattr(cfg.data, which)
     if path is None:
         raise ConfigError(f"config is missing data.{which}")
-    if not os.path.exists(path):
+    if exists and not os.path.exists(path):
         raise DataError(f"{which} file not found: {path}")
     return path
 
@@ -168,12 +170,13 @@ def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    """Write the synthetic train and test splits; the manifest records the spec."""
+    """Write the synthetic splits to ``data.train`` and ``data.test``; the manifest has the spec."""
+    files = [_split_path(cfg, which, exists=False) for which in ("train", "test")]
     spec = cfg.synth.spec()
     result = gen_trig(spec)
-    files = [os.path.join(cfg.output.dir, name) for name in ("train.csv", "test.csv")]
-    save_csv(result.train, files[0])
-    save_csv(result.test, files[1])
+    for path, split in zip(files, (result.train, result.test)):
+        os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+        save_csv(split, path)
     write_manifest(cfg, "synth", {"spec": dataclasses.asdict(spec),
                                   "anomaly_rate": result.anomaly_rate, "outputs": files})
     return EXIT_OK

@@ -3,8 +3,11 @@
 A run is described by one YAML file with nested sections (data, preprocess,
 point_model, sequence_model, gate, eval, sweep, synth, output).  Every field
 has a default, so a minimal config only names its input files.  Each section
-is a frozen dataclass that checks its own fields when it is built, so a YAML
-file, ``dataclasses.replace`` and a library call are held to the same rules.
+is a frozen dataclass whose fields declare their default and their rule
+together (:func:`_rule`), and one function, :func:`_check`, applies the rules
+when a section is built, so a YAML file, ``dataclasses.replace`` and a library
+call are held to the same rules.  The same function checks ``synth.options``
+against :class:`TrigSpec` and the hyperparameters that ``model.json`` records.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
 :func:`config_from_dict` reads, so a recorded config loads as a config.
 ``point_model`` is :class:`PointHyperparams` and ``gate`` is
@@ -14,6 +17,7 @@ are rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -28,82 +32,10 @@ SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 GATE_KINDS = ("soft", "hard")
 
 
-def _is_int(value) -> bool:
-    """An integer; ``True``/``False`` are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number other than NaN; ``True``/``False`` are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and value == value
-
-
-def _yaml_hint(value) -> str:
-    """YAML 1.1 reads a float without a dot, such as 1e-6, as a string."""
-    if isinstance(value, str):
-        try:
-            return f" (YAML reads {value} as a string; write {float(value)!r})"
-        except ValueError:
-            pass
-    return ""
-
-
-#: Integer knobs as (section, field, lowest allowed value, None allowed).
-INT_KNOBS = (
-    ("preprocess", "downsample", 1, False),
-    ("point_model", "d_lat", 1, False),
-    ("point_model", "batch_size", 1, False),
-    ("point_model", "epochs", 0, False),
-    ("point_model", "seed", 0, False),
-    ("sequence_model", "gamma", 1, False),
-    ("sequence_model", "delta", 1, False),
-    ("gate", "d", 0, False),
-    ("eval", "spike_interval", 1, True),
-    ("synth", "seed", 0, False),
-)
-
-#: Real knobs as (section, field, test of the value, wording, None allowed).
-REAL_KNOBS = (
-    ("point_model", "learn_rate", lambda v: 0 < v < math.inf, "a finite number > 0", False),
-    ("sequence_model", "ridge_lambda", lambda v: 0 <= v < math.inf, "a finite number >= 0", False),
-    ("gate", "theta_percentile", lambda v: 0 < v <= 100, "a number in (0, 100]", True),
-    ("gate", "theta_n", lambda v: v > 0, "a number > 0", True),
-)
-
-#: Text knobs as (section, field, allowed values).
-CHOICE_KNOBS = (
-    ("preprocess", "normalization", ("minmax", "none")),
-    ("point_model", "optimizer", ("sgd", "adam")),
-    ("gate", "kind", GATE_KINDS),
-    ("synth", "kind", ("trig",)),
-)
-
-
-def _check(obj, section: str) -> None:
-    """Raise :class:`ConfigError` for the first field of ``obj`` that breaks its knob rule."""
-    for s, name, low, optional in INT_KNOBS:
-        value = getattr(obj, name, None)
-        if s == section and not (value is None and optional or _is_int(value) and value >= low):
-            raise ConfigError(f"{section}.{name} must be an integer >= {low}, got {value!r}")
-    for s, name, test, wording, optional in REAL_KNOBS:
-        value = getattr(obj, name, None)
-        if s == section and not (value is None and optional or _is_real(value) and test(value)):
-            raise ConfigError(
-                f"{section}.{name} must be {wording}, got {value!r}{_yaml_hint(value)}"
-            )
-    for s, name, choices in CHOICE_KNOBS:
-        value = getattr(obj, name, None)
-        if s == section and value not in choices:
-            raise ConfigError(
-                f"{section}.{name} must be one of {', '.join(choices)}, got {value!r}"
-            )
-
-
 def _fits(value, hint) -> bool:
-    """Whether a YAML value fits a spec field's type hint; a list stands for a tuple.
+    """Whether a YAML value fits a field's type hint; a list stands for a tuple.
 
-    A ``float`` must be finite: no generator has a use for an infinite
-    amplitude, frequency or scale.
+    An ``int`` or ``float`` is not ``True``/``False``, and a ``float`` is not NaN.
     """
     args = get_args(hint)
     if get_origin(hint) is tuple:
@@ -114,9 +46,67 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(map(_fits, value, args))
     if args:  # a union such as ``tuple[float, ...] | None``
         return any(_fits(value, arg) for arg in args)
+    if hint in (int, float) and isinstance(value, bool):
+        return False
     if hint is float:
-        return _is_real(value) and math.isfinite(value)
-    return _is_int(value) if hint is int else isinstance(value, hint)
+        return isinstance(value, numbers.Real) and value == value
+    return isinstance(value, numbers.Integral if hint is int else hint)
+
+
+def _finite(value) -> bool:
+    """No float in ``value`` or its nested lists is infinite; a generator spec has no
+    use for an infinite amplitude, frequency or scale."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _yaml_hint(value, hint) -> str:
+    """YAML 1.1 reads a float without a dot, such as 1e-6, as a string."""
+    if isinstance(value, str) and float in (hint, *get_args(hint)):
+        try:
+            return f" (YAML reads {value} as a string; write {float(value)!r})"
+        except ValueError:
+            pass
+    return ""
+
+
+def _rule(wording: str, test=lambda value: True, **default):
+    """A dataclass field with its default and its rule, which :func:`_check` applies.
+
+    A value must fit the field's type hint and then pass ``test``, except a
+    ``None`` that the hint allows; ``wording`` says what the value must be.
+    """
+    return field(**default, metadata={"rule": (test, wording)})
+
+
+def _at_least(low: int, default: int | None):
+    return _rule(f"an integer >= {low}", lambda value: value >= low, default=default)
+
+
+def _one_of(choices: tuple[str, ...], default: str):
+    return _rule(f"one of {', '.join(choices)}", lambda value: value in choices, default=default)
+
+
+#: The type hints of a class's fields, resolved once per class.
+_hints = functools.cache(get_type_hints)
+
+
+def _check(where: str, cls, values: dict) -> None:
+    """Raise :class:`ConfigError` for the first of ``values`` that breaks its field's rule.
+
+    ``values`` maps field names of the dataclass ``cls`` to values; a field
+    without a rule (a :class:`TrigSpec` field) takes any finite value of its type.
+    """
+    hints = _hints(cls)
+    for f in fields(cls):
+        if f.name not in values:
+            continue
+        value, hint = values[f.name], hints[f.name]
+        test, wording = f.metadata.get("rule", (_finite, cls.__annotations__[f.name]))
+        if not (_fits(value, hint) and (value is None or test(value))):
+            raise ConfigError(
+                f"{where}.{f.name} must be {wording}, got {value!r}{_yaml_hint(value, hint)}")
 
 
 def _tupled(value):
@@ -126,50 +116,48 @@ def _tupled(value):
 
 @dataclass(frozen=True)
 class DataConfig:
-    train: str | None = None
-    test: str | None = None
-    label_column: str | None = "label"
+    train: str | None = _rule("a non-empty string or null", bool, default=None)
+    test: str | None = _rule("a non-empty string or null", bool, default=None)
+    label_column: str | None = _rule("a non-empty string or null", bool, default="label")
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value is None or isinstance(value, str) and value):
-                raise ConfigError(
-                    f"data.{f.name} must be a non-empty string or null, got {value!r}")
+        _check("data", DataConfig, vars(self))
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    downsample: int = 1
-    normalization: str = "minmax"  # or "none"
+    downsample: int = _at_least(1, 1)
+    normalization: str = _one_of(("minmax", "none"), "minmax")
 
     def __post_init__(self) -> None:
-        _check(self, "preprocess")
+        _check("preprocess", PreprocessConfig, vars(self))
 
 
 @dataclass(frozen=True)
 class PointHyperparams:
     """Training settings for the point autoencoder (the ``point_model`` section)."""
 
-    d_lat: int = 4
-    learn_rate: float = 1e-4
-    optimizer: str = "adam"
-    batch_size: int = 64
-    epochs: int = 25
-    seed: int = 0
+    d_lat: int = _at_least(1, 4)
+    learn_rate: float = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
+                              default=1e-4)
+    optimizer: str = _one_of(("sgd", "adam"), "adam")
+    batch_size: int = _at_least(1, 64)
+    epochs: int = _at_least(0, 25)
+    seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
-        _check(self, "point_model")
+        _check("point_model", PointHyperparams, vars(self))
 
 
 @dataclass(frozen=True)
 class SequenceModelConfig:
-    gamma: int = 25
-    delta: int = 6
-    ridge_lambda: float = 1e-6
+    gamma: int = _at_least(1, 25)
+    delta: int = _at_least(1, 6)
+    ridge_lambda: float = _rule("a finite number >= 0", lambda value: 0 <= value < math.inf,
+                                default=1e-6)
 
     def __post_init__(self) -> None:
-        _check(self, "sequence_model")
+        _check("sequence_model", SequenceModelConfig, vars(self))
 
 
 @dataclass(frozen=True)
@@ -182,38 +170,36 @@ class GateConfig:
     score the anomaly score itself.
     """
 
-    kind: str = "soft"
-    theta_n: float | None = None
-    theta_percentile: float | None = None
-    d: int = 0
+    kind: str = _one_of(GATE_KINDS, "soft")
+    theta_n: float | None = _rule("a number > 0", lambda value: value > 0, default=None)
+    theta_percentile: float | None = _rule("a number in (0, 100]",
+                                           lambda value: 0 < value <= 100, default=None)
+    d: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
-        _check(self, "gate")
+        _check("gate", GateConfig, vars(self))
         if (self.theta_n is None) == (self.theta_percentile is None):
             raise ConfigError("set exactly one of gate.theta_n and gate.theta_percentile")
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    point_adjust: bool = True
-    spike_interval: int | None = None
+    point_adjust: bool = _rule("true or false", default=True)
+    spike_interval: int | None = _at_least(1, None)
 
     def __post_init__(self) -> None:
-        _check(self, "eval")
+        _check("eval", EvalConfig, vars(self))
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    d_values: tuple[int, ...] = SWEEP_D_DEFAULT
+    d_values: tuple[int, ...] = _rule("a non-empty list of integers >= 0",
+                                      lambda value: len(value) > 0 and min(value) >= 0,
+                                      default=SWEEP_D_DEFAULT)
 
     def __post_init__(self) -> None:
-        d_values = self.d_values
-        if not (isinstance(d_values, (list, tuple)) and d_values
-                and all(_is_int(d) and d >= 0 for d in d_values)):
-            raise ConfigError(
-                f"sweep.d_values must be a non-empty list of integers >= 0, got {d_values!r}"
-            )
-        object.__setattr__(self, "d_values", tuple(d_values))
+        _check("sweep", SweepConfig, vars(self))
+        object.__setattr__(self, "d_values", tuple(self.d_values))
 
 
 @dataclass(frozen=True)
@@ -226,33 +212,25 @@ class SynthConfig:
     valid, and only ``synth`` needs it.
     """
 
-    kind: str = "trig"
-    seed: int = 0
-    options: dict = field(default_factory=dict)
+    kind: str = _one_of(("trig",), "trig")
+    seed: int = _at_least(0, 0)
+    options: dict = _rule("a mapping", default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check(self, "synth")
-        if not self._is_preset():
+        _check("synth", SynthConfig, vars(self))
+        if self.options:
             self.spec()
-
-    def _is_preset(self) -> bool:
-        return isinstance(self.options, dict) and not self.options
 
     def spec(self) -> TrigSpec:
         """The generator spec; a bad key, type or value raises :class:`ConfigError`."""
-        if self._is_preset():
+        if not self.options:
             return trig_preset(self.seed)
-        if not isinstance(self.options, dict):
-            raise ConfigError(f"synth.options must be a mapping, got {self.options!r}")
-        hints = {key: hint for key, hint in get_type_hints(TrigSpec).items() if key != "seed"}
-        for key, value in self.options.items():
-            if key not in hints:
+        keys = [f.name for f in fields(TrigSpec) if f.name != "seed"]
+        for key in self.options:
+            if key not in keys:
                 raise ConfigError(f"synth.options has unknown key {key!r}; "
-                                  f"expected one of {', '.join(hints)}")
-            if not _fits(value, hints[key]):
-                raise ConfigError(
-                    f"synth.options.{key} must be {TrigSpec.__annotations__[key]}, got {value!r}"
-                )
+                                  f"expected one of {', '.join(keys)}")
+        _check("synth.options", TrigSpec, self.options)
         try:
             return TrigSpec(seed=self.seed, **{key: _tupled(v) for key, v in self.options.items()})
         except (SpecError, TypeError) as exc:  # TypeError: a field without default is unset
@@ -263,11 +241,10 @@ class SynthConfig:
 class OutputConfig:
     """The ``output`` section: the directory every command writes to and reads from."""
 
-    dir: str = "out"
+    dir: str = _rule("a non-empty string", bool, default="out")
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dir, str) and self.dir):
-            raise ConfigError(f"output.dir must be a non-empty string, got {self.dir!r}")
+        _check("output", OutputConfig, vars(self))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import PointHyperparams
+from .config import PointHyperparams, SequenceModelConfig
 from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
@@ -525,12 +525,13 @@ def load_model(path: str) -> TrainedModels:
         if doc["format"] != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file")
         seq = doc["sequence"]
-        gamma, delta, dim = seq["gamma"], seq["delta"], seq["n_channels"]
+        seq_hp = SequenceModelConfig(seq["gamma"], seq["delta"], seq["ridge_lambda"])
+        gamma, delta, dim = seq_hp.gamma, seq_hp.delta, seq["n_channels"]
         hp = PointHyperparams(**doc["point"]["hyperparams"])
         point = PointModel(**_checked(path, doc["point"], enc_w=(dim, hp.d_lat), enc_b=(hp.d_lat,),
                                       dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
         weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
-        sequence = SequenceModel(gamma, delta, seq["ridge_lambda"], weights, dim)
+        sequence = SequenceModel(gamma, delta, seq_hp.ridge_lambda, weights, dim)
         stats = None
         if doc["minmax"] is not None:
             stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))

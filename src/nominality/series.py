@@ -2,8 +2,13 @@
 
 A series is a T x D matrix of float64 values (rows are time points, columns
 are channels) with an optional 0/1 label per row.  All containers are frozen
-and their arrays are marked read-only, so instances can be shared freely
-across threads; every operation here returns a new object.
+and hold read-only views of their arrays; every operation here returns a new
+object.  A container built from a contiguous array of its dtype shares that
+array's memory and leaves the array's flags alone, so it is only as immutable
+as that array: an edit of the array shows in the container, and the checks
+made at construction (finite values, 0/1 labels, nominality >= 0, mins <=
+maxs) no longer hold after such an edit.  Build from a copy to share an
+instance safely.
 
 A score series' ``time_origin`` is the index of its first score inside the
 un-trimmed source series, so scores and labels can be re-aligned after
@@ -28,7 +33,8 @@ SCORE_KINDS = ("anomaly", "nominality", "induced")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+    """A read-only contiguous view of ``arr``; ``arr`` itself keeps its flags."""
+    out = np.ascontiguousarray(arr).view()
     out.flags.writeable = False
     return out
 
@@ -204,20 +210,11 @@ def _row_blocks(columns: list[np.ndarray]):
         yield numtext.csv_rows([col[lo : lo + rows] for col in columns])
 
 
-def format_rows(block) -> list[str]:
-    """Cell text of a (T,) or (T, k) array, one comma-joined string per row.
-
-    Integer arrays print as integers and all others exactly as
-    ``repr(float(v))``, by the vectorized kernel of :mod:`nominality.numtext`
-    that :func:`write_csv` uses; the values it leaves out (zero, subnormals,
-    inf, nan and some with trailing zeros, such as 0.5) go to ``repr`` itself.
-    """
-    text = b"".join(_row_blocks([_as_block(block)])).decode()
-    return text.split(LINE_END)[:-1]
-
-
 def write_csv(path: str, header, columns) -> None:
-    """Write a header row and the row-aligned arrays ``columns`` (see :func:`format_rows`)."""
+    """Write a header row and the row-aligned (T,) or (T, k) arrays ``columns``.
+
+    Integer arrays print as integers and all others as ``repr(float(v))``.
+    """
     columns = [_as_block(col) for col in columns]
     head = (",".join(_quote(name) for name in header) + LINE_END).encode()
     atomic_write(path, itertools.chain([head], _row_blocks(columns)))

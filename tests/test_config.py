@@ -1,6 +1,8 @@
 """Config parsing and defaults."""
 
+import dataclasses
 import os
+import typing
 
 import pytest
 import yaml
@@ -85,6 +87,28 @@ class TestParsing:
             config_from_dict({"preprocess": {"normalization": "zscore"}})
         with pytest.raises(ConfigError):
             config_from_dict({"eval": {"spike_interval": 0}})
+
+    #: The lowest value of every integer key, written out here rather than read from
+    #: the fields' rules, so an off-by-one in a rule fails the suite.
+    INTEGER_LOWS = {
+        "preprocess.downsample": 1, "point_model.d_lat": 1, "point_model.batch_size": 1,
+        "point_model.epochs": 0, "point_model.seed": 0, "sequence_model.gamma": 1,
+        "sequence_model.delta": 1, "gate.d": 0, "eval.spike_interval": 1, "synth.seed": 0,
+    }
+
+    def test_integer_lower_bounds(self):
+        """Every integer key takes its lowest value and refuses the one below it."""
+        integers = {f"{section}.{f.name}"
+                    for section, cls in typing.get_type_hints(PipelineConfig).items()
+                    for f in dataclasses.fields(cls)
+                    if typing.get_type_hints(cls)[f.name] in (int, int | None)}
+        assert integers == set(self.INTEGER_LOWS)
+        for key, low in self.INTEGER_LOWS.items():
+            section, name = key.split(".")
+            assert getattr(getattr(config_from_dict({section: {name: low}}), section),
+                           name) == low
+            with pytest.raises(ConfigError, match=f"^{key} must be an integer >= {low}, "):
+                config_from_dict({section: {name: low - 1}})
 
 
 class TestOverrides:

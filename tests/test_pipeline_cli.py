@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -16,9 +17,6 @@ import yaml
 
 from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
-    CHOICE_KNOBS,
-    INT_KNOBS,
-    REAL_KNOBS,
     PipelineConfig,
     config_from_dict,
     load_config,
@@ -33,7 +31,7 @@ from nominality.reconstructors import (
     save_model,
 )
 from nominality.scoring import smoothed_score, theta_from_percentile
-from nominality.series import format_rows, load_csv
+from nominality.series import load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 from point_fit_reference import _init_point_model
 
@@ -78,26 +76,42 @@ output:
 """
 
 
-def _table_knob_cases():
-    """Every knob of the config's tables with each kind of bad value: (YAML, knob, id).
+def _field_knob_cases():
+    """Every number, word and flag field of the config's sections with each kind of
+    bad value: (YAML, knob, id).
 
-    Each knob gets a string, a bool, a list, NaN and a value out of its range
-    (one below the lowest integer, -1 for a real, an unlisted word for a
-    choice); a real whose test refuses infinity also gets ``.inf``.
+    Each field's rule is read from its metadata, so a field declared without one
+    fails here.  A number gets a string, a bool, a list, NaN and a value out of its
+    range (the first integer below its lowest, -1.0 for a real); a real whose rule
+    refuses infinity also gets ``.inf``.  A
+    word with a fixed set of values (its rule refuses ``abc``) gets those and its
+    default in capitals.  A flag gets a string, 0, null and a list.  The other fields
+    (paths, the sweep's list, ``synth.options``) have cases of their own.
     """
     wrong_type = {"string": "abc", "bool": "true", "list": "[1]", "nan": ".nan"}
-    knobs = [(section, name, {**wrong_type, "range": low - 1})
-             for section, name, low, _ in INT_KNOBS]
-    knobs += [(section, name, {**wrong_type, "range": -1.0,
-                               **({} if test(math.inf) else {"inf": ".inf"})})
-              for section, name, test, _, _ in REAL_KNOBS]
-    knobs += [(section, name, {**wrong_type, "range": choices[0].upper()})
-              for section, name, choices in CHOICE_KNOBS]
-    return [(f"{section}:\n  {name}: {value}\n", f"{section}.{name}", f"{section}.{name}-{kind}")
-            for section, name, values in knobs for kind, value in values.items()]
+    cases = []
+    for section, cls in typing.get_type_hints(PipelineConfig).items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            test, _ = f.metadata["rule"]
+            hint = hints[f.name]
+            if hint in (int, int | None, float, float | None):
+                low = (next(v for v in (1, 0, -1) if not test(v))
+                       if hint in (int, int | None) else -1.0)
+                values = {**wrong_type, "range": low,
+                          **({} if test(math.inf) else {"inf": ".inf"})}
+            elif hint is str and not test("abc"):
+                values = {**wrong_type, "range": f.default.upper()}
+            elif hint is bool:
+                values = {"string": '"no"', "zero": 0, "null": "null", "list": "[true]"}
+            else:
+                continue
+            cases += [(f"{section}:\n  {f.name}: {value}\n", f"{section}.{f.name}",
+                       f"{section}.{f.name}-{kind}") for kind, value in values.items()]
+    return cases
 
 
-TABLE_KNOB_CASES = _table_knob_cases()
+FIELD_KNOB_CASES = _field_knob_cases()
 
 
 def _edit_json(edit):
@@ -298,7 +312,7 @@ class TestEndToEnd:
         lines = open(os.path.join(out, "curve.csv"), newline="").read().split("\r\n")
         assert lines[0] == "threshold,tp,fp" and lines[-1] == ""
         counts = [f"{int(tp)},{int(fp)}" for tp, fp in curve[:, 1:]]  # integers, not 1.0
-        assert lines[1:-1] == [f"{t},{c}" for t, c in zip(format_rows(curve[:, 0]), counts)]
+        assert lines[1:-1] == [f"{t!r},{c}" for t, c in zip(curve[:, 0].tolist(), counts)]
 
     def test_curve_rebuilds_precision_recall_f1(self, rundir):
         """curve.csv and the report's counts give the precision, recall and F1 at every
@@ -517,7 +531,7 @@ class TestCliBehavior:
             ('data:\n  test: ""\n', "data.test"),
             ('data:\n  label_column: ""\n', "data.label_column"),
             ('output:\n  dir: ""\n', "output.dir"),
-        ] + [case[:2] for case in TABLE_KNOB_CASES],
+        ] + [case[:2] for case in FIELD_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
              "spike-string", "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
@@ -526,7 +540,7 @@ class TestCliBehavior:
              "theta-nan", "theta-bool", "train-list", "train-mapping", "train-int", "test-float",
              "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list", "train-empty",
              "test-empty", "label-column-empty", "out-dir-empty"]
-            + [case[2] for case in TABLE_KNOB_CASES],
+            + [case[2] for case in FIELD_KNOB_CASES],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
         path = tmp_path / "typed.yaml"
@@ -719,6 +733,29 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
         assert "Traceback" not in err
+
+    def test_synth_writes_the_data_paths(self, tmp_path):
+        """``synth`` writes its splits to ``data.train`` and ``data.test``, creating their
+        directory, and nothing to ``output.dir``, so ``train`` reads what it wrote."""
+        config_path, out = write_config(tmp_path)
+        data = tmp_path / "data"
+        text = open(config_path).read().replace(f"{out}/t", f"{data}/t")  # train.csv, test.csv
+        open(config_path, "w").write(text)
+        assert main(["synth", "--config", config_path]) == 0
+        assert sorted(os.listdir(data)) == ["test.csv", "train.csv"]
+        assert sorted(os.listdir(out)) == ["manifest_synth.json"]
+        assert json.load(open(os.path.join(out, "manifest_synth.json")))["outputs"] == [
+            f"{data}/train.csv", f"{data}/test.csv"]
+        assert main(["train", "--config", config_path]) == 0
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    def test_synth_without_data_path_exit_2(self, tmp_path, capsys, which):
+        config_path, out = write_config(tmp_path)
+        text = open(config_path).read().replace(f"  {which}: {out}/{which}.csv\n", "")
+        open(config_path, "w").write(text)
+        assert main(["synth", "--config", config_path]) == 2
+        assert capsys.readouterr().err == f"config error: config is missing data.{which}\n"
+        assert os.listdir(out) == []
 
     def test_synth_toy_and_sensor(self, tmp_path, capsys):
         """``trig`` is the one synth kind; ``toy`` and ``sensor`` exit 2 like any unknown one."""

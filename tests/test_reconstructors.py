@@ -1,6 +1,8 @@
 """Point autoencoder and ridge sequence model behavior."""
 
+import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from sequence_reference import (
 )
 
 from nominality import (
+    DataError,
     LabeledSeries,
     PointHyperparams,
     ScoreSeries,
@@ -526,3 +529,17 @@ class TestPersistence:
         save_model(models, p1)
         save_model(models, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    @pytest.mark.parametrize("key, value", [("ridge_lambda", "x"), ("ridge_lambda", -5),
+                                            ("gamma", True)])
+    def test_sequence_hyperparams_checked(self, tmp_path, key, value):
+        """The sequence block meets the ``sequence_model`` rules, as the point block
+        meets ``point_model``'s."""
+        path = str(tmp_path / "model.json")
+        save_model(_trained(12), path)
+        doc = json.load(open(path))
+        doc["sequence"][key] = value
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: cannot decode model: .*"
+                                            f"sequence_model.{key} must be "):
+            load_model(path)

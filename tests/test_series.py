@@ -14,6 +14,7 @@ from nominality import (
     EmptyInput,
     LabeledSeries,
     LabelError,
+    MinMaxStats,
     ParseError,
     ScoreSeries,
     ShapeError,
@@ -24,7 +25,7 @@ from nominality import (
     save_csv,
 )
 from nominality.cli import read_labels_csv, read_score_csv, write_labels_csv, write_score_csv
-from nominality.series import atomic_write, format_rows, write_csv
+from nominality.series import atomic_write, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -152,14 +153,19 @@ class TestCsvCodec:
         back = read_score_csv(path)
         assert back.scores.tobytes() == scores.tobytes() and back.time_origin == 7
 
-    def test_cell_text_is_repr(self):
+    def test_cell_text_is_repr(self, tmp_path):
+        """A (T, k) float block, a (T,) float column and an integer column, side by side."""
         rng = np.random.default_rng(5)
         block = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-20, 20, (40, 3))
         block[0] = [-0.0, np.inf, np.nan]
-        assert format_rows(block) == [",".join(repr(float(v)) for v in row) for row in block]
-        assert format_rows(block[:, 0]) == [repr(float(v)) for v in block[:, 0]]
-        assert format_rows(np.array([3, -1, 0])) == ["3", "-1", "0"]
-        assert format_rows(np.zeros((0, 2))) == []
+        ints = np.arange(-20, 20)
+        path = str(tmp_path / "c.csv")
+        write_csv(path, ["a", "b", "c", "first", "n"], [block, block[:, 0], ints])
+        rows = [",".join([*map(repr, row), repr(row[0]), str(i)])
+                for row, i in zip(block.tolist(), ints.tolist())]
+        assert open(path, newline="").read() == "\r\n".join(["a,b,c,first,n", *rows, ""])
+        write_csv(path, ["a", "b"], [np.zeros((0, 2))])
+        assert open(path, newline="").read() == "a,b\r\n"
 
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -343,6 +349,19 @@ class TestSeriesInvariants:
         s = LabeledSeries(np.ones((2, 2)))
         with pytest.raises(ValueError):
             s.values[0, 0] = 5.0
+
+    def test_caller_arrays_stay_writeable(self):
+        """A container holds a read-only view of the caller's array: it shares the
+        memory and leaves the caller's flags alone."""
+        values, labels = np.ones((3, 2)), np.zeros(3, dtype=np.int64)
+        scores, mins, maxs = np.ones(3), np.zeros(2), np.ones(2)
+        series = LabeledSeries(values, labels=labels)
+        stats = MinMaxStats(mins, maxs)
+        held = [series.values, series.labels, ScoreSeries(scores).scores, stats.mins, stats.maxs]
+        assert not any(arr.flags.writeable for arr in held)
+        assert all(arr.flags.writeable for arr in (values, labels, scores, mins, maxs))
+        values[0, 0] = 5.0
+        assert series.values[0, 0] == 5.0
 
     def test_score_kinds(self):
         with pytest.raises(ShapeError):
