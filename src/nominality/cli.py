@@ -15,8 +15,11 @@ and anomaly rate, ``train``'s epoch losses and normal-equation residual,
 ``score``'s resolved gate threshold.  Each fact is written once, and nothing
 time- or host-dependent goes into any output file.
 
-``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic`
-to ``data.train`` and ``data.test``, creating their directories.
+A config that breaks a rule, such as ``sequence_model.delta <= 2 * gamma``,
+makes every command exit 2 when it loads.  ``synth`` writes the trigonometric
+dataset of :mod:`nominality.synthetic` to ``data.train`` and ``data.test``,
+creating their directories, with the labels in column ``data.label_column``;
+it exits 2 if that key is null or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's.
 ``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
 test split again, and the training nominality for its threshold from
@@ -172,11 +175,16 @@ def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
 def cmd_synth(cfg: PipelineConfig) -> int:
     """Write the synthetic splits to ``data.train`` and ``data.test``; the manifest has the spec."""
     files = [_split_path(cfg, which, exists=False) for which in ("train", "test")]
+    if cfg.data.label_column is None:
+        raise ConfigError("synth writes the labels to data.label_column, which is null")
+    if os.path.realpath(files[0]) == os.path.realpath(files[1]):
+        raise ConfigError(f"data.train and data.test name the same file, {files[0]}; "
+                          f"synth would write the test split over the training split")
     spec = cfg.synth.spec()
     result = gen_trig(spec)
     for path, split in zip(files, (result.train, result.test)):
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
-        save_csv(split, path)
+        save_csv(split, path, cfg.data.label_column)
     write_manifest(cfg, "synth", {"spec": dataclasses.asdict(spec),
                                   "anomaly_rate": result.anomaly_rate, "outputs": files})
     return EXIT_OK
@@ -381,10 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # a missing, unreadable or misplaced file or directory
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
+    except (OSError, DataError) as exc:  # OSError: a missing, unreadable or misplaced file
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

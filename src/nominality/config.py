@@ -6,7 +6,10 @@ has a default, so a minimal config only names its input files.  Each section
 is a frozen dataclass whose fields declare their default and their rule
 together (:func:`_rule`), and one function, :func:`_check`, applies the rules
 when a section is built, so a YAML file, ``dataclasses.replace`` and a library
-call are held to the same rules.  The same function checks ``synth.options``
+call are held to the same rules; a library function that takes a key's value
+as a plain argument builds the section to check it.  Two rules span keys, in
+``__post_init__``: ``sequence_model.delta`` is at most ``2 * gamma``, and the
+gate has exactly one threshold source.  The same function checks ``synth.options``
 against :class:`TrigSpec` and the hyperparameters that ``model.json`` records.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
 :func:`config_from_dict` reads, so a recorded config loads as a config.
@@ -29,7 +32,6 @@ from .errors import ConfigError, SpecError
 from .synthetic import TrigSpec, trig_preset
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-GATE_KINDS = ("soft", "hard")
 
 
 def _fits(value, hint) -> bool:
@@ -62,10 +64,14 @@ def _finite(value) -> bool:
 
 
 def _yaml_hint(value, hint) -> str:
-    """YAML 1.1 reads a float without a dot, such as 1e-6, as a string."""
+    """YAML 1.1 reads a float without a dot, such as 1e-6, as a string.
+
+    Only a finite value gets the hint: YAML reads ``inf`` and ``nan`` as strings too.
+    """
     if isinstance(value, str) and float in (hint, *get_args(hint)):
         try:
-            return f" (YAML reads {value} as a string; write {float(value)!r})"
+            if math.isfinite(float(value)):
+                return f" (YAML reads {value} as a string; write {float(value)!r})"
         except ValueError:
             pass
     return ""
@@ -158,6 +164,9 @@ class SequenceModelConfig:
 
     def __post_init__(self) -> None:
         _check("sequence_model", SequenceModelConfig, vars(self))
+        if self.delta > 2 * self.gamma:  # the middle block is predicted from 2 * gamma points
+            raise ConfigError(f"sequence_model.delta must be at most 2 * gamma = "
+                              f"{2 * self.gamma}, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,7 @@ class GateConfig:
     score the anomaly score itself.
     """
 
-    kind: str = _one_of(GATE_KINDS, "soft")
+    kind: str = _one_of(("soft", "hard"), "soft")
     theta_n: float | None = _rule("a number > 0", lambda value: value > 0, default=None)
     theta_percentile: float | None = _rule("a number in (0, 100]",
                                            lambda value: 0 < value <= 100, default=None)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import EvalConfig
 from .errors import DegenerateLabels, ShapeError
 from .series import ScoreSeries
 
@@ -314,10 +315,11 @@ def spike_augment(scores: ScoreSeries, interval: int) -> ScoreSeries:
 
     Guarantees at least one detection per run of length >= interval under
     point-adjustment; the spike magnitude stays finite so sorting remains
-    well defined.
+    well defined.  ``interval`` follows the ``eval.spike_interval`` rule.
     """
-    if interval < 1:
-        raise ShapeError("spike interval must be >= 1")
+    if interval is None:  # allowed in the eval section, where it means no spikes
+        raise TypeError("spike_augment needs an interval, got None")
+    EvalConfig(spike_interval=interval)
     values = scores.scores.copy()
     values[::interval] = np.finfo(np.float64).max
     return ScoreSeries(values, scores.kind, scores.time_origin)

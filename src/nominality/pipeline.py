@@ -77,13 +77,7 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
     if stats is not None:
         train = minmax_apply(train, stats)
     point = train_point_model(train, cfg.point_model)
-    seq = train_sequence_model(
-        train,
-        gamma=cfg.sequence_model.gamma,
-        delta=cfg.sequence_model.delta,
-        ridge_lambda=cfg.sequence_model.ridge_lambda,
-        stride=None,
-    )
+    seq = train_sequence_model(train, **vars(cfg.sequence_model))
     pair = make_pair(train.values, reconstruct_points(point, train),
                      reconstruct_sequence(seq, train), seq.gamma)
     return TrainedModels(point, seq, stats, nominality_score(pair), train.channel_names)

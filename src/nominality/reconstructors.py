@@ -294,7 +294,13 @@ def _flat_windows(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _block_grid(gamma: int, delta: int, n_times: int, stride: int) -> np.ndarray:
-    """Valid target-block starts: a stride grid over [gamma, T - gamma - delta]."""
+    """Valid target-block starts: a stride grid over [gamma, T - gamma - delta].
+
+    A series shorter than one window, 2*gamma + delta, raises :class:`ShapeError`.
+    """
+    if n_times < 2 * gamma + delta:
+        raise ShapeError(
+            f"series length {n_times} is shorter than 2*gamma + delta = {2 * gamma + delta}")
     return np.arange(gamma, n_times - gamma - delta + 1, stride, dtype=np.int64)
 
 
@@ -314,21 +320,13 @@ def train_sequence_model(
     solves the normal equations.
 
     Raises:
-        ShapeError: series shorter than 2*gamma + delta or bad parameters.
+        ConfigError: gamma, delta or ridge_lambda breaks its ``sequence_model``
+            rule (delta at most 2*gamma included), naming the key.
+        ShapeError: series shorter than 2*gamma + delta, or stride < 1.
         SingularSystem: the normal matrix is not positive definite (use
             ridge_lambda > 0).
     """
-    if gamma < 1 or delta < 1:
-        raise ShapeError("gamma and delta must be >= 1")
-    if delta > 2 * gamma:
-        raise ShapeError(f"delta {delta} exceeds context width 2*gamma = {2 * gamma}")
-    if ridge_lambda < 0:
-        raise ShapeError("ridge_lambda must be >= 0")
-    if train.n_times < 2 * gamma + delta:
-        raise ShapeError(
-            f"series length {train.n_times} is shorter than 2*gamma + delta = "
-            f"{2 * gamma + delta}"
-        )
+    SequenceModelConfig(gamma, delta, ridge_lambda)
     if stride is None:
         stride = delta
     if stride < 1:
@@ -376,10 +374,6 @@ def reconstruct_sequence(
     if dim != model.n_channels:
         raise ShapeError(f"expected {model.n_channels} channels, got {dim}")
     g, d = model.gamma, model.delta
-    if n_times < 2 * g + d:
-        raise ShapeError(
-            f"series length {n_times} is shorter than 2*gamma + delta = {2 * g + d}"
-        )
     starts = _block_grid(g, d, n_times, d)
     n_tiled = starts.shape[0]
     if starts[-1] != n_times - g - d:

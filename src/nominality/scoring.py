@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import GATE_KINDS, GateConfig
+from .config import GateConfig, _check
 from .errors import EmptyInput, ShapeError
 from .reconstructors import ReconstructionPair
 from .series import ScoreSeries
@@ -63,12 +63,10 @@ def gate(kind: str, theta_n: float, n):
     """Gate value in [0, 1], non-increasing in the nominality score ``n``.
 
     soft: max(0, 1 - n / theta_n); hard: 1 if n < theta_n else 0 (strict).
-    Accepts scalars or arrays.
+    Accepts scalars or arrays.  A ``kind`` or ``theta_n`` that breaks its
+    ``gate`` rule raises :class:`ConfigError` naming the key.
     """
-    if kind not in GATE_KINDS:
-        raise ShapeError(f"gate kind must be one of {GATE_KINDS}, got {kind!r}")
-    if not theta_n > 0:
-        raise ShapeError("theta_n must be > 0")
+    GateConfig(kind, theta_n=theta_n)
     n = np.asarray(n, dtype=np.float64)
     if kind == "soft":
         out = np.maximum(0.0, 1.0 - n / theta_n)
@@ -81,13 +79,12 @@ def theta_from_percentile(train_nominality: ScoreSeries | np.ndarray, p: float) 
     """Nearest-rank percentile of the training nominality scores.
 
     Returns the smallest observed value such that at least p% of the
-    samples are <= it.
+    samples are <= it.  ``p`` follows the ``gate.theta_percentile`` rule.
     """
+    GateConfig(theta_percentile=p)
     values = _scores_of(train_nominality)
     if values.size == 0:
         raise EmptyInput("cannot take a percentile of an empty score series")
-    if not 0 < p <= 100:
-        raise ShapeError("percentile must be in (0, 100]")
     ordered = np.sort(values)
     rank = int(np.ceil(p / 100.0 * ordered.size))
     return float(ordered[max(rank, 1) - 1])
@@ -175,11 +172,6 @@ def induction_sums(a: np.ndarray, g: np.ndarray, d_values) -> list[np.ndarray]:
     return [a + _left_sum(left, d) + _left_sum(right, d)[::-1] for d in ds]
 
 
-def _induction_sum(a: np.ndarray, g: np.ndarray, d: int) -> np.ndarray:
-    """:func:`induction_sums` for one d."""
-    return induction_sums(a, g, (d,))[0]
-
-
 def _gated(
     a: ScoreSeries | np.ndarray, n: ScoreSeries | np.ndarray, cfg: GateConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -203,7 +195,7 @@ def induced_anomaly_score(
 ) -> ScoreSeries:
     """Sum gated anomaly-score contributions over a +-d window around each point."""
     a_vals, g, origin = _gated(a, n, cfg)
-    return ScoreSeries(_induction_sum(a_vals, g, cfg.d), "induced", origin)
+    return ScoreSeries(induction_sums(a_vals, g, (cfg.d,))[0], "induced", origin)
 
 
 def induced_anomaly_score_naive(
@@ -239,11 +231,9 @@ def smoothed_score(a: ScoreSeries | np.ndarray, d: int) -> ScoreSeries:
 
     Equivalent to the induced score with a hard gate whose threshold exceeds
     every nominality value (all gates open); it shares the accumulation
-    kernel so the equivalence is exact.
+    kernel so the equivalence is exact.  ``d`` follows the ``gate.d`` rule.
     """
-    if d < 0:
-        raise ShapeError("smoothing radius d must be >= 0")
+    _check("gate", GateConfig, {"d": d})
     a_vals = _scores_of(a)
     origin = a.time_origin if isinstance(a, ScoreSeries) else 0
-    ones = np.ones_like(a_vals)
-    return ScoreSeries(_induction_sum(a_vals, ones, d), "induced", origin)
+    return ScoreSeries(induction_sums(a_vals, np.ones_like(a_vals), (d,))[0], "induced", origin)

@@ -2,8 +2,10 @@
 
 import dataclasses
 import os
+import re
 import typing
 
+import numpy as np
 import pytest
 import yaml
 
@@ -14,6 +16,10 @@ from nominality.config import (
     load_config,
 )
 from nominality.errors import ConfigError
+from nominality.evaluation import spike_augment
+from nominality.reconstructors import train_sequence_model
+from nominality.scoring import gate, smoothed_score, theta_from_percentile
+from nominality.series import LabeledSeries, ScoreSeries
 
 
 class TestDefaults:
@@ -105,10 +111,12 @@ class TestParsing:
         assert integers == set(self.INTEGER_LOWS)
         for key, low in self.INTEGER_LOWS.items():
             section, name = key.split(".")
-            assert getattr(getattr(config_from_dict({section: {name: low}}), section),
+            # gamma 1 leaves room for a delta of at most 2 * gamma = 2
+            others = {"delta": 2} if key == "sequence_model.gamma" else {}
+            assert getattr(getattr(config_from_dict({section: {name: low, **others}}), section),
                            name) == low
             with pytest.raises(ConfigError, match=f"^{key} must be an integer >= {low}, "):
-                config_from_dict({section: {name: low - 1}})
+                config_from_dict({section: {name: low - 1, **others}})
 
 
 class TestOverrides:
@@ -180,3 +188,42 @@ class TestYamlLoaders:
         path.write_text("sequence_model:\n  ridge_lambda: 1e-6\n")
         with pytest.raises(ConfigError, match="YAML reads 1e-6 as a string; write 1e-06"):
             load_config(str(path))
+        # YAML reads inf and nan as strings too, and 1e400 is no finite float: no hint
+        for value in ('"inf"', '"-inf"', '"nan"', "inf", '"1e400"'):
+            path.write_text(f"point_model:\n  learn_rate: {value}\n")
+            with pytest.raises(ConfigError) as exc:
+                load_config(str(path))
+            assert str(exc.value) == (f"point_model.learn_rate must be a finite number > 0, "
+                                      f"got {yaml.safe_load(value)!r}")
+
+
+_SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: train_sequence_model(_SERIES, 0, 1, 1e-6),
+     "sequence_model.gamma must be an integer >= 1, got 0"),
+    (lambda: train_sequence_model(_SERIES, 2, 0, 1e-6),
+     "sequence_model.delta must be an integer >= 1, got 0"),
+    (lambda: train_sequence_model(_SERIES, 2, 1, -1.0),
+     "sequence_model.ridge_lambda must be a finite number >= 0, got -1.0"),
+    (lambda: gate("x", 1.0, 0.5), "gate.kind must be one of soft, hard, got 'x'"),
+    (lambda: theta_from_percentile(np.ones(3), 0),
+     "gate.theta_percentile must be a number in (0, 100], got 0"),
+    (lambda: theta_from_percentile(np.ones(3), 100.5),
+     "gate.theta_percentile must be a number in (0, 100], got 100.5"),
+    (lambda: smoothed_score(np.ones(3), -1), "gate.d must be an integer >= 0, got -1"),
+    (lambda: spike_augment(ScoreSeries(np.ones(3)), 0),
+     "eval.spike_interval must be an integer >= 1, got 0"),
+], ids=["gamma", "delta", "ridge-lambda", "gate-kind", "percentile-zero",
+        "percentile-above-100", "smoothing-d", "spike-interval"])
+def test_library_entry_checks_the_config_rule(call, message):
+    """A library function given a key's value as a plain argument applies the key's rule."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_spike_augment_needs_an_interval():
+    """``eval.spike_interval`` may be null (no spikes), but spike_augment needs one."""
+    with pytest.raises(TypeError):
+        spike_augment(ScoreSeries(np.ones(3)), None)

@@ -757,6 +757,49 @@ class TestCliBehavior:
         assert capsys.readouterr().err == f"config error: config is missing data.{which}\n"
         assert os.listdir(out) == []
 
+    def test_delta_wider_than_context_exit_2(self, tmp_path, capsys):
+        """delta > 2 * gamma breaks a config rule, so every command refuses the config."""
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, "  gamma: 5\n  delta: 2\n",
+                                    "  gamma: 2\n  delta: 5\n")
+        for command in ("synth", "train", "score", "eval", "sweep"):
+            assert main([command, "--config", config_path]) == 2
+            assert capsys.readouterr().err == (
+                "config error: sequence_model.delta must be at most 2 * gamma = 4, got 5\n")
+        assert os.listdir(out) == []
+
+    def test_synth_writes_the_label_column(self, tmp_path):
+        """The labels go to the column ``data.label_column`` names, where ``train`` reads them."""
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, "data:\n", "data:\n  label_column: y\n")
+        assert main(["synth", "--config", config_path]) == 0
+        names = open(os.path.join(out, "train.csv")).readline().rstrip().split(",")
+        assert names[-1] == "y"
+        assert open(os.path.join(out, "test.csv")).readline().rstrip().split(",") == names
+        assert main(["train", "--config", config_path]) == 0
+        assert load_model(os.path.join(out, "model.json")).channel_names == tuple(names[:-1])
+
+    def test_synth_without_label_column_exit_2(self, tmp_path, capsys):
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+        assert main(["synth", "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: synth writes the labels to data.label_column, which is null\n")
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("test_path", ["{out}/train.csv", "{out}/./train.csv",
+                                           "{out}/../run/train.csv"])
+    def test_synth_one_file_for_both_splits_exit_2(self, tmp_path, capsys, test_path):
+        """The test split would overwrite the training split, so ``synth`` writes neither."""
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, f"test: {out}/test.csv",
+                                    "test: " + test_path.format(out=out))
+        assert main(["synth", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data.train and data.test name the same file, ")
+        assert len(err.splitlines()) == 1
+        assert os.listdir(out) == []
+
     def test_synth_toy_and_sensor(self, tmp_path, capsys):
         """``trig`` is the one synth kind; ``toy`` and ``sensor`` exit 2 like any unknown one."""
         path = tmp_path / "synth.yaml"
@@ -907,10 +950,15 @@ class TestSweepFromScores:
         assert len(err.splitlines()) == 1 and "(run 'score' first)" in err
 
     def test_unlabeled_test_split_exit_3(self, tmp_path, capsys):
-        config_path, _ = write_config(tmp_path)
-        text = open(config_path).read().replace("data:\n", "data:\n  label_column: null\n", 1)
-        open(config_path, "w").write(text)
-        for command in ("synth", "train", "score"):
+        config_path, out = write_config(tmp_path)
+        assert main(["synth", "--config", config_path]) == 0
+        for split in ("train.csv", "test.csv"):  # each without its label column, the last
+            path = os.path.join(out, split)
+            lines = open(path, newline="").read().split("\r\n")[:-1]
+            open(path, "w", newline="").write(
+                "".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
+        config_path = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+        for command in ("train", "score"):
             assert main([command, "--config", config_path]) == 0
         capsys.readouterr()
         assert main(["sweep", "--config", config_path]) == 3

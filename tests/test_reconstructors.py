@@ -21,6 +21,7 @@ from sequence_reference import (
 )
 
 from nominality import (
+    ConfigError,
     DataError,
     LabeledSeries,
     PointHyperparams,
@@ -296,7 +297,8 @@ class TestSequenceModel:
                                  ridge_lambda=1e-3)
 
     def test_delta_wider_than_context_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^sequence_model\.delta must be at most "
+                                              r"2 \* gamma = 4, got 5$"):
             train_sequence_model(random_series(0), gamma=2, delta=5, ridge_lambda=1e-3)
 
 
@@ -531,7 +533,7 @@ class TestPersistence:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     @pytest.mark.parametrize("key, value", [("ridge_lambda", "x"), ("ridge_lambda", -5),
-                                            ("gamma", True)])
+                                            ("gamma", True), ("delta", 7)])  # gamma is 3
     def test_sequence_hyperparams_checked(self, tmp_path, key, value):
         """The sequence block meets the ``sequence_model`` rules, as the point block
         meets ``point_model``'s."""

@@ -87,7 +87,7 @@ class TestGate:
             assert ((0 <= g) & (g <= 1)).all()
 
     def test_bad_theta(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^gate\.theta_n must be a number > 0, got 0\.0$"):
             gate("soft", 0.0, 1.0)
 
 
