@@ -9,10 +9,11 @@ induced score that propagates evidence across anomalous stretches without
 flooding normal neighborhoods.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
+from .config import TrigSpec, trig_preset
 from .errors import (
     ConfigError,
     DataError,
@@ -24,7 +25,6 @@ from .errors import (
     ParseError,
     ShapeError,
     SingularSystem,
-    SpecError,
     TrainingDiverged,
 )
 from .evaluation import (
@@ -72,6 +72,7 @@ from .series import (
     minmax_fit,
     save_csv,
 )
-from .synthetic import TrigSpec, gen_trig, trig_preset
+from .synthetic import gen_trig
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

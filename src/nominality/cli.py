@@ -37,8 +37,8 @@ it reads the default ``induced.csv``.
 ``eval_report.json`` holds the summary figures and ``curve.csv`` the curve:
 the positives and negatives at or above every threshold.
 
-Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
-failure.
+Exit codes: 0 success, 2 usage or config error, 3 data error (running out
+of memory included), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -391,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (OSError, DataError) as exc:  # OSError: a missing, unreadable or misplaced file
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # such as synth.options sizes or a gamma too large to allocate
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Structured run configuration.
+"""Structured run configuration: the one home of every settable value's rule.
 
 A run is described by one YAML file with nested sections (data, preprocess,
 point_model, sequence_model, gate, eval, sweep, synth, output).  Every field
@@ -7,15 +7,18 @@ is a frozen dataclass whose fields declare their default and their rule
 together (:func:`_rule`), and one function, :func:`_check`, applies the rules
 when a section is built, so a YAML file, ``dataclasses.replace`` and a library
 call are held to the same rules; a library function that takes a key's value
-as a plain argument builds the section to check it.  Two rules span keys, in
-``__post_init__``: ``sequence_model.delta`` is at most ``2 * gamma``, and the
-gate has exactly one threshold source.  The same function checks ``synth.options``
-against :class:`TrigSpec` and the hyperparameters that ``model.json`` records.
+as a plain argument builds the section to check it.  ``synth.options`` is the
+generator spec :class:`TrigSpec`, whose fields declare their rules the same
+way.  The rules that span keys are in ``__post_init__``: ``sequence_model.delta``
+is at most ``2 * gamma``, the gate has exactly one threshold source, and a
+spec's segments lie in the test split without overlap.  :func:`_check` also
+checks the hyperparameters that ``model.json`` records.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
 :func:`config_from_dict` reads, so a recorded config loads as a config.
 ``point_model`` is :class:`PointHyperparams` and ``gate`` is
 :class:`GateConfig`, the classes the library functions take.  Unknown keys
-are rejected.
+are rejected.  This module imports no other module of the package except
+:mod:`nominality.errors`, so every other module can import it.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
 import yaml
 
-from .errors import ConfigError, SpecError
-from .synthetic import TrigSpec, trig_preset
+from .errors import ConfigError
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -102,7 +105,7 @@ def _check(where: str, cls, values: dict) -> None:
     """Raise :class:`ConfigError` for the first of ``values`` that breaks its field's rule.
 
     ``values`` maps field names of the dataclass ``cls`` to values; a field
-    without a rule (a :class:`TrigSpec` field) takes any finite value of its type.
+    without a rule (such as a :class:`TrigSpec` factor) takes any finite value of its type.
     """
     hints = _hints(cls)
     for f in fields(cls):
@@ -211,6 +214,80 @@ class SweepConfig:
         object.__setattr__(self, "d_values", tuple(self.d_values))
 
 
+SEGMENT_KINDS = ("point-noise", "frequency-shift", "amplitude-shift")
+
+
+@dataclass(frozen=True)
+class TrigSpec:
+    """The trigonometric dataset that ``synthetic.gen_trig`` builds (``synth.options``).
+
+    Segments are half-open (start, end, kind) intervals in test-split
+    coordinates and must not overlap.  A frequency-shift slows the common
+    time base by ``freq_shift_factor`` (phase stays continuous, so each
+    reading remains a possible nominal value); an amplitude-shift scales the
+    waveform; point-noise adds +-``point_noise_scale`` offsets per channel.
+    """
+
+    n_channels: int = _at_least(1, MISSING)
+    n_train: int = _at_least(1, MISSING)
+    n_test: int = _at_least(1, MISSING)
+    segments: tuple[tuple[int, int, str], ...] = ()
+    frequencies: tuple[float, ...] | None = None
+    phases: tuple[float, ...] | None = None
+    noise_sigma: float = _rule("a finite number >= 0", lambda value: 0 <= value < math.inf,
+                               default=0.02)
+    freq_shift_factor: float = 0.45
+    amp_shift_factor: float = 1.75
+    point_noise_scale: float = 1.0
+    seed: int = _at_least(0, 0)
+
+    def __post_init__(self) -> None:
+        _check("synth.options", TrigSpec, vars(self))
+        for name in ("segments", "frequencies", "phases"):  # YAML lists stand for tuples
+            object.__setattr__(self, name, _tupled(getattr(self, name)))
+        for start, end, kind in self.segments:
+            if kind not in SEGMENT_KINDS:
+                raise ConfigError(f"synth.options.segments kind must be one of "
+                                  f"{', '.join(SEGMENT_KINDS)}, got {kind!r}")
+            if not 0 <= start < end <= self.n_test:
+                raise ConfigError(f"synth.options.segments must have 0 <= start < end <= "
+                                  f"n_test = {self.n_test}, got ({start}, {end})")
+        spans = sorted((start, end) for start, end, _ in self.segments)
+        for before, after in zip(spans, spans[1:]):
+            if after[0] < before[1]:
+                raise ConfigError(f"synth.options.segments must not overlap, got {before}, {after}")
+        for name in ("frequencies", "phases"):
+            values = getattr(self, name)
+            if values is not None and len(values) != self.n_channels:
+                raise ConfigError(f"synth.options.{name} must list one value per channel "
+                                  f"({self.n_channels}), got {values!r}")
+
+
+def trig_preset(seed: int = 0) -> TrigSpec:
+    """Default dataset: one frequency-shift segment plus scattered point noise.
+
+    Sized so the test split holds 180 anomalous points out of 7680 (rate
+    2.34375%): a 150-point contextual segment and 30 isolated point
+    anomalies.  Point positions are drawn from the seed with a minimum gap
+    so each stays a run of length one.
+    """
+    n_test = 7680
+    seg_start, seg_end = 3000, 3150
+    rng = np.random.default_rng(seed + 971)
+    positions: list[int] = []
+    taken = set(range(seg_start - 60, seg_end + 60))
+    while len(positions) < 30:
+        cand = int(rng.integers(60, n_test - 60))
+        if cand in taken:
+            continue
+        positions.append(cand)
+        taken.update(range(cand - 2, cand + 3))
+    segments = [(seg_start, seg_end, "frequency-shift")]
+    segments.extend((p, p + 1, "point-noise") for p in sorted(positions))
+    return TrigSpec(n_channels=8, n_train=10_000, n_test=n_test, segments=tuple(segments),
+                    seed=seed)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
@@ -239,11 +316,10 @@ class SynthConfig:
             if key not in keys:
                 raise ConfigError(f"synth.options has unknown key {key!r}; "
                                   f"expected one of {', '.join(keys)}")
-        _check("synth.options", TrigSpec, self.options)
-        try:
-            return TrigSpec(seed=self.seed, **{key: _tupled(v) for key, v in self.options.items()})
-        except (SpecError, TypeError) as exc:  # TypeError: a field without default is unset
-            raise ConfigError(f"synth.options: {exc}") from None
+        for f in fields(TrigSpec):
+            if f.default is MISSING and f.name not in self.options:
+                raise ConfigError(f"synth.options.{f.name} must be set, to {f.metadata['rule'][1]}")
+        return TrigSpec(seed=self.seed, **self.options)
 
 
 @dataclass(frozen=True)

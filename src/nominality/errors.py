@@ -1,8 +1,11 @@
 """Exception hierarchy.
 
-Two broad families: data problems (bad files, bad shapes, degenerate label
-vectors) and numeric failures (diverging optimization, singular systems).
-The CLI maps these onto distinct exit codes.
+Three families: settings that break a rule of :mod:`nominality.config`
+(:class:`ConfigError`, a synthetic-data spec included), data problems (bad
+files, bad shapes, degenerate label vectors) and numeric failures (diverging
+optimization, singular systems).  The CLI maps these onto exit codes 2, 3
+and 4.  This module imports no other module of the package, so every module,
+``config`` included, can import it.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class EmptyInput(DataError):
 
 class ShapeError(DataError):
     """Array dimensions do not match what an operation requires."""
-
-
-class SpecError(DataError):
-    """A synthetic-data specification is internally inconsistent."""
 
 
 class DegenerateLabels(DataError):

@@ -18,7 +18,9 @@ independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -80,13 +82,14 @@ def theta_from_percentile(train_nominality: ScoreSeries | np.ndarray, p: float) 
 
     Returns the smallest observed value such that at least p% of the
     samples are <= it.  ``p`` follows the ``gate.theta_percentile`` rule.
+    The rank is exact for ``p`` as written in decimal (``0.07 * 100`` is not 7).
     """
     GateConfig(theta_percentile=p)
     values = _scores_of(train_nominality)
     if values.size == 0:
         raise EmptyInput("cannot take a percentile of an empty score series")
     ordered = np.sort(values)
-    rank = int(np.ceil(p / 100.0 * ordered.size))
+    rank = math.ceil(Fraction(repr(float(p))) * ordered.size / 100)
     return float(ordered[max(rank, 1) - 1])
 
 

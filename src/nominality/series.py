@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numtext
+from .config import PreprocessConfig
 from .errors import DataError, EmptyInput, LabelError, ParseError, ShapeError
 
 SCORE_KINDS = ("anomaly", "nominality", "induced")
@@ -409,10 +410,10 @@ def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
 
     Values take the block mean; a block's label is 1 if any row in the
     block is anomalous, so short anomalies survive downsampling.  A
-    trailing partial block is kept and aggregated.
+    trailing partial block is kept and aggregated.  ``factor`` follows the
+    ``preprocess.downsample`` rule.
     """
-    if factor < 1:
-        raise ShapeError("downsample factor must be >= 1")
+    PreprocessConfig(downsample=factor)
     if factor == 1:
         return series
     starts = np.arange(0, series.n_times, factor)

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 import yaml
 
+import nominality
 from nominality import config
 from nominality.config import (
     PipelineConfig,
+    TrigSpec,
     config_from_dict,
     load_config,
 )
@@ -19,7 +21,7 @@ from nominality.errors import ConfigError
 from nominality.evaluation import spike_augment
 from nominality.reconstructors import train_sequence_model
 from nominality.scoring import gate, smoothed_score, theta_from_percentile
-from nominality.series import LabeledSeries, ScoreSeries
+from nominality.series import LabeledSeries, ScoreSeries, downsample
 
 
 class TestDefaults:
@@ -215,12 +217,24 @@ _SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))
     (lambda: smoothed_score(np.ones(3), -1), "gate.d must be an integer >= 0, got -1"),
     (lambda: spike_augment(ScoreSeries(np.ones(3)), 0),
      "eval.spike_interval must be an integer >= 1, got 0"),
+    (lambda: downsample(_SERIES, 0), "preprocess.downsample must be an integer >= 1, got 0"),
+    (lambda: TrigSpec(n_channels=0, n_train=10, n_test=10),
+     "synth.options.n_channels must be an integer >= 1, got 0"),
 ], ids=["gamma", "delta", "ridge-lambda", "gate-kind", "percentile-zero",
-        "percentile-above-100", "smoothing-d", "spike-interval"])
+        "percentile-above-100", "smoothing-d", "spike-interval", "downsample", "trig-spec"])
 def test_library_entry_checks_the_config_rule(call, message):
     """A library function given a key's value as a plain argument applies the key's rule."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_star_import_binds_only_the_api():
+    """``from nominality import *`` binds no submodule and no ``annotations``."""
+    namespace = {}
+    exec("from nominality import *", namespace)
+    bound = {name: value for name, value in namespace.items() if name != "__builtins__"}
+    assert bound and "annotations" not in bound
+    assert not [name for name, value in bound.items() if isinstance(value, type(nominality))]
 
 
 def test_spike_augment_needs_an_interval():

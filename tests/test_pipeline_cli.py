@@ -706,12 +706,16 @@ class TestCliBehavior:
             ("  options: [1]\n", ""),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    noise_sigma: x\n", ".noise_sigma"),
-            ("  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n", ""),
+            ("  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n", ".n_channels"),
+            ("  options:\n    n_channels: 2\n    n_train: 0\n    n_test: 100\n", ".n_train"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 0\n", ".n_test"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    segments:\n      - [90, 120, frequency-shift]\n", ""),
+             "    noise_sigma: -1\n", ".noise_sigma"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    segments:\n      - [90, 120, frequency-shift]\n", ".segments"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    segments:\n      - [90, 95]\n", ".segments"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n", ""),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n", ".n_test"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    noise_sigma: .inf\n", ".noise_sigma"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
@@ -723,8 +727,9 @@ class TestCliBehavior:
              "    phases: [0.0, .nan]\n", ".phases"),
         ],
         ids=["unknown-key", "options-list", "trig-noise-string", "channels-zero",
-             "segment-outside", "segment-short", "trig-n-test-unset", "trig-noise-inf",
-             "trig-point-noise-inf", "trig-frequency-inf", "trig-phase-nan"],
+             "train-zero", "test-zero", "noise-negative", "segment-outside", "segment-short",
+             "trig-n-test-unset", "trig-noise-inf", "trig-point-noise-inf", "trig-frequency-inf",
+             "trig-phase-nan"],
     )
     def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth, key):
         path = tmp_path / "synth.yaml"
@@ -733,6 +738,16 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
         assert "Traceback" not in err
+
+    def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
+        """An allocation the host cannot satisfy (here a stand-in) is a data error."""
+        def gen_trig(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("nominality.cli.gen_trig", gen_trig)
+        config_path, _ = write_config(tmp_path)
+        assert main(["synth", "--config", config_path]) == 3
+        assert capsys.readouterr().err == "data error: out of memory: Unable to allocate 7.28 TiB\n"
 
     def test_synth_writes_the_data_paths(self, tmp_path):
         """``synth`` writes its splits to ``data.train`` and ``data.test``, creating their

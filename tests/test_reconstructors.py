@@ -38,6 +38,7 @@ from nominality import (
     train_point_model,
     train_sequence_model,
 )
+from nominality.config import trig_preset
 from nominality.reconstructors import (
     _GATHER_ROWS,
     PointModel,
@@ -45,7 +46,7 @@ from nominality.reconstructors import (
     _flat_windows,
 )
 from nominality.series import minmax_apply, minmax_fit
-from nominality.synthetic import gen_trig, trig_preset
+from nominality.synthetic import gen_trig
 
 
 def random_series(seed, n=200, dim=3):

@@ -314,6 +314,11 @@ class TestThetaFromPercentile:
         values = np.arange(1.0, 1001.0)
         assert theta_from_percentile(values, 98.5) == 985.0
 
+    @pytest.mark.parametrize("p", range(1, 101))
+    def test_integer_percentile_of_one_to_hundred(self, p):
+        """The rank is taken from p in decimal: 7 / 100 * 100 rounds above 7 in binary."""
+        assert theta_from_percentile(np.arange(1.0, 101.0), p) == p
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             theta_from_percentile(np.array([]), 50)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from nominality import SpecError, TrigSpec, gen_trig, trig_preset
+from nominality import ConfigError, TrigSpec, gen_trig, trig_preset
 from toy_law import (
     ToySpec,
+    ToySpecError,
     f_reference_sample,
     gen_toy,
     kolmogorov_sf,
@@ -74,9 +75,9 @@ class TestToyDataset:
                 assert surv_n > surv_a
 
     def test_bad_spec(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ToySpecError):
             ToySpec(n_channels=0, alpha=2.0, n_normal=1, n_anomaly=1)
-        with pytest.raises(SpecError):
+        with pytest.raises(ToySpecError):
             ToySpec(n_channels=2, alpha=0.0, n_normal=1, n_anomaly=1)
 
 
@@ -181,19 +182,19 @@ class TestTrig:
         assert (peak > normal_peak).mean() > 0.9
 
     def test_overlapping_segments_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="^synth.options.segments must not overlap"):
             TrigSpec(
                 n_channels=2, n_train=100, n_test=100,
                 segments=((10, 30, "frequency-shift"), (20, 40, "point-noise")),
             )
 
     def test_out_of_bounds_segment_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="^synth.options.segments must have 0 <= start"):
             TrigSpec(n_channels=2, n_train=100, n_test=100,
                      segments=((90, 120, "frequency-shift"),))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(ConfigError, match="^synth.options.segments kind must be one of"):
             TrigSpec(n_channels=2, n_train=100, n_test=100,
                      segments=((10, 20, "wobble"),))
 

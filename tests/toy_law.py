@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nominality.errors import SpecError
+
+class ToySpecError(ValueError):
+    """A toy-dataset or distribution-check argument is out of range."""
 
 
 @dataclass(frozen=True)
@@ -47,11 +49,11 @@ class ToySpec:
 
     def __post_init__(self) -> None:
         if self.n_channels < 1:
-            raise SpecError("n_channels must be >= 1")
+            raise ToySpecError("n_channels must be >= 1")
         if not self.alpha > 0:
-            raise SpecError("alpha must be > 0")
+            raise ToySpecError("alpha must be > 0")
         if self.n_normal < 1 or self.n_anomaly < 1:
-            raise SpecError("sample counts must be >= 1")
+            raise ToySpecError("sample counts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def toy_f_variate(nominality, alpha):
 def f_reference_sample(n_channels: int, count: int, seed: int) -> np.ndarray:
     """Exact F(D, D) draws as ratios of normalized sums of squared normals."""
     if n_channels < 1 or count < 1:
-        raise SpecError("n_channels and count must be >= 1")
+        raise ToySpecError("n_channels and count must be >= 1")
     rng = np.random.default_rng(seed)
     out = np.empty(count)
     chunk = max(1, 10_000_000 // max(n_channels, 1))
@@ -119,7 +121,7 @@ def ks_statistic(sample_a: np.ndarray, sample_b: np.ndarray) -> float:
     a = np.sort(np.asarray(sample_a, dtype=np.float64))
     b = np.sort(np.asarray(sample_b, dtype=np.float64))
     if a.size == 0 or b.size == 0:
-        raise SpecError("KS statistic requires non-empty samples")
+        raise ToySpecError("KS statistic requires non-empty samples")
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -147,7 +149,7 @@ def ks_critical_value(n: int, m: int, alpha: float, terms: int = 100) -> float:
     sqrt((n + m) / (n * m)).
     """
     if not 0 < alpha < 1:
-        raise SpecError("alpha must be in (0, 1)")
+        raise ToySpecError("alpha must be in (0, 1)")
     lo, hi = 1e-9, 10.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
