@@ -149,7 +149,7 @@ class PointHyperparams:
     d_lat: int = _at_least(1, 4)
     learn_rate: float = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
                               default=1e-4)
-    optimizer: str = _one_of(("sgd", "adam"), "adam")
+    optimizer: str = _one_of(("adam",), "adam")  # the one optimizer; recorded configs name it
     batch_size: int = _at_least(1, 64)
     epochs: int = _at_least(0, 25)
     seed: int = _at_least(0, 0)

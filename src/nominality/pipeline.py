@@ -65,12 +65,13 @@ class ScoreBundle:
     theta: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
     """Build the whole detector from the raw training split.
 
     Downsamples the split, fits the min-max statistics (none with
     ``normalization: none``) and applies them, trains both reconstructors
-    and records the training nominality scores.
+    and records the training nominality scores.  Overflow raises, not warns.
     """
     train = downsample(train_raw, cfg.preprocess.downsample)
     stats = minmax_fit(train) if cfg.preprocess.normalization == "minmax" else None

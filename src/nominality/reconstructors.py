@@ -1,24 +1,23 @@
 """Point-based and sequence-based reconstruction models.
 
 The point model is a one-hidden-layer tanh autoencoder trained row by row
-with mini-batch Adam (or plain gradient descent), so its output at time t
-depends only on the input at time t.  Its fit keeps the four weight arrays
-as views of one flat float64 buffer and updates the whole buffer with a few
-in-place ufuncs per step, in the same operation order as a per-array Adam,
-so the weights are the same bits.  The sequence model is a closed-form
-ridge regression that predicts the middle ``delta`` points of a window from
-the ``gamma`` points on each side, which forces it to learn time-dependent
-structure; numpy's LAPACK checks its normal matrix with a Cholesky
-factorization and solves it.  Its predictions gather the design and
-multiply it by the weights one fixed-size chunk of blocks at a time, so
-scoring holds one chunk of the design rather than all of it.  Because the
-sequence model cannot reconstruct the first and last ``gamma`` points,
-:func:`make_pair` trims the observation and the point reconstruction to the
-same interior range, so every covered time point has one observed and
-exactly two reconstructed values.  :class:`TrainedModels` is one trained
-detector (both models, the normalization and the training nominality), and
-:func:`save_model` writes it as one JSON file, with every array in the same
-base64 codec.
+with mini-batch Adam, so its output at time t depends only on the input at
+time t.  Its fit keeps the four weight arrays as views of one flat float64
+buffer and updates the whole buffer with a few in-place ufuncs per step, in
+the same operation order as a per-array Adam, so the weights are the same
+bits.  The sequence model is a closed-form ridge regression that predicts
+the middle ``delta`` points of a window from the ``gamma`` points on each
+side, which forces it to learn time-dependent structure; numpy's LAPACK
+checks its normal matrix with a Cholesky factorization and solves it.  Its
+predictions gather the design and multiply it by the weights one fixed-size
+chunk of blocks at a time, so scoring holds one chunk of the design rather
+than all of it.  Because the sequence model cannot reconstruct the first and
+last ``gamma`` points, :func:`make_pair` trims the observation and the point
+reconstruction to the same interior range, so every covered time point has
+one observed and exactly two reconstructed values.  :class:`TrainedModels`
+is one trained detector (both models, the normalization and the training
+nominality), and :func:`save_model` writes it as one JSON file, with every
+array in the same base64 codec.
 """
 
 from __future__ import annotations
@@ -135,25 +134,27 @@ def _init_params(n_channels: int, hp: PointHyperparams) -> np.ndarray:
     ])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     """Fit the point autoencoder on the rows of the training series.
 
-    Training is mini-batch Adam (Kingma & Ba, ICLR 2015, Alg. 1) or, with
-    ``optimizer="sgd"``, plain gradient descent, with seeded shuffling, so
-    identical inputs and seeds give bitwise identical models.  The four
-    weight arrays of the returned model are views of one flat float64
-    buffer; the gradient, both Adam moments and two scratch arrays are flat
-    buffers of the same size, so each step updates every parameter with a
-    few in-place ufuncs.  The arithmetic is, element by element and in this
-    order, ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)``, which is
-    what a per-array update computes.  Each epoch gathers its shuffled rows
-    once and takes the batches as contiguous slices of them.
+    Training is mini-batch Adam (Kingma & Ba, ICLR 2015, Alg. 1) with seeded
+    shuffling, so identical inputs and seeds give bitwise identical models.
+    The four weight arrays of the returned model are views of one flat
+    float64 buffer.  Row 0 and row 1 of three (2, P) arrays hold the
+    gradient and its square, the two moments, and the step and its divisor,
+    so each Adam operation is one in-place ufunc over both rows.  The
+    arithmetic is, element by element and in this order, ``m = b1*m +
+    (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``p -= (lr * (m / (1-b1**t))) /
+    (sqrt(v / (1-b2**t)) + eps)``, which is what a per-array update
+    computes.  Each epoch gathers its shuffled rows once and takes the
+    batches as contiguous slices of them.  Overflow warns of nothing; the
+    checks below report it.
 
     Raises:
         ShapeError: fewer than 2 channels, latent wider than the input, or
             fewer rows than one batch.
-        TrainingDiverged: the epoch loss became non-finite.
+        TrainingDiverged: the epoch loss or the final weights became non-finite.
     """
     if train.n_channels < 2:
         raise ShapeError(
@@ -174,34 +175,30 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     n_rows, batch_size = rows.shape[0], hp.batch_size
     n_batches = -(-n_rows // batch_size)
     rng = np.random.default_rng(hp.seed + 1)
-    grad, adam_m, adam_v, tmp, tmp2 = (np.zeros_like(flat) for _ in range(5))
+    grad, moments, update = (np.zeros((2, flat.size)) for _ in range(3))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lr = hp.learn_rate
+    betas = np.array([[beta1], [beta2]])
+    gains = 1 - betas
+    corrections = np.empty((2, 1))
     step = 0
     for epoch in range(hp.epochs):
         shuffled = rows[rng.permutation(n_rows)]
         epoch_loss = 0.0
         for start in range(0, n_rows, batch_size):
-            loss, _ = model.loss_and_grads(shuffled[start : start + batch_size], out=grad)
+            loss, _ = model.loss_and_grads(shuffled[start : start + batch_size], out=grad[0])
             epoch_loss += loss
             step += 1
-            if hp.optimizer == "adam":
-                adam_m *= beta1
-                np.multiply(grad, 1 - beta1, out=tmp)
-                adam_m += tmp
-                np.square(grad, out=tmp)
-                tmp *= 1 - beta2
-                adam_v *= beta2
-                adam_v += tmp
-                np.divide(adam_m, 1 - beta1**step, out=tmp)
-                tmp *= lr
-                np.divide(adam_v, 1 - beta2**step, out=tmp2)
-                np.sqrt(tmp2, out=tmp2)
-                tmp2 += eps
-                tmp /= tmp2
-            else:
-                np.multiply(grad, lr, out=tmp)
-            flat -= tmp
+            np.square(grad[0], out=grad[1])
+            moments *= betas
+            grad *= gains
+            moments += grad
+            corrections[:, 0] = 1 - beta1**step, 1 - beta2**step
+            np.divide(moments, corrections, out=update)
+            update[0] *= hp.learn_rate
+            np.sqrt(update[1], out=update[1])
+            update[1] += eps
+            update[0] /= update[1]
+            flat -= update[0]
         epoch_loss /= n_batches
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(

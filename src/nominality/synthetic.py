@@ -30,11 +30,12 @@ class TrigResult:
     anomaly_rate: float
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gen_trig(spec: TrigSpec) -> TrigResult:
     """Simulate the waveform over train + test and inject test anomalies.
 
     Channel j defaults to frequency 0.008 + 0.004 j and phase 2 pi phi j
-    (mod 2 pi), phi the golden ratio.
+    (mod 2 pi), phi the golden ratio.  Overflow raises, not warns.
     """
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_test

@@ -2,13 +2,12 @@
 
 ``reference_loss_and_grads`` and ``reference_train_point_model`` are the
 straightforward forms of ``PointModel.loss_and_grads`` and
-``train_point_model``: new arrays for every intermediate, and Adam (or
-gradient descent) applied parameter by parameter over three dicts.  The
-fast fit in ``nominality.reconstructors`` must give the same weights and
-losses bit for bit.  Install ``reference_loss_and_grads`` as
-``PointModel.loss_and_grads`` while the reference fit runs, so neither
-half of the reference uses the fast code.  ``_init_point_model`` is the
-seeded model both fits start from.
+``train_point_model``: new arrays for every intermediate, and Adam applied
+parameter by parameter over three dicts.  The fast fit in
+``nominality.reconstructors`` must give the same weights and losses bit for
+bit.  Install ``reference_loss_and_grads`` as ``PointModel.loss_and_grads``
+while the reference fit runs, so neither half of the reference uses the fast
+code.  ``_init_point_model`` is the seeded model both fits start from.
 """
 
 import numpy as np
@@ -59,9 +58,8 @@ def reference_loss_and_grads(
 def reference_train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     """Fit the point autoencoder on the rows of the training series.
 
-    Training is mini-batch Adam (or plain gradient descent with
-    ``optimizer="sgd"``) with seeded shuffling, so identical inputs and seeds give bitwise
-    identical models.
+    Training is mini-batch Adam with seeded shuffling, so identical inputs and
+    seeds give bitwise identical models.
 
     Raises:
         ShapeError: fewer than 2 channels, latent wider than the input, or
@@ -104,16 +102,12 @@ def reference_train_point_model(train: LabeledSeries, hp: PointHyperparams) -> P
             epoch_loss += loss
             n_batches += 1
             step += 1
-            if hp.optimizer == "adam":
-                for key, grad in grads.items():
-                    adam_m[key] = beta1 * adam_m[key] + (1 - beta1) * grad
-                    adam_v[key] = beta2 * adam_v[key] + (1 - beta2) * grad**2
-                    m_hat = adam_m[key] / (1 - beta1**step)
-                    v_hat = adam_v[key] / (1 - beta2**step)
-                    params[key] -= hp.learn_rate * m_hat / (np.sqrt(v_hat) + eps)
-            else:
-                for key, grad in grads.items():
-                    params[key] -= hp.learn_rate * grad
+            for key, grad in grads.items():
+                adam_m[key] = beta1 * adam_m[key] + (1 - beta1) * grad
+                adam_v[key] = beta2 * adam_v[key] + (1 - beta2) * grad**2
+                m_hat = adam_m[key] / (1 - beta1**step)
+                v_hat = adam_v[key] / (1 - beta2**step)
+                params[key] -= hp.learn_rate * m_hat / (np.sqrt(v_hat) + eps)
         epoch_loss /= n_batches
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(

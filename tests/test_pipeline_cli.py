@@ -1145,6 +1145,23 @@ def test_train_runs_without_scipy(tmp_path):
     assert isinstance(load_model(os.path.join(out, "model.json")).sequence.weights, np.ndarray)
 
 
+def test_benchmark_names_resolve_after_cli_import():
+    """Every function perfbench's tracer instruments is in ``sys.modules`` once the CLI
+    is imported, as ``Tracer.install`` looks it up there, and its gate imports."""
+    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport nominality.cli\n"
+            "from tracer import INSTRUMENTED\n"
+            "for module, attr, *_ in INSTRUMENTED:\n"
+            "    owner = sys.modules['nominality.' + module]\n"
+            "    for part in attr.split('.'):\n"
+            "        owner = getattr(owner, part)\n"
+            "import gate\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, perfbench], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_code_defaults_run_every_command(tmp_path):
     """A config that names only the data paths runs the chain on the default dataset."""
     path = tmp_path / "run.yaml"
@@ -1170,6 +1187,35 @@ def test_huge_test_value_names_its_row(downsample, row, named):
     values[row, 1] = 1e200
     with pytest.raises(DataError, match=f"^test.csv: row {named}: "):
         score_split(cfg, models, dataclasses.replace(data.test, values=values))
+
+
+@pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
+@pytest.mark.parametrize("command, old, new, damage, status, message", [
+    ("train", "  learn_rate: 0.001\n", "  learn_rate: 1.0e+300\n", None, 4,
+     "numeric error: training loss became non-finite at epoch 0"),
+    ("train", "  downsample: 1\n", "  downsample: 1\n  normalization: none\n", _HUGE_VALUE, 4,
+     "numeric error: training loss became non-finite at epoch 0"),
+    ("synth", "    n_test: 300\n", "    n_test: 300\n    noise_sigma: 1.0e+308\n", None, 3,
+     "data error: series values must be finite after ingestion"),
+    ("train", "  optimizer: adam\n", "  optimizer: sgd\n", None, 2,
+     "config error: point_model.optimizer must be one of adam, got 'sgd'"),
+], ids=["huge-learn-rate", "huge-train-value", "huge-noise", "sgd"])
+def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damage, status,
+                                    message):
+    """An overflowing fit or generator exits with its code and one line, as warnings
+    are shown or made errors; plain gradient descent is no optimizer."""
+    path, out = write_config(tmp_path)
+    assert main(["synth", "--config", path]) == 0
+    if damage is not None:
+        _rewrite(os.path.join(out, "train.csv"), damage)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    if warnings is not None:
+        env["PYTHONWARNINGS"] = warnings
+    done = subprocess.run(
+        [sys.executable, "-m", "nominality.cli", command, "--config",
+         second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr.splitlines()) == (status, [message])
 
 
 def test_readme_library_example(capsys):

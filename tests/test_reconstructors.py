@@ -97,12 +97,10 @@ class TestPointModelTraining:
 
     def test_divergence_reports_epoch(self):
         series = random_series(5)
-        hp = PointHyperparams(d_lat=2, learn_rate=1e9, epochs=50, batch_size=16, seed=0,
-                              optimizer="sgd")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged) as err:
-                train_point_model(series, hp)
-        assert err.value.epoch >= 0
+        hp = PointHyperparams(d_lat=2, learn_rate=1e300, epochs=50, batch_size=16, seed=0)
+        with pytest.raises(TrainingDiverged) as err:
+            train_point_model(series, hp)
+        assert err.value.epoch == 0
 
     def test_univariate_rejected(self):
         with pytest.raises(ShapeError):
@@ -131,7 +129,7 @@ class TestFlatFitMatchesReference:
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     @pytest.mark.parametrize("d_lat", [1, 4])
     @pytest.mark.parametrize("batch_size", [20, 16], ids=["divides", "ragged"])
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("optimizer", ["adam"])
     def test_weights_and_losses_bitwise(self, monkeypatch, optimizer, batch_size, d_lat, epochs):
         series = random_series(11, n=100, dim=4)
         hp = PointHyperparams(d_lat=d_lat, learn_rate=0.01, optimizer=optimizer,
