@@ -3,16 +3,17 @@
 The point model is a one-hidden-layer tanh autoencoder trained row by row
 with mini-batch Adam, so its output at time t depends only on the input at
 time t.  Its fit keeps the four weight arrays as views of one flat float64
-buffer and updates the whole buffer with a few in-place ufuncs per step, in
-the same operation order as a per-array Adam, so the weights are the same
-bits.  The sequence model is a closed-form ridge regression that predicts
-the middle ``delta`` points of a window from the ``gamma`` points on each
-side, which forces it to learn time-dependent structure; numpy's LAPACK
-checks its normal matrix with a Cholesky factorization and solves it.  Its
-predictions gather the design and multiply it by the weights one fixed-size
-chunk of blocks at a time, so scoring holds one chunk of the design rather
-than all of it.  Because the sequence model cannot reconstruct the first and
-last ``gamma`` points, :func:`make_pair` trims the observation and the point
+buffer and builds every scratch array once, so a step is a fixed list of
+``np.dot`` and in-place ufunc calls, each rounding in the order of the plain
+expressions and of a per-array Adam, so the weights are the same bits.  The
+sequence model is a closed-form ridge regression that predicts the middle
+``delta`` points of a window from the ``gamma`` points on each side, which
+forces it to learn time-dependent structure; numpy's LAPACK checks its
+normal matrix with a Cholesky factorization and solves it.  Its predictions
+gather the design and multiply it by the weights one fixed-size chunk of
+blocks at a time, so scoring holds one chunk of the design rather than all
+of it.  Because the sequence model cannot reconstruct the first and last
+``gamma`` points, :func:`make_pair` trims the observation and the point
 reconstruction to the same interior range, so every covered time point has
 one observed and exactly two reconstructed values.  :class:`TrainedModels`
 is one trained detector (both models, the normalization and the training
@@ -64,43 +65,47 @@ class PointModel:
         return self.enc_w.shape[0]
 
     def loss_and_grads(
-        self, batch: np.ndarray, out: np.ndarray | None = None
+        self, batch: np.ndarray, out: np.ndarray | None = None, buffers: tuple | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean squared reconstruction error of a batch and its gradients.
 
         The loss is averaged over all batch elements (rows times channels).
         Gradients are exact; the finite-difference check in the test suite
         validates them against central differences.  They are written into
-        ``out``, a flat float64 buffer laid out as :func:`_param_views`
-        describes (a new one if None), and returned as views of it.
+        ``out``, a C-contiguous float64 vector laid out as :func:`_param_views`
+        describes (a new one if None), and returned as views of it.  A fit
+        passes ``buffers``, the scratch :func:`_step_buffers` built once for
+        this batch's row count and ``out``, so a step allocates nothing: it is
+        5 ``np.dot`` products, 9 ufuncs and 3 reductions, each into a buffer
+        and rounding in the order of the plain expressions (tanh(x @ W + b),
+        2 * resid / (n * D), ...), so the bits match them.  2 * r / (n * D)
+        is the one division r / (n * D / 2): as doubling is exact, both round
+        the same quotient (short of overflow, where the loss is infinite).
         """
-        batch = np.asarray(batch, dtype=np.float64)
-        n, dim = batch.shape
-        if out is None:
-            out = np.empty(2 * self.enc_w.size + self.enc_b.size + self.dec_b.size)
-        grads = _param_views(out, *self.enc_w.shape)
-        # In place, but one rounding at a time in the order of the plain
-        # expressions (tanh(x @ W + b), 2 * resid / (n * D), ...), so the bits match them.
-        hidden = batch @ self.enc_w
-        hidden += self.enc_b
-        np.tanh(hidden, out=hidden)
-        resid = hidden @ self.dec_w
-        resid += self.dec_b
-        resid -= batch
-        sq = np.square(resid)
+        if buffers is None:
+            batch = np.asarray(batch, dtype=np.float64)
+            if out is None:
+                out = np.empty(2 * self.enc_w.size + self.enc_b.size + self.dec_b.size)
+            buffers = _step_buffers(self, batch.shape[0], out)
+        hidden, resid, sq, d_pre, half_size, one, dec_w_t, grads = buffers
+        np.dot(batch, self.enc_w, hidden)
+        np.add(hidden, self.enc_b, hidden)
+        np.tanh(hidden, hidden)
+        np.dot(hidden, self.dec_w, resid)
+        np.add(resid, self.dec_b, resid)
+        np.subtract(resid, batch, resid)
+        np.square(resid, sq)
         # np.add.reduce / size is what ndarray.mean computes, without its Python overhead.
-        loss = float(np.add.reduce(sq, axis=None) / sq.size)
-        d_recon = resid
-        d_recon *= 2.0
-        d_recon /= n * dim
-        np.matmul(hidden.T, d_recon, out=grads["dec_w"])
-        np.add.reduce(d_recon, axis=0, out=grads["dec_b"])
-        d_pre = d_recon @ self.dec_w.T
-        np.square(hidden, out=hidden)
-        np.subtract(1.0, hidden, out=hidden)
-        d_pre *= hidden
-        np.matmul(batch.T, d_pre, out=grads["enc_w"])
-        np.add.reduce(d_pre, axis=0, out=grads["enc_b"])
+        loss = float(np.add.reduce(sq, None) / sq.size)
+        np.divide(resid, half_size, resid)
+        np.dot(hidden.T, resid, grads["dec_w"])
+        np.add.reduce(resid, 0, None, grads["dec_b"])
+        np.dot(resid, dec_w_t, d_pre)
+        np.square(hidden, hidden)
+        np.subtract(one, hidden, hidden)
+        np.multiply(d_pre, hidden, d_pre)
+        np.dot(batch.T, d_pre, grads["enc_w"])
+        np.add.reduce(d_pre, 0, None, grads["enc_b"])
         return loss, grads
 
 
@@ -119,6 +124,18 @@ def _param_views(flat: np.ndarray, n_channels: int, d_lat: int) -> dict[str, np.
         "dec_w": flat[b:c].reshape(d_lat, n_channels),
         "dec_b": flat[c:],
     }
+
+
+def _step_buffers(model: PointModel, n_rows: int, out: np.ndarray) -> tuple:
+    """Scratch for ``model``'s steps on ``n_rows``-row batches, gradients into ``out``.
+
+    In order: hidden layer, residual, its square, pre-activation derivative, n * D / 2
+    and 1.0 as 0-d arrays (quicker than floats), ``dec_w.T``, gradient views of ``out``."""
+    n_channels, d_lat = model.enc_w.shape
+    return (np.empty((n_rows, d_lat)), np.empty((n_rows, n_channels)),
+            np.empty((n_rows, n_channels)), np.empty((n_rows, d_lat)),
+            np.array(n_rows * n_channels / 2), np.array(1.0), model.dec_w.T,
+            _param_views(out, n_channels, d_lat))
 
 
 def _init_params(n_channels: int, hp: PointHyperparams) -> np.ndarray:
@@ -141,14 +158,15 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     Training is mini-batch Adam (Kingma & Ba, ICLR 2015, Alg. 1) with seeded
     shuffling, so identical inputs and seeds give bitwise identical models.
     The four weight arrays of the returned model are views of one flat
-    float64 buffer.  Row 0 and row 1 of three (2, P) arrays hold the
-    gradient and its square, the two moments, and the step and its divisor,
-    so each Adam operation is one in-place ufunc over both rows.  The
-    arithmetic is, element by element and in this order, ``m = b1*m +
-    (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and ``p -= (lr * (m / (1-b1**t))) /
-    (sqrt(v / (1-b2**t)) + eps)``, which is what a per-array update
-    computes.  Each epoch gathers its shuffled rows once and takes the
-    batches as contiguous slices of them.  Overflow warns of nothing; the
+    float64 buffer.  Every other buffer is built once per fit: the shuffled
+    rows, whose slices are the batches, the :func:`_step_buffers` of the full
+    and of the short last batch, and (P,) rows for the moments, the gradient
+    and its square, the step and its divisor.  A step is one
+    :meth:`PointModel.loss_and_grads` call and 11 in-place numpy calls that
+    compute, element by element and in this order, ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p -= (lr * (m / (1-b1**t))) /
+    (sqrt(v / (1-b2**t)) + eps)`` with Python-float bias corrections, which
+    is what a per-array update computes.  Overflow warns of nothing; the
     checks below report it.
 
     Raises:
@@ -173,33 +191,41 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     model = PointModel(**_param_views(flat, train.n_channels, hp.d_lat), hp=hp)
     rows = train.values
     n_rows, batch_size = rows.shape[0], hp.batch_size
-    n_batches = -(-n_rows // batch_size)
     rng = np.random.default_rng(hp.seed + 1)
-    grad, moments, update = (np.zeros((2, flat.size)) for _ in range(3))
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    betas = np.array([[beta1], [beta2]])
-    gains = 1 - betas
-    corrections = np.empty((2, 1))
+    beta1, beta2 = 0.9, 0.999
+    # Rows 0-1: Adam's two moments; rows 2-3: the gradient and its square.
+    # Full-shape factors and 0-d scalars keep each ufunc off numpy's slower broadcast path.
+    state = np.zeros((4, flat.size))
+    factors = np.repeat([[beta1], [beta2], [1 - beta1], [1 - beta2]], flat.size, axis=1)
+    moments, grad = state[:2], state[2:]
+    update, divisor = np.empty((2, 2, flat.size))
+    (grad_0, grad_1), (update_0, update_1), (divisor_0, divisor_1) = grad, update, divisor
+    learn_rate, eps = np.array(hp.learn_rate), np.array(1e-8)
+    shuffled = np.empty_like(rows)
+    slices = [shuffled[start : start + batch_size] for start in range(0, n_rows, batch_size)]
+    scratch = {n: _step_buffers(model, n, grad_0) for n in {batch_size, len(slices[-1])}}
+    batches = [(batch, scratch[len(batch)]) for batch in slices]
     step = 0
     for epoch in range(hp.epochs):
-        shuffled = rows[rng.permutation(n_rows)]
+        # "clip" writes into ``shuffled`` without a temporary; it never clips a permutation.
+        np.take(rows, rng.permutation(n_rows), axis=0, out=shuffled, mode="clip")
         epoch_loss = 0.0
-        for start in range(0, n_rows, batch_size):
-            loss, _ = model.loss_and_grads(shuffled[start : start + batch_size], out=grad[0])
+        for batch, buffers in batches:
+            loss, _ = model.loss_and_grads(batch, grad_0, buffers)
             epoch_loss += loss
             step += 1
-            np.square(grad[0], out=grad[1])
-            moments *= betas
-            grad *= gains
-            moments += grad
-            corrections[:, 0] = 1 - beta1**step, 1 - beta2**step
-            np.divide(moments, corrections, out=update)
-            update[0] *= hp.learn_rate
-            np.sqrt(update[1], out=update[1])
-            update[1] += eps
-            update[0] /= update[1]
-            flat -= update[0]
-        epoch_loss /= n_batches
+            np.square(grad_0, grad_1)
+            np.multiply(state, factors, state)
+            np.add(moments, grad, moments)
+            divisor_0.fill(1 - beta1**step)
+            divisor_1.fill(1 - beta2**step)
+            np.divide(moments, divisor, update)
+            np.multiply(update_0, learn_rate, update_0)
+            np.sqrt(update_1, update_1)
+            np.add(update_1, eps, update_1)
+            np.divide(update_0, update_1, update_0)
+            np.subtract(flat, update_0, flat)
+        epoch_loss /= len(batches)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(
                 f"training loss became non-finite at epoch {epoch}", epoch=epoch

@@ -2,10 +2,12 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
+from nominality import cli
 from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
     PipelineConfig,
@@ -1216,6 +1219,47 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damag
         [sys.executable, "-m", "nominality.cli", command, "--config",
          second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
+
+
+def test_in_process_main_leaves_gc_state(rundir, tmp_path):
+    """Only a process entry freezes the GC: ``main`` in a caller's process leaves it alone."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    before = gc.isenabled(), gc.get_freeze_count()
+    assert main(["eval", "--config", config_path]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_process_entry_freezes_gc_then_exits(monkeypatch):
+    """``python -m nominality.cli`` and the console script run one function, which
+    freezes the GC after ``main`` returns and exits with its status."""
+    root = os.path.dirname(SRC)
+    script = re.search(r'^nominality = "nominality\.cli:(\w+)"$',
+                       open(os.path.join(root, "pyproject.toml")).read(), re.M)
+    assert script is not None and script[1] == "_process_main"
+    assert open(cli.__file__).read().endswith('if __name__ == "__main__":\n    _process_main()\n')
+    monkeypatch.setattr(cli, "main", lambda: 5)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli._process_main()
+        assert exc.value.code == 5 and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
+    """With its stdout piped, ``python -m nominality.cli eval`` prints all of its line
+    and exits 0 (a config error's exit 2 and one line: ``test_failure_is_one_stderr_line``)."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    assert main(["eval", "--config", config_path]) == 0
+    expected = capsys.readouterr().out
+    assert re.fullmatch(r"best F1 \d\.\d{6} at threshold \S+\n", expected)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "nominality.cli", "eval", "--config", config_path],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_readme_library_example(capsys):

@@ -124,11 +124,19 @@ class TestPointModelTraining:
 
 
 class TestFlatFitMatchesReference:
-    """The flat-buffer fit against the per-key reference fit, bit for bit."""
+    """The flat-buffer fit against the per-key reference fit, bit for bit.
+
+    The fit builds its step buffers once for the full batch and once for the
+    short last one, so the cases cover 100 rows in whole batches, a short
+    batch of 4 rows and of 1 row, 1-row batches, one batch of every row, and
+    a latent as wide as the 4 channels: a 1-row product can take another
+    BLAS path under ``np.dot`` than under ``@``.
+    """
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     @pytest.mark.parametrize("d_lat", [1, 4])
-    @pytest.mark.parametrize("batch_size", [20, 16], ids=["divides", "ragged"])
+    @pytest.mark.parametrize("batch_size", [20, 16, 33, 1, 100],
+                             ids=["divides", "ragged", "one_left", "single_row", "all_rows"])
     @pytest.mark.parametrize("optimizer", ["adam"])
     def test_weights_and_losses_bitwise(self, monkeypatch, optimizer, batch_size, d_lat, epochs):
         series = random_series(11, n=100, dim=4)
@@ -148,9 +156,9 @@ class TestFlatFitMatchesReference:
         sizes = []
         original = PointModel.loss_and_grads
 
-        def spy(self, batch, out=None):
+        def spy(self, batch, out=None, buffers=None):
             sizes.append(len(batch))
-            return original(self, batch, out=out)
+            return original(self, batch, out, buffers)
 
         monkeypatch.setattr(PointModel, "loss_and_grads", spy)
         epochs, n_rows, batch_size = 3, 100, 16
