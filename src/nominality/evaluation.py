@@ -4,16 +4,18 @@ A point is predicted anomalous when its score is >= the threshold, and the
 sweep visits every distinct score plus one sentinel above the maximum (the
 all-negative prediction), which is sufficient because the F1 score only
 changes at observed values.  Ties in the best F1 are broken toward the
-smallest threshold.  Scores must be finite.
+smallest threshold.  Scores must be finite and labels 0 or 1.
 
-All three metrics come from one sort of the scores: the bounds of its tie
-groups give the thresholds, and a cumulative sum of the sorted labels gives
-the positives (and so the negatives) at or above each threshold.  Those
-counts are the curve, best F1 is read from them, the AUC is their
-Mann-Whitney U statistic, and the point-adjusted F1 counts each label run
-at its maximum's sorted position.  Counts at tie bounds do not depend on the order inside a
-tie, so the sort need not be stable; a tie group holding both ``0.0`` and
-``-0.0`` may be named by either sign.
+Every metric comes from the two classes' scores, each sorted once.  The
+positives and the negatives at or above a threshold are the counts past its
+insertion point into each class.  The AUC is the Mann-Whitney U statistic:
+each positive's insertion points into the negatives count the negatives
+below it and those tied with it.  The best F1 is searched at the distinct
+positive scores only, the point-adjusted F1 likewise once each positive is
+scored by its label run's maximum, and the curve that ``eval`` writes adds
+one sort of all the scores for its thresholds.  Counts at insertion points
+do not depend on the order inside a tie, so the sorts need not be stable; a
+tie group holding both ``0.0`` and ``-0.0`` may be named by either sign.
 
 Each metric has a deliberately simple brute-force twin
 (``*_bruteforce`` / :func:`auc_trapezoid`) used as an independent oracle in
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig
-from .errors import DegenerateLabels, ShapeError
+from .errors import DegenerateLabels, LabelError, ShapeError
 from .series import ScoreSeries
 
 
@@ -88,6 +90,8 @@ def _as_arrays(
         )
     if not np.isfinite(score_vals).all():
         raise ShapeError("scores must be finite")
+    if not ((label_vals == 0) | (label_vals == 1)).all():
+        raise LabelError("labels must contain only 0 or 1")
     return score_vals, label_vals.astype(np.int64)
 
 
@@ -127,33 +131,51 @@ def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
     return precision, recall, f1
 
 
-def _at_or_above(sorted_weights: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Sum of the weights from each bound to the end, from one cumulative sum."""
-    below = np.concatenate([[0], np.cumsum(sorted_weights)])
-    return below[-1] - below[bounds]
-
-
 def _sweep(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Validate the inputs and count at every threshold from one sort of the scores.
+    """Validate the inputs and sort each class's scores.
 
-    Returns ``(thresholds, tp, fp, labels, order, bounds)``: the distinct
-    scores ascending, then a sentinel above the maximum; the positives and
-    the negatives scoring at or above each threshold; the labels as int64;
-    the sort; and the first sorted position at or above each threshold.
+    Returns ``(scores, labels, negatives, positives)``: the scores as
+    float64, the labels as int64, and the scores of the label-0 and of the
+    label-1 points, each sorted ascending.
     """
     score_vals, label_vals = _as_arrays(scores, labels)
     _require_both_classes(label_vals)
-    order = np.argsort(score_vals)
-    sorted_scores = score_vals[order]
-    bounds = np.concatenate(
-        [[0], np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, [order.shape[0]]]
-    )
-    top = sorted_scores[-1] + 1.0
-    if top == sorted_scores[-1]:  # +1 fell below one ulp of a huge score
+    positive = label_vals == 1
+    return score_vals, label_vals, np.sort(score_vals[~positive]), np.sort(score_vals[positive])
+
+
+def _best_at_positives(neg: np.ndarray, pos: np.ndarray) -> tuple[float, float, float, float]:
+    """Best F1 and its threshold, precision and recall, from the sorted classes.
+
+    Only the distinct positive scores are tried: a threshold at any other
+    score has the TP count of the next positive score above it and at least
+    one more FP, so its F1 is strictly lower (or 0 when no positive is
+    above).  The first maximum is the smallest threshold that reaches it.
+    """
+    first = np.flatnonzero(np.concatenate([[True], pos[1:] != pos[:-1]]))
+    thresholds = pos[first]
+    fp = neg.shape[0] - np.searchsorted(neg, thresholds)
+    precision, recall, f1 = _f1_from_counts(pos.shape[0] - first, fp, first)
+    best = int(np.argmax(f1))
+    return float(f1[best]), float(thresholds[best]), float(precision[best]), float(recall[best])
+
+
+def _curve(score_vals: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The (threshold, tp, fp) rows at every distinct score, then a sentinel above the maximum.
+
+    From one sort of all the scores: each tie group's first position counts
+    the points below it, and its first position in the sorted positives
+    counts the positives below it.
+    """
+    ordered = np.sort(score_vals)
+    n = ordered.shape[0]
+    bounds = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1], [True]]))
+    top = ordered[-1] + 1.0
+    if top == ordered[-1]:  # +1 fell below one ulp of a huge score
         top = np.inf
-    tp = _at_or_above(label_vals[order], bounds)
-    fp = (order.shape[0] - bounds) - tp
-    return np.append(sorted_scores[bounds[:-1]], top), tp, fp, label_vals, order, bounds
+    thresholds = np.append(ordered[bounds[:-1]], top)
+    tp = pos.shape[0] - np.searchsorted(pos, thresholds)
+    return np.column_stack([thresholds, tp, (n - bounds) - tp])
 
 
 def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -161,26 +183,32 @@ def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
 
     Raises:
         DegenerateLabels: labels are all 0 or all 1.
+        LabelError: a label is not 0 or 1.
         ShapeError: the lengths differ or a score is not finite.
     """
     return _best_report(_sweep(scores, labels))
 
 
 def _best_report(sweep: tuple[np.ndarray, ...]) -> EvalReport:
-    """:func:`best_f1`'s report from the counts of one :func:`_sweep`."""
-    thresholds, tp, fp, *_ = sweep
-    precision, recall, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
-    best_idx = int(np.argmax(f1))  # first occurrence = smallest threshold
+    """:func:`best_f1`'s report from one :func:`_sweep`."""
+    score_vals, _, neg, pos = sweep
+    f1, threshold, precision, recall = _best_at_positives(neg, pos)
     return EvalReport(
-        best_f1=float(f1[best_idx]),
-        best_threshold=float(thresholds[best_idx]),
-        precision=float(precision[best_idx]),
-        recall=float(recall[best_idx]),
-        auc=_u_auc(tp, fp),
-        positives=int(tp[0]),
-        negatives=int(fp[0]),
-        curve=np.column_stack([thresholds, tp, fp]),
+        best_f1=f1,
+        best_threshold=threshold,
+        precision=precision,
+        recall=recall,
+        auc=_u_auc(neg, pos),
+        positives=pos.shape[0],
+        negatives=neg.shape[0],
+        curve=_curve(score_vals, pos),
     )
+
+
+def auc_and_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """:func:`best_f1`'s AUC and best F1, without building its curve."""
+    _, _, neg, pos = _sweep(scores, labels)
+    return _u_auc(neg, pos), _best_at_positives(neg, pos)[0]
 
 
 def _oracle_f1(tp: int, fp: int, fn: int) -> float:
@@ -237,28 +265,21 @@ def _label_runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pa_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     """Best F1 over the same threshold sweep, scored after point-adjustment.
 
-    Adjustment turns a run into all-TP as soon as its maximal score clears
-    the threshold and leaves false positives untouched.  So each run puts its
-    length at the sorted position of its maximum, the largest position
-    inside the run, and the adjusted TP count at a threshold is the sum of
-    those lengths at or above it.
+    Adjustment predicts every point of a run as soon as the run's maximal
+    score clears the threshold and leaves the negatives' predictions alone.
+    So the adjusted F1 is the plain F1 with each positive scored by its
+    run's maximum, and its best is searched at the distinct run maxima.
     """
     return _pa_f1(_sweep(scores, labels))
 
 
 def _pa_f1(sweep: tuple[np.ndarray, ...]) -> float:
-    """:func:`pa_best_f1` from the counts and sort of one :func:`_sweep`."""
-    _, _, fp, label_vals, order, bounds = sweep
+    """:func:`pa_best_f1` from one :func:`_sweep`."""
+    score_vals, label_vals, neg, _ = sweep
     starts, stops = _label_runs(label_vals)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.shape[0])
-    # -1 outside the runs: each segment from a run start to the next peaks in its run
-    run_top = np.maximum.reduceat(np.where(label_vals == 1, position, -1), starts)
-    run_weights = np.zeros_like(position)
-    run_weights[run_top] = stops - starts
-    tp = _at_or_above(run_weights, bounds)
-    _, _, f1 = _f1_from_counts(tp, fp, tp[0] - tp)
-    return float(f1.max())
+    # -inf outside the runs: each segment from a run start to the next peaks in its run
+    run_max = np.maximum.reduceat(np.where(label_vals == 1, score_vals, -np.inf), starts)
+    return _best_at_positives(neg, np.sort(np.repeat(run_max, stops - starts)))[0]
 
 
 def pa_best_f1_bruteforce(
@@ -276,19 +297,20 @@ def pa_best_f1_bruteforce(
 
 def auc(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     """ROC-AUC as the Mann-Whitney U statistic; tied scores contribute half credit."""
-    _, tp, fp, *_ = _sweep(scores, labels)
-    return _u_auc(tp, fp)
+    _, _, neg, pos = _sweep(scores, labels)
+    return _u_auc(neg, pos)
 
 
-def _u_auc(tp: np.ndarray, fp: np.ndarray) -> float:
-    """U / (P * N) from the counts at or above each threshold.
+def _u_auc(neg: np.ndarray, pos: np.ndarray) -> float:
+    """U / (P * N) from the sorted classes.
 
-    Each positive of tie group i beats the N - fp[i] negatives below the
-    group and ties with its fp[i] - fp[i + 1], so 2U is an exact integer.
+    Each positive beats the negatives below it and ties with those equal to
+    it: the left and right insertion points into the negatives sum to twice
+    its credit, so 2U is an exact integer.
     """
-    n_pos, n_neg = int(tp[0]), int(fp[0])
-    twice_u = int(((tp[:-1] - tp[1:]) * (2 * n_neg - fp[:-1] - fp[1:])).sum())
-    return twice_u / 2 / (n_pos * n_neg)
+    below = np.searchsorted(neg, pos, "left").sum()
+    twice_u = int(below + np.searchsorted(neg, pos, "right").sum())
+    return twice_u / 2 / (pos.shape[0] * neg.shape[0])
 
 
 def auc_trapezoid(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .errors import DataError, ShapeError
-from .evaluation import best_f1
+from .evaluation import auc_and_best_f1
 from .reconstructors import (
     MODEL_FILE,
     ReconstructionPair,
@@ -157,8 +157,10 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     rows use the raw point/sequence reconstruction errors and ignore d; the
     gated rows induce the point-based anomaly score through an open gate (the
     moving sum), a hard gate and a soft gate at the threshold, each from one
-    set of doubling blocks shared by every d.  Returns a JSON-ready dict with
-    per-d AUC and best F1 plus their mean and standard deviation across d.
+    set of doubling blocks shared by every d.  Each series' AUC and best F1
+    are :func:`~.evaluation.best_f1`'s, from :func:`~.evaluation.auc_and_best_f1`,
+    which builds no curve.  Returns a JSON-ready dict with per-d AUC and best
+    F1 plus their mean and standard deviation across d.
     """
     if bundle.labels is None:
         raise DataError("cannot sweep: test split has no labels")
@@ -167,14 +169,9 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     theta = bundle.theta
     anomaly = bundle.anomaly.scores
 
-    def figures(series) -> tuple[float, float]:
-        # Only the two figures are kept, so no more than one report's curve is held.
-        report = best_f1(series, labels)
-        return report.auc, report.best_f1
-
     rows: dict[str, dict] = {}
     for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
-        auc_val, f1_val = figures(series)
+        auc_val, f1_val = auc_and_best_f1(series, labels)
         rows[name] = {"auc": [auc_val] * len(d_values), "best_f1": [f1_val] * len(d_values)}
 
     gates = {
@@ -183,7 +180,7 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
         "soft_theta_pct": gate("soft", theta, bundle.nominality.scores),
     }
     for name, g in gates.items():
-        pairs = [figures(induced) for induced in induction_sums(anomaly, g, d_values)]
+        pairs = [auc_and_best_f1(s, labels) for s in induction_sums(anomaly, g, d_values)]
         rows[name] = {"auc": [p[0] for p in pairs], "best_f1": [p[1] for p in pairs]}
 
     for row in rows.values():

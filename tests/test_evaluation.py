@@ -9,12 +9,14 @@ from scipy.stats import mannwhitneyu
 
 from nominality import (
     DegenerateLabels,
+    LabelError,
     ScoreSeries,
     ShapeError,
     auc,
     best_f1,
     confusion,
     evaluate,
+    gate,
     pa_best_f1,
     point_adjust,
     spike_augment,
@@ -23,11 +25,13 @@ from nominality import evaluation
 from nominality.config import config_from_dict
 from nominality.evaluation import (
     _f1_from_counts,
+    auc_and_best_f1,
     auc_trapezoid,
     best_f1_bruteforce,
     pa_best_f1_bruteforce,
 )
 from nominality.pipeline import ScoreBundle, sweep_table
+from nominality.scoring import induction_sums
 
 
 def random_instance(seed, max_len=200):
@@ -189,7 +193,7 @@ HEAVY_TIES = [heavy_tie_instance(seed) for seed in range(40)] + [
 
 
 class TestRankAndThresholdPath:
-    """The one-sort sweep against its definitions on heavily tied scores."""
+    """The sorted-class sweep against its definitions on heavily tied scores."""
 
     @pytest.mark.parametrize(
         "scores, labels",  # ids valuesN, as the grid test's below
@@ -238,6 +242,51 @@ class TestRankAndThresholdPath:
             metric(scores, np.array([0, 1, 1, 0, 1, 0]))
 
 
+EVALUATORS = [best_f1, auc, pa_best_f1, evaluate, best_f1_bruteforce, pa_best_f1_bruteforce,
+              auc_trapezoid]
+
+
+@pytest.mark.parametrize("metric", EVALUATORS, ids=[m.__name__ for m in EVALUATORS])
+@pytest.mark.parametrize("labels", [[0, 2, 0, 2, 0], [-1, 0, 1, 1, 0]], ids=["two", "minus-one"])
+def test_label_outside_0_1_raises(metric, labels):
+    """The sweep splits the scores by ``label == 1``, so any other nonzero label is refused."""
+    with pytest.raises(LabelError, match="only 0 or 1"):
+        metric(np.array([0.1, 0.9, 0.5, 0.7, 0.2]), np.array(labels))
+
+
+HUGE = np.finfo(np.float64).max
+EDGE_CASES = {
+    "mixed-tie-group": ([0.3, 0.5, 0.5, 0.5, 0.5, 0.9, 0.1], [0, 1, 0, 1, 0, 1, 0]),
+    "signed-zeros": ([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0], [0, 1, 1, 0, 1, 0, 0]),
+    "all-equal": ([2.5] * 6, [0, 1, 1, 0, 0, 1]),
+    "single-positive": ([0.4, 0.1, 0.8, 0.3, 0.8, 0.2], [0, 0, 1, 0, 0, 0]),
+    "positives-at-minimum": ([1.0, 1.0, 2.0, 3.0, 4.0, 1.5], [1, 1, 0, 0, 0, 0]),
+    "positives-at-maximum": ([1.0, 4.0, 2.0, 4.0, 3.0, 4.0], [0, 1, 0, 1, 0, 0]),
+    "near-float-max": ([1.7e308, HUGE, 1.0e308, HUGE, 1.79e308, -1.0e308], [0, 1, 0, 0, 1, 1]),
+    "runs-at-both-ends": ([0.9, 0.2, 0.1, 0.7, 0.3, 0.6, 0.5, 0.2, 0.4, 0.8],
+                          [1, 1, 0, 1, 0, 0, 1, 0, 1, 1]),
+    "one-point-runs": ([0.5, 0.6, 0.1, 0.9, 0.2, 0.6, 0.3, 0.4], [1, 0, 1, 0, 1, 0, 0, 1]),
+}
+
+
+@pytest.mark.parametrize("scores, labels", [pytest.param(np.array(s), np.array(l), id=name)
+                                            for name, (s, l) in EDGE_CASES.items()])
+def test_kernel_edge_cases_match_the_oracles(scores, labels):
+    report = evaluate(scores, labels, point_adjusted=True)
+    assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
+    assert report.pa_best_f1 == pa_best_f1_bruteforce(scores, labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    assert report.auc == mannwhitneyu(pos, neg).statistic / (pos.shape[0] * neg.shape[0])
+    assert report.auc == pytest.approx(auc_trapezoid(scores, labels), abs=1e-10)
+    assert auc_and_best_f1(scores, labels) == (report.auc, report.best_f1)
+    # the curve: each distinct value (either zero names the signed-zero group), then the
+    # sentinel, which is inf where max + 1 rounds back to the max
+    sentinel = np.inf if scores.max() == HUGE else scores.max() + 1
+    thresholds = np.append(np.unique(scores), sentinel)
+    counts = np.array([confusion(scores >= t, labels)[:2] for t in thresholds])
+    assert np.array_equal(report.curve, np.column_stack([thresholds, counts]))
+
+
 class TestSpikeAugment:
     def test_every_point(self):
         out = spike_augment(ScoreSeries([1.0, 2.0, 3.0]), 1)
@@ -278,8 +327,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_one_sweep_same_figures(self, monkeypatch, seed):
-        # evaluate sorts the scores once for best F1, AUC and the
-        # point-adjusted F1; the spiked scores are another array.
+        # evaluate splits and sorts the scores once for best F1, AUC and
+        # the point-adjusted F1; the spiked scores are another array.
         scores, labels = random_instance(seed)
         calls = []
         sweep = evaluation._sweep
@@ -296,15 +345,25 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auc_and_best_f1_are_the_reports(self, seed):
-        """The sweep table's AUC and best F1 of a score series equal evaluate's, bit for bit."""
+        """Every sweep table row's AUC and best F1 equal evaluate's, bit for bit."""
         scores, labels = random_instance(seed)
         bundle = ScoreBundle(ScoreSeries(scores), ScoreSeries(scores[::-1].copy()),
                              ScoreSeries(np.abs(scores), "nominality"), None, labels, 1.0)
-        rows = sweep_table(config_from_dict({"sweep": {"d_values": [1, 2]}}), bundle)["rows"]
+        d_values = [1, 2, 8]
+        rows = sweep_table(config_from_dict({"sweep": {"d_values": d_values}}), bundle)["rows"]
         for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
             report = evaluate(series, labels)
-            assert rows[name]["auc"] == [report.auc] * 2
-            assert rows[name]["best_f1"] == [report.best_f1] * 2
+            assert rows[name]["auc"] == [report.auc] * len(d_values)
+            assert rows[name]["best_f1"] == [report.best_f1] * len(d_values)
+        gates = {
+            "hard_theta_inf": np.ones_like(scores),
+            "hard_theta_pct": gate("hard", 1.0, bundle.nominality.scores),
+            "soft_theta_pct": gate("soft", 1.0, bundle.nominality.scores),
+        }
+        for name, g in gates.items():
+            reports = [evaluate(induced, labels) for induced in induction_sums(scores, g, d_values)]
+            assert rows[name]["auc"] == [r.auc for r in reports], name
+            assert rows[name]["best_f1"] == [r.best_f1 for r in reports], name
 
     def test_json_roundtrip(self):
         scores, labels = random_instance(5)
