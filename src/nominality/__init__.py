@@ -35,7 +35,6 @@ from .evaluation import (
     evaluate,
     pa_best_f1,
     point_adjust,
-    spike_augment,
 )
 from .reconstructors import (
     PointHyperparams,

@@ -34,7 +34,9 @@ unchanged (exit 3): ``score`` checks ``train``'s ``preprocess``,
 ``data.label_column`` in ``score``'s manifest, and ``eval`` checks those,
 ``data.label_column`` if it reads the default ``labels.csv`` and ``gate`` if
 it reads the default ``induced.csv``.
-``eval_report.json`` holds the summary figures and ``curve.csv`` the curve:
+``eval_report.json`` holds every figure of the one report (the best F1 with
+its threshold, precision and recall, the point-adjusted best F1, the AUC and
+the class counts), written like every JSON file, and ``curve.csv`` the curve:
 the positives and negatives at or above every threshold.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error (running out
@@ -70,7 +72,6 @@ from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
     ScoreSeries,
-    atomic_write,
     load_csv,
     read_table,
     save_csv,
@@ -270,14 +271,9 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         raise DataError(
             f"labels ({labels_path}) are not aligned with scores ({scores_path})"
         )
-    report = evaluate(
-        scores,
-        labels,
-        point_adjusted=cfg.eval.point_adjust,
-        spike_interval=cfg.eval.spike_interval,
-    )
+    report = evaluate(scores, labels)
     report_path = os.path.join(cfg.output.dir, "eval_report.json")
-    atomic_write(report_path, report.to_json() + "\n")
+    write_json(report.summary(), report_path)
     curve_path = os.path.join(cfg.output.dir, "curve.csv")
     write_csv(curve_path, ["threshold", "tp", "fp"],
               [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])

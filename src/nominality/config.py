@@ -196,8 +196,11 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    point_adjust: bool = _rule("true or false", default=True)
-    spike_interval: int | None = _at_least(1, None)
+    """The ``eval`` section: two retired keys, each held to the one value that recorded
+    configs name; every report holds the point-adjusted best F1."""
+
+    point_adjust: bool = _rule("true", lambda value: value, default=True)
+    spike_interval: int | None = _rule("null", lambda value: False, default=None)
 
     def __post_init__(self) -> None:
         _check("eval", EvalConfig, vars(self))

@@ -1,10 +1,13 @@
 """Threshold-sweep evaluation: best F1, point-adjusted best F1, ROC-AUC.
 
-A point is predicted anomalous when its score is >= the threshold, and the
-sweep visits every distinct score plus one sentinel above the maximum (the
-all-negative prediction), which is sufficient because the F1 score only
-changes at observed values.  Ties in the best F1 are broken toward the
-smallest threshold.  Scores must be finite and labels 0 or 1.
+:func:`evaluate` gives all three, with the threshold curve, in one report:
+the one ``eval`` writes.  A point is predicted anomalous when its score is
+>= the threshold, and the sweep visits every distinct score plus one
+sentinel above the maximum (the all-negative prediction), which is
+sufficient because the F1 score only changes at observed values.  Ties in
+the best F1 are broken toward the smallest threshold.  Scores must be
+finite and labels 0 or 1; :func:`confusion` and :func:`point_adjust` check
+their inputs the same way.
 
 Every metric comes from the two classes' scores, each sorted once.  The
 positives and the negatives at or above a threshold are the counts past its
@@ -27,12 +30,10 @@ the last bits (3.6e-15 on the preset dataset).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EvalConfig
 from .errors import DegenerateLabels, LabelError, ShapeError
 from .series import ScoreSeries
 
@@ -45,38 +46,23 @@ class EvalReport:
     threshold: the positives and the negatives scoring at or above each
     threshold.  With ``positives`` and ``negatives`` (the first row's counts)
     they give the precision, recall and F1 at every threshold.  The CLI
-    writes the curve to ``curve.csv`` and the other figures to
-    ``eval_report.json``.  ``pa_best_f1`` and ``spiked_pa_best_f1`` are
-    filled only when requested.
+    writes the curve to ``curve.csv`` and :meth:`summary` to
+    ``eval_report.json``.
     """
 
     best_f1: float
     best_threshold: float
     precision: float
     recall: float
+    pa_best_f1: float
     auc: float
     positives: int
     negatives: int
     curve: np.ndarray
-    pa_best_f1: float | None = None
-    spiked_pa_best_f1: float | None = None
 
-    def to_json(self) -> str:
-        """The summary figures as sorted, indented JSON; the curve is not included."""
-        doc = {
-            "best_f1": self.best_f1,
-            "best_threshold": self.best_threshold,
-            "precision": self.precision,
-            "recall": self.recall,
-            "auc": self.auc,
-            "positives": self.positives,
-            "negatives": self.negatives,
-        }
-        if self.pa_best_f1 is not None:
-            doc["pa_best_f1"] = self.pa_best_f1
-        if self.spiked_pa_best_f1 is not None:
-            doc["spiked_pa_best_f1"] = self.spiked_pa_best_f1
-        return json.dumps(doc, sort_keys=True, indent=1)
+    def summary(self) -> dict:
+        """Every figure but the curve."""
+        return {name: value for name, value in vars(self).items() if name != "curve"}
 
 
 def _as_arrays(
@@ -101,11 +87,8 @@ def _require_both_classes(labels: np.ndarray) -> None:
 
 
 def confusion(pred: np.ndarray, labels: np.ndarray) -> tuple[int, int, int, int]:
-    """Counts (TP, FP, FN, TN) for binary predictions against binary labels."""
-    pred = np.asarray(pred)
-    labels = np.asarray(labels)
-    if pred.shape != labels.shape:
-        raise ShapeError(f"pred and labels lengths differ: {pred.shape} vs {labels.shape}")
+    """Counts (TP, FP, FN, TN) for predictions (nonzero is positive) against 0/1 labels."""
+    pred, labels = _as_arrays(pred, labels)
     pred = pred.astype(bool)
     truth = labels.astype(bool)
     tp = int((pred & truth).sum())
@@ -179,30 +162,8 @@ def _curve(score_vals: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
-    """Exhaustive threshold sweep; returns the report with the maximal F1.
-
-    Raises:
-        DegenerateLabels: labels are all 0 or all 1.
-        LabelError: a label is not 0 or 1.
-        ShapeError: the lengths differ or a score is not finite.
-    """
-    return _best_report(_sweep(scores, labels))
-
-
-def _best_report(sweep: tuple[np.ndarray, ...]) -> EvalReport:
-    """:func:`best_f1`'s report from one :func:`_sweep`."""
-    score_vals, _, neg, pos = sweep
-    f1, threshold, precision, recall = _best_at_positives(neg, pos)
-    return EvalReport(
-        best_f1=f1,
-        best_threshold=threshold,
-        precision=precision,
-        recall=recall,
-        auc=_u_auc(neg, pos),
-        positives=pos.shape[0],
-        negatives=neg.shape[0],
-        curve=_curve(score_vals, pos),
-    )
+    """Exhaustive threshold sweep: :func:`evaluate`'s report, which holds the maximal F1."""
+    return evaluate(scores, labels)
 
 
 def auc_and_best_f1(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -243,13 +204,11 @@ def point_adjust(pred: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     For each maximal contiguous run of label 1, if any prediction inside the
     run is 1, the entire run becomes 1 in the adjusted prediction.
-    Predictions outside true runs are unchanged.
+    Predictions outside true runs are unchanged.  Raises :class:`ShapeError`
+    on unequal lengths and :class:`LabelError` on a label other than 0 or 1.
     """
-    pred = np.asarray(pred).astype(np.int64)
-    labels = np.asarray(labels).astype(np.int64)
-    if pred.shape != labels.shape:
-        raise ShapeError(f"pred and labels lengths differ: {pred.shape} vs {labels.shape}")
-    adjusted = pred.copy()
+    pred, labels = _as_arrays(pred, labels)
+    adjusted = pred.astype(np.int64)
     for start, stop in zip(*_label_runs(labels)):
         if adjusted[start:stop].any():
             adjusted[start:stop] = 1
@@ -332,38 +291,27 @@ def auc_trapezoid(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float
     return area
 
 
-def spike_augment(scores: ScoreSeries, interval: int) -> ScoreSeries:
-    """Replace every interval-th score with the largest finite value.
+def evaluate(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> EvalReport:
+    """Full report: the best F1, the point-adjusted best F1, the AUC and the curve.
 
-    Guarantees at least one detection per run of length >= interval under
-    point-adjustment; the spike magnitude stays finite so sorting remains
-    well defined.  ``interval`` follows the ``eval.spike_interval`` rule.
-    """
-    if interval is None:  # allowed in the eval section, where it means no spikes
-        raise TypeError("spike_augment needs an interval, got None")
-    EvalConfig(spike_interval=interval)
-    values = scores.scores.copy()
-    values[::interval] = np.finfo(np.float64).max
-    return ScoreSeries(values, scores.kind, scores.time_origin)
+    All of them come from one :func:`_sweep` of the scores.
 
-
-def evaluate(
-    scores: ScoreSeries | np.ndarray,
-    labels: np.ndarray,
-    point_adjusted: bool = False,
-    spike_interval: int | None = None,
-) -> EvalReport:
-    """Full report: threshold sweep, AUC, optional point-adjusted variants.
-
-    The best F1, the AUC and the point-adjusted best F1 share one sweep of
-    the scores; the spiked scores are another array and get their own.
+    Raises:
+        DegenerateLabels: labels are all 0 or all 1.
+        LabelError: a label is not 0 or 1.
+        ShapeError: the lengths differ or a score is not finite.
     """
     sweep = _sweep(scores, labels)
-    report = _best_report(sweep)
-    if point_adjusted:
-        report.pa_best_f1 = _pa_f1(sweep)
-    if spike_interval is not None:
-        series = scores if isinstance(scores, ScoreSeries) else ScoreSeries(scores)
-        spiked = spike_augment(series, spike_interval)
-        report.spiked_pa_best_f1 = pa_best_f1(spiked, labels)
-    return report
+    score_vals, _, neg, pos = sweep
+    f1, threshold, precision, recall = _best_at_positives(neg, pos)
+    return EvalReport(
+        best_f1=f1,
+        best_threshold=threshold,
+        precision=precision,
+        recall=recall,
+        pa_best_f1=_pa_f1(sweep),
+        auc=_u_auc(neg, pos),
+        positives=pos.shape[0],
+        negatives=neg.shape[0],
+        curve=_curve(score_vals, pos),
+    )

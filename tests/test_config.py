@@ -1,8 +1,10 @@
 """Config parsing and defaults."""
 
 import dataclasses
+import importlib.util
 import os
 import re
+import sys
 import typing
 
 import numpy as np
@@ -18,10 +20,9 @@ from nominality.config import (
     load_config,
 )
 from nominality.errors import ConfigError
-from nominality.evaluation import spike_augment
 from nominality.reconstructors import train_sequence_model
 from nominality.scoring import gate, smoothed_score, theta_from_percentile
-from nominality.series import LabeledSeries, ScoreSeries, downsample
+from nominality.series import LabeledSeries, downsample
 
 
 class TestDefaults:
@@ -95,13 +96,15 @@ class TestParsing:
             config_from_dict({"preprocess": {"normalization": "zscore"}})
         with pytest.raises(ConfigError):
             config_from_dict({"eval": {"spike_interval": 0}})
+        with pytest.raises(ConfigError):
+            config_from_dict({"eval": {"point_adjust": False}})
 
     #: The lowest value of every integer key, written out here rather than read from
     #: the fields' rules, so an off-by-one in a rule fails the suite.
     INTEGER_LOWS = {
         "preprocess.downsample": 1, "point_model.d_lat": 1, "point_model.batch_size": 1,
         "point_model.epochs": 0, "point_model.seed": 0, "sequence_model.gamma": 1,
-        "sequence_model.delta": 1, "gate.d": 0, "eval.spike_interval": 1, "synth.seed": 0,
+        "sequence_model.delta": 1, "gate.d": 0, "synth.seed": 0,
     }
 
     def test_integer_lower_bounds(self):
@@ -109,7 +112,8 @@ class TestParsing:
         integers = {f"{section}.{f.name}"
                     for section, cls in typing.get_type_hints(PipelineConfig).items()
                     for f in dataclasses.fields(cls)
-                    if typing.get_type_hints(cls)[f.name] in (int, int | None)}
+                    if typing.get_type_hints(cls)[f.name] in (int, int | None)
+                    and f.metadata["rule"][1] != "null"}  # a retired key: null is its one value
         assert integers == set(self.INTEGER_LOWS)
         for key, low in self.INTEGER_LOWS.items():
             section, name = key.split(".")
@@ -159,8 +163,24 @@ gate:
   theta_n: .5
   theta_percentile: ~
 eval:
-  spike_interval: 4
+  point_adjust: yes
+  spike_interval: null
 """
+
+
+def test_benchmark_configs_load(monkeypatch):
+    """Every config the benchmark's workloads write loads, and its eval section,
+    ``{point_adjust: true, spike_interval: null}``, is the default one."""
+    path = os.path.join(os.path.dirname(README), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        for tiny in (False, True):
+            for dataset in workload.datasets(0, tiny):
+                assert dataset.config["eval"] == {"point_adjust": True, "spike_interval": None}
+                assert config_from_dict(dataset.config).eval == PipelineConfig().eval
 
 
 class TestYamlLoaders:
@@ -215,13 +235,11 @@ _SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))
     (lambda: theta_from_percentile(np.ones(3), 100.5),
      "gate.theta_percentile must be a number in (0, 100], got 100.5"),
     (lambda: smoothed_score(np.ones(3), -1), "gate.d must be an integer >= 0, got -1"),
-    (lambda: spike_augment(ScoreSeries(np.ones(3)), 0),
-     "eval.spike_interval must be an integer >= 1, got 0"),
     (lambda: downsample(_SERIES, 0), "preprocess.downsample must be an integer >= 1, got 0"),
     (lambda: TrigSpec(n_channels=0, n_train=10, n_test=10),
      "synth.options.n_channels must be an integer >= 1, got 0"),
 ], ids=["gamma", "delta", "ridge-lambda", "gate-kind", "percentile-zero",
-        "percentile-above-100", "smoothing-d", "spike-interval", "downsample", "trig-spec"])
+        "percentile-above-100", "smoothing-d", "downsample", "trig-spec"])
 def test_library_entry_checks_the_config_rule(call, message):
     """A library function given a key's value as a plain argument applies the key's rule."""
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -235,9 +253,3 @@ def test_star_import_binds_only_the_api():
     bound = {name: value for name, value in namespace.items() if name != "__builtins__"}
     assert bound and "annotations" not in bound
     assert not [name for name, value in bound.items() if isinstance(value, type(nominality))]
-
-
-def test_spike_augment_needs_an_interval():
-    """``eval.spike_interval`` may be null (no spikes), but spike_augment needs one."""
-    with pytest.raises(TypeError):
-        spike_augment(ScoreSeries(np.ones(3)), None)

@@ -1,6 +1,5 @@
 """Threshold-sweep metrics against brute-force oracles."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -19,7 +18,6 @@ from nominality import (
     gate,
     pa_best_f1,
     point_adjust,
-    spike_augment,
 )
 from nominality import evaluation
 from nominality.config import config_from_dict
@@ -32,6 +30,7 @@ from nominality.evaluation import (
 )
 from nominality.pipeline import ScoreBundle, sweep_table
 from nominality.scoring import induction_sums
+from nominality.series import write_json
 
 
 def random_instance(seed, max_len=200):
@@ -243,13 +242,14 @@ class TestRankAndThresholdPath:
 
 
 EVALUATORS = [best_f1, auc, pa_best_f1, evaluate, best_f1_bruteforce, pa_best_f1_bruteforce,
-              auc_trapezoid]
+              auc_trapezoid, point_adjust, confusion]
 
 
 @pytest.mark.parametrize("metric", EVALUATORS, ids=[m.__name__ for m in EVALUATORS])
 @pytest.mark.parametrize("labels", [[0, 2, 0, 2, 0], [-1, 0, 1, 1, 0]], ids=["two", "minus-one"])
 def test_label_outside_0_1_raises(metric, labels):
-    """The sweep splits the scores by ``label == 1``, so any other nonzero label is refused."""
+    """The sweep splits the scores by ``label == 1``, so any other nonzero label is refused;
+    so is it where a prediction (here the scores, nonzero) meets the labels."""
     with pytest.raises(LabelError, match="only 0 or 1"):
         metric(np.array([0.1, 0.9, 0.5, 0.7, 0.2]), np.array(labels))
 
@@ -272,7 +272,7 @@ EDGE_CASES = {
 @pytest.mark.parametrize("scores, labels", [pytest.param(np.array(s), np.array(l), id=name)
                                             for name, (s, l) in EDGE_CASES.items()])
 def test_kernel_edge_cases_match_the_oracles(scores, labels):
-    report = evaluate(scores, labels, point_adjusted=True)
+    report = evaluate(scores, labels)
     assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
     assert report.pa_best_f1 == pa_best_f1_bruteforce(scores, labels)
     pos, neg = scores[labels == 1], scores[labels == 0]
@@ -287,61 +287,20 @@ def test_kernel_edge_cases_match_the_oracles(scores, labels):
     assert np.array_equal(report.curve, np.column_stack([thresholds, counts]))
 
 
-class TestSpikeAugment:
-    def test_every_point(self):
-        out = spike_augment(ScoreSeries([1.0, 2.0, 3.0]), 1)
-        assert (out.scores == np.finfo(np.float64).max).all()
-
-    def test_interval_beyond_length(self):
-        out = spike_augment(ScoreSeries([1.0, 2.0, 3.0]), 10)
-        assert out.scores[0] == np.finfo(np.float64).max
-        assert out.scores[1:].tolist() == [2.0, 3.0]
-
-    def test_grid(self):
-        out = spike_augment(ScoreSeries(np.zeros(5)), 2)
-        spiked = out.scores == np.finfo(np.float64).max
-        assert spiked.tolist() == [True, False, True, False, True]
-
-    def test_spiking_helps_pa_recall(self):
-        labels = np.zeros(40, dtype=int)
-        labels[20:30] = 1
-        scores = ScoreSeries(np.linspace(0, 1, 40))
-        spiked = spike_augment(scores, 5)
-        assert pa_best_f1(spiked, labels) >= pa_best_f1(scores, labels)
-
-
 class TestEvaluate:
-    def test_pa_field_optional(self):
-        scores, labels = random_instance(3)
-        plain = evaluate(scores, labels)
-        assert plain.pa_best_f1 is None
-        assert "pa_best_f1" not in json.loads(plain.to_json())
-        with_pa = evaluate(scores, labels, point_adjusted=True)
-        assert with_pa.pa_best_f1 is not None
-        assert "pa_best_f1" in json.loads(with_pa.to_json())
-
-    def test_spiked_variant_reported(self):
-        scores, labels = random_instance(4)
-        report = evaluate(scores, labels, spike_interval=3)
-        assert report.spiked_pa_best_f1 is not None
-
     @pytest.mark.parametrize("seed", range(10))
     def test_one_sweep_same_figures(self, monkeypatch, seed):
         # evaluate splits and sorts the scores once for best F1, AUC and
-        # the point-adjusted F1; the spiked scores are another array.
+        # the point-adjusted F1.
         scores, labels = random_instance(seed)
         calls = []
         sweep = evaluation._sweep
         monkeypatch.setattr(evaluation, "_sweep", lambda *a: calls.append(1) or sweep(*a))
-        report = evaluate(scores, labels, point_adjusted=True, spike_interval=3)
-        assert len(calls) == 2
-        alone = best_f1(scores, labels)
-        assert report.to_json() == dataclasses.replace(
-            alone, pa_best_f1=pa_best_f1(scores, labels),
-            spiked_pa_best_f1=pa_best_f1(spike_augment(ScoreSeries(scores), 3), labels),
-        ).to_json()
-        assert np.array_equal(report.curve, alone.curve)
+        report = evaluate(scores, labels)
+        assert len(calls) == 1
+        assert report.pa_best_f1 == pa_best_f1(scores, labels)
         assert report.auc == auc(scores, labels)
+        assert (report.best_f1, report.best_threshold) == best_f1_bruteforce(scores, labels)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_auc_and_best_f1_are_the_reports(self, seed):
@@ -365,10 +324,12 @@ class TestEvaluate:
             assert rows[name]["auc"] == [r.auc for r in reports], name
             assert rows[name]["best_f1"] == [r.best_f1 for r in reports], name
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         scores, labels = random_instance(5)
-        report = evaluate(scores, labels, point_adjusted=True)
-        doc = json.loads(report.to_json())
+        report = evaluate(scores, labels)
+        path = str(tmp_path / "eval_report.json")
+        write_json(report.summary(), path)
+        doc = json.load(open(path))
         assert set(doc) == {"best_f1", "best_threshold", "precision", "recall", "auc",
                             "positives", "negatives", "pa_best_f1"}
         for key, value in doc.items():

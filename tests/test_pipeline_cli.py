@@ -311,7 +311,7 @@ class TestEndToEnd:
         induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
         labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
         assert (report["positives"], report["negatives"]) == (labels.sum(), (labels == 0).sum())
-        curve = evaluate(induced, labels, point_adjusted=True).curve
+        curve = evaluate(induced, labels).curve
         lines = open(os.path.join(out, "curve.csv"), newline="").read().split("\r\n")
         assert lines[0] == "threshold,tp,fp" and lines[-1] == ""
         counts = [f"{int(tp)},{int(fp)}" for tp, fp in curve[:, 1:]]  # integers, not 1.0
@@ -345,12 +345,8 @@ class TestEndToEnd:
         train = load_csv(os.path.join(out, "train.csv"), label_column="label")
         test = load_csv(os.path.join(out, "test.csv"), label_column="label")
         bundle = score_split(cfg, fit_models(cfg, train), test)
-        report = evaluate(bundle.induced, bundle.labels, point_adjusted=cfg.eval.point_adjust,
-                          spike_interval=cfg.eval.spike_interval)
-        on_disk = json.load(open(os.path.join(out, "eval_report.json")))
-        assert on_disk["best_f1"] == report.best_f1
-        assert on_disk["best_threshold"] == report.best_threshold
-        assert on_disk["auc"] == report.auc
+        report = evaluate(bundle.induced, bundle.labels)
+        assert json.load(open(os.path.join(out, "eval_report.json"))) == report.summary()
         induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
         np.testing.assert_array_equal(induced.scores, bundle.induced.scores)
 
@@ -508,6 +504,9 @@ class TestCliBehavior:
             # YAML 1.1 reads 1e-6 (no dot) as a string
             ("sequence_model:\n  ridge_lambda: 1e-6\n", "sequence_model.ridge_lambda"),
             ("eval:\n  spike_interval: x\n", "eval.spike_interval"),
+            # retired keys, each held to its one value
+            ("eval:\n  point_adjust: false\n", "eval.point_adjust"),
+            ("eval:\n  spike_interval: 3\n", "eval.spike_interval"),
             ('preprocess:\n  downsample: "2"\n', "preprocess.downsample"),
             ('point_model:\n  epochs: "3"\n', "point_model.epochs"),
             ("gate:\n  theta_percentile: abc\n", "gate.theta_percentile"),
@@ -536,7 +535,8 @@ class TestCliBehavior:
             ('output:\n  dir: ""\n', "output.dir"),
         ] + [case[:2] for case in FIELD_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
-             "spike-string", "downsample-string", "epochs-string", "percentile-string",
+             "spike-string", "point-adjust-false", "spike-interval-set",
+             "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
              "percentile-zero",
@@ -1061,9 +1061,8 @@ class TestEvalFromScores:
         anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
         assert main(["eval", "--config", second_config(config_path, *GATE_D_1),
                      "--scores", anomaly, "--labels", labels]) == 0
-        expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0],
-                            point_adjusted=True)
-        assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
+        expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0])
+        assert json.load(open(os.path.join(out, "eval_report.json"))) == expected.summary()
 
 
 def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys):
@@ -1073,8 +1072,8 @@ def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys
     anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
     gate_d_1 = second_config(config_path, *GATE_D_1)
     assert main(["eval", "--config", gate_d_1, "--scores", anomaly]) == 0
-    expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0], point_adjusted=True)
-    assert open(os.path.join(out, "eval_report.json")).read() == expected.to_json() + "\n"
+    expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0])
+    assert json.load(open(os.path.join(out, "eval_report.json"))) == expected.summary()
     capsys.readouterr()
     assert main(["eval", "--config", gate_d_1, "--labels", labels]) == 2
     assert capsys.readouterr().err.startswith("config error: the gate section ")
