@@ -4,16 +4,16 @@ Subcommands mirror the pipeline stages: ``synth`` writes a synthetic
 dataset, ``train`` fits both models and saves the trained detector (both
 models, the min-max statistics, the training nominality and the channel
 names) as one file, ``model.json``, ``score`` writes the aligned score
-CSVs, ``eval`` turns scores plus labels into a report, and ``sweep``
-produces the gate-ablation table.  The config file named by ``--config`` is
-the only source of settings: no flag sets a config key, and ``eval``'s
-``--scores`` and ``--labels`` only name its input files.  Every command
-writes a JSON manifest (the config, in the shape a config file has, so it
-loads as one and replays the run bit-exactly, and the library versions) plus
-what only that command knows: ``synth``'s generator spec
-and anomaly rate, ``train``'s epoch losses and normal-equation residual,
-``score``'s resolved gate threshold.  Each fact is written once, and nothing
-time- or host-dependent goes into any output file.
+CSVs and one matrix of all of them, ``scores.npy``, ``eval`` turns scores
+plus labels into a report, and ``sweep`` produces the gate-ablation table.
+The config file named by ``--config`` is the only source of settings: no
+flag sets a config key, and ``eval``'s ``--scores`` and ``--labels`` only
+name its input files.  Every command writes a JSON manifest (the config, in
+the shape a config file has, so it loads as one and replays the run
+bit-exactly, and the library versions) plus what only that command knows:
+``synth``'s generator spec and anomaly rate, ``train``'s epoch losses and
+normal-equation residual, ``score``'s resolved gate threshold.  Each fact is
+written once, and nothing time- or host-dependent goes into any output file.
 
 A config that breaks a rule, such as ``sequence_model.delta <= 2 * gamma``,
 makes every command exit 2 when it loads.  ``synth`` writes the trigonometric
@@ -21,19 +21,20 @@ dataset of :mod:`nominality.synthetic` to ``data.train`` and ``data.test``,
 creating their directories, with the labels in column ``data.label_column``;
 it exits 2 if that key is null or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's.
-``sweep`` reads the score CSVs that ``score`` wrote rather than scoring the
-test split again, and the training nominality for its threshold from
-``model.json``; ``eval`` reads ``induced.csv`` and ``labels.csv`` unless
-``--scores`` and ``--labels`` name other files.  ``train`` and ``score``
-record in their manifests the sha256 of every file they read or wrote, keyed
-by basename (a split by ``data.train`` or ``data.test``).  A command that
+``sweep`` reads ``scores.npy`` rather than scoring the test split again, and
+the training nominality for its threshold from ``model.json``; ``eval`` reads
+the ``induced`` and ``label`` columns of ``scores.npy`` unless ``--scores``
+and ``--labels`` name CSV files.  Neither parses ``score``'s CSVs, which are
+written for readers outside the package.  ``train`` and ``score`` record in
+their manifests the sha256 of every file they read or wrote, keyed by
+basename (a split by ``data.train`` or ``data.test``).  A command that
 reads another command's files refuses to run unless that command ran with the
 config sections the files depend on (exit 2) and every file it recorded is
 unchanged (exit 3): ``score`` checks ``train``'s ``preprocess``,
 ``point_model`` and ``sequence_model``; ``sweep`` checks those and
 ``data.label_column`` in ``score``'s manifest, and ``eval`` checks those,
-``data.label_column`` if it reads the default ``labels.csv`` and ``gate`` if
-it reads the default ``induced.csv``.
+``data.label_column`` if it reads the default labels and ``gate`` if it reads
+the default induced score.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -56,9 +57,11 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -72,6 +75,7 @@ from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
     ScoreSeries,
+    atomic_write,
     load_csv,
     read_table,
     save_csv,
@@ -84,6 +88,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+#: ``score``'s matrix of every score and label, which ``eval`` and ``sweep`` read.
+SCORES_FILE = "scores.npy"
+#: Its columns; ``label`` only when the test split is labeled.
+SCORE_COLUMNS = ("time_index", "anomaly", "sequence_anomaly", "nominality", "induced", "label")
 
 
 def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
@@ -126,17 +135,22 @@ def _time_origin(table: np.ndarray, path: str) -> int:
     return int(origin)
 
 
-def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
-    table = read_table(path, 2)
-    origin = _time_origin(table, path)
-    bad = np.flatnonzero(~np.isfinite(table[:, 1]))
+def _score_series(column: np.ndarray, kind: str, origin: int, path: str,
+                  name: str = "score") -> ScoreSeries:
+    """``column`` of the file at ``path`` as a series; its scores must be finite."""
+    bad = np.flatnonzero(~np.isfinite(column))
     if bad.size:
         row = int(bad[0])
-        raise DataError(f"{path}: row {row}: score {float(table[row, 1])!r} is not finite")
+        raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not finite")
     try:
-        return ScoreSeries(table[:, 1], kind, origin)
+        return ScoreSeries(column, kind, origin)
     except ShapeError as exc:  # a negative nominality score
         raise DataError(f"{path}: {exc}") from None
+
+
+def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
+    table = read_table(path, 2)
+    return _score_series(table[:, 1], kind, _time_origin(table, path), path)
 
 
 def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
@@ -148,6 +162,58 @@ def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
 def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
     table = read_table(path, 2, label_idx=1)
     return table[:, 1].astype(np.int64), _time_origin(table, path)
+
+
+def write_scores(bundle: ScoreBundle, path: str) -> None:
+    """Save the bundle as one float64 matrix with the columns :data:`SCORE_COLUMNS`.
+
+    The ``label`` column is left out when the bundle has no labels.  The
+    bytes are ``np.save``'s, so a rerun writes the same file.
+    """
+    induced = bundle.induced
+    columns = [np.arange(len(induced), dtype=np.float64) + induced.time_origin,
+               bundle.anomaly.scores, bundle.seq_anomaly.scores, bundle.nominality.scores,
+               induced.scores]
+    if bundle.labels is not None:
+        columns.append(bundle.labels)
+    buffer = io.BytesIO()
+    np.save(buffer, np.column_stack(columns))  # float64: the labels are promoted
+    atomic_write(path, [buffer.getvalue()])
+
+
+def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray | None]:
+    """The anomaly, sequence anomaly, nominality and induced series of a matrix
+    :func:`write_scores` saved, and its labels (None without a ``label`` column).
+
+    The matrix is held to the checks of :func:`read_score_csv` and
+    :func:`read_labels_csv`: a 2-D float64 array of 5 or 6 columns and at
+    least one row, consecutive time indices, finite scores, a non-negative
+    nominality and labels in {0, 1}.  Any other matrix, and a file that is
+    not one ``.npy`` array ``np.load`` reads without unpickling, raises
+    :class:`DataError` naming ``path``.
+    """
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.load(fh, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # truncated, pickled or not .npy
+        raise DataError(f"{path}: cannot load the score matrix: {exc}") from None
+    if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2
+            and matrix.shape[0] >= 1 and matrix.shape[1] in (5, 6)):
+        got = (f"a {matrix.dtype} array of shape {matrix.shape}"
+               if isinstance(matrix, np.ndarray) else "an archive")
+        raise DataError(f"{path}: expected a float64 matrix with at least one row and the "
+                        f"columns {', '.join(SCORE_COLUMNS)} (label optional), got {got}")
+    origin = _time_origin(matrix, path)
+    series = tuple(_score_series(matrix[:, col], kind, origin, path, f"{SCORE_COLUMNS[col]} score")
+                   for col, kind in enumerate(("anomaly", "anomaly", "nominality", "induced"), 1))
+    labels = None
+    if matrix.shape[1] == 6:
+        bad = np.flatnonzero((matrix[:, 5] != 0.0) & (matrix[:, 5] != 1.0))
+        if bad.size:
+            row = int(bad[0])
+            raise DataError(f"{path}: row {row}: label {float(matrix[row, 5])!r} is not 0 or 1")
+        labels = matrix[:, 5].astype(np.int64)
+    return series, labels
 
 
 def _sha256(path: str) -> str:
@@ -221,7 +287,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def cmd_score(cfg: PipelineConfig) -> int:
-    """Score the test split and write the aligned score CSVs.
+    """Score the test split and write the aligned score CSVs and their matrix, ``scores.npy``.
 
     :func:`_check_manifest` first shows that ``train`` ran with this config's
     trained sections and that its files are unchanged, and :func:`score_split`
@@ -231,12 +297,8 @@ def cmd_score(cfg: PipelineConfig) -> int:
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
     outputs = []
-    for name, series in (
-        ("anomaly", bundle.anomaly),
-        ("sequence_anomaly", bundle.seq_anomaly),
-        ("nominality", bundle.nominality),
-        ("induced", bundle.induced),
-    ):
+    for name, series in zip(SCORE_COLUMNS[1:5], (bundle.anomaly, bundle.seq_anomaly,
+                                                 bundle.nominality, bundle.induced)):
         path = os.path.join(cfg.output.dir, f"{name}.csv")
         write_score_csv(series, path)
         outputs.append(path)
@@ -244,29 +306,40 @@ def cmd_score(cfg: PipelineConfig) -> int:
         labels_path = os.path.join(cfg.output.dir, "labels.csv")
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
         outputs.append(labels_path)
-    digests = {**train_digests, **_digests(cfg, "test", outputs)}
+    matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
+    write_scores(bundle, matrix_path)
+    digests = {**train_digests, **_digests(cfg, "test", [*outputs, matrix_path])}
     write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})
     return EXIT_OK
 
 
 def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | None) -> int:
-    """Evaluate a score CSV against the aligned label CSV.
+    """Evaluate the induced score against the labels, or a score CSV against a label CSV.
 
-    Where either path is left to its default, the file is ``score``'s own, so
-    :func:`_check_manifest` first checks ``score``'s files and trained sections,
-    plus ``data.label_column`` for ``labels.csv`` and ``gate`` for ``induced.csv``.
+    Where either path is left to its default, that input is the ``induced``
+    or ``label`` column of ``score``'s matrix, read through :func:`_own_scores`,
+    which also checks ``data.label_column`` for the labels and ``gate`` for
+    the induced score.  A named path is read as a CSV without these checks.
     """
     own = [name for name, path in (("data.label_column", labels_path), ("gate", scores_path))
            if path is None]
     if own:
-        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *own])
-    scores_path = scores_path or os.path.join(cfg.output.dir, "induced.csv")
-    labels_path = labels_path or os.path.join(cfg.output.dir, "labels.csv")
+        matrix_path = _own_scores(cfg, own)
+        series, own_labels = read_scores(matrix_path)
+        if labels_path is None and own_labels is None:
+            raise DataError(f"cannot evaluate: {matrix_path} has no label column "
+                            f"(the test split 'score' read has no labels)")
     for path in (scores_path, labels_path):
-        if not os.path.exists(path):
+        if path is not None and not os.path.exists(path):
             raise DataError(f"missing input: {path}")
-    scores = read_score_csv(scores_path, "induced")
-    labels, label_origin = read_labels_csv(labels_path)
+    if scores_path is None:
+        scores, scores_path = series[3], matrix_path
+    else:
+        scores = read_score_csv(scores_path, "induced")
+    if labels_path is None:
+        labels, label_origin, labels_path = own_labels, series[3].time_origin, matrix_path
+    else:
+        labels, label_origin = read_labels_csv(labels_path)
     if label_origin != scores.time_origin or labels.shape[0] != len(scores):
         raise DataError(
             f"labels ({labels_path}) are not aligned with scores ({scores_path})"
@@ -278,9 +351,8 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     write_csv(curve_path, ["threshold", "tp", "fp"],
               [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
-    write_manifest(
-        cfg, "eval", {"inputs": [scores_path, labels_path], "outputs": [report_path, curve_path]}
-    )
+    write_manifest(cfg, "eval", {"inputs": list(dict.fromkeys([scores_path, labels_path])),
+                                 "outputs": [report_path, curve_path]})
     return EXIT_OK
 
 
@@ -319,27 +391,30 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, st
     return digests
 
 
+def _own_scores(cfg: PipelineConfig, sections) -> str:
+    """The path of ``score``'s matrix, once :func:`_check_manifest` shows that ``score``
+    ran with the trained sections and ``sections`` and that the matrix is one of its
+    unchanged files."""
+    digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *sections])
+    path = os.path.join(cfg.output.dir, SCORES_FILE)
+    if SCORES_FILE not in digests:
+        raise DataError(f"{path} is not among the files manifest_score.json records; "
+                        f"run 'score' again")
+    return path
+
+
 def cmd_sweep(cfg: PipelineConfig) -> int:
     """Run the gate-ablation table over the configured induction lengths.
 
-    Reads the score CSVs that ``score`` wrote, once :func:`_check_manifest`
-    shows they belong to this config, and resolves the threshold from the
-    training nominality in ``model.json`` with the current ``gate`` section.
+    Reads ``score``'s matrix through :func:`_own_scores` and resolves the
+    threshold from the training nominality in ``model.json`` with the
+    current ``gate`` section.
     """
-    digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"])
-    labeled = "labels.csv" in digests  # score writes no labels for an unlabeled split
-    inputs = {name: os.path.join(cfg.output.dir, f"{name}.csv") for name in (
-        "anomaly", "sequence_anomaly", "nominality", "labels")}
+    matrix_path = _own_scores(cfg, ["data.label_column"])
+    series, labels = read_scores(matrix_path)
     model_path = os.path.join(cfg.output.dir, MODEL_FILE)
     train_nominality = load_model(model_path).train_nominality
-    bundle = ScoreBundle(
-        anomaly=read_score_csv(inputs["anomaly"]),
-        seq_anomaly=read_score_csv(inputs["sequence_anomaly"]),
-        nominality=read_score_csv(inputs["nominality"], "nominality"),
-        induced=None,
-        labels=read_labels_csv(inputs["labels"])[0] if labeled else None,
-        theta=resolve_theta(cfg.gate, train_nominality).theta_n,
-    )
+    bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)
     table = sweep_table(cfg, bundle)
 
     json_path = os.path.join(cfg.output.dir, "sweep.json")
@@ -347,7 +422,7 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     write_manifest(
         cfg, "sweep",
         {"inputs": [os.path.join(cfg.output.dir, "manifest_score.json"), model_path,
-                    *inputs.values()],
+                    matrix_path],
          "outputs": [json_path]},
     )
     return EXIT_OK

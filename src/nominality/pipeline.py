@@ -12,8 +12,8 @@ callers never align offsets by hand.
 from the raw training split.  :func:`score_split` preprocesses a raw split
 with those statistics and is the only code that computes the scores of a split.
 :func:`sweep_table` takes them as a :class:`ScoreBundle`, either the one
-``score_split`` returns or one read back from the score CSVs, and only
-evaluates them.
+``score_split`` returns or one read back from the score matrix that
+``score`` saves, and only evaluates them.
 """
 
 from __future__ import annotations
@@ -55,12 +55,16 @@ from .series import (
 
 @dataclass
 class ScoreBundle:
-    """All per-time-point scores for one split, aligned on the valid range."""
+    """All per-time-point scores for one split, aligned on the valid range.
+
+    ``score`` saves one as ``scores.npy`` and ``sweep`` reads it back, with
+    ``theta`` resolved again from the current ``gate`` section.
+    """
 
     anomaly: ScoreSeries
     seq_anomaly: ScoreSeries
     nominality: ScoreSeries
-    induced: ScoreSeries | None  # None in a bundle read back for the sweep, which never uses it
+    induced: ScoreSeries
     labels: np.ndarray | None
     theta: float
 

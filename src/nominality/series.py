@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numtext
 from .config import PreprocessConfig
 from .errors import DataError, EmptyInput, LabelError, ParseError, ShapeError
 
@@ -205,7 +204,13 @@ def _as_block(column) -> np.ndarray:
 
 
 def _row_blocks(columns: list[np.ndarray]):
-    """The bytes of the rows of ``columns``, a block of rows at a time."""
+    """The bytes of the rows of ``columns``, a block of rows at a time.
+
+    :mod:`nominality.numtext` is imported here, so a command that writes no
+    CSV (``train``, ``sweep``) never loads it.
+    """
+    from . import numtext
+
     rows = max(1, _GATHER_CELLS // sum(col.shape[1] for col in columns))
     for lo in range(0, columns[0].shape[0], rows):
         yield numtext.csv_rows([col[lo : lo + rows] for col in columns])

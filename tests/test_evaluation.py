@@ -307,7 +307,8 @@ class TestEvaluate:
         """Every sweep table row's AUC and best F1 equal evaluate's, bit for bit."""
         scores, labels = random_instance(seed)
         bundle = ScoreBundle(ScoreSeries(scores), ScoreSeries(scores[::-1].copy()),
-                             ScoreSeries(np.abs(scores), "nominality"), None, labels, 1.0)
+                             ScoreSeries(np.abs(scores), "nominality"),
+                             ScoreSeries(scores, "induced"), labels, 1.0)
         d_values = [1, 2, 8]
         rows = sweep_table(config_from_dict({"sweep": {"d_values": d_values}}), bundle)["rows"]
         for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):

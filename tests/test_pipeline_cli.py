@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,14 +27,14 @@ from nominality.config import (
 )
 from nominality.errors import DataError
 from nominality.evaluation import _f1_from_counts, best_f1, confusion, evaluate
-from nominality.pipeline import fit_models, score_split, sweep_table
+from nominality.pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from nominality.reconstructors import (
     _decode_array,
     _encode_array,
     load_model,
     save_model,
 )
-from nominality.scoring import smoothed_score, theta_from_percentile
+from nominality.scoring import resolve_theta, smoothed_score, theta_from_percentile
 from nominality.series import load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 from point_fit_reference import _init_point_model
@@ -173,6 +174,61 @@ _NOT_UTF8 = _edit_rows(
     lambda i, cells: [cells[0], "\xff" + cells[1], *cells[2:]] if i == 3 else cells)
 
 
+def _npy_text(arr):
+    """The bytes ``np.save`` writes for ``arr``, as Latin-1 text (one character a byte)."""
+    buffer = io.BytesIO()
+    np.save(buffer, arr)
+    return buffer.getvalue().decode("latin-1")
+
+
+def _edit_matrix(edit):
+    """A damage that saves scores.npy again as ``edit`` of a copy of its matrix."""
+    def damage(text):
+        matrix = np.load(io.BytesIO(text.encode("latin-1")), allow_pickle=False).copy()
+        return _npy_text(edit(matrix))
+    return damage
+
+
+def _set_cell(row, col, value):
+    """A matrix edit that sets one cell."""
+    def edit(matrix):
+        matrix[row, col] = value
+        return matrix
+    return edit
+
+
+def _skip_matrix_index(matrix):
+    """Every index from row 3 on moves up by one, so the matrix skips an index."""
+    matrix[3:, 0] += 1
+    return matrix
+
+
+# each damage of scores.npy: a truncated file, a pickled object array, a matrix
+# of 4 columns, a NaN score, a negative nominality, a label of 2, a skipped
+# index, and a file that np.load takes for a zip archive
+_MATRIX_DAMAGES = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "pickled": lambda text: _npy_text(np.array([[0.0, "a"]], dtype=object)),
+    "four-columns": _edit_matrix(lambda matrix: matrix[:, :4].copy()),
+    "score-nan": _edit_matrix(_set_cell(3, 1, np.nan)),
+    "nominality-negative": _edit_matrix(_set_cell(0, 3, -1.0)),
+    "label-two": _edit_matrix(_set_cell(5, 5, 2.0)),
+    "index-skip": _edit_matrix(_skip_matrix_index),
+    "zip-header": lambda text: "PK\x03\x04" + text,
+}
+
+
+def _drop_labels(config_path, out):
+    """Rewrite both splits without their label column, the last, and return a
+    second config with ``data.label_column: null``."""
+    for split in ("train.csv", "test.csv"):
+        path = os.path.join(out, split)
+        lines = open(path, newline="").read().split("\r\n")[:-1]
+        open(path, "w", newline="").write(
+            "".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
+    return second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+
+
 def _channels(order):
     """A damage that keeps the channel columns of a split in ``order``, then its label column."""
     def damage(text):
@@ -182,12 +238,13 @@ def _channels(order):
     return damage
 
 
-def _record_digest(out, name):
-    """Record ``name``'s current sha256 in manifest_train.json, as if ``train`` had written it.
+def _record_digest(out, name, command="train"):
+    """Record ``name``'s current sha256 in ``command``'s manifest, as if it had written it.
 
-    Then ``score``'s digest check passes, and a damage reaches the decoder it names.
+    Then the digest check of the command that reads the file passes, and a
+    damage reaches the decoder it names.
     """
-    path = os.path.join(out, "manifest_train.json")
+    path = os.path.join(out, f"manifest_{command}.json")
     with open(path) as fh:
         doc = json.load(fh)
     with open(os.path.join(out, name), "rb") as fh:
@@ -237,7 +294,7 @@ class TestEndToEnd:
         for name in (
             "train.csv", "test.csv", "model.json",
             "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
-            "labels.csv", "eval_report.json", "curve.csv", "sweep.json",
+            "labels.csv", "scores.npy", "eval_report.json", "curve.csv", "sweep.json",
         ):
             assert os.path.exists(os.path.join(out, name)), name
         # their facts are in manifest_synth.json, sweep.json and model.json
@@ -285,7 +342,7 @@ class TestEndToEnd:
         assert score_manifest["digests"].items() >= train_digests.items()
         assert set(score_manifest["digests"]) - set(train_digests) == {
             "data.test", "anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
-            "labels.csv"}
+            "labels.csv", "scores.npy"}
 
     def test_train_manifest_loss_curve(self, rundir):
         _, out = rundir
@@ -433,7 +490,7 @@ class TestDeterminism:
         run_all(config_a)
         run_all(config_b)
         for name in ("train.csv", "model.json",
-                     "anomaly.csv", "nominality.csv", "induced.csv",
+                     "anomaly.csv", "nominality.csv", "induced.csv", "scores.npy",
                      "eval_report.json", "curve.csv", "sweep.json"):
             bytes_a = open(os.path.join(out_a, name), "rb").read()
             bytes_b = open(os.path.join(out_b, name), "rb").read()
@@ -588,7 +645,8 @@ class TestCliBehavior:
             ("score", "model.json", _edit_json(lambda doc: doc["channel_names"].pop())),
             ("score", "model.json", lambda text: text.replace("nominality-model-v2",
                                                               "nominality-model-v1")),
-        ],
+        ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
+             for command in ("eval", "sweep")],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
              "point-d-lat-zero", "point-old-format", "point-enc-b-short", "point-dec-w-transposed",
@@ -596,7 +654,9 @@ class TestCliBehavior:
              "nominality-negative", "nominality-inf", "induced-nan",
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
-             "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format"],
+             "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format"]
+            + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
+               for command in ("eval", "sweep")],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
@@ -609,9 +669,13 @@ class TestCliBehavior:
             fh.write(damage(text))
         if command == "score" and name == "model.json":
             _record_digest(out, name)
+        if name == "scores.npy":
+            _record_digest(out, name, "score")
         # Named paths skip eval's digest check, so the damage reaches the CSV reader.
-        paths = ["--scores", os.path.join(out, "induced.csv"),
-                 "--labels", os.path.join(out, "labels.csv")] if command == "eval" else []
+        paths = []
+        if command == "eval" and name.endswith(".csv"):
+            paths = ["--scores", os.path.join(out, "induced.csv"),
+                     "--labels", os.path.join(out, "labels.csv")]
         assert main([command, "--config", config_path, *paths]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
@@ -970,12 +1034,7 @@ class TestSweepFromScores:
     def test_unlabeled_test_split_exit_3(self, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
         assert main(["synth", "--config", config_path]) == 0
-        for split in ("train.csv", "test.csv"):  # each without its label column, the last
-            path = os.path.join(out, split)
-            lines = open(path, newline="").read().split("\r\n")[:-1]
-            open(path, "w", newline="").write(
-                "".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
-        config_path = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+        config_path = _drop_labels(config_path, out)
         for command in ("train", "score"):
             assert main([command, "--config", config_path]) == 0
         capsys.readouterr()
@@ -995,7 +1054,7 @@ class TestSweepFromScores:
         assert json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"] == theta
 
     def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
-        """For README's run.yaml, the table from the score CSVs is the in-process one, bit for bit."""
+        """For README's run.yaml, the table from score's files is the in-process one, bit for bit."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         text = open(os.path.join(root, "README.md")).read()
         block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
@@ -1046,6 +1105,35 @@ class TestEvalFromScores:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
 
+    def test_unlabeled_rescore_exit_3(self, tmp_path, capsys):
+        """After a labeled chain, an unlabeled split scored into the same directory
+        leaves the old labels.csv behind; ``eval`` takes no labels from it."""
+        config_path, out = write_config(tmp_path)
+        run_all(config_path)
+        unlabeled = _drop_labels(config_path, out)
+        for command in ("train", "score"):
+            assert main([command, "--config", unlabeled]) == 0
+        assert os.path.exists(os.path.join(out, "labels.csv"))
+        capsys.readouterr()
+        assert main(["eval", "--config", unlabeled]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: cannot evaluate: {out}/scores.npy has no label column "
+            f"(the test split 'score' read has no labels)\n")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_unrecorded_matrix_exit_3(self, rundir, tmp_path, capsys, command):
+        """A scores.npy that manifest_score.json does not record is not read."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, "manifest_score.json")
+        doc = json.load(open(path))
+        del doc["digests"]["scores.npy"]
+        json.dump(doc, open(path, "w"))
+        assert main([command, "--config", config_path]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {out}/scores.npy is not among the files manifest_score.json "
+            f"records; run 'score' again\n")
+
     def test_eval_before_score_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
         assert main(["synth", "--config", config_path]) == 0
@@ -1063,6 +1151,31 @@ class TestEvalFromScores:
                      "--scores", anomaly, "--labels", labels]) == 0
         expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0])
         assert json.load(open(os.path.join(out, "eval_report.json"))) == expected.summary()
+
+
+def test_matrix_and_score_csvs_agree(rundir, tmp_path):
+    """``eval`` and ``sweep`` read scores.npy, and the score CSVs are their oracle:
+    ``eval`` on induced.csv and labels.csv writes the default ``eval``'s bytes, and
+    sweep.json is ``sweep_table`` of the bundle read back from the CSVs."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    outputs = ("eval_report.json", "curve.csv")
+    assert main(["eval", "--config", config_path]) == 0
+    default = {name: open(os.path.join(out, name), "rb").read() for name in outputs}
+    assert main(["eval", "--config", config_path, "--scores", os.path.join(out, "induced.csv"),
+                 "--labels", os.path.join(out, "labels.csv")]) == 0
+    for name in outputs:
+        assert open(os.path.join(out, name), "rb").read() == default[name], name
+    cfg = load_config(config_path)
+    csv = {name: os.path.join(out, f"{name}.csv") for name in (
+        "anomaly", "sequence_anomaly", "nominality", "induced", "labels")}
+    bundle = ScoreBundle(
+        read_score_csv(csv["anomaly"]), read_score_csv(csv["sequence_anomaly"]),
+        read_score_csv(csv["nominality"], "nominality"), read_score_csv(csv["induced"], "induced"),
+        read_labels_csv(csv["labels"])[0],
+        resolve_theta(cfg.gate, load_model(os.path.join(out, "model.json")).train_nominality)
+        .theta_n)
+    assert json.load(open(os.path.join(out, "sweep.json"))) == sweep_table(cfg, bundle)
 
 
 def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys):
@@ -1111,7 +1224,8 @@ def _under(modules, package):
 
 
 def test_cli_import_does_not_load_scipy(tmp_path):
-    """No command loads scipy; score, eval and sweep add neither numpy.random nor numpy.ma.
+    """No command loads scipy; score, eval and sweep add neither numpy.random nor numpy.ma,
+    and train and sweep, which write no CSV, do not load the CSV writer.
 
     ``train`` needs numpy.random for the point model's seeded initialization
     and ``synth`` for the generators. The later commands run on a config
@@ -1132,6 +1246,8 @@ def test_cli_import_does_not_load_scipy(tmp_path):
         if command in ("score", "eval", "sweep"):
             assert _under(added, "numpy.random") == [], command
             assert _under(added, "numpy.ma") == [], command
+        if command in ("train", "sweep"):
+            assert "nominality.numtext" not in modules, command
     assert os.path.exists(os.path.join(out, "sweep.json"))
 
 
