@@ -29,12 +29,13 @@ written for readers outside the package.  ``train`` and ``score`` record in
 their manifests the sha256 of every file they read or wrote, keyed by
 basename (a split by ``data.train`` or ``data.test``).  A command that
 reads another command's files refuses to run unless that command ran with the
-config sections the files depend on (exit 2) and every file it recorded is
-unchanged (exit 3): ``score`` checks ``train``'s ``preprocess``,
-``point_model`` and ``sequence_model``; ``sweep`` checks those and
-``data.label_column`` in ``score``'s manifest, and ``eval`` checks those,
-``data.label_column`` if it reads the default labels and ``gate`` if it reads
-the default induced score.
+config sections the files depend on (exit 2), its manifest records every file
+the reader opens (``model.json`` for ``score`` and ``sweep``, ``scores.npy``
+for ``sweep`` and ``eval``) and every file it recorded is unchanged (exit 3):
+``score`` checks ``train``'s ``preprocess``, ``point_model`` and
+``sequence_model``; ``sweep`` checks those and ``data.label_column`` in
+``score``'s manifest, and ``eval`` checks those, ``data.label_column`` if it
+reads the default labels and ``gate`` if it reads the default induced score.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -293,7 +294,7 @@ def cmd_score(cfg: PipelineConfig) -> int:
     trained sections and that its files are unchanged, and :func:`score_split`
     refuses a test split without the training split's channels, in its order.
     """
-    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS)
+    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS, [MODEL_FILE])
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
     outputs = []
@@ -302,10 +303,12 @@ def cmd_score(cfg: PipelineConfig) -> int:
         path = os.path.join(cfg.output.dir, f"{name}.csv")
         write_score_csv(series, path)
         outputs.append(path)
+    labels_path = os.path.join(cfg.output.dir, "labels.csv")
     if bundle.labels is not None:
-        labels_path = os.path.join(cfg.output.dir, "labels.csv")
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
         outputs.append(labels_path)
+    elif os.path.exists(labels_path):  # another run's labels
+        os.remove(labels_path)
     matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
     write_scores(bundle, matrix_path)
     digests = {**train_digests, **_digests(cfg, "test", [*outputs, matrix_path])}
@@ -317,14 +320,15 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     """Evaluate the induced score against the labels, or a score CSV against a label CSV.
 
     Where either path is left to its default, that input is the ``induced``
-    or ``label`` column of ``score``'s matrix, read through :func:`_own_scores`,
-    which also checks ``data.label_column`` for the labels and ``gate`` for
-    the induced score.  A named path is read as a CSV without these checks.
+    or ``label`` column of ``score``'s matrix, checked by :func:`_check_manifest`
+    with ``data.label_column`` for the labels and ``gate`` for the induced
+    score.  A named path is read as a CSV without these checks.
     """
     own = [name for name, path in (("data.label_column", labels_path), ("gate", scores_path))
            if path is None]
     if own:
-        matrix_path = _own_scores(cfg, own)
+        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *own], [SCORES_FILE])
+        matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
         series, own_labels = read_scores(matrix_path)
         if labels_path is None and own_labels is None:
             raise DataError(f"cannot evaluate: {matrix_path} has no label column "
@@ -356,12 +360,13 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
-def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, str]:
+def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[str, str]:
     """The digests ``command`` recorded, once its run is shown to match the config and the files.
 
     Each of ``sections`` (such as ``gate`` or ``data.label_column``) must equal the one in
-    ``manifest_<command>.json`` (else :class:`ConfigError`) and every recorded file must be
-    unchanged (else :class:`DataError`); a ``data.<split>`` key names the config's split.
+    ``manifest_<command>.json`` (else :class:`ConfigError`), every recorded file must be
+    unchanged, and ``reads``, the files the caller opens, must be recorded (else
+    :class:`DataError`); a ``data.<split>`` key names the config's split.
     """
     path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
     if not os.path.exists(path):
@@ -388,29 +393,23 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections) -> dict[str, st
         if _sha256(file) != digest:
             raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
                             f"one in {path}); run '{command}' again")
+    for name in reads:
+        if name not in digests:
+            raise DataError(f"{os.path.join(cfg.output.dir, name)} is not among the files "
+                            f"manifest_{command}.json records; run '{command}' again")
     return digests
-
-
-def _own_scores(cfg: PipelineConfig, sections) -> str:
-    """The path of ``score``'s matrix, once :func:`_check_manifest` shows that ``score``
-    ran with the trained sections and ``sections`` and that the matrix is one of its
-    unchanged files."""
-    digests = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *sections])
-    path = os.path.join(cfg.output.dir, SCORES_FILE)
-    if SCORES_FILE not in digests:
-        raise DataError(f"{path} is not among the files manifest_score.json records; "
-                        f"run 'score' again")
-    return path
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
     """Run the gate-ablation table over the configured induction lengths.
 
-    Reads ``score``'s matrix through :func:`_own_scores` and resolves the
-    threshold from the training nominality in ``model.json`` with the
-    current ``gate`` section.
+    Reads ``score``'s matrix and resolves the threshold from the training
+    nominality in ``model.json``, both checked by :func:`_check_manifest`,
+    with the current ``gate`` section.
     """
-    matrix_path = _own_scores(cfg, ["data.label_column"])
+    _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"],
+                    [MODEL_FILE, SCORES_FILE])
+    matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
     series, labels = read_scores(matrix_path)
     model_path = os.path.join(cfg.output.dir, MODEL_FILE)
     train_nominality = load_model(model_path).train_nominality

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -1107,32 +1108,40 @@ class TestEvalFromScores:
 
     def test_unlabeled_rescore_exit_3(self, tmp_path, capsys):
         """After a labeled chain, an unlabeled split scored into the same directory
-        leaves the old labels.csv behind; ``eval`` takes no labels from it."""
+        removes the old labels.csv, and ``eval`` finds no labels to read."""
         config_path, out = write_config(tmp_path)
         run_all(config_path)
         unlabeled = _drop_labels(config_path, out)
         for command in ("train", "score"):
             assert main([command, "--config", unlabeled]) == 0
-        assert os.path.exists(os.path.join(out, "labels.csv"))
+        assert not os.path.exists(os.path.join(out, "labels.csv"))
         capsys.readouterr()
         assert main(["eval", "--config", unlabeled]) == 3
         assert capsys.readouterr().err == (
             f"data error: cannot evaluate: {out}/scores.npy has no label column "
             f"(the test split 'score' read has no labels)\n")
 
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_unrecorded_matrix_exit_3(self, rundir, tmp_path, capsys, command):
-        """A scores.npy that manifest_score.json does not record is not read."""
+    @pytest.mark.parametrize(
+        "command, producer, name",
+        [("eval", "score", "scores.npy"), ("sweep", "score", "scores.npy"),
+         ("score", "train", "model.json"), ("sweep", "score", "model.json")],
+        ids=["eval", "sweep", "score-model", "sweep-model"],
+    )
+    def test_unrecorded_matrix_exit_3(self, rundir, tmp_path, capsys, command, producer, name):
+        """A file of another command's that its manifest does not record is not read,
+        not even a valid model.json another training run might have written."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        path = os.path.join(out, "manifest_score.json")
+        path = os.path.join(out, f"manifest_{producer}.json")
         doc = json.load(open(path))
-        del doc["digests"]["scores.npy"]
+        del doc["digests"][name]
         json.dump(doc, open(path, "w"))
+        if name == "model.json":
+            _rewrite(os.path.join(out, name), _edit_array(["train_nominality"], lambda n: n / 2))
         assert main([command, "--config", config_path]) == 3
         assert capsys.readouterr().err == (
-            f"data error: {out}/scores.npy is not among the files manifest_score.json "
-            f"records; run 'score' again\n")
+            f"data error: {out}/{name} is not among the files manifest_{producer}.json "
+            f"records; run '{producer}' again\n")
 
     def test_eval_before_score_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
@@ -1334,6 +1343,93 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damag
         [sys.executable, "-m", "nominality.cli", command, "--config",
          second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
+
+
+# The fuzzed chain: three channels, two segments and one epoch keep its 88 runs fast.
+# The data paths and output.dir come first and are never mutated, so no mutated config
+# names a file outside the copy it runs in.
+FUZZ_PATHS = "data:\n  train: run/train.csv\n  test: run/test.csv\noutput:\n  dir: run\n"
+FUZZ_BODY = """\
+point_model:
+  d_lat: 2
+  epochs: 1
+sequence_model:
+  gamma: 5
+  delta: 2
+sweep:
+  d_values: [1, 4]
+synth:
+  options:
+    n_channels: 3
+    n_train: 300
+    n_test: 240
+    segments:
+      - [100, 130, frequency-shift]
+      - [200, 201, point-noise]
+"""
+
+# each file a command reads from the run, and the commands that read it; eval reads
+# induced.csv and labels.csv only when --scores and --labels name them
+FUZZ_READERS = {
+    "run.yaml": ["synth", "train", "score", "eval", "sweep"],
+    "run/train.csv": ["train", "score", "eval", "sweep"],
+    "run/test.csv": ["score", "eval", "sweep"],
+    "run/manifest_train.json": ["score"],
+    "run/model.json": ["score", "eval", "sweep"],
+    "run/manifest_score.json": ["eval", "sweep"],
+    "run/scores.npy": ["eval", "sweep"],
+    "run/induced.csv": ["eval"],
+    "run/labels.csv": ["eval"],
+}
+# the manifests that record a mutated file again, so that its decoder sees the bytes
+FUZZ_RECORDED_BY = {"run/model.json": ["train", "score"], "run/scores.npy": ["score"]}
+
+
+def _mutate(data, kind, rng, start):
+    """``data`` with one byte at or after ``start`` flipped in one bit, inserted before
+    or deleted, or with the bytes from there on cut off."""
+    at = rng.randrange(start, len(data))
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    return data[:at] + data[at + 1:]
+
+
+def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys):
+    """Each file a command reads from the run, with a bit flipped, cut short, or a byte
+    inserted or deleted at a fixed seed, in a fresh copy: every command that reads it
+    exits 0, 2, 3 or 4 with at most one stderr line."""
+    chain = tmp_path / "chain"
+    chain.mkdir()
+    monkeypatch.chdir(chain)
+    (chain / "run.yaml").write_text(FUZZ_PATHS + FUZZ_BODY)
+    run_all("run.yaml")
+    cases = 0
+    for name, commands in FUZZ_READERS.items():
+        clean = (chain / name).read_bytes()
+        start = len(FUZZ_PATHS) if name == "run.yaml" else 0
+        for kind in ("flip", "truncate", "insert", "delete"):
+            data = _mutate(clean, kind, random.Random(f"{name} {kind}"), start)
+            for command in commands:
+                cases += 1
+                case = tmp_path / f"case{cases}"
+                shutil.copytree(chain, case)
+                monkeypatch.chdir(case)
+                (case / name).write_bytes(data)
+                for producer in FUZZ_RECORDED_BY.get(name, []):
+                    _record_digest("run", os.path.basename(name), producer)
+                paths = (["--scores", "run/induced.csv", "--labels", "run/labels.csv"]
+                         if name.endswith(("induced.csv", "labels.csv")) else [])
+                capsys.readouterr()
+                status = main([command, "--config", "run.yaml", *paths])
+                err = capsys.readouterr().err
+                assert status in (0, 2, 3, 4) and len(err.splitlines()) <= 1, (
+                    name, kind, command, status, err)
+                assert "Traceback" not in err
+    assert cases == 88
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):
