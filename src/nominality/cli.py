@@ -67,7 +67,7 @@ import zipfile
 import numpy as np
 
 from . import __version__
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, config_from_dict, load_config
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
@@ -364,25 +364,25 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
     """The digests ``command`` recorded, once its run is shown to match the config and the files.
 
     Each of ``sections`` (such as ``gate`` or ``data.label_column``) must equal the one in
-    ``manifest_<command>.json`` (else :class:`ConfigError`), every recorded file must be
+    the config ``manifest_<command>.json`` records, read by :func:`config_from_dict`
+    (else :class:`ConfigError`), every recorded file must be
     unchanged, and ``reads``, the files the caller opens, must be recorded (else
     :class:`DataError`); a ``data.<split>`` key names the config's split.
     """
     path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
     if not os.path.exists(path):
         raise DataError(f"missing {path} (run '{command}' first)")
-    current = cfg.to_dict()
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
         digests = dict(doc["digests"])
-        recorded = [functools.reduce(dict.__getitem__, name.split("."), doc["config"])
-                    for name in sections]
-    except (ValueError, KeyError, TypeError) as exc:
+        recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "
                         f"run '{command}' again") from None
-    for name, value in zip(sections, recorded):
-        if value != functools.reduce(dict.__getitem__, name.split("."), current):
+    for name in sections:
+        if (functools.reduce(getattr, name.split("."), recorded)
+                != functools.reduce(getattr, name.split("."), cfg)):
             raise ConfigError(f"the {name} section differs from the one recorded in {path}; "
                               f"run '{command}' again")
     for key, digest in digests.items():
@@ -435,17 +435,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
-        ("synth", "generate a synthetic dataset"),
-        ("train", "fit the point and sequence models"),
-        ("score", "write anomaly/nominality/induced score CSVs"),
-        ("eval", "evaluate scores against labels"),
-        ("sweep", "gate ablation across induction lengths"),
+        ("synth", "write a synthetic dataset to data.train and data.test"),
+        ("train", "fit the point and sequence models on data.train; write model.json"),
+        ("score", "score data.test; write the score CSVs, labels.csv and scores.npy"),
+        ("eval", "evaluate a score against labels; write eval_report.json and curve.csv"),
+        ("sweep", "gate ablation on scores.npy and model.json; write sweep.json"),
     ):
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="YAML config file")
         if name == "eval":
-            cmd.add_argument("--scores", help="score CSV (default: <output.dir>/induced.csv)")
-            cmd.add_argument("--labels", help="label CSV (default: <output.dir>/labels.csv)")
+            cmd.add_argument("--scores", help="score CSV (default: scores.npy's induced column)")
+            cmd.add_argument("--labels", help="label CSV (default: scores.npy's label column)")
     return parser
 
 

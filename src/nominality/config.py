@@ -1,7 +1,7 @@
 """Structured run configuration: the one home of every settable value's rule.
 
 A run is described by one YAML file with nested sections (data, preprocess,
-point_model, sequence_model, gate, eval, sweep, synth, output).  Every field
+point_model, sequence_model, gate, sweep, synth, output).  Every field
 has a default, so a minimal config only names its input files.  Each section
 is a frozen dataclass whose fields declare their default and their rule
 together (:func:`_rule`), and one function, :func:`_check`, applies the rules
@@ -14,7 +14,8 @@ is at most ``2 * gamma``, the gate has exactly one threshold source, and a
 spec's segments lie in the test split without overlap.  :func:`_check` also
 checks the hyperparameters that ``model.json`` records.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
-:func:`config_from_dict` reads, so a recorded config loads as a config.
+:func:`config_from_dict` reads, so a recorded config loads as a config; it
+drops a key of :data:`RETIRED_KEYS` that holds its one value.
 ``point_model`` is :class:`PointHyperparams` and ``gate`` is
 :class:`GateConfig`, the classes the library functions take.  Unknown keys
 are rejected.  This module imports no other module of the package except
@@ -149,7 +150,6 @@ class PointHyperparams:
     d_lat: int = _at_least(1, 4)
     learn_rate: float = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
                               default=1e-4)
-    optimizer: str = _one_of(("adam",), "adam")  # the one optimizer; recorded configs name it
     batch_size: int = _at_least(1, 64)
     epochs: int = _at_least(0, 25)
     seed: int = _at_least(0, 0)
@@ -192,18 +192,6 @@ class GateConfig:
         _check("gate", GateConfig, vars(self))
         if (self.theta_n is None) == (self.theta_percentile is None):
             raise ConfigError("set exactly one of gate.theta_n and gate.theta_percentile")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """The ``eval`` section: two retired keys, each held to the one value that recorded
-    configs name; every report holds the point-adjusted best F1."""
-
-    point_adjust: bool = _rule("true", lambda value: value, default=True)
-    spike_interval: int | None = _rule("null", lambda value: False, default=None)
-
-    def __post_init__(self) -> None:
-        _check("eval", EvalConfig, vars(self))
 
 
 @dataclass(frozen=True)
@@ -295,13 +283,11 @@ def trig_preset(seed: int = 0) -> TrigSpec:
 class SynthConfig:
     """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
 
-    ``kind`` has the one value ``trig``.  YAML lists stand for tuples; no
-    options is :func:`trig_preset`.
+    YAML lists stand for tuples; no options is :func:`trig_preset`.
     Parsing builds the spec to check it, except that preset: it is always
     valid, and only ``synth`` needs it.
     """
 
-    kind: str = _one_of(("trig",), "trig")
     seed: int = _at_least(0, 0)
     options: dict = _rule("a mapping", default_factory=dict)
 
@@ -342,7 +328,6 @@ class PipelineConfig:
     point_model: PointHyperparams = field(default_factory=PointHyperparams)
     sequence_model: SequenceModelConfig = field(default_factory=SequenceModelConfig)
     gate: GateConfig = field(default_factory=lambda: GateConfig(theta_percentile=98.5, d=16))
-    eval: EvalConfig = field(default_factory=EvalConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     synth: SynthConfig = field(default_factory=SynthConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
@@ -353,25 +338,39 @@ class PipelineConfig:
         return doc
 
 
+#: Each retired key and the one value it could hold; the ``eval`` section held only these.
+RETIRED_KEYS = {"point_model.optimizer": "adam", "eval.point_adjust": True,
+                "eval.spike_interval": None, "synth.kind": "trig"}
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
     """Build a checked :class:`PipelineConfig` from nested dicts.
 
-    Each section is its default with the given keys replaced.
+    Each section is its default with the given keys replaced.  A retired key
+    may hold only its one value, and is dropped.
     """
-    raw = dict(raw or {})
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config must be a mapping, got {type(raw).__name__}")
+    raw = dict(raw)
     defaults = PipelineConfig()
     sections = {}
-    for name in (f.name for f in fields(PipelineConfig)):
+    for name in (*(f.name for f in fields(PipelineConfig)), "eval"):
         block = raw.pop(name, None)
         if block is None:
             block = {}
         if not isinstance(block, dict):
             raise ConfigError(f"section {name!r} must be a mapping")
-        base = getattr(defaults, name)
-        unknown = [key for key in block if key not in {f.name for f in fields(base)}]
-        if unknown:
-            raise ConfigError(f"unknown key {unknown[0]!r} in section {name!r}")
-        sections[name] = replace(base, **block)
+        base = getattr(defaults, name, None)  # None for eval, whose keys are all retired
+        known = {f.name for f in fields(base)} if base else ()
+        for key, value in block.items():
+            one = RETIRED_KEYS.get(f"{name}.{key}", MISSING)
+            if one is MISSING and key not in known:
+                raise ConfigError(f"unknown key {key!r} in section {name!r}")
+            if one is not MISSING and (type(value) is not type(one) or value != one):  # 1 == True
+                raise ConfigError(f"{name}.{key} is retired: leave it out or set it to "
+                                  f"{'null' if one is None else str(one).lower()}, got {value!r}")
+        if base:
+            sections[name] = replace(base, **{key: block[key] for key in block if key in known})
     if raw:
         raise ConfigError(f"unknown top-level section(s): {sorted(raw)}")
     return PipelineConfig(**sections)

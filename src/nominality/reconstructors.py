@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import PointHyperparams, SequenceModelConfig
+from .config import PointHyperparams, SequenceModelConfig, config_from_dict
 from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
@@ -544,7 +544,7 @@ def load_model(path: str) -> TrainedModels:
         seq = doc["sequence"]
         seq_hp = SequenceModelConfig(seq["gamma"], seq["delta"], seq["ridge_lambda"])
         gamma, delta, dim = seq_hp.gamma, seq_hp.delta, seq["n_channels"]
-        hp = PointHyperparams(**doc["point"]["hyperparams"])
+        hp = config_from_dict({"point_model": dict(doc["point"]["hyperparams"])}).point_model
         point = PointModel(**_checked(path, doc["point"], enc_w=(dim, hp.d_lat), enc_b=(hp.d_lat,),
                                       dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
         weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]

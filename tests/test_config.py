@@ -14,6 +14,7 @@ import yaml
 import nominality
 from nominality import config
 from nominality.config import (
+    RETIRED_KEYS,
     PipelineConfig,
     TrigSpec,
     config_from_dict,
@@ -169,8 +170,8 @@ eval:
 
 
 def test_benchmark_configs_load(monkeypatch):
-    """Every config the benchmark's workloads write loads, and its eval section,
-    ``{point_adjust: true, spike_interval: null}``, is the default one."""
+    """Every config the benchmark's workloads write loads, retired keys and all, and
+    its ``to_dict()`` names no retired key."""
     path = os.path.join(os.path.dirname(README), "perfbench", "workloads.py")
     spec = importlib.util.spec_from_file_location("workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -179,8 +180,9 @@ def test_benchmark_configs_load(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         for tiny in (False, True):
             for dataset in workload.datasets(0, tiny):
-                assert dataset.config["eval"] == {"point_adjust": True, "spike_interval": None}
-                assert config_from_dict(dataset.config).eval == PipelineConfig().eval
+                doc = config_from_dict(dataset.config).to_dict()
+                assert [name for name in RETIRED_KEYS
+                        if name.split(".")[1] in doc.get(name.split(".")[0], {})] == []
 
 
 class TestYamlLoaders:

@@ -22,6 +22,7 @@ import yaml
 from nominality import cli
 from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
+    RETIRED_KEYS,
     PipelineConfig,
     config_from_dict,
     load_config,
@@ -91,28 +92,32 @@ def _field_knob_cases():
     refuses infinity also gets ``.inf``.  A
     word with a fixed set of values (its rule refuses ``abc``) gets those and its
     default in capitals.  A flag gets a string, 0, null and a list.  The other fields
-    (paths, the sweep's list, ``synth.options``) have cases of their own.
+    (paths, the sweep's list, ``synth.options``) have cases of their own.  A retired
+    key, whose rule is its one value, gets the cases of the type it had as a field.
     """
     wrong_type = {"string": "abc", "bool": "true", "list": "[1]", "nan": ".nan"}
+    knobs = [(section, f.name, typing.get_type_hints(cls)[f.name], f.metadata["rule"][0],
+              f.default)
+             for section, cls in typing.get_type_hints(PipelineConfig).items()
+             for f in dataclasses.fields(cls)]
+    retired_hints = {"point_model.optimizer": str, "eval.point_adjust": bool,
+                     "eval.spike_interval": int | None, "synth.kind": str}
+    knobs += [(*name.split("."), retired_hints[name], lambda value, one=one: value == one, one)
+              for name, one in RETIRED_KEYS.items()]
     cases = []
-    for section, cls in typing.get_type_hints(PipelineConfig).items():
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            test, _ = f.metadata["rule"]
-            hint = hints[f.name]
-            if hint in (int, int | None, float, float | None):
-                low = (next(v for v in (1, 0, -1) if not test(v))
-                       if hint in (int, int | None) else -1.0)
-                values = {**wrong_type, "range": low,
-                          **({} if test(math.inf) else {"inf": ".inf"})}
-            elif hint is str and not test("abc"):
-                values = {**wrong_type, "range": f.default.upper()}
-            elif hint is bool:
-                values = {"string": '"no"', "zero": 0, "null": "null", "list": "[true]"}
-            else:
-                continue
-            cases += [(f"{section}:\n  {f.name}: {value}\n", f"{section}.{f.name}",
-                       f"{section}.{f.name}-{kind}") for kind, value in values.items()]
+    for section, name, hint, test, default in knobs:
+        if hint in (int, int | None, float, float | None):
+            low = (next(v for v in (1, 0, -1) if not test(v))
+                   if hint in (int, int | None) else -1.0)
+            values = {**wrong_type, "range": low, **({} if test(math.inf) else {"inf": ".inf"})}
+        elif hint is str and not test("abc"):
+            values = {**wrong_type, "range": default.upper()}
+        elif hint is bool:
+            values = {"string": '"no"', "zero": 0, "null": "null", "list": "[true]"}
+        else:
+            continue
+        cases += [(f"{section}:\n  {name}: {value}\n", f"{section}.{name}",
+                   f"{section}.{name}-{kind}") for kind, value in values.items()]
     return cases
 
 
@@ -458,6 +463,40 @@ class TestOneConfig:
         assert main(["score", "--config", str(replay)]) == 0
         assert open(induced, "rb").read() == first
 
+    def test_earlier_run_directory_gives_the_same_bytes(self, tmp_path):
+        """A run directory whose files name the retired keys at their one values, as
+        earlier versions wrote them, reads as it did: ``score`` on its model.json and
+        manifest_train.json, with its manifest_score.json config written out as YAML,
+        and then ``eval`` and ``sweep`` on such a manifest_score.json rewrite
+        induced.csv, eval_report.json and sweep.json byte for byte."""
+        def retired(config):
+            for name, one in RETIRED_KEYS.items():
+                section, key = name.split(".")
+                config.setdefault(section, {})[key] = one
+
+        config_path, out = write_config(tmp_path)
+        run_all(config_path)
+        outputs = {name: open(os.path.join(out, name), "rb").read()
+                   for name in ("induced.csv", "eval_report.json", "sweep.json")}
+        _rewrite(os.path.join(out, "model.json"),
+                 _edit_json(lambda doc: doc["point"]["hyperparams"].update(optimizer="adam")))
+        _record_digest(out, "model.json")
+        _rewrite(os.path.join(out, "manifest_train.json"),
+                 _edit_json(lambda doc: retired(doc["config"])))
+        config = json.load(open(os.path.join(out, "manifest_score.json")))["config"]
+        retired(config)
+        replay = tmp_path / "replay.yaml"
+        replay.write_text(yaml.safe_dump(config))
+        for name in outputs:
+            os.remove(os.path.join(out, name))
+        assert main(["score", "--config", str(replay)]) == 0
+        _rewrite(os.path.join(out, "manifest_score.json"),
+                 _edit_json(lambda doc: retired(doc["config"])))
+        for command in ("eval", "sweep"):
+            assert main([command, "--config", str(replay)]) == 0
+        for name, data in outputs.items():
+            assert open(os.path.join(out, name), "rb").read() == data, name
+
     @pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "sweep"])
     @pytest.mark.parametrize("flag, value", [("--d", "1"), ("--gate", "hard"),
                                              ("--theta-percentile", "99"), ("--seed", "1"),
@@ -646,6 +685,8 @@ class TestCliBehavior:
             ("score", "model.json", _edit_json(lambda doc: doc["channel_names"].pop())),
             ("score", "model.json", lambda text: text.replace("nominality-model-v2",
                                                               "nominality-model-v1")),
+            ("score", "model.json",
+             _edit_json(lambda doc: doc["point"]["hyperparams"].update(optimizer="sgd"))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
              for command in ("eval", "sweep")],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
@@ -655,7 +696,8 @@ class TestCliBehavior:
              "nominality-negative", "nominality-inf", "induced-nan",
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
-             "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format"]
+             "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
+             "point-optimizer-sgd"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")],
     )
@@ -884,13 +926,14 @@ class TestCliBehavior:
         assert os.listdir(out) == []
 
     def test_synth_toy_and_sensor(self, tmp_path, capsys):
-        """``trig`` is the one synth kind; ``toy`` and ``sensor`` exit 2 like any unknown one."""
+        """``synth.kind`` is retired at ``trig``; ``toy`` and ``sensor`` exit 2 with one line."""
         path = tmp_path / "synth.yaml"
         for kind in ("toy", "sensor"):
             path.write_text(f"synth:\n  kind: {kind}\noutput:\n  dir: {tmp_path}\n")
             assert main(["synth", "--config", str(path)]) == 2
             err = capsys.readouterr().err
-            assert err == f"config error: synth.kind must be one of trig, got {kind!r}\n"
+            assert err == (f"config error: synth.kind is retired: leave it out or set it to "
+                           f"trig, got {kind!r}\n")
 
 
 # model.json with the training nominality another training run might have written: valid values
@@ -1325,12 +1368,20 @@ def test_huge_test_value_names_its_row(downsample, row, named):
     ("synth", "    n_test: 300\n", "    n_test: 300\n    noise_sigma: 1.0e+308\n", None, 3,
      "data error: series values must be finite after ingestion"),
     ("train", "  optimizer: adam\n", "  optimizer: sgd\n", None, 2,
-     "config error: point_model.optimizer must be one of adam, got 'sgd'"),
-], ids=["huge-learn-rate", "huge-train-value", "huge-noise", "sgd"])
+     "config error: point_model.optimizer is retired: leave it out or set it to adam, "
+     "got 'sgd'"),
+    ("train", "  point_adjust: true\n", "  point_adjust: false\n", None, 2,
+     "config error: eval.point_adjust is retired: leave it out or set it to true, got False"),
+    ("train", "  point_adjust: true\n", "  point_adjust: true\n  spike_interval: 3\n", None, 2,
+     "config error: eval.spike_interval is retired: leave it out or set it to null, got 3"),
+    ("synth", "  kind: trig\n", "  kind: toy\n", None, 2,
+     "config error: synth.kind is retired: leave it out or set it to trig, got 'toy'"),
+], ids=["huge-learn-rate", "huge-train-value", "huge-noise", "sgd", "point-adjust-false",
+        "spike-interval-3", "synth-kind-toy"])
 def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damage, status,
                                     message):
     """An overflowing fit or generator exits with its code and one line, as warnings
-    are shown or made errors; plain gradient descent is no optimizer."""
+    are shown or made errors; so does a retired key at any value but its one."""
     path, out = write_config(tmp_path)
     assert main(["synth", "--config", path]) == 0
     if damage is not None:

@@ -38,7 +38,7 @@ from nominality import (
     train_point_model,
     train_sequence_model,
 )
-from nominality.config import trig_preset
+from nominality.config import config_from_dict, trig_preset
 from nominality.reconstructors import (
     _GATHER_ROWS,
     PointModel,
@@ -63,10 +63,7 @@ class TestPointModelTraining:
         basis = rng.standard_normal((2, 4))
         data = rng.standard_normal((256, 2)) @ basis
         data *= 0.1 / np.abs(data).max()
-        hp = PointHyperparams(
-            d_lat=2, learn_rate=0.02, epochs=400, batch_size=32, seed=0,
-            optimizer="adam",
-        )
+        hp = PointHyperparams(d_lat=2, learn_rate=0.02, epochs=400, batch_size=32, seed=0)
         model = train_point_model(LabeledSeries(data), hp)
         mse = float(((reconstruct_points(model, data) - data) ** 2).mean())
         assert mse < 1e-4
@@ -90,8 +87,7 @@ class TestPointModelTraining:
 
     def test_loss_decreases(self):
         series = random_series(4, n=300, dim=4)
-        hp = PointHyperparams(d_lat=2, learn_rate=0.01, epochs=20, batch_size=32,
-                              seed=0, optimizer="adam")
+        hp = PointHyperparams(d_lat=2, learn_rate=0.01, epochs=20, batch_size=32, seed=0)
         model = train_point_model(series, hp)
         assert model.epoch_losses[-1] <= model.epoch_losses[0]
 
@@ -140,8 +136,10 @@ class TestFlatFitMatchesReference:
     @pytest.mark.parametrize("optimizer", ["adam"])
     def test_weights_and_losses_bitwise(self, monkeypatch, optimizer, batch_size, d_lat, epochs):
         series = random_series(11, n=100, dim=4)
-        hp = PointHyperparams(d_lat=d_lat, learn_rate=0.01, optimizer=optimizer,
-                              batch_size=batch_size, epochs=epochs, seed=2)
+        # the retired optimizer key, as recorded configs name it, loads as the one fit
+        hp = config_from_dict({"point_model": dict(
+            d_lat=d_lat, learn_rate=0.01, optimizer=optimizer, batch_size=batch_size,
+            epochs=epochs, seed=2)}).point_model
         fast = train_point_model(series, hp)
         with monkeypatch.context() as patch:
             patch.setattr(PointModel, "loss_and_grads", reference_loss_and_grads)
