@@ -196,9 +196,10 @@ class GateConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    d_values: tuple[int, ...] = _rule("a non-empty list of integers >= 0",
-                                      lambda value: len(value) > 0 and min(value) >= 0,
-                                      default=SWEEP_D_DEFAULT)
+    d_values: tuple[int, ...] = _rule(
+        "a non-empty list of distinct integers >= 0",
+        lambda value: len(value) > 0 and min(value) >= 0 and len(set(value)) == len(value),
+        default=SWEEP_D_DEFAULT)
 
     def __post_init__(self) -> None:
         _check("sweep", SweepConfig, vars(self))

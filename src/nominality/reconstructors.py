@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -531,9 +531,9 @@ def load_model(path: str) -> TrainedModels:
 
     Raises:
         DataError: naming the file, if it is not valid JSON or not a decodable
-            model, a hyperparameter is out of its range, an array's shape
-            disagrees with the hyperparameters or holds a non-finite value, a
-            channel minimum exceeds its maximum, or the training nominality is
+            model, a hyperparameter is missing or out of its range, an array's
+            shape disagrees with the hyperparameters or holds a non-finite value,
+            a channel minimum exceeds its maximum, or the training nominality is
             empty or holds a negative score.
     """
     try:
@@ -544,7 +544,11 @@ def load_model(path: str) -> TrainedModels:
         seq = doc["sequence"]
         seq_hp = SequenceModelConfig(seq["gamma"], seq["delta"], seq["ridge_lambda"])
         gamma, delta, dim = seq_hp.gamma, seq_hp.delta, seq["n_channels"]
-        hp = config_from_dict({"point_model": dict(doc["point"]["hyperparams"])}).point_model
+        hyperparams = dict(doc["point"]["hyperparams"])
+        missing = [f.name for f in fields(PointHyperparams) if f.name not in hyperparams]
+        if missing:  # the file names every field, so a missing one is damage
+            raise ValueError(f"point.hyperparams has no {', '.join(missing)}")
+        hp = config_from_dict({"point_model": hyperparams}).point_model
         point = PointModel(**_checked(path, doc["point"], enc_w=(dim, hp.d_lat), enc_b=(hp.d_lat,),
                                       dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
         weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]

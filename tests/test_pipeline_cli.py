@@ -1,4 +1,8 @@
-"""End-to-end pipeline and CLI behavior on small synthetic runs."""
+"""End-to-end pipeline and CLI behavior on small synthetic runs.
+
+Every process the tests start imports the ``nominality`` this file imported,
+so with an installed copy first on the path the file tests that copy.
+"""
 
 import dataclasses
 import functools
@@ -40,6 +44,13 @@ from nominality.scoring import resolve_theta, smoothed_score, theta_from_percent
 from nominality.series import load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 from point_fit_reference import _init_point_model
+
+#: The directory that holds the ``nominality`` this file imported: ``src`` in a
+#: checkout, ``site-packages`` for an installed copy.  Every child process imports
+#: the package from there, so each process tests the same copy.
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+#: The checkout this file is in, for perfbench/, pyproject.toml and README.md.
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL_CONFIG = """\
 data:
@@ -413,6 +424,17 @@ class TestEndToEnd:
         induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
         np.testing.assert_array_equal(induced.scores, bundle.induced.scores)
 
+    @pytest.mark.parametrize("name", ["test.csv", "induced.csv"])
+    def test_csv_cells_written_by_repr(self, rundir, name):
+        """synth's and score's CSVs are what an independent writer makes of their
+        parsed cells: ``repr`` of each integer and float, CRLF after every row."""
+        text = open(os.path.join(rundir[1], name), newline="").read()
+        header, *rows = text.split("\r\n")[:-1]
+        cells = [[int(c) if c.lstrip("-").isdigit() else float(c) for c in row.split(",")]
+                 for row in rows]
+        assert "".join(f"{line}\r\n" for line in [header, *(",".join(map(repr, row))
+                                                             for row in cells)]) == text
+
     def test_sweep_structure(self, rundir):
         _, out = rundir
         table = json.load(open(os.path.join(out, "sweep.json")))
@@ -525,16 +547,22 @@ class TestOneConfig:
 
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
+        """Two run directories hold the same bytes, and so does one run again in place,
+        its manifest_score.json too (the other's names another directory)."""
         config_a, out_a = write_config(tmp_path, "a")
         config_b, out_b = write_config(tmp_path, "b")
         run_all(config_a)
         run_all(config_b)
-        for name in ("train.csv", "model.json",
-                     "anomaly.csv", "nominality.csv", "induced.csv", "scores.npy",
-                     "eval_report.json", "curve.csv", "sweep.json"):
-            bytes_a = open(os.path.join(out_a, name), "rb").read()
-            bytes_b = open(os.path.join(out_b, name), "rb").read()
-            assert bytes_a == bytes_b, name
+        names = ("train.csv", "model.json", "anomaly.csv", "nominality.csv", "induced.csv",
+                 "scores.npy", "eval_report.json", "curve.csv", "sweep.json")
+        first = {name: open(os.path.join(out_a, name), "rb").read()
+                 for name in (*names, "manifest_score.json")}
+        for command in ("train", "score", "sweep", "eval"):
+            assert main([command, "--config", config_a]) == 0
+        for name, data in first.items():
+            assert open(os.path.join(out_a, name), "rb").read() == data, name
+            if name in names:
+                assert open(os.path.join(out_b, name), "rb").read() == data, name
 
 
 class TestCliBehavior:
@@ -598,6 +626,7 @@ class TestCliBehavior:
             ("gate:\n  d: abc\n", "gate.d"),
             ("sweep:\n  d_values: 5\n", "sweep.d_values"),
             ("sweep:\n  d_values: [1, 2.5]\n", "sweep.d_values"),
+            ("sweep:\n  d_values: [16, 16, 0]\n", "sweep.d_values"),
             # YAML 1.1 reads 1e-6 (no dot) as a string
             ("sequence_model:\n  ridge_lambda: 1e-6\n", "sequence_model.ridge_lambda"),
             ("eval:\n  spike_interval: x\n", "eval.spike_interval"),
@@ -631,8 +660,8 @@ class TestCliBehavior:
             ('data:\n  label_column: ""\n', "data.label_column"),
             ('output:\n  dir: ""\n', "output.dir"),
         ] + [case[:2] for case in FIELD_KNOB_CASES],
-        ids=["d-string", "d-values-scalar", "d-values-float", "lambda-string",
-             "spike-string", "point-adjust-false", "spike-interval-set",
+        ids=["d-string", "d-values-scalar", "d-values-float", "d-values-repeated",
+             "lambda-string", "spike-string", "point-adjust-false", "spike-interval-set",
              "downsample-string", "epochs-string", "percentile-string",
              "d-lat-list", "batch-zero", "seed-negative",
              "rate-string", "rate-inf", "gamma-float", "delta-zero", "percentile-range",
@@ -687,6 +716,9 @@ class TestCliBehavior:
                                                               "nominality-model-v1")),
             ("score", "model.json",
              _edit_json(lambda doc: doc["point"]["hyperparams"].update(optimizer="sgd"))),
+            # SMALL_CONFIG's seed is the default, so filling it in would go unseen
+            ("score", "model.json",
+             _edit_json(lambda doc: doc["point"]["hyperparams"].pop("seed"))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
              for command in ("eval", "sweep")],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
@@ -697,7 +729,7 @@ class TestCliBehavior:
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
              "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
-             "point-optimizer-sgd"]
+             "point-optimizer-sgd", "point-seed-missing"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")],
     )
@@ -859,15 +891,18 @@ class TestCliBehavior:
         assert main(["synth", "--config", config_path]) == 3
         assert capsys.readouterr().err == "data error: out of memory: Unable to allocate 7.28 TiB\n"
 
-    def test_synth_writes_the_data_paths(self, tmp_path):
+    def test_synth_writes_the_data_paths(self, rundir, tmp_path):
         """``synth`` writes its splits to ``data.train`` and ``data.test``, creating their
-        directory, and nothing to ``output.dir``, so ``train`` reads what it wrote."""
+        directory, and nothing to ``output.dir``, so ``train`` reads what it wrote.  The
+        splits are the bytes it writes anywhere else."""
         config_path, out = write_config(tmp_path)
         data = tmp_path / "data"
         text = open(config_path).read().replace(f"{out}/t", f"{data}/t")  # train.csv, test.csv
         open(config_path, "w").write(text)
         assert main(["synth", "--config", config_path]) == 0
         assert sorted(os.listdir(data)) == ["test.csv", "train.csv"]
+        for name in ("train.csv", "test.csv"):
+            assert (data / name).read_bytes() == open(os.path.join(rundir[1], name), "rb").read()
         assert sorted(os.listdir(out)) == ["manifest_synth.json"]
         assert json.load(open(os.path.join(out, "manifest_synth.json")))["outputs"] == [
             f"{data}/train.csv", f"{data}/test.csv"]
@@ -1099,8 +1134,7 @@ class TestSweepFromScores:
 
     def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
         """For README's run.yaml, the table from score's files is the in-process one, bit for bit."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        text = open(os.path.join(root, "README.md")).read()
+        text = open(os.path.join(ROOT, "README.md")).read()
         block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
         config_path = tmp_path / "run.yaml"
         config_path.write_text(block.replace("out/", f"{tmp_path}/")
@@ -1249,17 +1283,21 @@ def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys
     assert main(["eval", "--config", config_path, "--labels", labels]) == 0
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+def _child_env(*first):
+    """This process's environment with ``first``, then :data:`PACKAGE_PARENT`, put
+    ahead of ``PYTHONPATH``."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [*first, PACKAGE_PARENT, os.environ.get("PYTHONPATH", "")]))
 
 
-def _loaded_modules(argv, pythonpath=(SRC,)):
-    """Run ``main(argv)`` (no command: just import the CLI) in a fresh interpreter.
+def _loaded_modules(argv, first=()):
+    """Run ``main(argv)`` (no command: just import the CLI) in a fresh interpreter,
+    with the directories ``first`` ahead of the package on its path.
 
     Returns its exit code, the names in ``sys.modules`` when it returned, and
     those the CLI and the command added to what a bare ``import numpy`` loads.
     """
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([*pythonpath, os.environ.get("PYTHONPATH", "")]))
+    env = _child_env(*first)
     code = ("import json, sys\nimport numpy\nbare = set(sys.modules)\n"
             "from nominality.cli import main\n"
             "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
@@ -1309,16 +1347,16 @@ def test_train_runs_without_scipy(tmp_path):
     blocker.mkdir(parents=True)
     (blocker / "__init__.py").write_text('raise ImportError("scipy is not installed")\n')
     path, out = write_config(tmp_path)
-    pythonpath = (str(tmp_path / "no_scipy"), SRC)
-    assert _loaded_modules(["synth", "--config", path], pythonpath)[0] == 0
-    assert _loaded_modules(["train", "--config", path], pythonpath)[0] == 0
+    first = [str(tmp_path / "no_scipy")]
+    assert _loaded_modules(["synth", "--config", path], first)[0] == 0
+    assert _loaded_modules(["train", "--config", path], first)[0] == 0
     assert isinstance(load_model(os.path.join(out, "model.json")).sequence.weights, np.ndarray)
 
 
 def test_benchmark_names_resolve_after_cli_import():
     """Every function perfbench's tracer instruments is in ``sys.modules`` once the CLI
     is imported, as ``Tracer.install`` looks it up there, and its gate imports."""
-    perfbench = os.path.join(os.path.dirname(SRC), "perfbench")
+    perfbench = os.path.join(ROOT, "perfbench")
     code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport nominality.cli\n"
             "from tracer import INSTRUMENTED\n"
             "for module, attr, *_ in INSTRUMENTED:\n"
@@ -1326,18 +1364,27 @@ def test_benchmark_names_resolve_after_cli_import():
             "    for part in attr.split('.'):\n"
             "        owner = getattr(owner, part)\n"
             "import gate\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", code, perfbench], env=env,
+    done = subprocess.run([sys.executable, "-c", code, perfbench], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
 def test_code_defaults_run_every_command(tmp_path):
-    """A config that names only the data paths runs the chain on the default dataset."""
+    """A config that names only the data paths runs the chain on the default dataset.
+
+    The default ``gate.d`` is among the default ``sweep.d_values``, so the sweep's
+    soft-gate row there holds the report's best F1 and AUC, at the threshold ``score``
+    resolved."""
     path = tmp_path / "run.yaml"
     path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
                     f"output:\n  dir: {tmp_path}\n")
     run_all(str(path))
+    sweep, report, manifest = (json.load(open(tmp_path / f"{name}.json"))
+                               for name in ("sweep", "eval_report", "manifest_score"))
+    at = sweep["d_values"].index(manifest["config"]["gate"]["d"])
+    row = sweep["rows"]["soft_theta_pct"]
+    assert (row["best_f1"][at], row["auc"][at]) == (report["best_f1"], report["auc"])
+    assert sweep["theta"] == manifest["resolved_theta"]
 
 
 @pytest.mark.parametrize("downsample, row, named", [(1, 300, 300), (2, 301, 300), (1, 3, 5)])
@@ -1376,24 +1423,29 @@ def test_huge_test_value_names_its_row(downsample, row, named):
      "config error: eval.spike_interval is retired: leave it out or set it to null, got 3"),
     ("synth", "  kind: trig\n", "  kind: toy\n", None, 2,
      "config error: synth.kind is retired: leave it out or set it to trig, got 'toy'"),
+    ("synth", "[200, 201, point-noise]", "[120, 201, point-noise]", None, 2,
+     "config error: synth.options.segments must not overlap, got (100, 130), (120, 201)"),
 ], ids=["huge-learn-rate", "huge-train-value", "huge-noise", "sgd", "point-adjust-false",
-        "spike-interval-3", "synth-kind-toy"])
+        "spike-interval-3", "synth-kind-toy", "segments-overlap"])
 def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damage, status,
                                     message):
     """An overflowing fit or generator exits with its code and one line, as warnings
-    are shown or made errors; so does a retired key at any value but its one."""
+    are shown or made errors; so does a retired key at any value but its one, and a
+    broken config rule.  The command writes nothing: the run directory keeps its files."""
     path, out = write_config(tmp_path)
     assert main(["synth", "--config", path]) == 0
     if damage is not None:
         _rewrite(os.path.join(out, "train.csv"), damage)
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
-    env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    env = _child_env()
+    env.pop("PYTHONWARNINGS", None)
     if warnings is not None:
         env["PYTHONWARNINGS"] = warnings
     done = subprocess.run(
         [sys.executable, "-m", "nominality.cli", command, "--config",
          second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
+    assert {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)} == before
 
 
 # The fuzzed chain: three channels, two segments and one epoch keep its 88 runs fast.
@@ -1495,9 +1547,8 @@ def test_in_process_main_leaves_gc_state(rundir, tmp_path):
 def test_process_entry_freezes_gc_then_exits(monkeypatch):
     """``python -m nominality.cli`` and the console script run one function, which
     freezes the GC after ``main`` returns and exits with its status."""
-    root = os.path.dirname(SRC)
     script = re.search(r'^nominality = "nominality\.cli:(\w+)"$',
-                       open(os.path.join(root, "pyproject.toml")).read(), re.M)
+                       open(os.path.join(ROOT, "pyproject.toml")).read(), re.M)
     assert script is not None and script[1] == "_process_main"
     assert open(cli.__file__).read().endswith('if __name__ == "__main__":\n    _process_main()\n')
     monkeypatch.setattr(cli, "main", lambda: 5)
@@ -1517,17 +1568,15 @@ def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
     assert main(["eval", "--config", config_path]) == 0
     expected = capsys.readouterr().out
     assert re.fullmatch(r"best F1 \d\.\d{6} at threshold \S+\n", expected)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-m", "nominality.cli", "eval", "--config", config_path],
-                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          timeout=120)
+                          env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
 
 
 def test_readme_library_example(capsys):
     """README's library example runs, and its induced score is the pipeline's."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    text = open(os.path.join(root, "README.md")).read()
+    text = open(os.path.join(ROOT, "README.md")).read()
     code = text.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
     segments = ((300, 360, "frequency-shift"), (500, 501, "point-noise"))
     data = gen_trig(TrigSpec(n_channels=5, n_train=2000, n_test=800, segments=segments))
@@ -1543,8 +1592,7 @@ def test_readme_library_example(capsys):
 
 def test_readme_quickstart(tmp_path):
     """README's run.yaml drives every command, and each of its keys is a config field."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    text = open(os.path.join(root, "README.md")).read()
+    text = open(os.path.join(ROOT, "README.md")).read()
     block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
     block = block.replace("out/", f"{tmp_path}/").replace("dir: out", f"dir: {tmp_path}")
     raw = yaml.safe_load(block)
