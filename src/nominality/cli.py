@@ -367,7 +367,8 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
     the config ``manifest_<command>.json`` records, read by :func:`config_from_dict`
     (else :class:`ConfigError`), every recorded file must be
     unchanged, and ``reads``, the files the caller opens, must be recorded (else
-    :class:`DataError`); a ``data.<split>`` key names the config's split.
+    :class:`DataError`); a ``data.<split>`` key names the config's split, and
+    any other key must be a file name in ``output.dir``.
     """
     path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
     if not os.path.exists(path):
@@ -376,6 +377,10 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
         with open(path, "rb") as fh:
             doc = json.load(fh)
         digests = dict(doc["digests"])
+        for key in digests:
+            if key not in ("data.train", "data.test") and (
+                    key in ("", ".", "..") or "\0" in key or os.path.basename(key) != key):
+                raise ValueError(f"digest key {key!r} is not a file name")
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "

@@ -124,10 +124,15 @@ def _tupled(value):
     return tuple(map(_tupled, value)) if isinstance(value, list) else value
 
 
+def _path(wording: str, default):
+    """A file or directory path: non-empty, and without the NUL that no OS call takes."""
+    return _rule(wording, lambda value: value != "" and "\0" not in value, default=default)
+
+
 @dataclass(frozen=True)
 class DataConfig:
-    train: str | None = _rule("a non-empty string or null", bool, default=None)
-    test: str | None = _rule("a non-empty string or null", bool, default=None)
+    train: str | None = _path("a non-empty string without NUL, or null", None)
+    test: str | None = _path("a non-empty string without NUL, or null", None)
     label_column: str | None = _rule("a non-empty string or null", bool, default="label")
 
     def __post_init__(self) -> None:
@@ -137,7 +142,6 @@ class DataConfig:
 @dataclass(frozen=True)
 class PreprocessConfig:
     downsample: int = _at_least(1, 1)
-    normalization: str = _one_of(("minmax", "none"), "minmax")
 
     def __post_init__(self) -> None:
         _check("preprocess", PreprocessConfig, vars(self))
@@ -316,7 +320,7 @@ class SynthConfig:
 class OutputConfig:
     """The ``output`` section: the directory every command writes to and reads from."""
 
-    dir: str = _rule("a non-empty string", bool, default="out")
+    dir: str = _path("a non-empty string without NUL", "out")
 
     def __post_init__(self) -> None:
         _check("output", OutputConfig, vars(self))
@@ -340,8 +344,8 @@ class PipelineConfig:
 
 
 #: Each retired key and the one value it could hold; the ``eval`` section held only these.
-RETIRED_KEYS = {"point_model.optimizer": "adam", "eval.point_adjust": True,
-                "eval.spike_interval": None, "synth.kind": "trig"}
+RETIRED_KEYS = {"preprocess.normalization": "minmax", "point_model.optimizer": "adam",
+                "eval.point_adjust": True, "eval.spike_interval": None, "synth.kind": "trig"}
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
@@ -373,7 +377,7 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         if base:
             sections[name] = replace(base, **{key: block[key] for key in block if key in known})
     if raw:
-        raise ConfigError(f"unknown top-level section(s): {sorted(raw)}")
+        raise ConfigError(f"unknown top-level section(s): {sorted(raw, key=str)}")
     return PipelineConfig(**sections)
 
 

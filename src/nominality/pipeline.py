@@ -73,14 +73,13 @@ class ScoreBundle:
 def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
     """Build the whole detector from the raw training split.
 
-    Downsamples the split, fits the min-max statistics (none with
-    ``normalization: none``) and applies them, trains both reconstructors
-    and records the training nominality scores.  Overflow raises, not warns.
+    Downsamples the split, fits the min-max statistics and applies them,
+    trains both reconstructors and records the training nominality scores.
+    Overflow raises, not warns.
     """
     train = downsample(train_raw, cfg.preprocess.downsample)
-    stats = minmax_fit(train) if cfg.preprocess.normalization == "minmax" else None
-    if stats is not None:
-        train = minmax_apply(train, stats)
+    stats = minmax_fit(train)
+    train = minmax_apply(train, stats)
     point = train_point_model(train, cfg.point_model)
     seq = train_sequence_model(train, **vars(cfg.sequence_model))
     pair = make_pair(train.values, reconstruct_points(point, train),
@@ -93,8 +92,8 @@ def score_split(
 ) -> ScoreBundle:
     """Reconstruct a raw split both ways and compute all scores on it.
 
-    The split is first downsampled, then normalized with ``models.stats``
-    unless they are None, as the training split was.
+    The split is first downsampled, then normalized with ``models.stats``,
+    as the training split was.
 
     Raises:
         DataError: the split's channels are not the training split's, by name
@@ -107,9 +106,7 @@ def score_split(
         raise DataError(f"{cfg.data.test or 'test split'}: channels "
                         f"{list(test_raw.channel_names)} are not the training split's "
                         f"{list(models.channel_names)} (from {MODEL_FILE})")
-    test = downsample(test_raw, cfg.preprocess.downsample)
-    if models.stats is not None:
-        test = minmax_apply(test, models.stats)
+    test = minmax_apply(downsample(test_raw, cfg.preprocess.downsample), models.stats)
     # A huge but finite value can overflow a squared distance; the scores
     # are checked for that here rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):

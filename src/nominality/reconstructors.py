@@ -16,9 +16,9 @@ of it.  Because the sequence model cannot reconstruct the first and last
 ``gamma`` points, :func:`make_pair` trims the observation and the point
 reconstruction to the same interior range, so every covered time point has
 one observed and exactly two reconstructed values.  :class:`TrainedModels`
-is one trained detector (both models, the normalization and the training
-nominality), and :func:`save_model` writes it as one JSON file, with every
-array in the same base64 codec.
+is one trained detector (both models, the min-max statistics and the
+training nominality), and :func:`save_model` writes it as one JSON file,
+with every array in the same base64 codec.
 """
 
 from __future__ import annotations
@@ -470,14 +470,14 @@ def _decode_array(entry: dict) -> np.ndarray:
 class TrainedModels:
     """One trained detector: what ``train`` writes to ``model.json`` and ``score`` reads.
 
-    Both models, the min-max statistics (None without min-max normalization),
-    the training nominality that the gate's threshold comes from, and the
-    training split's channel names (None for a split that has none).
+    Both models, the min-max statistics, the training nominality that the
+    gate's threshold comes from, and the training split's channel names
+    (None for a split that has none).
     """
 
     point: PointModel
     sequence: SequenceModel
-    stats: MinMaxStats | None
+    stats: MinMaxStats
     train_nominality: ScoreSeries
     channel_names: tuple[str, ...] | None
 
@@ -503,8 +503,7 @@ def save_model(models: TrainedModels, path: str) -> None:
                   **{name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS}},
         "sequence": {"gamma": seq.gamma, "delta": seq.delta, "ridge_lambda": seq.ridge_lambda,
                      "n_channels": seq.n_channels, "weights": _encode_array(seq.weights)},
-        "minmax": None if stats is None else {"mins": _encode_array(stats.mins),
-                                              "maxs": _encode_array(stats.maxs)},
+        "minmax": {"mins": _encode_array(stats.mins), "maxs": _encode_array(stats.maxs)},
         "train_nominality": _encode_array(models.train_nominality.scores),
     }
     write_json(doc, path)
@@ -531,10 +530,12 @@ def load_model(path: str) -> TrainedModels:
 
     Raises:
         DataError: naming the file, if it is not valid JSON or not a decodable
-            model, a hyperparameter is missing or out of its range, an array's
-            shape disagrees with the hyperparameters or holds a non-finite value,
-            a channel minimum exceeds its maximum, or the training nominality is
-            empty or holds a negative score.
+            model, a hyperparameter is missing or out of its range,
+            ``n_channels`` is not an integer >= 1, the channel names are not
+            null or a list of strings, one per channel, an array's shape
+            disagrees with the hyperparameters or holds a non-finite value,
+            the min-max statistics are null or a channel minimum exceeds its
+            maximum, or the training nominality is empty or holds a negative score.
     """
     try:
         with open(path) as fh:
@@ -544,6 +545,8 @@ def load_model(path: str) -> TrainedModels:
         seq = doc["sequence"]
         seq_hp = SequenceModelConfig(seq["gamma"], seq["delta"], seq["ridge_lambda"])
         gamma, delta, dim = seq_hp.gamma, seq_hp.delta, seq["n_channels"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"sequence.n_channels must be an integer >= 1, got {dim!r}")
         hyperparams = dict(doc["point"]["hyperparams"])
         missing = [f.name for f in fields(PointHyperparams) if f.name not in hyperparams]
         if missing:  # the file names every field, so a missing one is damage
@@ -553,15 +556,18 @@ def load_model(path: str) -> TrainedModels:
                                       dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
         weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
         sequence = SequenceModel(gamma, delta, seq_hp.ridge_lambda, weights, dim)
-        stats = None
-        if doc["minmax"] is not None:
-            stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
+        if doc["minmax"] is None:  # written only by the retired normalization: none
+            raise ValueError("minmax is null; train again")
+        stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
         nominality = ScoreSeries(_decode_array(doc["train_nominality"]), "nominality", gamma)
         if not len(nominality):
             raise ValueError("train_nominality is empty")
         names = doc["channel_names"]
-        if names is not None and len(names) != dim:
-            raise ValueError(f"{len(names)} channel names for {dim} channels")
+        if names is not None:
+            if type(names) is not list or not all(type(name) is str for name in names):
+                raise ValueError(f"channel_names must be null or a list of strings, got {names!r}")
+            if len(names) != dim:
+                raise ValueError(f"{len(names)} channel names for {dim} channels")
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError, ShapeError) as exc:
         # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a
         # hyperparameter outside its range, a ShapeError invalid min-max

@@ -51,6 +51,8 @@ from point_fit_reference import _init_point_model
 PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 #: The checkout this file is in, for perfbench/, pyproject.toml and README.md.
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Every subcommand; each loads the config first.
+COMMANDS = ("synth", "train", "score", "eval", "sweep")
 
 SMALL_CONFIG = """\
 data:
@@ -58,6 +60,7 @@ data:
   test: {out}/test.csv
 preprocess:
   downsample: 1
+  normalization: minmax
 point_model:
   d_lat: 2
   learn_rate: 0.001
@@ -111,7 +114,8 @@ def _field_knob_cases():
               f.default)
              for section, cls in typing.get_type_hints(PipelineConfig).items()
              for f in dataclasses.fields(cls)]
-    retired_hints = {"point_model.optimizer": str, "eval.point_adjust": bool,
+    retired_hints = {"preprocess.normalization": str, "point_model.optimizer": str,
+                     "eval.point_adjust": bool,
                      "eval.spike_interval": int | None, "synth.kind": str}
     knobs += [(*name.split("."), retired_hints[name], lambda value, one=one: value == one, one)
               for name, one in RETIRED_KEYS.items()]
@@ -293,7 +297,7 @@ POINT_SEED_1 = ("  seed: 0\nsequence_model:", "  seed: 1\nsequence_model:")
 
 
 def run_all(config_path):
-    for command in ("synth", "train", "score", "eval", "sweep"):
+    for command in COMMANDS:
         assert main([command, "--config", config_path]) == 0
 
 
@@ -467,7 +471,7 @@ class TestOneConfig:
     def test_manifest_configs_load_as_the_run_config(self, rundir):
         config_path, out = rundir
         cfg = load_config(config_path)
-        for command in ("synth", "train", "score", "eval", "sweep"):
+        for command in COMMANDS:
             doc = json.load(open(os.path.join(out, f"manifest_{command}.json")))
             assert config_from_dict(doc["config"]) == cfg, command
 
@@ -519,7 +523,7 @@ class TestOneConfig:
         for name, data in outputs.items():
             assert open(os.path.join(out, name), "rb").read() == data, name
 
-    @pytest.mark.parametrize("command", ["synth", "train", "score", "eval", "sweep"])
+    @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag, value", [("--d", "1"), ("--gate", "hard"),
                                              ("--theta-percentile", "99"), ("--seed", "1"),
                                              ("--out", "elsewhere")])
@@ -719,6 +723,12 @@ class TestCliBehavior:
             # SMALL_CONFIG's seed is the default, so filling it in would go unseen
             ("score", "model.json",
              _edit_json(lambda doc: doc["point"]["hyperparams"].pop("seed"))),
+            ("score", "model.json", _edit_json(lambda doc: doc.update(minmax=None))),
+            ("score", "model.json", _edit_json(lambda doc: doc["sequence"].update(n_channels=4.0))),
+            # sweep reads only the training nominality, so a bad name would go unseen
+            ("sweep", "model.json", _edit_json(lambda doc: doc.update(channel_names="abcd"))),
+            ("sweep", "model.json",
+             _edit_json(lambda doc: doc.update(channel_names=[0, 1, 2, 3]))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
              for command in ("eval", "sweep")],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
@@ -729,7 +739,8 @@ class TestCliBehavior:
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
              "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
-             "point-optimizer-sgd", "point-seed-missing"]
+             "point-optimizer-sgd", "point-seed-missing", "stats-null", "sequence-channels-float",
+             "channel-names-string", "channel-names-ints"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")],
     )
@@ -742,8 +753,9 @@ class TestCliBehavior:
             text = fh.read()
         with open(path, "w", encoding="latin-1", newline="") as fh:
             fh.write(damage(text))
-        if command == "score" and name == "model.json":
+        if name == "model.json":
             _record_digest(out, name)
+            _record_digest(out, name, "score")
         if name == "scores.npy":
             _record_digest(out, name, "score")
         # Named paths skip eval's digest check, so the damage reaches the CSV reader.
@@ -755,7 +767,7 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
         assert name in err and "Traceback" not in err
-        assert command != "score" or " changed since " not in err
+        assert (command != "score" and name != "model.json") or " changed since " not in err
 
     def test_swapped_model_files_exit_3(self, rundir, tmp_path, capsys):
         """model.json with its point and sequence sections swapped."""
@@ -771,6 +783,24 @@ class TestCliBehavior:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"data error: {path}: cannot decode model: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["score", "eval", "sweep"])
+    @pytest.mark.parametrize("key", ["bad\0name", os.path.join("..", "run.yaml")],
+                             ids=["nul", "parent-dir"])
+    def test_digest_key_not_a_file_name_exit_3(self, rundir, tmp_path, capsys, command, key):
+        """A digest key other than data.train and data.test is a file name in output.dir:
+        a key that is not, even with the digest of the file it would reach (here the
+        config), makes the manifest undecodable."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        owner = "train" if command == "score" else "score"
+        manifest = os.path.join(out, f"manifest_{owner}.json")
+        digest = hashlib.sha256(open(config_path, "rb").read()).hexdigest()
+        _rewrite(manifest, _edit_json(lambda doc: doc["digests"].update({key: digest})))
+        assert main([command, "--config", config_path]) == 3
+        error = ValueError(f"digest key {key!r} is not a file name")
+        assert capsys.readouterr().err == (f"data error: {manifest}: cannot decode the {owner} "
+                                           f"manifest: {error!r}; run '{owner}' again\n")
 
     @pytest.mark.parametrize("command", ["score", "sweep"])
     @pytest.mark.parametrize(
@@ -922,7 +952,7 @@ class TestCliBehavior:
         config_path, out = write_config(tmp_path)
         config_path = second_config(config_path, "  gamma: 5\n  delta: 2\n",
                                     "  gamma: 2\n  delta: 5\n")
-        for command in ("synth", "train", "score", "eval", "sweep"):
+        for command in COMMANDS:
             assert main([command, "--config", config_path]) == 2
             assert capsys.readouterr().err == (
                 "config error: sequence_model.delta must be at most 2 * gamma = 4, got 5\n")
@@ -1328,7 +1358,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     chain_path = tmp_path / "chain.yaml"
     chain_path.write_text(text[: text.index("synth:")] + text[text.index("output:"):])
     assert _under(_loaded_modules([])[1], "scipy") == []
-    for command in ("synth", "train", "score", "eval", "sweep"):
+    for command in COMMANDS:
         rc, modules, added = _loaded_modules(
             [command, "--config", synth_path if command == "synth" else str(chain_path)])
         assert rc == 0
@@ -1407,35 +1437,44 @@ def test_huge_test_value_names_its_row(downsample, row, named):
 
 
 @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
-@pytest.mark.parametrize("command, old, new, damage, status, message", [
-    ("train", "  learn_rate: 0.001\n", "  learn_rate: 1.0e+300\n", None, 4,
+@pytest.mark.parametrize("command, old, new, status, message", [
+    ("train", "  learn_rate: 0.001\n", "  learn_rate: 1.0e+300\n", 4,
      "numeric error: training loss became non-finite at epoch 0"),
-    ("train", "  downsample: 1\n", "  downsample: 1\n  normalization: none\n", _HUGE_VALUE, 4,
-     "numeric error: training loss became non-finite at epoch 0"),
-    ("synth", "    n_test: 300\n", "    n_test: 300\n    noise_sigma: 1.0e+308\n", None, 3,
+    *[(command, "  normalization: minmax\n", "  normalization: none\n", 2,
+       "config error: preprocess.normalization is retired: leave it out or set it to minmax, "
+       "got 'none'") for command in COMMANDS],
+    ("synth", "    n_test: 300\n", "    n_test: 300\n    noise_sigma: 1.0e+308\n", 3,
      "data error: series values must be finite after ingestion"),
-    ("train", "  optimizer: adam\n", "  optimizer: sgd\n", None, 2,
+    ("train", "  optimizer: adam\n", "  optimizer: sgd\n", 2,
      "config error: point_model.optimizer is retired: leave it out or set it to adam, "
      "got 'sgd'"),
-    ("train", "  point_adjust: true\n", "  point_adjust: false\n", None, 2,
+    ("train", "  point_adjust: true\n", "  point_adjust: false\n", 2,
      "config error: eval.point_adjust is retired: leave it out or set it to true, got False"),
-    ("train", "  point_adjust: true\n", "  point_adjust: true\n  spike_interval: 3\n", None, 2,
+    ("train", "  point_adjust: true\n", "  point_adjust: true\n  spike_interval: 3\n", 2,
      "config error: eval.spike_interval is retired: leave it out or set it to null, got 3"),
-    ("synth", "  kind: trig\n", "  kind: toy\n", None, 2,
+    ("synth", "  kind: trig\n", "  kind: toy\n", 2,
      "config error: synth.kind is retired: leave it out or set it to trig, got 'toy'"),
-    ("synth", "[200, 201, point-noise]", "[120, 201, point-noise]", None, 2,
+    ("synth", "[200, 201, point-noise]", "[120, 201, point-noise]", 2,
      "config error: synth.options.segments must not overlap, got (100, 130), (120, 201)"),
-], ids=["huge-learn-rate", "huge-train-value", "huge-noise", "sgd", "point-adjust-false",
-        "spike-interval-3", "synth-kind-toy", "segments-overlap"])
-def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, damage, status,
-                                    message):
+    # A YAML escape needs a quoted string; the "#" comments out the path it replaces.
+    ("synth", "  train: ", '  train: "out/tr\\0ain.csv" #', 2,
+     "config error: data.train must be a non-empty string without NUL, or null, "
+     "got 'out/tr\\x00ain.csv'"),
+    ("train", "  dir: ", '  dir: "o\\0ut" #', 2,
+     "config error: output.dir must be a non-empty string without NUL, got 'o\\x00ut'"),
+    ("train", "output:\n", "1: 2\nfoo: 3\noutput:\n", 2,
+     "config error: unknown top-level section(s): [1, 'foo']"),
+], ids=["huge-learn-rate",
+        *[f"normalization-none-{command}" for command in COMMANDS],
+        "huge-noise", "sgd", "point-adjust-false", "spike-interval-3", "synth-kind-toy",
+        "segments-overlap", "train-path-nul", "out-dir-nul", "top-level-keys-mixed"])
+def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, status, message):
     """An overflowing fit or generator exits with its code and one line, as warnings
-    are shown or made errors; so does a retired key at any value but its one, and a
-    broken config rule.  The command writes nothing: the run directory keeps its files."""
+    are shown or made errors; so does a retired key at any value but its one, a
+    broken config rule, a path holding a NUL and top-level keys of mixed types.  The
+    command writes nothing: the run directory keeps its files."""
     path, out = write_config(tmp_path)
     assert main(["synth", "--config", path]) == 0
-    if damage is not None:
-        _rewrite(os.path.join(out, "train.csv"), damage)
     before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
     env = _child_env()
     env.pop("PYTHONWARNINGS", None)
@@ -1575,7 +1614,7 @@ def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
 
 
 def test_readme_library_example(capsys):
-    """README's library example runs, and its induced score is the pipeline's."""
+    """README's library example runs, and its induced score is the default pipeline's."""
     text = open(os.path.join(ROOT, "README.md")).read()
     code = text.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
     segments = ((300, 360, "frequency-shift"), (500, 501, "point-noise"))
@@ -1583,8 +1622,7 @@ def test_readme_library_example(capsys):
     scope = {"train_values": data.train.values, "test_values": data.test.values,
              "test_labels": data.test.labels}
     exec(code, scope)
-    cfg = config_from_dict({"preprocess": {"normalization": "none"},
-                            "point_model": {"d_lat": 4, "epochs": 25}})
+    cfg = PipelineConfig()
     bundle = score_split(cfg, fit_models(cfg, data.train), data.test)
     np.testing.assert_array_equal(scope["induced"].scores, bundle.induced.scores)
     assert float(capsys.readouterr().out) == best_f1(bundle.induced, bundle.labels).best_f1

@@ -485,14 +485,13 @@ class TestMakePair:
             make_pair(np.ones((10, 2)), np.ones((10, 2)), np.ones((5, 2)), 2)
 
 
-def _trained(seed, channel_names=None, normalize=True):
+def _trained(seed, channel_names=None):
     """A detector of small fits on a random series, put together as ``fit_models`` does."""
     series = LabeledSeries(random_series(seed).values, channel_names=channel_names)
     point = train_point_model(series, PointHyperparams(d_lat=2, epochs=3, batch_size=16, seed=3))
     seq = train_sequence_model(series, gamma=3, delta=2, ridge_lambda=1e-5)
     nominality = ScoreSeries(np.abs(series.values[3:-3, 0]), "nominality", 3)
-    return TrainedModels(point, seq, minmax_fit(series) if normalize else None, nominality,
-                         series.channel_names)
+    return TrainedModels(point, seq, minmax_fit(series), nominality, series.channel_names)
 
 
 class TestPersistence:
@@ -515,17 +514,14 @@ class TestPersistence:
         assert (back.gamma, back.delta, back.ridge_lambda, back.n_channels) == (3, 2, 1e-5, 3)
         assert model.fit_residual is not None and back.fit_residual is None  # history
 
-    @pytest.mark.parametrize("names, normalize", [(("a", "b", "c"), True), (None, False)])
-    def test_stats_nominality_and_names_roundtrip(self, tmp_path, names, normalize):
-        models = _trained(11, names, normalize)
+    @pytest.mark.parametrize("names", [("a", "b", "c"), None])
+    def test_stats_nominality_and_names_roundtrip(self, tmp_path, names):
+        models = _trained(11, names)
         path = str(tmp_path / "model.json")
         save_model(models, path)
         back = load_model(path)
-        if normalize:
-            np.testing.assert_array_equal(back.stats.mins, models.stats.mins)
-            np.testing.assert_array_equal(back.stats.maxs, models.stats.maxs)
-        else:
-            assert back.stats is None
+        np.testing.assert_array_equal(back.stats.mins, models.stats.mins)
+        np.testing.assert_array_equal(back.stats.maxs, models.stats.maxs)
         np.testing.assert_array_equal(back.train_nominality.scores, models.train_nominality.scores)
         assert back.train_nominality.time_origin == models.train_nominality.time_origin == 3
         assert back.channel_names == names
