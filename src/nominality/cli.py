@@ -16,10 +16,12 @@ normal-equation residual, ``score``'s resolved gate threshold.  Each fact is
 written once, and nothing time- or host-dependent goes into any output file.
 
 A config that breaks a rule, such as ``sequence_model.delta <= 2 * gamma``,
-makes every command exit 2 when it loads.  ``synth`` writes the trigonometric
-dataset of :mod:`nominality.synthetic` to ``data.train`` and ``data.test``,
-creating their directories, with the labels in column ``data.label_column``;
-it exits 2 if that key is null or the two paths name one file.
+makes every command exit 2 when it loads, and so does a ``data.train`` or
+``data.test`` that names a file the commands write in ``output.dir``.
+``synth`` writes the trigonometric dataset of :mod:`nominality.synthetic` to
+``data.train`` and ``data.test``, creating their directories, with the labels
+in column ``data.label_column``; it exits 2 if that key is null or names one
+of its channels, or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's.
 ``sweep`` reads ``scores.npy`` rather than scoring the test split again, and
 the training nominality for its threshold from ``model.json``; ``eval`` reads
@@ -94,6 +96,19 @@ EXIT_NUMERIC = 4
 SCORES_FILE = "scores.npy"
 #: Its columns; ``label`` only when the test split is labeled.
 SCORE_COLUMNS = ("time_index", "anomaly", "sequence_anomaly", "nominality", "induced", "label")
+#: ``score``'s CSVs, one per score column, and its labels; ``eval``'s report and curve;
+#: ``sweep``'s table; each command's manifest, once formatted with the command's name.
+SCORE_CSVS = tuple(f"{name}.csv" for name in SCORE_COLUMNS[1:5])
+LABELS_FILE, REPORT_FILE, CURVE_FILE = "labels.csv", "eval_report.json", "curve.csv"
+SWEEP_FILE, MANIFEST_FILE = "sweep.json", "manifest_{}.json"
+#: Every subcommand, with its help text.
+COMMANDS = {
+    "synth": "write a synthetic dataset to data.train and data.test",
+    "train": "fit the point and sequence models on data.train; write model.json",
+    "score": "score data.test; write the score CSVs, labels.csv and scores.npy",
+    "eval": "evaluate a score against labels; write eval_report.json and curve.csv",
+    "sweep": "gate ablation on scores.npy and model.json; write sweep.json",
+}
 
 
 def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
@@ -108,7 +123,7 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
         },
     }
     doc.update(extra)
-    path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
+    path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     write_json(doc, path)
     return path
 
@@ -250,12 +265,15 @@ def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
 def cmd_synth(cfg: PipelineConfig) -> int:
     """Write the synthetic splits to ``data.train`` and ``data.test``; the manifest has the spec."""
     files = [_split_path(cfg, which, exists=False) for which in ("train", "test")]
+    spec = cfg.synth.spec()
     if cfg.data.label_column is None:
         raise ConfigError("synth writes the labels to data.label_column, which is null")
+    if cfg.data.label_column in [f"c{j}" for j in range(spec.n_channels)]:
+        raise ConfigError(f"data.label_column {cfg.data.label_column!r} names one of synth's "
+                          f"channels, c0 to c{spec.n_channels - 1}")
     if os.path.realpath(files[0]) == os.path.realpath(files[1]):
         raise ConfigError(f"data.train and data.test name the same file, {files[0]}; "
                           f"synth would write the test split over the training split")
-    spec = cfg.synth.spec()
     result = gen_trig(spec)
     for path, split in zip(files, (result.train, result.test)):
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
@@ -298,12 +316,12 @@ def cmd_score(cfg: PipelineConfig) -> int:
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
     outputs = []
-    for name, series in zip(SCORE_COLUMNS[1:5], (bundle.anomaly, bundle.seq_anomaly,
-                                                 bundle.nominality, bundle.induced)):
-        path = os.path.join(cfg.output.dir, f"{name}.csv")
+    for name, series in zip(SCORE_CSVS, (bundle.anomaly, bundle.seq_anomaly,
+                                         bundle.nominality, bundle.induced)):
+        path = os.path.join(cfg.output.dir, name)
         write_score_csv(series, path)
         outputs.append(path)
-    labels_path = os.path.join(cfg.output.dir, "labels.csv")
+    labels_path = os.path.join(cfg.output.dir, LABELS_FILE)
     if bundle.labels is not None:
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
         outputs.append(labels_path)
@@ -349,9 +367,9 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
             f"labels ({labels_path}) are not aligned with scores ({scores_path})"
         )
     report = evaluate(scores, labels)
-    report_path = os.path.join(cfg.output.dir, "eval_report.json")
+    report_path = os.path.join(cfg.output.dir, REPORT_FILE)
     write_json(report.summary(), report_path)
-    curve_path = os.path.join(cfg.output.dir, "curve.csv")
+    curve_path = os.path.join(cfg.output.dir, CURVE_FILE)
     write_csv(curve_path, ["threshold", "tp", "fp"],
               [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
@@ -370,7 +388,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
     :class:`DataError`); a ``data.<split>`` key names the config's split, and
     any other key must be a file name in ``output.dir``.
     """
-    path = os.path.join(cfg.output.dir, f"manifest_{command}.json")
+    path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
         raise DataError(f"missing {path} (run '{command}' first)")
     try:
@@ -401,7 +419,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
     for name in reads:
         if name not in digests:
             raise DataError(f"{os.path.join(cfg.output.dir, name)} is not among the files "
-                            f"manifest_{command}.json records; run '{command}' again")
+                            f"{os.path.basename(path)} records; run '{command}' again")
     return digests
 
 
@@ -421,11 +439,11 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)
     table = sweep_table(cfg, bundle)
 
-    json_path = os.path.join(cfg.output.dir, "sweep.json")
+    json_path = os.path.join(cfg.output.dir, SWEEP_FILE)
     write_json(table, json_path)
     write_manifest(
         cfg, "sweep",
-        {"inputs": [os.path.join(cfg.output.dir, "manifest_score.json"), model_path,
+        {"inputs": [os.path.join(cfg.output.dir, MANIFEST_FILE.format("score")), model_path,
                     matrix_path],
          "outputs": [json_path]},
     )
@@ -439,13 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("synth", "write a synthetic dataset to data.train and data.test"),
-        ("train", "fit the point and sequence models on data.train; write model.json"),
-        ("score", "score data.test; write the score CSVs, labels.csv and scores.npy"),
-        ("eval", "evaluate a score against labels; write eval_report.json and curve.csv"),
-        ("sweep", "gate ablation on scores.npy and model.json; write sweep.json"),
-    ):
+    for name, helptext in COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="YAML config file")
         if name == "eval":
@@ -454,20 +466,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_split_paths(cfg: PipelineConfig) -> None:
+    """Refuse a ``data.train`` or ``data.test`` that names a file the commands write in
+    ``output.dir``, which a command would read as a split and another overwrite."""
+    names = [MODEL_FILE, *SCORE_CSVS, LABELS_FILE, SCORES_FILE, REPORT_FILE, CURVE_FILE,
+             SWEEP_FILE, *map(MANIFEST_FILE.format, COMMANDS)]
+    outputs = {os.path.realpath(os.path.join(cfg.output.dir, name)) for name in names}
+    for which in ("train", "test"):
+        path = getattr(cfg.data, which)
+        if path is not None and os.path.realpath(path) in outputs:
+            raise ConfigError(f"data.{which} names {path}, a file the commands write in "
+                              f"output.dir; keep the splits apart from the outputs")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else PipelineConfig()
+        _check_split_paths(cfg)
         os.makedirs(cfg.output.dir, exist_ok=True)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "score":
-            return cmd_score(cfg)
         if args.command == "eval":
             return cmd_eval(cfg, args.scores, args.labels)
-        return cmd_sweep(cfg)
+        return {"synth": cmd_synth, "train": cmd_train, "score": cmd_score,
+                "sweep": cmd_sweep}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -133,7 +133,9 @@ def _path(wording: str, default):
 class DataConfig:
     train: str | None = _path("a non-empty string without NUL, or null", None)
     test: str | None = _path("a non-empty string without NUL, or null", None)
-    label_column: str | None = _rule("a non-empty string or null", bool, default="label")
+    label_column: str | None = _rule(
+        "a non-empty string without leading or trailing whitespace, or null",
+        lambda value: value != "" and value == value.strip(), default="label")
 
     def __post_init__(self) -> None:
         _check("data", DataConfig, vars(self))

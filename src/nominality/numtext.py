@@ -8,9 +8,10 @@ notation otherwise.  The digits come from the common path of Ryu (Adams,
 arithmetic: for each binary exponent, one 128-bit power of 5 scales the
 mantissa and its two rounding-interval bounds to about 18 decimal digits,
 and trailing digits are removed while the interval still holds a shorter
-number.  Only that path is taken here: zero, subnormals, inf, nan and the
-values Ryu sends to its general path, whose scaled mantissa or lower bound
-may end in decimal zeros (such as 0.5 or 12.0), are formatted by ``repr``
+number.  Only that path is taken here, and only below 2^49, where every
+number the pipeline writes lies: zero, subnormals, inf, nan, every magnitude
+from 2^49 up and the values whose scaled mantissa may end in decimal zeros
+(Ryu's trailing-zero cases, such as 0.5 or 12.0) are formatted by ``repr``
 of one list, so ``repr`` is both the fallback and the oracle.
 
 A block of cells is laid out as a (32, cells) byte matrix, one column per
@@ -61,67 +62,51 @@ def _tails() -> np.ndarray:
     Tail ``2 * i + last`` ends in ',' or, in a row's last cell, '\\r\\n'.  Tail 0
     is the separator alone; tail ``2 + 2 * (2 * (e + 324) + point)`` starts
     with the exponent e, after an 'e' where ``point`` is set (otherwise the
-    inserted character is the 'e').
+    inserted character is the 'e').  Below 2^49 only e <= -5 is written so.
     """
     texts = [b""]
-    for e in range(-324, 309):
+    for e in range(-324, -4):
         texts += [b"%+03d" % e, b"e%+03d" % e]
     tails = [text + sep for text in texts for sep in (b",", b"\r\n")]
     words = b"".join(tail.ljust(7, b"\0") + bytes([len(tail)]) for tail in tails)
     return _read_only(np.frombuffer(words, dtype=np.uint64).copy())
 
 
-def _pow5bits(e: np.ndarray) -> np.ndarray:
-    """Ryu's ceil(log2(5^e)) (1 for e = 0)."""
-    return ((e * 1217359) >> 19) + 1
-
-
 @functools.lru_cache(maxsize=None)
 def _exponent_tables() -> dict[str, np.ndarray]:
-    """Ryu's constants for each 11-bit biased exponent.
+    """Ryu's constants for each 11-bit biased exponent below 1072 (|v| < 2^49).
 
-    ``mul`` is the 128-bit multiplier as four 32-bit limbs (low first), and
-    ``left`` and ``right`` are 128 - j and j - 96 for the product's shift j.
-    ``e10`` is the decimal exponent of the scaled values.  A scaled mantissa
-    with none of the bits of ``low`` set ends in binary zeros, and Ryu takes
-    its general path for those, for the exponents in ``general`` and for
-    some of the mantissas that ``pow5`` (where nonzero) divides.
+    ``mul`` is the 128-bit multiplier (a power of 5 scaled to 125 bits) as
+    four 32-bit limbs (low first), and ``left`` and ``right`` are 128 - j and
+    j - 96 for the product's shift j.  ``e10`` is the decimal exponent of the
+    scaled values.  A scaled mantissa with none of the bits of ``low`` set
+    ends in binary zeros, and Ryu takes its general path for those and for
+    the exponents in ``general``: zero, subnormals, every exponent from 1072
+    up (which reuse 1071's constants), inf and nan.
     """
-    pow5 = [1]
-    for _ in range(341):
-        pow5.append(pow5[-1] * 5)
-    inverse = [(1 << (p.bit_length() + 124)) // p + 1 for p in pow5[:292]]
-    direct = [p >> (p.bit_length() - 125) if p.bit_length() >= 125
-              else p << (125 - p.bit_length()) for p in pow5[:326]]
-    limbs = np.array([[(m >> (32 * t)) & 0xFFFFFFFF for t in range(4)]
-                      for m in inverse + direct], dtype=_U)
+    scaled = [(5**i << 125) >> (5**i).bit_length() for i in range(326)]  # 5^i to 125 bits
+    limbs = np.array([[(m >> (32 * t)) & 0xFFFFFFFF for t in range(4)] for m in scaled], dtype=_U)
 
-    e2 = np.maximum(np.arange(2048), 1) - 1077
-    up = e2 >= 0
-    e2_up, e2_down = np.maximum(e2, 0), np.maximum(-e2, 0)
-    q_up = ((e2_up * 78913) >> 18) - (e2_up > 3)
-    q_down = ((e2_down * 732923) >> 20) - (e2_down > 1)
-    i_down = e2_down - q_down
-    shift = np.where(up, -e2_up + q_up + 124 + _pow5bits(q_up), q_down - _pow5bits(i_down) + 125)
-    small = np.array(pow5[:22] + [0], dtype=_U)
+    minus_e2 = 1077 - np.clip(np.arange(2048), 1, 1071)  # -e2, for e2 = max(biased, 1) - 1077
+    q = ((minus_e2 * 732923) >> 20) - (minus_e2 > 1)
+    # 125 less Ryu's pow5bits(i) = ceil(log2(5^i)), for the power i = -e2 - q
+    shift = q + 124 - (((minus_e2 - q) * 1217359) >> 19)
     general = np.zeros(2048, dtype=bool)
-    general[[0, 2047]] = True  # zero, subnormals, inf and nan
-    general[1073:1077] = True  # e2 in [-4, -1], where Ryu's q <= 1: ends in zeros
+    general[0] = True  # zero and subnormals
+    general[1072:] = True  # |v| >= 2^49 (Ryu's q <= 2 or e2 >= 0), inf and nan
     tables = {
-        "mul": limbs[np.where(up, q_up, len(inverse) + i_down)].T.copy(),
+        "mul": limbs[minus_e2 - q].T.copy(),
         "left": (128 - shift).astype(_U),
         "right": (shift - 96).astype(_U),
-        "e10": np.where(up, q_up, q_down + e2),
-        "low": np.where(up, _U(2**63 - 1),
-                        (_U(1) << np.minimum(q_down, 63).astype(_U)) - _U(1)).astype(_U),
-        "pow5": np.where(up, small[np.minimum(q_up, 22)], _U(0)).astype(_U),
+        "e10": q - minus_e2,
+        "low": (_U(1) << np.minimum(q, 63).astype(_U)) - _U(1),
         "general": general,
     }
     return {name: _read_only(table) for name, table in tables.items()}
 
 
 def _mul_shift(m: np.ndarray, mul: list[np.ndarray], left, right) -> np.ndarray:
-    """floor(m * mul / 2^j) for m < 2^56 and a 126-bit mul, with 118 <= j <= 125.
+    """floor(m * mul / 2^j) for m < 2^56 and a 125-bit mul, with 118 <= j <= 121.
 
     ``left`` and ``right`` are 128 - j and j - 96.  The low 64 bits of m * mul
     are dropped first, as in Ryu's ``mulShift64``; they cannot carry into bit j.
@@ -153,30 +138,16 @@ def _shortest(bits: np.ndarray):
     mm = mv - _U(2) + ((mantissa == 0) & (biased > 1)).astype(_U)
     general = t["general"][biased] | ((mv & t["low"][biased]) == 0)
 
-    # e2 >= 0 and q <= 21: Ryu's checks that 5^q divides mv, mm or mp
-    five = np.flatnonzero(t["pow5"][biased])
-    if five.size:
-        p5 = t["pow5"][biased[five]]
-        mv5, mp5, mm5 = mv[five], mp[five], mm[five]
-        by_five = mv5 % _U(5) == 0
-        even = (mv5 & _U(4)) == 0
-        trailing = by_five & (mv5 % p5 == 0)
-        trailing |= ~by_five & even & (mm5 % p5 == 0)
-        general[five] |= trailing
-        decrement = (~by_five & ~even & (mp5 % p5 == 0)).astype(_U)
-
     mul = [limb[biased] for limb in t["mul"]]
     left, right = t["left"][biased], t["right"][biased]
     vr, vp, vm = (_mul_shift(m, mul, left, right) for m in (mv, mp, mm))
-    if five.size:
-        vp[five] -= decrement
 
     # Ryu removes digits while (vm, vp] holds a multiple of the next power of 10.  It
-    # holds one of 10^k for k = floor(log10(vp - vm)) (vp - vm < 4 * 2^126 / 2^118, so
-    # k < 3), and at most one of 10^(k+1), p * 10^(k+1); where it does, p less its
+    # holds one of 10^k for k = floor(log10(vp - vm)) (vp - vm <= 4 * 2^125 / 2^118, so
+    # k <= 2), and at most one of 10^(k+1), p * 10^(k+1); where it does, p less its
     # trailing zeros is the output.
     width = vp - vm
-    k = (width > _U(9)).astype(np.intp) + (width > _U(99)) + (width > _U(999))
+    k = (width > _U(9)).astype(np.intp) + (width > _U(99))
     p = vp // _POW10[k + 1]
     shorter = p > vm // _POW10[k + 1]
     scale = _POW10[k]

@@ -4,9 +4,9 @@ The flow mirrors the scoring algorithm: preprocess both splits with
 training-split statistics, fit the point and sequence models on the training
 split, reconstruct the test split both ways, derive anomaly/nominality
 scores on the common valid range, resolve the gate threshold from the
-training nominality distribution, and produce the induced score plus an
-evaluation report.  Labels are trimmed with the pair's ``valid_range``, so
-callers never align offsets by hand.
+training nominality distribution, produce the induced score, and sweep the
+scoring methods across induction lengths.  Labels are trimmed with the
+pair's ``valid_range``, so callers never align offsets by hand.
 
 :func:`fit_models` builds the whole detector, min-max statistics included,
 from the raw training split.  :func:`score_split` preprocesses a raw split

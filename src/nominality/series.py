@@ -361,13 +361,15 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
     Raises:
         EmptyInput: the file holds no data rows.
         ParseError: a row has the wrong width or a cell is not numeric.
-        LabelError: a label value is not 0 or 1, or the column is missing.
+        LabelError: a label value is not 0 or 1, or the column is missing or named twice.
     """
     header, lines = _read_lines(path)
     label_idx: int | None = None
     if label_column is not None:
         if label_column not in header:
             raise LabelError(f"{path}: label column {label_column!r} not found in header")
+        if header.count(label_column) > 1:
+            raise LabelError(f"{path}: header names label column {label_column!r} more than once")
         label_idx = header.index(label_column)
     table = _parse_lines(lines, len(header), path, label_idx)
     labels = None

@@ -48,14 +48,15 @@ def test_floats_match_repr():
 
 
 def test_every_binade_takes_the_kernel():
-    """A normal value with an odd mantissa takes Ryu's common path, except at the
-    exponents of the values from 2^49 to 2^131, where Ryu checks for trailing zeros."""
+    """A normal value with an odd mantissa takes Ryu's common path below 2^49, and
+    ``repr`` writes every value from 2^49 up."""
     rng = np.random.default_rng(7)
     exponents = np.arange(1, 2047, dtype=np.uint64)
     mantissas = rng.integers(1, 2**52, exponents.size, dtype=np.uint64) | np.uint64(1)
     values = ((exponents << np.uint64(52)) | mantissas).view(np.float64)
     _, _, general = numtext._shortest(values.view(np.uint64))
-    assert not general[(exponents < 1072) | (exponents > 1153)].any()
+    assert not general[exponents < 1072].any()
+    assert general[exponents >= 1072].all()
     assert csv_lines(values[:, None]) == [repr(v) for v in values.tolist()]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nominality import cli
+from nominality import cli, numtext
 from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
     RETIRED_KEYS,
@@ -439,6 +439,17 @@ class TestEndToEnd:
         assert "".join(f"{line}\r\n" for line in [header, *(",".join(map(repr, row))
                                                              for row in cells)]) == text
 
+    def test_float_cells_take_the_kernel(self, rundir):
+        """Every float cell of the splits and the score CSVs lies below 2^49, where the
+        CSV writer takes Ryu's common path, and at most 0.1 % of them go to ``repr``."""
+        out = rundir[1]
+        cells = [load_csv(os.path.join(out, name), label_column="label").values.ravel()
+                 for name in ("train.csv", "test.csv")]
+        cells += [read_score_csv(os.path.join(out, name)).scores for name in cli.SCORE_CSVS]
+        values = np.concatenate(cells)
+        assert (np.abs(values) < 2.0**49).all()
+        assert numtext._shortest(values.view(np.uint64))[2].sum() <= values.size // 1000
+
     def test_sweep_structure(self, rundir):
         _, out = rundir
         table = json.load(open(os.path.join(out, "sweep.json")))
@@ -663,6 +674,9 @@ class TestCliBehavior:
             ('data:\n  test: ""\n', "data.test"),
             ('data:\n  label_column: ""\n', "data.label_column"),
             ('output:\n  dir: ""\n', "output.dir"),
+            # the reader strips header names, so no header would hold these
+            ('data:\n  label_column: " label"\n', "data.label_column"),
+            ('data:\n  label_column: "label\\t"\n', "data.label_column"),
         ] + [case[:2] for case in FIELD_KNOB_CASES],
         ids=["d-string", "d-values-scalar", "d-values-float", "d-values-repeated",
              "lambda-string", "spike-string", "point-adjust-false", "spike-interval-set",
@@ -672,7 +686,8 @@ class TestCliBehavior:
              "percentile-zero",
              "theta-nan", "theta-bool", "train-list", "train-mapping", "train-int", "test-float",
              "label-column-int", "out-dir-null", "out-dir-int", "out-dir-list", "train-empty",
-             "test-empty", "label-column-empty", "out-dir-empty"]
+             "test-empty", "label-column-empty", "out-dir-empty", "label-column-leading-space",
+             "label-column-trailing-tab"]
             + [case[2] for case in FIELD_KNOB_CASES],
     )
     def test_mistyped_knob_exit_2(self, tmp_path, capsys, text, knob):
@@ -968,6 +983,47 @@ class TestCliBehavior:
         assert open(os.path.join(out, "test.csv")).readline().rstrip().split(",") == names
         assert main(["train", "--config", config_path]) == 0
         assert load_model(os.path.join(out, "model.json")).channel_names == tuple(names[:-1])
+
+    def test_synth_label_column_names_a_channel_exit_2(self, tmp_path, capsys):
+        """A label column named like a channel would give the splits a header with that
+        name twice, which ``train`` cannot read, so ``synth`` writes neither split."""
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, "data:\n", "data:\n  label_column: c0\n")
+        assert main(["synth", "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: data.label_column 'c0' names one of synth's channels, c0 to c3\n")
+        assert os.listdir(out) == []
+
+    def test_label_column_named_twice_exit_3(self, rundir, tmp_path, capsys):
+        """A header that names the label column twice is refused, not read at its first."""
+        config_path, out = write_config(tmp_path)
+        path = os.path.join(out, "train.csv")
+        text = open(os.path.join(rundir[1], "train.csv"), newline="").read()
+        open(path, "w", newline="").write(text.replace("c0,", "label,", 1))
+        assert main(["train", "--config", config_path]) == 3
+        assert capsys.readouterr().err == (
+            f"data error: {path}: header names label column 'label' more than once\n")
+
+    @pytest.mark.parametrize("command, which, name", [
+        ("synth", "test", "induced.csv"), ("train", "train", "model.json"),
+        ("score", "test", "labels.csv"), ("eval", "test", "../run/manifest_eval.json"),
+        ("sweep", "train", "./sweep.json")])
+    def test_split_path_names_an_output_exit_2(self, rundir, tmp_path, capsys, command,
+                                               which, name):
+        """A split path that names a file the commands write in ``output.dir`` would be
+        read as a split and written over, so every command refuses it and writes nothing."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        path = os.path.join(out, name)
+        config_path = second_config(config_path, f"{which}: {out}/{which}.csv",
+                                    f"{which}: {path}")
+        before = {file: open(os.path.join(out, file), "rb").read() for file in os.listdir(out)}
+        assert main([command, "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: data.{which} names {path}, a file the commands write in "
+            f"output.dir; keep the splits apart from the outputs\n")
+        assert {file: open(os.path.join(out, file), "rb").read()
+                for file in os.listdir(out)} == before
 
     def test_synth_without_label_column_exit_2(self, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
