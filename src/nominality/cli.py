@@ -12,8 +12,9 @@ name its input files.  Every command writes a JSON manifest (the config, in
 the shape a config file has, so it loads as one and replays the run
 bit-exactly, and the library versions) plus what only that command knows:
 ``synth``'s generator spec and anomaly rate, ``train``'s epoch losses and
-normal-equation residual, ``score``'s resolved gate threshold.  Each fact is
-written once, and nothing time- or host-dependent goes into any output file.
+normal-equation residual, ``score``'s resolved gate threshold, the CSVs an
+explicit ``eval`` read.  Each fact is written once, and nothing time- or
+host-dependent goes into any output file.
 
 A config that breaks a rule, such as ``sequence_model.delta <= 2 * gamma``,
 makes every command exit 2 when it loads, and so does a ``data.train`` or
@@ -25,19 +26,20 @@ of its channels, or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's.
 ``sweep`` reads ``scores.npy`` rather than scoring the test split again, and
 the training nominality for its threshold from ``model.json``; ``eval`` reads
-the ``induced`` and ``label`` columns of ``scores.npy`` unless ``--scores``
-and ``--labels`` name CSV files.  Neither parses ``score``'s CSVs, which are
-written for readers outside the package.  ``train`` and ``score`` record in
-their manifests the sha256 of every file they read or wrote, keyed by
-basename (a split by ``data.train`` or ``data.test``).  A command that
+the ``induced`` and ``label`` columns of ``scores.npy``, or the two CSV files
+that ``--scores`` and ``--labels`` name together (one alone exits 2).
+Neither parses ``score``'s CSVs, which are written for readers outside the
+package.  ``train`` and ``score`` record in their manifests the sha256 of
+every file they read or wrote, keyed by basename (a split by ``data.train``
+or ``data.test``).  A command that
 reads another command's files refuses to run unless that command ran with the
 config sections the files depend on (exit 2), its manifest records every file
 the reader opens (``model.json`` for ``score`` and ``sweep``, ``scores.npy``
 for ``sweep`` and ``eval``) and every file it recorded is unchanged (exit 3):
 ``score`` checks ``train``'s ``preprocess``, ``point_model`` and
 ``sequence_model``; ``sweep`` checks those and ``data.label_column`` in
-``score``'s manifest, and ``eval`` checks those, ``data.label_column`` if it
-reads the default labels and ``gate`` if it reads the default induced score.
+``score``'s manifest, and ``eval`` on ``scores.npy`` checks what ``sweep``
+checks and ``gate``.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -279,7 +281,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
         save_csv(split, path, cfg.data.label_column)
     write_manifest(cfg, "synth", {"spec": dataclasses.asdict(spec),
-                                  "anomaly_rate": result.anomaly_rate, "outputs": files})
+                                  "anomaly_rate": result.anomaly_rate})
     return EXIT_OK
 
 
@@ -337,44 +339,35 @@ def cmd_score(cfg: PipelineConfig) -> int:
 def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | None) -> int:
     """Evaluate the induced score against the labels, or a score CSV against a label CSV.
 
-    Where either path is left to its default, that input is the ``induced``
-    or ``label`` column of ``score``'s matrix, checked by :func:`_check_manifest`
-    with ``data.label_column`` for the labels and ``gate`` for the induced
-    score.  A named path is read as a CSV without these checks.
+    With neither path named, the inputs are the ``induced`` and ``label``
+    columns of ``score``'s matrix, checked by :func:`_check_manifest` with
+    ``data.label_column`` and ``gate``.  The two named paths, which
+    :func:`main` takes together or not at all, are read as CSVs without
+    these checks.
     """
-    own = [name for name, path in (("data.label_column", labels_path), ("gate", scores_path))
-           if path is None]
-    if own:
-        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, *own], [SCORES_FILE])
-        matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
-        series, own_labels = read_scores(matrix_path)
-        if labels_path is None and own_labels is None:
-            raise DataError(f"cannot evaluate: {matrix_path} has no label column "
-                            f"(the test split 'score' read has no labels)")
-    for path in (scores_path, labels_path):
-        if path is not None and not os.path.exists(path):
-            raise DataError(f"missing input: {path}")
     if scores_path is None:
-        scores, scores_path = series[3], matrix_path
+        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column", "gate"],
+                        [SCORES_FILE])
+        scores_path = labels_path = os.path.join(cfg.output.dir, SCORES_FILE)
+        series, labels = read_scores(scores_path)
+        if labels is None:
+            raise DataError(f"cannot evaluate: {scores_path} has no label column "
+                            f"(the test split 'score' read has no labels)")
+        scores = series[3]
     else:
+        for path in (scores_path, labels_path):
+            if not os.path.exists(path):
+                raise DataError(f"missing input: {path}")
         scores = read_score_csv(scores_path, "induced")
-    if labels_path is None:
-        labels, label_origin, labels_path = own_labels, series[3].time_origin, matrix_path
-    else:
         labels, label_origin = read_labels_csv(labels_path)
-    if label_origin != scores.time_origin or labels.shape[0] != len(scores):
-        raise DataError(
-            f"labels ({labels_path}) are not aligned with scores ({scores_path})"
-        )
+        if label_origin != scores.time_origin or labels.shape[0] != len(scores):
+            raise DataError(f"labels ({labels_path}) are not aligned with scores ({scores_path})")
     report = evaluate(scores, labels)
-    report_path = os.path.join(cfg.output.dir, REPORT_FILE)
-    write_json(report.summary(), report_path)
-    curve_path = os.path.join(cfg.output.dir, CURVE_FILE)
-    write_csv(curve_path, ["threshold", "tp", "fp"],
+    write_json(report.summary(), os.path.join(cfg.output.dir, REPORT_FILE))
+    write_csv(os.path.join(cfg.output.dir, CURVE_FILE), ["threshold", "tp", "fp"],
               [report.curve[:, 0], report.curve[:, 1:].astype(np.int64)])
     print(f"best F1 {report.best_f1:.6f} at threshold {report.best_threshold!r}")
-    write_manifest(cfg, "eval", {"inputs": list(dict.fromkeys([scores_path, labels_path])),
-                                 "outputs": [report_path, curve_path]})
+    write_manifest(cfg, "eval", {"inputs": list(dict.fromkeys([scores_path, labels_path]))})
     return EXIT_OK
 
 
@@ -432,21 +425,11 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     """
     _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"],
                     [MODEL_FILE, SCORES_FILE])
-    matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
-    series, labels = read_scores(matrix_path)
-    model_path = os.path.join(cfg.output.dir, MODEL_FILE)
-    train_nominality = load_model(model_path).train_nominality
+    series, labels = read_scores(os.path.join(cfg.output.dir, SCORES_FILE))
+    train_nominality = load_model(os.path.join(cfg.output.dir, MODEL_FILE)).train_nominality
     bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)
-    table = sweep_table(cfg, bundle)
-
-    json_path = os.path.join(cfg.output.dir, SWEEP_FILE)
-    write_json(table, json_path)
-    write_manifest(
-        cfg, "sweep",
-        {"inputs": [os.path.join(cfg.output.dir, MANIFEST_FILE.format("score")), model_path,
-                    matrix_path],
-         "outputs": [json_path]},
-    )
+    write_json(sweep_table(cfg, bundle), os.path.join(cfg.output.dir, SWEEP_FILE))
+    write_manifest(cfg, "sweep", {})
     return EXIT_OK
 
 
@@ -461,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="YAML config file")
         if name == "eval":
-            cmd.add_argument("--scores", help="score CSV (default: scores.npy's induced column)")
-            cmd.add_argument("--labels", help="label CSV (default: scores.npy's label column)")
+            cmd.add_argument("--scores", help="score CSV, with --labels (default: scores.npy)")
+            cmd.add_argument("--labels", help="label CSV, with --scores (default: scores.npy)")
     return parser
 
 
@@ -482,6 +465,8 @@ def _check_split_paths(cfg: PipelineConfig) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command == "eval" and (args.scores is None) != (args.labels is None):
+            raise ConfigError("eval takes --scores and --labels together, or neither")
         cfg = load_config(args.config) if args.config else PipelineConfig()
         _check_split_paths(cfg)
         os.makedirs(cfg.output.dir, exist_ok=True)

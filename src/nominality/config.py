@@ -12,14 +12,16 @@ generator spec :class:`TrigSpec`, whose fields declare their rules the same
 way.  The rules that span keys are in ``__post_init__``: ``sequence_model.delta``
 is at most ``2 * gamma``, the gate has exactly one threshold source, and a
 spec's segments lie in the test split without overlap.  :func:`_check` also
-checks the hyperparameters that ``model.json`` records.
+checks the settings that ``model.json``'s arrays imply: the sequence model's
+``gamma`` and ``delta`` and the point model's latent width.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
 :func:`config_from_dict` reads, so a recorded config loads as a config; it
 drops a key of :data:`RETIRED_KEYS` that holds its one value.
 ``point_model`` is :class:`PointHyperparams` and ``gate`` is
 :class:`GateConfig`, the classes the library functions take.  Unknown keys
-are rejected.  This module imports no other module of the package except
-:mod:`nominality.errors`, so every other module can import it.
+are rejected, and so is a YAML mapping that names a key twice.  This module
+imports no other module of the package except :mod:`nominality.errors`, so
+every other module can import it.
 """
 
 from __future__ import annotations
@@ -387,6 +389,22 @@ def config_from_dict(raw: dict) -> PipelineConfig:
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+class _UniqueKeys:
+    """Loader mixin: a mapping that names a key twice is an error (PyYAML keeps the last
+    value).  Merge keys (``<<``) still merge."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = []  # a list, so that an unhashable key reaches PyYAML's own error
+        for key_node, _ in node.value:
+            if key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node, deep=True)
+                if key in keys:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                keys.append(key)
+        return super().construct_mapping(node, deep)
+
+
 def _line_column(text: str, offset: int) -> str:
     """``line L, column C`` (both from 1) of a character offset into ``text``."""
     line = text.count("\n", 0, offset) + 1
@@ -419,7 +437,7 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(
             f"{path}: {where}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
     try:
-        raw = yaml.load(text, Loader=YAML_LOADER)
+        raw = yaml.load(text, Loader=type("Loader", (_UniqueKeys, YAML_LOADER), {}))
     except yaml.YAMLError as exc:
         raise _yaml_error(path, text, exc) from None
     if raw is None:

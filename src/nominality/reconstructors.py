@@ -18,18 +18,18 @@ reconstruction to the same interior range, so every covered time point has
 one observed and exactly two reconstructed values.  :class:`TrainedModels`
 is one trained detector (both models, the min-max statistics and the
 training nominality), and :func:`save_model` writes it as one JSON file,
-with every array in the same base64 codec.
+with every array in the same base64 codec and none of the fit's settings.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import PointHyperparams, SequenceModelConfig, config_from_dict
+from .config import PointHyperparams, SequenceModelConfig
 from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
@@ -45,19 +45,18 @@ _GATHER_ROWS = 256
 class PointModel:
     """tanh autoencoder reconstructing each time point independently.
 
-    The latent dimension is a compression bottleneck (d_lat <= D);
-    weights live in plain float64 arrays so reconstruction and persistence
-    are exactly reproducible.  ``epoch_losses`` is the mean loss of each
-    epoch of the fit that made the model; it is training history, not part of
-    the model, so :func:`save_model` does not write it and it is empty after
-    :func:`load_model`.
+    The latent dimension, the length of ``enc_b``, is a compression
+    bottleneck (d_lat <= D); weights live in plain float64 arrays so
+    reconstruction and persistence are exactly reproducible.  Neither the
+    fit's settings nor ``epoch_losses``, the mean loss of each epoch of the
+    fit that made the model, are part of the model: :func:`save_model` does
+    not write them, and ``epoch_losses`` is empty after :func:`load_model`.
     """
 
     enc_w: np.ndarray
     enc_b: np.ndarray
     dec_w: np.ndarray
     dec_b: np.ndarray
-    hp: PointHyperparams
     epoch_losses: list[float] = field(default_factory=list)
 
     @property
@@ -188,7 +187,7 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
             f"need at least batch_size={hp.batch_size} rows, got {train.n_times}"
         )
     flat = _init_params(train.n_channels, hp)
-    model = PointModel(**_param_views(flat, train.n_channels, hp.d_lat), hp=hp)
+    model = PointModel(**_param_views(flat, train.n_channels, hp.d_lat))
     rows = train.values
     n_rows, batch_size = rows.shape[0], hp.batch_size
     rng = np.random.default_rng(hp.seed + 1)
@@ -260,15 +259,14 @@ class SequenceModel:
     block and the gamma points after, flattened time-major) plus a trailing
     bias row; columns are the flattened delta target points.  The bias row is
     not penalized, so in the large-lambda limit predictions collapse to the
-    target column means.  ``fit_residual`` is the largest normal-equation
-    residual of the fit that made the model; like the point model's
-    ``epoch_losses`` it is training history, so :func:`save_model` does not
-    write it and it is None after :func:`load_model`.
+    target column means.  The fit's lambda is not kept, and ``fit_residual``,
+    its largest normal-equation residual, is training history like the point
+    model's ``epoch_losses``: :func:`save_model` does not write it and it is
+    None after :func:`load_model`.
     """
 
     gamma: int
     delta: int
-    ridge_lambda: float
     weights: np.ndarray
     n_channels: int
     fit_residual: float | None = None
@@ -358,7 +356,7 @@ def train_sequence_model(
     dim = train.n_channels
     starts = _block_grid(gamma, delta, train.n_times, stride)
     n_features = 2 * gamma * dim + 1
-    model = SequenceModel(gamma, delta, ridge_lambda, np.zeros((n_features, delta * dim)), dim)
+    model = SequenceModel(gamma, delta, np.zeros((n_features, delta * dim)), dim)
     design = model._design_rows(values, starts)
     targets = _flat_windows(values, delta)[starts]
 
@@ -488,21 +486,20 @@ _POINT_ARRAYS = ("enc_w", "enc_b", "dec_w", "dec_b")
 def save_model(models: TrainedModels, path: str) -> None:
     """Write a trained detector as deterministic JSON (arrays as base64 row-major bytes).
 
-    The file holds the detector and nothing else: the point model's
-    hyperparameters (its seed included) and weights, the sequence model's
-    and its weights, the min-max statistics, the training nominality and the
-    channel names.  The fit's history (epoch losses, normal-equation
-    residual) is in ``manifest_train.json``.  The round-trip through
-    :func:`load_model` is bit-exact.
+    The file holds what scoring reads and nothing else: the point model's
+    weights, the sequence model's ``gamma``, ``delta``, ``n_channels`` and
+    weights, the min-max statistics, the training nominality and the channel
+    names.  The fit's settings are in the config and its history (epoch
+    losses, normal-equation residual) in ``manifest_train.json``.  The
+    round-trip through :func:`load_model` is bit-exact.
     """
     point, seq, stats = models.point, models.sequence, models.stats
     doc = {
         "format": MODEL_FORMAT,
         "channel_names": None if models.channel_names is None else list(models.channel_names),
-        "point": {"hyperparams": asdict(point.hp),
-                  **{name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS}},
-        "sequence": {"gamma": seq.gamma, "delta": seq.delta, "ridge_lambda": seq.ridge_lambda,
-                     "n_channels": seq.n_channels, "weights": _encode_array(seq.weights)},
+        "point": {name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS},
+        "sequence": {"gamma": seq.gamma, "delta": seq.delta, "n_channels": seq.n_channels,
+                     "weights": _encode_array(seq.weights)},
         "minmax": {"mins": _encode_array(stats.mins), "maxs": _encode_array(stats.maxs)},
         "train_nominality": _encode_array(models.train_nominality.scores),
     }
@@ -525,15 +522,17 @@ def _checked(path: str, section: dict, **shapes: tuple) -> dict[str, np.ndarray]
 def load_model(path: str) -> TrainedModels:
     """Read a trained detector written by :func:`save_model`.
 
-    Every array's shape follows from the sequence model's ``n_channels`` and
-    the hyperparameters, and every entry must be finite.
+    Every array's shape follows from ``gamma``, ``delta``, ``n_channels`` and
+    the latent width, the length of ``enc_b``, and every entry must be
+    finite.  Other keys, such as the fit's settings earlier versions wrote,
+    are not read.
 
     Raises:
         DataError: naming the file, if it is not valid JSON or not a decodable
-            model, a hyperparameter is missing or out of its range,
-            ``n_channels`` is not an integer >= 1, the channel names are not
-            null or a list of strings, one per channel, an array's shape
-            disagrees with the hyperparameters or holds a non-finite value,
+            model, ``gamma`` or ``delta`` breaks its ``sequence_model`` rule,
+            ``enc_b`` is empty, ``n_channels`` is not an integer >= 1, the
+            channel names are not null or a list of strings, one per channel,
+            an array's shape disagrees with these or holds a non-finite value,
             the min-max statistics are null or a channel minimum exceeds its
             maximum, or the training nominality is empty or holds a negative score.
     """
@@ -542,20 +541,16 @@ def load_model(path: str) -> TrainedModels:
             doc = json.load(fh)
         if doc["format"] != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file")
-        seq = doc["sequence"]
-        seq_hp = SequenceModelConfig(seq["gamma"], seq["delta"], seq["ridge_lambda"])
-        gamma, delta, dim = seq_hp.gamma, seq_hp.delta, seq["n_channels"]
+        seq, point = doc["sequence"], doc["point"]
+        gamma, delta, dim = seq["gamma"], seq["delta"], seq["n_channels"]
+        SequenceModelConfig(gamma, delta)
         if type(dim) is not int or dim < 1:
             raise ValueError(f"sequence.n_channels must be an integer >= 1, got {dim!r}")
-        hyperparams = dict(doc["point"]["hyperparams"])
-        missing = [f.name for f in fields(PointHyperparams) if f.name not in hyperparams]
-        if missing:  # the file names every field, so a missing one is damage
-            raise ValueError(f"point.hyperparams has no {', '.join(missing)}")
-        hp = config_from_dict({"point_model": hyperparams}).point_model
-        point = PointModel(**_checked(path, doc["point"], enc_w=(dim, hp.d_lat), enc_b=(hp.d_lat,),
-                                      dec_w=(hp.d_lat, dim), dec_b=(dim,)), hp=hp)
+        d_lat = PointHyperparams(d_lat=len(_decode_array(point["enc_b"]))).d_lat
+        point = PointModel(**_checked(path, point, enc_w=(dim, d_lat), enc_b=(d_lat,),
+                                      dec_w=(d_lat, dim), dec_b=(dim,)))
         weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
-        sequence = SequenceModel(gamma, delta, seq_hp.ridge_lambda, weights, dim)
+        sequence = SequenceModel(gamma, delta, weights, dim)
         if doc["minmax"] is None:  # written only by the retired normalization: none
             raise ValueError("minmax is null; train again")
         stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
@@ -569,8 +564,8 @@ def load_model(path: str) -> TrainedModels:
             if len(names) != dim:
                 raise ValueError(f"{len(names)} channel names for {dim} channels")
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError, ShapeError) as exc:
-        # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a
-        # hyperparameter outside its range, a ShapeError invalid min-max
+        # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a gamma,
+        # delta or latent width outside its range, a ShapeError invalid min-max
         # statistics or a negative or non-finite nominality score.
         raise DataError(f"{path}: cannot decode model: {exc!r}") from None
     return TrainedModels(point, sequence, stats, nominality,

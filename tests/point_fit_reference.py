@@ -21,7 +21,7 @@ from nominality.series import LabeledSeries
 def _init_point_model(n_channels: int, hp: PointHyperparams) -> PointModel:
     """The model ``train_point_model`` starts from: the seeded weights, before any epoch."""
     flat = _init_params(n_channels, hp)
-    return PointModel(**_param_views(flat, n_channels, hp.d_lat), hp=hp)
+    return PointModel(**_param_views(flat, n_channels, hp.d_lat))
 
 
 def reference_loss_and_grads(

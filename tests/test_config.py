@@ -221,6 +221,43 @@ class TestYamlLoaders:
                                       f"got {yaml.safe_load(value)!r}")
 
 
+class TestDuplicateKeys:
+    """A mapping that names a key twice is refused on either parser, where PyYAML would
+    keep the last value; merge keys still merge."""
+
+    @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+    def loader(self, request, monkeypatch):
+        if not hasattr(yaml, request.param):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(config, "YAML_LOADER", getattr(yaml, request.param))
+
+    @pytest.mark.parametrize("text, where, key", [
+        ("gate:\n  kind: hard\n  d: 4\nsweep:\n  d_values: [1]\n\ngate:\n  d: 8\n",
+         "line 7, column 1", "gate"),
+        ("data:\n  train: a.csv\n  test: b.csv\n  train: c.csv\n", "line 4, column 3", "train"),
+    ], ids=["section", "key-in-section"])
+    def test_repeated_key_refused(self, loader, tmp_path, text, where, key):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"{path}: {where}: invalid YAML: found duplicate key {key!r}"
+
+    def test_merge_key_merges(self, loader, tmp_path):
+        """A merged key that the mapping sets again takes the mapping's value."""
+        path = tmp_path / "run.yaml"
+        path.write_text("gate:\n  <<: {kind: hard, d: 4, theta_percentile: 99}\n  d: 8\n")
+        assert load_config(str(path)).gate == config.GateConfig(
+            kind="hard", theta_percentile=99, d=8)
+
+    def test_unhashable_key_keeps_pyyaml_error(self, loader, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("gate:\n  ? [d, kind]\n  : 1\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"{path}: line 2, column 5: invalid YAML: found unhashable key"
+
+
 _SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))
 
 

@@ -328,11 +328,11 @@ class TestEndToEnd:
         config_path, out = rundir
         common = {"command", "config", "versions"}
         expected = {
-            "manifest_synth.json": common | {"spec", "anomaly_rate", "outputs"},
+            "manifest_synth.json": common | {"spec", "anomaly_rate"},
             "manifest_train.json": common | {"final_losses", "digests"},
             "manifest_score.json": common | {"resolved_theta", "digests"},
-            "manifest_eval.json": common | {"inputs", "outputs"},
-            "manifest_sweep.json": common | {"inputs", "outputs"},
+            "manifest_eval.json": common | {"inputs"},
+            "manifest_sweep.json": common,
             "model.json": {"format", "channel_names", "point", "sequence", "minmax",
                            "train_nominality"},
         }
@@ -340,9 +340,8 @@ class TestEndToEnd:
         for name, keys in expected.items():
             assert set(docs[name]) == keys, name
         model = docs["model.json"]
-        assert set(model["point"]) == {"hyperparams", "enc_w", "enc_b", "dec_w", "dec_b"}
-        assert set(model["sequence"]) == {"gamma", "delta", "ridge_lambda", "n_channels",
-                                          "weights"}
+        assert set(model["point"]) == {"enc_w", "enc_b", "dec_w", "dec_b"}
+        assert set(model["sequence"]) == {"gamma", "delta", "n_channels", "weights"}
         assert set(model["minmax"]) == {"mins", "maxs"}
         assert model["channel_names"] == ["c0", "c1", "c2", "c3"]
         assert set(docs["manifest_train.json"]["final_losses"]) == {
@@ -350,6 +349,7 @@ class TestEndToEnd:
         spec = dataclasses.asdict(load_config(config_path).synth.spec())
         assert docs["manifest_synth.json"]["spec"] == json.loads(json.dumps(spec))
         assert 0 < docs["manifest_synth.json"]["anomaly_rate"] < 1
+        assert docs["manifest_eval.json"]["inputs"] == [os.path.join(out, "scores.npy")]
 
     def test_manifests_reproducible_fields(self, rundir):
         _, out = rundir
@@ -501,22 +501,28 @@ class TestOneConfig:
         assert open(induced, "rb").read() == first
 
     def test_earlier_run_directory_gives_the_same_bytes(self, tmp_path):
-        """A run directory whose files name the retired keys at their one values, as
-        earlier versions wrote them, reads as it did: ``score`` on its model.json and
-        manifest_train.json, with its manifest_score.json config written out as YAML,
-        and then ``eval`` and ``sweep`` on such a manifest_score.json rewrite
-        induced.csv, eval_report.json and sweep.json byte for byte."""
+        """A run directory as earlier versions wrote it reads as it did: a model.json
+        that also holds the fit's settings (``point.hyperparams``, with the retired
+        optimizer, and ``sequence.ridge_lambda``) and manifests whose configs name the
+        retired keys at their one values.  ``score`` on it, with its
+        manifest_score.json config written out as YAML, and then ``eval`` and
+        ``sweep`` rewrite induced.csv, eval_report.json and sweep.json byte for byte."""
         def retired(config):
             for name, one in RETIRED_KEYS.items():
                 section, key = name.split(".")
                 config.setdefault(section, {})[key] = one
 
+        def earlier_model(doc):
+            cfg = load_config(config_path)
+            doc["point"]["hyperparams"] = {**dataclasses.asdict(cfg.point_model),
+                                           "optimizer": "adam"}
+            doc["sequence"]["ridge_lambda"] = cfg.sequence_model.ridge_lambda
+
         config_path, out = write_config(tmp_path)
         run_all(config_path)
         outputs = {name: open(os.path.join(out, name), "rb").read()
                    for name in ("induced.csv", "eval_report.json", "sweep.json")}
-        _rewrite(os.path.join(out, "model.json"),
-                 _edit_json(lambda doc: doc["point"]["hyperparams"].update(optimizer="adam")))
+        _rewrite(os.path.join(out, "model.json"), _edit_json(earlier_model))
         _record_digest(out, "model.json")
         _rewrite(os.path.join(out, "manifest_train.json"),
                  _edit_json(lambda doc: retired(doc["config"])))
@@ -624,8 +630,14 @@ class TestCliBehavior:
             (b"data: [\n", "line 2, column 1: invalid YAML: "),
             (b"gate:\n  d: 4\n  kind: soft: hard\n", "line 3, column 13: invalid YAML: "),
             (b"gate:\n  d: 4\n\x00kind: soft\n", "line 3, column 1: invalid YAML: "),
+            # PyYAML alone would read the last gate: a soft gate with d 8
+            (b"gate:\n  kind: hard\n  d: 4\ngate:\n  d: 8\n",
+             "line 4, column 1: invalid YAML: found duplicate key 'gate'\n"),
+            (b"data:\n  train: a.csv\n  train: b.csv\n",
+             "line 3, column 3: invalid YAML: found duplicate key 'train'\n"),
         ],
-        ids=["utf16-bom", "latin1-key", "open-flow", "double-colon", "nul"],
+        ids=["utf16-bom", "latin1-key", "open-flow", "double-colon", "nul", "repeated-section",
+             "repeated-key"],
     )
     def test_unreadable_config_exit_2(self, tmp_path, capsys, data, where):
         path = tmp_path / "bad.yaml"
@@ -710,8 +722,8 @@ class TestCliBehavior:
             ("eval", "induced.csv", lambda text: text[:-2] + "x\r\n"),
             ("eval", "labels.csv", lambda text: text.replace(",0\r\n", ",2\r\n", 1)),
             ("eval", "labels.csv", lambda text: text + "999\r\n"),
-            ("score", "model.json", lambda text: text.replace('"d_lat": 2', '"d_lat": 0')),
-            ("score", "model.json", lambda text: text.replace('"d_lat"', '"latent_dim"')),
+            # the latent width is the length of enc_b
+            ("score", "model.json", _edit_array(["point", "enc_b"], lambda b: b[:0])),
             ("score", "model.json", _edit_array(["point", "enc_b"], lambda b: b[:-1])),
             ("score", "model.json", _edit_array(["point", "dec_w"], lambda w: w.T.copy())),
             ("score", "model.json", _edit_array(["sequence", "weights"], lambda w: w[:-1])),
@@ -733,11 +745,6 @@ class TestCliBehavior:
             ("score", "model.json", _edit_json(lambda doc: doc["channel_names"].pop())),
             ("score", "model.json", lambda text: text.replace("nominality-model-v2",
                                                               "nominality-model-v1")),
-            ("score", "model.json",
-             _edit_json(lambda doc: doc["point"]["hyperparams"].update(optimizer="sgd"))),
-            # SMALL_CONFIG's seed is the default, so filling it in would go unseen
-            ("score", "model.json",
-             _edit_json(lambda doc: doc["point"]["hyperparams"].pop("seed"))),
             ("score", "model.json", _edit_json(lambda doc: doc.update(minmax=None))),
             ("score", "model.json", _edit_json(lambda doc: doc["sequence"].update(n_channels=4.0))),
             # sweep reads only the training nominality, so a bad name would go unseen
@@ -748,13 +755,13 @@ class TestCliBehavior:
              for command in ("eval", "sweep")],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
-             "point-d-lat-zero", "point-old-format", "point-enc-b-short", "point-dec-w-transposed",
+             "point-d-lat-zero", "point-enc-b-short", "point-dec-w-transposed",
              "sequence-row-missing", "point-weight-nan", "sequence-weight-nan", "stats-min-nan",
              "nominality-negative", "nominality-inf", "induced-nan",
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
              "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
-             "point-optimizer-sgd", "point-seed-missing", "stats-null", "sequence-channels-float",
+             "stats-null", "sequence-channels-float",
              "channel-names-string", "channel-names-ints"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")],
@@ -857,7 +864,7 @@ class TestCliBehavior:
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
         model = load_model(os.path.join(out, "model.json")).point
-        fresh = _init_point_model(4, model.hp)
+        fresh = _init_point_model(4, load_config(config_path).point_model)
         np.testing.assert_array_equal(model.enc_w, fresh.enc_w)
         np.testing.assert_array_equal(model.dec_b, fresh.dec_b)
 
@@ -949,8 +956,6 @@ class TestCliBehavior:
         for name in ("train.csv", "test.csv"):
             assert (data / name).read_bytes() == open(os.path.join(rundir[1], name), "rb").read()
         assert sorted(os.listdir(out)) == ["manifest_synth.json"]
-        assert json.load(open(os.path.join(out, "manifest_synth.json")))["outputs"] == [
-            f"{data}/train.csv", f"{data}/test.csv"]
         assert main(["train", "--config", config_path]) == 0
 
     @pytest.mark.parametrize("which", ["train", "test"])
@@ -1351,22 +1356,61 @@ def test_matrix_and_score_csvs_agree(rundir, tmp_path):
 
 
 def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys):
-    """The gate only for the default induced.csv, data.label_column only for labels.csv."""
+    """On scores.npy ``eval`` checks the gate and data.label_column, which its induced
+    and label columns depend on; on two named CSVs it checks neither."""
     config_path, out = write_config(tmp_path)
     shutil.copytree(rundir[1], out, dirs_exist_ok=True)
     anomaly, labels = os.path.join(out, "anomaly.csv"), os.path.join(out, "labels.csv")
-    gate_d_1 = second_config(config_path, *GATE_D_1)
-    assert main(["eval", "--config", gate_d_1, "--scores", anomaly]) == 0
-    expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0])
-    assert json.load(open(os.path.join(out, "eval_report.json"))) == expected.summary()
-    capsys.readouterr()
-    assert main(["eval", "--config", gate_d_1, "--labels", labels]) == 2
-    assert capsys.readouterr().err.startswith("config error: the gate section ")
-    text = open(config_path).read().replace("data:\n", "data:\n  label_column: y\n", 1)
-    open(config_path, "w").write(text)
-    assert main(["eval", "--config", config_path, "--scores", anomaly]) == 2
-    assert capsys.readouterr().err.startswith("config error: the data.label_column section ")
-    assert main(["eval", "--config", config_path, "--labels", labels]) == 0
+    expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0]).summary()
+    for edit, section in ((GATE_D_1, "gate"),
+                          (("data:\n", "data:\n  label_column: y\n"), "data.label_column")):
+        edited = second_config(config_path, *edit)
+        capsys.readouterr()
+        assert main(["eval", "--config", edited]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: the {section} section ")
+        os.remove(os.path.join(out, "eval_report.json"))
+        assert main(["eval", "--config", edited, "--scores", anomaly, "--labels", labels]) == 0
+        assert json.load(open(os.path.join(out, "eval_report.json"))) == expected
+
+
+def _eval_outputs(out):
+    """The bytes of the files ``eval`` writes, keyed by name."""
+    return {name: open(os.path.join(out, name), "rb").read()
+            for name in ("eval_report.json", "curve.csv", "manifest_eval.json")}
+
+
+@pytest.mark.parametrize("flag", ["--scores", "--labels"])
+def test_eval_one_named_file_exit_2(rundir, tmp_path, capsys, flag):
+    """``eval`` takes ``--scores`` and ``--labels`` together or not at all: one alone
+    exits 2 with one line, before it reads or writes a file."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    before = _eval_outputs(out)
+    path = os.path.join(out, "induced.csv" if flag == "--scores" else "labels.csv")
+    assert main(["eval", "--config", config_path, flag, path]) == 2
+    assert capsys.readouterr().err == (
+        "config error: eval takes --scores and --labels together, or neither\n")
+    assert _eval_outputs(out) == before
+
+
+@pytest.mark.parametrize("case", ["missing", "origin", "short"])
+def test_eval_named_files_exit_3(rundir, tmp_path, capsys, case):
+    """A named file that does not exist, or labels whose first time index or row count
+    differs from the scores', exit 3 with one line and leave eval's files as they were."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    before = _eval_outputs(out)
+    scores, labels = os.path.join(out, "induced.csv"), os.path.join(out, "labels.csv")
+    if case == "missing":
+        labels = os.path.join(out, "absent.csv")
+        message = f"missing input: {labels}"
+    else:
+        _rewrite(labels, _edit_rows(lambda i, cells: [str(int(cells[0]) + 1), cells[1]])
+                 if case == "origin" else lambda text: text[:-2].rsplit("\r\n", 1)[0] + "\r\n")
+        message = f"labels ({labels}) are not aligned with scores ({scores})"
+    assert main(["eval", "--config", config_path, "--scores", scores, "--labels", labels]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert _eval_outputs(out) == before
 
 
 def _child_env(*first):
@@ -1567,7 +1611,7 @@ synth:
 """
 
 # each file a command reads from the run, and the commands that read it; eval reads
-# induced.csv and labels.csv only when --scores and --labels name them
+# induced.csv and labels.csv only when --scores and --labels name them, together
 FUZZ_READERS = {
     "run.yaml": ["synth", "train", "score", "eval", "sweep"],
     "run/train.csv": ["train", "score", "eval", "sweep"],

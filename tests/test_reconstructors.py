@@ -502,7 +502,6 @@ class TestPersistence:
         model, back = models.point, load_model(path).point
         for key in ("enc_w", "enc_b", "dec_w", "dec_b"):
             np.testing.assert_array_equal(getattr(back, key), getattr(model, key))
-        assert back.hp == model.hp
         assert len(model.epoch_losses) == 3 and back.epoch_losses == []  # history, not the model
 
     def test_sequence_roundtrip_bit_exact(self, tmp_path):
@@ -511,7 +510,7 @@ class TestPersistence:
         save_model(models, path)
         model, back = models.sequence, load_model(path).sequence
         np.testing.assert_array_equal(back.weights, model.weights)
-        assert (back.gamma, back.delta, back.ridge_lambda, back.n_channels) == (3, 2, 1e-5, 3)
+        assert (back.gamma, back.delta, back.n_channels) == (3, 2, 3)
         assert model.fit_residual is not None and back.fit_residual is None  # history
 
     @pytest.mark.parametrize("names", [("a", "b", "c"), None])
@@ -533,11 +532,10 @@ class TestPersistence:
         save_model(models, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    @pytest.mark.parametrize("key, value", [("ridge_lambda", "x"), ("ridge_lambda", -5),
-                                            ("gamma", True), ("delta", 7)])  # gamma is 3
+    @pytest.mark.parametrize("key, value", [("gamma", True), ("delta", 7)])  # gamma is 3
     def test_sequence_hyperparams_checked(self, tmp_path, key, value):
-        """The sequence block meets the ``sequence_model`` rules, as the point block
-        meets ``point_model``'s."""
+        """The sequence block's ``gamma`` and ``delta`` meet their ``sequence_model``
+        rules, as the length of ``enc_b`` meets ``point_model.d_lat``'s."""
         path = str(tmp_path / "model.json")
         save_model(_trained(12), path)
         doc = json.load(open(path))
