@@ -31,15 +31,14 @@ that ``--scores`` and ``--labels`` name together (one alone exits 2).
 Neither parses ``score``'s CSVs, which are written for readers outside the
 package.  ``train`` and ``score`` record in their manifests the sha256 of
 every file they read or wrote, keyed by basename (a split by ``data.train``
-or ``data.test``).  A command that
-reads another command's files refuses to run unless that command ran with the
-config sections the files depend on (exit 2), its manifest records every file
-the reader opens (``model.json`` for ``score`` and ``sweep``, ``scores.npy``
-for ``sweep`` and ``eval``) and every file it recorded is unchanged (exit 3):
-``score`` checks ``train``'s ``preprocess``, ``point_model`` and
-``sequence_model``; ``sweep`` checks those and ``data.label_column`` in
-``score``'s manifest, and ``eval`` on ``scores.npy`` checks what ``sweep``
-checks and ``gate``.
+or ``data.test``).  A command that reads another command's files refuses to
+run unless that command ran with the config sections the files depend on
+(exit 2) and its manifest records, unchanged, every file the reader depends
+on (exit 3): :data:`TRAINED_FILES` for ``score``, :data:`SCORED_FILES` for
+``eval`` and ``sweep``; no other recorded file is opened.  ``score`` checks
+``train``'s ``preprocess``, ``point_model`` and ``sequence_model``; ``sweep``
+checks those and ``data.label_column`` in ``score``'s manifest, and ``eval``
+on ``scores.npy`` checks what ``sweep`` checks and ``gate``.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -255,13 +254,23 @@ def _load_split(cfg: PipelineConfig, which: str) -> LabeledSeries:
 
 #: The config sections the training artifacts depend on.
 TRAINED_SECTIONS = ("preprocess", "point_model", "sequence_model")
+#: The files ``score`` depends on, by their names in ``manifest_train.json``; those
+#: ``eval`` and ``sweep`` depend on, by their names in ``manifest_score.json``.
+TRAINED_FILES = ("data.train", MODEL_FILE)
+SCORED_FILES = (*TRAINED_FILES, "data.test", SCORES_FILE)
 
 
-def _digests(cfg: PipelineConfig, split: str, paths) -> dict[str, str]:
-    """The sha256 of the split, keyed ``data.<split>``, and of each path, keyed by basename."""
-    digests = {f"data.{split}": _sha256(getattr(cfg.data, split))}
-    digests.update((os.path.basename(path), _sha256(path)) for path in paths)
-    return digests
+def _recorded_file(cfg: PipelineConfig, name: str) -> str:
+    """The file a manifest records as ``name``: the config's split for ``data.train`` and
+    ``data.test``, else ``output.dir/<name>``, so a copied output directory still verifies."""
+    if name in ("data.train", "data.test"):
+        return _split_path(cfg, name[len("data."):])
+    return os.path.join(cfg.output.dir, name)
+
+
+def _digests(cfg: PipelineConfig, names) -> dict[str, str]:
+    """The sha256 of each file of ``names`` (see :func:`_recorded_file`), keyed by its name."""
+    return {name: _sha256(_recorded_file(cfg, name)) for name in names}
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
@@ -301,7 +310,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
                 "point_epoch_losses": models.point.epoch_losses,
                 "sequence_fit_residual": models.sequence.fit_residual,
             },
-            "digests": _digests(cfg, "train", (model_path,)),
+            "digests": _digests(cfg, TRAINED_FILES),
         },
     )
     return EXIT_OK
@@ -314,24 +323,21 @@ def cmd_score(cfg: PipelineConfig) -> int:
     trained sections and that its files are unchanged, and :func:`score_split`
     refuses a test split without the training split's channels, in its order.
     """
-    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS, [MODEL_FILE])
+    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS, TRAINED_FILES)
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
-    outputs = []
     for name, series in zip(SCORE_CSVS, (bundle.anomaly, bundle.seq_anomaly,
                                          bundle.nominality, bundle.induced)):
-        path = os.path.join(cfg.output.dir, name)
-        write_score_csv(series, path)
-        outputs.append(path)
+        write_score_csv(series, os.path.join(cfg.output.dir, name))
+    recorded = ["data.test", *SCORE_CSVS]
     labels_path = os.path.join(cfg.output.dir, LABELS_FILE)
     if bundle.labels is not None:
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
-        outputs.append(labels_path)
+        recorded.append(LABELS_FILE)
     elif os.path.exists(labels_path):  # another run's labels
         os.remove(labels_path)
-    matrix_path = os.path.join(cfg.output.dir, SCORES_FILE)
-    write_scores(bundle, matrix_path)
-    digests = {**train_digests, **_digests(cfg, "test", [*outputs, matrix_path])}
+    write_scores(bundle, os.path.join(cfg.output.dir, SCORES_FILE))
+    digests = {**train_digests, **_digests(cfg, [*recorded, SCORES_FILE])}
     write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})
     return EXIT_OK
 
@@ -347,7 +353,7 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     """
     if scores_path is None:
         _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column", "gate"],
-                        [SCORES_FILE])
+                        SCORED_FILES)
         scores_path = labels_path = os.path.join(cfg.output.dir, SCORES_FILE)
         series, labels = read_scores(scores_path)
         if labels is None:
@@ -371,15 +377,15 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
-def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[str, str]:
-    """The digests ``command`` recorded, once its run is shown to match the config and the files.
+def _check_manifest(cfg: PipelineConfig, command: str, sections, names) -> dict[str, str]:
+    """The digests ``command`` recorded of ``names``, once its run is shown to match the config
+    and those files.
 
     Each of ``sections`` (such as ``gate`` or ``data.label_column``) must equal the one in
     the config ``manifest_<command>.json`` records, read by :func:`config_from_dict`
-    (else :class:`ConfigError`), every recorded file must be
-    unchanged, and ``reads``, the files the caller opens, must be recorded (else
-    :class:`DataError`); a ``data.<split>`` key names the config's split, and
-    any other key must be a file name in ``output.dir``.
+    (else :class:`ConfigError`), and each of ``names``, the files the caller depends on,
+    must be recorded there with the sha256 its file (see :func:`_recorded_file`) has now
+    (else :class:`DataError`).  No other recorded file is opened.
     """
     path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
@@ -388,10 +394,6 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
         with open(path, "rb") as fh:
             doc = json.load(fh)
         digests = dict(doc["digests"])
-        for key in digests:
-            if key not in ("data.train", "data.test") and (
-                    key in ("", ".", "..") or "\0" in key or os.path.basename(key) != key):
-                raise ValueError(f"digest key {key!r} is not a file name")
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "
@@ -401,19 +403,15 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, reads) -> dict[
                 != functools.reduce(getattr, name.split("."), cfg)):
             raise ConfigError(f"the {name} section differs from the one recorded in {path}; "
                               f"run '{command}' again")
-    for key, digest in digests.items():
-        if key in ("data.train", "data.test"):
-            file = _split_path(cfg, key[len("data."):])
-        else:
-            file = os.path.join(cfg.output.dir, key)
-        if _sha256(file) != digest:
+    for name in names:
+        file = _recorded_file(cfg, name)
+        if name not in digests:
+            raise DataError(f"{file} is not among the files {os.path.basename(path)} "
+                            f"records; run '{command}' again")
+        if _sha256(file) != digests[name]:
             raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
                             f"one in {path}); run '{command}' again")
-    for name in reads:
-        if name not in digests:
-            raise DataError(f"{os.path.join(cfg.output.dir, name)} is not among the files "
-                            f"{os.path.basename(path)} records; run '{command}' again")
-    return digests
+    return {name: digests[name] for name in names}
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
@@ -423,8 +421,7 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     nominality in ``model.json``, both checked by :func:`_check_manifest`,
     with the current ``gate`` section.
     """
-    _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"],
-                    [MODEL_FILE, SCORES_FILE])
+    _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"], SCORED_FILES)
     series, labels = read_scores(os.path.join(cfg.output.dir, SCORES_FILE))
     train_nominality = load_model(os.path.join(cfg.output.dir, MODEL_FILE)).train_nominality
     bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)

@@ -75,13 +75,17 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
 
     Downsamples the split, fits the min-max statistics and applies them,
     trains both reconstructors and records the training nominality scores.
-    Overflow raises, not warns.
+    Overflow raises, not warns.  A split too short or too narrow for the
+    models raises :class:`ShapeError` naming ``data.train``.
     """
     train = downsample(train_raw, cfg.preprocess.downsample)
     stats = minmax_fit(train)
     train = minmax_apply(train, stats)
-    point = train_point_model(train, cfg.point_model)
-    seq = train_sequence_model(train, **vars(cfg.sequence_model))
+    try:
+        point = train_point_model(train, cfg.point_model)
+        seq = train_sequence_model(train, **vars(cfg.sequence_model))
+    except ShapeError as exc:
+        raise ShapeError(f"{cfg.data.train or 'training split'}: {exc}") from None
     pair = make_pair(train.values, reconstruct_points(point, train),
                      reconstruct_sequence(seq, train), seq.gamma)
     return TrainedModels(point, seq, stats, nominality_score(pair), train.channel_names)
@@ -101,21 +105,25 @@ def score_split(
             overflows, and the message names the data row of the first time
             point whose scores are not finite (the first row of its block
             when downsampling).
+        ShapeError: the split is shorter than one sequence window, or, for
+            models without channel names, has another channel count; the
+            message names ``data.test``.
     """
+    name = cfg.data.test or "test split"
     if models.channel_names is not None and test_raw.channel_names != models.channel_names:
-        raise DataError(f"{cfg.data.test or 'test split'}: channels "
-                        f"{list(test_raw.channel_names)} are not the training split's "
-                        f"{list(models.channel_names)} (from {MODEL_FILE})")
-    test = minmax_apply(downsample(test_raw, cfg.preprocess.downsample), models.stats)
+        raise DataError(f"{name}: channels {list(test_raw.channel_names)} are not the "
+                        f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
+    try:
+        test = minmax_apply(downsample(test_raw, cfg.preprocess.downsample), models.stats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            point_rec = reconstruct_points(models.point, test)
+            seq_rec = reconstruct_sequence(models.sequence, test)
+    except ShapeError as exc:
+        raise ShapeError(f"{name}: {exc}") from None
     # A huge but finite value can overflow a squared distance; the scores
     # are checked for that here rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        pair = make_pair(
-            test.values,
-            reconstruct_points(models.point, test),
-            reconstruct_sequence(models.sequence, test),
-            models.sequence.gamma,
-        )
+        pair = make_pair(test.values, point_rec, seq_rec, models.sequence.gamma)
         a_point = anomaly_score(pair)
         a_seq = sequence_anomaly_score(pair)
         try:

@@ -360,7 +360,8 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
 
     Raises:
         EmptyInput: the file holds no data rows.
-        ParseError: a row has the wrong width or a cell is not numeric.
+        ParseError: a row has the wrong width, or a cell is not numeric or is
+            infinite (``inf``, or a literal beyond float range such as ``1e999``).
         LabelError: a label value is not 0 or 1, or the column is missing or named twice.
     """
     header, lines = _read_lines(path)
@@ -372,6 +373,11 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
             raise LabelError(f"{path}: header names label column {label_column!r} more than once")
         label_idx = header.index(label_column)
     table = _parse_lines(lines, len(header), path, label_idx)
+    infinite = np.isinf(table)
+    if infinite.any():
+        row, col = (int(i) for i in np.argwhere(infinite)[0])
+        raise ParseError(f"{path}: row {row}: {lines[row].split(',')[col]!r} in column {col} "
+                         f"is not a finite number", row=row)
     labels = None
     names = header
     if label_idx is not None:

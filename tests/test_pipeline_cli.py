@@ -53,6 +53,14 @@ PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Every subcommand; each loads the config first.
 COMMANDS = ("synth", "train", "score", "eval", "sweep")
+#: The files of ``score``, ``eval`` and ``sweep`` that name no path, so a copied run
+#: directory gives them the same bytes.
+COMMAND_OUTPUTS = {
+    "score": ("anomaly.csv", "sequence_anomaly.csv", "nominality.csv", "induced.csv",
+              "labels.csv", "scores.npy"),
+    "eval": ("eval_report.json", "curve.csv"),
+    "sweep": ("sweep.json",),
+}
 
 SMALL_CONFIG = """\
 data:
@@ -809,20 +817,50 @@ class TestCliBehavior:
     @pytest.mark.parametrize("command", ["score", "eval", "sweep"])
     @pytest.mark.parametrize("key", ["bad\0name", os.path.join("..", "run.yaml")],
                              ids=["nul", "parent-dir"])
-    def test_digest_key_not_a_file_name_exit_3(self, rundir, tmp_path, capsys, command, key):
-        """A digest key other than data.train and data.test is a file name in output.dir:
-        a key that is not, even with the digest of the file it would reach (here the
-        config), makes the manifest undecodable."""
+    def test_unlisted_digest_key_is_ignored(self, rundir, tmp_path, command, key):
+        """A reader opens only the files it depends on, so a recorded key outside its list
+        never becomes a path: not even one that is no file name, with a wrong digest.
+        ``score`` copies only the digests it checked into its own manifest."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         owner = "train" if command == "score" else "score"
         manifest = os.path.join(out, f"manifest_{owner}.json")
-        digest = hashlib.sha256(open(config_path, "rb").read()).hexdigest()
-        _rewrite(manifest, _edit_json(lambda doc: doc["digests"].update({key: digest})))
+        _rewrite(manifest, _edit_json(lambda doc: doc["digests"].update({key: "0" * 64})))
+        assert main([command, "--config", config_path]) == 0
+        for name in COMMAND_OUTPUTS[command]:
+            with open(os.path.join(rundir[1], name), "rb") as fh:
+                assert open(os.path.join(out, name), "rb").read() == fh.read(), name
+        if command == "score":
+            digests = json.load(open(os.path.join(out, "manifest_score.json")))["digests"]
+            assert key not in digests
+
+    @pytest.mark.parametrize("edit", ["unrecorded", "changed"])
+    @pytest.mark.parametrize(
+        "command, producer, name",
+        [("score", "train", name) for name in ("data.train", "model.json")]
+        + [(command, "score", name) for command in ("eval", "sweep")
+           for name in ("data.train", "model.json", "data.test", "scores.npy")],
+    )
+    def test_each_listed_file_is_checked_exit_3(self, rundir, tmp_path, capsys, command,
+                                                producer, name, edit):
+        """Each file a reader depends on must be recorded in its producer's manifest, and
+        unchanged since; either failure names the file, a split by its path."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        manifest = os.path.join(out, f"manifest_{producer}.json")
+        split = {"data.train": "train.csv", "data.test": "test.csv"}
+        path = os.path.join(out, split.get(name, name))
+        if edit == "unrecorded":
+            _rewrite(manifest, _edit_json(lambda doc: doc["digests"].pop(name)))
+            message = (f"{path} is not among the files manifest_{producer}.json records; "
+                       f"run '{producer}' again\n")
+        else:
+            with open(path, "ab") as fh:
+                fh.write(b"\n")
+            message = (f"{path} changed since '{producer}' ran (its sha256 differs from the one "
+                       f"in {manifest}); run '{producer}' again\n")
         assert main([command, "--config", config_path]) == 3
-        error = ValueError(f"digest key {key!r} is not a file name")
-        assert capsys.readouterr().err == (f"data error: {manifest}: cannot decode the {owner} "
-                                           f"manifest: {error!r}; run '{owner}' again\n")
+        assert capsys.readouterr().err == f"data error: {message}"
 
     @pytest.mark.parametrize("command", ["score", "sweep"])
     @pytest.mark.parametrize(
@@ -1176,9 +1214,8 @@ class TestSweepFromScores:
         [
             ("test.csv", _ONE_BYTE),
             ("model.json", _retrained),
-            ("nominality.csv", _score_cell("0.5")),
         ],
-        ids=["test-byte", "train-nominality-retrained", "nominality-edited"],
+        ids=["test-byte", "train-nominality-retrained"],
     )
     def test_changed_since_score_exit_3(self, rundir, tmp_path, capsys, name, damage):
         config_path, out = write_config(tmp_path)
@@ -1262,17 +1299,24 @@ class TestEvalFromScores:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "model.json changed " in err
 
-    def test_edited_induced_exit_3(self, rundir, tmp_path, capsys):
+    @pytest.mark.parametrize("change", ["deleted", "edited"])
+    @pytest.mark.parametrize("name", ["anomaly.csv", "sequence_anomaly.csv", "nominality.csv",
+                                      "induced.csv", "labels.csv"])
+    def test_unread_score_files_may_change(self, rundir, tmp_path, name, change):
+        """``eval`` and ``sweep`` never open score's CSVs, which are written for readers
+        outside the package: with one deleted or edited, both write the same bytes."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
-        path = os.path.join(out, "induced.csv")
-        with open(path, newline="") as fh:
-            text = fh.read()
-        with open(path, "w", newline="") as fh:
-            fh.write(_score_cell("0.5")(text))
-        assert main(["eval", "--config", config_path]) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path} changed ")
+        path = os.path.join(out, name)
+        if change == "deleted":
+            os.remove(path)
+        else:
+            _rewrite(path, _score_cell("0.5"))
+        for command in ("eval", "sweep"):
+            assert main([command, "--config", config_path]) == 0
+            for written in COMMAND_OUTPUTS[command]:
+                with open(os.path.join(rundir[1], written), "rb") as fh:
+                    assert open(os.path.join(out, written), "rb").read() == fh.read(), written
 
     def test_unlabeled_rescore_exit_3(self, tmp_path, capsys):
         """After a labeled chain, an unlabeled split scored into the same directory
@@ -1485,14 +1529,26 @@ def test_train_runs_without_scipy(tmp_path):
 
 def test_benchmark_names_resolve_after_cli_import():
     """Every function perfbench's tracer instruments is in ``sys.modules`` once the CLI
-    is imported, as ``Tracer.install`` looks it up there, and its gate imports."""
+    is imported, as ``Tracer.install`` looks it up there, and its gate imports.
+
+    A counter reads the call's bound arguments by name, so every string constant
+    without a dot in its code (the metric names have one) must be a parameter of the
+    function it wraps; a renamed parameter fails here, not only in a traced run."""
     perfbench = os.path.join(ROOT, "perfbench")
-    code = ("import sys\nsys.path.insert(0, sys.argv[1])\nimport nominality.cli\n"
+    code = ("import inspect, sys\nsys.path.insert(0, sys.argv[1])\nimport nominality.cli\n"
             "from tracer import INSTRUMENTED\n"
-            "for module, attr, *_ in INSTRUMENTED:\n"
+            "read = set()\n"
+            "for module, attr, _, counter in INSTRUMENTED:\n"
             "    owner = sys.modules['nominality.' + module]\n"
             "    for part in attr.split('.'):\n"
             "        owner = getattr(owner, part)\n"
+            "    if counter is not None:\n"
+            "        names = {c for c in counter.__code__.co_consts\n"
+            "                 if isinstance(c, str) and '.' not in c}\n"
+            "        missing = names - set(inspect.signature(owner).parameters)\n"
+            "        assert not missing, f'{attr} has no parameter {sorted(missing)}'\n"
+            "        read |= names\n"
+            "assert read, 'no counter reads an argument'\n"
             "import gate\n")
     done = subprocess.run([sys.executable, "-c", code, perfbench], env=_child_env(),
                           capture_output=True, text=True, timeout=120)
@@ -1515,6 +1571,75 @@ def test_code_defaults_run_every_command(tmp_path):
     row = sweep["rows"]["soft_theta_pct"]
     assert (row["best_f1"][at], row["auc"][at]) == (report["best_f1"], report["auc"])
     assert sweep["theta"] == manifest["resolved_theta"]
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999"])
+@pytest.mark.parametrize("command, split", [("train", "train.csv"), ("score", "test.csv")])
+def test_infinite_split_cell_exit_3(rundir, tmp_path, capsys, command, split, cell):
+    """An infinite cell in a split, or one beyond float range, names the file, the data
+    row and the column, as every other bad cell does."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    damage = _edit_rows(lambda i, cells: [*cells[:2], cell, *cells[3:]] if i == 4 else cells)
+    path = _rewrite(os.path.join(out, split), damage)
+    assert main([command, "--config", config_path]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {path}: row 4: {cell!r} in column 2 is not a finite number\n")
+
+
+@pytest.mark.parametrize("command, split, damage, edit, message", [
+    ("score", "test.csv", lambda text: "\r\n".join(text.split("\r\n")[:12] + [""]), None,
+     "series length 11 is shorter than 2*gamma + delta = 12"),
+    ("train", "train.csv", lambda text: "\r\n".join(text.split("\r\n")[:10] + [""]), None,
+     "need at least batch_size=16 rows, got 9"),
+    ("train", "train.csv", _channels([0]), None,
+     "point model requires at least 2 channels; univariate input carries no cross-channel "
+     "structure to reconstruct"),
+    ("train", "train.csv", None, ("d_lat: 2", "d_lat: 5"), "d_lat 5 exceeds channel count 4"),
+], ids=["test-short", "train-short", "train-one-channel", "train-d-lat-wide"])
+def test_split_too_small_names_itself(rundir, tmp_path, capsys, command, split, damage, edit,
+                                      message):
+    """A split too short or too narrow for the models exits 3 naming its file."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    path = os.path.join(out, split)
+    if damage is not None:
+        _rewrite(path, damage)
+    if edit is not None:
+        config_path = second_config(config_path, *edit)
+    assert main([command, "--config", config_path]) == 3
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+def test_downsampled_chain_counts_blocks(tmp_path):
+    """At ``preprocess.downsample: 2``, labels.csv holds each block's any-anomaly label
+    over the valid range, its time_index counts blocks from gamma, and the report's
+    positives are the anomalous blocks there."""
+    path = tmp_path / "run.yaml"
+    path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
+                    "preprocess:\n  downsample: 2\npoint_model:\n  epochs: 1\n"
+                    f"output:\n  dir: {tmp_path}\n")
+    run_all(str(path))
+    test = load_csv(str(tmp_path / "test.csv"), label_column="label")
+    blocks = np.maximum.reduceat(test.labels, np.arange(0, test.n_times, 2))
+    labels, origin = read_labels_csv(str(tmp_path / "labels.csv"))
+    assert origin == 25  # the default gamma
+    np.testing.assert_array_equal(labels, blocks[origin : blocks.shape[0] - origin])
+    positives = json.load(open(tmp_path / "eval_report.json"))["positives"]
+    assert positives == labels.sum() == 105
+
+
+def test_unnamed_models_name_a_narrower_split():
+    """Models fitted on a split without channel names meet a narrower test split in
+    the min-max step, whose error names ``data.test`` as the window check's does."""
+    data = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=100))
+    cfg = config_from_dict({"data": {"test": "test.csv"},
+                            "point_model": {"d_lat": 2, "epochs": 1},
+                            "sequence_model": {"gamma": 5, "delta": 2}})
+    models = fit_models(cfg, dataclasses.replace(data.train, channel_names=None))
+    narrow = dataclasses.replace(data.test, values=data.test.values[:, :3], channel_names=None)
+    with pytest.raises(DataError, match=r"^test.csv: stats cover 4 channels, series has 3$"):
+        score_split(cfg, models, narrow)
 
 
 @pytest.mark.parametrize("downsample, row, named", [(1, 300, 300), (2, 301, 300), (1, 3, 5)])
