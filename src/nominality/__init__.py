@@ -23,6 +23,7 @@ from .errors import (
     NominalityError,
     NumericError,
     ParseError,
+    ScaleOverflow,
     ShapeError,
     SingularSystem,
     TrainingDiverged,

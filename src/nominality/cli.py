@@ -23,22 +23,24 @@ makes every command exit 2 when it loads, and so does a ``data.train`` or
 ``data.train`` and ``data.test``, creating their directories, with the labels
 in column ``data.label_column``; it exits 2 if that key is null or names one
 of its channels, or the two paths name one file.
-``score`` refuses a test split whose channels are not the training split's.
-``sweep`` reads ``scores.npy`` rather than scoring the test split again, and
-the training nominality for its threshold from ``model.json``; ``eval`` reads
-the ``induced`` and ``label`` columns of ``scores.npy``, or the two CSV files
-that ``--scores`` and ``--labels`` name together (one alone exits 2).
-Neither parses ``score``'s CSVs, which are written for readers outside the
-package.  ``train`` and ``score`` record in their manifests the sha256 of
-every file they read or wrote, keyed by basename (a split by ``data.train``
-or ``data.test``).  A command that reads another command's files refuses to
-run unless that command ran with the config sections the files depend on
-(exit 2) and its manifest records, unchanged, every file the reader depends
-on (exit 3): :data:`TRAINED_FILES` for ``score``, :data:`SCORED_FILES` for
-``eval`` and ``sweep``; no other recorded file is opened.  ``score`` checks
-``train``'s ``preprocess``, ``point_model`` and ``sequence_model``; ``sweep``
-checks those and ``data.label_column`` in ``score``'s manifest, and ``eval``
-on ``scores.npy`` checks what ``sweep`` checks and ``gate``.
+``score`` refuses a test split whose channels are not the training split's, and
+writes ``labels.csv`` and ``scores.npy`` only for a labeled one.  ``sweep`` reads
+``scores.npy`` rather than scoring the test split again, and the training
+nominality for its threshold from ``model.json``; ``eval`` reads the ``induced``
+and ``label`` columns of ``scores.npy``, or the two CSV files that ``--scores``
+and ``--labels`` name together (one alone exits 2).  Neither parses ``score``'s
+CSVs, which are written for readers outside the package, and on ``scores.npy``
+both exit 2 on a null ``data.label_column`` before opening a file of the run.
+``train`` and ``score`` record in their manifests the sha256 of every file they
+read or wrote, keyed by basename (a split by ``data.train`` or ``data.test``).
+A command that reads another command's files refuses to run unless that
+command ran with the config sections the files depend on (exit 2) and its
+manifest records, unchanged, every file the reader depends on (exit 3):
+:data:`TRAINED_FILES` for ``score``, :data:`SCORED_FILES` for ``eval`` and
+``sweep``; no other recorded file is opened.  ``score`` checks ``train``'s
+``preprocess``, ``point_model`` and ``sequence_model``; ``sweep`` checks those
+and ``data.label_column`` in ``score``'s manifest, and ``eval`` on
+``scores.npy`` checks what ``sweep`` checks and ``gate``.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -93,9 +95,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-#: ``score``'s matrix of every score and label, which ``eval`` and ``sweep`` read.
+#: ``score``'s matrix of a labeled test split, which ``eval`` and ``sweep`` read.
 SCORES_FILE = "scores.npy"
-#: Its columns; ``label`` only when the test split is labeled.
+#: Its six columns: the time index, the four scores and the label.
 SCORE_COLUMNS = ("time_index", "anomaly", "sequence_anomaly", "nominality", "induced", "label")
 #: ``score``'s CSVs, one per score column, and its labels; ``eval``'s report and curve;
 #: ``sweep``'s table; each command's manifest, once formatted with the command's name.
@@ -182,28 +184,25 @@ def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
 
 
 def write_scores(bundle: ScoreBundle, path: str) -> None:
-    """Save the bundle as one float64 matrix with the columns :data:`SCORE_COLUMNS`.
+    """Save a labeled bundle as one float64 matrix with the columns :data:`SCORE_COLUMNS`.
 
-    The ``label`` column is left out when the bundle has no labels.  The
-    bytes are ``np.save``'s, so a rerun writes the same file.
+    The bytes are ``np.save``'s, so a rerun writes the same file.
     """
     induced = bundle.induced
     columns = [np.arange(len(induced), dtype=np.float64) + induced.time_origin,
                bundle.anomaly.scores, bundle.seq_anomaly.scores, bundle.nominality.scores,
-               induced.scores]
-    if bundle.labels is not None:
-        columns.append(bundle.labels)
+               induced.scores, bundle.labels]
     buffer = io.BytesIO()
     np.save(buffer, np.column_stack(columns))  # float64: the labels are promoted
     atomic_write(path, [buffer.getvalue()])
 
 
-def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray | None]:
+def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray]:
     """The anomaly, sequence anomaly, nominality and induced series of a matrix
-    :func:`write_scores` saved, and its labels (None without a ``label`` column).
+    :func:`write_scores` saved, and its labels.
 
     The matrix is held to the checks of :func:`read_score_csv` and
-    :func:`read_labels_csv`: a 2-D float64 array of 5 or 6 columns and at
+    :func:`read_labels_csv`: a 2-D float64 array of 6 columns and at
     least one row, consecutive time indices, finite scores, a non-negative
     nominality and labels in {0, 1}.  Any other matrix, and a file that is
     not one ``.npy`` array ``np.load`` reads without unpickling, raises
@@ -215,22 +214,19 @@ def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray | None]:
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # truncated, pickled or not .npy
         raise DataError(f"{path}: cannot load the score matrix: {exc}") from None
     if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2
-            and matrix.shape[0] >= 1 and matrix.shape[1] in (5, 6)):
+            and matrix.shape[0] >= 1 and matrix.shape[1] == 6):
         got = (f"a {matrix.dtype} array of shape {matrix.shape}"
                if isinstance(matrix, np.ndarray) else "an archive")
         raise DataError(f"{path}: expected a float64 matrix with at least one row and the "
-                        f"columns {', '.join(SCORE_COLUMNS)} (label optional), got {got}")
+                        f"columns {', '.join(SCORE_COLUMNS)}, got {got}")
     origin = _time_origin(matrix, path)
     series = tuple(_score_series(matrix[:, col], kind, origin, path, f"{SCORE_COLUMNS[col]} score")
                    for col, kind in enumerate(("anomaly", "anomaly", "nominality", "induced"), 1))
-    labels = None
-    if matrix.shape[1] == 6:
-        bad = np.flatnonzero((matrix[:, 5] != 0.0) & (matrix[:, 5] != 1.0))
-        if bad.size:
-            row = int(bad[0])
-            raise DataError(f"{path}: row {row}: label {float(matrix[row, 5])!r} is not 0 or 1")
-        labels = matrix[:, 5].astype(np.int64)
-    return series, labels
+    bad = np.flatnonzero((matrix[:, 5] != 0.0) & (matrix[:, 5] != 1.0))
+    if bad.size:
+        row = int(bad[0])
+        raise DataError(f"{path}: row {row}: label {float(matrix[row, 5])!r} is not 0 or 1")
+    return series, matrix[:, 5].astype(np.int64)
 
 
 def _sha256(path: str) -> str:
@@ -317,7 +313,8 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 
 def cmd_score(cfg: PipelineConfig) -> int:
-    """Score the test split and write the aligned score CSVs and their matrix, ``scores.npy``.
+    """Score the test split; write the aligned score CSVs and, for a labeled split only,
+    ``labels.csv`` and ``scores.npy``, the matrix of them all (an unlabeled split removes both).
 
     :func:`_check_manifest` first shows that ``train`` ran with this config's
     trained sections and that its files are unchanged, and :func:`score_split`
@@ -330,14 +327,15 @@ def cmd_score(cfg: PipelineConfig) -> int:
                                          bundle.nominality, bundle.induced)):
         write_score_csv(series, os.path.join(cfg.output.dir, name))
     recorded = ["data.test", *SCORE_CSVS]
-    labels_path = os.path.join(cfg.output.dir, LABELS_FILE)
+    labels_path, scores_path = (_recorded_file(cfg, name) for name in (LABELS_FILE, SCORES_FILE))
     if bundle.labels is not None:
         write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
-        recorded.append(LABELS_FILE)
-    elif os.path.exists(labels_path):  # another run's labels
-        os.remove(labels_path)
-    write_scores(bundle, os.path.join(cfg.output.dir, SCORES_FILE))
-    digests = {**train_digests, **_digests(cfg, [*recorded, SCORES_FILE])}
+        write_scores(bundle, scores_path)
+        recorded += [LABELS_FILE, SCORES_FILE]
+    else:  # another run's labels and matrix, which the manifest will not record
+        for path in filter(os.path.exists, (labels_path, scores_path)):
+            os.remove(path)
+    digests = {**train_digests, **_digests(cfg, recorded)}
     write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})
     return EXIT_OK
 
@@ -347,18 +345,17 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
 
     With neither path named, the inputs are the ``induced`` and ``label``
     columns of ``score``'s matrix, checked by :func:`_check_manifest` with
-    ``data.label_column`` and ``gate``.  The two named paths, which
-    :func:`main` takes together or not at all, are read as CSVs without
-    these checks.
+    ``data.label_column``, which must not be null, and ``gate``.  The two named
+    paths, which :func:`main` takes together or not at all, are read as CSVs
+    without these checks.
     """
     if scores_path is None:
+        if cfg.data.label_column is None:
+            raise ConfigError("eval reads the labels of scores.npy, and data.label_column is null")
         _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column", "gate"],
                         SCORED_FILES)
         scores_path = labels_path = os.path.join(cfg.output.dir, SCORES_FILE)
         series, labels = read_scores(scores_path)
-        if labels is None:
-            raise DataError(f"cannot evaluate: {scores_path} has no label column "
-                            f"(the test split 'score' read has no labels)")
         scores = series[3]
     else:
         for path in (scores_path, labels_path):
@@ -419,8 +416,10 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
 
     Reads ``score``'s matrix and resolves the threshold from the training
     nominality in ``model.json``, both checked by :func:`_check_manifest`,
-    with the current ``gate`` section.
+    with the current ``gate`` section; ``data.label_column`` must not be null.
     """
+    if cfg.data.label_column is None:
+        raise ConfigError("sweep reads the labels, and data.label_column is null")
     _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"], SCORED_FILES)
     series, labels = read_scores(os.path.join(cfg.output.dir, SCORES_FILE))
     train_nominality = load_model(os.path.join(cfg.output.dir, MODEL_FILE)).train_nominality

@@ -426,9 +426,13 @@ def _yaml_error(path: str, text: str, exc: yaml.YAMLError) -> ConfigError:
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Parse a YAML config file, which must be UTF-8 text."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Parse a YAML config file, which must be UTF-8 text; one that cannot be read,
+    such as a missing file or a directory, raises :class:`ConfigError`."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -47,6 +47,18 @@ class ShapeError(DataError):
     """Array dimensions do not match what an operation requires."""
 
 
+class ScaleOverflow(DataError):
+    """A value too large to min-max scale: its scaled value is not finite.
+
+    Attributes:
+        row: zero-based index of the first row that holds such a value.
+    """
+
+    def __init__(self, message: str, row: int) -> None:
+        super().__init__(message)
+        self.row = row
+
+
 class DegenerateLabels(DataError):
     """Labels contain only one class, so threshold metrics are undefined."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError, ShapeError
+from .errors import DataError, ScaleOverflow, ShapeError
 from .evaluation import auc_and_best_f1
 from .reconstructors import (
     MODEL_FILE,
@@ -46,6 +46,7 @@ from .scoring import (
 )
 from .series import (
     LabeledSeries,
+    MinMaxStats,
     ScoreSeries,
     downsample,
     minmax_apply,
@@ -75,12 +76,13 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
 
     Downsamples the split, fits the min-max statistics and applies them,
     trains both reconstructors and records the training nominality scores.
-    Overflow raises, not warns.  A split too short or too narrow for the
-    models raises :class:`ShapeError` naming ``data.train``.
+    Overflow raises, not warns: a value too large to scale raises
+    :class:`DataError` as in :func:`score_split`.  A split too short or too
+    narrow for the models raises :class:`ShapeError` naming ``data.train``.
     """
     train = downsample(train_raw, cfg.preprocess.downsample)
     stats = minmax_fit(train)
-    train = minmax_apply(train, stats)
+    train = _scaled(cfg, train, stats, cfg.data.train or "training split")
     try:
         point = train_point_model(train, cfg.point_model)
         seq = train_sequence_model(train, **vars(cfg.sequence_model))
@@ -101,10 +103,10 @@ def score_split(
 
     Raises:
         DataError: the split's channels are not the training split's, by name
-            and in order; or a test value is so large that a score
-            overflows, and the message names the data row of the first time
-            point whose scores are not finite (the first row of its block
-            when downsampling).
+            and in order; or a test value is so large that its min-max scaled
+            value or a score overflows, and the message names the data row of
+            the first time point whose scaled values or scores are not finite
+            (the first row of its block when downsampling).
         ShapeError: the split is shorter than one sequence window, or, for
             models without channel names, has another channel count; the
             message names ``data.test``.
@@ -114,7 +116,7 @@ def score_split(
         raise DataError(f"{name}: channels {list(test_raw.channel_names)} are not the "
                         f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
     try:
-        test = minmax_apply(downsample(test_raw, cfg.preprocess.downsample), models.stats)
+        test = _scaled(cfg, downsample(test_raw, cfg.preprocess.downsample), models.stats, name)
         with np.errstate(over="ignore", invalid="ignore"):
             point_rec = reconstruct_points(models.point, test)
             seq_rec = reconstruct_sequence(models.sequence, test)
@@ -138,6 +140,17 @@ def score_split(
     lo, hi = pair.valid_range
     labels = test.labels[lo:hi] if test.labels is not None else None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
+
+
+def _scaled(cfg: PipelineConfig, series: LabeledSeries, stats: MinMaxStats,
+            name: str) -> LabeledSeries:
+    """``series``, already downsampled, scaled by ``stats``; a value too large to scale raises
+    :class:`DataError` naming ``name`` and the first data row of its block."""
+    try:
+        return minmax_apply(series, stats)
+    except ScaleOverflow as exc:
+        raise DataError(f"{name}: row {exc.row * cfg.preprocess.downsample}: a value at or near "
+                        f"this row is too large to scale (min-max scaling overflows)") from None
 
 
 def _overflow_error(cfg: PipelineConfig, pair: ReconstructionPair, a_point: ScoreSeries,

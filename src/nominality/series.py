@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PreprocessConfig
-from .errors import DataError, EmptyInput, LabelError, ParseError, ShapeError
+from .errors import DataError, EmptyInput, LabelError, ParseError, ScaleOverflow, ShapeError
 
 SCORE_KINDS = ("anomaly", "nominality", "induced")
 
@@ -405,16 +405,23 @@ def minmax_apply(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
     """Map each channel through (x - min) / (max - min).
 
     Constant channels map to 0.  Values outside the fitted range are NOT
-    clipped, so out-of-range test points stay visible to the models.
+    clipped, so out-of-range test points stay visible to the models.  A value
+    whose scaled value overflows raises :class:`ScaleOverflow` naming the
+    first such row, without a numpy warning.
     """
     if stats.n_channels != series.n_channels:
         raise ShapeError(
             f"stats cover {stats.n_channels} channels, series has {series.n_channels}"
         )
-    span = stats.maxs - stats.mins
-    safe_span = np.where(span == 0.0, 1.0, span)
-    out = (series.values - stats.mins) / safe_span
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = stats.maxs - stats.mins
+        safe_span = np.where(span == 0.0, 1.0, span)
+        out = (series.values - stats.mins) / safe_span
     out[:, stats.constant_mask] = 0.0
+    finite = np.isfinite(out)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ScaleOverflow(f"row {row}: a value is too large to min-max scale", row)
     return LabeledSeries(out, series.labels, series.channel_names)
 
 

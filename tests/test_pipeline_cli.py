@@ -5,6 +5,7 @@ so with an installed copy first on the path the file tests that copy.
 """
 
 import dataclasses
+import errno
 import functools
 import gc
 import hashlib
@@ -251,10 +252,8 @@ def _drop_labels(config_path, out):
     """Rewrite both splits without their label column, the last, and return a
     second config with ``data.label_column: null``."""
     for split in ("train.csv", "test.csv"):
-        path = os.path.join(out, split)
-        lines = open(path, newline="").read().split("\r\n")[:-1]
-        open(path, "w", newline="").write(
-            "".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
+        _rewrite(os.path.join(out, split), lambda text: "".join(
+            line.rsplit(",", 1)[0] + "\r\n" for line in text.split("\r\n")[:-1]))
     return second_config(config_path, "data:\n", "data:\n  label_column: null\n")
 
 
@@ -292,10 +291,12 @@ def write_config(tmp_path, out_name="run"):
 
 def second_config(config_path, old, new):
     """A second config file: ``config_path``'s text with ``old`` replaced by ``new`` once."""
-    text = open(config_path).read()
+    with open(config_path) as fh:
+        text = fh.read()
     assert old in text
     path = "_second".join(os.path.splitext(config_path))
-    open(path, "w").write(text.replace(old, new, 1))
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new, 1))
     return path
 
 
@@ -654,6 +655,18 @@ class TestCliBehavior:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: {path}: {where}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, code", [("nope.yaml", errno.ENOENT),
+                                            ("dir.yaml", errno.EISDIR)],
+                             ids=["missing", "directory"])
+    def test_unopenable_config_exit_2(self, tmp_path, capsys, name, code):
+        """A ``--config`` path that cannot be opened exits 2 with one line naming it."""
+        path = tmp_path / name
+        if code == errno.EISDIR:
+            path.mkdir()
+        assert main(["eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: cannot read the config file: {os.strerror(code)}\n")
 
     @pytest.mark.parametrize(
         "text, knob",
@@ -1238,15 +1251,16 @@ class TestSweepFromScores:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "(run 'score' first)" in err
 
-    def test_unlabeled_test_split_exit_3(self, tmp_path, capsys):
+    def test_unlabeled_test_split_exit_2(self, tmp_path, capsys):
         config_path, out = write_config(tmp_path)
         assert main(["synth", "--config", config_path]) == 0
         config_path = _drop_labels(config_path, out)
         for command in ("train", "score"):
             assert main([command, "--config", config_path]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--config", config_path]) == 3
-        assert capsys.readouterr().err == "data error: cannot sweep: test split has no labels\n"
+        assert main(["sweep", "--config", config_path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: sweep reads the labels, and data.label_column is null\n")
 
     def test_theta_percentile_override(self, rundir, tmp_path):
         config_path, out = write_config(tmp_path)
@@ -1318,20 +1332,53 @@ class TestEvalFromScores:
                 with open(os.path.join(rundir[1], written), "rb") as fh:
                     assert open(os.path.join(out, written), "rb").read() == fh.read(), written
 
-    def test_unlabeled_rescore_exit_3(self, tmp_path, capsys):
+    def test_unlabeled_rescore_exit_2(self, tmp_path, capsys):
         """After a labeled chain, an unlabeled split scored into the same directory
-        removes the old labels.csv, and ``eval`` finds no labels to read."""
+        removes the old labels.csv and scores.npy, and ``eval`` refuses the config."""
         config_path, out = write_config(tmp_path)
         run_all(config_path)
         unlabeled = _drop_labels(config_path, out)
         for command in ("train", "score"):
             assert main([command, "--config", unlabeled]) == 0
         assert not os.path.exists(os.path.join(out, "labels.csv"))
+        assert not os.path.exists(os.path.join(out, "scores.npy"))
         capsys.readouterr()
-        assert main(["eval", "--config", unlabeled]) == 3
+        assert main(["eval", "--config", unlabeled]) == 2
         assert capsys.readouterr().err == (
-            f"data error: cannot evaluate: {out}/scores.npy has no label column "
-            f"(the test split 'score' read has no labels)\n")
+            "config error: eval reads the labels of scores.npy, and data.label_column is null\n")
+
+    @pytest.mark.parametrize("run", ["empty", "undecodable-manifest"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_null_label_column_exit_2_before_reading(self, rundir, tmp_path, capsys, command,
+                                                     run):
+        """With ``data.label_column: null``, ``eval`` on scores.npy and ``sweep`` exit 2 with
+        one line before they open a file of the run: an empty run directory and one whose
+        score manifest does not decode give the same line, and no file changes."""
+        config_path, out = write_config(tmp_path)
+        if run == "undecodable-manifest":
+            shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+            _rewrite(os.path.join(out, "manifest_score.json"), lambda text: text[:10])
+        before = {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)}
+        unlabeled = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+        assert main([command, "--config", unlabeled]) == 2
+        source = " of scores.npy" if command == "eval" else ""
+        assert capsys.readouterr().err == (
+            f"config error: {command} reads the labels{source}, and data.label_column is null\n")
+        assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_null_label_column_eval_reads_named_csvs(self, rundir, tmp_path):
+        """Under ``data.label_column: null``, ``eval`` still reads the two CSVs that
+        ``--scores`` and ``--labels`` name, and writes the labeled run's report and curve."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        for name in COMMAND_OUTPUTS["eval"]:
+            os.remove(os.path.join(out, name))
+        unlabeled = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
+        assert main(["eval", "--config", unlabeled, "--scores", os.path.join(out, "induced.csv"),
+                     "--labels", os.path.join(out, "labels.csv")]) == 0
+        for name in COMMAND_OUTPUTS["eval"]:
+            with open(os.path.join(rundir[1], name), "rb") as fh:
+                assert (tmp_path / "run" / name).read_bytes() == fh.read(), name
 
     @pytest.mark.parametrize(
         "command, producer, name",
@@ -1555,6 +1602,25 @@ def test_benchmark_names_resolve_after_cli_import():
     assert done.returncode == 0, done.stderr
 
 
+def test_benchmark_workload_configs_load():
+    """Every dataset of every benchmark workload at seed 0, full and ``--tiny``, loads as
+    a config whose synth spec builds, so a schema change that breaks the benchmark's
+    configs fails here."""
+    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
+            "from nominality.config import config_from_dict\n"
+            "from workloads import WORKLOADS\n"
+            "count = 0\n"
+            "for workload in WORKLOADS.values():\n"
+            "    for tiny in (False, True):\n"
+            "        for dataset in workload.datasets(0, tiny):\n"
+            "            config_from_dict(dataset.config).synth.spec()\n"
+            "            count += 1\n"
+            "print(count)\n")
+    done = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "perfbench")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "9\n", "")
+
+
 def test_code_defaults_run_every_command(tmp_path):
     """A config that names only the data paths runs the chain on the default dataset.
 
@@ -1710,6 +1776,39 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
          second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
     assert {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
+@pytest.mark.parametrize("command, split, edits, row", [
+    ("score", "test.csv", {40: (0, "1.5e308")}, 40),
+    ("train", "train.csv", {4: (2, "1.7e308"), 5: (2, "-1.7e308")}, 4),
+], ids=["test-cell", "train-span"])
+def test_scale_overflow_is_one_stderr_line(tmp_path, warnings, command, split, edits, row):
+    """A split value whose min-max scaled value overflows exits 3 with one line naming
+    the file and the data row, as warnings are shown or made errors: a test cell of
+    1.5e308 in c0, whose training span is below 1, and training cells of 1.7e308 and
+    -1.7e308 in c2, whose span overflows.  The command writes nothing."""
+    path, out = write_config(tmp_path)
+    assert main(["synth", "--config", path]) == 0
+    # c0 a tenth as large on both splits, so its training span is below 1
+    for name in ("train.csv", "test.csv"):
+        _rewrite(os.path.join(out, name),
+                 _edit_rows(lambda i, cells: [repr(float(cells[0]) / 10), *cells[1:]]))
+    assert main(["train", "--config", path]) == 0
+    damage = _edit_rows(lambda i, cells: [edits[i][1] if i in edits and j == edits[i][0]
+                                          else cell for j, cell in enumerate(cells)])
+    split_path = _rewrite(os.path.join(out, split), damage)
+    before = {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)}
+    env = _child_env()
+    env.pop("PYTHONWARNINGS", None)
+    if warnings is not None:
+        env["PYTHONWARNINGS"] = warnings
+    done = subprocess.run([sys.executable, "-m", "nominality.cli", command, "--config", path],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr.splitlines()) == (3, [
+        f"data error: {split_path}: row {row}: a value at or near this row is too large to "
+        f"scale (min-max scaling overflows)"])
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
 
 
 # The fuzzed chain: three channels, two segments and one epoch keep its 88 runs fast.

@@ -16,6 +16,7 @@ from nominality import (
     LabelError,
     MinMaxStats,
     ParseError,
+    ScaleOverflow,
     ScoreSeries,
     ShapeError,
     downsample,
@@ -406,6 +407,18 @@ class TestMinMax:
         stats = minmax_fit(LabeledSeries(np.ones((2, 2))))
         with pytest.raises(ShapeError):
             minmax_apply(LabeledSeries(np.ones((2, 3))), stats)
+
+    @pytest.mark.parametrize("train, test, row", [
+        ([[0.0, 0.0], [0.5, 1.0]], [[0.1, 0.0], [0.2, 0.0], [1.5e308, 1.6e308]], 2),
+        ([[1.7e308, 0.0], [-1.7e308, 1.0]], [[0.0, 0.0], [1.7e308, 0.0]], 1),
+    ], ids=["value", "span"])
+    def test_apply_overflow_names_first_row(self, train, test, row):
+        """A scaled value that overflows, from a huge value or a span beyond float range,
+        raises ScaleOverflow naming its row, without a numpy warning."""
+        stats = minmax_fit(LabeledSeries(np.array(train)))
+        with pytest.raises(ScaleOverflow, match=f"^row {row}: ") as exc:
+            minmax_apply(LabeledSeries(np.array(test)), stats)
+        assert exc.value.row == row
 
     def test_roundtrip_within_tolerance(self):
         rng = np.random.default_rng(11)
