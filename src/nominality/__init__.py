@@ -21,9 +21,9 @@ from .errors import (
     EmptyInput,
     LabelError,
     NominalityError,
+    NonFiniteValue,
     NumericError,
     ParseError,
-    ScaleOverflow,
     ShapeError,
     SingularSystem,
     TrainingDiverged,

@@ -73,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, DataError, NumericError, ShapeError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
@@ -154,22 +154,20 @@ def _time_origin(table: np.ndarray, path: str) -> int:
     return int(origin)
 
 
-def _score_series(column: np.ndarray, kind: str, origin: int, path: str,
-                  name: str = "score") -> ScoreSeries:
-    """``column`` of the file at ``path`` as a series; its scores must be finite."""
-    bad = np.flatnonzero(~np.isfinite(column))
+def _score_series(column: np.ndarray, origin: int, path: str, name: str = "score",
+                  nonnegative: bool = False) -> ScoreSeries:
+    """``column`` of the file at ``path`` as a series of finite scores, >= 0 if ``nonnegative``."""
+    bad = np.flatnonzero(~np.isfinite(column) | ((column < 0) & nonnegative))
     if bad.size:
         row = int(bad[0])
-        raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not finite")
-    try:
-        return ScoreSeries(column, kind, origin)
-    except ShapeError as exc:  # a negative nominality score
-        raise DataError(f"{path}: {exc}") from None
+        rule = "finite and >= 0" if nonnegative else "finite"
+        raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not {rule}")
+    return ScoreSeries(column, origin)
 
 
-def read_score_csv(path: str, kind: str = "anomaly") -> ScoreSeries:
+def read_score_csv(path: str) -> ScoreSeries:
     table = read_table(path, 2)
-    return _score_series(table[:, 1], kind, _time_origin(table, path), path)
+    return _score_series(table[:, 1], _time_origin(table, path), path)
 
 
 def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
@@ -220,8 +218,8 @@ def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray]:
         raise DataError(f"{path}: expected a float64 matrix with at least one row and the "
                         f"columns {', '.join(SCORE_COLUMNS)}, got {got}")
     origin = _time_origin(matrix, path)
-    series = tuple(_score_series(matrix[:, col], kind, origin, path, f"{SCORE_COLUMNS[col]} score")
-                   for col, kind in enumerate(("anomaly", "anomaly", "nominality", "induced"), 1))
+    series = tuple(_score_series(matrix[:, col], origin, path, f"{SCORE_COLUMNS[col]} score",
+                                 SCORE_COLUMNS[col] == "nominality") for col in range(1, 5))
     bad = np.flatnonzero((matrix[:, 5] != 0.0) & (matrix[:, 5] != 1.0))
     if bad.size:
         row = int(bad[0])
@@ -361,7 +359,7 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         for path in (scores_path, labels_path):
             if not os.path.exists(path):
                 raise DataError(f"missing input: {path}")
-        scores = read_score_csv(scores_path, "induced")
+        scores = read_score_csv(scores_path)
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):
             raise DataError(f"labels ({labels_path}) are not aligned with scores ({scores_path})")

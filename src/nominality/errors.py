@@ -47,8 +47,8 @@ class ShapeError(DataError):
     """Array dimensions do not match what an operation requires."""
 
 
-class ScaleOverflow(DataError):
-    """A value too large to min-max scale: its scaled value is not finite.
+class NonFiniteValue(ShapeError):
+    """A series value is not finite, such as a downsampled or scaled value that overflowed.
 
     Attributes:
         row: zero-based index of the first row that holds such a value.

@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError, ScaleOverflow, ShapeError
+from .errors import DataError, NonFiniteValue, ShapeError
 from .evaluation import auc_and_best_f1
 from .reconstructors import (
     MODEL_FILE,
-    ReconstructionPair,
     TrainedModels,
     make_pair,
     reconstruct_points,
@@ -54,6 +53,11 @@ from .series import (
 )
 
 
+#: A training channel whose full span exceeds this multiple of its central span,
+#: from the 0.5th to the 99.5th percentile, is refused: min-max scaling would flatten it.
+SPAN_RATIO = 1e6
+
+
 @dataclass
 class ScoreBundle:
     """All per-time-point scores for one split, aligned on the valid range.
@@ -76,13 +80,11 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
 
     Downsamples the split, fits the min-max statistics and applies them,
     trains both reconstructors and records the training nominality scores.
-    Overflow raises, not warns: a value too large to scale raises
+    Overflow raises, not warns: a value too large to preprocess raises
     :class:`DataError` as in :func:`score_split`.  A split too short or too
     narrow for the models raises :class:`ShapeError` naming ``data.train``.
     """
-    train = downsample(train_raw, cfg.preprocess.downsample)
-    stats = minmax_fit(train)
-    train = _scaled(cfg, train, stats, cfg.data.train or "training split")
+    train, stats = _scaled(cfg, train_raw, None, cfg.data.train or "training split")
     try:
         point = train_point_model(train, cfg.point_model)
         seq = train_sequence_model(train, **vars(cfg.sequence_model))
@@ -103,10 +105,10 @@ def score_split(
 
     Raises:
         DataError: the split's channels are not the training split's, by name
-            and in order; or a test value is so large that its min-max scaled
-            value or a score overflows, and the message names the data row of
-            the first time point whose scaled values or scores are not finite
-            (the first row of its block when downsampling).
+            and in order; or a test value is so large that its downsampled or
+            min-max scaled value, or a score, overflows, and the message names
+            the data row of the first time point whose values or scores are not
+            finite (the first row of its block when downsampling).
         ShapeError: the split is shorter than one sequence window, or, for
             models without channel names, has another channel count; the
             message names ``data.test``.
@@ -115,26 +117,22 @@ def score_split(
     if models.channel_names is not None and test_raw.channel_names != models.channel_names:
         raise DataError(f"{name}: channels {list(test_raw.channel_names)} are not the "
                         f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
-    try:
-        test = _scaled(cfg, downsample(test_raw, cfg.preprocess.downsample), models.stats, name)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            test, _ = _scaled(cfg, test_raw, models.stats, name)
             point_rec = reconstruct_points(models.point, test)
             seq_rec = reconstruct_sequence(models.sequence, test)
-    except ShapeError as exc:
-        raise ShapeError(f"{name}: {exc}") from None
-    # A huge but finite value can overflow a squared distance; the scores
-    # are checked for that here rather than warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
+        except ShapeError as exc:
+            raise ShapeError(f"{name}: {exc}") from None
+        # A huge but finite value can overflow a squared distance; the scores
+        # are checked for that here rather than warned about.
         pair = make_pair(test.values, point_rec, seq_rec, models.sequence.gamma)
         a_point = anomaly_score(pair)
         a_seq = sequence_anomaly_score(pair)
-        try:
-            nominality = nominality_score(pair)
-        except ShapeError:  # a non-finite ratio, located below
-            nominality = None
-        if nominality is None or not (np.isfinite(a_point.scores).all()
-                                      and np.isfinite(a_seq.scores).all()):
-            raise _overflow_error(cfg, pair, a_point, a_seq)
+        nominality = nominality_score(pair)
+    finite = np.isfinite([a_point.scores, a_seq.scores, nominality.scores])
+    if not finite.all():
+        raise _overflow_error(cfg, pair.valid_range[0], finite)
     gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
     induced = induced_anomaly_score(a_point, nominality, gate_cfg)
     lo, hi = pair.valid_range
@@ -142,31 +140,61 @@ def score_split(
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
 
 
-def _scaled(cfg: PipelineConfig, series: LabeledSeries, stats: MinMaxStats,
-            name: str) -> LabeledSeries:
-    """``series``, already downsampled, scaled by ``stats``; a value too large to scale raises
-    :class:`DataError` naming ``name`` and the first data row of its block."""
+def _scaled(cfg: PipelineConfig, raw: LabeledSeries, stats: MinMaxStats | None,
+            name: str) -> tuple[LabeledSeries, MinMaxStats]:
+    """``raw`` downsampled and min-max scaled by ``stats``, or if None by statistics fitted on
+    it, and those statistics; a value that overflows in either step raises :class:`DataError`
+    naming ``name`` and the first data row of its block, and so does, when fitting, a channel
+    that one cell would flatten (see :func:`_check_spans`)."""
+    factor = cfg.preprocess.downsample
+    fit = stats is None
     try:
-        return minmax_apply(series, stats)
-    except ScaleOverflow as exc:
-        raise DataError(f"{name}: row {exc.row * cfg.preprocess.downsample}: a value at or near "
-                        f"this row is too large to scale (min-max scaling overflows)") from None
+        series = downsample(raw, factor)
+        stats = minmax_fit(series) if fit else stats
+        scaled = minmax_apply(series, stats)
+    except NonFiniteValue as exc:
+        raise DataError(f"{name}: row {exc.row * factor}: a value at or near this row is too "
+                        f"large to preprocess (downsampling or scaling overflows)") from None
+    if fit:
+        _check_spans(series, stats, name, factor)
+    return scaled, stats
 
 
-def _overflow_error(cfg: PipelineConfig, pair: ReconstructionPair, a_point: ScoreSeries,
-                    a_seq: ScoreSeries) -> DataError:
+def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: int) -> None:
+    """Refuse a channel of ``series``, unscaled, whose full span exceeds :data:`SPAN_RATIO`
+    times its central span.
+
+    The central span runs from the 0.5th to the 99.5th percentile, each the value
+    at the nearest rank, so that from about 100 rows on a single cell lies outside
+    it.  A central span of 0 (a channel that holds one value in at least 99.5 % of
+    its rows) passes.  The :class:`DataError` names ``name``, the first such channel
+    and the data row (the first of its block) of the cell farthest outside the
+    central span.  The spans are taken before scaling, where a cell of -1e150 still
+    leaves the other values apart; scaled, they would all round to 1.
+    """
+    lo, hi = np.quantile(series.values, [0.005, 0.995], axis=0, method="nearest")
+    central, full = hi - lo, stats.maxs - stats.mins
+    bad = np.flatnonzero((central > 0) & (full / SPAN_RATIO > central))
+    if bad.size:
+        col = int(bad[0])
+        values = series.values[:, col]
+        row = int(np.argmax(np.maximum(lo[col] - values, values - hi[col]))) * factor
+        channel = repr(series.channel_names[col]) if series.channel_names else str(col)
+        raise DataError(f"{name}: row {row}: channel {channel} spans {full[col] / central[col]:.3g}"
+                        f" times its central 99 % (more than {SPAN_RATIO:g}), so min-max scaling"
+                        f" would flatten it")
+
+
+def _overflow_error(cfg: PipelineConfig, origin: int, finite: np.ndarray) -> DataError:
     """The error naming the data row of the first time point whose scores are not finite.
 
-    A point score depends on its own row only, so where one overflowed, the
-    first such row is named: it holds the huge value.
+    ``finite`` marks the finite point anomaly, sequence anomaly and nominality
+    scores, whose first time point is ``origin``.  A point score depends on its
+    own row only, so where one overflowed, the first such row is named: it
+    holds the huge value.
     """
-    finite = np.isfinite(a_point.scores)
-    if finite.all():
-        # The nominality is finite exactly where its numerator is, since its
-        # denominator is at least epsilon.
-        finite = np.isfinite(a_seq.scores)
-        finite &= np.isfinite(np.square(pair.xc_hat - pair.xstar_hat).sum(axis=1))
-    row = (pair.valid_range[0] + int(np.flatnonzero(~finite)[0])) * cfg.preprocess.downsample
+    finite = finite[0] if not finite[0].all() else finite.all(axis=0)
+    row = (origin + int(np.flatnonzero(~finite)[0])) * cfg.preprocess.downsample
     return DataError(f"{cfg.data.test or 'test split'}: row {row}: a value at or near this "
                      f"row is too large to score (the scores overflow)")
 

@@ -37,13 +37,13 @@ NOMINALITY_EPSILON = 1e-12
 def anomaly_score(pair: ReconstructionPair) -> ScoreSeries:
     """Squared L2 distance between the point reconstruction and the observation."""
     scores = ((pair.xc_hat - pair.observed) ** 2).sum(axis=1)
-    return ScoreSeries(scores, kind="anomaly", time_origin=pair.valid_range[0])
+    return ScoreSeries(scores, pair.valid_range[0])
 
 
 def sequence_anomaly_score(pair: ReconstructionPair) -> ScoreSeries:
     """Squared L2 distance between the sequence reconstruction and the observation."""
     scores = ((pair.xstar_hat - pair.observed) ** 2).sum(axis=1)
-    return ScoreSeries(scores, kind="anomaly", time_origin=pair.valid_range[0])
+    return ScoreSeries(scores, pair.valid_range[0])
 
 
 def nominality_score(
@@ -58,7 +58,7 @@ def nominality_score(
     """
     num = ((pair.xc_hat - pair.xstar_hat) ** 2).sum(axis=1)
     den = ((pair.observed - pair.xstar_hat) ** 2).sum(axis=1) + epsilon
-    return ScoreSeries(num / den, kind="nominality", time_origin=pair.valid_range[0])
+    return ScoreSeries(num / den, pair.valid_range[0])
 
 
 def gate(kind: str, theta_n: float, n):
@@ -198,7 +198,7 @@ def induced_anomaly_score(
 ) -> ScoreSeries:
     """Sum gated anomaly-score contributions over a +-d window around each point."""
     a_vals, g, origin = _gated(a, n, cfg)
-    return ScoreSeries(induction_sums(a_vals, g, (cfg.d,))[0], "induced", origin)
+    return ScoreSeries(induction_sums(a_vals, g, (cfg.d,))[0], origin)
 
 
 def induced_anomaly_score_naive(
@@ -226,7 +226,7 @@ def induced_anomaly_score_naive(
                     term *= g[k]
             total += term
         out[t] = total
-    return ScoreSeries(out, "induced", origin)
+    return ScoreSeries(out, origin)
 
 
 def smoothed_score(a: ScoreSeries | np.ndarray, d: int) -> ScoreSeries:
@@ -239,4 +239,4 @@ def smoothed_score(a: ScoreSeries | np.ndarray, d: int) -> ScoreSeries:
     _check("gate", GateConfig, {"d": d})
     a_vals = _scores_of(a)
     origin = a.time_origin if isinstance(a, ScoreSeries) else 0
-    return ScoreSeries(induction_sums(a_vals, np.ones_like(a_vals), (d,))[0], "induced", origin)
+    return ScoreSeries(induction_sums(a_vals, np.ones_like(a_vals), (d,))[0], origin)

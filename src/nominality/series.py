@@ -6,9 +6,8 @@ and hold read-only views of their arrays; every operation here returns a new
 object.  A container built from a contiguous array of its dtype shares that
 array's memory and leaves the array's flags alone, so it is only as immutable
 as that array: an edit of the array shows in the container, and the checks
-made at construction (finite values, 0/1 labels, nominality >= 0, mins <=
-maxs) no longer hold after such an edit.  Build from a copy to share an
-instance safely.
+made at construction (finite values, 0/1 labels, mins <= maxs) no longer hold
+after such an edit.  Build from a copy to share an instance safely.
 
 A score series' ``time_origin`` is the index of its first score inside the
 un-trimmed source series, so scores and labels can be re-aligned after
@@ -21,15 +20,14 @@ import contextlib
 import csv
 import itertools
 import json
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PreprocessConfig
-from .errors import DataError, EmptyInput, LabelError, ParseError, ScaleOverflow, ShapeError
-
-SCORE_KINDS = ("anomaly", "nominality", "induced")
+from .errors import DataError, EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -44,7 +42,8 @@ class LabeledSeries:
     """Observed multivariate series with optional ground-truth labels.
 
     Attributes:
-        values: (T, D) float64 matrix, one row per time point.
+        values: (T, D) float64 matrix, one row per time point; a value that is
+            not finite raises :class:`NonFiniteValue` naming its row.
         labels: optional (T,) vector of 0/1 ints.
         channel_names: optional list of D channel names.
     """
@@ -59,8 +58,10 @@ class LabeledSeries:
             raise ShapeError(f"values must be 2-D (T, D), got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise EmptyInput(f"series needs T >= 1 and D >= 1, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ShapeError("series values must be finite after ingestion")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFiniteValue("series values must be finite after ingestion",
+                                 int(np.flatnonzero(~finite.all(axis=1))[0]))
         object.__setattr__(self, "values", _freeze(values))
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
@@ -92,24 +93,19 @@ class LabeledSeries:
 class ScoreSeries:
     """Per-time-point real-valued scores sharing the series time index.
 
-    ``kind`` is one of "anomaly", "nominality" or "induced"; nominality
-    scores are validated to be non-negative and finite.
+    ``time_origin`` must be an integer.  The scores are checked where they are
+    computed (:func:`~.pipeline.score_split`) or read, not here.
     """
 
     scores: np.ndarray
-    kind: str = "anomaly"
     time_origin: int = 0
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 1:
             raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
-        if self.kind not in SCORE_KINDS:
-            raise ShapeError(f"kind must be one of {SCORE_KINDS}, got {self.kind!r}")
-        if self.kind == "nominality":
-            if not np.isfinite(scores).all() or (scores < 0).any():
-                raise ShapeError("nominality scores must be finite and >= 0")
         object.__setattr__(self, "scores", _freeze(scores))
+        object.__setattr__(self, "time_origin", operator.index(self.time_origin))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
@@ -406,7 +402,7 @@ def minmax_apply(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
 
     Constant channels map to 0.  Values outside the fitted range are NOT
     clipped, so out-of-range test points stay visible to the models.  A value
-    whose scaled value overflows raises :class:`ScaleOverflow` naming the
+    whose scaled value overflows raises :class:`NonFiniteValue` naming the
     first such row, without a numpy warning.
     """
     if stats.n_channels != series.n_channels:
@@ -414,14 +410,9 @@ def minmax_apply(series: LabeledSeries, stats: MinMaxStats) -> LabeledSeries:
             f"stats cover {stats.n_channels} channels, series has {series.n_channels}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        span = stats.maxs - stats.mins
-        safe_span = np.where(span == 0.0, 1.0, span)
-        out = (series.values - stats.mins) / safe_span
+        out = (series.values - stats.mins) / np.where(stats.constant_mask, 1.0,
+                                                      stats.maxs - stats.mins)
     out[:, stats.constant_mask] = 0.0
-    finite = np.isfinite(out)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ScaleOverflow(f"row {row}: a value is too large to min-max scale", row)
     return LabeledSeries(out, series.labels, series.channel_names)
 
 
@@ -431,15 +422,16 @@ def downsample(series: LabeledSeries, factor: int) -> LabeledSeries:
     Values take the block mean; a block's label is 1 if any row in the
     block is anomalous, so short anomalies survive downsampling.  A
     trailing partial block is kept and aggregated.  ``factor`` follows the
-    ``preprocess.downsample`` rule.
+    ``preprocess.downsample`` rule.  A block whose sum overflows raises
+    :class:`NonFiniteValue` naming the block, without a numpy warning.
     """
     PreprocessConfig(downsample=factor)
     if factor == 1:
         return series
     starts = np.arange(0, series.n_times, factor)
     counts = np.diff(np.append(starts, series.n_times)).astype(np.float64)
-    sums = np.add.reduceat(series.values, starts, axis=0)
-    values = sums / counts[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.add.reduceat(series.values, starts, axis=0) / counts[:, None]
     labels = None
     if series.labels is not None:
         labels = np.maximum.reduceat(series.labels, starts)

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ class TestYamlLoaders:
     @pytest.mark.parametrize("which", ["readme", "synth-options"])
     def test_same_config(self, loader, tmp_path, which):
         if which == "readme":
-            text = open(README).read().split("with a `run.yaml` like:\n\n```yaml\n", 1)[1]
+            text = Path(README).read_text().split("with a `run.yaml` like:\n\n```yaml\n", 1)[1]
             text = text.split("```", 1)[0]
         else:
             text = SYNTH_OPTIONS

@@ -1,6 +1,7 @@
 """Threshold-sweep metrics against brute-force oracles."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,8 +308,8 @@ class TestEvaluate:
         """Every sweep table row's AUC and best F1 equal evaluate's, bit for bit."""
         scores, labels = random_instance(seed)
         bundle = ScoreBundle(ScoreSeries(scores), ScoreSeries(scores[::-1].copy()),
-                             ScoreSeries(np.abs(scores), "nominality"),
-                             ScoreSeries(scores, "induced"), labels, 1.0)
+                             ScoreSeries(np.abs(scores)),
+                             ScoreSeries(scores), labels, 1.0)
         d_values = [1, 2, 8]
         rows = sweep_table(config_from_dict({"sweep": {"d_values": d_values}}), bundle)["rows"]
         for name, series in (("point", bundle.anomaly), ("sequence", bundle.seq_anomaly)):
@@ -330,7 +331,7 @@ class TestEvaluate:
         report = evaluate(scores, labels)
         path = str(tmp_path / "eval_report.json")
         write_json(report.summary(), path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         assert set(doc) == {"best_f1", "best_threshold", "precision", "recall", "auc",
                             "positives", "negatives", "pa_best_f1"}
         for key, value in doc.items():

@@ -19,6 +19,7 @@ import shutil
 import subprocess
 import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from nominality.config import (
     PipelineConfig,
     config_from_dict,
     load_config,
+    trig_preset,
 )
 from nominality.errors import DataError
 from nominality.evaluation import _f1_from_counts, best_f1, confusion, evaluate
@@ -289,6 +291,11 @@ def write_config(tmp_path, out_name="run"):
     return str(path), str(out)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def second_config(config_path, old, new):
     """A second config file: ``config_path``'s text with ``old`` replaced by ``new`` once."""
     with open(config_path) as fh:
@@ -345,7 +352,7 @@ class TestEndToEnd:
             "model.json": {"format", "channel_names", "point", "sequence", "minmax",
                            "train_nominality"},
         }
-        docs = {name: json.load(open(os.path.join(out, name))) for name in expected}
+        docs = {name: read_json(os.path.join(out, name)) for name in expected}
         for name, keys in expected.items():
             assert set(docs[name]) == keys, name
         model = docs["model.json"]
@@ -362,10 +369,10 @@ class TestEndToEnd:
 
     def test_manifests_reproducible_fields(self, rundir):
         _, out = rundir
-        score_manifest = json.load(open(os.path.join(out, "manifest_score.json")))
+        score_manifest = read_json(os.path.join(out, "manifest_score.json"))
         assert "resolved_theta" in score_manifest
         assert score_manifest["resolved_theta"] > 0
-        train_manifest = json.load(open(os.path.join(out, "manifest_train.json")))
+        train_manifest = read_json(os.path.join(out, "manifest_train.json"))
         assert "final_losses" in train_manifest
         train_digests = train_manifest["digests"]
         assert set(train_digests) == {"data.train", "model.json"}
@@ -376,30 +383,30 @@ class TestEndToEnd:
 
     def test_train_manifest_loss_curve(self, rundir):
         _, out = rundir
-        losses = json.load(open(os.path.join(out, "manifest_train.json")))["final_losses"]
+        losses = read_json(os.path.join(out, "manifest_train.json"))["final_losses"]
         curve = losses["point_epoch_losses"]
         assert len(curve) == 3  # SMALL_CONFIG's epochs
         assert all(math.isfinite(loss) and loss > 0 for loss in curve)
 
     def test_score_alignment(self, rundir):
         _, out = rundir
-        induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
+        induced = read_score_csv(os.path.join(out, "induced.csv"))
         # gamma=5, test T=300: valid range is [5, 295)
         assert induced.time_origin == 5
         assert len(induced) == 290
 
     def test_eval_report_contents(self, rundir):
         _, out = rundir
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = read_json(os.path.join(out, "eval_report.json"))
         assert set(report) == {"best_f1", "best_threshold", "precision", "recall", "auc",
                                "positives", "negatives", "pa_best_f1"}
         assert 0.0 <= report["best_f1"] <= 1.0
         assert report["pa_best_f1"] >= report["best_f1"]
-        induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
+        induced = read_score_csv(os.path.join(out, "induced.csv"))
         labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
         assert (report["positives"], report["negatives"]) == (labels.sum(), (labels == 0).sum())
         curve = evaluate(induced, labels).curve
-        lines = open(os.path.join(out, "curve.csv"), newline="").read().split("\r\n")
+        lines = Path(out, "curve.csv").read_bytes().decode().split("\r\n")
         assert lines[0] == "threshold,tp,fp" and lines[-1] == ""
         counts = [f"{int(tp)},{int(fp)}" for tp, fp in curve[:, 1:]]  # integers, not 1.0
         assert lines[1:-1] == [f"{t!r},{c}" for t, c in zip(curve[:, 0].tolist(), counts)]
@@ -409,7 +416,7 @@ class TestEndToEnd:
         threshold, bit for bit the ones that confusion counts give (the columns curve.csv
         held before it held counts)."""
         _, out = rundir
-        report = json.load(open(os.path.join(out, "eval_report.json")))
+        report = read_json(os.path.join(out, "eval_report.json"))
         thresholds, tp, fp = np.loadtxt(os.path.join(out, "curve.csv"), delimiter=",",
                                         skiprows=1).T
         assert (tp[0], fp[0]) == (report["positives"], report["negatives"])
@@ -417,7 +424,7 @@ class TestEndToEnd:
             precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
             recall = tp / report["positives"]
             f1 = np.where(tp > 0, 2 * precision * recall / (precision + recall), 0.0)
-        scores = read_score_csv(os.path.join(out, "induced.csv"), "induced").scores
+        scores = read_score_csv(os.path.join(out, "induced.csv")).scores
         labels = read_labels_csv(os.path.join(out, "labels.csv"))[0]
         counts = np.array([confusion(scores >= t, labels)[:3] for t in thresholds])
         for rebuilt, expected in zip((precision, recall, f1), _f1_from_counts(*counts.T)):
@@ -433,15 +440,15 @@ class TestEndToEnd:
         test = load_csv(os.path.join(out, "test.csv"), label_column="label")
         bundle = score_split(cfg, fit_models(cfg, train), test)
         report = evaluate(bundle.induced, bundle.labels)
-        assert json.load(open(os.path.join(out, "eval_report.json"))) == report.summary()
-        induced = read_score_csv(os.path.join(out, "induced.csv"), "induced")
+        assert read_json(os.path.join(out, "eval_report.json")) == report.summary()
+        induced = read_score_csv(os.path.join(out, "induced.csv"))
         np.testing.assert_array_equal(induced.scores, bundle.induced.scores)
 
     @pytest.mark.parametrize("name", ["test.csv", "induced.csv"])
     def test_csv_cells_written_by_repr(self, rundir, name):
         """synth's and score's CSVs are what an independent writer makes of their
         parsed cells: ``repr`` of each integer and float, CRLF after every row."""
-        text = open(os.path.join(rundir[1], name), newline="").read()
+        text = Path(rundir[1], name).read_bytes().decode()
         header, *rows = text.split("\r\n")[:-1]
         cells = [[int(c) if c.lstrip("-").isdigit() else float(c) for c in row.split(",")]
                  for row in rows]
@@ -461,7 +468,7 @@ class TestEndToEnd:
 
     def test_sweep_structure(self, rundir):
         _, out = rundir
-        table = json.load(open(os.path.join(out, "sweep.json")))
+        table = read_json(os.path.join(out, "sweep.json"))
         assert table["d_values"] == [1, 2, 4]
         rows = table["rows"]
         assert set(rows) == {
@@ -474,7 +481,7 @@ class TestEndToEnd:
 
     def test_sweep_open_hard_gate_equals_smoother(self, rundir):
         _, out = rundir
-        table = json.load(open(os.path.join(out, "sweep.json")))
+        table = read_json(os.path.join(out, "sweep.json"))
         anomaly = read_score_csv(os.path.join(out, "anomaly.csv"))
         labels = np.loadtxt(
             os.path.join(out, "labels.csv"), delimiter=",", skiprows=1, dtype=np.int64
@@ -492,7 +499,7 @@ class TestOneConfig:
         config_path, out = rundir
         cfg = load_config(config_path)
         for command in COMMANDS:
-            doc = json.load(open(os.path.join(out, f"manifest_{command}.json")))
+            doc = read_json(os.path.join(out, f"manifest_{command}.json"))
             assert config_from_dict(doc["config"]) == cfg, command
 
     def test_score_manifest_config_replays_score(self, tmp_path):
@@ -501,13 +508,13 @@ class TestOneConfig:
         for command in ("synth", "train", "score"):
             assert main([command, "--config", config_path]) == 0
         induced = os.path.join(out, "induced.csv")
-        first = open(induced, "rb").read()
+        first = Path(induced).read_bytes()
         os.remove(induced)
         replay = tmp_path / "replay.yaml"
         replay.write_text(yaml.safe_dump(
-            json.load(open(os.path.join(out, "manifest_score.json")))["config"]))
+            read_json(os.path.join(out, "manifest_score.json"))["config"]))
         assert main(["score", "--config", str(replay)]) == 0
-        assert open(induced, "rb").read() == first
+        assert Path(induced).read_bytes() == first
 
     def test_earlier_run_directory_gives_the_same_bytes(self, tmp_path):
         """A run directory as earlier versions wrote it reads as it did: a model.json
@@ -529,13 +536,13 @@ class TestOneConfig:
 
         config_path, out = write_config(tmp_path)
         run_all(config_path)
-        outputs = {name: open(os.path.join(out, name), "rb").read()
+        outputs = {name: Path(out, name).read_bytes()
                    for name in ("induced.csv", "eval_report.json", "sweep.json")}
         _rewrite(os.path.join(out, "model.json"), _edit_json(earlier_model))
         _record_digest(out, "model.json")
         _rewrite(os.path.join(out, "manifest_train.json"),
                  _edit_json(lambda doc: retired(doc["config"])))
-        config = json.load(open(os.path.join(out, "manifest_score.json")))["config"]
+        config = read_json(os.path.join(out, "manifest_score.json"))["config"]
         retired(config)
         replay = tmp_path / "replay.yaml"
         replay.write_text(yaml.safe_dump(config))
@@ -547,7 +554,7 @@ class TestOneConfig:
         for command in ("eval", "sweep"):
             assert main([command, "--config", str(replay)]) == 0
         for name, data in outputs.items():
-            assert open(os.path.join(out, name), "rb").read() == data, name
+            assert Path(out, name).read_bytes() == data, name
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("flag, value", [("--d", "1"), ("--gate", "hard"),
@@ -585,14 +592,14 @@ class TestDeterminism:
         run_all(config_b)
         names = ("train.csv", "model.json", "anomaly.csv", "nominality.csv", "induced.csv",
                  "scores.npy", "eval_report.json", "curve.csv", "sweep.json")
-        first = {name: open(os.path.join(out_a, name), "rb").read()
+        first = {name: Path(out_a, name).read_bytes()
                  for name in (*names, "manifest_score.json")}
         for command in ("train", "score", "sweep", "eval"):
             assert main([command, "--config", config_a]) == 0
         for name, data in first.items():
-            assert open(os.path.join(out_a, name), "rb").read() == data, name
+            assert Path(out_a, name).read_bytes() == data, name
             if name in names:
-                assert open(os.path.join(out_b, name), "rb").read() == data, name
+                assert Path(out_b, name).read_bytes() == data, name
 
 
 class TestCliBehavior:
@@ -602,8 +609,8 @@ class TestCliBehavior:
         assert main(["train", "--config", config_path]) == 0
         d_zero = second_config(config_path, "  d: 8\n", "  d: 0\n")
         assert main(["score", "--config", d_zero]) == 0
-        anomaly = open(os.path.join(out, "anomaly.csv")).read()
-        induced = open(os.path.join(out, "induced.csv")).read()
+        anomaly = Path(out, "anomaly.csv").read_text()
+        induced = Path(out, "induced.csv").read_text()
         assert anomaly == induced
 
     def test_missing_train_file_exit_3(self, tmp_path, capsys):
@@ -817,9 +824,9 @@ class TestCliBehavior:
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         path = os.path.join(out, "model.json")
-        doc = json.load(open(path))
+        doc = read_json(path)
         doc["point"], doc["sequence"] = doc["sequence"], doc["point"]
-        json.dump(doc, open(path, "w"))
+        Path(path).write_text(json.dumps(doc))
         _record_digest(out, "model.json")
         assert main(["score", "--config", config_path]) == 3
         err = capsys.readouterr().err
@@ -842,9 +849,9 @@ class TestCliBehavior:
         assert main([command, "--config", config_path]) == 0
         for name in COMMAND_OUTPUTS[command]:
             with open(os.path.join(rundir[1], name), "rb") as fh:
-                assert open(os.path.join(out, name), "rb").read() == fh.read(), name
+                assert Path(out, name).read_bytes() == fh.read(), name
         if command == "score":
-            digests = json.load(open(os.path.join(out, "manifest_score.json")))["digests"]
+            digests = read_json(os.path.join(out, "manifest_score.json"))["digests"]
             assert key not in digests
 
     @pytest.mark.parametrize("edit", ["unrecorded", "changed"])
@@ -897,12 +904,12 @@ class TestCliBehavior:
     def test_degenerate_labels_exit_3(self, tmp_path):
         config_path, out = write_config(tmp_path)
         # strip every anomaly segment: labels become all zero
-        text = open(config_path).read()
+        text = Path(config_path).read_text()
         text = text.replace("    segments:\n"
                             "      - [100, 130, frequency-shift]\n"
                             "      - [200, 201, point-noise]\n"
                             "      - [240, 241, point-noise]\n", "")
-        open(config_path, "w").write(text)
+        Path(config_path).write_text(text)
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
         assert main(["score", "--config", config_path]) == 0
@@ -910,8 +917,8 @@ class TestCliBehavior:
 
     def test_epochs_zero_saves_seeded_init(self, tmp_path):
         config_path, out = write_config(tmp_path)
-        text = open(config_path).read().replace("epochs: 3", "epochs: 0")
-        open(config_path, "w").write(text)
+        text = Path(config_path).read_text().replace("epochs: 3", "epochs: 0")
+        Path(config_path).write_text(text)
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
         model = load_model(os.path.join(out, "model.json")).point
@@ -941,7 +948,7 @@ class TestCliBehavior:
         )
         assert main(["train", "--config", str(config)]) == 0
         assert main(["score", "--config", str(config)]) == 0
-        induced = read_score_csv(str(out / "induced.csv"), "induced")
+        induced = read_score_csv(str(out / "induced.csv"))
         assert len(induced) == 6 and induced.time_origin == 2
 
     @pytest.mark.parametrize(
@@ -1000,20 +1007,21 @@ class TestCliBehavior:
         splits are the bytes it writes anywhere else."""
         config_path, out = write_config(tmp_path)
         data = tmp_path / "data"
-        text = open(config_path).read().replace(f"{out}/t", f"{data}/t")  # train.csv, test.csv
-        open(config_path, "w").write(text)
+        # train.csv, test.csv
+        text = Path(config_path).read_text().replace(f"{out}/t", f"{data}/t")
+        Path(config_path).write_text(text)
         assert main(["synth", "--config", config_path]) == 0
         assert sorted(os.listdir(data)) == ["test.csv", "train.csv"]
         for name in ("train.csv", "test.csv"):
-            assert (data / name).read_bytes() == open(os.path.join(rundir[1], name), "rb").read()
+            assert (data / name).read_bytes() == Path(rundir[1], name).read_bytes()
         assert sorted(os.listdir(out)) == ["manifest_synth.json"]
         assert main(["train", "--config", config_path]) == 0
 
     @pytest.mark.parametrize("which", ["train", "test"])
     def test_synth_without_data_path_exit_2(self, tmp_path, capsys, which):
         config_path, out = write_config(tmp_path)
-        text = open(config_path).read().replace(f"  {which}: {out}/{which}.csv\n", "")
-        open(config_path, "w").write(text)
+        text = Path(config_path).read_text().replace(f"  {which}: {out}/{which}.csv\n", "")
+        Path(config_path).write_text(text)
         assert main(["synth", "--config", config_path]) == 2
         assert capsys.readouterr().err == f"config error: config is missing data.{which}\n"
         assert os.listdir(out) == []
@@ -1034,9 +1042,9 @@ class TestCliBehavior:
         config_path, out = write_config(tmp_path)
         config_path = second_config(config_path, "data:\n", "data:\n  label_column: y\n")
         assert main(["synth", "--config", config_path]) == 0
-        names = open(os.path.join(out, "train.csv")).readline().rstrip().split(",")
+        names = Path(out, "train.csv").read_text().splitlines()[0].rstrip().split(",")
         assert names[-1] == "y"
-        assert open(os.path.join(out, "test.csv")).readline().rstrip().split(",") == names
+        assert Path(out, "test.csv").read_text().splitlines()[0].rstrip().split(",") == names
         assert main(["train", "--config", config_path]) == 0
         assert load_model(os.path.join(out, "model.json")).channel_names == tuple(names[:-1])
 
@@ -1054,8 +1062,8 @@ class TestCliBehavior:
         """A header that names the label column twice is refused, not read at its first."""
         config_path, out = write_config(tmp_path)
         path = os.path.join(out, "train.csv")
-        text = open(os.path.join(rundir[1], "train.csv"), newline="").read()
-        open(path, "w", newline="").write(text.replace("c0,", "label,", 1))
+        text = Path(rundir[1], "train.csv").read_bytes().decode()
+        Path(path).write_text(text.replace("c0,", "label,", 1), newline="")
         assert main(["train", "--config", config_path]) == 3
         assert capsys.readouterr().err == (
             f"data error: {path}: header names label column 'label' more than once\n")
@@ -1073,12 +1081,12 @@ class TestCliBehavior:
         path = os.path.join(out, name)
         config_path = second_config(config_path, f"{which}: {out}/{which}.csv",
                                     f"{which}: {path}")
-        before = {file: open(os.path.join(out, file), "rb").read() for file in os.listdir(out)}
+        before = {file: Path(out, file).read_bytes() for file in os.listdir(out)}
         assert main([command, "--config", config_path]) == 2
         assert capsys.readouterr().err == (
             f"config error: data.{which} names {path}, a file the commands write in "
             f"output.dir; keep the splits apart from the outputs\n")
-        assert {file: open(os.path.join(out, file), "rb").read()
+        assert {file: Path(out, file).read_bytes()
                 for file in os.listdir(out)} == before
 
     def test_synth_without_label_column_exit_2(self, tmp_path, capsys):
@@ -1130,11 +1138,11 @@ def _other_point_model(config_path, out, tmp_path):
     """model.json with the point model of a run on the test split, with the same hyperparameters."""
     cfg = load_config(config_path)
     path = os.path.join(out, "model.json")
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     models = load_model(path)
     models.point = fit_models(cfg, load_csv(cfg.data.test, label_column="label")).point
     save_model(models, path)
-    assert open(path, "rb").read() != before
+    assert Path(path).read_bytes() != before
     return path
 
 
@@ -1142,8 +1150,8 @@ def _other_train_split(config_path, out, tmp_path):
     """The config names another training split, one byte off the one ``train`` read."""
     other = str(tmp_path / "other_train.csv")
     shutil.copy(os.path.join(out, "train.csv"), other)
-    text = open(config_path).read()
-    open(config_path, "w").write(text.replace(f"train: {out}/train.csv", f"train: {other}"))
+    text = Path(config_path).read_text()
+    Path(config_path).write_text(text.replace(f"train: {out}/train.csv", f"train: {other}"))
     return _rewrite(other, _ONE_BYTE)
 
 
@@ -1197,7 +1205,7 @@ class TestScoreFromTraining:
         assert main(["score", "--config", config_path]) == 0
         for name in ("model.json", "induced.csv"):
             with open(os.path.join(rundir[1], name), "rb") as fh:
-                assert open(os.path.join(out, name), "rb").read() == fh.read(), name
+                assert Path(out, name).read_bytes() == fh.read(), name
 
     def test_score_before_train_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
@@ -1210,9 +1218,9 @@ class TestScoreFromTraining:
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         path = os.path.join(out, "manifest_train.json")
-        doc = json.load(open(path))
+        doc = read_json(path)
         del doc["digests"]
-        json.dump(doc, open(path, "w"))
+        Path(path).write_text(json.dumps(doc))
         assert main(["score", "--config", config_path]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"data error: {path}: ")
@@ -1267,16 +1275,16 @@ class TestSweepFromScores:
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         second = second_config(config_path, "theta_percentile: 98.5", "theta_percentile: 99")
         assert main(["sweep", "--config", second]) == 0
-        theta = json.load(open(os.path.join(out, "sweep.json")))["theta"]
+        theta = read_json(os.path.join(out, "sweep.json"))["theta"]
         train_nominality = load_model(os.path.join(out, "model.json")).train_nominality
         assert theta == theta_from_percentile(train_nominality, 99)
-        assert theta != json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"]
+        assert theta != read_json(os.path.join(out, "manifest_score.json"))["resolved_theta"]
         assert main(["score", "--config", second]) == 0
-        assert json.load(open(os.path.join(out, "manifest_score.json")))["resolved_theta"] == theta
+        assert read_json(os.path.join(out, "manifest_score.json"))["resolved_theta"] == theta
 
     def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
         """For README's run.yaml, the table from score's files is the in-process one, bit for bit."""
-        text = open(os.path.join(ROOT, "README.md")).read()
+        text = Path(ROOT, "README.md").read_text()
         block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
         config_path = tmp_path / "run.yaml"
         config_path.write_text(block.replace("out/", f"{tmp_path}/")
@@ -1286,7 +1294,7 @@ class TestSweepFromScores:
         models = load_model(os.path.join(cfg.output.dir, "model.json"))
         test = load_csv(cfg.data.test, label_column=cfg.data.label_column)
         expected = sweep_table(cfg, score_split(cfg, models, test))
-        assert json.load(open(tmp_path / "sweep.json")) == expected
+        assert read_json(tmp_path / "sweep.json") == expected
 
 
 class TestEvalFromScores:
@@ -1330,7 +1338,7 @@ class TestEvalFromScores:
             assert main([command, "--config", config_path]) == 0
             for written in COMMAND_OUTPUTS[command]:
                 with open(os.path.join(rundir[1], written), "rb") as fh:
-                    assert open(os.path.join(out, written), "rb").read() == fh.read(), written
+                    assert Path(out, written).read_bytes() == fh.read(), written
 
     def test_unlabeled_rescore_exit_2(self, tmp_path, capsys):
         """After a labeled chain, an unlabeled split scored into the same directory
@@ -1392,9 +1400,9 @@ class TestEvalFromScores:
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         path = os.path.join(out, f"manifest_{producer}.json")
-        doc = json.load(open(path))
+        doc = read_json(path)
         del doc["digests"][name]
-        json.dump(doc, open(path, "w"))
+        Path(path).write_text(json.dumps(doc))
         if name == "model.json":
             _rewrite(os.path.join(out, name), _edit_array(["train_nominality"], lambda n: n / 2))
         assert main([command, "--config", config_path]) == 3
@@ -1418,7 +1426,7 @@ class TestEvalFromScores:
         assert main(["eval", "--config", second_config(config_path, *GATE_D_1),
                      "--scores", anomaly, "--labels", labels]) == 0
         expected = evaluate(read_score_csv(anomaly), read_labels_csv(labels)[0])
-        assert json.load(open(os.path.join(out, "eval_report.json"))) == expected.summary()
+        assert read_json(os.path.join(out, "eval_report.json")) == expected.summary()
 
 
 def test_matrix_and_score_csvs_agree(rundir, tmp_path):
@@ -1429,21 +1437,21 @@ def test_matrix_and_score_csvs_agree(rundir, tmp_path):
     shutil.copytree(rundir[1], out, dirs_exist_ok=True)
     outputs = ("eval_report.json", "curve.csv")
     assert main(["eval", "--config", config_path]) == 0
-    default = {name: open(os.path.join(out, name), "rb").read() for name in outputs}
+    default = {name: Path(out, name).read_bytes() for name in outputs}
     assert main(["eval", "--config", config_path, "--scores", os.path.join(out, "induced.csv"),
                  "--labels", os.path.join(out, "labels.csv")]) == 0
     for name in outputs:
-        assert open(os.path.join(out, name), "rb").read() == default[name], name
+        assert Path(out, name).read_bytes() == default[name], name
     cfg = load_config(config_path)
     csv = {name: os.path.join(out, f"{name}.csv") for name in (
         "anomaly", "sequence_anomaly", "nominality", "induced", "labels")}
     bundle = ScoreBundle(
         read_score_csv(csv["anomaly"]), read_score_csv(csv["sequence_anomaly"]),
-        read_score_csv(csv["nominality"], "nominality"), read_score_csv(csv["induced"], "induced"),
+        read_score_csv(csv["nominality"]), read_score_csv(csv["induced"]),
         read_labels_csv(csv["labels"])[0],
         resolve_theta(cfg.gate, load_model(os.path.join(out, "model.json")).train_nominality)
         .theta_n)
-    assert json.load(open(os.path.join(out, "sweep.json"))) == sweep_table(cfg, bundle)
+    assert read_json(os.path.join(out, "sweep.json")) == sweep_table(cfg, bundle)
 
 
 def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys):
@@ -1461,12 +1469,12 @@ def test_eval_checks_the_sections_of_the_files_it_reads(rundir, tmp_path, capsys
         assert capsys.readouterr().err.startswith(f"config error: the {section} section ")
         os.remove(os.path.join(out, "eval_report.json"))
         assert main(["eval", "--config", edited, "--scores", anomaly, "--labels", labels]) == 0
-        assert json.load(open(os.path.join(out, "eval_report.json"))) == expected
+        assert read_json(os.path.join(out, "eval_report.json")) == expected
 
 
 def _eval_outputs(out):
     """The bytes of the files ``eval`` writes, keyed by name."""
-    return {name: open(os.path.join(out, name), "rb").read()
+    return {name: Path(out, name).read_bytes()
             for name in ("eval_report.json", "curve.csv", "manifest_eval.json")}
 
 
@@ -1545,7 +1553,7 @@ def test_cli_import_does_not_load_scipy(tmp_path):
     the command adds to a bare ``import numpy`` is checked for them.
     """
     synth_path, out = write_config(tmp_path)
-    text = open(synth_path).read()
+    text = Path(synth_path).read_text()
     chain_path = tmp_path / "chain.yaml"
     chain_path.write_text(text[: text.index("synth:")] + text[text.index("output:"):])
     assert _under(_loaded_modules([])[1], "scipy") == []
@@ -1631,7 +1639,7 @@ def test_code_defaults_run_every_command(tmp_path):
     path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
                     f"output:\n  dir: {tmp_path}\n")
     run_all(str(path))
-    sweep, report, manifest = (json.load(open(tmp_path / f"{name}.json"))
+    sweep, report, manifest = (read_json(tmp_path / f"{name}.json")
                                for name in ("sweep", "eval_report", "manifest_score"))
     at = sweep["d_values"].index(manifest["config"]["gate"]["d"])
     row = sweep["rows"]["soft_theta_pct"]
@@ -1691,7 +1699,7 @@ def test_downsampled_chain_counts_blocks(tmp_path):
     labels, origin = read_labels_csv(str(tmp_path / "labels.csv"))
     assert origin == 25  # the default gamma
     np.testing.assert_array_equal(labels, blocks[origin : blocks.shape[0] - origin])
-    positives = json.load(open(tmp_path / "eval_report.json"))["positives"]
+    positives = read_json(tmp_path / "eval_report.json")["positives"]
     assert positives == labels.sum() == 105
 
 
@@ -1725,6 +1733,63 @@ def test_huge_test_value_names_its_row(downsample, row, named):
     values[row, 1] = 1e200
     with pytest.raises(DataError, match=f"^test.csv: row {named}: "):
         score_split(cfg, models, dataclasses.replace(data.test, values=values))
+
+
+# A small fit: the span rule runs before the models train.
+SPAN_CFG = {"data": {"train": "train.csv"}, "point_model": {"d_lat": 2, "epochs": 1},
+            "sequence_model": {"gamma": 5, "delta": 2}}
+
+
+@pytest.mark.parametrize("downsample, cells, named", [
+    (1, {4: 1e150}, 4), (1, {4: -1e150}, 4), (2, {9: 1e150}, 8),
+    (1, {4: 1e150, 7: -1e151}, 7),
+], ids=["one-cell", "one-negative-cell", "downsampled", "farthest-cell"])
+def test_flattening_training_cell_names_its_row(downsample, cells, named):
+    """A training channel whose full span exceeds 1e6 times the span of its central 99 %
+    is refused, naming the file, the channel and the data row of the cell farthest
+    outside that span (the first row of its block when downsampling)."""
+    train = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=100)).train
+    values = train.values.copy()
+    for row, value in cells.items():
+        values[row, 2] = value
+    cfg = config_from_dict({**SPAN_CFG, "preprocess": {"downsample": downsample}})
+    with pytest.raises(DataError, match=rf"^train.csv: row {named}: channel 'c2' spans \S+ "
+                       r"times its central 99 % \(more than 1e\+06\), so min-max scaling "
+                       r"would flatten it$"):
+        fit_models(cfg, dataclasses.replace(train, values=values))
+
+
+def test_rarely_switching_channel_trains():
+    """A channel that holds one value in at least 99.5 % of its rows, but not in all, has
+    a central span of 0 and trains: its one switch sets its span."""
+    train = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=100)).train
+    values = train.values.copy()
+    values[:, 3] = 0.0
+    values[200, 3] = 1e6
+    models = fit_models(config_from_dict(SPAN_CFG), dataclasses.replace(train, values=values))
+    assert (models.stats.mins[3], models.stats.maxs[3]) == (0.0, 1e6)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_preset_training_splits_pass_the_span_rule(seed):
+    fit_models(config_from_dict(SPAN_CFG), gen_trig(trig_preset(seed)).train)
+
+
+def test_flattening_training_cell_is_one_stderr_line(tmp_path, capsys):
+    """``train`` on the small run's training split with data row 4 of c2 set to 1e150
+    exits 3 with one line and writes nothing."""
+    path, out = write_config(tmp_path)
+    assert main(["synth", "--config", path]) == 0
+    split = _rewrite(os.path.join(out, "train.csv"), _edit_rows(
+        lambda i, cells: ["1e150" if (i, j) == (4, 2) else cell for j, cell in enumerate(cells)]))
+    before = {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert main(["train", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"data error: {re.escape(split)}: row 4: channel 'c2' spans \S+ times "
+                        r"its central 99 % \(more than 1e\+06\), so min-max scaling would "
+                        r"flatten it\n", err), err
+    assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
 
 
 @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
@@ -1766,7 +1831,7 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
     command writes nothing: the run directory keeps its files."""
     path, out = write_config(tmp_path)
     assert main(["synth", "--config", path]) == 0
-    before = {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)}
+    before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
     env = _child_env()
     env.pop("PYTHONWARNINGS", None)
     if warnings is not None:
@@ -1775,20 +1840,26 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
         [sys.executable, "-m", "nominality.cli", command, "--config",
          second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
-    assert {name: open(os.path.join(out, name), "rb").read() for name in os.listdir(out)} == before
+    assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
 
 
 @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
-@pytest.mark.parametrize("command, split, edits, row", [
-    ("score", "test.csv", {40: (0, "1.5e308")}, 40),
-    ("train", "train.csv", {4: (2, "1.7e308"), 5: (2, "-1.7e308")}, 4),
-], ids=["test-cell", "train-span"])
-def test_scale_overflow_is_one_stderr_line(tmp_path, warnings, command, split, edits, row):
-    """A split value whose min-max scaled value overflows exits 3 with one line naming
-    the file and the data row, as warnings are shown or made errors: a test cell of
-    1.5e308 in c0, whose training span is below 1, and training cells of 1.7e308 and
-    -1.7e308 in c2, whose span overflows.  The command writes nothing."""
+@pytest.mark.parametrize("command, split, edits, downsample, row", [
+    ("score", "test.csv", {40: (0, "1.5e308")}, 1, 40),
+    ("train", "train.csv", {4: (2, "1.7e308"), 5: (2, "-1.7e308")}, 1, 4),
+    *[(command, split, {40: (0, "1.7e308"), 41: (0, "1.7e308")}, 2, 40)
+      for command, split in (("score", "test.csv"), ("train", "train.csv"))],
+], ids=["test-cell", "train-span", "test-block", "train-block"])
+def test_scale_overflow_is_one_stderr_line(tmp_path, warnings, command, split, edits,
+                                           downsample, row):
+    """A split value whose downsampled or min-max scaled value overflows exits 3 with one
+    line naming the file and the data row, as warnings are shown or made errors: a test
+    cell of 1.5e308 in c0, whose training span is below 1; training cells of 1.7e308 and
+    -1.7e308 in c2, whose span overflows; and, downsampling by 2, two cells of 1.7e308 in
+    c0 whose block sum overflows, named by the block's first row.  The command writes
+    nothing."""
     path, out = write_config(tmp_path)
+    _rewrite(path, lambda text: text.replace("  downsample: 1\n", f"  downsample: {downsample}\n"))
     assert main(["synth", "--config", path]) == 0
     # c0 a tenth as large on both splits, so its training span is below 1
     for name in ("train.csv", "test.csv"):
@@ -1807,7 +1878,7 @@ def test_scale_overflow_is_one_stderr_line(tmp_path, warnings, command, split, e
                           env=env, capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stderr.splitlines()) == (3, [
         f"data error: {split_path}: row {row}: a value at or near this row is too large to "
-        f"scale (min-max scaling overflows)"])
+        f"preprocess (downsampling or scaling overflows)"])
     assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
 
 
@@ -1911,9 +1982,10 @@ def test_process_entry_freezes_gc_then_exits(monkeypatch):
     """``python -m nominality.cli`` and the console script run one function, which
     freezes the GC after ``main`` returns and exits with its status."""
     script = re.search(r'^nominality = "nominality\.cli:(\w+)"$',
-                       open(os.path.join(ROOT, "pyproject.toml")).read(), re.M)
+                       Path(ROOT, "pyproject.toml").read_text(), re.M)
     assert script is not None and script[1] == "_process_main"
-    assert open(cli.__file__).read().endswith('if __name__ == "__main__":\n    _process_main()\n')
+    assert Path(cli.__file__).read_text().endswith(
+        'if __name__ == "__main__":\n    _process_main()\n')
     monkeypatch.setattr(cli, "main", lambda: 5)
     try:
         with pytest.raises(SystemExit) as exc:
@@ -1939,7 +2011,7 @@ def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
 
 def test_readme_library_example(capsys):
     """README's library example runs, and its induced score is the default pipeline's."""
-    text = open(os.path.join(ROOT, "README.md")).read()
+    text = Path(ROOT, "README.md").read_text()
     code = text.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
     segments = ((300, 360, "frequency-shift"), (500, 501, "point-noise"))
     data = gen_trig(TrigSpec(n_channels=5, n_train=2000, n_test=800, segments=segments))
@@ -1954,7 +2026,7 @@ def test_readme_library_example(capsys):
 
 def test_readme_quickstart(tmp_path):
     """README's run.yaml drives every command, and each of its keys is a config field."""
-    text = open(os.path.join(ROOT, "README.md")).read()
+    text = Path(ROOT, "README.md").read_text()
     block = text.split("with a `run.yaml` like:\n\n```yaml\n", 1)[1].split("```", 1)[0]
     block = block.replace("out/", f"{tmp_path}/").replace("dir: out", f"dir: {tmp_path}")
     raw = yaml.safe_load(block)

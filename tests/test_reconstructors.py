@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,7 +491,7 @@ def _trained(seed, channel_names=None):
     series = LabeledSeries(random_series(seed).values, channel_names=channel_names)
     point = train_point_model(series, PointHyperparams(d_lat=2, epochs=3, batch_size=16, seed=3))
     seq = train_sequence_model(series, gamma=3, delta=2, ridge_lambda=1e-5)
-    nominality = ScoreSeries(np.abs(series.values[3:-3, 0]), "nominality", 3)
+    nominality = ScoreSeries(np.abs(series.values[3:-3, 0]), 3)
     return TrainedModels(point, seq, minmax_fit(series), nominality, series.channel_names)
 
 
@@ -530,7 +531,7 @@ class TestPersistence:
         p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_model(models, p1)
         save_model(models, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     @pytest.mark.parametrize("key, value", [("gamma", True), ("delta", 7)])  # gamma is 3
     def test_sequence_hyperparams_checked(self, tmp_path, key, value):
@@ -538,9 +539,9 @@ class TestPersistence:
         rules, as the length of ``enc_b`` meets ``point_model.d_lat``'s."""
         path = str(tmp_path / "model.json")
         save_model(_trained(12), path)
-        doc = json.load(open(path))
+        doc = json.loads(Path(path).read_text())
         doc["sequence"][key] = value
-        json.dump(doc, open(path, "w"))
+        Path(path).write_text(json.dumps(doc))
         with pytest.raises(DataError, match=f"^{re.escape(path)}: cannot decode model: .*"
                                             f"sequence_model.{key} must be "):
             load_model(path)

@@ -94,33 +94,33 @@ class TestGate:
 class TestInducedScore:
     def test_d_zero_is_identity(self):
         a = ScoreSeries([1.0, 2.0, 3.0])
-        n = ScoreSeries([5.0, 5.0, 5.0], "nominality")
+        n = ScoreSeries([5.0, 5.0, 5.0])
         out = induced_anomaly_score(a, n, GateConfig("hard", theta_n=1.0, d=0))
         np.testing.assert_array_equal(out.scores, a.scores)
 
     def test_open_gates_give_moving_sum(self):
         a = ScoreSeries([1.0, 2.0, 3.0])
-        n = ScoreSeries([0.0, 0.0, 0.0], "nominality")
+        n = ScoreSeries([0.0, 0.0, 0.0])
         out = induced_anomaly_score(a, n, GateConfig("hard", theta_n=np.inf, d=1))
         assert out.scores.tolist() == [3.0, 6.0, 5.0]
 
     def test_closed_gates_give_identity(self):
         a = ScoreSeries([1.0, 2.0, 3.0])
-        n = ScoreSeries([10.0, 10.0, 10.0], "nominality")
+        n = ScoreSeries([10.0, 10.0, 10.0])
         out = induced_anomaly_score(a, n, GateConfig("soft", theta_n=5.0, d=2))
         np.testing.assert_array_equal(out.scores, [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             induced_anomaly_score(
-                ScoreSeries([1.0, 2.0]), ScoreSeries([1.0], "nominality"),
+                ScoreSeries([1.0, 2.0]), ScoreSeries([1.0]),
                 GateConfig("soft", theta_n=1.0, d=1),
             )
 
     def test_unresolved_theta_rejected(self):
         with pytest.raises(ShapeError):
             induced_anomaly_score(
-                ScoreSeries([1.0]), ScoreSeries([1.0], "nominality"),
+                ScoreSeries([1.0]), ScoreSeries([1.0]),
                 GateConfig("soft", theta_percentile=98.5, d=1),
             )
 
@@ -325,7 +325,7 @@ class TestThetaFromPercentile:
 
     def test_resolve_theta(self):
         cfg = GateConfig("soft", theta_percentile=50, d=3)
-        resolved = resolve_theta(cfg, ScoreSeries([1.0, 2.0, 3.0, 4.0], "nominality"))
+        resolved = resolve_theta(cfg, ScoreSeries([1.0, 2.0, 3.0, 4.0]))
         assert resolved.theta_n == 2.0 and resolved.d == 3
         assert resolved.theta_percentile is None
 

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from nominality import (
     LabeledSeries,
     LabelError,
     MinMaxStats,
+    NonFiniteValue,
     ParseError,
-    ScaleOverflow,
     ScoreSeries,
     ShapeError,
     downsample,
@@ -164,9 +165,9 @@ class TestCsvCodec:
         write_csv(path, ["a", "b", "c", "first", "n"], [block, block[:, 0], ints])
         rows = [",".join([*map(repr, row), repr(row[0]), str(i)])
                 for row, i in zip(block.tolist(), ints.tolist())]
-        assert open(path, newline="").read() == "\r\n".join(["a,b,c,first,n", *rows, ""])
+        assert Path(path).read_bytes().decode() == "\r\n".join(["a,b,c,first,n", *rows, ""])
         write_csv(path, ["a", "b"], [np.zeros((0, 2))])
-        assert open(path, newline="").read() == "a,b\r\n"
+        assert Path(path).read_bytes().decode() == "a,b\r\n"
 
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -179,7 +180,7 @@ class TestCsvCodec:
         writer.writerow(["a", "b,c", 'd"e', "label"])
         for row, label in zip(values, labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
-        assert open(path, newline="").read() == expected.getvalue()
+        assert Path(path).read_bytes().decode() == expected.getvalue()
         assert load_csv(path).channel_names == ("a", "b,c", 'd"e', "label")
 
     @pytest.mark.parametrize(
@@ -283,7 +284,7 @@ class TestCsvCodec:
         writer.writerow(["a", "b", "c", "label"])
         for row, label in zip(values.tolist(), labels.tolist()):
             writer.writerow([repr(v) for v in row] + [label])
-        assert open(path, "rb").read() == expected.getvalue().encode()
+        assert Path(path).read_bytes() == expected.getvalue().encode()
 
     def test_save_csv_memory_is_bounded(self, tmp_path):
         """The text is formatted and written a block at a time, never held whole."""
@@ -346,6 +347,18 @@ class TestSeriesInvariants:
         with pytest.raises(ShapeError):
             LabeledSeries(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_non_finite_names_its_row(self, bad, row):
+        """The one finiteness check of a series names the first row with a bad value."""
+        values = np.ones((7, 3))
+        values[row, 1] = bad
+        values[6, 2] = np.nan  # a later bad row is not the one named
+        with pytest.raises(NonFiniteValue,
+                           match="^series values must be finite after ingestion$") as exc:
+            LabeledSeries(values)
+        assert exc.value.row == row
+
     def test_values_read_only(self):
         s = LabeledSeries(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -364,13 +377,14 @@ class TestSeriesInvariants:
         values[0, 0] = 5.0
         assert series.values[0, 0] == 5.0
 
-    def test_score_kinds(self):
-        with pytest.raises(ShapeError):
-            ScoreSeries([1.0], kind="bogus")
-
-    def test_negative_nominality_rejected(self):
-        with pytest.raises(ShapeError):
-            ScoreSeries([-0.5], kind="nominality")
+    def test_score_series_takes_no_kind(self):
+        """A score series has no kind: one passed where the time origin goes is refused,
+        not kept as the origin."""
+        with pytest.raises(TypeError):
+            ScoreSeries(np.ones(3), "nominality")
+        with pytest.raises(TypeError):
+            ScoreSeries(np.ones(3), kind="nominality")
+        assert ScoreSeries(np.ones(3), np.int64(4)).time_origin == 4
 
 
 class TestMinMax:
@@ -414,9 +428,10 @@ class TestMinMax:
     ], ids=["value", "span"])
     def test_apply_overflow_names_first_row(self, train, test, row):
         """A scaled value that overflows, from a huge value or a span beyond float range,
-        raises ScaleOverflow naming its row, without a numpy warning."""
+        raises NonFiniteValue naming its row, without a numpy warning (which the test
+        settings make an error)."""
         stats = minmax_fit(LabeledSeries(np.array(train)))
-        with pytest.raises(ScaleOverflow, match=f"^row {row}: ") as exc:
+        with pytest.raises(NonFiniteValue) as exc:
             minmax_apply(LabeledSeries(np.array(test)), stats)
         assert exc.value.row == row
 
@@ -454,3 +469,15 @@ class TestDownsample:
         out = downsample(s, 2)
         assert out.n_times == 3
         assert out.values[:, 0].tolist() == [0.5, 2.5, 4.0]
+
+    @pytest.mark.parametrize("factor, rows, sign, block", [
+        (2, [0, 1], 1.0, 0), (2, [4, 5], -1.0, 2), (3, [6, 8], 1.0, 2),
+    ], ids=["first", "middle-negative", "last"])
+    def test_overflowing_block_names_the_block(self, factor, rows, sign, block):
+        """A block whose sum overflows raises NonFiniteValue naming the block, without a
+        numpy warning (which the test settings make an error)."""
+        values = np.zeros((9, 2))
+        values[rows, 1] = sign * 1.7e308
+        with pytest.raises(NonFiniteValue) as exc:
+            downsample(LabeledSeries(values), factor)
+        assert exc.value.row == block
