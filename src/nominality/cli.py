@@ -73,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, DegenerateLabels, NumericError
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
@@ -227,6 +227,13 @@ def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray]:
     return series, matrix[:, 5].astype(np.int64)
 
 
+def _check_classes(labels: np.ndarray, path: str) -> None:
+    """Refuse ``labels``, read from ``path``, unless they hold at least one 0 and one 1."""
+    if labels.min() == labels.max():
+        raise DegenerateLabels(f"{path}: labels must contain at least one 0 and one 1; "
+                               f"all {labels.shape[0]} are {labels[0]}")
+
+
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -363,6 +370,7 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):
             raise DataError(f"labels ({labels_path}) are not aligned with scores ({scores_path})")
+    _check_classes(labels, labels_path)
     report = evaluate(scores, labels)
     write_json(report.summary(), os.path.join(cfg.output.dir, REPORT_FILE))
     write_csv(os.path.join(cfg.output.dir, CURVE_FILE), ["threshold", "tp", "fp"],
@@ -419,7 +427,9 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
     if cfg.data.label_column is None:
         raise ConfigError("sweep reads the labels, and data.label_column is null")
     _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"], SCORED_FILES)
-    series, labels = read_scores(os.path.join(cfg.output.dir, SCORES_FILE))
+    scores_path = os.path.join(cfg.output.dir, SCORES_FILE)
+    series, labels = read_scores(scores_path)
+    _check_classes(labels, scores_path)
     train_nominality = load_model(os.path.join(cfg.output.dir, MODEL_FILE)).train_nominality
     bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)
     write_json(sweep_table(cfg, bundle), os.path.join(cfg.output.dir, SWEEP_FILE))

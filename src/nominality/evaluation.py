@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabels, LabelError, ShapeError
-from .series import ScoreSeries
+from .series import ScoreSeries, as_scores
 
 
 @dataclass
@@ -68,22 +68,15 @@ class EvalReport:
 def _as_arrays(
     scores: ScoreSeries | np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    score_vals = scores.scores if isinstance(scores, ScoreSeries) else np.asarray(scores, dtype=np.float64)
+    score_vals = as_scores(scores).scores
     label_vals = np.asarray(labels)
     if score_vals.shape != label_vals.shape:
         raise ShapeError(
             f"scores and labels lengths differ: {score_vals.shape} vs {label_vals.shape}"
         )
-    if not np.isfinite(score_vals).all():
-        raise ShapeError("scores must be finite")
     if not ((label_vals == 0) | (label_vals == 1)).all():
         raise LabelError("labels must contain only 0 or 1")
     return score_vals, label_vals.astype(np.int64)
-
-
-def _require_both_classes(labels: np.ndarray) -> None:
-    if labels.min() == labels.max():
-        raise DegenerateLabels("labels must contain at least one 0 and one 1")
 
 
 def confusion(pred: np.ndarray, labels: np.ndarray) -> tuple[int, int, int, int]:
@@ -100,9 +93,7 @@ def confusion(pred: np.ndarray, labels: np.ndarray) -> tuple[int, int, int, int]
 
 def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
     """Precision, recall and their harmonic mean; all 0 when TP is 0."""
-    tp = np.asarray(tp, dtype=np.float64)
-    fp = np.asarray(fp, dtype=np.float64)
-    fn = np.asarray(fn, dtype=np.float64)
+    tp, fp, fn = (np.asarray(x, dtype=np.float64) for x in (tp, fp, fn))
     pred_pos = tp + fp
     precision = np.divide(tp, pred_pos, out=np.zeros_like(tp), where=pred_pos > 0)
     actual_pos = tp + fn
@@ -115,14 +106,15 @@ def _f1_from_counts(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
 
 
 def _sweep(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Validate the inputs and sort each class's scores.
+    """Validate the inputs, labels of both classes included, and sort each class's scores.
 
     Returns ``(scores, labels, negatives, positives)``: the scores as
     float64, the labels as int64, and the scores of the label-0 and of the
     label-1 points, each sorted ascending.
     """
     score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
+    if label_vals.min() == label_vals.max():
+        raise DegenerateLabels("labels must contain at least one 0 and one 1")
     positive = label_vals == 1
     return score_vals, label_vals, np.sort(score_vals[~positive]), np.sort(score_vals[positive])
 
@@ -188,8 +180,7 @@ def best_f1_bruteforce(
 
     The fast sweep's sentinel above the maximum scores F1 0, so it never wins.
     """
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
+    score_vals, label_vals, _, _ = _sweep(scores, labels)
     best, best_theta = -1.0, 0.0
     for theta in np.unique(score_vals):
         tp, fp, fn, _ = confusion(score_vals >= theta, label_vals)
@@ -245,8 +236,7 @@ def pa_best_f1_bruteforce(
     scores: ScoreSeries | np.ndarray, labels: np.ndarray
 ) -> float:
     """Independent oracle: point-adjust the predictions at every distinct score."""
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
+    score_vals, label_vals, _, _ = _sweep(scores, labels)
     best = -1.0
     for theta in np.unique(score_vals):
         adjusted = point_adjust(score_vals >= theta, label_vals)
@@ -274,8 +264,7 @@ def _u_auc(neg: np.ndarray, pos: np.ndarray) -> float:
 
 def auc_trapezoid(scores: ScoreSeries | np.ndarray, labels: np.ndarray) -> float:
     """Independent oracle: trapezoidal integration of the ROC curve."""
-    score_vals, label_vals = _as_arrays(scores, labels)
-    _require_both_classes(label_vals)
+    score_vals, label_vals, _, _ = _sweep(scores, labels)
     n_pos = int(label_vals.sum())
     n_neg = label_vals.shape[0] - n_pos
     fpr = [0.0]

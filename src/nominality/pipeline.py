@@ -106,9 +106,9 @@ def score_split(
     Raises:
         DataError: the split's channels are not the training split's, by name
             and in order; or a test value is so large that its downsampled or
-            min-max scaled value, or a score, overflows, and the message names
-            the data row of the first time point whose values or scores are not
-            finite (the first row of its block when downsampling).
+            min-max scaled value, or one of the four scores, overflows, and the
+            message names the data row of the first time point whose values, or
+            scores, are not finite (the first row of its block when downsampling).
         ShapeError: the split is shorter than one sequence window, or, for
             models without channel names, has another channel count; the
             message names ``data.test``.
@@ -124,18 +124,18 @@ def score_split(
             seq_rec = reconstruct_sequence(models.sequence, test)
         except ShapeError as exc:
             raise ShapeError(f"{name}: {exc}") from None
-        # A huge but finite value can overflow a squared distance; the scores
-        # are checked for that here rather than warned about.
+        # A huge but finite value can overflow a squared distance or a window sum, which
+        # each ScoreSeries refuses.  The point score, of its own row only, goes first.
         pair = make_pair(test.values, point_rec, seq_rec, models.sequence.gamma)
-        a_point = anomaly_score(pair)
-        a_seq = sequence_anomaly_score(pair)
-        nominality = nominality_score(pair)
-    finite = np.isfinite([a_point.scores, a_seq.scores, nominality.scores])
-    if not finite.all():
-        raise _overflow_error(cfg, pair.valid_range[0], finite)
-    gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
-    induced = induced_anomaly_score(a_point, nominality, gate_cfg)
-    lo, hi = pair.valid_range
+        lo, hi = pair.valid_range
+        gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
+        try:
+            a_point = anomaly_score(pair)
+            a_seq = sequence_anomaly_score(pair)
+            nominality = nominality_score(pair)
+            induced = induced_anomaly_score(a_point, nominality, gate_cfg)
+        except NonFiniteValue as exc:
+            raise _too_large(cfg, lo + exc.row, "score (the scores overflow)") from None
     labels = test.labels[lo:hi] if test.labels is not None else None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
 
@@ -185,18 +185,10 @@ def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: i
                         f" would flatten it")
 
 
-def _overflow_error(cfg: PipelineConfig, origin: int, finite: np.ndarray) -> DataError:
-    """The error naming the data row of the first time point whose scores are not finite.
-
-    ``finite`` marks the finite point anomaly, sequence anomaly and nominality
-    scores, whose first time point is ``origin``.  A point score depends on its
-    own row only, so where one overflowed, the first such row is named: it
-    holds the huge value.
-    """
-    finite = finite[0] if not finite[0].all() else finite.all(axis=0)
-    row = (origin + int(np.flatnonzero(~finite)[0])) * cfg.preprocess.downsample
-    return DataError(f"{cfg.data.test or 'test split'}: row {row}: a value at or near this "
-                     f"row is too large to score (the scores overflow)")
+def _too_large(cfg: PipelineConfig, t: int, what: str) -> DataError:
+    """The error naming the test split's data row of time point ``t`` (its block's first)."""
+    return DataError(f"{cfg.data.test or 'test split'}: row {t * cfg.preprocess.downsample}: "
+                     f"a value at or near this row is too large to {what}")
 
 
 def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
@@ -210,7 +202,8 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     set of doubling blocks shared by every d.  Each series' AUC and best F1
     are :func:`~.evaluation.best_f1`'s, from :func:`~.evaluation.auc_and_best_f1`,
     which builds no curve.  Returns a JSON-ready dict with per-d AUC and best
-    F1 plus their mean and standard deviation across d.
+    F1 plus their mean and standard deviation across d.  An induction sum that
+    overflows raises :class:`DataError` naming its first data row, table row and d.
     """
     if bundle.labels is None:
         raise DataError("cannot sweep: test split has no labels")
@@ -230,17 +223,20 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
         "soft_theta_pct": gate("soft", theta, bundle.nominality.scores),
     }
     for name, g in gates.items():
-        pairs = [auc_and_best_f1(s, labels) for s in induction_sums(anomaly, g, d_values)]
+        pairs = []
+        for d, sums in zip(d_values, induction_sums(anomaly, g, d_values)):
+            try:
+                pairs.append(auc_and_best_f1(sums, labels))
+            except NonFiniteValue as exc:
+                raise _too_large(cfg, bundle.anomaly.time_origin + exc.row,
+                                 f"sweep (the {name} sum at d={d} overflows)") from None
         rows[name] = {"auc": [p[0] for p in pairs], "best_f1": [p[1] for p in pairs]}
 
     for row in rows.values():
         for metric in ("auc", "best_f1"):
             vals = np.asarray(row[metric])
-            if (vals == vals[0]).all():  # exact zero spread for d-independent rows
-                row[f"{metric}_mean"] = float(vals[0])
-                row[f"{metric}_std"] = 0.0
-            else:
-                row[f"{metric}_mean"] = float(vals.mean())
-                row[f"{metric}_std"] = float(vals.std())
+            same = (vals == vals[0]).all()  # exact zero spread for d-independent rows
+            row[f"{metric}_mean"] = float(vals[0] if same else vals.mean())
+            row[f"{metric}_std"] = 0.0 if same else float(vals.std())
 
     return {"d_values": d_values, "theta": theta, "rows": rows}

@@ -555,8 +555,7 @@ def load_model(path: str) -> TrainedModels:
             raise ValueError("minmax is null; train again")
         stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
         nominality = ScoreSeries(_decode_array(doc["train_nominality"]), gamma)
-        if not (len(nominality)
-                and ((nominality.scores >= 0) & (nominality.scores < np.inf)).all()):
+        if not (len(nominality) and (nominality.scores >= 0).all()):
             raise ValueError("train_nominality must hold one or more finite scores, all >= 0")
         names = doc["channel_names"]
         if names is not None:
@@ -567,7 +566,7 @@ def load_model(path: str) -> TrainedModels:
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError, ShapeError) as exc:
         # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a gamma,
         # delta or latent width outside its range, a ShapeError invalid min-max
-        # statistics or a training nominality that is not 1-D.
+        # statistics or a training nominality that is not 1-D or not finite.
         raise DataError(f"{path}: cannot decode model: {exc!r}") from None
     return TrainedModels(point, sequence, stats, nominality,
                          None if names is None else tuple(names))

@@ -27,7 +27,7 @@ import numpy as np
 from .config import GateConfig, _check
 from .errors import EmptyInput, ShapeError
 from .reconstructors import ReconstructionPair
-from .series import ScoreSeries
+from .series import ScoreSeries, as_scores
 
 #: Added to the nominality denominator so a perfectly reconstructed point
 #: (zero total deviation) yields a finite score.
@@ -66,12 +66,14 @@ def gate(kind: str, theta_n: float, n):
 
     soft: max(0, 1 - n / theta_n); hard: 1 if n < theta_n else 0 (strict).
     Accepts scalars or arrays.  A ``kind`` or ``theta_n`` that breaks its
-    ``gate`` rule raises :class:`ConfigError` naming the key.
+    ``gate`` rule raises :class:`ConfigError` naming the key.  Where ``n / theta_n``
+    overflows, as at a tiny ``theta_n``, the soft gate is exactly 0, without a warning.
     """
     GateConfig(kind, theta_n=theta_n)
     n = np.asarray(n, dtype=np.float64)
     if kind == "soft":
-        out = np.maximum(0.0, 1.0 - n / theta_n)
+        with np.errstate(over="ignore"):
+            out = np.maximum(0.0, 1.0 - n / theta_n)
     else:
         out = (n < theta_n).astype(np.float64)
     return out if out.ndim else float(out)
@@ -83,12 +85,12 @@ def theta_from_percentile(train_nominality: ScoreSeries | np.ndarray, p: float) 
     Returns the smallest observed value such that at least p% of the
     samples are <= it.  ``p`` follows the ``gate.theta_percentile`` rule.
     The rank is exact for ``p`` as written in decimal (``0.07 * 100`` is not 7).
+    A score that is not finite raises :class:`ShapeError`.
     """
     GateConfig(theta_percentile=p)
-    values = _scores_of(train_nominality)
-    if values.size == 0:
+    ordered = np.sort(as_scores(train_nominality).scores)
+    if ordered.size == 0:
         raise EmptyInput("cannot take a percentile of an empty score series")
-    ordered = np.sort(values)
     rank = math.ceil(Fraction(repr(float(p))) * ordered.size / 100)
     return float(ordered[max(rank, 1) - 1])
 
@@ -101,12 +103,6 @@ def resolve_theta(
         return cfg
     theta = theta_from_percentile(train_nominality, cfg.theta_percentile)
     return replace(cfg, theta_n=theta, theta_percentile=None)
-
-
-def _scores_of(series: ScoreSeries | np.ndarray) -> np.ndarray:
-    if isinstance(series, ScoreSeries):
-        return series.scores
-    return np.asarray(series, dtype=np.float64)
 
 
 def _shifted(x: np.ndarray, k: int) -> np.ndarray:
@@ -157,6 +153,7 @@ def _left_sum(blocks: list[tuple[np.ndarray, np.ndarray]], d: int) -> np.ndarray
     return np.zeros_like(blocks[0][1]) if acc_s is None else acc_s
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def induction_sums(a: np.ndarray, g: np.ndarray, d_values) -> list[np.ndarray]:
     """a[t] plus the gated sums of its d left and d right neighbours, for each d.
 
@@ -167,7 +164,8 @@ def induction_sums(a: np.ndarray, g: np.ndarray, d_values) -> list[np.ndarray]:
     is clipped to n - 1.  The doubling blocks of each side are built once,
     for the largest d, and shared by all, and each d composes them in the
     order a scan for that d alone would, so its sums keep their bits.  Where
-    g[t] = 0 both sums are exactly 0, so the result is a[t] bit for bit.
+    g[t] = 0 both sums are exactly 0, so the result is a[t] bit for bit.  A sum
+    that overflows is left non-finite, without a warning, for a ScoreSeries to refuse.
     """
     ds = [min(d, a.shape[0] - 1) for d in d_values]
     left = _doubling_blocks(a, g, max(ds))
@@ -177,18 +175,14 @@ def induction_sums(a: np.ndarray, g: np.ndarray, d_values) -> list[np.ndarray]:
 
 def _gated(
     a: ScoreSeries | np.ndarray, n: ScoreSeries | np.ndarray, cfg: GateConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The anomaly scores, their gate values and their time origin, checked."""
-    a_vals = _scores_of(a)
-    n_vals = _scores_of(n)
-    if a_vals.shape != n_vals.shape:
-        raise ShapeError(
-            f"anomaly and nominality lengths differ: {a_vals.shape} vs {n_vals.shape}"
-        )
+) -> tuple[ScoreSeries, np.ndarray]:
+    """The anomaly scores and their gate values, checked."""
+    a, n = as_scores(a), as_scores(n)
+    if len(a) != len(n):
+        raise ShapeError(f"anomaly and nominality lengths differ: {len(a)} vs {len(n)}")
     if cfg.theta_n is None:
         raise ShapeError("gate threshold is unresolved; call resolve_theta first")
-    origin = a.time_origin if isinstance(a, ScoreSeries) else 0
-    return a_vals, gate(cfg.kind, cfg.theta_n, n_vals), origin
+    return a, gate(cfg.kind, cfg.theta_n, n.scores)
 
 
 def induced_anomaly_score(
@@ -196,9 +190,12 @@ def induced_anomaly_score(
     n: ScoreSeries | np.ndarray,
     cfg: GateConfig,
 ) -> ScoreSeries:
-    """Sum gated anomaly-score contributions over a +-d window around each point."""
-    a_vals, g, origin = _gated(a, n, cfg)
-    return ScoreSeries(induction_sums(a_vals, g, (cfg.d,))[0], origin)
+    """Sum gated anomaly-score contributions over a +-d window around each point.
+
+    Inputs and sums must be finite, else :class:`~.errors.NonFiniteValue` names the row.
+    """
+    a, g = _gated(a, n, cfg)
+    return ScoreSeries(induction_sums(a.scores, g, (cfg.d,))[0], a.time_origin)
 
 
 def induced_anomaly_score_naive(
@@ -211,8 +208,8 @@ def induced_anomaly_score_naive(
     Kept deliberately transparent as the independent cross-check for the
     optimized version; quadratic in d, so only suitable for short series.
     """
-    a_vals, g, origin = _gated(a, n, cfg)
-    size = a_vals.shape[0]
+    a, g = _gated(a, n, cfg)
+    a_vals, size = a.scores, len(a)
     out = np.zeros(size)
     for t in range(size):
         total = 0.0
@@ -226,7 +223,7 @@ def induced_anomaly_score_naive(
                     term *= g[k]
             total += term
         out[t] = total
-    return ScoreSeries(out, origin)
+    return ScoreSeries(out, a.time_origin)
 
 
 def smoothed_score(a: ScoreSeries | np.ndarray, d: int) -> ScoreSeries:
@@ -234,9 +231,9 @@ def smoothed_score(a: ScoreSeries | np.ndarray, d: int) -> ScoreSeries:
 
     Equivalent to the induced score with a hard gate whose threshold exceeds
     every nominality value (all gates open); it shares the accumulation
-    kernel so the equivalence is exact.  ``d`` follows the ``gate.d`` rule.
+    kernel so the equivalence is exact, finiteness checks included.  ``d``
+    follows the ``gate.d`` rule.
     """
     _check("gate", GateConfig, {"d": d})
-    a_vals = _scores_of(a)
-    origin = a.time_origin if isinstance(a, ScoreSeries) else 0
-    return ScoreSeries(induction_sums(a_vals, np.ones_like(a_vals), (d,))[0], origin)
+    a = as_scores(a)
+    return ScoreSeries(induction_sums(a.scores, np.ones(len(a)), (d,))[0], a.time_origin)

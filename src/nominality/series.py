@@ -93,8 +93,8 @@ class LabeledSeries:
 class ScoreSeries:
     """Per-time-point real-valued scores sharing the series time index.
 
-    ``time_origin`` must be an integer.  The scores are checked where they are
-    computed (:func:`~.pipeline.score_split`) or read, not here.
+    ``time_origin`` must be an integer.  A score that is not finite, such as a
+    sum that overflowed, raises :class:`NonFiniteValue` naming its row.
     """
 
     scores: np.ndarray
@@ -104,11 +104,19 @@ class ScoreSeries:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 1:
             raise ShapeError(f"scores must be 1-D, got shape {scores.shape}")
+        finite = np.isfinite(scores)
+        if not finite.all():
+            raise NonFiniteValue("scores must be finite", int(np.flatnonzero(~finite)[0]))
         object.__setattr__(self, "scores", _freeze(scores))
         object.__setattr__(self, "time_origin", operator.index(self.time_origin))
 
     def __len__(self) -> int:
         return self.scores.shape[0]
+
+
+def as_scores(x: ScoreSeries | np.ndarray) -> ScoreSeries:
+    """``x`` itself if it is a :class:`ScoreSeries`, else ``ScoreSeries(x)``, whose origin is 0."""
+    return x if isinstance(x, ScoreSeries) else ScoreSeries(x)
 
 
 @dataclass(frozen=True)

@@ -901,7 +901,9 @@ class TestCliBehavior:
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: the {section} ")
         assert "Traceback" not in err
 
-    def test_degenerate_labels_exit_3(self, tmp_path):
+    def test_degenerate_labels_exit_3(self, tmp_path, capsys):
+        """``eval``, on scores.npy or on the two CSVs, and ``sweep`` refuse labels of one
+        class in one line naming the file they came from and that class."""
         config_path, out = write_config(tmp_path)
         # strip every anomaly segment: labels become all zero
         text = Path(config_path).read_text()
@@ -913,7 +915,15 @@ class TestCliBehavior:
         assert main(["synth", "--config", config_path]) == 0
         assert main(["train", "--config", config_path]) == 0
         assert main(["score", "--config", config_path]) == 0
-        assert main(["eval", "--config", config_path]) == 3
+        capsys.readouterr()
+        csvs = ["--scores", os.path.join(out, "induced.csv"),
+                "--labels", os.path.join(out, "labels.csv")]
+        for args, source in ((["eval"], "scores.npy"), (["eval", *csvs], "labels.csv"),
+                             (["sweep"], "scores.npy")):
+            assert main([*args, "--config", config_path]) == 3
+            assert capsys.readouterr().err == (
+                f"data error: {os.path.join(out, source)}: labels must contain at least one 0 "
+                f"and one 1; all 290 are 0\n")
 
     def test_epochs_zero_saves_seeded_init(self, tmp_path):
         config_path, out = write_config(tmp_path)
@@ -1716,23 +1726,31 @@ def test_unnamed_models_name_a_narrower_split():
         score_split(cfg, models, narrow)
 
 
-@pytest.mark.parametrize("downsample, row, named", [(1, 300, 300), (2, 301, 300), (1, 3, 5)])
+@pytest.mark.parametrize("downsample, row, named",
+                         [(1, 300, 300), (2, 301, 300), (1, 3, 5), (1, (300, 301), 285)])
 def test_huge_test_value_names_its_row(downsample, row, named):
     """A score overflow names the first row of the block that holds the huge value.
 
     Row 3 lies before the first scored row (gamma 5), so only sequence
-    contexts see it; the first of them predicts row 5, which is named.
+    contexts see it; the first of them predicts row 5, which is named.  Rows
+    300 and 301 at 2e154 overflow the induced score only: every point score is
+    finite (scoring passes at ``gate.d`` 0), but the window sum at d 16 is not
+    from row 285 on, whose window first holds both rows.
     """
     data = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=600))
-    cfg = config_from_dict({"data": {"test": "test.csv"},
-                            "preprocess": {"downsample": downsample},
-                            "point_model": {"d_lat": 2, "epochs": 2},
-                            "sequence_model": {"gamma": 5, "delta": 2}})
+    settings = {"data": {"test": "test.csv"}, "preprocess": {"downsample": downsample},
+                "point_model": {"d_lat": 2, "epochs": 2},
+                "sequence_model": {"gamma": 5, "delta": 2}}
+    cfg = config_from_dict(settings)
     models = fit_models(cfg, data.train)
     values = data.test.values.copy()
-    values[row, 1] = 1e200
-    with pytest.raises(DataError, match=f"^test.csv: row {named}: "):
-        score_split(cfg, models, dataclasses.replace(data.test, values=values))
+    values[row, 1] = 1e200 if isinstance(row, int) else 2e154
+    split = dataclasses.replace(data.test, values=values)
+    if not isinstance(row, int):
+        score_split(config_from_dict({**settings, "gate": {"d": 0}}), models, split)
+    with pytest.raises(DataError, match=f"^test.csv: row {named}: a value at or near this row "
+                       r"is too large to score \(the scores overflow\)$"):
+        score_split(cfg, models, split)
 
 
 # A small fit: the span rule runs before the models train.
@@ -1792,6 +1810,17 @@ def test_flattening_training_cell_is_one_stderr_line(tmp_path, capsys):
     assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
 
 
+def _run_warned(warnings, *args):
+    """``python -m nominality.cli`` with ``args``, PYTHONWARNINGS set to ``warnings``
+    (unset for None), its output captured."""
+    env = _child_env()
+    env.pop("PYTHONWARNINGS", None)
+    if warnings is not None:
+        env["PYTHONWARNINGS"] = warnings
+    return subprocess.run([sys.executable, "-m", "nominality.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
 @pytest.mark.parametrize("command, old, new, status, message", [
     ("train", "  learn_rate: 0.001\n", "  learn_rate: 1.0e+300\n", 4,
@@ -1832,13 +1861,7 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
     path, out = write_config(tmp_path)
     assert main(["synth", "--config", path]) == 0
     before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
-    env = _child_env()
-    env.pop("PYTHONWARNINGS", None)
-    if warnings is not None:
-        env["PYTHONWARNINGS"] = warnings
-    done = subprocess.run(
-        [sys.executable, "-m", "nominality.cli", command, "--config",
-         second_config(path, old, new)], env=env, capture_output=True, text=True, timeout=120)
+    done = _run_warned(warnings, command, "--config", second_config(path, old, new))
     assert (done.returncode, done.stderr.splitlines()) == (status, [message])
     assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
 
@@ -1870,16 +1893,57 @@ def test_scale_overflow_is_one_stderr_line(tmp_path, warnings, command, split, e
                                           else cell for j, cell in enumerate(cells)])
     split_path = _rewrite(os.path.join(out, split), damage)
     before = {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)}
-    env = _child_env()
-    env.pop("PYTHONWARNINGS", None)
-    if warnings is not None:
-        env["PYTHONWARNINGS"] = warnings
-    done = subprocess.run([sys.executable, "-m", "nominality.cli", command, "--config", path],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run_warned(warnings, command, "--config", path)
     assert (done.returncode, done.stderr.splitlines()) == (3, [
         f"data error: {split_path}: row {row}: a value at or near this row is too large to "
         f"preprocess (downsampling or scaling overflows)"])
     assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
+@pytest.mark.parametrize("command, rows, value, edit, message", [
+    ("score", (150, 155), "1.6e154", None,
+     "row 145: a value at or near this row is too large to score (the scores overflow)"),
+    ("sweep", (100, 299), "3e153", ("  d_values: [1, 2, 4]\n", "  d_values: [1, 256]\n"),
+     "row 5: a value at or near this row is too large to sweep (the hard_theta_inf sum at "
+     "d=256 overflows)"),
+], ids=["score-induced", "sweep-moving-sum"])
+def test_induction_overflow_is_one_stderr_line(tmp_path, warnings, command, rows, value, edit,
+                                               message):
+    """Test values that leave every point score finite but overflow an induction sum exit 3
+    with one line naming the file and the data row, as warnings are shown or made errors.
+    With c0 of data rows 150-155 at 1.6e154, ``score``'s induced score overflows at
+    gate.d 8 from row 145 on, whose window reaches row 153.  With c0 of rows 100-299 at
+    3e153, ``score`` passes, and ``sweep``'s moving sum at d 256 overflows from the first
+    scored row on.  The command writes nothing."""
+    path, out = write_config(tmp_path)
+    if edit is not None:
+        path = second_config(path, *edit)
+    assert main(["synth", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    split = _rewrite(os.path.join(out, "test.csv"), _edit_rows(
+        lambda i, cells: [value, *cells[1:]] if rows[0] <= i <= rows[1] else cells))
+    if command == "sweep":
+        assert main(["score", "--config", path]) == 0
+    before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
+    done = _run_warned(warnings, command, "--config", path)
+    assert (done.returncode, done.stderr.splitlines()) == (3, [f"data error: {split}: {message}"])
+    assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
+def test_tiny_theta_scores_without_a_warning(tmp_path, warnings):
+    """At gate.theta_n 5e-324 the soft gate's n / theta_n overflows where the gate is
+    exactly 0: ``score`` and ``sweep`` exit 0 with an empty stderr, as warnings are shown
+    or made errors."""
+    path, _ = write_config(tmp_path)
+    path = second_config(path, "  theta_percentile: 98.5\n",
+                         "  theta_percentile: null\n  theta_n: 5.0e-324\n")
+    assert main(["synth", "--config", path]) == 0
+    assert main(["train", "--config", path]) == 0
+    for command in ("score", "sweep"):
+        done = _run_warned(warnings, command, "--config", path)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 # The fuzzed chain: three channels, two segments and one epoch keep its 88 runs fast.

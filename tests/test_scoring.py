@@ -18,6 +18,7 @@ from nominality import (
     smoothed_score,
     theta_from_percentile,
 )
+from nominality.errors import NonFiniteValue
 from nominality.scoring import induced_anomaly_score_naive, induction_sums
 from nominality.series import ScoreSeries
 
@@ -90,6 +91,11 @@ class TestGate:
         with pytest.raises(ConfigError, match=r"^gate\.theta_n must be a number > 0, got 0\.0$"):
             gate("soft", 0.0, 1.0)
 
+    def test_soft_gate_at_tiny_theta_is_exact_without_a_warning(self):
+        """1 / 5e-324 overflows; the gate there is exactly 0, and the RuntimeWarning
+        filter of the test suite would turn a warning into an error."""
+        np.testing.assert_array_equal(gate("soft", 5e-324, [0.0, 1.0]), [1.0, 0.0])
+
 
 class TestInducedScore:
     def test_d_zero_is_identity(self):
@@ -116,6 +122,23 @@ class TestInducedScore:
                 ScoreSeries([1.0, 2.0]), ScoreSeries([1.0]),
                 GateConfig("soft", theta_n=1.0, d=1),
             )
+
+    @pytest.mark.parametrize("which", ["anomaly", "nominality"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, which, bad):
+        scores = {"anomaly": np.ones(4), "nominality": np.zeros(4)}
+        scores[which][2] = bad
+        with pytest.raises(ShapeError, match="^scores must be finite$"):
+            induced_anomaly_score(scores["anomaly"], scores["nominality"],
+                                  GateConfig("soft", theta_n=1.0, d=1))
+
+    def test_overflowing_sum_names_its_row(self):
+        """Finite scores whose window sum overflows raise NonFiniteValue naming the
+        first row of the sum, without a numpy warning."""
+        a = np.array([0.0, 0.0, 0.0, 1e308, 1e308])
+        with pytest.raises(NonFiniteValue, match="^scores must be finite$") as exc:
+            induced_anomaly_score(a, np.zeros(5), GateConfig("hard", theta_n=1.0, d=1))
+        assert exc.value.row == 3
 
     def test_unresolved_theta_rejected(self):
         with pytest.raises(ShapeError):
@@ -323,6 +346,13 @@ class TestThetaFromPercentile:
         with pytest.raises(EmptyInput):
             theta_from_percentile(np.array([]), 50)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ShapeError, match="^scores must be finite$"):
+            theta_from_percentile(np.array([1.0, bad]), 50)
+        with pytest.raises(ShapeError, match="^scores must be finite$"):
+            resolve_theta(GateConfig("soft", theta_percentile=50), np.array([1.0, bad]))
+
     def test_resolve_theta(self):
         cfg = GateConfig("soft", theta_percentile=50, d=3)
         resolved = resolve_theta(cfg, ScoreSeries([1.0, 2.0, 3.0, 4.0]))
@@ -338,6 +368,10 @@ class TestSmoothedScore:
     def test_d_zero_identity(self):
         a = ScoreSeries([4.0, 5.0])
         np.testing.assert_array_equal(smoothed_score(a, 0).scores, a.scores)
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ShapeError, match="^scores must be finite$"):
+            smoothed_score(np.array([1.0, np.nan]), 1)
 
     @pytest.mark.parametrize("d", [0, 1, 4, 16])
     def test_equals_open_hard_gate_exactly(self, d):

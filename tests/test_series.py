@@ -27,7 +27,7 @@ from nominality import (
     save_csv,
 )
 from nominality.cli import read_labels_csv, read_score_csv, write_labels_csv, write_score_csv
-from nominality.series import atomic_write, write_csv
+from nominality.series import as_scores, atomic_write, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -385,6 +385,27 @@ class TestSeriesInvariants:
         with pytest.raises(TypeError):
             ScoreSeries(np.ones(3), kind="nominality")
         assert ScoreSeries(np.ones(3), np.int64(4)).time_origin == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("row", [0, 3, 6], ids=["first", "middle", "last"])
+    def test_non_finite_score_names_its_row(self, bad, row):
+        """A score series checks its own scores and names the first row with a bad one."""
+        scores = np.ones(7)
+        scores[row] = bad
+        if row < 6:
+            scores[6] = np.nan  # a later bad row is not the one named
+        with pytest.raises(NonFiniteValue, match="^scores must be finite$") as exc:
+            ScoreSeries(scores, 5)
+        assert exc.value.row == row
+
+    def test_as_scores_keeps_a_series_and_gives_an_array_origin_0(self):
+        series = ScoreSeries(np.arange(3.0), 4)
+        assert as_scores(series) is series
+        from_array = as_scores(np.arange(3.0))
+        assert isinstance(from_array, ScoreSeries) and from_array.time_origin == 0
+        np.testing.assert_array_equal(from_array.scores, [0.0, 1.0, 2.0])
+        with pytest.raises(NonFiniteValue):
+            as_scores([1.0, np.inf])
 
 
 class TestMinMax:
