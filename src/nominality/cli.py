@@ -25,10 +25,10 @@ in column ``data.label_column``; it exits 2 if that key is null or names one
 of its channels, or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's, and
 writes ``labels.csv`` and ``scores.npy`` only for a labeled one.  ``sweep`` reads
-``scores.npy`` rather than scoring the test split again, and the training
-nominality for its threshold from ``model.json``; ``eval`` reads the ``induced``
-and ``label`` columns of ``scores.npy``, or the two CSV files that ``--scores``
-and ``--labels`` name together (one alone exits 2).  Neither parses ``score``'s
+``scores.npy`` at the gate threshold ``score`` resolved (:func:`read_scores`)
+rather than scoring the test split again; ``eval`` reads its ``induced`` and
+``label`` columns the same way, or the two CSV files that ``--scores`` and
+``--labels`` name together (one alone exits 2).  Neither parses ``score``'s
 CSVs, which are written for readers outside the package, and on ``scores.npy``
 both exit 2 on a null ``data.label_column`` before opening a file of the run.
 ``train`` and ``score`` record in their manifests the sha256 of every file they
@@ -38,9 +38,9 @@ command ran with the config sections the files depend on (exit 2) and its
 manifest records, unchanged, every file the reader depends on (exit 3):
 :data:`TRAINED_FILES` for ``score``, :data:`SCORED_FILES` for ``eval`` and
 ``sweep``; no other recorded file is opened.  ``score`` checks ``train``'s
-``preprocess``, ``point_model`` and ``sequence_model``; ``sweep`` checks those
-and ``data.label_column`` in ``score``'s manifest, and ``eval`` on
-``scores.npy`` checks what ``sweep`` checks and ``gate``.
+``preprocess``, ``point_model`` and ``sequence_model``; ``eval`` on ``scores.npy`` checks
+those, ``data.label_column`` and ``gate`` in ``score``'s manifest, and ``sweep`` the same
+with only ``gate.theta_n`` and ``gate.theta_percentile`` of the gate.
 ``eval_report.json`` holds every figure of the one report (the best F1 with
 its threshold, precision and recall, the point-adjusted best F1, the AUC and
 the class counts), written like every JSON file, and ``curve.csv`` the curve:
@@ -77,7 +77,6 @@ from .errors import ConfigError, DataError, DegenerateLabels, NumericError
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
-from .scoring import resolve_theta
 from .series import (
     LabeledSeries,
     ScoreSeries,
@@ -110,7 +109,7 @@ COMMANDS = {
     "train": "fit the point and sequence models on data.train; write model.json",
     "score": "score data.test; write the score CSVs, labels.csv and scores.npy",
     "eval": "evaluate a score against labels; write eval_report.json and curve.csv",
-    "sweep": "gate ablation on scores.npy and model.json; write sweep.json",
+    "sweep": "gate ablation on scores.npy at score's threshold; write sweep.json",
 }
 
 
@@ -195,17 +194,23 @@ def write_scores(bundle: ScoreBundle, path: str) -> None:
     atomic_write(path, [buffer.getvalue()])
 
 
-def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray]:
-    """The anomaly, sequence anomaly, nominality and induced series of a matrix
-    :func:`write_scores` saved, and its labels.
+def read_scores(cfg: PipelineConfig, command: str, gate_sections) -> ScoreBundle:
+    """``score``'s hand-over to ``command``: its matrix and resolved gate threshold, as a bundle.
 
-    The matrix is held to the checks of :func:`read_score_csv` and
-    :func:`read_labels_csv`: a 2-D float64 array of 6 columns and at
-    least one row, consecutive time indices, finite scores, a non-negative
-    nominality and labels in {0, 1}.  Any other matrix, and a file that is
-    not one ``.npy`` array ``np.load`` reads without unpickling, raises
-    :class:`DataError` naming ``path``.
+    A null ``data.label_column`` raises :class:`ConfigError` before a file of the run is
+    opened; :func:`_check_manifest` must pass ``score``'s run with the trained sections,
+    ``data.label_column`` and ``gate_sections``.  The matrix is held to the checks of
+    :func:`read_score_csv` and :func:`read_labels_csv`: a 2-D float64 array of 6 columns,
+    at least one row, consecutive time indices, finite scores, a non-negative nominality
+    and labels in {0, 1} of both classes; any other matrix, or a file that is not one
+    ``.npy`` array ``np.load`` reads unpickled, raises :class:`DataError` naming it.
     """
+    if cfg.data.label_column is None:
+        raise ConfigError(f"{command} reads the labels of scores.npy, "
+                          "and data.label_column is null")
+    _, theta = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column",
+                                              *gate_sections], SCORED_FILES)
+    path = os.path.join(cfg.output.dir, SCORES_FILE)
     try:
         with open(path, "rb") as fh:
             matrix = np.load(fh, allow_pickle=False)
@@ -224,7 +229,9 @@ def read_scores(path: str) -> tuple[tuple[ScoreSeries, ...], np.ndarray]:
     if bad.size:
         row = int(bad[0])
         raise DataError(f"{path}: row {row}: label {float(matrix[row, 5])!r} is not 0 or 1")
-    return series, matrix[:, 5].astype(np.int64)
+    labels = matrix[:, 5].astype(np.int64)
+    _check_classes(labels, path)
+    return ScoreBundle(*series, labels, theta)
 
 
 def _check_classes(labels: np.ndarray, path: str) -> None:
@@ -325,7 +332,7 @@ def cmd_score(cfg: PipelineConfig) -> int:
     trained sections and that its files are unchanged, and :func:`score_split`
     refuses a test split without the training split's channels, in its order.
     """
-    train_digests = _check_manifest(cfg, "train", TRAINED_SECTIONS, TRAINED_FILES)
+    train_digests, _ = _check_manifest(cfg, "train", TRAINED_SECTIONS, TRAINED_FILES)
     models = load_model(os.path.join(cfg.output.dir, MODEL_FILE))
     bundle = score_split(cfg, models, _load_split(cfg, "test"))
     for name, series in zip(SCORE_CSVS, (bundle.anomaly, bundle.seq_anomaly,
@@ -349,19 +356,14 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     """Evaluate the induced score against the labels, or a score CSV against a label CSV.
 
     With neither path named, the inputs are the ``induced`` and ``label``
-    columns of ``score``'s matrix, checked by :func:`_check_manifest` with
-    ``data.label_column``, which must not be null, and ``gate``.  The two named
-    paths, which :func:`main` takes together or not at all, are read as CSVs
-    without these checks.
+    columns of ``score``'s matrix, read by :func:`read_scores` with the whole
+    ``gate`` section checked.  The two named paths, which :func:`main` takes
+    together or not at all, are read as CSVs without these checks.
     """
     if scores_path is None:
-        if cfg.data.label_column is None:
-            raise ConfigError("eval reads the labels of scores.npy, and data.label_column is null")
-        _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column", "gate"],
-                        SCORED_FILES)
+        bundle = read_scores(cfg, "eval", ["gate"])
+        scores, labels = bundle.induced, bundle.labels
         scores_path = labels_path = os.path.join(cfg.output.dir, SCORES_FILE)
-        series, labels = read_scores(scores_path)
-        scores = series[3]
     else:
         for path in (scores_path, labels_path):
             if not os.path.exists(path):
@@ -370,7 +372,7 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):
             raise DataError(f"labels ({labels_path}) are not aligned with scores ({scores_path})")
-    _check_classes(labels, labels_path)
+        _check_classes(labels, labels_path)
     report = evaluate(scores, labels)
     write_json(report.summary(), os.path.join(cfg.output.dir, REPORT_FILE))
     write_csv(os.path.join(cfg.output.dir, CURVE_FILE), ["threshold", "tp", "fp"],
@@ -380,15 +382,17 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     return EXIT_OK
 
 
-def _check_manifest(cfg: PipelineConfig, command: str, sections, names) -> dict[str, str]:
-    """The digests ``command`` recorded of ``names``, once its run is shown to match the config
-    and those files.
+def _check_manifest(cfg: PipelineConfig, command: str, sections,
+                    names) -> tuple[dict, float | None]:
+    """The digests ``command`` recorded of ``names`` and, for ``score``, its resolved gate
+    threshold, once its run is shown to match the config and those files.
 
     Each of ``sections`` (such as ``gate`` or ``data.label_column``) must equal the one in
     the config ``manifest_<command>.json`` records, read by :func:`config_from_dict`
     (else :class:`ConfigError`), and each of ``names``, the files the caller depends on,
     must be recorded there with the sha256 its file (see :func:`_recorded_file`) has now
-    (else :class:`DataError`).  No other recorded file is opened.
+    (else :class:`DataError`), as must a ``score`` manifest's ``resolved_theta`` be a
+    number > 0.  No other recorded file is opened.
     """
     path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
@@ -398,6 +402,9 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, names) -> dict[
             doc = json.load(fh)
         digests = dict(doc["digests"])
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
+        theta = doc.get("resolved_theta")
+        if command == "score" and not (type(theta) in (int, float) and theta > 0):
+            raise ValueError(f"resolved_theta {theta!r} is not a number > 0")
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "
                         f"run '{command}' again") from None
@@ -414,24 +421,13 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections, names) -> dict[
         if _sha256(file) != digests[name]:
             raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
                             f"one in {path}); run '{command}' again")
-    return {name: digests[name] for name in names}
+    return {name: digests[name] for name in names}, theta
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
-    """Run the gate-ablation table over the configured induction lengths.
-
-    Reads ``score``'s matrix and resolves the threshold from the training
-    nominality in ``model.json``, both checked by :func:`_check_manifest`,
-    with the current ``gate`` section; ``data.label_column`` must not be null.
-    """
-    if cfg.data.label_column is None:
-        raise ConfigError("sweep reads the labels, and data.label_column is null")
-    _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column"], SCORED_FILES)
-    scores_path = os.path.join(cfg.output.dir, SCORES_FILE)
-    series, labels = read_scores(scores_path)
-    _check_classes(labels, scores_path)
-    train_nominality = load_model(os.path.join(cfg.output.dir, MODEL_FILE)).train_nominality
-    bundle = ScoreBundle(*series, labels, resolve_theta(cfg.gate, train_nominality).theta_n)
+    """Run the gate-ablation table over the configured induction lengths at ``score``'s
+    threshold; the table covers both gate kinds and every d, so only the threshold is checked."""
+    bundle = read_scores(cfg, "sweep", ["gate.theta_n", "gate.theta_percentile"])
     write_json(sweep_table(cfg, bundle), os.path.join(cfg.output.dir, SWEEP_FILE))
     write_manifest(cfg, "sweep", {})
     return EXIT_OK

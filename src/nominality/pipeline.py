@@ -12,8 +12,8 @@ pair's ``valid_range``, so callers never align offsets by hand.
 from the raw training split.  :func:`score_split` preprocesses a raw split
 with those statistics and is the only code that computes the scores of a split.
 :func:`sweep_table` takes them as a :class:`ScoreBundle`, either the one
-``score_split`` returns or one read back from the score matrix that
-``score`` saves, and only evaluates them.
+``score_split`` returns or one read back from the score matrix and threshold
+that ``score`` saves, and only evaluates them.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ SPAN_RATIO = 1e6
 class ScoreBundle:
     """All per-time-point scores for one split, aligned on the valid range.
 
-    ``score`` saves one as ``scores.npy`` and ``sweep`` reads it back, with
-    ``theta`` resolved again from the current ``gate`` section.
+    ``score`` saves one as ``scores.npy``, with ``theta`` in its manifest, and
+    ``eval`` and ``sweep`` read both back, so a run has one threshold.
     """
 
     anomaly: ScoreSeries
@@ -194,16 +194,16 @@ def _too_large(cfg: PipelineConfig, t: int, what: str) -> DataError:
 def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
     """Five scoring methods evaluated across the configured induction lengths.
 
-    Takes the bundle's anomaly, sequence anomaly and nominality scores, its
-    labels and its threshold; its induced score is not read.  The first two
-    rows use the raw point/sequence reconstruction errors and ignore d; the
-    gated rows induce the point-based anomaly score through an open gate (the
-    moving sum), a hard gate and a soft gate at the threshold, each from one
-    set of doubling blocks shared by every d.  Each series' AUC and best F1
-    are :func:`~.evaluation.best_f1`'s, from :func:`~.evaluation.auc_and_best_f1`,
-    which builds no curve.  Returns a JSON-ready dict with per-d AUC and best
-    F1 plus their mean and standard deviation across d.  An induction sum that
-    overflows raises :class:`DataError` naming its first data row, table row and d.
+    Takes the bundle's anomaly, sequence anomaly and nominality scores, its labels
+    and its threshold (from the CLI, the one ``score`` resolved); its induced score is
+    not read.  The first two rows use the raw point/sequence reconstruction errors and
+    ignore d; the gated rows induce the point-based anomaly score through an open gate
+    (the moving sum), a hard gate and a soft gate at the threshold, each from one set of
+    doubling blocks shared by every d.  Each series' AUC and best F1 are
+    :func:`~.evaluation.best_f1`'s, from :func:`~.evaluation.auc_and_best_f1`, which
+    builds no curve.  Returns a JSON-ready dict with per-d AUC and best F1 plus their
+    mean and standard deviation across d.  An induction sum that overflows raises
+    :class:`DataError` naming its first data row, table row and d.
     """
     if bundle.labels is None:
         raise DataError("cannot sweep: test split has no labels")

@@ -19,13 +19,14 @@ import shutil
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from nominality import cli, numtext
+from nominality import cli, numtext, series
 from nominality.cli import main, read_labels_csv, read_score_csv
 from nominality.config import (
     RETIRED_KEYS,
@@ -466,6 +467,33 @@ class TestEndToEnd:
         assert (np.abs(values) < 2.0**49).all()
         assert numtext._shortest(values.view(np.uint64))[2].sum() <= values.size // 1000
 
+    def test_csv_cells_take_loadtxt(self, rundir, tmp_path, monkeypatch):
+        """The splits, score CSVs and labels.csv parse in ``np.loadtxt``'s one call: the
+        fallback that trims each cell in Python is never reached.  A split with one empty
+        cell reaches it, and the cell is forward-filled."""
+        out = rundir[1]
+        trim = series._cell_text
+
+        def refuse(cell):
+            raise AssertionError(f"cell {cell!r} went to the per-cell fallback")
+
+        monkeypatch.setattr(series, "_cell_text", refuse)
+        for name in ("train.csv", "test.csv"):
+            load_csv(os.path.join(out, name), label_column="label")
+        for name in cli.SCORE_CSVS:
+            read_score_csv(os.path.join(out, name))
+        read_labels_csv(os.path.join(out, "labels.csv"))
+        trimmed = []
+        monkeypatch.setattr(series, "_cell_text", lambda cell: trimmed.append(cell) or trim(cell))
+        path = _rewrite(shutil.copy(os.path.join(out, "test.csv"), tmp_path / "test.csv"),
+                        _edit_rows(lambda i, cells: ["", *cells[1:]] if i == 7 else cells))
+        split = load_csv(path, label_column="label")
+        full = load_csv(os.path.join(out, "test.csv"), label_column="label")
+        assert trimmed
+        assert split.values[7, 0] == full.values[6, 0] != full.values[7, 0]
+        np.testing.assert_array_equal(np.delete(split.values, 7, axis=0),
+                                      np.delete(full.values, 7, axis=0))
+
     def test_sweep_structure(self, rundir):
         _, out = rundir
         table = read_json(os.path.join(out, "sweep.json"))
@@ -775,9 +803,9 @@ class TestCliBehavior:
                                                               "nominality-model-v1")),
             ("score", "model.json", _edit_json(lambda doc: doc.update(minmax=None))),
             ("score", "model.json", _edit_json(lambda doc: doc["sequence"].update(n_channels=4.0))),
-            # sweep reads only the training nominality, so a bad name would go unseen
-            ("sweep", "model.json", _edit_json(lambda doc: doc.update(channel_names="abcd"))),
-            ("sweep", "model.json",
+            # score decodes all of model.json, channel names included; sweep does not open it
+            ("score", "model.json", _edit_json(lambda doc: doc.update(channel_names="abcd"))),
+            ("score", "model.json",
              _edit_json(lambda doc: doc.update(channel_names=[0, 1, 2, 3]))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
              for command in ("eval", "sweep")],
@@ -1278,19 +1306,58 @@ class TestSweepFromScores:
         capsys.readouterr()
         assert main(["sweep", "--config", config_path]) == 2
         assert capsys.readouterr().err == (
-            "config error: sweep reads the labels, and data.label_column is null\n")
+            "config error: sweep reads the labels of scores.npy, and data.label_column is null\n")
 
-    def test_theta_percentile_override(self, rundir, tmp_path):
+    def test_theta_percentile_override(self, rundir, tmp_path, capsys):
+        """A run has the one threshold ``score`` resolved: ``sweep`` on another
+        ``gate.theta_percentile`` exits 2 naming it, and after ``score`` with that config
+        sweeps at the threshold ``score`` recorded."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         second = second_config(config_path, "theta_percentile: 98.5", "theta_percentile: 99")
+        assert main(["sweep", "--config", second]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: the gate.theta_percentile section differs ")
+        assert err.rstrip().endswith("run 'score' again")
+        assert Path(out, "sweep.json").read_bytes() == Path(rundir[1], "sweep.json").read_bytes()
+        assert main(["score", "--config", second]) == 0
         assert main(["sweep", "--config", second]) == 0
         theta = read_json(os.path.join(out, "sweep.json"))["theta"]
         train_nominality = load_model(os.path.join(out, "model.json")).train_nominality
+        assert theta == read_json(os.path.join(out, "manifest_score.json"))["resolved_theta"]
         assert theta == theta_from_percentile(train_nominality, 99)
-        assert theta != read_json(os.path.join(out, "manifest_score.json"))["resolved_theta"]
-        assert main(["score", "--config", second]) == 0
-        assert read_json(os.path.join(out, "manifest_score.json"))["resolved_theta"] == theta
+        assert theta != read_json(os.path.join(rundir[1], "sweep.json"))["theta"]
+
+    @pytest.mark.parametrize("edit", [("theta_percentile: 98.5", "theta_percentile: null\n  "
+                                       "theta_n: 0.5"), GATE_D_1, ("kind: soft", "kind: hard")],
+                             ids=["theta-n", "d", "kind"])
+    def test_checks_only_the_threshold_of_the_gate(self, rundir, tmp_path, capsys, edit):
+        """``sweep`` refuses a gate whose threshold differs from ``score``'s, and takes
+        any gate kind and d: its table covers both kinds and every d of ``sweep.d_values``."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        os.remove(os.path.join(out, "sweep.json"))
+        status = main(["sweep", "--config", second_config(config_path, *edit)])
+        if edit[0].startswith("theta"):
+            assert status == 2 and not os.path.exists(os.path.join(out, "sweep.json"))
+            assert capsys.readouterr().err.startswith("config error: the gate.theta_n section ")
+        else:
+            assert status == 0
+            assert (Path(out, "sweep.json").read_bytes()
+                    == Path(rundir[1], "sweep.json").read_bytes())
+
+    def test_model_json_is_not_decoded(self, rundir, tmp_path):
+        """``sweep`` checks model.json's digest but does not decode it: with the file
+        replaced by ``{}`` and its digest recorded again, it writes the same table."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        os.remove(os.path.join(out, "sweep.json"))
+        Path(out, "model.json").write_text("{}")
+        for producer in ("train", "score"):
+            _record_digest(out, "model.json", producer)
+        assert main(["sweep", "--config", config_path]) == 0
+        assert Path(out, "sweep.json").read_bytes() == Path(rundir[1], "sweep.json").read_bytes()
 
     def test_readme_sweep_from_csvs_equals_sweep_from_scores(self, tmp_path):
         """For README's run.yaml, the table from score's files is the in-process one, bit for bit."""
@@ -1379,9 +1446,9 @@ class TestEvalFromScores:
         before = {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)}
         unlabeled = second_config(config_path, "data:\n", "data:\n  label_column: null\n")
         assert main([command, "--config", unlabeled]) == 2
-        source = " of scores.npy" if command == "eval" else ""
         assert capsys.readouterr().err == (
-            f"config error: {command} reads the labels{source}, and data.label_column is null\n")
+            f"config error: {command} reads the labels of scores.npy, and data.label_column is "
+            f"null\n")
         assert {name: (tmp_path / "run" / name).read_bytes() for name in os.listdir(out)} == before
 
     def test_null_label_column_eval_reads_named_csvs(self, rundir, tmp_path):
@@ -1419,6 +1486,26 @@ class TestEvalFromScores:
         assert capsys.readouterr().err == (
             f"data error: {out}/{name} is not among the files manifest_{producer}.json "
             f"records; run '{producer}' again\n")
+
+    @pytest.mark.parametrize("theta", [None, "abc", 0, -1], ids=["missing", "string", "zero",
+                                                                  "negative"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_bad_resolved_theta_exit_3(self, rundir, tmp_path, capsys, command, theta):
+        """``eval`` and ``sweep`` take the threshold from ``manifest_score.json``, so one
+        whose ``resolved_theta`` is missing or not a number > 0 exits 3 with one line
+        naming the manifest, and the command writes nothing."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        manifest = os.path.join(out, "manifest_score.json")
+        _rewrite(manifest, _edit_json(lambda doc: doc.pop("resolved_theta") if theta is None
+                                      else doc.update(resolved_theta=theta)))
+        before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
+        assert main([command, "--config", config_path]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {manifest}: cannot decode the score manifest: ")
+        assert err.rstrip().endswith("run 'score' again")
+        assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
 
     def test_eval_before_score_exit_3(self, tmp_path, capsys):
         config_path, _ = write_config(tmp_path)
@@ -2031,6 +2118,129 @@ def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys)
                     name, kind, command, status, err)
                 assert "Traceback" not in err
     assert cases == 88
+
+
+#: README's exit-code rule, which every generated case keeps.
+EXIT_RULE = ("Exit codes: 0 ok, 2 usage/config error, 3 data error, 4 numeric failure. A "
+             "command prints at most one line on stderr and never a traceback, and one that "
+             "exits 0 writes only finite scores.")
+EXIT_CODES = (0, 2, 3, 4)
+# The generated split values: the smallest subnormal, a subnormal, a negative zero, and
+# finite values whose squares, window sums or scaled values overflow.
+FUZZ_VALUES = (5e-324, 1e-310, -0.0, 1e16, 1e50, 1.6e154, 3e153, 1e200, 1e300, 1.7e308,
+               -1.7e308)
+FUZZ_SEED = 22
+# the files each command writes that hold scores or figures of them, which must be finite
+# on exit 0; curve.csv is not among them, as its last threshold is inf above a huge score
+FUZZ_SCORED = {"score": (*cli.SCORE_CSVS, "scores.npy"), "eval": ("eval_report.json",),
+               "sweep": ("sweep.json",)}
+# Keys whose size drives the cost of a run, so that a huge value would hang or allocate
+# gigabytes, and TrigSpec's seed, which is synth.seed and no synth.options key.
+FUZZ_SIZE_KEYS = ("point_model.epochs", "sequence_model.gamma", "synth.options.n_train",
+                  "synth.options.n_test", "synth.options.n_channels", "synth.options.seed")
+
+
+def _config_edges():
+    """(key, value) for each number a config rule bounds: each bound the rule's wording
+    names, the neighbour past it on the other side of the rule, and a huge value."""
+    sections = {**typing.get_type_hints(PipelineConfig), "synth.options": TrigSpec}
+    edges = []
+    for section, cls in sections.items():
+        for f in dataclasses.fields(cls):
+            hint, key = typing.get_type_hints(cls)[f.name], f"{section}.{f.name}"
+            if "rule" not in f.metadata or key in FUZZ_SIZE_KEYS or hint not in (
+                    int, float, float | None):
+                continue
+            test, wording = f.metadata["rule"]
+            kind = int if hint is int else float
+            for bound in map(kind, re.findall(r"\d+", wording)):
+                steps = ((bound - 1, bound + 1) if kind is int
+                         else (np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)))
+                edges += [(key, bound)] + [(key, kind(v)) for v in steps
+                                           if bool(test(v)) != bool(test(bound))]
+            edges.append((key, 2**63 - 1 if kind is int else 1.7e308))
+    return edges
+
+
+def _check_exit_contract(case, commands, capsys):
+    """Run ``commands`` in the current directory's chain with every warning an error and
+    hold each to :data:`EXIT_RULE`."""
+    for command in commands:
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                status = main([command, "--config", "run.yaml"])
+            except Exception as exc:  # a traceback: no exit code at all
+                pytest.fail(f"{case}: {command} raised {exc!r}")
+        err = capsys.readouterr().err
+        assert status in EXIT_CODES and len(err.splitlines()) <= 1, (case, command, status, err)
+        assert "Traceback" not in err
+        for name in FUZZ_SCORED.get(command, ()) if status == 0 else ():
+            path = os.path.join("run", name)
+            if name.endswith(".json"):
+                assert not re.search(r"NaN|Infinity", Path(path).read_text()), (case, name)
+            else:
+                values = (np.load(path) if name.endswith(".npy")
+                          else np.loadtxt(path, delimiter=",", skiprows=1))
+                assert np.isfinite(values).all(), (case, name)
+
+
+@pytest.fixture
+def fuzz_chain(tmp_path, monkeypatch):
+    """The fuzzed chain run once, and a function that restores its files in place."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.yaml").write_text(FUZZ_PATHS + FUZZ_BODY)
+    run_all("run.yaml")
+    clean = {path: path.read_bytes() for path in Path(".").rglob("*") if path.is_file()}
+
+    def restore():
+        for path, data in clean.items():
+            path.write_bytes(data)
+    return restore
+
+
+def test_readme_states_the_exit_rule():
+    assert EXIT_RULE in " ".join(Path(ROOT, "README.md").read_text().split())
+
+
+def test_seeded_split_values_keep_the_exit_rule(fuzz_chain, capsys):
+    """For each generated value and split, two runs of 1-200 cells of one channel, drawn
+    at a fixed seed, are set to the value, and every command that reads the split
+    keeps :data:`EXIT_RULE`."""
+    rng = random.Random(FUZZ_SEED)
+    cases = 0
+    for value in FUZZ_VALUES:
+        for split in ("run/train.csv", "run/test.csv"):
+            for _ in range(2):
+                fuzz_chain()
+                rows = Path(split).read_bytes().count(b"\n") - 1
+                channel, length = rng.randrange(3), rng.randint(1, 200)
+                start = rng.randrange(rows - length + 1)
+                _rewrite(split, _edit_rows(lambda i, cells: [
+                    repr(value) if j == channel and start <= i < start + length else cell
+                    for j, cell in enumerate(cells)]))
+                cases += 1
+                _check_exit_contract((split, value, channel, start, length),
+                                     FUZZ_READERS[split], capsys)
+    assert cases == 44
+
+
+def test_config_edges_keep_the_exit_rule(fuzz_chain, capsys):
+    """Each number a config rule bounds, at its bound, one step past it and a huge value,
+    keeps :data:`EXIT_RULE` in every command."""
+    body = yaml.safe_load(FUZZ_BODY)
+    edges = _config_edges()
+    for key, value in edges:
+        fuzz_chain()
+        doc = json.loads(json.dumps(body))
+        *sections, name = key.split(".")
+        functools.reduce(lambda d, s: d.setdefault(s, {}), sections, doc)[name] = value
+        if key == "gate.theta_n":
+            doc["gate"]["theta_percentile"] = None
+        Path("run.yaml").write_text(FUZZ_PATHS + yaml.safe_dump(doc))
+        _check_exit_contract((key, value), COMMANDS, capsys)
+    assert len(edges) == 38
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):
