@@ -66,6 +66,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import zipfile
 
@@ -113,7 +114,7 @@ COMMANDS = {
 }
 
 
-def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
+def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> None:
     """Record everything needed to reproduce this command bit-exactly."""
     doc = {
         "command": command,
@@ -125,9 +126,7 @@ def write_manifest(cfg: PipelineConfig, command: str, extra: dict) -> str:
         },
     }
     doc.update(extra)
-    path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
-    write_json(doc, path)
-    return path
+    write_json(doc, os.path.join(cfg.output.dir, MANIFEST_FILE.format(command)))
 
 
 def write_score_csv(series: ScoreSeries, path: str) -> None:
@@ -242,8 +241,12 @@ def _check_classes(labels: np.ndarray, path: str) -> None:
 
 
 def _sha256(path: str) -> str:
+    """The file's SHA-256, read 1 MiB at a time so a large split is never held whole."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for block in iter(functools.partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _split_path(cfg: PipelineConfig, which: str, exists: bool = True) -> str:
@@ -287,7 +290,9 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     spec = cfg.synth.spec()
     if cfg.data.label_column is None:
         raise ConfigError("synth writes the labels to data.label_column, which is null")
-    if cfg.data.label_column in [f"c{j}" for j in range(spec.n_channels)]:
+    # synth's channels are c0, c1, ...: "c" and a canonical ASCII decimal below n_channels
+    index = re.fullmatch(r"c(0|[1-9][0-9]*)", cfg.data.label_column)
+    if index and len(index[1]) <= len(str(spec.n_channels)) and int(index[1]) < spec.n_channels:
         raise ConfigError(f"data.label_column {cfg.data.label_column!r} names one of synth's "
                           f"channels, c0 to c{spec.n_channels - 1}")
     if os.path.realpath(files[0]) == os.path.realpath(files[1]):

@@ -11,7 +11,8 @@ as a plain argument builds the section to check it.  ``synth.options`` is the
 generator spec :class:`TrigSpec`, whose fields declare their rules the same
 way.  The rules that span keys are in ``__post_init__``: ``sequence_model.delta``
 is at most ``2 * gamma``, the gate has exactly one threshold source, and a
-spec's segments lie in the test split without overlap.  :func:`_check` also
+spec's cells fit one float64 array and its segments lie in the test split
+without overlap.  :func:`_check` also
 checks the settings that ``model.json``'s arrays imply: the sequence model's
 ``gamma`` and ``delta`` and the point model's latent width.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
@@ -243,6 +244,10 @@ class TrigSpec:
 
     def __post_init__(self) -> None:
         _check("synth.options", TrigSpec, vars(self))
+        cells, limit = self.n_channels * (self.n_train + self.n_test), np.iinfo(np.intp).max // 8
+        if cells > limit:  # float64 cells beyond any array numpy can index
+            raise ConfigError(f"synth.options.n_channels * (n_train + n_test) must be at most "
+                              f"{limit}, got {cells}")
         for name in ("segments", "frequencies", "phases"):  # YAML lists stand for tuples
             object.__setattr__(self, name, _tupled(getattr(self, name)))
         for start, end, kind in self.segments:

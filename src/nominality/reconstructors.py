@@ -64,17 +64,17 @@ class PointModel:
         return self.enc_w.shape[0]
 
     def loss_and_grads(
-        self, batch: np.ndarray, out: np.ndarray | None = None, buffers: tuple | None = None
+        self, batch: np.ndarray, buffers: tuple | None = None
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Mean squared reconstruction error of a batch and its gradients.
 
         The loss is averaged over all batch elements (rows times channels).
         Gradients are exact; the finite-difference check in the test suite
         validates them against central differences.  They are written into
-        ``out``, a C-contiguous float64 vector laid out as :func:`_param_views`
-        describes (a new one if None), and returned as views of it.  A fit
-        passes ``buffers``, the scratch :func:`_step_buffers` built once for
-        this batch's row count and ``out``, so a step allocates nothing: it is
+        the gradient buffer of ``buffers``, the scratch :func:`_step_buffers`
+        built for this batch's row count (new scratch and a new buffer if
+        None), and returned as views of it.  A fit builds ``buffers`` once
+        per batch row count, so a step allocates nothing: it is
         5 ``np.dot`` products, 9 ufuncs and 3 reductions, each into a buffer
         and rounding in the order of the plain expressions (tanh(x @ W + b),
         2 * resid / (n * D), ...), so the bits match them.  2 * r / (n * D)
@@ -83,9 +83,8 @@ class PointModel:
         """
         if buffers is None:
             batch = np.asarray(batch, dtype=np.float64)
-            if out is None:
-                out = np.empty(2 * self.enc_w.size + self.enc_b.size + self.dec_b.size)
-            buffers = _step_buffers(self, batch.shape[0], out)
+            flat = np.empty(2 * self.enc_w.size + self.enc_b.size + self.dec_b.size)
+            buffers = _step_buffers(self, batch.shape[0], flat)
         hidden, resid, sq, d_pre, half_size, one, dec_w_t, grads = buffers
         np.dot(batch, self.enc_w, hidden)
         np.add(hidden, self.enc_b, hidden)
@@ -126,7 +125,8 @@ def _param_views(flat: np.ndarray, n_channels: int, d_lat: int) -> dict[str, np.
 
 
 def _step_buffers(model: PointModel, n_rows: int, out: np.ndarray) -> tuple:
-    """Scratch for ``model``'s steps on ``n_rows``-row batches, gradients into ``out``.
+    """Scratch for ``model``'s steps on ``n_rows``-row batches, gradients into ``out``,
+    a C-contiguous float64 vector laid out as :func:`_param_views` describes.
 
     In order: hidden layer, residual, its square, pre-activation derivative, n * D / 2
     and 1.0 as 0-d arrays (quicker than floats), ``dec_w.T``, gradient views of ``out``."""
@@ -210,7 +210,7 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
         np.take(rows, rng.permutation(n_rows), axis=0, out=shuffled, mode="clip")
         epoch_loss = 0.0
         for batch, buffers in batches:
-            loss, _ = model.loss_and_grads(batch, grad_0, buffers)
+            loss, _ = model.loss_and_grads(batch, buffers)
             epoch_loss += loss
             step += 1
             np.square(grad_0, grad_1)

@@ -65,18 +65,17 @@ def gate(kind: str, theta_n: float, n):
     """Gate value in [0, 1], non-increasing in the nominality score ``n``.
 
     soft: max(0, 1 - n / theta_n); hard: 1 if n < theta_n else 0 (strict).
-    Accepts scalars or arrays.  A ``kind`` or ``theta_n`` that breaks its
-    ``gate`` rule raises :class:`ConfigError` naming the key.  Where ``n / theta_n``
-    overflows, as at a tiny ``theta_n``, the soft gate is exactly 0, without a warning.
+    Returns float64 shaped like ``n``: an array, or a numpy float64 for a
+    scalar.  A ``kind`` or ``theta_n`` that breaks its ``gate`` rule raises
+    :class:`ConfigError` naming the key.  Where ``n / theta_n`` overflows, as
+    at a tiny ``theta_n``, the soft gate is exactly 0, without a warning.
     """
     GateConfig(kind, theta_n=theta_n)
     n = np.asarray(n, dtype=np.float64)
     if kind == "soft":
         with np.errstate(over="ignore"):
-            out = np.maximum(0.0, 1.0 - n / theta_n)
-    else:
-        out = (n < theta_n).astype(np.float64)
-    return out if out.ndim else float(out)
+            return np.maximum(0.0, 1.0 - n / theta_n)
+    return (n < theta_n).astype(np.float64)
 
 
 def theta_from_percentile(train_nominality: ScoreSeries | np.ndarray, p: float) -> float:

@@ -166,8 +166,8 @@ LINE_END = "\r\n"
 _GATHER_CELLS = 8192  # cells formatted at a time: rows of a block times columns
 
 
-def atomic_write(path: str, data) -> None:
-    """Replace ``path`` with ``data``, a string or an iterable of byte chunks, in one step.
+def atomic_write(path: str, chunks) -> None:
+    """Replace ``path`` with ``chunks``, an iterable of byte chunks, in one step.
 
     The data goes to a fresh file in the same directory, which then replaces
     ``path`` with ``os.replace``; a write that fails partway leaves the
@@ -177,10 +177,7 @@ def atomic_write(path: str, data) -> None:
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            if isinstance(data, str):
-                fh.write(data.encode("utf-8"))
-            else:
-                fh.writelines(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -190,7 +187,7 @@ def atomic_write(path: str, data) -> None:
 
 def write_json(doc: dict, path: str) -> None:
     """Deterministic JSON (sorted keys, one-space indent) written atomically."""
-    atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    atomic_write(path, [(json.dumps(doc, sort_keys=True, indent=1) + "\n").encode("utf-8")])
 
 
 def _quote(text: str) -> str:

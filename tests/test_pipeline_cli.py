@@ -1953,6 +1953,92 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
     assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
 
 
+#: The address space of a child in :func:`_run_limited`: the CLI imports under it, and
+#: it holds no list of 10**8 channel names.
+CHILD_ADDRESS_SPACE = 1_500_000_000
+
+
+def _run_limited(*args):
+    """The CLI's process entry with ``args`` in a child that limits its own address space
+    to :data:`CHILD_ADDRESS_SPACE` bytes before importing anything else, run for 10 s."""
+    pytest.importorskip("resource")
+    code = ("import resource\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE},) * 2)\n"
+            "from nominality.cli import _process_main\n_process_main()\n")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(_child_env(), OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=10)
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("key", ["n_channels", "n_train", "n_test"])
+def test_synth_size_beyond_any_array_exit_2(tmp_path, command, key):
+    """A ``synth.options`` size whose cells no array can index is a config error in every
+    command that loads the config, at once, not a traceback or a hang in ``gen_trig``."""
+    path, out = write_config(tmp_path)
+    assert main(["synth", "--config", path]) == 0
+    before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
+    sizes = {"n_channels": 4, "n_train": 400, "n_test": 300}  # SMALL_CONFIG's
+    path = second_config(path, f"    {key}: {sizes[key]}\n", f"    {key}: {2**63 - 1}\n")
+    sizes[key] = 2**63 - 1
+    done = _run_limited(command, "--config", path)
+    assert (done.returncode, done.stderr.splitlines()) == (2, [
+        f"config error: synth.options.n_channels * (n_train + n_test) must be at most "
+        f"{np.iinfo(np.intp).max // 8}, got "
+        f"{sizes['n_channels'] * (sizes['n_train'] + sizes['n_test'])}"])
+    assert {name: Path(out, name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_synth_label_column_check_lists_no_channels(tmp_path):
+    """``synth`` checks ``data.label_column`` against its channel names without building
+    them: ``c5`` at 10**8 channels exits 2 at once, in an address space no list of
+    10**8 names fits in."""
+    path, out = write_config(tmp_path)
+    path = second_config(path, "    n_channels: 4\n", "    n_channels: 100000000\n")
+    path = second_config(path, "data:\n", "data:\n  label_column: c5\n")
+    done = _run_limited("synth", "--config", path)
+    assert (done.returncode, done.stderr.splitlines()) == (2, [
+        "config error: data.label_column 'c5' names one of synth's channels, c0 to c99999999"])
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("name", ["c0", "c3", "c4", "c05", "c00", "c-1", "c+1", "c 1", "c1.0",
+                                  "c\u0663", "c\u00b9", "C1", "c", "c" + "1" * 5000])
+def test_synth_label_column_names_a_channel_as_a_list_would(tmp_path, capsys, name):
+    """A label column is one of synth's channels exactly when it is among the names
+    ``c0`` ... ``c3`` of 4 channels: ``c05``, a non-ASCII digit and a decimal too long
+    for ``int`` are not.  Both splits name one file, so the next check exits 2 for
+    every other name, before any data is made."""
+    path, _ = write_config(tmp_path)
+    doc = yaml.safe_load(Path(path).read_text())
+    doc["data"].update(test=doc["data"]["train"], label_column=name)
+    Path(path).write_text(yaml.safe_dump(doc))
+    assert main(["synth", "--config", path]) == 2
+    err = capsys.readouterr().err
+    if name in [f"c{j}" for j in range(4)]:
+        assert err == (f"config error: data.label_column {name!r} names one of synth's "
+                       f"channels, c0 to c3\n")
+    else:
+        assert err.startswith("config error: data.train and data.test name the same file")
+
+
+def test_file_digest_reads_at_most_1_mib_at_a_time(tmp_path, monkeypatch):
+    """``eval`` and ``sweep`` hash the splits only to verify them, so a digest never
+    holds a whole file: each read asks for at most 1 MiB."""
+    data = np.random.default_rng(0).bytes(3 * 2**20 + 5)
+    (tmp_path / "split.csv").write_bytes(data)
+    sizes = []
+
+    class Reader(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: Reader(io.FileIO(path)), raising=False)
+    assert cli._sha256(str(tmp_path / "split.csv")) == hashlib.sha256(data).hexdigest()
+    assert sizes and all(0 < size <= 2**20 for size in sizes), sizes
+
+
 @pytest.mark.parametrize("warnings", [None, "error::RuntimeWarning"], ids=["default", "error"])
 @pytest.mark.parametrize("command, split, edits, downsample, row", [
     ("score", "test.csv", {40: (0, "1.5e308")}, 1, 40),
@@ -2136,8 +2222,7 @@ FUZZ_SCORED = {"score": (*cli.SCORE_CSVS, "scores.npy"), "eval": ("eval_report.j
                "sweep": ("sweep.json",)}
 # Keys whose size drives the cost of a run, so that a huge value would hang or allocate
 # gigabytes, and TrigSpec's seed, which is synth.seed and no synth.options key.
-FUZZ_SIZE_KEYS = ("point_model.epochs", "sequence_model.gamma", "synth.options.n_train",
-                  "synth.options.n_test", "synth.options.n_channels", "synth.options.seed")
+FUZZ_SIZE_KEYS = ("point_model.epochs", "sequence_model.gamma", "synth.options.seed")
 
 
 def _config_edges():
@@ -2240,7 +2325,7 @@ def test_config_edges_keep_the_exit_rule(fuzz_chain, capsys):
             doc["gate"]["theta_percentile"] = None
         Path("run.yaml").write_text(FUZZ_PATHS + yaml.safe_dump(doc))
         _check_exit_contract((key, value), COMMANDS, capsys)
-    assert len(edges) == 38
+    assert len(edges) == 47
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):

@@ -45,6 +45,7 @@ from nominality.reconstructors import (
     PointModel,
     _block_grid,
     _flat_windows,
+    _step_buffers,
 )
 from nominality.series import minmax_apply, minmax_fit
 from nominality.synthetic import gen_trig
@@ -155,9 +156,9 @@ class TestFlatFitMatchesReference:
         sizes = []
         original = PointModel.loss_and_grads
 
-        def spy(self, batch, out=None, buffers=None):
+        def spy(self, batch, buffers=None):
             sizes.append(len(batch))
-            return original(self, batch, out, buffers)
+            return original(self, batch, buffers)
 
         monkeypatch.setattr(PointModel, "loss_and_grads", spy)
         epochs, n_rows, batch_size = 3, 100, 16
@@ -170,7 +171,7 @@ class TestFlatFitMatchesReference:
         model = _init_point_model(5, PointHyperparams(d_lat=3))
         batch = np.random.default_rng(13).standard_normal((7, 5))
         out = np.full(2 * 5 * 3 + 3 + 5, np.nan)
-        loss, grads = model.loss_and_grads(batch, out=out)
+        loss, grads = model.loss_and_grads(batch, _step_buffers(model, 7, out))
         ref_loss, ref_grads = reference_loss_and_grads(model, batch)
         assert loss == ref_loss
         assert out.tobytes() == np.concatenate([ref_grads[key].ravel() for key in

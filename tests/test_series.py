@@ -304,9 +304,13 @@ class TestAtomicWrite:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text("previous\n")
-        # the lone surrogate cannot be encoded, so the write fails partway
-        with pytest.raises(UnicodeEncodeError):
-            atomic_write(str(path), "x" * 100_000 + "\ud800")
+
+        def chunks():  # the write fails partway, after its first 100 000 bytes
+            yield b"x" * 100_000
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(str(path), chunks())
         assert path.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["a.json"]
 
@@ -326,8 +330,8 @@ class TestAtomicWrite:
 
     def test_success_replaces_and_keeps_mode(self, tmp_path):
         path = tmp_path / "m.json"
-        atomic_write(str(path), "one")
-        atomic_write(str(path), "two")
+        atomic_write(str(path), [b"one"])
+        atomic_write(str(path), [b"two"])
         assert path.read_text() == "two" and os.listdir(tmp_path) == ["m.json"]
         plain = tmp_path / "plain.json"
         plain.write_text("")  # the mode open() gives under the current umask
