@@ -68,13 +68,12 @@ import json
 import os
 import re
 import sys
-import zipfile
 
 import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, DataError, DegenerateLabels, NumericError
+from .errors import ConfigError, DataError, DegenerateLabels, NumericError, decoding
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
@@ -201,8 +200,9 @@ def read_scores(cfg: PipelineConfig, command: str, gate_sections) -> ScoreBundle
     ``data.label_column`` and ``gate_sections``.  The matrix is held to the checks of
     :func:`read_score_csv` and :func:`read_labels_csv`: a 2-D float64 array of 6 columns,
     at least one row, consecutive time indices, finite scores, a non-negative nominality
-    and labels in {0, 1} of both classes; any other matrix, or a file that is not one
-    ``.npy`` array ``np.load`` reads unpickled, raises :class:`DataError` naming it.
+    and labels in {0, 1} of both classes; any other matrix raises :class:`DataError`
+    naming it, and so does a file that is not one ``.npy`` array ``np.load`` reads
+    unpickled (``cannot decode the score matrix``, see :func:`errors.decoding`).
     """
     if cfg.data.label_column is None:
         raise ConfigError(f"{command} reads the labels of scores.npy, "
@@ -210,11 +210,8 @@ def read_scores(cfg: PipelineConfig, command: str, gate_sections) -> ScoreBundle
     _, theta = _check_manifest(cfg, "score", [*TRAINED_SECTIONS, "data.label_column",
                                               *gate_sections], SCORED_FILES)
     path = os.path.join(cfg.output.dir, SCORES_FILE)
-    try:
-        with open(path, "rb") as fh:
-            matrix = np.load(fh, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # truncated, pickled or not .npy
-        raise DataError(f"{path}: cannot load the score matrix: {exc}") from None
+    with decoding(path, "the score matrix"), open(path, "rb") as fh:
+        matrix = np.load(fh, allow_pickle=False)
     if not (isinstance(matrix, np.ndarray) and matrix.dtype == np.float64 and matrix.ndim == 2
             and matrix.shape[0] >= 1 and matrix.shape[1] == 6):
         got = (f"a {matrix.dtype} array of shape {matrix.shape}"
@@ -402,30 +399,26 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
     path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
         raise DataError(f"missing {path} (run '{command}' first)")
-    try:
-        with open(path, "rb") as fh:
-            doc = json.load(fh)
+    again = f"; run '{command}' again"
+    with decoding(path, f"the {command} manifest", again), open(path, "rb") as fh:
+        doc = json.load(fh)
         digests = dict(doc["digests"])
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
         theta = doc.get("resolved_theta")
         if command == "score" and not (type(theta) in (int, float) and theta > 0):
             raise ValueError(f"resolved_theta {theta!r} is not a number > 0")
-    except (ValueError, KeyError, TypeError, ConfigError) as exc:
-        raise DataError(f"{path}: cannot decode the {command} manifest: {exc!r}; "
-                        f"run '{command}' again") from None
     for name in sections:
         if (functools.reduce(getattr, name.split("."), recorded)
                 != functools.reduce(getattr, name.split("."), cfg)):
-            raise ConfigError(f"the {name} section differs from the one recorded in {path}; "
-                              f"run '{command}' again")
+            raise ConfigError(f"the {name} section differs from the one recorded in {path}{again}")
     for name in names:
         file = _recorded_file(cfg, name)
         if name not in digests:
             raise DataError(f"{file} is not among the files {os.path.basename(path)} "
-                            f"records; run '{command}' again")
+                            f"records{again}")
         if _sha256(file) != digests[name]:
             raise DataError(f"{file} changed since '{command}' ran (its sha256 differs from the "
-                            f"one in {path}); run '{command}' again")
+                            f"one in {path}){again}")
     return {name: digests[name] for name in names}, theta
 
 

@@ -430,9 +430,40 @@ def _yaml_error(path: str, text: str, exc: yaml.YAMLError) -> ConfigError:
     return ConfigError(f"{path}: {where + ': ' if where else ''}invalid YAML: {problem}")
 
 
+#: The deepest a config may nest (the schema nests five levels): PyYAML composes and
+#: constructs a node by recursion, and libyaml's composer overflows the C stack.
+MAX_DEPTH = 64
+
+
+def _check_depth(path: str, text: str) -> None:
+    """Refuse ``text`` nested more than :data:`MAX_DEPTH` levels deep, an alias as deep as
+    the node it names, walking the parser's events up to the bound; a YAML error ends the
+    walk, for ``yaml.load`` to report."""
+    heights, open_ = {}, []  # each anchor's height; [anchor, depth reached] per open node
+    try:
+        for event in yaml.parse(text, Loader=YAML_LOADER):
+            if isinstance(event, yaml.CollectionStartEvent):
+                open_.append([event.anchor, len(open_) + 1])
+                depth = len(open_)
+            elif isinstance(event, yaml.CollectionEndEvent):
+                anchor, depth = open_.pop()
+                heights[anchor] = depth - len(open_)
+            elif isinstance(event, yaml.AliasEvent):
+                depth = len(open_) + heights.get(event.anchor, 0)
+            else:
+                continue
+            if depth > MAX_DEPTH:
+                raise ConfigError(f"{path}: nested more than {MAX_DEPTH} levels deep")
+            if open_:
+                open_[-1][1] = max(open_[-1][1], depth)
+    except yaml.YAMLError:
+        pass
+
+
 def load_config(path: str) -> PipelineConfig:
-    """Parse a YAML config file, which must be UTF-8 text; one that cannot be read,
-    such as a missing file or a directory, raises :class:`ConfigError`."""
+    """Parse a YAML config file, which must be UTF-8 text nested at most :data:`MAX_DEPTH`
+    levels deep; one that cannot be read, such as a missing file or a directory, raises
+    :class:`ConfigError`."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -445,6 +476,7 @@ def load_config(path: str) -> PipelineConfig:
         where = _line_column(before, len(before))
         raise ConfigError(
             f"{path}: {where}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
+    _check_depth(path, text)
     try:
         raw = yaml.load(text, Loader=type("Loader", (_UniqueKeys, YAML_LOADER), {}))
     except yaml.YAMLError as exc:

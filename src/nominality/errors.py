@@ -4,11 +4,15 @@ Three families: settings that break a rule of :mod:`nominality.config`
 (:class:`ConfigError`, a synthetic-data spec included), data problems (bad
 files, bad shapes, degenerate label vectors) and numeric failures (diverging
 optimization, singular systems).  The CLI maps these onto exit codes 2, 3
-and 4.  This module imports no other module of the package, so every module,
-``config`` included, can import it.
+and 4; :func:`decoding` makes a run file that will not decode a :class:`DataError`.
+This module imports no other module of the package, so every module, ``config``
+included, can import it.
 """
 
 from __future__ import annotations
+
+import contextlib
+import zipfile
 
 
 class NominalityError(Exception):
@@ -81,3 +85,15 @@ class TrainingDiverged(NumericError):
 
 class SingularSystem(NumericError):
     """A linear system was singular; regularization may be required."""
+
+
+@contextlib.contextmanager
+def decoding(path: str, what: str, again: str = ""):
+    """Raise a failure to decode ``path`` (``what``) in the block as :class:`DataError`
+    ``<path>: cannot decode <what>: <cause!r><again>``: bad JSON, base64 or ``.npy`` bytes,
+    a missing, mistyped or out-of-rule value, or nesting deeper than the decoder recurses."""
+    try:
+        yield
+    except (ValueError, EOFError, zipfile.BadZipFile, KeyError, TypeError, AttributeError,
+            ConfigError, ShapeError, RecursionError) as exc:
+        raise DataError(f"{path}: cannot decode {what}: {exc!r}{again}") from None

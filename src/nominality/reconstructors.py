@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PointHyperparams, SequenceModelConfig
-from .errors import ConfigError, DataError, ShapeError, SingularSystem, TrainingDiverged
+from .errors import ShapeError, SingularSystem, TrainingDiverged, decoding
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
 MODEL_FORMAT = "nominality-model-v2"
@@ -506,15 +506,15 @@ def save_model(models: TrainedModels, path: str) -> None:
     write_json(doc, path)
 
 
-def _checked(path: str, section: dict, **shapes: tuple) -> dict[str, np.ndarray]:
+def _checked(section: dict, **shapes: tuple) -> dict[str, np.ndarray]:
     """The named arrays of ``section``, decoded; each must have its shape and finite entries."""
     arrays = {}
     for name, shape in shapes.items():
         arr = _decode_array(section[name])
         if arr.shape != shape:
-            raise DataError(f"{path}: {name} has shape {arr.shape}, expected {shape}")
+            raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
         if not np.isfinite(arr).all():
-            raise DataError(f"{path}: {name} holds a non-finite value")
+            raise ValueError(f"{name} holds a non-finite value")
         arrays[name] = arr
     return arrays
 
@@ -528,7 +528,8 @@ def load_model(path: str) -> TrainedModels:
     are not read.
 
     Raises:
-        DataError: naming the file, if it is not valid JSON or not a decodable
+        DataError: ``<path>: cannot decode model: ...`` (see :func:`errors.decoding`),
+            if it is not valid JSON, nested too deep to decode or not a decodable
             model, ``gamma`` or ``delta`` breaks its ``sequence_model`` rule,
             ``enc_b`` is empty, ``n_channels`` is not an integer >= 1, the
             channel names are not null or a list of strings, one per channel,
@@ -536,9 +537,8 @@ def load_model(path: str) -> TrainedModels:
             the min-max statistics are null or a channel minimum exceeds its
             maximum, or the training nominality is empty or holds a negative score.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
+    with decoding(path, "model"), open(path) as fh:
+        doc = json.load(fh)
         if doc["format"] != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file")
         seq, point = doc["sequence"], doc["point"]
@@ -547,13 +547,13 @@ def load_model(path: str) -> TrainedModels:
         if type(dim) is not int or dim < 1:
             raise ValueError(f"sequence.n_channels must be an integer >= 1, got {dim!r}")
         d_lat = PointHyperparams(d_lat=len(_decode_array(point["enc_b"]))).d_lat
-        point = PointModel(**_checked(path, point, enc_w=(dim, d_lat), enc_b=(d_lat,),
+        point = PointModel(**_checked(point, enc_w=(dim, d_lat), enc_b=(d_lat,),
                                       dec_w=(d_lat, dim), dec_b=(dim,)))
-        weights = _checked(path, seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
+        weights = _checked(seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
         sequence = SequenceModel(gamma, delta, weights, dim)
         if doc["minmax"] is None:  # written only by the retired normalization: none
             raise ValueError("minmax is null; train again")
-        stats = MinMaxStats(**_checked(path, doc["minmax"], mins=(dim,), maxs=(dim,)))
+        stats = MinMaxStats(**_checked(doc["minmax"], mins=(dim,), maxs=(dim,)))
         nominality = ScoreSeries(_decode_array(doc["train_nominality"]), gamma)
         if not (len(nominality) and (nominality.scores >= 0).all()):
             raise ValueError("train_nominality must hold one or more finite scores, all >= 0")
@@ -563,10 +563,5 @@ def load_model(path: str) -> TrainedModels:
                 raise ValueError(f"channel_names must be null or a list of strings, got {names!r}")
             if len(names) != dim:
                 raise ValueError(f"{len(names)} channel names for {dim} channels")
-    except (ValueError, KeyError, TypeError, AttributeError, ConfigError, ShapeError) as exc:
-        # JSONDecodeError and bad base64 are ValueErrors; a ConfigError is a gamma,
-        # delta or latent width outside its range, a ShapeError invalid min-max
-        # statistics or a training nominality that is not 1-D or not finite.
-        raise DataError(f"{path}: cannot decode model: {exc!r}") from None
     return TrainedModels(point, sequence, stats, nominality,
                          None if names is None else tuple(names))

@@ -259,6 +259,73 @@ class TestDuplicateKeys:
         assert str(exc.value) == f"{path}: line 2, column 5: invalid YAML: found unhashable key"
 
 
+def _nested(levels, inner=""):
+    """A YAML flow sequence ``levels`` deep around ``inner``."""
+    return "[" * levels + inner + "]" * levels
+
+
+# frequencies under synth.options: the top-level mapping, synth and options are three levels
+_FREQUENCIES = ("synth:\n  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+                "    frequencies: {}\n")
+
+
+class TestNestingDepth:
+    """A config nested past ``MAX_DEPTH`` is refused on either parser before PyYAML
+    composes it, an alias counting as deep as the node it names."""
+
+    @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
+    def loader(self, request, monkeypatch):
+        if not hasattr(yaml, request.param):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(config, "YAML_LOADER", getattr(yaml, request.param))
+
+    def test_bound(self, loader, tmp_path):
+        """At the bound the key's own rule speaks; one level past it the depth does."""
+        path = tmp_path / "run.yaml"
+        path.write_text(_FREQUENCIES.format(_nested(config.MAX_DEPTH - 3)))
+        with pytest.raises(ConfigError, match="^synth.options.frequencies must be "):
+            load_config(str(path))
+        path.write_text(_FREQUENCIES.format(_nested(config.MAX_DEPTH - 2)))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
+
+    @pytest.mark.parametrize("depth, refused", [(config.MAX_DEPTH, False),
+                                                (config.MAX_DEPTH + 1, True)])
+    def test_alias_counts_its_node(self, loader, tmp_path, depth, refused):
+        """Each alias of a chain of anchors adds the depth of the node it names, so the
+        chain reaches ``depth`` with no node written deeper than 32 levels."""
+        half = depth // 2
+        path = tmp_path / "run.yaml"
+        path.write_text(f"a: &a {_nested(depth - half - 1)}\nb: {_nested(half, '*a')}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert (str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
+                ) == refused
+
+    @pytest.mark.parametrize("text", [
+        f"a: {_nested(3000)}\n",
+        f"? {_nested(3000)}\n: 0\n",
+        _FREQUENCIES.format(_nested(3000)),
+        "".join(f"a{i}: &a{i} {_nested(50, f'*a{i - 1}' if i else '')}\n" for i in range(60))
+        + "? *a59\n: 0\n",
+    ], ids=["sequence", "complex-key", "frequencies", "alias-chain"])
+    def test_deep_config_refused(self, loader, tmp_path, text):
+        """3000 levels, deep enough for PyYAML's constructor or a ``repr`` to recurse past
+        Python's limit, are one config error."""
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
+
+    def test_yaml_error_within_the_bound_keeps_its_message(self, loader, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"a: {_nested(10)}]\n")
+        with pytest.raises(ConfigError, match=r"^\S+: line 1, column 24: invalid YAML: "):
+            load_config(str(path))
+
+
 _SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))
 
 

@@ -251,6 +251,19 @@ _MATRIX_DAMAGES = {
 }
 
 
+def _nest(text, levels, start=0):
+    """``text`` nested ``levels`` deep: a JSON document inside that many arrays, or, from
+    ``start`` > 0 on, YAML given a complex key of that many nested sequences there."""
+    if start:
+        return text[:start] + "? " + "[" * levels + "]" * levels + "\n: 0\n" + text[start:]
+    return "[" * levels + text + "]" * levels
+
+
+# the run files a command decodes as JSON, and the command that decodes each
+_NESTED_READERS = [("score", "manifest_train.json"), ("eval", "manifest_score.json"),
+                   ("sweep", "manifest_score.json"), ("score", "model.json")]
+
+
 def _drop_labels(config_path, out):
     """Rewrite both splits without their label column, the last, and return a
     second config with ``data.label_column: null``."""
@@ -808,7 +821,10 @@ class TestCliBehavior:
             ("score", "model.json",
              _edit_json(lambda doc: doc.update(channel_names=[0, 1, 2, 3]))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
-             for command in ("eval", "sweep")],
+             for command in ("eval", "sweep")]
+        # nested past Python's recursion limit, and far past it
+        + [(command, name, functools.partial(_nest, levels=levels))
+           for levels in (3000, 200_000) for command, name in _NESTED_READERS],
         ids=["point-truncated", "sequence-no-arrays", "stats-truncated", "nominality-bad-cell",
              "nominality-no-rows", "induced-bad-cell", "labels-not-binary", "labels-ragged",
              "point-d-lat-zero", "point-enc-b-short", "point-dec-w-transposed",
@@ -820,7 +836,9 @@ class TestCliBehavior:
              "stats-null", "sequence-channels-float",
              "channel-names-string", "channel-names-ints"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
-               for command in ("eval", "sweep")],
+               for command in ("eval", "sweep")]
+            + [f"nested-{levels}-{name}-{command}" for levels in (3000, 200_000)
+               for command, name in _NESTED_READERS],
     )
     def test_undecodable_artifact_exit_3(self, rundir, tmp_path, capsys, command, name, damage):
         config_path, out = write_config(tmp_path)
@@ -1954,7 +1972,8 @@ def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, statu
 
 
 #: The address space of a child in :func:`_run_limited`: the CLI imports under it, and
-#: it holds no list of 10**8 channel names.
+#: it holds no list of 10**8 channel names.  :func:`address_space_bound` gives the test
+#: process as much beyond what it maps.
 CHILD_ADDRESS_SPACE = 1_500_000_000
 
 
@@ -2119,7 +2138,7 @@ def test_tiny_theta_scores_without_a_warning(tmp_path, warnings):
         assert (done.returncode, done.stderr) == (0, "")
 
 
-# The fuzzed chain: three channels, two segments and one epoch keep its 88 runs fast.
+# The fuzzed chain: three channels, two segments and one epoch keep its 99 runs fast.
 # The data paths and output.dir come first and are never mutated, so no mutated config
 # names a file outside the copy it runs in.
 FUZZ_PATHS = "data:\n  train: run/train.csv\n  test: run/test.csv\noutput:\n  dir: run\n"
@@ -2159,9 +2178,18 @@ FUZZ_READERS = {
 FUZZ_RECORDED_BY = {"run/model.json": ["train", "score"], "run/scores.npy": ["score"]}
 
 
+#: The nesting of the generated ``nest`` kind: past Python's recursion limit, so a
+#: decoder that recurses raises, but not so deep that libyaml's composer overflows the C
+#: stack in the test process.
+NEST_LEVELS = 3000
+
+
 def _mutate(data, kind, rng, start):
     """``data`` with one byte at or after ``start`` flipped in one bit, inserted before
-    or deleted, or with the bytes from there on cut off."""
+    or deleted, with the bytes from there on cut off, or nested (see :func:`_nest`)
+    :data:`NEST_LEVELS` deep."""
+    if kind == "nest":
+        return _nest(data.decode("latin-1"), NEST_LEVELS, start).encode("latin-1")
     at = rng.randrange(start, len(data))
     if kind == "flip":
         return data[:at] + bytes([data[at] ^ 1 << rng.randrange(8)]) + data[at + 1:]
@@ -2174,8 +2202,9 @@ def _mutate(data, kind, rng, start):
 
 def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys):
     """Each file a command reads from the run, with a bit flipped, cut short, or a byte
-    inserted or deleted at a fixed seed, in a fresh copy: every command that reads it
-    exits 0, 2, 3 or 4 with at most one stderr line."""
+    inserted or deleted at a fixed seed, and each JSON or YAML file nested deep, in a
+    fresh copy: every command that reads it exits 0, 2, 3 or 4 with at most one stderr
+    line."""
     chain = tmp_path / "chain"
     chain.mkdir()
     monkeypatch.chdir(chain)
@@ -2185,7 +2214,8 @@ def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys)
     for name, commands in FUZZ_READERS.items():
         clean = (chain / name).read_bytes()
         start = len(FUZZ_PATHS) if name == "run.yaml" else 0
-        for kind in ("flip", "truncate", "insert", "delete"):
+        nest = ("nest",) if name.endswith((".json", ".yaml")) else ()
+        for kind in ("flip", "truncate", "insert", "delete", *nest):
             data = _mutate(clean, kind, random.Random(f"{name} {kind}"), start)
             for command in commands:
                 cases += 1
@@ -2203,7 +2233,19 @@ def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys)
                 assert status in (0, 2, 3, 4) and len(err.splitlines()) <= 1, (
                     name, kind, command, status, err)
                 assert "Traceback" not in err
-    assert cases == 88
+    assert cases == 99
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_nested_past_the_c_stack_exit_2(tmp_path, command):
+    """A config nested 100 000 levels deep, which libyaml's composer would recurse through
+    past the C stack, is one config error in every command.  It runs in a child: in the
+    test process such a crash would end the session."""
+    path = tmp_path / "run.yaml"
+    path.write_text(_nest(FUZZ_PATHS + FUZZ_BODY, 100_000, len(FUZZ_PATHS)))
+    done = _run_limited(command, "--config", str(path))
+    assert (done.returncode, done.stderr.splitlines()) == (
+        2, [f"config error: {path}: nested more than 64 levels deep"])
 
 
 #: README's exit-code rule, which every generated case keeps.
@@ -2285,6 +2327,28 @@ def fuzz_chain(tmp_path, monkeypatch):
     return restore
 
 
+@pytest.fixture
+def address_space_bound():
+    """A soft ``RLIMIT_AS`` on the test process for the test's length: what it maps now
+    plus :data:`CHILD_ADDRESS_SPACE` bytes, so a case that allocates without bound raises
+    ``MemoryError`` rather than taking the host's memory.  Without the ``resource``
+    module or ``/proc/self/statm`` to read its own size, the test runs unbounded."""
+    try:
+        import resource
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * resource.getpagesize()
+    except (ImportError, OSError):
+        yield
+        return
+    limits = resource.getrlimit(resource.RLIMIT_AS)
+    soft = mapped + CHILD_ADDRESS_SPACE
+    if limits[1] != resource.RLIM_INFINITY:
+        soft = min(soft, limits[1])
+    resource.setrlimit(resource.RLIMIT_AS, (soft, limits[1]))
+    yield
+    resource.setrlimit(resource.RLIMIT_AS, limits)
+
+
 def test_readme_states_the_exit_rule():
     assert EXIT_RULE in " ".join(Path(ROOT, "README.md").read_text().split())
 
@@ -2311,9 +2375,9 @@ def test_seeded_split_values_keep_the_exit_rule(fuzz_chain, capsys):
     assert cases == 44
 
 
-def test_config_edges_keep_the_exit_rule(fuzz_chain, capsys):
+def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys):
     """Each number a config rule bounds, at its bound, one step past it and a huge value,
-    keeps :data:`EXIT_RULE` in every command."""
+    keeps :data:`EXIT_RULE` in every command, in a bounded address space."""
     body = yaml.safe_load(FUZZ_BODY)
     edges = _config_edges()
     for key, value in edges:
