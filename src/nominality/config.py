@@ -433,27 +433,38 @@ def _yaml_error(path: str, text: str, exc: yaml.YAMLError) -> ConfigError:
 #: The deepest a config may nest (the schema nests five levels): PyYAML composes and
 #: constructs a node by recursion, and libyaml's composer overflows the C stack.
 MAX_DEPTH = 64
+#: The most nodes a config may expand to, an alias counting the nodes it names: a chain
+#: of aliases grows tenfold per line, and an error quotes the value it expands to.
+MAX_NODES = 100_000
 
 
 def _check_depth(path: str, text: str) -> None:
-    """Refuse ``text`` nested more than :data:`MAX_DEPTH` levels deep, an alias as deep as
-    the node it names, walking the parser's events up to the bound; a YAML error ends the
-    walk, for ``yaml.load`` to report."""
-    heights, open_ = {}, []  # each anchor's height; [anchor, depth reached] per open node
+    """Refuse ``text`` nested more than :data:`MAX_DEPTH` levels deep or expanding to more
+    than :data:`MAX_NODES` nodes, an alias as deep and as large as the node it names,
+    walking the parser's events up to the bound; a YAML error ends the walk, for
+    ``yaml.load`` to report."""
+    # each anchor's (height, size); [anchor, depth reached, nodes before it] per open node
+    named, open_, nodes = {}, [], 0
     try:
         for event in yaml.parse(text, Loader=YAML_LOADER):
             if isinstance(event, yaml.CollectionStartEvent):
-                open_.append([event.anchor, len(open_) + 1])
-                depth = len(open_)
+                open_.append([event.anchor, len(open_) + 1, nodes])
+                depth, nodes = len(open_), nodes + 1
             elif isinstance(event, yaml.CollectionEndEvent):
-                anchor, depth = open_.pop()
-                heights[anchor] = depth - len(open_)
+                anchor, depth, before = open_.pop()
+                named[anchor] = depth - len(open_), nodes - before
             elif isinstance(event, yaml.AliasEvent):
-                depth = len(open_) + heights.get(event.anchor, 0)
+                height, size = named.get(event.anchor, (0, 1))
+                depth, nodes = len(open_) + height, nodes + size
+            elif isinstance(event, yaml.ScalarEvent):
+                named[event.anchor] = 0, 1
+                depth, nodes = len(open_), nodes + 1
             else:
                 continue
             if depth > MAX_DEPTH:
                 raise ConfigError(f"{path}: nested more than {MAX_DEPTH} levels deep")
+            if nodes > MAX_NODES:
+                raise ConfigError(f"{path}: expands to more than {MAX_NODES} nodes")
             if open_:
                 open_[-1][1] = max(open_[-1][1], depth)
     except yaml.YAMLError:

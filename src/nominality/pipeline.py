@@ -109,12 +109,11 @@ def score_split(
             min-max scaled value, or one of the four scores, overflows, and the
             message names the data row of the first time point whose values, or
             scores, are not finite (the first row of its block when downsampling).
-        ShapeError: the split is shorter than one sequence window, or, for
-            models without channel names, has another channel count; the
-            message names ``data.test``.
+        ShapeError: the split is shorter than one sequence window; the message
+            names ``data.test``.
     """
     name = cfg.data.test or "test split"
-    if models.channel_names is not None and test_raw.channel_names != models.channel_names:
+    if test_raw.channel_names != models.channel_names:
         raise DataError(f"{name}: channels {list(test_raw.channel_names)} are not the "
                         f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,10 +178,9 @@ def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: i
         col = int(bad[0])
         values = series.values[:, col]
         row = int(np.argmax(np.maximum(lo[col] - values, values - hi[col]))) * factor
-        channel = repr(series.channel_names[col]) if series.channel_names else str(col)
-        raise DataError(f"{name}: row {row}: channel {channel} spans {full[col] / central[col]:.3g}"
-                        f" times its central 99 % (more than {SPAN_RATIO:g}), so min-max scaling"
-                        f" would flatten it")
+        raise DataError(f"{name}: row {row}: channel {series.channel_names[col]!r} spans "
+                        f"{full[col] / central[col]:.3g} times its central 99 % (more than "
+                        f"{SPAN_RATIO:g}), so min-max scaling would flatten it")
 
 
 def _too_large(cfg: PipelineConfig, t: int, what: str) -> DataError:

@@ -469,15 +469,14 @@ class TrainedModels:
     """One trained detector: what ``train`` writes to ``model.json`` and ``score`` reads.
 
     Both models, the min-max statistics, the training nominality that the
-    gate's threshold comes from, and the training split's channel names
-    (None for a split that has none).
+    gate's threshold comes from, and the training split's channel names.
     """
 
     point: PointModel
     sequence: SequenceModel
     stats: MinMaxStats
     train_nominality: ScoreSeries
-    channel_names: tuple[str, ...] | None
+    channel_names: tuple[str, ...]
 
 
 _POINT_ARRAYS = ("enc_w", "enc_b", "dec_w", "dec_b")
@@ -496,7 +495,7 @@ def save_model(models: TrainedModels, path: str) -> None:
     point, seq, stats = models.point, models.sequence, models.stats
     doc = {
         "format": MODEL_FORMAT,
-        "channel_names": None if models.channel_names is None else list(models.channel_names),
+        "channel_names": list(models.channel_names),
         "point": {name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS},
         "sequence": {"gamma": seq.gamma, "delta": seq.delta, "n_channels": seq.n_channels,
                      "weights": _encode_array(seq.weights)},
@@ -532,7 +531,7 @@ def load_model(path: str) -> TrainedModels:
             if it is not valid JSON, nested too deep to decode or not a decodable
             model, ``gamma`` or ``delta`` breaks its ``sequence_model`` rule,
             ``enc_b`` is empty, ``n_channels`` is not an integer >= 1, the
-            channel names are not null or a list of strings, one per channel,
+            channel names are null or not a list of strings, one per channel,
             an array's shape disagrees with these or holds a non-finite value,
             the min-max statistics are null or a channel minimum exceeds its
             maximum, or the training nominality is empty or holds a negative score.
@@ -558,10 +557,8 @@ def load_model(path: str) -> TrainedModels:
         if not (len(nominality) and (nominality.scores >= 0).all()):
             raise ValueError("train_nominality must hold one or more finite scores, all >= 0")
         names = doc["channel_names"]
-        if names is not None:
-            if type(names) is not list or not all(type(name) is str for name in names):
-                raise ValueError(f"channel_names must be null or a list of strings, got {names!r}")
-            if len(names) != dim:
-                raise ValueError(f"{len(names)} channel names for {dim} channels")
-    return TrainedModels(point, sequence, stats, nominality,
-                         None if names is None else tuple(names))
+        if type(names) is not list or not all(type(name) is str for name in names):
+            raise ValueError(f"channel_names must be a list of strings, got {names!r}")
+        if len(names) != dim:
+            raise ValueError(f"{len(names)} channel names for {dim} channels")
+    return TrainedModels(point, sequence, stats, nominality, tuple(names))

@@ -45,7 +45,8 @@ class LabeledSeries:
         values: (T, D) float64 matrix, one row per time point; a value that is
             not finite raises :class:`NonFiniteValue` naming its row.
         labels: optional (T,) vector of 0/1 ints.
-        channel_names: optional list of D channel names.
+        channel_names: a tuple of D channel names; None, the default, gives
+            ``c0`` ... ``c<D-1>``.
     """
 
     values: np.ndarray
@@ -72,13 +73,11 @@ class LabeledSeries:
             if not np.isin(labels, (0, 1)).all():
                 raise LabelError("labels must contain only 0 or 1")
             object.__setattr__(self, "labels", _freeze(labels))
-        if self.channel_names is not None:
-            names = tuple(self.channel_names)
-            if len(names) != values.shape[1]:
-                raise ShapeError(
-                    f"expected {values.shape[1]} channel names, got {len(names)}"
-                )
-            object.__setattr__(self, "channel_names", names)
+        names = self.channel_names
+        names = tuple(f"c{j}" for j in range(values.shape[1])) if names is None else tuple(names)
+        if len(names) != values.shape[1]:
+            raise ShapeError(f"expected {values.shape[1]} channel names, got {len(names)}")
+        object.__setattr__(self, "channel_names", names)
 
     @property
     def n_times(self) -> int:
@@ -390,7 +389,7 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
 
 def save_csv(series: LabeledSeries, path: str, label_column: str = "label") -> None:
     """Write a series back out with the same conventions ``load_csv`` reads."""
-    names = list(series.channel_names or (f"c{j}" for j in range(series.n_channels)))
+    names = list(series.channel_names)
     if series.labels is None:
         write_csv(path, names, [series.values])
     else:

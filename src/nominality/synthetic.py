@@ -67,7 +67,6 @@ def gen_trig(spec: TrigSpec) -> TrigResult:
     for start, end, _ in spec.segments:
         labels[spec.n_train + start : spec.n_train + end] = 1
 
-    names = tuple(f"c{j}" for j in range(spec.n_channels))
-    train = LabeledSeries(values[: spec.n_train], labels[: spec.n_train], names)
-    test = LabeledSeries(values[spec.n_train :], labels[spec.n_train :], names)
+    train = LabeledSeries(values[: spec.n_train], labels[: spec.n_train])
+    test = LabeledSeries(values[spec.n_train :], labels[spec.n_train :])
     return TrigResult(train, test, float(test.labels.mean()))

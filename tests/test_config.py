@@ -270,8 +270,9 @@ _FREQUENCIES = ("synth:\n  options:\n    n_channels: 2\n    n_train: 100\n    n_
 
 
 class TestNestingDepth:
-    """A config nested past ``MAX_DEPTH`` is refused on either parser before PyYAML
-    composes it, an alias counting as deep as the node it names."""
+    """A config nested past ``MAX_DEPTH``, or expanding to more than ``MAX_NODES`` nodes,
+    is refused on either parser before PyYAML composes it, an alias counting as deep and
+    as large as the node it names."""
 
     @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
     def loader(self, request, monkeypatch):
@@ -302,6 +303,22 @@ class TestNestingDepth:
             load_config(str(path))
         assert (str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
                 ) == refused
+
+    @pytest.mark.parametrize("extra, refused", [(0, False), (1, True)])
+    def test_node_bound(self, loader, tmp_path, extra, refused):
+        """``frequencies`` holds a list of 999 numbers, ``aliases`` aliases of it and
+        ``pad`` more numbers, so the config holds 12 nodes around it and ``MAX_NODES +
+        extra`` in all: at the bound the key's own rule speaks, one node past it the size."""
+        aliases, pad = divmod(config.MAX_NODES - 13, 1000)
+        inner = "[" + ", ".join(["0"] * 999) + "]"
+        value = ", ".join([f"&a {inner}"] + ["*a"] * (aliases - 1) + ["0"] * (pad + extra))
+        path = tmp_path / "run.yaml"
+        path.write_text(_FREQUENCIES.format(f"[{value}]"))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        message = f"{path}: expands to more than {config.MAX_NODES} nodes"
+        assert (str(exc.value) == message) == refused
+        assert refused or str(exc.value).startswith("synth.options.frequencies must be ")
 
     @pytest.mark.parametrize("text", [
         f"a: {_nested(3000)}\n",

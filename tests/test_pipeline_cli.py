@@ -45,7 +45,7 @@ from nominality.reconstructors import (
     save_model,
 )
 from nominality.scoring import resolve_theta, smoothed_score, theta_from_percentile
-from nominality.series import load_csv
+from nominality.series import LabeledSeries, load_csv
 from nominality.synthetic import TrigSpec, gen_trig
 from point_fit_reference import _init_point_model
 
@@ -820,6 +820,8 @@ class TestCliBehavior:
             ("score", "model.json", _edit_json(lambda doc: doc.update(channel_names="abcd"))),
             ("score", "model.json",
              _edit_json(lambda doc: doc.update(channel_names=[0, 1, 2, 3]))),
+            # every series has channel names, so a model without them is not one of ours
+            ("score", "model.json", _edit_json(lambda doc: doc.update(channel_names=None))),
         ] + [(command, "scores.npy", damage) for damage in _MATRIX_DAMAGES.values()
              for command in ("eval", "sweep")]
         # nested past Python's recursion limit, and far past it
@@ -834,7 +836,7 @@ class TestCliBehavior:
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
              "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
              "stats-null", "sequence-channels-float",
-             "channel-names-string", "channel-names-ints"]
+             "channel-names-string", "channel-names-ints", "channel-names-null"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")]
             + [f"nested-{levels}-{name}-{command}" for levels in (3000, 200_000)
@@ -1819,15 +1821,17 @@ def test_downsampled_chain_counts_blocks(tmp_path):
 
 
 def test_unnamed_models_name_a_narrower_split():
-    """Models fitted on a split without channel names meet a narrower test split in
-    the min-max step, whose error names ``data.test`` as the window check's does."""
+    """Models fitted on a split built without channel names refuse a narrower split,
+    also built without them, by name: each has the default names of its width."""
     data = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=100))
     cfg = config_from_dict({"data": {"test": "test.csv"},
                             "point_model": {"d_lat": 2, "epochs": 1},
                             "sequence_model": {"gamma": 5, "delta": 2}})
     models = fit_models(cfg, dataclasses.replace(data.train, channel_names=None))
     narrow = dataclasses.replace(data.test, values=data.test.values[:, :3], channel_names=None)
-    with pytest.raises(DataError, match=r"^test.csv: stats cover 4 channels, series has 3$"):
+    with pytest.raises(DataError, match=re.escape(
+            "test.csv: channels ['c0', 'c1', 'c2'] are not the training split's "
+            "['c0', 'c1', 'c2', 'c3'] (from model.json)")):
         score_split(cfg, models, narrow)
 
 
@@ -2034,7 +2038,7 @@ def test_synth_label_column_names_a_channel_as_a_list_would(tmp_path, capsys, na
     Path(path).write_text(yaml.safe_dump(doc))
     assert main(["synth", "--config", path]) == 2
     err = capsys.readouterr().err
-    if name in [f"c{j}" for j in range(4)]:
+    if name in LabeledSeries(np.zeros((1, 4))).channel_names:
         assert err == (f"config error: data.label_column {name!r} names one of synth's "
                        f"channels, c0 to c3\n")
     else:
@@ -2246,6 +2250,40 @@ def test_config_nested_past_the_c_stack_exit_2(tmp_path, command):
     done = _run_limited(command, "--config", str(path))
     assert (done.returncode, done.stderr.splitlines()) == (
         2, [f"config error: {path}: nested more than 64 levels deep"])
+
+
+def _alias_chain(anchors):
+    """A config whose ``synth.options.frequencies`` is a chain of ``anchors`` anchors, each
+    a list of the one before and nine aliases of it: 10 ** anchors numbers in a few
+    hundred bytes."""
+    value = "0.01"
+    for k in range(anchors):
+        value = f"[&a{k} {value}" + f", *a{k}" * 9 + "]"
+    return FUZZ_PATHS + ("synth:\n  options:\n    n_channels: 3\n    n_train: 300\n"
+                         f"    n_test: 100\n    frequencies: {value}\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_alias_chain_exit_2(tmp_path, capsys, command):
+    """Seven anchors expand to 10 ** 7 numbers, which an error quoting the value would
+    write out: every command refuses the config by its size, in one short line."""
+    path = tmp_path / "run.yaml"
+    path.write_text(_alias_chain(7))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: expands to more than 100000 nodes\n"
+    assert len(err) < 200
+
+
+def test_alias_chain_past_any_message_exit_2(tmp_path):
+    """Eight anchors, whose quoted value would take gigabytes, are refused as seven are.
+    It runs in a child with a bounded address space and a timeout: without the bound
+    on the expanded size, quoting the value runs past the timeout."""
+    path = tmp_path / "run.yaml"
+    path.write_text(_alias_chain(8))
+    done = _run_limited("train", "--config", str(path))
+    assert (done.returncode, done.stderr.splitlines()) == (
+        2, [f"config error: {path}: expands to more than 100000 nodes"])
 
 
 #: README's exit-code rule, which every generated case keeps.

@@ -515,8 +515,10 @@ class TestPersistence:
         assert (back.gamma, back.delta, back.n_channels) == (3, 2, 3)
         assert model.fit_residual is not None and back.fit_residual is None  # history
 
-    @pytest.mark.parametrize("names", [("a", "b", "c"), None])
-    def test_stats_nominality_and_names_roundtrip(self, tmp_path, names):
+    @pytest.mark.parametrize("names, stored", [(("a", "b", "c"), ("a", "b", "c")),
+                                               (None, ("c0", "c1", "c2"))],
+                             ids=["names0", "None"])
+    def test_stats_nominality_and_names_roundtrip(self, tmp_path, names, stored):
         models = _trained(11, names)
         path = str(tmp_path / "model.json")
         save_model(models, path)
@@ -525,7 +527,7 @@ class TestPersistence:
         np.testing.assert_array_equal(back.stats.maxs, models.stats.maxs)
         np.testing.assert_array_equal(back.train_nominality.scores, models.train_nominality.scores)
         assert back.train_nominality.time_origin == models.train_nominality.time_origin == 3
-        assert back.channel_names == names
+        assert back.channel_names == models.channel_names == stored
 
     def test_save_twice_identical_bytes(self, tmp_path):
         models = _trained(10)
