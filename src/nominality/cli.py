@@ -73,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, DataError, DegenerateLabels, NumericError, decoding
+from .errors import ConfigError, DataError, DegenerateLabels, NumericError, decoding, shown
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
@@ -252,7 +252,7 @@ def _split_path(cfg: PipelineConfig, which: str, exists: bool = True) -> str:
     if path is None:
         raise ConfigError(f"config is missing data.{which}")
     if exists and not os.path.exists(path):
-        raise DataError(f"{which} file not found: {path}")
+        raise DataError(f"{which} file not found: {shown(path, False)}")
     return path
 
 
@@ -290,11 +290,11 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     # synth's channels are c0, c1, ...: "c" and a canonical ASCII decimal below n_channels
     index = re.fullmatch(r"c(0|[1-9][0-9]*)", cfg.data.label_column)
     if index and len(index[1]) <= len(str(spec.n_channels)) and int(index[1]) < spec.n_channels:
-        raise ConfigError(f"data.label_column {cfg.data.label_column!r} names one of synth's "
+        raise ConfigError(f"data.label_column {shown(cfg.data.label_column)} names one of synth's "
                           f"channels, c0 to c{spec.n_channels - 1}")
     if os.path.realpath(files[0]) == os.path.realpath(files[1]):
-        raise ConfigError(f"data.train and data.test name the same file, {files[0]}; "
-                          f"synth would write the test split over the training split")
+        raise ConfigError(f"data.train and data.test name the same file, {shown(files[0], False)};"
+                          f" synth would write the test split over the training split")
     result = gen_trig(spec)
     for path, split in zip(files, (result.train, result.test)):
         os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
@@ -369,7 +369,7 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
     else:
         for path in (scores_path, labels_path):
             if not os.path.exists(path):
-                raise DataError(f"missing input: {path}")
+                raise DataError(f"missing input: {shown(path, False)}")
         scores = read_score_csv(scores_path)
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):
@@ -406,7 +406,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
         theta = doc.get("resolved_theta")
         if command == "score" and not (type(theta) in (int, float) and theta > 0):
-            raise ValueError(f"resolved_theta {theta!r} is not a number > 0")
+            raise ValueError(f"resolved_theta {shown(theta)} is not a number > 0")
     for name in sections:
         if (functools.reduce(getattr, name.split("."), recorded)
                 != functools.reduce(getattr, name.split("."), cfg)):
@@ -456,8 +456,8 @@ def _check_split_paths(cfg: PipelineConfig) -> None:
     for which in ("train", "test"):
         path = getattr(cfg.data, which)
         if path is not None and os.path.realpath(path) in outputs:
-            raise ConfigError(f"data.{which} names {path}, a file the commands write in "
-                              f"output.dir; keep the splits apart from the outputs")
+            raise ConfigError(f"data.{which} names {shown(path, False)}, a file the commands "
+                              f"write in output.dir; keep the splits apart from the outputs")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -476,6 +476,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, DataError) as exc:  # OSError: a missing, unreadable or misplaced file
+        if isinstance(exc, OSError) and exc.filename is not None:  # as str(exc), names shown
+            exc = f"[Errno {exc.errno}] {exc.strerror}: " + " -> ".join(
+                shown(name) for name in (exc.filename, exc.filename2) if name is not None)
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:  # such as synth.options sizes or a gamma too large to allocate

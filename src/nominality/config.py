@@ -36,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, shown
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -78,7 +78,7 @@ def _yaml_hint(value, hint) -> str:
     if isinstance(value, str) and float in (hint, *get_args(hint)):
         try:
             if math.isfinite(float(value)):
-                return f" (YAML reads {value} as a string; write {float(value)!r})"
+                return f" (YAML reads {shown(value, False)} as a string; write {float(value)!r})"
         except ValueError:
             pass
     return ""
@@ -119,7 +119,7 @@ def _check(where: str, cls, values: dict) -> None:
         test, wording = f.metadata.get("rule", (_finite, cls.__annotations__[f.name]))
         if not (_fits(value, hint) and (value is None or test(value))):
             raise ConfigError(
-                f"{where}.{f.name} must be {wording}, got {value!r}{_yaml_hint(value, hint)}")
+                f"{where}.{f.name} must be {wording}, got {shown(value)}{_yaml_hint(value, hint)}")
 
 
 def _tupled(value):
@@ -253,7 +253,7 @@ class TrigSpec:
         for start, end, kind in self.segments:
             if kind not in SEGMENT_KINDS:
                 raise ConfigError(f"synth.options.segments kind must be one of "
-                                  f"{', '.join(SEGMENT_KINDS)}, got {kind!r}")
+                                  f"{', '.join(SEGMENT_KINDS)}, got {shown(kind)}")
             if not 0 <= start < end <= self.n_test:
                 raise ConfigError(f"synth.options.segments must have 0 <= start < end <= "
                                   f"n_test = {self.n_test}, got ({start}, {end})")
@@ -265,7 +265,7 @@ class TrigSpec:
             values = getattr(self, name)
             if values is not None and len(values) != self.n_channels:
                 raise ConfigError(f"synth.options.{name} must list one value per channel "
-                                  f"({self.n_channels}), got {values!r}")
+                                  f"({self.n_channels}), got {shown(values)}")
 
 
 def trig_preset(seed: int = 0) -> TrigSpec:
@@ -317,7 +317,7 @@ class SynthConfig:
         keys = [f.name for f in fields(TrigSpec) if f.name != "seed"]
         for key in self.options:
             if key not in keys:
-                raise ConfigError(f"synth.options has unknown key {key!r}; "
+                raise ConfigError(f"synth.options has unknown key {shown(key)}; "
                                   f"expected one of {', '.join(keys)}")
         for f in fields(TrigSpec):
             if f.default is MISSING and f.name not in self.options:
@@ -379,14 +379,15 @@ def config_from_dict(raw: dict) -> PipelineConfig:
         for key, value in block.items():
             one = RETIRED_KEYS.get(f"{name}.{key}", MISSING)
             if one is MISSING and key not in known:
-                raise ConfigError(f"unknown key {key!r} in section {name!r}")
+                raise ConfigError(f"unknown key {shown(key)} in section {name!r}")
             if one is not MISSING and (type(value) is not type(one) or value != one):  # 1 == True
                 raise ConfigError(f"{name}.{key} is retired: leave it out or set it to "
-                                  f"{'null' if one is None else str(one).lower()}, got {value!r}")
+                                  f"{'null' if one is None else str(one).lower()}, "
+                                  f"got {shown(value)}")
         if base:
             sections[name] = replace(base, **{key: block[key] for key in block if key in known})
     if raw:
-        raise ConfigError(f"unknown top-level section(s): {sorted(raw, key=str)}")
+        raise ConfigError(f"unknown top-level section(s): {shown(sorted(raw, key=str))}")
     return PipelineConfig(**sections)
 
 
@@ -405,7 +406,7 @@ class _UniqueKeys:
                 key = self.construct_object(key_node, deep=True)
                 if key in keys:
                     raise yaml.constructor.ConstructorError(
-                        None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                        None, None, f"found duplicate key {shown(key)}", key_node.start_mark)
                 keys.append(key)
         return super().construct_mapping(node, deep)
 
@@ -417,17 +418,17 @@ def _line_column(text: str, offset: int) -> str:
     return f"line {line}, column {column}"
 
 
-def _yaml_error(path: str, text: str, exc: yaml.YAMLError) -> ConfigError:
+def _yaml_error(path: str, text: str, exc: yaml.YAMLError | ValueError) -> ConfigError:
     """A one-line error naming the file and the line and column YAML stopped at."""
     mark = getattr(exc, "problem_mark", None)
     if mark is not None:
-        where, problem = f"line {mark.line + 1}, column {mark.column + 1}", exc.problem
+        where, problem = f"line {mark.line + 1}, column {mark.column + 1}: ", exc.problem
     elif isinstance(exc, yaml.reader.ReaderError):  # a control character
-        where = _line_column(text, text.index(chr(exc.character)))
+        where = _line_column(text, text.index(chr(exc.character))) + ": "
         problem = f"character #x{exc.character:04x} is not allowed"
     else:
         where, problem = "", " ".join(str(exc).split())
-    return ConfigError(f"{path}: {where + ': ' if where else ''}invalid YAML: {problem}")
+    return ConfigError(f"{path}: {where}invalid YAML: {shown(problem, False)}")
 
 
 #: The deepest a config may nest (the schema nests five levels): PyYAML composes and
@@ -479,7 +480,8 @@ def load_config(path: str) -> PipelineConfig:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ConfigError(f"{path}: cannot read the config file: {exc.strerror}") from None
+        raise ConfigError(f"{shown(path, False)}: cannot read the config file: "
+                          f"{exc.strerror}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -490,7 +492,7 @@ def load_config(path: str) -> PipelineConfig:
     _check_depth(path, text)
     try:
         raw = yaml.load(text, Loader=type("Loader", (_UniqueKeys, YAML_LOADER), {}))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise _yaml_error(path, text, exc) from None
     if raw is None:
         raw = {}

@@ -4,15 +4,32 @@ Three families: settings that break a rule of :mod:`nominality.config`
 (:class:`ConfigError`, a synthetic-data spec included), data problems (bad
 files, bad shapes, degenerate label vectors) and numeric failures (diverging
 optimization, singular systems).  The CLI maps these onto exit codes 2, 3
-and 4; :func:`decoding` makes a run file that will not decode a :class:`DataError`.
-This module imports no other module of the package, so every module, ``config``
-included, can import it.
+and 4; :func:`decoding` makes a run file that will not decode a :class:`DataError`, and
+:func:`shown` bounds the input values a message quotes.  This module imports no other
+module of the package, so every module, ``config`` included, can import it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import reprlib
 import zipfile
+
+SHOWN = 200  # the most characters of an input value that a message quotes
+_REPR = reprlib.Repr()  # cuts that no repr of at most SHOWN characters reaches
+_REPR.maxlevel = _REPR.maxtuple = _REPR.maxlist = _REPR.maxdict = _REPR.maxset = SHOWN // 2
+_REPR.maxstring = _REPR.maxlong = _REPR.maxother = 2 * SHOWN + 3
+
+
+def shown(value, quote: bool = True) -> str:
+    """``repr(value)``, or the text ``value`` if not ``quote`` (a path), whole if it has at most
+    :data:`SHOWN` characters, else cut there by ``reprlib`` and followed by the value's length."""
+    text = _REPR.repr(value) if quote else value
+    if len(text) <= SHOWN:
+        return repr(value) if quote else value  # reprlib sorts a dict's keys; repr keeps them
+    if isinstance(value, (list, tuple, dict, set)):
+        return f"{text[:SHOWN]}... ({len(value)} items)"
+    return f"{text[:SHOWN]}... ({len(value if isinstance(value, str) else repr(value))} characters)"
 
 
 class NominalityError(Exception):
@@ -90,10 +107,10 @@ class SingularSystem(NumericError):
 @contextlib.contextmanager
 def decoding(path: str, what: str, again: str = ""):
     """Raise a failure to decode ``path`` (``what``) in the block as :class:`DataError`
-    ``<path>: cannot decode <what>: <cause!r><again>``: bad JSON, base64 or ``.npy`` bytes,
+    ``<path>: cannot decode <what>: <shown(cause)><again>``: bad JSON, base64 or ``.npy`` bytes,
     a missing, mistyped or out-of-rule value, or nesting deeper than the decoder recurses."""
     try:
         yield
     except (ValueError, EOFError, zipfile.BadZipFile, KeyError, TypeError, AttributeError,
             ConfigError, ShapeError, RecursionError) as exc:
-        raise DataError(f"{path}: cannot decode {what}: {exc!r}{again}") from None
+        raise DataError(f"{path}: cannot decode {what}: {shown(exc)}{again}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .errors import DataError, NonFiniteValue, ShapeError
+from .errors import DataError, NonFiniteValue, ShapeError, shown
 from .evaluation import auc_and_best_f1
 from .reconstructors import (
     MODEL_FILE,
@@ -114,8 +114,8 @@ def score_split(
     """
     name = cfg.data.test or "test split"
     if test_raw.channel_names != models.channel_names:
-        raise DataError(f"{name}: channels {list(test_raw.channel_names)} are not the "
-                        f"training split's {list(models.channel_names)} (from {MODEL_FILE})")
+        raise DataError(f"{name}: channels {shown(list(test_raw.channel_names))} are not the "
+                        f"training split's {shown(list(models.channel_names))} (from {MODEL_FILE})")
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             test, _ = _scaled(cfg, test_raw, models.stats, name)
@@ -178,7 +178,7 @@ def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: i
         col = int(bad[0])
         values = series.values[:, col]
         row = int(np.argmax(np.maximum(lo[col] - values, values - hi[col]))) * factor
-        raise DataError(f"{name}: row {row}: channel {series.channel_names[col]!r} spans "
+        raise DataError(f"{name}: row {row}: channel {shown(series.channel_names[col])} spans "
                         f"{full[col] / central[col]:.3g} times its central 99 % (more than "
                         f"{SPAN_RATIO:g}), so min-max scaling would flatten it")
 

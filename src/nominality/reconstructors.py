@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import PointHyperparams, SequenceModelConfig
-from .errors import ShapeError, SingularSystem, TrainingDiverged, decoding
+from .errors import ShapeError, SingularSystem, TrainingDiverged, decoding, shown
 from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 
 MODEL_FORMAT = "nominality-model-v2"
@@ -485,19 +485,18 @@ _POINT_ARRAYS = ("enc_w", "enc_b", "dec_w", "dec_b")
 def save_model(models: TrainedModels, path: str) -> None:
     """Write a trained detector as deterministic JSON (arrays as base64 row-major bytes).
 
-    The file holds what scoring reads and nothing else: the point model's
-    weights, the sequence model's ``gamma``, ``delta``, ``n_channels`` and
-    weights, the min-max statistics, the training nominality and the channel
-    names.  The fit's settings are in the config and its history (epoch
-    losses, normal-equation residual) in ``manifest_train.json``.  The
-    round-trip through :func:`load_model` is bit-exact.
+    The file holds what scoring reads and nothing else: the point model's weights, the
+    sequence model's ``gamma``, ``delta`` and weights, the min-max statistics, the training
+    nominality and the channel names, which give the channel count.  The fit's settings are
+    in the config and its history (epoch losses, normal-equation residual) in
+    ``manifest_train.json``.  The round-trip through :func:`load_model` is bit-exact.
     """
     point, seq, stats = models.point, models.sequence, models.stats
     doc = {
         "format": MODEL_FORMAT,
         "channel_names": list(models.channel_names),
         "point": {name: _encode_array(getattr(point, name)) for name in _POINT_ARRAYS},
-        "sequence": {"gamma": seq.gamma, "delta": seq.delta, "n_channels": seq.n_channels,
+        "sequence": {"gamma": seq.gamma, "delta": seq.delta,
                      "weights": _encode_array(seq.weights)},
         "minmax": {"mins": _encode_array(stats.mins), "maxs": _encode_array(stats.maxs)},
         "train_nominality": _encode_array(models.train_nominality.scores),
@@ -521,19 +520,18 @@ def _checked(section: dict, **shapes: tuple) -> dict[str, np.ndarray]:
 def load_model(path: str) -> TrainedModels:
     """Read a trained detector written by :func:`save_model`.
 
-    Every array's shape follows from ``gamma``, ``delta``, ``n_channels`` and
-    the latent width, the length of ``enc_b``, and every entry must be
-    finite.  Other keys, such as the fit's settings earlier versions wrote,
-    are not read.
+    Every array's shape follows from ``gamma``, ``delta``, the number of channel
+    names and the latent width, the length of ``enc_b``, and every entry must be
+    finite.  Other keys, such as the fit's settings or the ``sequence.n_channels``
+    that earlier versions wrote, are not read.
 
     Raises:
         DataError: ``<path>: cannot decode model: ...`` (see :func:`errors.decoding`),
             if it is not valid JSON, nested too deep to decode or not a decodable
             model, ``gamma`` or ``delta`` breaks its ``sequence_model`` rule,
-            ``enc_b`` is empty, ``n_channels`` is not an integer >= 1, the
-            channel names are null or not a list of strings, one per channel,
-            an array's shape disagrees with these or holds a non-finite value,
-            the min-max statistics are null or a channel minimum exceeds its
+            ``enc_b`` is empty, the channel names are not a non-empty list of
+            strings, an array's shape disagrees with these or holds a non-finite
+            value, the min-max statistics are null or a channel minimum exceeds its
             maximum, or the training nominality is empty or holds a negative score.
     """
     with decoding(path, "model"), open(path) as fh:
@@ -541,11 +539,12 @@ def load_model(path: str) -> TrainedModels:
         if doc["format"] != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} file")
         seq, point = doc["sequence"], doc["point"]
-        gamma, delta, dim = seq["gamma"], seq["delta"], seq["n_channels"]
+        gamma, delta, names = seq["gamma"], seq["delta"], doc["channel_names"]
         SequenceModelConfig(gamma, delta)
-        if type(dim) is not int or dim < 1:
-            raise ValueError(f"sequence.n_channels must be an integer >= 1, got {dim!r}")
-        d_lat = PointHyperparams(d_lat=len(_decode_array(point["enc_b"]))).d_lat
+        if not (type(names) is list and names and all(type(name) is str for name in names)):
+            raise ValueError(f"channel_names must be a non-empty list of strings, "
+                             f"got {shown(names)}")
+        dim, d_lat = len(names), PointHyperparams(d_lat=len(_decode_array(point["enc_b"]))).d_lat
         point = PointModel(**_checked(point, enc_w=(dim, d_lat), enc_b=(d_lat,),
                                       dec_w=(d_lat, dim), dec_b=(dim,)))
         weights = _checked(seq, weights=(2 * gamma * dim + 1, delta * dim))["weights"]
@@ -556,9 +555,4 @@ def load_model(path: str) -> TrainedModels:
         nominality = ScoreSeries(_decode_array(doc["train_nominality"]), gamma)
         if not (len(nominality) and (nominality.scores >= 0).all()):
             raise ValueError("train_nominality must hold one or more finite scores, all >= 0")
-        names = doc["channel_names"]
-        if type(names) is not list or not all(type(name) is str for name in names):
-            raise ValueError(f"channel_names must be a list of strings, got {names!r}")
-        if len(names) != dim:
-            raise ValueError(f"{len(names)} channel names for {dim} channels")
     return TrainedModels(point, sequence, stats, nominality, tuple(names))

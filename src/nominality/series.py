@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PreprocessConfig
-from .errors import DataError, EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError
+from .errors import EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError, shown
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -157,9 +157,8 @@ class MinMaxStats:
 # oracle in the tests.  Rows end in ``\r\n`` and files are UTF-8 text; a file
 # is written block by block and never held whole.  Reading accepts a UTF-8
 # byte-order mark and parses the whole table in one ``np.loadtxt`` call.  A
-# table it rejects (empty or padded quoted cells) is cast again after
-# trimming each cell, and only a table that still fails is scanned cell by
-# cell, to name the first bad row.
+# table it rejects (empty or padded quoted cells) is read once more, cell by
+# cell in reading order, and its first bad row or cell is the error.
 
 LINE_END = "\r\n"
 _GATHER_CELLS = 8192  # cells formatted at a time: rows of a block times columns
@@ -234,33 +233,8 @@ def _cell_text(cell: str) -> str:
     return text or "nan"
 
 
-def _number(cell: str) -> float | None:
-    try:
-        return float(_cell_text(cell))
-    except ValueError:
-        return None
-
-
 def _label_error(path: str, row_idx: int, cell: str) -> LabelError:
-    return LabelError(f"{path}: row {row_idx}: label {cell!r} is not 0 or 1")
-
-
-def _locate_error(
-    rows: list[list[str]], width: int, path: str, label_idx: int | None
-) -> DataError:
-    """The error of the first bad cell or row, checked in reading order."""
-    for i, cells in enumerate(rows):
-        if len(cells) != width:
-            return ParseError(f"{path}: row {i}: expected {width} fields, got {len(cells)}", row=i)
-        for col, cell in enumerate(cells):
-            if col == label_idx:
-                if _number(cell) not in (0.0, 1.0):
-                    return _label_error(path, i, cell)
-            elif _number(cell) is None:
-                return ParseError(
-                    f"{path}: row {i}: cannot parse {cell!r} in column {col} as a number", row=i
-                )
-    return ParseError(f"{path}: table could not be parsed")
+    return LabelError(f"{path}: row {row_idx}: label {shown(cell)} is not 0 or 1")
 
 
 def _read_lines(path: str) -> tuple[tuple[str, ...], list[str]]:
@@ -294,7 +268,8 @@ def _parse_lines(
 ) -> np.ndarray:
     """Data lines as a (T, width) float64 matrix; empty and ``nan`` cells are NaN.
 
-    The column ``label_idx``, if given, must hold only 0 or 1.
+    The column ``label_idx``, if given, must hold only 0 or 1.  A table that ``np.loadtxt`` rejects
+    is read once more, cell by cell in reading order, and its first bad row or cell is the error.
 
     Raises:
         ParseError: a row has the wrong width or a cell is not a number;
@@ -302,27 +277,35 @@ def _parse_lines(
         LabelError: a label cell is not 0 or 1.
     """
     try:
-        table = np.loadtxt(
-            lines, delimiter=",", quotechar='"', comments=None, dtype=np.float64, ndmin=2
-        )
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                           dtype=np.float64, ndmin=2)
     except ValueError:
         table = None
     if table is None or table.shape[1] != width:
-        rows = [line.split(",") for line in lines]
-        if any(len(cells) != width for cells in rows):
-            raise _locate_error(rows, width, path, label_idx)
-        try:
-            table = np.array(
-                [_cell_text(cell) for cells in rows for cell in cells], dtype=np.float64
-            ).reshape(len(rows), width)
-        except ValueError:
-            raise _locate_error(rows, width, path, label_idx) from None
+        values = []
+        for i, cells in enumerate(line.split(",") for line in lines):
+            if len(cells) != width:
+                raise ParseError(f"{path}: row {i}: expected {width} fields, got {len(cells)}",
+                                 row=i)
+            for col, cell in enumerate(cells):
+                try:  # float() strips padding as _cell_text does: only what it rejects is trimmed
+                    value = float(cell)
+                except ValueError:
+                    try:
+                        value = float(_cell_text(cell))
+                    except ValueError:
+                        value = None
+                if col == label_idx and value not in (0.0, 1.0):
+                    raise _label_error(path, i, cell)
+                if value is None:
+                    raise ParseError(f"{path}: row {i}: cannot parse {shown(cell)} in column "
+                                     f"{col} as a number", row=i)
+                values.append(value)
+        return np.array(values).reshape(len(lines), width)
     if label_idx is not None:
-        column = table[:, label_idx]
-        bad = np.flatnonzero((column != 0.0) & (column != 1.0))
+        bad = np.flatnonzero(~np.isin(table[:, label_idx], (0.0, 1.0)))
         if bad.size:
-            row = int(bad[0])
-            raise _label_error(path, row, lines[row].split(",")[label_idx])
+            raise _label_error(path, int(bad[0]), lines[bad[0]].split(",")[label_idx])
     return table
 
 
@@ -367,16 +350,17 @@ def load_csv(path: str, label_column: str | None = None) -> LabeledSeries:
     header, lines = _read_lines(path)
     label_idx: int | None = None
     if label_column is not None:
+        quoted = shown(label_column)
         if label_column not in header:
-            raise LabelError(f"{path}: label column {label_column!r} not found in header")
+            raise LabelError(f"{path}: label column {quoted} not found in header")
         if header.count(label_column) > 1:
-            raise LabelError(f"{path}: header names label column {label_column!r} more than once")
+            raise LabelError(f"{path}: header names label column {quoted} more than once")
         label_idx = header.index(label_column)
     table = _parse_lines(lines, len(header), path, label_idx)
     infinite = np.isinf(table)
     if infinite.any():
         row, col = (int(i) for i in np.argwhere(infinite)[0])
-        raise ParseError(f"{path}: row {row}: {lines[row].split(',')[col]!r} in column {col} "
+        raise ParseError(f"{path}: row {row}: {shown(lines[row].split(',')[col])} in column {col} "
                          f"is not a finite number", row=row)
     labels = None
     names = header

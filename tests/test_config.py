@@ -21,7 +21,7 @@ from nominality.config import (
     config_from_dict,
     load_config,
 )
-from nominality.errors import ConfigError
+from nominality.errors import SHOWN, ConfigError, shown
 from nominality.reconstructors import train_sequence_model
 from nominality.scoring import gate, smoothed_score, theta_from_percentile
 from nominality.series import LabeledSeries, downsample
@@ -341,6 +341,27 @@ class TestNestingDepth:
         path.write_text(f"a: {_nested(10)}]\n")
         with pytest.raises(ConfigError, match=r"^\S+: line 1, column 24: invalid YAML: "):
             load_config(str(path))
+
+
+def test_shown_cuts_a_long_value():
+    """A value whose repr is at most SHOWN characters is quoted whole, as ``repr`` writes it;
+    a longer one is cut there, with the length of the whole value."""
+    assert shown({"b": 1, "a": [2.5, None]}) == "{'b': 1, 'a': [2.5, None]}"
+    assert shown("x" * SHOWN, False) == "x" * SHOWN
+    assert shown("x" * 1000) == "'" + "x" * (SHOWN - 1) + "... (1000 characters)"
+    assert shown("p" * 300, False) == "p" * SHOWN + "... (300 characters)"
+    assert shown(["y" * 10_000] * 9000) == "['" + "y" * (SHOWN - 2) + "... (9000 items)"
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "x" * 2**20], ids=["digits", "text"])
+def test_long_scalar_is_one_short_config_error(tmp_path, value):
+    """A number past Python's limit on the digits of an int, which PyYAML's ``int`` refuses,
+    and a 1 MiB string are each one config error that quotes at most SHOWN characters."""
+    path = tmp_path / "run.yaml"
+    path.write_text(f"point_model:\n  epochs: {value}\n")
+    with pytest.raises(ConfigError) as exc:
+        load_config(str(path))
+    assert len(str(exc.value)) < len(str(path)) + SHOWN + 200
 
 
 _SERIES = LabeledSeries(np.random.default_rng(0).standard_normal((40, 2)))

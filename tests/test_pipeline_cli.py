@@ -371,7 +371,7 @@ class TestEndToEnd:
             assert set(docs[name]) == keys, name
         model = docs["model.json"]
         assert set(model["point"]) == {"enc_w", "enc_b", "dec_w", "dec_b"}
-        assert set(model["sequence"]) == {"gamma", "delta", "n_channels", "weights"}
+        assert set(model["sequence"]) == {"gamma", "delta", "weights"}
         assert set(model["minmax"]) == {"mins", "maxs"}
         assert model["channel_names"] == ["c0", "c1", "c2", "c3"]
         assert set(docs["manifest_train.json"]["final_losses"]) == {
@@ -815,7 +815,6 @@ class TestCliBehavior:
             ("score", "model.json", lambda text: text.replace("nominality-model-v2",
                                                               "nominality-model-v1")),
             ("score", "model.json", _edit_json(lambda doc: doc.update(minmax=None))),
-            ("score", "model.json", _edit_json(lambda doc: doc["sequence"].update(n_channels=4.0))),
             # score decodes all of model.json, channel names included; sweep does not open it
             ("score", "model.json", _edit_json(lambda doc: doc.update(channel_names="abcd"))),
             ("score", "model.json",
@@ -835,7 +834,7 @@ class TestCliBehavior:
              "induced-empty", "induced-inf", "induced-index-skip", "labels-index-skip",
              "test-value-huge-score", "test-value-huge-sweep", "test-not-utf8",
              "induced-not-utf8", "stats-min-above-max", "channel-names-short", "old-format",
-             "stats-null", "sequence-channels-float",
+             "stats-null",
              "channel-names-string", "channel-names-ints", "channel-names-null"]
             + [f"matrix-{kind}-{command}" for kind in _MATRIX_DAMAGES
                for command in ("eval", "sweep")]
@@ -866,6 +865,18 @@ class TestCliBehavior:
         assert len(err.splitlines()) == 1 and err.startswith("data error: ")
         assert name in err and "Traceback" not in err
         assert (command != "score" and name != "model.json") or " changed since " not in err
+
+    def test_model_with_channel_count_scores_alike(self, rundir, tmp_path):
+        """A model.json that still holds ``sequence.n_channels``, as earlier versions wrote
+        it, scores as the file without it: the channel names give the channel count."""
+        config_path, out = write_config(tmp_path)
+        shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+        _rewrite(os.path.join(out, "model.json"),
+                 _edit_json(lambda doc: doc["sequence"].update(n_channels=4)))
+        _record_digest(out, "model.json")
+        assert main(["score", "--config", config_path]) == 0
+        for name in (*cli.SCORE_CSVS, "labels.csv", "scores.npy"):
+            assert Path(out, name).read_bytes() == Path(rundir[1], name).read_bytes(), name
 
     def test_swapped_model_files_exit_3(self, rundir, tmp_path, capsys):
         """model.json with its point and sequence sections swapped."""
@@ -2182,6 +2193,13 @@ FUZZ_READERS = {
 FUZZ_RECORDED_BY = {"run/model.json": ["train", "score"], "run/scores.npy": ["score"]}
 
 
+#: The most bytes of stderr a generated case may write: its one line quotes an input
+#: value of any length cut to ``errors.SHOWN`` characters.
+MESSAGE_BYTES = 1000
+#: The text of the generated ``huge`` kind: 1 MiB that is no number.
+HUGE_TEXT = "x" * 2**20
+
+
 #: The nesting of the generated ``nest`` kind: past Python's recursion limit, so a
 #: decoder that recurses raises, but not so deep that libyaml's composer overflows the C
 #: stack in the test process.
@@ -2190,8 +2208,8 @@ NEST_LEVELS = 3000
 
 def _mutate(data, kind, rng, start):
     """``data`` with one byte at or after ``start`` flipped in one bit, inserted before
-    or deleted, with the bytes from there on cut off, or nested (see :func:`_nest`)
-    :data:`NEST_LEVELS` deep."""
+    or deleted, with the bytes from there on cut off, with :data:`HUGE_TEXT` inserted
+    there, or nested (see :func:`_nest`) :data:`NEST_LEVELS` deep."""
     if kind == "nest":
         return _nest(data.decode("latin-1"), NEST_LEVELS, start).encode("latin-1")
     at = rng.randrange(start, len(data))
@@ -2201,14 +2219,16 @@ def _mutate(data, kind, rng, start):
         return data[:at]
     if kind == "insert":
         return data[:at] + bytes([rng.randrange(256)]) + data[at:]
+    if kind == "huge":
+        return data[:at] + HUGE_TEXT.encode() + data[at:]
     return data[:at] + data[at + 1:]
 
 
 def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys):
-    """Each file a command reads from the run, with a bit flipped, cut short, or a byte
-    inserted or deleted at a fixed seed, and each JSON or YAML file nested deep, in a
-    fresh copy: every command that reads it exits 0, 2, 3 or 4 with at most one stderr
-    line."""
+    """Each file a command reads from the run, with a bit flipped, cut short, a byte
+    inserted or deleted or 1 MiB of text inserted at a fixed seed, and each JSON or YAML
+    file nested deep, in a fresh copy: every command that reads it exits 0, 2, 3 or 4 with
+    at most one stderr line of at most :data:`MESSAGE_BYTES` bytes."""
     chain = tmp_path / "chain"
     chain.mkdir()
     monkeypatch.chdir(chain)
@@ -2219,7 +2239,7 @@ def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys)
         clean = (chain / name).read_bytes()
         start = len(FUZZ_PATHS) if name == "run.yaml" else 0
         nest = ("nest",) if name.endswith((".json", ".yaml")) else ()
-        for kind in ("flip", "truncate", "insert", "delete", *nest):
+        for kind in ("flip", "truncate", "insert", "delete", "huge", *nest):
             data = _mutate(clean, kind, random.Random(f"{name} {kind}"), start)
             for command in commands:
                 cases += 1
@@ -2235,9 +2255,10 @@ def test_seeded_byte_mutations_exit_with_one_line(tmp_path, monkeypatch, capsys)
                 status = main([command, "--config", "run.yaml", *paths])
                 err = capsys.readouterr().err
                 assert status in (0, 2, 3, 4) and len(err.splitlines()) <= 1, (
-                    name, kind, command, status, err)
+                    name, kind, command, status, err[:MESSAGE_BYTES])
+                assert len(err.encode()) <= MESSAGE_BYTES, (name, kind, command, len(err))
                 assert "Traceback" not in err
-    assert cases == 99
+    assert cases == 121
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -2329,7 +2350,7 @@ def _config_edges():
 
 def _check_exit_contract(case, commands, capsys):
     """Run ``commands`` in the current directory's chain with every warning an error and
-    hold each to :data:`EXIT_RULE`."""
+    hold each to :data:`EXIT_RULE`, with at most :data:`MESSAGE_BYTES` bytes of stderr."""
     for command in commands:
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -2339,7 +2360,9 @@ def _check_exit_contract(case, commands, capsys):
             except Exception as exc:  # a traceback: no exit code at all
                 pytest.fail(f"{case}: {command} raised {exc!r}")
         err = capsys.readouterr().err
-        assert status in EXIT_CODES and len(err.splitlines()) <= 1, (case, command, status, err)
+        assert status in EXIT_CODES and len(err.splitlines()) <= 1, (
+            case, command, status, err[:MESSAGE_BYTES])
+        assert len(err.encode()) <= MESSAGE_BYTES, (case, command, len(err))
         assert "Traceback" not in err
         for name in FUZZ_SCORED.get(command, ()) if status == 0 else ():
             path = os.path.join("run", name)
@@ -2393,8 +2416,9 @@ def test_readme_states_the_exit_rule():
 
 def test_seeded_split_values_keep_the_exit_rule(fuzz_chain, capsys):
     """For each generated value and split, two runs of 1-200 cells of one channel, drawn
-    at a fixed seed, are set to the value, and every command that reads the split
-    keeps :data:`EXIT_RULE`."""
+    at a fixed seed, are set to the value; and for each split, one cell of a channel and
+    one label cell at a fixed seed are set to 1 MiB of digits, past float range, and to
+    :data:`HUGE_TEXT`.  Every command that reads the split keeps :data:`EXIT_RULE`."""
     rng = random.Random(FUZZ_SEED)
     cases = 0
     for value in FUZZ_VALUES:
@@ -2410,12 +2434,24 @@ def test_seeded_split_values_keep_the_exit_rule(fuzz_chain, capsys):
                 cases += 1
                 _check_exit_contract((split, value, channel, start, length),
                                      FUZZ_READERS[split], capsys)
-    assert cases == 44
+    for split in ("run/train.csv", "run/test.csv"):
+        for column in (rng.randrange(3), 3):  # a channel, then the label column
+            for text in ("9" * 2**20, HUGE_TEXT):
+                fuzz_chain()
+                row = rng.randrange(Path(split).read_bytes().count(b"\n") - 1)
+                _rewrite(split, _edit_rows(lambda i, cells: [
+                    text if (i, j) == (row, column) else cell for j, cell in enumerate(cells)]))
+                cases += 1
+                _check_exit_contract((split, column, row, text[:1]), FUZZ_READERS[split],
+                                     capsys)
+    assert cases == 52
 
 
 def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys):
     """Each number a config rule bounds, at its bound, one step past it and a huge value,
-    keeps :data:`EXIT_RULE` in every command, in a bounded address space."""
+    a number given as :data:`HUGE_TEXT`, and a list of 9000 aliases of one anchored
+    10 000-character string keep :data:`EXIT_RULE` in every command, in a bounded address
+    space."""
     body = yaml.safe_load(FUZZ_BODY)
     edges = _config_edges()
     for key, value in edges:
@@ -2427,6 +2463,12 @@ def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys
             doc["gate"]["theta_percentile"] = None
         Path("run.yaml").write_text(FUZZ_PATHS + yaml.safe_dump(doc))
         _check_exit_contract((key, value), COMMANDS, capsys)
+    for case, text in [
+            ("huge string", FUZZ_BODY.replace("epochs: 1", f"epochs: {HUGE_TEXT}")),
+            ("aliases", FUZZ_BODY + f"    frequencies: [&a {'q' * 10_000}{', *a' * 9000}]\n")]:
+        fuzz_chain()
+        Path("run.yaml").write_text(FUZZ_PATHS + text)
+        _check_exit_contract(case, COMMANDS, capsys)
     assert len(edges) == 47
 
 

@@ -27,7 +27,7 @@ from nominality import (
     save_csv,
 )
 from nominality.cli import read_labels_csv, read_score_csv, write_labels_csv, write_score_csv
-from nominality.series import as_scores, atomic_write, write_csv
+from nominality.series import _cell_text, as_scores, atomic_write, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -298,6 +298,23 @@ class TestCsvCodec:
         finally:
             tracemalloc.stop()
         assert peak <= 5.4e6
+
+
+def test_rejected_table_trims_each_cell_once(tmp_path, monkeypatch):
+    """A table ``np.loadtxt`` rejects, with an empty cell in its first row and one that is no
+    number in its last, is read once more in one pass: each cell is trimmed at most once,
+    and the error names the last row."""
+    rows = [[f"{i}.{j}" for j in range(3)] + [" " * i + "0"] for i in range(6)]
+    rows[0][1], rows[-1][2] = "", "x"
+    path = write(tmp_path, "a,b,c,label\n" + "".join(",".join(row) + "\n" for row in rows))
+    trimmed = []
+    monkeypatch.setattr("nominality.series._cell_text",
+                        lambda cell: trimmed.append(cell) or _cell_text(cell))
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, label_column="label")
+    assert str(exc.value) == f"{path}: row 5: cannot parse 'x' in column 2 as a number"
+    assert exc.value.row == 5
+    assert trimmed and len(set(trimmed)) == len(trimmed)
 
 
 class TestAtomicWrite:
