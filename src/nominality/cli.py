@@ -65,6 +65,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -394,7 +395,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
     (else :class:`ConfigError`), and each of ``names``, the files the caller depends on,
     must be recorded there with the sha256 its file (see :func:`_recorded_file`) has now
     (else :class:`DataError`), as must a ``score`` manifest's ``resolved_theta`` be a
-    number > 0.  No other recorded file is opened.
+    finite number > 0.  No other recorded file is opened.
     """
     path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
@@ -405,8 +406,8 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
         digests = dict(doc["digests"])
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
         theta = doc.get("resolved_theta")
-        if command == "score" and not (type(theta) in (int, float) and theta > 0):
-            raise ValueError(f"resolved_theta {shown(theta)} is not a number > 0")
+        if command == "score" and not (type(theta) in (int, float) and 0 < theta < math.inf):
+            raise ValueError(f"resolved_theta {shown(theta)} is not a finite number > 0")
     for name in sections:
         if (functools.reduce(getattr, name.split("."), recorded)
                 != functools.reduce(getattr, name.split("."), cfg)):

@@ -137,8 +137,9 @@ class DataConfig:
     train: str | None = _path("a non-empty string without NUL, or null", None)
     test: str | None = _path("a non-empty string without NUL, or null", None)
     label_column: str | None = _rule(
-        "a non-empty string without leading or trailing whitespace, or null",
-        lambda value: value != "" and value == value.strip(), default="label")
+        "a non-empty string without leading or trailing whitespace or a line break, or null",
+        lambda value: value != "" and value == value.strip() == "".join(value.splitlines()),
+        default="label")
 
     def __post_init__(self) -> None:
         _check("data", DataConfig, vars(self))
@@ -192,7 +193,8 @@ class GateConfig:
     """
 
     kind: str = _one_of(("soft", "hard"), "soft")
-    theta_n: float | None = _rule("a number > 0", lambda value: value > 0, default=None)
+    theta_n: float | None = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
+                                  default=None)
     theta_percentile: float | None = _rule("a number in (0, 100]",
                                            lambda value: 0 < value <= 100, default=None)
     d: int = _at_least(0, 0)

@@ -8,21 +8,23 @@ notation otherwise.  The digits come from the common path of Ryu (Adams,
 arithmetic: for each binary exponent, one 128-bit power of 5 scales the
 mantissa and its two rounding-interval bounds to about 18 decimal digits,
 and trailing digits are removed while the interval still holds a shorter
-number.  Only that path is taken here, and only below 2^49, where every
-number the pipeline writes lies: zero, subnormals, inf, nan, every magnitude
-from 2^49 up and the values whose scaled mantissa may end in decimal zeros
-(Ryu's trailing-zero cases, such as 0.5 or 12.0) are formatted by ``repr``
-of one list, so ``repr`` is both the fallback and the oracle.
+number.  Only that path is taken here, and only for the fixed notation of
+magnitudes from 1e-4 to below 2^49, where nearly every number the pipeline
+writes lies: zero, subnormals, inf, nan, every magnitude below 1e-4 (which
+``repr`` writes in exponent notation) or from 2^49 up, and the values whose
+scaled mantissa may end in decimal zeros (Ryu's trailing-zero cases, such as
+0.5 or 12.0) are formatted by ``repr`` of one list, so ``repr`` is both the
+fallback and the oracle.
 
-A block of cells is laid out as a (32, cells) byte matrix, one column per
+A block of cells is laid out as a (27, cells) byte matrix, one column per
 cell, so every step works on long rows.  Rows 0-23 hold a cell's digits,
-right-aligned and padded with '0'.  One character (the decimal point, an
-exponent's 'e', or an integer's sign, else a '0' before its text) is
-inserted at a per-cell row, and the digits below it move down one row to
-end in row 24.  Rows 25-31 hold the tail: the exponent, if any, and the
-separator.  A cell's text runs from its first row (a float's sign is
-written just above its first digit) to the end of its tail, and one masked
-select reads the cells in order.
+right-aligned and padded with '0'.  One character (a float's decimal point,
+or an integer's sign, else a '0' before its text) is inserted at a per-cell
+row, and the digits below it move down one row to end in row 24.  Rows 25
+and 26 hold the separator: ',' or, in a row's last cell, '\\r\\n'.  A cell's
+text runs from its first row (a float's sign is written just above its first
+digit) to the end of its separator, and one masked select reads the cells in
+order.
 
 Every operand of the integer arithmetic is ``np.uint64``, since numpy 1.x
 promotes mixed signed and unsigned 64-bit operands to float64.
@@ -36,8 +38,7 @@ import numpy as np
 
 _U = np.uint64
 _MASK32 = _U(0xFFFFFFFF)
-_POINT, _E, _MINUS, _ZERO = b".e-0"
-_FIXED = (-3, 16)  # the decimal-point positions repr writes in fixed notation
+_POINT, _MINUS, _ZERO, _COMMA, _CR, _LF = b".-0,\r\n"
 _POW10 = np.array([10**k for k in range(20)] + [2**64 - 1], dtype=_U)
 
 
@@ -53,23 +54,6 @@ def _quads() -> np.ndarray:
     k = np.arange(10000)
     chars = np.stack([k // 1000, k // 100 % 10, k // 10 % 10, k % 10], axis=1) + _ZERO
     return _read_only(chars.astype(np.uint8).view(np.uint32).ravel())
-
-
-@functools.lru_cache(maxsize=None)
-def _tails() -> np.ndarray:
-    """Each tail as an 8-byte word: its text, padded, then its length in the last byte.
-
-    Tail ``2 * i + last`` ends in ',' or, in a row's last cell, '\\r\\n'.  Tail 0
-    is the separator alone; tail ``2 + 2 * (2 * (e + 324) + point)`` starts
-    with the exponent e, after an 'e' where ``point`` is set (otherwise the
-    inserted character is the 'e').  Below 2^49 only e <= -5 is written so.
-    """
-    texts = [b""]
-    for e in range(-324, -4):
-        texts += [b"%+03d" % e, b"e%+03d" % e]
-    tails = [text + sep for text in texts for sep in (b",", b"\r\n")]
-    words = b"".join(tail.ljust(7, b"\0") + bytes([len(tail)]) for tail in tails)
-    return _read_only(np.frombuffer(words, dtype=np.uint64).copy())
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,15 +171,14 @@ def _digits(magnitude: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 class _Cells:
     """The byte matrix of a block, one column per cell, and each cell's inserted
-    character and its row, first row, tail and sign."""
+    character and its row, first row and sign."""
 
     def __init__(self, size: int):
-        self.text = np.empty((32, size), dtype=np.uint8)
+        self.text = np.empty((27, size), dtype=np.uint8)
         self.text[:4] = _ZERO
         self.insert = np.empty(size, dtype=np.intp)
         self.char = np.empty(size, dtype=np.uint8)
         self.start = np.empty(size, dtype=np.intp)
-        self.tail = np.zeros(size, dtype=np.intp)
         self.minus = np.zeros(size, dtype=bool)  # a '-' goes in the first row
 
 
@@ -205,15 +188,13 @@ def _float_cells(values: np.ndarray, cells: _Cells, at: slice) -> np.ndarray:
     digits, exp10, general = _shortest(bits)
     n = _digits(digits, cells.text[4:24, at])
     decpt = exp10 + n
-    fixed = (decpt >= _FIXED[0]) & (decpt <= _FIXED[1])
-    general |= fixed & (decpt >= n)  # an integer: Ryu's trailing zeros, left to repr
+    # exponent notation (|v| < 1e-4) and integers (Ryu's trailing zeros) are left to repr
+    general |= (decpt < -3) | (decpt >= n)
     minus = (bits >> _U(63)).astype(bool) & ~general
-    point = n > 1
     first = 24 - n
-    cells.insert[at] = np.where(general, 24, first + np.where(fixed, decpt, 1))
-    cells.start[at] = first + np.where(fixed & (decpt <= 0), decpt - 1, 0) - minus
-    cells.tail[at] = np.where(fixed | general, 0, 2 + 2 * (2 * (decpt + 323) + point))
-    cells.char[at] = np.where(fixed | point, _POINT, _E)
+    cells.insert[at] = np.where(general, 24, first + decpt)
+    cells.start[at] = first + np.minimum(decpt - 1, 0) - minus
+    cells.char[at] = _POINT
     cells.minus[at] = minus
     return general
 
@@ -251,7 +232,6 @@ def csv_rows(columns: list[np.ndarray]) -> bytes:
         if general.size:
             raw.append(general + at.start)
             raw_texts += repr(values[general].tolist())[1:-1].split(", ")
-    cells.tail[size - n_rows :] += 1
 
     text, insert, start = cells.text, cells.insert, cells.start
     # the rows from each cell's inserted character on move down one row
@@ -262,9 +242,10 @@ def csv_rows(columns: list[np.ndarray]) -> bytes:
     flat[insert * size + np.arange(size)] = cells.char
     negative = np.flatnonzero(cells.minus)
     flat[start[negative] * size + negative] = _MINUS
-    tails = _tails()[cells.tail].view(np.uint8).reshape(size, 8)
-    text[25:] = tails[:, :7].T
-    end = tails[:, 7] + np.uint8(25)
+    text[25], text[26] = _COMMA, _LF
+    text[25, size - n_rows :] = _CR  # the last column ends each row
+    end = np.full(size, 26, dtype=np.uint8)
+    end[size - n_rows :] = 27
     if raw:
         where = np.concatenate(raw)
         chars = np.array(raw_texts, dtype="S24").view(np.uint8).reshape(-1, 24)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PreprocessConfig
-from .errors import EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError, shown
+from .errors import DataError, EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError, shown
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ def write_json(doc: dict, path: str) -> None:
 
 def _quote(text: str) -> str:
     """Quote a text cell the way ``csv.writer`` does when it must."""
-    if any(ch in text for ch in ',"\r\n'):
+    if any(ch in text for ch in ',"'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -218,8 +218,12 @@ def _row_blocks(columns: list[np.ndarray]):
 def write_csv(path: str, header, columns) -> None:
     """Write a header row and the row-aligned (T,) or (T, k) arrays ``columns``.
 
-    Integer arrays print as integers and all others as ``repr(float(v))``.
+    Integer arrays print as integers and all others as ``repr(float(v))``.  A header
+    name may hold no line break, since the reader splits lines as ``str.splitlines`` does.
     """
+    for name in header:
+        if name != "".join(name.splitlines()):
+            raise DataError(f"{path}: header name {shown(name)} holds a line break")
     columns = [_as_block(col) for col in columns]
     head = (",".join(_quote(name) for name in header) + LINE_END).encode()
     atomic_write(path, itertools.chain([head], _row_blocks(columns)))

@@ -60,6 +60,20 @@ def test_every_binade_takes_the_kernel():
     assert csv_lines(values[:, None]) == [repr(v) for v in values.tolist()]
 
 
+def test_exponent_notation_goes_to_repr():
+    """The kernel writes only fixed notation: every magnitude below 1e-4, which
+    ``repr`` writes in exponent notation, and every one from 2^49 up is left to it."""
+    rng = np.random.default_rng(7)
+    exponents = np.arange(1, 2047, dtype=np.uint64)
+    mantissas = rng.integers(1, 2**52, exponents.size, dtype=np.uint64) | np.uint64(1)
+    values = ((exponents << np.uint64(52)) | mantissas).view(np.float64)
+    values = np.concatenate([values, -values, [1e-4, np.nextafter(1e-4, 0), 1.2e-4, 5e-5]])
+    cells = numtext._Cells(values.size)
+    left = numtext._float_cells(values, cells, slice(0, values.size))
+    np.testing.assert_array_equal(left, (np.abs(values) < 1e-4) | (np.abs(values) >= 2.0**49))
+    assert csv_lines(values[:, None]) == [repr(v) for v in values.tolist()]
+
+
 def test_integers_match_str():
     rng = np.random.default_rng(11)
     extremes = [0, 1, -1, 9, 10, -10, 99, 100, 10**18, 10**18 - 1, -(2**63), 2**63 - 1]
@@ -77,6 +91,7 @@ def test_mixed_blocks_side_by_side():
     rng = np.random.default_rng(5)
     floats = rng.standard_normal((300, 3))
     floats[::7, 1] = 0.5  # repr fallbacks in the middle of a row
+    floats[::5, 0] = 3e-7  # exponent notation, also left to repr
     ints = rng.integers(-5, 5, (300, 2))
     text = numtext.csv_rows([ints[:, :1], floats, ints[:, 1:]]).decode()
     expected = "".join(

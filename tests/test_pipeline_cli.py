@@ -1127,6 +1127,18 @@ class TestCliBehavior:
             "config error: data.label_column 'c0' names one of synth's channels, c0 to c3\n")
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("char", list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029"), ids=ascii)
+    def test_synth_label_column_with_a_line_break_exit_2(self, tmp_path, capsys, char):
+        """The reader ends a line at each boundary of ``str.splitlines``, so no header it
+        reads holds one, and ``synth`` writes no split whose label column ``train`` misses."""
+        config_path, out = write_config(tmp_path)
+        config_path = second_config(config_path, "data:\n",
+                                    f"data:\n  label_column: {json.dumps(f'a{char}b')}\n")
+        assert main(["synth", "--config", config_path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("config error: data.label_column ")
+        assert os.listdir(out) == []
+
     def test_label_column_named_twice_exit_3(self, rundir, tmp_path, capsys):
         """A header that names the label column twice is refused, not read at its first."""
         config_path, out = write_config(tmp_path)
@@ -1518,18 +1530,20 @@ class TestEvalFromScores:
             f"data error: {out}/{name} is not among the files manifest_{producer}.json "
             f"records; run '{producer}' again\n")
 
-    @pytest.mark.parametrize("theta", [None, "abc", 0, -1], ids=["missing", "string", "zero",
-                                                                  "negative"])
+    @pytest.mark.parametrize("theta", [None, "abc", 0, -1, math.inf],
+                             ids=["missing", "string", "zero", "negative", "infinite"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_bad_resolved_theta_exit_3(self, rundir, tmp_path, capsys, command, theta):
         """``eval`` and ``sweep`` take the threshold from ``manifest_score.json``, so one
-        whose ``resolved_theta`` is missing or not a number > 0 exits 3 with one line
-        naming the manifest, and the command writes nothing."""
+        whose ``resolved_theta`` is missing or not a finite number > 0 (such as ``1e999``,
+        which JSON reads as inf) exits 3 with one line naming the manifest, and the command
+        writes nothing."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         manifest = os.path.join(out, "manifest_score.json")
-        _rewrite(manifest, _edit_json(lambda doc: doc.pop("resolved_theta") if theta is None
-                                      else doc.update(resolved_theta=theta)))
+        damage = _edit_json(lambda doc: doc.pop("resolved_theta") if theta is None
+                            else doc.update(resolved_theta=theta))
+        _rewrite(manifest, lambda text: damage(text).replace("Infinity", "1e999"))
         before = {name: Path(out, name).read_bytes() for name in os.listdir(out)}
         assert main([command, "--config", config_path]) == 3
         err = capsys.readouterr().err
@@ -2328,7 +2342,8 @@ FUZZ_SIZE_KEYS = ("point_model.epochs", "sequence_model.gamma", "synth.options.s
 
 def _config_edges():
     """(key, value) for each number a config rule bounds: each bound the rule's wording
-    names, the neighbour past it on the other side of the rule, and a huge value."""
+    names, the neighbour past it on the other side of the rule, a huge value and, for a
+    float, inf."""
     sections = {**typing.get_type_hints(PipelineConfig), "synth.options": TrigSpec}
     edges = []
     for section, cls in sections.items():
@@ -2344,7 +2359,7 @@ def _config_edges():
                          else (np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)))
                 edges += [(key, bound)] + [(key, kind(v)) for v in steps
                                            if bool(test(v)) != bool(test(bound))]
-            edges.append((key, 2**63 - 1 if kind is int else 1.7e308))
+            edges += [(key, 2**63 - 1)] if kind is int else [(key, 1.7e308), (key, math.inf)]
     return edges
 
 
@@ -2469,7 +2484,7 @@ def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys
         fuzz_chain()
         Path("run.yaml").write_text(FUZZ_PATHS + text)
         _check_exit_contract(case, COMMANDS, capsys)
-    assert len(edges) == 47
+    assert len(edges) == 52
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):

@@ -88,7 +88,8 @@ class TestGate:
             assert ((0 <= g) & (g <= 1)).all()
 
     def test_bad_theta(self):
-        with pytest.raises(ConfigError, match=r"^gate\.theta_n must be a number > 0, got 0\.0$"):
+        with pytest.raises(ConfigError,
+                           match=r"^gate\.theta_n must be a finite number > 0, got 0\.0$"):
             gate("soft", 0.0, 1.0)
 
     def test_soft_gate_at_tiny_theta_is_exact_without_a_warning(self):
@@ -107,7 +108,7 @@ class TestInducedScore:
     def test_open_gates_give_moving_sum(self):
         a = ScoreSeries([1.0, 2.0, 3.0])
         n = ScoreSeries([0.0, 0.0, 0.0])
-        out = induced_anomaly_score(a, n, GateConfig("hard", theta_n=np.inf, d=1))
+        out = induced_anomaly_score(a, n, GateConfig("hard", theta_n=1.0, d=1))
         assert out.scores.tolist() == [3.0, 6.0, 5.0]
 
     def test_closed_gates_give_identity(self):

@@ -317,6 +317,26 @@ def test_rejected_table_trims_each_cell_once(tmp_path, monkeypatch):
     assert trimmed and len(set(trimmed)) == len(trimmed)
 
 
+#: Every line boundary of ``str.splitlines``, at which the reader ends a line.
+LINE_BREAKS = list("\n\x0b\x0c\r\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@pytest.mark.parametrize("char", LINE_BREAKS + [",", '"'], ids=ascii)
+def test_header_name_round_trips_or_raises(tmp_path, char):
+    """A channel name that holds a comma or a quote is quoted and reads back; one that
+    holds a line break, which the reader would split the header at, raises and writes
+    nothing."""
+    path = tmp_path / "names.csv"
+    series = LabeledSeries(np.ones((2, 2)), labels=[0, 1], channel_names=("a", f"b{char}c"))
+    if char in LINE_BREAKS:
+        with pytest.raises(DataError, match=r"names\.csv: header name 'b.+c' holds a line break$"):
+            save_csv(series, str(path))
+        assert not path.exists()
+    else:
+        save_csv(series, str(path))
+        assert load_csv(str(path), label_column="label").channel_names == ("a", f"b{char}c")
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "a.json"
