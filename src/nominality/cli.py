@@ -138,34 +138,42 @@ def write_score_csv(series: ScoreSeries, path: str) -> None:
     write_csv(path, ["time_index", "score"], [index, series.scores])
 
 
-def _time_origin(table: np.ndarray, path: str) -> int:
-    """The first time index; the indices must count up from it by one."""
-    index = table[:, 0]
-    origin = float(index[0])
+def _columns(table: np.ndarray, path: str, names) -> list:
+    """The columns ``names`` of a ``(time_index, *names)`` table read from ``path``: for a
+    score, a :class:`ScoreSeries` of finite values, >= 0 for ``nominality``; for
+    ``label``, int64 labels in {0, 1} of both classes.
+
+    The time indices must count up by one from an integer.  A bad cell raises
+    :class:`DataError` naming its row, and labels of one class :class:`DegenerateLabels`.
+    """
+    origin = float(table[0, 0])
     if not origin.is_integer():
         raise DataError(f"{path}: time_index {origin!r} is not an integer")
-    skips = np.flatnonzero(index != origin + np.arange(index.shape[0]))
+    skips = np.flatnonzero(table[:, 0] != origin + np.arange(table.shape[0]))
     if skips.size:
         row = int(skips[0])
-        raise DataError(f"{path}: row {row}: time_index {float(index[row])!r} "
+        raise DataError(f"{path}: row {row}: time_index {float(table[row, 0])!r} "
                         f"is not {int(origin) + row}; indices must be consecutive")
-    return int(origin)
-
-
-def _score_series(column: np.ndarray, origin: int, path: str, name: str = "score",
-                  nonnegative: bool = False) -> ScoreSeries:
-    """``column`` of the file at ``path`` as a series of finite scores, >= 0 if ``nonnegative``."""
-    bad = np.flatnonzero(~np.isfinite(column) | ((column < 0) & nonnegative))
-    if bad.size:
-        row = int(bad[0])
-        rule = "finite and >= 0" if nonnegative else "finite"
-        raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not {rule}")
-    return ScoreSeries(column, origin)
+    columns = []
+    for name, column in zip(names, table[:, 1:].T):
+        if name == "label":
+            bad, rule = (column != 0.0) & (column != 1.0), "0 or 1"
+        else:
+            rule = "finite and >= 0" if name == "nominality" else "finite"
+            bad = ~np.isfinite(column) | ((column < 0) & (name == "nominality"))
+        if bad.any():
+            row = int(np.flatnonzero(bad)[0])
+            raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not {rule}")
+        if name == "label" and column.min() == column.max():
+            raise DegenerateLabels(f"{path}: labels must contain at least one 0 and one 1; "
+                                   f"all {column.shape[0]} are {int(column[0])}")
+        columns.append(column.astype(np.int64) if name == "label"
+                       else ScoreSeries(column, int(origin)))
+    return columns
 
 
 def read_score_csv(path: str) -> ScoreSeries:
-    table = read_table(path, 2)
-    return _score_series(table[:, 1], _time_origin(table, path), path)
+    return _columns(read_table(path, 2), path, ["score"])[0]
 
 
 def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
@@ -176,7 +184,7 @@ def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
 
 def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
     table = read_table(path, 2, label_idx=1)
-    return table[:, 1].astype(np.int64), _time_origin(table, path)
+    return _columns(table, path, ["label"])[0], int(table[0, 0])
 
 
 def write_scores(bundle: ScoreBundle, path: str) -> None:
@@ -198,12 +206,11 @@ def read_scores(cfg: PipelineConfig, command: str, gate_sections) -> ScoreBundle
 
     A null ``data.label_column`` raises :class:`ConfigError` before a file of the run is
     opened; :func:`_check_manifest` must pass ``score``'s run with the trained sections,
-    ``data.label_column`` and ``gate_sections``.  The matrix is held to the checks of
-    :func:`read_score_csv` and :func:`read_labels_csv`: a 2-D float64 array of 6 columns,
-    at least one row, consecutive time indices, finite scores, a non-negative nominality
-    and labels in {0, 1} of both classes; any other matrix raises :class:`DataError`
-    naming it, and so does a file that is not one ``.npy`` array ``np.load`` reads
-    unpickled (``cannot decode the score matrix``, see :func:`errors.decoding`).
+    ``data.label_column`` and ``gate_sections``.  The matrix must be a 2-D float64 array
+    of 6 columns and at least one row whose columns pass :func:`_columns`, the check of
+    :func:`read_score_csv` and :func:`read_labels_csv`; any other matrix raises
+    :class:`DataError` naming it, and so does a file that is not one ``.npy`` array
+    ``np.load`` reads unpickled (``cannot decode the score matrix``, see :func:`errors.decoding`).
     """
     if cfg.data.label_column is None:
         raise ConfigError(f"{command} reads the labels of scores.npy, "
@@ -219,23 +226,7 @@ def read_scores(cfg: PipelineConfig, command: str, gate_sections) -> ScoreBundle
                if isinstance(matrix, np.ndarray) else "an archive")
         raise DataError(f"{path}: expected a float64 matrix with at least one row and the "
                         f"columns {', '.join(SCORE_COLUMNS)}, got {got}")
-    origin = _time_origin(matrix, path)
-    series = tuple(_score_series(matrix[:, col], origin, path, f"{SCORE_COLUMNS[col]} score",
-                                 SCORE_COLUMNS[col] == "nominality") for col in range(1, 5))
-    bad = np.flatnonzero((matrix[:, 5] != 0.0) & (matrix[:, 5] != 1.0))
-    if bad.size:
-        row = int(bad[0])
-        raise DataError(f"{path}: row {row}: label {float(matrix[row, 5])!r} is not 0 or 1")
-    labels = matrix[:, 5].astype(np.int64)
-    _check_classes(labels, path)
-    return ScoreBundle(*series, labels, theta)
-
-
-def _check_classes(labels: np.ndarray, path: str) -> None:
-    """Refuse ``labels``, read from ``path``, unless they hold at least one 0 and one 1."""
-    if labels.min() == labels.max():
-        raise DegenerateLabels(f"{path}: labels must contain at least one 0 and one 1; "
-                               f"all {labels.shape[0]} are {labels[0]}")
+    return ScoreBundle(*_columns(matrix, path, SCORE_COLUMNS[1:]), theta)
 
 
 def _sha256(path: str) -> str:
@@ -375,7 +366,6 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):
             raise DataError(f"labels ({labels_path}) are not aligned with scores ({scores_path})")
-        _check_classes(labels, labels_path)
     report = evaluate(scores, labels)
     write_json(report.summary(), os.path.join(cfg.output.dir, REPORT_FILE))
     write_csv(os.path.join(cfg.output.dir, CURVE_FILE), ["threshold", "tp", "fp"],
@@ -395,7 +385,7 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
     (else :class:`ConfigError`), and each of ``names``, the files the caller depends on,
     must be recorded there with the sha256 its file (see :func:`_recorded_file`) has now
     (else :class:`DataError`), as must a ``score`` manifest's ``resolved_theta`` be a
-    finite number > 0.  No other recorded file is opened.
+    finite float > 0.  No other recorded file is opened.
     """
     path = os.path.join(cfg.output.dir, MANIFEST_FILE.format(command))
     if not os.path.exists(path):
@@ -406,8 +396,8 @@ def _check_manifest(cfg: PipelineConfig, command: str, sections,
         digests = dict(doc["digests"])
         recorded = config_from_dict(doc["config"])  # a retired key is dropped, as from a file
         theta = doc.get("resolved_theta")
-        if command == "score" and not (type(theta) in (int, float) and 0 < theta < math.inf):
-            raise ValueError(f"resolved_theta {shown(theta)} is not a finite number > 0")
+        if command == "score" and not (type(theta) is float and 0 < theta < math.inf):
+            raise ValueError(f"resolved_theta {shown(theta)} is not a finite float > 0")
     for name in sections:
         if (functools.reduce(getattr, name.split("."), recorded)
                 != functools.reduce(getattr, name.split("."), cfg)):

@@ -4,17 +4,18 @@ A run is described by one YAML file with nested sections (data, preprocess,
 point_model, sequence_model, gate, sweep, synth, output).  Every field
 has a default, so a minimal config only names its input files.  Each section
 is a frozen dataclass whose fields declare their default and their rule
-together (:func:`_rule`), and one function, :func:`_check`, applies the rules
-when a section is built, so a YAML file, ``dataclasses.replace`` and a library
-call are held to the same rules; a library function that takes a key's value
-as a plain argument builds the section to check it.  ``synth.options`` is the
-generator spec :class:`TrigSpec`, whose fields declare their rules the same
-way.  The rules that span keys are in ``__post_init__``: ``sequence_model.delta``
-is at most ``2 * gamma``, the gate has exactly one threshold source, and a
-spec's cells fit one float64 array and its segments lie in the test split
-without overlap.  :func:`_check` also
-checks the settings that ``model.json``'s arrays imply: the sequence model's
-``gamma`` and ``delta`` and the point model's latent width.
+together (:func:`_rule`); its base :class:`_Section` runs :func:`_check` when it
+is built, so a YAML file, ``dataclasses.replace`` and a library call are held to
+the same rules, and stores each value in the one form its field holds
+(:func:`_fitted`: a list as a tuple, an integer for a float as that float).  A
+library function that takes a key's value as a plain argument builds the section
+to check it.  ``synth.options`` is the generator spec :class:`TrigSpec`, whose
+fields declare their rules the same way.  The rules that span keys are in
+``__post_init__``: ``sequence_model.delta`` is at most ``2 * gamma``, the gate has
+exactly one threshold source, and a spec's cells fit one float64 array and its
+segments lie in the test split without overlap.  :func:`_check` also checks the
+settings that ``model.json``'s arrays imply: the sequence model's ``gamma`` and
+``delta`` and the point model's latent width.
 :meth:`PipelineConfig.to_dict` gives back the nested dicts that
 :func:`config_from_dict` reads, so a recorded config loads as a config; it
 drops a key of :data:`RETIRED_KEYS` that holds its one value.
@@ -41,33 +42,38 @@ from .errors import ConfigError, shown
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
-def _fits(value, hint) -> bool:
-    """Whether a YAML value fits a field's type hint; a list stands for a tuple.
+#: What :func:`_fitted` gives for a value that does not fit its field's type hint.
+_MISFIT = object()
 
-    An ``int`` or ``float`` is not ``True``/``False``, and a ``float`` is not NaN.
+
+def _fitted(value, hint):
+    """``value`` in the form a field of type ``hint`` holds, or :data:`_MISFIT`.
+
+    A list becomes a tuple, nested lists included; an ``int`` or ``float`` is not
+    ``True``/``False``; a ``float`` field holds a finite float, to which an integer is
+    converted, and an ``int`` field a Python ``int``.
     """
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            return all(_fits(item, args[0]) for item in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if args:  # a union such as ``tuple[float, ...] | None``
-        return any(_fits(value, arg) for arg in args)
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, numbers.Real) and value == value
-    return isinstance(value, numbers.Integral if hint is int else hint)
-
-
-def _finite(value) -> bool:
-    """No float in ``value`` or its nested lists is infinite; a generator spec has no
-    use for an infinite amplitude, frequency or scale."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_finite, value))
-    return not isinstance(value, float) or math.isfinite(value)
+            return _MISFIT
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        items = tuple(map(_fitted, value, hints))
+        return items if len(value) == len(hints) and _MISFIT not in items else _MISFIT
+    for arg in args:  # a union such as ``tuple[float, ...] | None``
+        if (item := _fitted(value, arg)) is not _MISFIT:
+            return item
+    if args or isinstance(value, bool) and hint in (int, float):
+        return _MISFIT
+    if hint is float and isinstance(value, numbers.Real):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond float64
+            return _MISFIT
+        return value if math.isfinite(value) else _MISFIT
+    if hint is int and isinstance(value, numbers.Integral):
+        return int(value)
+    return value if isinstance(value, hint) else _MISFIT
 
 
 def _yaml_hint(value, hint) -> str:
@@ -105,26 +111,31 @@ def _one_of(choices: tuple[str, ...], default: str):
 _hints = functools.cache(get_type_hints)
 
 
-def _check(where: str, cls, values: dict) -> None:
-    """Raise :class:`ConfigError` for the first of ``values`` that breaks its field's rule.
+def _check(where: str, cls, values: dict) -> dict:
+    """``values``, which maps field names of the dataclass ``cls`` to values, in the forms
+    their fields hold (:func:`_fitted`); the first that does not fit its field's type or
+    breaks its rule raises :class:`ConfigError`.  A field without a rule (such as a
+    :class:`TrigSpec` factor) takes any value of its type."""
+    hints, checked = _hints(cls), {}
+    for name, value in values.items():
+        test, wording = cls.__dataclass_fields__[name].metadata.get(
+            "rule", (lambda value: True, cls.__annotations__[name]))
+        checked[name] = _fitted(value, hints[name])
+        if checked[name] is _MISFIT or not (value is None or test(checked[name])):
+            raise ConfigError(f"{where}.{name} must be {wording}, got {shown(value)}"
+                              f"{_yaml_hint(value, hints[name])}")
+    return checked
 
-    ``values`` maps field names of the dataclass ``cls`` to values; a field
-    without a rule (such as a :class:`TrigSpec` factor) takes any finite value of its type.
-    """
-    hints = _hints(cls)
-    for f in fields(cls):
-        if f.name not in values:
-            continue
-        value, hint = values[f.name], hints[f.name]
-        test, wording = f.metadata.get("rule", (_finite, cls.__annotations__[f.name]))
-        if not (_fits(value, hint) and (value is None or test(value))):
-            raise ConfigError(
-                f"{where}.{f.name} must be {wording}, got {shown(value)}{_yaml_hint(value, hint)}")
 
+class _Section:
+    """A config section, named ``where`` in an error: building one checks its values with
+    :func:`_check` and stores them in the forms their fields hold."""
 
-def _tupled(value):
-    """A YAML list as the tuple a spec field holds, nested lists included."""
-    return tuple(map(_tupled, value)) if isinstance(value, list) else value
+    def __init_subclass__(cls, where: str) -> None:
+        cls._where = where
+
+    def __post_init__(self) -> None:
+        vars(self).update(_check(self._where, type(self), vars(self)))
 
 
 def _path(wording: str, default):
@@ -133,7 +144,7 @@ def _path(wording: str, default):
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Section, where="data"):
     train: str | None = _path("a non-empty string without NUL, or null", None)
     test: str | None = _path("a non-empty string without NUL, or null", None)
     label_column: str | None = _rule(
@@ -141,49 +152,38 @@ class DataConfig:
         lambda value: value != "" and value == value.strip() == "".join(value.splitlines()),
         default="label")
 
-    def __post_init__(self) -> None:
-        _check("data", DataConfig, vars(self))
-
 
 @dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(_Section, where="preprocess"):
     downsample: int = _at_least(1, 1)
 
-    def __post_init__(self) -> None:
-        _check("preprocess", PreprocessConfig, vars(self))
-
 
 @dataclass(frozen=True)
-class PointHyperparams:
+class PointHyperparams(_Section, where="point_model"):
     """Training settings for the point autoencoder (the ``point_model`` section)."""
 
     d_lat: int = _at_least(1, 4)
-    learn_rate: float = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
-                              default=1e-4)
+    learn_rate: float = _rule("a finite number > 0", lambda value: 0 < value, default=1e-4)
     batch_size: int = _at_least(1, 64)
     epochs: int = _at_least(0, 25)
     seed: int = _at_least(0, 0)
 
-    def __post_init__(self) -> None:
-        _check("point_model", PointHyperparams, vars(self))
-
 
 @dataclass(frozen=True)
-class SequenceModelConfig:
+class SequenceModelConfig(_Section, where="sequence_model"):
     gamma: int = _at_least(1, 25)
     delta: int = _at_least(1, 6)
-    ridge_lambda: float = _rule("a finite number >= 0", lambda value: 0 <= value < math.inf,
-                                default=1e-6)
+    ridge_lambda: float = _rule("a finite number >= 0", lambda value: 0 <= value, default=1e-6)
 
     def __post_init__(self) -> None:
-        _check("sequence_model", SequenceModelConfig, vars(self))
+        super().__post_init__()
         if self.delta > 2 * self.gamma:  # the middle block is predicted from 2 * gamma points
             raise ConfigError(f"sequence_model.delta must be at most 2 * gamma = "
                               f"{2 * self.gamma}, got {self.delta}")
 
 
 @dataclass(frozen=True)
-class GateConfig:
+class GateConfig(_Section, where="gate"):
     """Gate kind, threshold source, and induction length (the ``gate`` section).
 
     Exactly one of ``theta_n`` (explicit threshold) and ``theta_percentile``
@@ -193,35 +193,30 @@ class GateConfig:
     """
 
     kind: str = _one_of(("soft", "hard"), "soft")
-    theta_n: float | None = _rule("a finite number > 0", lambda value: 0 < value < math.inf,
-                                  default=None)
+    theta_n: float | None = _rule("a finite number > 0", lambda value: 0 < value, default=None)
     theta_percentile: float | None = _rule("a number in (0, 100]",
                                            lambda value: 0 < value <= 100, default=None)
     d: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
-        _check("gate", GateConfig, vars(self))
+        super().__post_init__()
         if (self.theta_n is None) == (self.theta_percentile is None):
             raise ConfigError("set exactly one of gate.theta_n and gate.theta_percentile")
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_Section, where="sweep"):
     d_values: tuple[int, ...] = _rule(
         "a non-empty list of distinct integers >= 0",
         lambda value: len(value) > 0 and min(value) >= 0 and len(set(value)) == len(value),
         default=SWEEP_D_DEFAULT)
-
-    def __post_init__(self) -> None:
-        _check("sweep", SweepConfig, vars(self))
-        object.__setattr__(self, "d_values", tuple(self.d_values))
 
 
 SEGMENT_KINDS = ("point-noise", "frequency-shift", "amplitude-shift")
 
 
 @dataclass(frozen=True)
-class TrigSpec:
+class TrigSpec(_Section, where="synth.options"):
     """The trigonometric dataset that ``synthetic.gen_trig`` builds (``synth.options``).
 
     Segments are half-open (start, end, kind) intervals in test-split
@@ -237,21 +232,18 @@ class TrigSpec:
     segments: tuple[tuple[int, int, str], ...] = ()
     frequencies: tuple[float, ...] | None = None
     phases: tuple[float, ...] | None = None
-    noise_sigma: float = _rule("a finite number >= 0", lambda value: 0 <= value < math.inf,
-                               default=0.02)
+    noise_sigma: float = _rule("a finite number >= 0", lambda value: 0 <= value, default=0.02)
     freq_shift_factor: float = 0.45
     amp_shift_factor: float = 1.75
     point_noise_scale: float = 1.0
     seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
-        _check("synth.options", TrigSpec, vars(self))
+        super().__post_init__()
         cells, limit = self.n_channels * (self.n_train + self.n_test), np.iinfo(np.intp).max // 8
         if cells > limit:  # float64 cells beyond any array numpy can index
             raise ConfigError(f"synth.options.n_channels * (n_train + n_test) must be at most "
                               f"{limit}, got {cells}")
-        for name in ("segments", "frequencies", "phases"):  # YAML lists stand for tuples
-            object.__setattr__(self, name, _tupled(getattr(self, name)))
         for start, end, kind in self.segments:
             if kind not in SEGMENT_KINDS:
                 raise ConfigError(f"synth.options.segments kind must be one of "
@@ -296,7 +288,7 @@ def trig_preset(seed: int = 0) -> TrigSpec:
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_Section, where="synth"):
     """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
 
     YAML lists stand for tuples; no options is :func:`trig_preset`.
@@ -308,7 +300,7 @@ class SynthConfig:
     options: dict = _rule("a mapping", default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check("synth", SynthConfig, vars(self))
+        super().__post_init__()
         if self.options:
             self.spec()
 
@@ -328,13 +320,10 @@ class SynthConfig:
 
 
 @dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(_Section, where="output"):
     """The ``output`` section: the directory every command writes to and reads from."""
 
     dir: str = _path("a non-empty string without NUL", "out")
-
-    def __post_init__(self) -> None:
-        _check("output", OutputConfig, vars(self))
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,15 @@ class TestParsing:
         "sequence_model.delta": 1, "gate.d": 0, "synth.seed": 0,
     }
 
+    def test_values_take_their_fields_types(self):
+        """A section holds each value in its field's type: an integer in a float field as
+        that float, and a list as a tuple of its items' type (``1 == 1.0``, so the types
+        are checked)."""
+        assert type(config.GateConfig(theta_n=5).theta_n) is float
+        spec = TrigSpec(n_channels=2, n_train=10, n_test=10, frequencies=[1, 2])
+        assert type(spec.frequencies) is tuple and list(map(type, spec.frequencies)) == [float] * 2
+        assert config.SweepConfig(d_values=[1, 2]).d_values == (1, 2)
+
     def test_integer_lower_bounds(self):
         """Every integer key takes its lowest value and refuses the one below it."""
         integers = {f"{section}.{f.name}"

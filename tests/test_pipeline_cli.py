@@ -114,10 +114,10 @@ def _field_knob_cases():
 
     Each field's rule is read from its metadata, so a field declared without one
     fails here.  A number gets a string, a bool, a list, NaN and a value out of its
-    range (the first integer below its lowest, -1.0 for a real); a real whose rule
-    refuses infinity also gets ``.inf``.  A
-    word with a fixed set of values (its rule refuses ``abc``) gets those and its
-    default in capitals.  A flag gets a string, 0, null and a list.  The other fields
+    range (the first integer below its lowest, -1.0 for a real); a real also gets
+    ``.inf`` and the integer 10**400, past float64 range, and an integer whose rule
+    refuses infinity gets ``.inf``.  A word with a fixed set of values (its rule
+    refuses ``abc``) gets those and its default in capitals.  A flag gets a string, 0, null and a list.  The other fields
     (paths, the sweep's list, ``synth.options``) have cases of their own.  A retired
     key, whose rule is its one value, gets the cases of the type it had as a field.
     """
@@ -133,10 +133,11 @@ def _field_knob_cases():
               for name, one in RETIRED_KEYS.items()]
     cases = []
     for section, name, hint, test, default in knobs:
-        if hint in (int, int | None, float, float | None):
-            low = (next(v for v in (1, 0, -1) if not test(v))
-                   if hint in (int, int | None) else -1.0)
-            values = {**wrong_type, "range": low, **({} if test(math.inf) else {"inf": ".inf"})}
+        if hint in (int, int | None):
+            values = {**wrong_type, "range": next(v for v in (1, 0, -1) if not test(v)),
+                      **({} if test(math.inf) else {"inf": ".inf"})}
+        elif hint in (float, float | None):
+            values = {**wrong_type, "range": -1.0, "inf": ".inf", "huge-integer": 10**400}
         elif hint is str and not test("abc"):
             values = {**wrong_type, "range": default.upper()}
         elif hint is bool:
@@ -1046,11 +1047,18 @@ class TestCliBehavior:
              "    frequencies: [.inf, 1.0]\n", ".frequencies"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    phases: [0.0, .nan]\n", ".phases"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             f"    noise_sigma: {10**400}\n", ".noise_sigma"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             f"    freq_shift_factor: {10**400}\n", ".freq_shift_factor"),
+            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             f"    frequencies: [{10**400}, 1.0]\n", ".frequencies"),
         ],
         ids=["unknown-key", "options-list", "trig-noise-string", "channels-zero",
              "train-zero", "test-zero", "noise-negative", "segment-outside", "segment-short",
              "trig-n-test-unset", "trig-noise-inf", "trig-point-noise-inf", "trig-frequency-inf",
-             "trig-phase-nan"],
+             "trig-phase-nan", "trig-noise-huge-integer", "trig-freq-shift-huge-integer",
+             "trig-frequency-huge-integer"],
     )
     def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth, key):
         path = tmp_path / "synth.yaml"
@@ -1530,14 +1538,15 @@ class TestEvalFromScores:
             f"data error: {out}/{name} is not among the files manifest_{producer}.json "
             f"records; run '{producer}' again\n")
 
-    @pytest.mark.parametrize("theta", [None, "abc", 0, -1, math.inf],
-                             ids=["missing", "string", "zero", "negative", "infinite"])
+    @pytest.mark.parametrize("theta", [None, "abc", 0, -1, math.inf, 10**400],
+                             ids=["missing", "string", "zero", "negative", "infinite",
+                                  "huge-integer"])
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_bad_resolved_theta_exit_3(self, rundir, tmp_path, capsys, command, theta):
         """``eval`` and ``sweep`` take the threshold from ``manifest_score.json``, so one
-        whose ``resolved_theta`` is missing or not a finite number > 0 (such as ``1e999``,
-        which JSON reads as inf) exits 3 with one line naming the manifest, and the command
-        writes nothing."""
+        whose ``resolved_theta`` is missing or not a finite float > 0 (such as ``1e999``,
+        which JSON reads as inf, or an integer past float64 range) exits 3 with one line
+        naming the manifest, and the command writes nothing."""
         config_path, out = write_config(tmp_path)
         shutil.copytree(rundir[1], out, dirs_exist_ok=True)
         manifest = os.path.join(out, "manifest_score.json")
@@ -1825,6 +1834,21 @@ def test_split_too_small_names_itself(rundir, tmp_path, capsys, command, split, 
         config_path = second_config(config_path, *edit)
     assert main([command, "--config", config_path]) == 3
     assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+
+
+def test_integer_theta_n_writes_the_float_chain(tmp_path):
+    """A float key written as an integer is recorded as its float: the chain at
+    ``gate.theta_n: 5`` writes the bytes of the chain at ``5.0``, manifests included."""
+    config_path, out = write_config(tmp_path)
+    written = []
+    for theta in ("5.0", "5"):
+        shutil.rmtree(out)
+        Path(config_path).write_text(SMALL_CONFIG.format(out=out).replace(
+            "  theta_percentile: 98.5\n", f"  theta_n: {theta}\n  theta_percentile: null\n"))
+        run_all(config_path)
+        written.append({name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))})
+    assert written[0] == written[1]
+    assert type(read_json(os.path.join(out, "sweep.json"))["theta"]) is float
 
 
 def test_downsampled_chain_counts_blocks(tmp_path):
@@ -2343,7 +2367,7 @@ FUZZ_SIZE_KEYS = ("point_model.epochs", "sequence_model.gamma", "synth.options.s
 def _config_edges():
     """(key, value) for each number a config rule bounds: each bound the rule's wording
     names, the neighbour past it on the other side of the rule, a huge value and, for a
-    float, inf."""
+    float, inf and the integer 10**400, past float64 range."""
     sections = {**typing.get_type_hints(PipelineConfig), "synth.options": TrigSpec}
     edges = []
     for section, cls in sections.items():
@@ -2359,7 +2383,8 @@ def _config_edges():
                          else (np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)))
                 edges += [(key, bound)] + [(key, kind(v)) for v in steps
                                            if bool(test(v)) != bool(test(bound))]
-            edges += [(key, 2**63 - 1)] if kind is int else [(key, 1.7e308), (key, math.inf)]
+            edges += ([(key, 2**63 - 1)] if kind is int
+                      else [(key, 1.7e308), (key, math.inf), (key, 10**400)])
     return edges
 
 
@@ -2484,7 +2509,7 @@ def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys
         fuzz_chain()
         Path("run.yaml").write_text(FUZZ_PATHS + text)
         _check_exit_contract(case, COMMANDS, capsys)
-    assert len(edges) == 52
+    assert len(edges) == 57
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):
