@@ -1,29 +1,26 @@
 """Structured run configuration: the one home of every settable value's rule.
 
 A run is described by one YAML file with nested sections (data, preprocess,
-point_model, sequence_model, gate, sweep, synth, output).  Every field
-has a default, so a minimal config only names its input files.  Each section
-is a frozen dataclass whose fields declare their default and their rule
-together (:func:`_rule`); its base :class:`_Section` runs :func:`_check` when it
-is built, so a YAML file, ``dataclasses.replace`` and a library call are held to
-the same rules, and stores each value in the one form its field holds
-(:func:`_fitted`: a list as a tuple, an integer for a float as that float).  A
-library function that takes a key's value as a plain argument builds the section
-to check it.  ``synth.options`` is the generator spec :class:`TrigSpec`, whose
-fields declare their rules the same way.  The rules that span keys are in
-``__post_init__``: ``sequence_model.delta`` is at most ``2 * gamma``, the gate has
-exactly one threshold source, and a spec's cells fit one float64 array and its
-segments lie in the test split without overlap.  :func:`_check` also checks the
-settings that ``model.json``'s arrays imply: the sequence model's ``gamma`` and
-``delta`` and the point model's latent width.
-:meth:`PipelineConfig.to_dict` gives back the nested dicts that
-:func:`config_from_dict` reads, so a recorded config loads as a config; it
-drops a key of :data:`RETIRED_KEYS` that holds its one value.
-``point_model`` is :class:`PointHyperparams` and ``gate`` is
-:class:`GateConfig`, the classes the library functions take.  Unknown keys
-are rejected, and so is a YAML mapping that names a key twice.  This module
-imports no other module of the package except :mod:`nominality.errors`, so
-every other module can import it.
+point_model, sequence_model, gate, sweep, synth, output).  Every field has a default,
+so a minimal config only names its input files.  :func:`_read` is the one reader of a
+config mapping, each section and ``synth.options``, whose schema is the generator spec
+:class:`TrigSpec`: it drops a key of :data:`RETIRED_KEYS` that holds its one value,
+and rejects any other unknown key, naming the keys its mapping takes, and an unset
+field without a default.  Each section is a frozen dataclass whose fields declare
+their default and their rule together (:func:`_rule`); its base :class:`_Section` runs
+:func:`_check` when it is built, so a YAML file, ``dataclasses.replace`` and a library
+call are held to the same rules, and stores each value in the one form its field holds
+(:func:`_fitted`: a list as a tuple, an integer for a float as that float).  A library
+function that takes a key's value as a plain argument, such as the settings that
+``model.json``'s arrays imply, builds the section to check it.  The rules that span
+keys are in ``__post_init__``: ``sequence_model.delta`` is at most ``2 * gamma``, the
+gate has exactly one threshold source, and a spec's cells fit one float64 array and
+its segments lie in the test split without overlap.  :meth:`PipelineConfig.to_dict`
+gives back the nested dicts that :func:`config_from_dict` reads, so a recorded config
+loads as a config.  ``point_model`` is :class:`PointHyperparams` and ``gate`` is
+:class:`GateConfig`, the classes the library functions take.  A YAML mapping that
+names a key twice is rejected.  This module imports no other module of the package
+except :mod:`nominality.errors`, so every other module can import it.
 """
 
 from __future__ import annotations
@@ -291,9 +288,9 @@ def trig_preset(seed: int = 0) -> TrigSpec:
 class SynthConfig(_Section, where="synth"):
     """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
 
-    YAML lists stand for tuples; no options is :func:`trig_preset`.
-    Parsing builds the spec to check it, except that preset: it is always
-    valid, and only ``synth`` needs it.
+    :func:`_read` reads the options like a section, and building the spec once checks
+    them; each is stored in the form the spec holds it (:func:`_fitted`).  No options
+    is :func:`trig_preset`, which is always valid and built only when asked for.
     """
 
     seed: int = _at_least(0, 0)
@@ -302,21 +299,13 @@ class SynthConfig(_Section, where="synth"):
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.options:
-            self.spec()
+            keys = [f for f in fields(TrigSpec) if f.name != "seed"]
+            spec = TrigSpec(seed=self.seed, **_read("synth.options", self.options, keys))
+            vars(self)["options"] = {key: getattr(spec, key) for key in self.options}
 
     def spec(self) -> TrigSpec:
-        """The generator spec; a bad key, type or value raises :class:`ConfigError`."""
-        if not self.options:
-            return trig_preset(self.seed)
-        keys = [f.name for f in fields(TrigSpec) if f.name != "seed"]
-        for key in self.options:
-            if key not in keys:
-                raise ConfigError(f"synth.options has unknown key {shown(key)}; "
-                                  f"expected one of {', '.join(keys)}")
-        for f in fields(TrigSpec):
-            if f.default is MISSING and f.name not in self.options:
-                raise ConfigError(f"synth.options.{f.name} must be set, to {f.metadata['rule'][1]}")
-        return TrigSpec(seed=self.seed, **self.options)
+        """The generator spec of the options, which are already checked."""
+        return TrigSpec(seed=self.seed, **self.options) if self.options else trig_preset(self.seed)
 
 
 @dataclass(frozen=True)
@@ -338,9 +327,9 @@ class PipelineConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["sweep"]["d_values"] = list(self.sweep.d_values)
-        return doc
+        """The nested dicts that :func:`config_from_dict` reads; ``json`` and
+        ``yaml.safe_dump`` write each tuple in them as a list."""
+        return asdict(self)
 
 
 #: Each retired key and the one value it could hold; the ``eval`` section held only these.
@@ -348,35 +337,38 @@ RETIRED_KEYS = {"preprocess.normalization": "minmax", "point_model.optimizer": "
                 "eval.point_adjust": True, "eval.spike_interval": None, "synth.kind": "trig"}
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build a checked :class:`PipelineConfig` from nested dicts.
+def _read(where: str, block, keys) -> dict:
+    """The values that the mapping ``block`` (``None`` reads as ``{}``) of the section
+    ``where`` gives its fields ``keys``.  A retired key must hold its one value and is
+    dropped; any other unknown key, or an unset field without a default, raises ConfigError."""
+    block = {} if block is None else block
+    if not isinstance(block, dict):
+        raise ConfigError(f"section {where!r} must be a mapping")
+    names = [f.name for f in keys]
+    for key, value in block.items():
+        one = RETIRED_KEYS.get(f"{where}.{key}", MISSING)
+        if one is MISSING and key not in names:
+            raise ConfigError(f"unknown key {shown(key)} in section {where!r}"
+                              + (f"; expected one of {', '.join(names)}" if names else ""))
+        if one is not MISSING and (type(value) is not type(one) or value != one):  # 1 == True
+            raise ConfigError(f"{where}.{key} is retired: leave it out or set it to "
+                              f"{'null' if one is None else str(one).lower()}, "
+                              f"got {shown(value)}")
+    for f in keys:
+        if f.name not in block and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{where}.{f.name} must be set, to {f.metadata['rule'][1]}")
+    return {key: block[key] for key in block if key in names}
 
-    Each section is its default with the given keys replaced.  A retired key
-    may hold only its one value, and is dropped.
-    """
+
+def config_from_dict(raw: dict) -> PipelineConfig:
+    """Build a checked :class:`PipelineConfig` from nested dicts: each section, read by
+    :func:`_read`, is its default with the given keys replaced."""
     if not isinstance(raw, dict):
         raise ConfigError(f"a config must be a mapping, got {type(raw).__name__}")
     raw = dict(raw)
-    defaults = PipelineConfig()
-    sections = {}
-    for name in (*(f.name for f in fields(PipelineConfig)), "eval"):
-        block = raw.pop(name, None)
-        if block is None:
-            block = {}
-        if not isinstance(block, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        base = getattr(defaults, name, None)  # None for eval, whose keys are all retired
-        known = {f.name for f in fields(base)} if base else ()
-        for key, value in block.items():
-            one = RETIRED_KEYS.get(f"{name}.{key}", MISSING)
-            if one is MISSING and key not in known:
-                raise ConfigError(f"unknown key {shown(key)} in section {name!r}")
-            if one is not MISSING and (type(value) is not type(one) or value != one):  # 1 == True
-                raise ConfigError(f"{name}.{key} is retired: leave it out or set it to "
-                                  f"{'null' if one is None else str(one).lower()}, "
-                                  f"got {shown(value)}")
-        if base:
-            sections[name] = replace(base, **{key: block[key] for key in block if key in known})
+    sections = {name: replace(base, **_read(name, raw.pop(name, None), fields(base)))
+                for name, base in vars(PipelineConfig()).items()}
+    _read("eval", raw.pop("eval", None), ())  # eval's keys are all retired
     if raw:
         raise ConfigError(f"unknown top-level section(s): {shown(sorted(raw, key=str))}")
     return PipelineConfig(**sections)

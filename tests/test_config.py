@@ -117,6 +117,11 @@ class TestParsing:
         spec = TrigSpec(n_channels=2, n_train=10, n_test=10, frequencies=[1, 2])
         assert type(spec.frequencies) is tuple and list(map(type, spec.frequencies)) == [float] * 2
         assert config.SweepConfig(d_values=[1, 2]).d_values == (1, 2)
+        options = config_from_dict({"synth": {"options": {
+            "n_channels": 2, "n_train": 10, "n_test": 10, "noise_sigma": 1,
+            "segments": [[2, 4, "point-noise"]]}}}).synth.options
+        assert type(options["noise_sigma"]) is float
+        assert type(options["segments"]) is tuple and type(options["segments"][0]) is tuple
 
     def test_integer_lower_bounds(self):
         """Every integer key takes its lowest value and refuses the one below it."""
@@ -177,6 +182,13 @@ eval:
   point_adjust: yes
   spike_interval: null
 """
+
+
+def test_recorded_config_dumps_as_yaml():
+    """A recorded config, whose options and sweep hold tuples, is written by
+    ``yaml.safe_dump`` (as lists) and loads back as the same config."""
+    cfg = config_from_dict(yaml.safe_load(SYNTH_OPTIONS))
+    assert config_from_dict(yaml.safe_load(yaml.safe_dump(cfg.to_dict()))) == cfg
 
 
 def test_benchmark_configs_load(monkeypatch):

@@ -1024,7 +1024,9 @@ class TestCliBehavior:
     @pytest.mark.parametrize(
         "synth, key",
         [
-            ("  options:\n    bogus: 1\n", ""),
+            ("  options:\n    bogus: 1\n", "unknown key 'bogus' in section 'synth.options'; "
+             "expected one of n_channels, n_train, n_test, segments, frequencies, phases, "
+             "noise_sigma, freq_shift_factor, amp_shift_factor, point_noise_scale\n"),
             ("  options: [1]\n", ""),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    noise_sigma: x\n", ".noise_sigma"),
@@ -1065,7 +1067,8 @@ class TestCliBehavior:
         path.write_text(f"synth:\n{synth}output:\n  dir: {tmp_path}\n")
         assert main(["synth", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(f"config error: synth.options{key}")
+        prefix = key if key.startswith("unknown key") else f"synth.options{key}"
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {prefix}")
         assert "Traceback" not in err
 
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
@@ -1849,6 +1852,41 @@ def test_integer_theta_n_writes_the_float_chain(tmp_path):
         written.append({name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))})
     assert written[0] == written[1]
     assert type(read_json(os.path.join(out, "sweep.json"))["theta"]) is float
+
+
+def test_integer_noise_sigma_writes_the_float_chain(tmp_path):
+    """``synth.options`` is recorded in the forms its fields hold: the chain at
+    ``noise_sigma: 1`` writes the bytes of the chain at ``1.0``, manifests included."""
+    config_path, out = write_config(tmp_path)
+    written = []
+    for sigma in ("1.0", "1"):
+        shutil.rmtree(out)
+        Path(config_path).write_text(SMALL_CONFIG.format(out=out).replace(
+            "    n_test: 300\n", f"    n_test: 300\n    noise_sigma: {sigma}\n"))
+        run_all(config_path)
+        written.append({name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))})
+    assert written[0] == written[1]
+    options = read_json(os.path.join(out, "manifest_synth.json"))["config"]["synth"]["options"]
+    assert type(options["noise_sigma"]) is float
+
+
+@pytest.mark.parametrize("where", [*typing.get_type_hints(PipelineConfig), "synth.options", "eval"])
+def test_unknown_key_lists_its_mappings_keys(tmp_path, capsys, where):
+    """An unknown key in any section or in ``synth.options`` exits 2 with one line that
+    names its mapping and lists the keys it takes; ``eval`` takes none."""
+    if where == "synth.options":
+        keys = [f.name for f in dataclasses.fields(TrigSpec) if f.name != "seed"]
+        text = "synth:\n  options:\n    bogus: 1\n"
+    else:
+        hints = typing.get_type_hints(PipelineConfig)
+        keys = [f.name for f in dataclasses.fields(hints[where])] if where in hints else []
+        text = f"{where}:\n  bogus: 1\n"
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert main(["synth", "--config", str(path)]) == 2
+    listed = f"; expected one of {', '.join(keys)}" if keys else ""
+    assert capsys.readouterr().err == (f"config error: unknown key 'bogus' in section "
+                                       f"'{where}'{listed}\n")
 
 
 def test_downsampled_chain_counts_blocks(tmp_path):
