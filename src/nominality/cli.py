@@ -24,7 +24,8 @@ makes every command exit 2 when it loads, and so does a ``data.train`` or
 in column ``data.label_column``; it exits 2 if that key is null or names one
 of its channels, or the two paths name one file.
 ``score`` refuses a test split whose channels are not the training split's, and
-writes ``labels.csv`` and ``scores.npy`` only for a labeled one.  ``sweep`` reads
+writes ``labels.csv`` and ``scores.npy`` only for a labeled one; it removes what
+``eval`` and ``sweep`` wrote of earlier scores.  ``sweep`` reads
 ``scores.npy`` at the gate threshold ``score`` resolved (:func:`read_scores`)
 rather than scoring the test split again; ``eval`` reads its ``induced`` and
 ``label`` columns the same way, or the two CSV files that ``--scores`` and
@@ -320,7 +321,8 @@ def cmd_train(cfg: PipelineConfig) -> int:
 
 def cmd_score(cfg: PipelineConfig) -> int:
     """Score the test split; write the aligned score CSVs and, for a labeled split only,
-    ``labels.csv`` and ``scores.npy``, the matrix of them all (an unlabeled split removes both).
+    ``labels.csv`` and ``scores.npy``, the matrix of them all (an unlabeled split removes
+    both); remove the files ``eval`` and ``sweep`` wrote, which describe earlier scores.
 
     :func:`_check_manifest` first shows that ``train`` ran with this config's
     trained sections and that its files are unchanged, and :func:`score_split`
@@ -333,13 +335,16 @@ def cmd_score(cfg: PipelineConfig) -> int:
                                          bundle.nominality, bundle.induced)):
         write_score_csv(series, os.path.join(cfg.output.dir, name))
     recorded = ["data.test", *SCORE_CSVS]
-    labels_path, scores_path = (_recorded_file(cfg, name) for name in (LABELS_FILE, SCORES_FILE))
     if bundle.labels is not None:
-        write_labels_csv(bundle.labels, bundle.induced.time_origin, labels_path)
-        write_scores(bundle, scores_path)
+        write_labels_csv(bundle.labels, bundle.induced.time_origin,
+                         _recorded_file(cfg, LABELS_FILE))
+        write_scores(bundle, _recorded_file(cfg, SCORES_FILE))
         recorded += [LABELS_FILE, SCORES_FILE]
-    else:  # another run's labels and matrix, which the manifest will not record
-        for path in filter(os.path.exists, (labels_path, scores_path)):
+    # Another run's labels and matrix, which the manifest will not record, and what
+    # eval and sweep made of another run's scores.
+    for name in (LABELS_FILE, SCORES_FILE, REPORT_FILE, CURVE_FILE, SWEEP_FILE,
+                 *map(MANIFEST_FILE.format, ("eval", "sweep"))):
+        if name not in recorded and os.path.exists(path := os.path.join(cfg.output.dir, name)):
             os.remove(path)
     digests = {**train_digests, **_digests(cfg, recorded)}
     write_manifest(cfg, "score", {"resolved_theta": bundle.theta, "digests": digests})

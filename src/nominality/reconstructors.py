@@ -9,16 +9,16 @@ expressions and of a per-array Adam, so the weights are the same bits.  The
 sequence model is a closed-form ridge regression that predicts the middle
 ``delta`` points of a window from the ``gamma`` points on each side, which
 forces it to learn time-dependent structure; numpy's LAPACK checks its
-normal matrix with a Cholesky factorization and solves it.  Its predictions
-gather the design and multiply it by the weights one fixed-size chunk of
-blocks at a time, so scoring holds one chunk of the design rather than all
-of it.  Because the sequence model cannot reconstruct the first and last
-``gamma`` points, :func:`make_pair` trims the observation and the point
-reconstruction to the same interior range, so every covered time point has
-one observed and exactly two reconstructed values.  :class:`TrainedModels`
-is one trained detector (both models, the min-max statistics and the
-training nominality), and :func:`save_model` writes it as one JSON file,
-with every array in the same base64 codec and none of the fit's settings.
+normal matrix with a Cholesky factorization and solves it.  Its
+reconstruction gathers the design and multiplies it by the weights one
+fixed-size chunk of blocks at a time, so scoring never holds all of it.
+Because the sequence model cannot reconstruct the first and last ``gamma``
+points, :func:`make_pair` trims the observation and the point reconstruction
+to the same interior range, so every covered time point has one observed and
+exactly two reconstructed values.  :class:`TrainedModels` is one trained
+detector (both models, the min-max statistics and the training nominality),
+and :func:`save_model` writes it as one JSON file, with every array in the
+same base64 codec and none of the fit's settings.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ MODEL_FORMAT = "nominality-model-v2"
 #: The file ``train`` writes the detector to, and ``score`` and ``sweep`` read.
 MODEL_FILE = "model.json"
 # Design rows per fancy-index copy in SequenceModel._design_rows, and per
-# gather-and-multiply chunk in SequenceModel.predict_blocks.
+# gather-and-multiply chunk in reconstruct_sequence.
 _GATHER_ROWS = 256
 
 
@@ -285,28 +285,6 @@ class SequenceModel:
             body[lo : lo + _GATHER_ROWS] = windows[contexts[lo : lo + _GATHER_ROWS]]
         return rows
 
-    def predict_blocks(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Predict the delta-blocks starting at ``starts``; shape (n, delta, D).
-
-        The design is gathered and multiplied by ``weights`` one chunk of
-        ``_GATHER_ROWS`` blocks at a time, so only one chunk of it is ever
-        held.  Every product has the same row count (``n`` when fewer): the
-        last chunk is anchored at ``n - _GATHER_ROWS`` and rewrites the rows
-        it shares with the one before, as :func:`reconstruct_sequence`
-        anchors its last block.  A BLAS product need not give a row the same
-        bits at every row count (1- and 7-row products can differ in the last
-        bits), so the count stays fixed.  At 8 channels the tests require the
-        whole-design product's bits; at 38 they differ in the last bits.
-        """
-        n = starts.shape[0]
-        out = np.empty((n, self.delta * self.n_channels))
-        size = min(n, _GATHER_ROWS)
-        for lo in range(0, n, _GATHER_ROWS):
-            lo = min(lo, n - size)  # the last chunk ends at n
-            design = self._design_rows(values, starts[lo : lo + size])
-            np.matmul(design, self.weights, out=out[lo : lo + size])
-        return out.reshape(n, self.delta, self.n_channels)
-
 
 def _flat_windows(values: np.ndarray, width: int) -> np.ndarray:
     """Row j is ``values[j : j + width].ravel()`` (time-major); a view where values is C-ordered."""
@@ -384,28 +362,35 @@ def reconstruct_sequence(
 
     Delta-blocks tile [gamma, T - gamma) starting at gamma; if the grid does
     not land on the right edge, one final block anchored at T - gamma - delta
-    is predicted last and overwrites the overlap, so each point keeps a
-    single predicted value.
+    overwrites the overlap, so each point keeps a single predicted value.
+    The design is gathered and multiplied by ``weights`` into one buffer a
+    chunk of ``_GATHER_ROWS`` blocks at a time, so only one chunk of it is
+    held.  Every product has the same row count (all blocks when fewer), as
+    a BLAS product need not give a row the same bits at every row count
+    (products of 1 and 7 rows can differ in the last bits): the last chunk
+    is anchored at the end and rewrites the rows it shares with the one before.
 
     Returns:
         (T - 2*gamma, D) matrix aligned at offset gamma.
     """
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series)
-    n_times, dim = values.shape
-    if dim != model.n_channels:
-        raise ShapeError(f"expected {model.n_channels} channels, got {dim}")
-    g, d = model.gamma, model.delta
-    starts = _block_grid(g, d, n_times, d)
-    n_tiled = starts.shape[0]
-    if starts[-1] != n_times - g - d:
-        starts = np.append(starts, n_times - g - d)
-    blocks = model.predict_blocks(values, starts)
-    out = np.empty((n_times - 2 * g, dim))
-    out[: n_tiled * d] = blocks[:n_tiled].reshape(n_tiled * d, dim)
+    if values.ndim != 2 or values.shape[1] != model.n_channels:
+        raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {values.shape}")
+    g, d, n_rows = model.gamma, model.delta, values.shape[0] - 2 * model.gamma
+    starts = _block_grid(g, d, values.shape[0], d)
+    if starts[-1] != n_rows + g - d:
+        starts = np.append(starts, n_rows + g - d)
+    n_blocks, size = starts.shape[0], min(starts.shape[0], _GATHER_ROWS)
+    blocks = np.empty((n_blocks, d * model.n_channels))
+    for lo in range(0, n_blocks, _GATHER_ROWS):
+        lo = min(lo, n_blocks - size)  # the last chunk ends at n_blocks
+        np.matmul(model._design_rows(values, starts[lo : lo + size]), model.weights,
+                  out=blocks[lo : lo + size])
+    out = blocks.reshape(n_blocks * d, model.n_channels)
     # The anchored final block overwrites the overlap; without one this
     # rewrites the last tiled block with itself.
-    out[-d:] = blocks[-1]
-    return out
+    out[n_rows - d : n_rows] = out[-d:]
+    return out[:n_rows]
 
 
 @dataclass(frozen=True)

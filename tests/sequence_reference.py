@@ -3,8 +3,8 @@
 ``reconstructors.SequenceModel._design_rows``, the ``targets`` stack in
 ``train_sequence_model`` and the block scatter in ``reconstruct_sequence``
 are built with array views and fancy indexing; these are the loops they
-replaced.  ``SequenceModel.predict_blocks`` multiplies the design a chunk of
-blocks at a time; :func:`reference_predict_blocks` is the whole-design
+replaced.  ``reconstruct_sequence`` multiplies the design a chunk of blocks
+at a time; :func:`reference_reconstruct_sequence` makes the whole-design
 product it replaced.  The tests require both to give the same bits (the
 product at the benchmark's 8 channels only).
 """
@@ -25,11 +25,6 @@ def reference_design_rows(model, values: np.ndarray, starts: np.ndarray) -> np.n
     return rows
 
 
-def reference_predict_blocks(model, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    flat = reference_design_rows(model, values, starts) @ model.weights
-    return flat.reshape(starts.shape[0], model.delta, model.n_channels)
-
-
 def reference_targets(values: np.ndarray, starts: np.ndarray, delta: int) -> np.ndarray:
     return np.stack([values[s : s + delta].ravel() for s in starts])
 
@@ -48,7 +43,8 @@ def reference_reconstruct_sequence(model, series) -> np.ndarray:
     if starts[-1] != n_times - g - d:
         starts.append(n_times - g - d)
     starts = np.asarray(starts, dtype=np.int64)
-    blocks = reference_predict_blocks(model, values, starts)
+    blocks = (reference_design_rows(model, values, starts) @ model.weights).reshape(
+        starts.shape[0], d, dim)
     out = np.empty((n_times - 2 * g, dim))
     for s, block in zip(starts, blocks):
         out[s - g : s - g + d] = block

@@ -1473,14 +1473,16 @@ class TestEvalFromScores:
 
     def test_unlabeled_rescore_exit_2(self, tmp_path, capsys):
         """After a labeled chain, an unlabeled split scored into the same directory
-        removes the old labels.csv and scores.npy, and ``eval`` refuses the config."""
+        removes the old labels.csv and scores.npy and what eval and sweep made of them,
+        and ``eval`` refuses the config."""
         config_path, out = write_config(tmp_path)
         run_all(config_path)
         unlabeled = _drop_labels(config_path, out)
         for command in ("train", "score"):
             assert main([command, "--config", unlabeled]) == 0
-        assert not os.path.exists(os.path.join(out, "labels.csv"))
-        assert not os.path.exists(os.path.join(out, "scores.npy"))
+        for name in ("labels.csv", "scores.npy", "eval_report.json", "curve.csv",
+                     "sweep.json", "manifest_eval.json", "manifest_sweep.json"):
+            assert not os.path.exists(os.path.join(out, name)), name
         capsys.readouterr()
         assert main(["eval", "--config", unlabeled]) == 2
         assert capsys.readouterr().err == (

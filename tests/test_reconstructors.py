@@ -16,7 +16,6 @@ from point_fit_reference import (
 from scipy.linalg import cho_factor, cho_solve
 from sequence_reference import (
     reference_design_rows,
-    reference_predict_blocks,
     reference_reconstruct_sequence,
     reference_targets,
 )
@@ -285,12 +284,14 @@ class TestSequenceModel:
         vals = rng.standard_normal((60, 2))
         model = train_sequence_model(LabeledSeries(vals), gamma=4, delta=3,
                                      ridge_lambda=1e-3)
-        start = 20
-        pred = model.predict_blocks(vals, np.array([start]))
+        start = 22  # a block of the grid 4, 7, ..., so rows 18-20 of the reconstruction
+        pred = reconstruct_sequence(model, vals)
         tampered = vals.copy()
         tampered[start : start + 3] += 100.0
-        pred_tampered = model.predict_blocks(tampered, np.array([start]))
-        np.testing.assert_array_equal(pred, pred_tampered)
+        pred_tampered = reconstruct_sequence(model, tampered)
+        np.testing.assert_array_equal(pred[start - 4 : start - 1],
+                                      pred_tampered[start - 4 : start - 1])
+        assert not np.array_equal(pred, pred_tampered)
 
     def test_singular_without_ridge(self):
         # Constant series makes all context features identical columns.
@@ -350,22 +351,21 @@ class TestSequenceMatchesReference:
                               reference_design_rows(model, vals, starts))
         assert model._design_rows(vals, starts[:0]).shape == (0, 2 * gamma * 4 + 1)
 
-    @pytest.mark.parametrize("order", ["grid", "unsorted"])
-    @pytest.mark.parametrize("n_blocks", [0, 1, _GATHER_ROWS - 1, _GATHER_ROWS, _GATHER_ROWS + 1,
+    @pytest.mark.parametrize("edge", [0, 3])
+    @pytest.mark.parametrize("n_blocks", [1, _GATHER_ROWS - 1, _GATHER_ROWS, _GATHER_ROWS + 1,
                                           2 * _GATHER_ROWS + 1, 3 * _GATHER_ROWS - 5])
-    def test_predict_blocks_in_chunks(self, n_blocks, order):
-        # The benchmark's shape (gamma 25, delta 6, 8 channels): no block, one
-        # chunk, whole chunks, and chunks with an anchored last one that overlaps.
+    def test_reconstruction_in_chunks(self, n_blocks, edge):
+        # The benchmark's shape (gamma 25, delta 6, 8 channels): a grid of
+        # n_blocks that ends on the edge (0), or that takes an anchored final
+        # block (3 rows past it): one chunk, whole chunks, and chunks with an
+        # anchored last one that overlaps.
         rng = np.random.default_rng(n_blocks)
         model = train_sequence_model(LabeledSeries(rng.random((600, 8))), 25, 6, 1e-6)
-        vals = rng.random((6 * n_blocks + 56, 8))
-        starts = _block_grid(25, 6, vals.shape[0], 6)[:n_blocks]
-        if order == "unsorted":
-            starts = rng.integers(25, vals.shape[0] - 30, n_blocks)
-        assert np.array_equal(model.predict_blocks(vals, starts),
-                              reference_predict_blocks(model, vals, starts))
+        vals = rng.random((6 * n_blocks + 50 + edge, 8))
+        assert np.array_equal(reconstruct_sequence(model, vals),
+                              reference_reconstruct_sequence(model, vals))
 
-    def test_predict_blocks_wide(self):
+    def test_reconstruction_wide(self):
         """At 38 channels the chunks agree with the whole product to rounding only.
 
         A BLAS product need not give a row the same bits at every row count:
@@ -376,9 +376,8 @@ class TestSequenceMatchesReference:
         rng = np.random.default_rng(38)
         model = train_sequence_model(LabeledSeries(rng.random((2000, 38))), 25, 6, 1e-6)
         vals = rng.random((3000, 38))
-        starts = _block_grid(25, 6, vals.shape[0], 6)
-        np.testing.assert_allclose(model.predict_blocks(vals, starts),
-                                   reference_predict_blocks(model, vals, starts),
+        np.testing.assert_allclose(reconstruct_sequence(model, vals),
+                                   reference_reconstruct_sequence(model, vals),
                                    rtol=0, atol=100 * np.finfo(np.float64).eps)
 
     @pytest.mark.parametrize("gamma, delta, n_times", SHAPES)
@@ -392,10 +391,14 @@ class TestSequenceMatchesReference:
 
 
 def test_reconstruct_sequence_memory_is_bounded():
-    """Scoring holds one chunk of the design, not all of it.
+    """Scoring holds one chunk of the design, not all of it, and no copy of the output.
 
-    On 30 000 x 8 rows (gamma 25, delta 6) the whole design is 4 991 x 401
-    float64, 16 MB; predicting it a chunk at a time peaked at 4.4 MB here.
+    On 30 000 x 8 rows (gamma 25, delta 6) the whole design is 4 992 x 401
+    float64, 16 MB.  The bound allows the output, 4 992 blocks of 6 x 8
+    float64 (1.9 MB), one 256-block chunk of the design (0.8 MB) and its
+    gather (0.8 MB), 3.56 MB; 3.61 MB peaked here (numpy 2.4).  A second
+    block array the size of the output, held next to it, peaked at 3.88 MB,
+    and a second design chunk held while the next is gathered at 4.4 MB.
     """
     rng = np.random.default_rng(0)
     model = train_sequence_model(LabeledSeries(rng.random((2000, 8))), 25, 6, 1e-6)
@@ -406,7 +409,7 @@ def test_reconstruct_sequence_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    assert peak < 3.75e6
 
 
 def test_ridge_weights_match_scipy_cholesky():
@@ -444,13 +447,13 @@ class TestSequenceReconstruction:
         # at 4, 7, 10 and a final block anchored at 13.
         starts_seen = []
         model = self.fit(np.random.default_rng(1).standard_normal((60, 2)), 4, 3)
-        original = model.predict_blocks
+        original = model._design_rows
 
         def spy(values, starts):
             starts_seen.append(list(starts))
             return original(values, starts)
 
-        monkeypatch.setattr(model, "predict_blocks", spy)
+        monkeypatch.setattr(model, "_design_rows", spy)
         out = reconstruct_sequence(model, np.random.default_rng(2).standard_normal((20, 2)))
         assert starts_seen == [[4, 7, 10, 13]]
         assert out.shape == (12, 2)
@@ -460,6 +463,13 @@ class TestSequenceReconstruction:
         for n in (14, 17, 23, 50):
             vals = np.random.default_rng(n).standard_normal((n, 2))
             assert reconstruct_sequence(model, vals).shape == (n - 10, 2)
+
+    @pytest.mark.parametrize("shape", [(40,), (40, 3, 1)])
+    def test_input_not_2d_rejected(self, shape):
+        model = self.fit(np.random.default_rng(6).standard_normal((60, 3)), 3, 2)
+        message = f"expected (n, 3) input, got shape {shape}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            reconstruct_sequence(model, np.zeros(shape))
 
     def test_each_point_predicted_once(self):
         # With an anchored final block the overlap is overwritten, so a
