@@ -380,7 +380,8 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 class _UniqueKeys:
     """Loader mixin: a mapping that names a key twice is an error (PyYAML keeps the last
-    value).  Merge keys (``<<``) still merge."""
+    value).  A merge key (``<<``) still merges the inline mapping it holds; one that names
+    an alias never reaches the loader (:func:`_check_depth`)."""
 
     def construct_mapping(self, node, deep=False):
         keys = []  # a list, so that an unhashable key reaches PyYAML's own error
@@ -417,48 +418,31 @@ def _yaml_error(path: str, text: str, exc: yaml.YAMLError | ValueError) -> Confi
 #: The deepest a config may nest (the schema nests five levels): PyYAML composes and
 #: constructs a node by recursion, and libyaml's composer overflows the C stack.
 MAX_DEPTH = 64
-#: The most nodes a config may expand to, an alias counting the nodes it names: a chain
-#: of aliases grows tenfold per line, and an error quotes the value it expands to.
-MAX_NODES = 100_000
 
 
 def _check_depth(path: str, text: str) -> None:
-    """Refuse ``text`` nested more than :data:`MAX_DEPTH` levels deep or expanding to more
-    than :data:`MAX_NODES` nodes, an alias as deep and as large as the node it names,
-    walking the parser's events up to the bound; a YAML error ends the walk, for
-    ``yaml.load`` to report."""
-    # each anchor's (height, size); [anchor, depth reached, nodes before it] per open node
-    named, open_, nodes = {}, [], 0
+    """Refuse ``text`` nested more than :data:`MAX_DEPTH` levels deep or holding a YAML
+    alias, which no value of the schema needs, walking the parser's events up to the
+    first; a YAML error ends the walk, for ``yaml.load`` to report."""
+    depth = 0
     try:
         for event in yaml.parse(text, Loader=YAML_LOADER):
-            if isinstance(event, yaml.CollectionStartEvent):
-                open_.append([event.anchor, len(open_) + 1, nodes])
-                depth, nodes = len(open_), nodes + 1
-            elif isinstance(event, yaml.CollectionEndEvent):
-                anchor, depth, before = open_.pop()
-                named[anchor] = depth - len(open_), nodes - before
-            elif isinstance(event, yaml.AliasEvent):
-                height, size = named.get(event.anchor, (0, 1))
-                depth, nodes = len(open_) + height, nodes + size
-            elif isinstance(event, yaml.ScalarEvent):
-                named[event.anchor] = 0, 1
-                depth, nodes = len(open_), nodes + 1
-            else:
-                continue
+            if isinstance(event, yaml.AliasEvent):
+                mark = event.start_mark
+                raise ConfigError(f"{path}: line {mark.line + 1}, column {mark.column + 1}: a "
+                                  f"config may not hold a YAML alias (*{shown(event.anchor, False)})")
+            depth += isinstance(event, yaml.CollectionStartEvent)
+            depth -= isinstance(event, yaml.CollectionEndEvent)
             if depth > MAX_DEPTH:
                 raise ConfigError(f"{path}: nested more than {MAX_DEPTH} levels deep")
-            if nodes > MAX_NODES:
-                raise ConfigError(f"{path}: expands to more than {MAX_NODES} nodes")
-            if open_:
-                open_[-1][1] = max(open_[-1][1], depth)
     except yaml.YAMLError:
         pass
 
 
 def load_config(path: str) -> PipelineConfig:
     """Parse a YAML config file, which must be UTF-8 text nested at most :data:`MAX_DEPTH`
-    levels deep; one that cannot be read, such as a missing file or a directory, raises
-    :class:`ConfigError`."""
+    levels deep and holding no alias; one that cannot be read, such as a missing file or
+    a directory, raises :class:`ConfigError`."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()

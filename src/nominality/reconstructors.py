@@ -376,6 +376,7 @@ def reconstruct_sequence(
     values = series.values if isinstance(series, LabeledSeries) else np.asarray(series)
     if values.ndim != 2 or values.shape[1] != model.n_channels:
         raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {values.shape}")
+    values = np.ascontiguousarray(values)  # else each chunk's _flat_windows copies the series
     g, d, n_rows = model.gamma, model.delta, values.shape[0] - 2 * model.gamma
     starts = _block_grid(g, d, values.shape[0], d)
     if starts[-1] != n_rows + g - d:

@@ -291,9 +291,9 @@ _FREQUENCIES = ("synth:\n  options:\n    n_channels: 2\n    n_train: 100\n    n_
 
 
 class TestNestingDepth:
-    """A config nested past ``MAX_DEPTH``, or expanding to more than ``MAX_NODES`` nodes,
-    is refused on either parser before PyYAML composes it, an alias counting as deep and
-    as large as the node it names."""
+    """A config nested past ``MAX_DEPTH``, or holding a YAML alias, is refused on either
+    parser before PyYAML composes it; an alias is refused where it stands, with its line
+    and column, whatever it names."""
 
     @pytest.fixture(params=["SafeLoader", "CSafeLoader"])
     def loader(self, request, monkeypatch):
@@ -312,42 +312,32 @@ class TestNestingDepth:
             load_config(str(path))
         assert str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
 
-    @pytest.mark.parametrize("depth, refused", [(config.MAX_DEPTH, False),
-                                                (config.MAX_DEPTH + 1, True)])
-    def test_alias_counts_its_node(self, loader, tmp_path, depth, refused):
-        """Each alias of a chain of anchors adds the depth of the node it names, so the
-        chain reaches ``depth`` with no node written deeper than 32 levels."""
-        half = depth // 2
+    @pytest.mark.parametrize("text, where, anchor", [
+        # a chain whose alias would reach depth 64 or 65, with no node written deeper than 32
+        (f"a: &a {_nested(31)}\nb: {_nested(32, '*a')}\n", "line 2, column 36", "a"),
+        (f"a: &a {_nested(32)}\nb: {_nested(32, '*a')}\n", "line 2, column 36", "a"),
+        # a list of 999 numbers, 98 aliases of it and 988 numbers: 100 001 nodes in all
+        (_FREQUENCIES.format("[&a [" + ", ".join(["0"] * 999) + "]" + ", *a" * 98
+                             + ", 0" * 988 + "]"), "line 6, column 3021", "a"),
+        # 60 anchors, each a list 50 levels deep around an alias of the one before
+        ("".join(f"a{i}: &a{i} {_nested(50, f'*a{i - 1}' if i else '')}\n" for i in range(60))
+         + "? *a59\n: 0\n", "line 2, column 59", "a0"),
+        # a merge key naming an anchored mapping, which PyYAML would merge
+        ("eval: &g {}\ngate: {<<: *g}\n", "line 2, column 12", "g"),
+        ("point_model: &g {seed: 3}\nsynth: {<<: *g}\n", "line 2, column 13", "g"),
+    ], ids=["chain-64", "chain-65", "100001-nodes", "deep-chain", "merge-gate", "merge-seed"])
+    def test_alias_refused(self, loader, tmp_path, text, where, anchor):
         path = tmp_path / "run.yaml"
-        path.write_text(f"a: &a {_nested(depth - half - 1)}\nb: {_nested(half, '*a')}\n")
+        path.write_text(text)
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
-        assert (str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
-                ) == refused
-
-    @pytest.mark.parametrize("extra, refused", [(0, False), (1, True)])
-    def test_node_bound(self, loader, tmp_path, extra, refused):
-        """``frequencies`` holds a list of 999 numbers, ``aliases`` aliases of it and
-        ``pad`` more numbers, so the config holds 12 nodes around it and ``MAX_NODES +
-        extra`` in all: at the bound the key's own rule speaks, one node past it the size."""
-        aliases, pad = divmod(config.MAX_NODES - 13, 1000)
-        inner = "[" + ", ".join(["0"] * 999) + "]"
-        value = ", ".join([f"&a {inner}"] + ["*a"] * (aliases - 1) + ["0"] * (pad + extra))
-        path = tmp_path / "run.yaml"
-        path.write_text(_FREQUENCIES.format(f"[{value}]"))
-        with pytest.raises(ConfigError) as exc:
-            load_config(str(path))
-        message = f"{path}: expands to more than {config.MAX_NODES} nodes"
-        assert (str(exc.value) == message) == refused
-        assert refused or str(exc.value).startswith("synth.options.frequencies must be ")
+        assert str(exc.value) == f"{path}: {where}: a config may not hold a YAML alias (*{anchor})"
 
     @pytest.mark.parametrize("text", [
         f"a: {_nested(3000)}\n",
         f"? {_nested(3000)}\n: 0\n",
         _FREQUENCIES.format(_nested(3000)),
-        "".join(f"a{i}: &a{i} {_nested(50, f'*a{i - 1}' if i else '')}\n" for i in range(60))
-        + "? *a59\n: 0\n",
-    ], ids=["sequence", "complex-key", "frequencies", "alias-chain"])
+    ], ids=["sequence", "complex-key", "frequencies"])
     def test_deep_config_refused(self, loader, tmp_path, text):
         """3000 levels, deep enough for PyYAML's constructor or a ``repr`` to recurse past
         Python's limit, are one config error."""

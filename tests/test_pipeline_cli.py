@@ -1766,21 +1766,29 @@ def test_benchmark_names_resolve_after_cli_import():
     assert done.returncode == 0, done.stderr
 
 
-def test_benchmark_workload_configs_load():
-    """Every dataset of every benchmark workload at seed 0, full and ``--tiny``, loads as
-    a config whose synth spec builds, so a schema change that breaks the benchmark's
+def test_benchmark_workload_configs_load(tmp_path):
+    """Every dataset of every benchmark workload at seed 0, full and ``--tiny``, written as
+    ``perfbench/run.py`` writes it (``yaml.safe_dump``, which writes an object it meets
+    twice as an anchor and an alias), loads as the config its dict gives, whose synth
+    spec builds; so a schema change or a shared object that breaks the benchmark's
     configs fails here."""
-    code = ("import sys\nsys.path.insert(0, sys.argv[1])\n"
-            "from nominality.config import config_from_dict\n"
+    code = ("import os, sys\nsys.path.insert(0, sys.argv[1])\nimport yaml\n"
+            "from nominality.config import config_from_dict, load_config\n"
             "from workloads import WORKLOADS\n"
             "count = 0\n"
             "for workload in WORKLOADS.values():\n"
             "    for tiny in (False, True):\n"
             "        for dataset in workload.datasets(0, tiny):\n"
-            "            config_from_dict(dataset.config).synth.spec()\n"
+            "            path = os.path.join(sys.argv[2], f'config_{count}.yaml')\n"
+            "            with open(path, 'w') as fh:\n"
+            "                yaml.safe_dump(dataset.config, fh, sort_keys=True)\n"
+            "            config = load_config(path)\n"
+            "            assert config == config_from_dict(dataset.config), path\n"
+            "            config.synth.spec()\n"
             "            count += 1\n"
             "print(count)\n")
-    done = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "perfbench")],
+    done = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "perfbench"),
+                           str(tmp_path)],
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "9\n", "")
 
@@ -2354,7 +2362,8 @@ def test_config_nested_past_the_c_stack_exit_2(tmp_path, command):
 def _alias_chain(anchors):
     """A config whose ``synth.options.frequencies`` is a chain of ``anchors`` anchors, each
     a list of the one before and nine aliases of it: 10 ** anchors numbers in a few
-    hundred bytes."""
+    hundred bytes, and the first alias, ``*a0``, on line 11 after ``5 * anchors + 23``
+    characters."""
     value = "0.01"
     for k in range(anchors):
         value = f"[&a{k} {value}" + f", *a{k}" * 9 + "]"
@@ -2365,24 +2374,25 @@ def _alias_chain(anchors):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_alias_chain_exit_2(tmp_path, capsys, command):
     """Seven anchors expand to 10 ** 7 numbers, which an error quoting the value would
-    write out: every command refuses the config by its size, in one short line."""
+    write out: every command refuses the config at its first alias, in one short line."""
     path = tmp_path / "run.yaml"
     path.write_text(_alias_chain(7))
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: {path}: expands to more than 100000 nodes\n"
+    assert err == (f"config error: {path}: line 11, column 59: a config may not hold a YAML "
+                   f"alias (*a0)\n")
     assert len(err) < 200
 
 
 def test_alias_chain_past_any_message_exit_2(tmp_path):
     """Eight anchors, whose quoted value would take gigabytes, are refused as seven are.
-    It runs in a child with a bounded address space and a timeout: without the bound
-    on the expanded size, quoting the value runs past the timeout."""
+    It runs in a child with a bounded address space and a timeout: a loader that
+    expanded the aliases would run past the timeout."""
     path = tmp_path / "run.yaml"
     path.write_text(_alias_chain(8))
     done = _run_limited("train", "--config", str(path))
     assert (done.returncode, done.stderr.splitlines()) == (
-        2, [f"config error: {path}: expands to more than 100000 nodes"])
+        2, [f"config error: {path}: line 11, column 64: a config may not hold a YAML alias (*a0)"])
 
 
 #: README's exit-code rule, which every generated case keeps.

@@ -38,6 +38,7 @@ from nominality import (
     train_point_model,
     train_sequence_model,
 )
+from nominality import reconstructors
 from nominality.config import config_from_dict, trig_preset
 from nominality.reconstructors import (
     _GATHER_ROWS,
@@ -410,6 +411,24 @@ def test_reconstruct_sequence_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3.75e6
+
+
+def test_reconstruct_sequence_gathers_from_c_ordered_values(monkeypatch):
+    """A Fortran-ordered series is made C-ordered once, so no chunk's ``_flat_windows``
+    copies the whole series; the output keeps the C-ordered call's bits."""
+    rng = np.random.default_rng(0)
+    model = train_sequence_model(LabeledSeries(rng.random((2000, 8))), 25, 6, 1e-6)
+    vals = rng.random((3000, 8))  # 492 blocks: two chunks
+    c_ordered = []
+
+    def spy(values, width):
+        c_ordered.append(values.flags.c_contiguous)
+        return _flat_windows(values, width)
+
+    monkeypatch.setattr(reconstructors, "_flat_windows", spy)
+    out = reconstruct_sequence(model, np.asfortranarray(vals))
+    assert c_ordered == [True, True]
+    assert np.array_equal(out, reconstruct_sequence(model, vals))
 
 
 def test_ridge_weights_match_scipy_cholesky():
