@@ -57,7 +57,7 @@ def _fitted(value, hint):
         hints = args[:1] * len(value) if args[-1] is Ellipsis else args
         items = tuple(map(_fitted, value, hints))
         return items if len(value) == len(hints) and _MISFIT not in items else _MISFIT
-    for arg in args:  # a union such as ``tuple[float, ...] | None``
+    for arg in args:  # a union such as ``float | None``
         if (item := _fitted(value, arg)) is not _MISFIT:
             return item
     if args or isinstance(value, bool) and hint in (int, float):
@@ -111,8 +111,8 @@ _hints = functools.cache(get_type_hints)
 def _check(where: str, cls, values: dict) -> dict:
     """``values``, which maps field names of the dataclass ``cls`` to values, in the forms
     their fields hold (:func:`_fitted`); the first that does not fit its field's type or
-    breaks its rule raises :class:`ConfigError`.  A field without a rule (such as a
-    :class:`TrigSpec` factor) takes any value of its type."""
+    breaks its rule raises :class:`ConfigError`.  A field without a rule (such as
+    :attr:`TrigSpec.segments`) takes any value of its type."""
     hints, checked = _hints(cls), {}
     for name, value in values.items():
         test, wording = cls.__dataclass_fields__[name].metadata.get(
@@ -217,22 +217,17 @@ class TrigSpec(_Section, where="synth.options"):
     """The trigonometric dataset that ``synthetic.gen_trig`` builds (``synth.options``).
 
     Segments are half-open (start, end, kind) intervals in test-split
-    coordinates and must not overlap.  A frequency-shift slows the common
-    time base by ``freq_shift_factor`` (phase stays continuous, so each
-    reading remains a possible nominal value); an amplitude-shift scales the
-    waveform; point-noise adds +-``point_noise_scale`` offsets per channel.
+    coordinates and must not overlap.  The waveform's settings are constants: channel
+    j has frequency 0.008 + 0.004 j and phase 2 pi phi j (mod 2 pi), phi the golden
+    ratio, and noise of sigma 0.02.  A frequency-shift slows the common time base to
+    0.45 (phase stays continuous, so each reading remains a possible nominal value); an
+    amplitude-shift scales the waveform by 1.75; point-noise adds +-1 per channel.
     """
 
     n_channels: int = _at_least(1, MISSING)
     n_train: int = _at_least(1, MISSING)
     n_test: int = _at_least(1, MISSING)
     segments: tuple[tuple[int, int, str], ...] = ()
-    frequencies: tuple[float, ...] | None = None
-    phases: tuple[float, ...] | None = None
-    noise_sigma: float = _rule("a finite number >= 0", lambda value: 0 <= value, default=0.02)
-    freq_shift_factor: float = 0.45
-    amp_shift_factor: float = 1.75
-    point_noise_scale: float = 1.0
     seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:
@@ -252,11 +247,6 @@ class TrigSpec(_Section, where="synth.options"):
         for before, after in zip(spans, spans[1:]):
             if after[0] < before[1]:
                 raise ConfigError(f"synth.options.segments must not overlap, got {before}, {after}")
-        for name in ("frequencies", "phases"):
-            values = getattr(self, name)
-            if values is not None and len(values) != self.n_channels:
-                raise ConfigError(f"synth.options.{name} must list one value per channel "
-                                  f"({self.n_channels}), got {shown(values)}")
 
 
 def trig_preset(seed: int = 0) -> TrigSpec:
@@ -286,7 +276,9 @@ def trig_preset(seed: int = 0) -> TrigSpec:
 
 @dataclass(frozen=True)
 class SynthConfig(_Section, where="synth"):
-    """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``.
+    """The ``synth`` section: ``options`` sets the :class:`TrigSpec` fields other than ``seed``,
+    the sizes and the segments; the waveform's frequencies, phases, noise sigma (0.02) and
+    anomaly factors (0.45, 1.75, +-1) are constants, as :class:`TrigSpec` states.
 
     :func:`_read` reads the options like a section, and building the spec once checks
     them; each is stored in the form the spec holds it (:func:`_fitted`).  No options

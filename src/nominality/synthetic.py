@@ -30,42 +30,37 @@ class TrigResult:
     anomaly_rate: float
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def gen_trig(spec: TrigSpec) -> TrigResult:
     """Simulate the waveform over train + test and inject test anomalies.
 
-    Channel j defaults to frequency 0.008 + 0.004 j and phase 2 pi phi j
-    (mod 2 pi), phi the golden ratio.  Overflow raises, not warns.
+    Channel j is sin(2 pi f_j t + p_j), f_j = 0.008 + 0.004 j and p_j = 2 pi phi j
+    (mod 2 pi), phi the golden ratio, plus normal noise of sigma 0.02.  The time base t
+    advances by 1 per row and by 0.45 in a frequency-shift segment; an amplitude-shift
+    scales the waveform by 1.75 before the noise, and point-noise adds +-1 after it.
     """
     rng = np.random.default_rng(spec.seed)
     total = spec.n_train + spec.n_test
     channels = np.arange(spec.n_channels)
-    freqs = (0.008 + 0.004 * channels if spec.frequencies is None
-             else np.asarray(spec.frequencies, dtype=np.float64))
-    phases = ((2.0 * math.pi * _GOLDEN * channels) % (2.0 * math.pi) if spec.phases is None
-              else np.asarray(spec.phases, dtype=np.float64))
+    freqs = 0.008 + 0.004 * channels
+    phases = (2.0 * math.pi * _GOLDEN * channels) % (2.0 * math.pi)
 
-    # Common time base; frequency-shift segments advance it more slowly.
-    rate = np.ones(total)
+    # Labels and the common time base; frequency-shift segments advance it more slowly.
+    rate, labels = np.ones(total), np.zeros(total, dtype=np.int64)
     for start, end, kind in spec.segments:
+        labels[spec.n_train + start : spec.n_train + end] = 1
         if kind == "frequency-shift":
-            rate[spec.n_train + start : spec.n_train + end] = spec.freq_shift_factor
+            rate[spec.n_train + start : spec.n_train + end] = 0.45
     timebase = np.concatenate([[0.0], np.cumsum(rate)[:-1]])
 
     values = np.sin(2.0 * math.pi * timebase[:, None] * freqs[None, :] + phases[None, :])
     for start, end, kind in spec.segments:
         if kind == "amplitude-shift":
-            values[spec.n_train + start : spec.n_train + end] *= spec.amp_shift_factor
-    values += rng.normal(0.0, spec.noise_sigma, values.shape)
+            values[spec.n_train + start : spec.n_train + end] *= 1.75
+    values += rng.normal(0.0, 0.02, values.shape)
     for start, end, kind in spec.segments:
         if kind == "point-noise":
             rows = slice(spec.n_train + start, spec.n_train + end)
-            signs = rng.choice([-1.0, 1.0], size=(end - start, spec.n_channels))
-            values[rows] += spec.point_noise_scale * signs
-
-    labels = np.zeros(total, dtype=np.int64)
-    for start, end, _ in spec.segments:
-        labels[spec.n_train + start : spec.n_train + end] = 1
+            values[rows] += rng.choice([-1.0, 1.0], size=(end - start, spec.n_channels))
 
     train = LabeledSeries(values[: spec.n_train], labels[: spec.n_train])
     test = LabeledSeries(values[spec.n_train :], labels[spec.n_train :])

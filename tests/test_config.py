@@ -114,13 +114,12 @@ class TestParsing:
         that float, and a list as a tuple of its items' type (``1 == 1.0``, so the types
         are checked)."""
         assert type(config.GateConfig(theta_n=5).theta_n) is float
-        spec = TrigSpec(n_channels=2, n_train=10, n_test=10, frequencies=[1, 2])
-        assert type(spec.frequencies) is tuple and list(map(type, spec.frequencies)) == [float] * 2
+        spec = TrigSpec(n_channels=2, n_train=10, n_test=10, segments=[[2, 4, "point-noise"]])
+        assert type(spec.segments) is tuple and type(spec.segments[0]) is tuple
         assert config.SweepConfig(d_values=[1, 2]).d_values == (1, 2)
         options = config_from_dict({"synth": {"options": {
-            "n_channels": 2, "n_train": 10, "n_test": 10, "noise_sigma": 1,
+            "n_channels": 2, "n_train": 10, "n_test": 10,
             "segments": [[2, 4, "point-noise"]]}}}).synth.options
-        assert type(options["noise_sigma"]) is float
         assert type(options["segments"]) is tuple and type(options["segments"][0]) is tuple
 
     def test_integer_lower_bounds(self):
@@ -169,12 +168,13 @@ synth:
     n_channels: 3
     n_train: 500
     n_test: 400
-    frequencies: [0.5, 1.25, 2.0e-1]
     segments:
       - [100, 130, frequency-shift]
       - [200, 201, point-noise]
 sweep:
   d_values: [0, 3, 255]
+point_model:
+  learn_rate: 2.0e-1
 gate:
   theta_n: .5
   theta_percentile: ~
@@ -285,9 +285,9 @@ def _nested(levels, inner=""):
     return "[" * levels + inner + "]" * levels
 
 
-# frequencies under synth.options: the top-level mapping, synth and options are three levels
-_FREQUENCIES = ("synth:\n  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-                "    frequencies: {}\n")
+# segments under synth.options: the top-level mapping, synth and options are three levels
+_SEGMENTS = ("synth:\n  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
+             "    segments: {}\n")
 
 
 class TestNestingDepth:
@@ -304,10 +304,10 @@ class TestNestingDepth:
     def test_bound(self, loader, tmp_path):
         """At the bound the key's own rule speaks; one level past it the depth does."""
         path = tmp_path / "run.yaml"
-        path.write_text(_FREQUENCIES.format(_nested(config.MAX_DEPTH - 3)))
-        with pytest.raises(ConfigError, match="^synth.options.frequencies must be "):
+        path.write_text(_SEGMENTS.format(_nested(config.MAX_DEPTH - 3)))
+        with pytest.raises(ConfigError, match="^synth.options.segments must be "):
             load_config(str(path))
-        path.write_text(_FREQUENCIES.format(_nested(config.MAX_DEPTH - 2)))
+        path.write_text(_SEGMENTS.format(_nested(config.MAX_DEPTH - 2)))
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
         assert str(exc.value) == f"{path}: nested more than {config.MAX_DEPTH} levels deep"
@@ -317,8 +317,8 @@ class TestNestingDepth:
         (f"a: &a {_nested(31)}\nb: {_nested(32, '*a')}\n", "line 2, column 36", "a"),
         (f"a: &a {_nested(32)}\nb: {_nested(32, '*a')}\n", "line 2, column 36", "a"),
         # a list of 999 numbers, 98 aliases of it and 988 numbers: 100 001 nodes in all
-        (_FREQUENCIES.format("[&a [" + ", ".join(["0"] * 999) + "]" + ", *a" * 98
-                             + ", 0" * 988 + "]"), "line 6, column 3021", "a"),
+        (_SEGMENTS.format("[&a [" + ", ".join(["0"] * 999) + "]" + ", *a" * 98
+                             + ", 0" * 988 + "]"), "line 6, column 3018", "a"),
         # 60 anchors, each a list 50 levels deep around an alias of the one before
         ("".join(f"a{i}: &a{i} {_nested(50, f'*a{i - 1}' if i else '')}\n" for i in range(60))
          + "? *a59\n: 0\n", "line 2, column 59", "a0"),
@@ -336,8 +336,8 @@ class TestNestingDepth:
     @pytest.mark.parametrize("text", [
         f"a: {_nested(3000)}\n",
         f"? {_nested(3000)}\n: 0\n",
-        _FREQUENCIES.format(_nested(3000)),
-    ], ids=["sequence", "complex-key", "frequencies"])
+        _SEGMENTS.format(_nested(3000)),
+    ], ids=["sequence", "complex-key", "segments"])
     def test_deep_config_refused(self, loader, tmp_path, text):
         """3000 levels, deep enough for PyYAML's constructor or a ``repr`` to recurse past
         Python's limit, are one config error."""

@@ -1025,42 +1025,34 @@ class TestCliBehavior:
         "synth, key",
         [
             ("  options:\n    bogus: 1\n", "unknown key 'bogus' in section 'synth.options'; "
-             "expected one of n_channels, n_train, n_test, segments, frequencies, phases, "
-             "noise_sigma, freq_shift_factor, amp_shift_factor, point_noise_scale\n"),
+             "expected one of n_channels, n_train, n_test, segments\n"),
             ("  options: [1]\n", ""),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    noise_sigma: x\n", ".noise_sigma"),
+            ("  options:\n    n_channels: x\n    n_train: 100\n    n_test: 100\n",
+             ".n_channels"),
             ("  options:\n    n_channels: 0\n    n_train: 100\n    n_test: 100\n", ".n_channels"),
             ("  options:\n    n_channels: 2\n    n_train: 0\n    n_test: 100\n", ".n_train"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 0\n", ".n_test"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    noise_sigma: -1\n", ".noise_sigma"),
+            ("  options:\n    n_channels: -1\n    n_train: 100\n    n_test: 100\n",
+             ".n_channels"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    segments:\n      - [90, 120, frequency-shift]\n", ".segments"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
              "    segments:\n      - [90, 95]\n", ".segments"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n", ".n_test"),
+            ("  options:\n    n_channels: .inf\n    n_train: 100\n    n_test: 100\n",
+             ".n_channels"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    noise_sigma: .inf\n", ".noise_sigma"),
+             "    segments:\n      - [50, .inf, point-noise]\n", ".segments"),
+            ("  options:\n    n_channels: 2\n    n_train: .nan\n    n_test: 100\n", ".n_train"),
+            (f"  options:\n    n_channels: {10**400}\n    n_train: 100\n    n_test: 100\n",
+             ".n_channels"),
             ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    point_noise_scale: .inf\n    segments:\n      - [50, 51, point-noise]\n",
-             ".point_noise_scale"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    frequencies: [.inf, 1.0]\n", ".frequencies"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             "    phases: [0.0, .nan]\n", ".phases"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             f"    noise_sigma: {10**400}\n", ".noise_sigma"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             f"    freq_shift_factor: {10**400}\n", ".freq_shift_factor"),
-            ("  options:\n    n_channels: 2\n    n_train: 100\n    n_test: 100\n"
-             f"    frequencies: [{10**400}, 1.0]\n", ".frequencies"),
+             f"    segments:\n      - [50, {10**400}, point-noise]\n", ".segments"),
         ],
-        ids=["unknown-key", "options-list", "trig-noise-string", "channels-zero",
-             "train-zero", "test-zero", "noise-negative", "segment-outside", "segment-short",
-             "trig-n-test-unset", "trig-noise-inf", "trig-point-noise-inf", "trig-frequency-inf",
-             "trig-phase-nan", "trig-noise-huge-integer", "trig-freq-shift-huge-integer",
-             "trig-frequency-huge-integer"],
+        ids=["unknown-key", "options-list", "channels-string", "channels-zero",
+             "train-zero", "test-zero", "channels-negative", "segment-outside", "segment-short",
+             "trig-n-test-unset", "channels-inf", "segment-inf", "train-nan",
+             "channels-huge-integer", "segment-huge-integer"],
     )
     def test_bad_synth_options_exit_2(self, tmp_path, capsys, synth, key):
         path = tmp_path / "synth.yaml"
@@ -1864,20 +1856,25 @@ def test_integer_theta_n_writes_the_float_chain(tmp_path):
     assert type(read_json(os.path.join(out, "sweep.json"))["theta"]) is float
 
 
-def test_integer_noise_sigma_writes_the_float_chain(tmp_path):
-    """``synth.options`` is recorded in the forms its fields hold: the chain at
-    ``noise_sigma: 1`` writes the bytes of the chain at ``1.0``, manifests included."""
-    config_path, out = write_config(tmp_path)
-    written = []
-    for sigma in ("1.0", "1"):
-        shutil.rmtree(out)
-        Path(config_path).write_text(SMALL_CONFIG.format(out=out).replace(
-            "    n_test: 300\n", f"    n_test: 300\n    noise_sigma: {sigma}\n"))
-        run_all(config_path)
-        written.append({name: Path(out, name).read_bytes() for name in sorted(os.listdir(out))})
-    assert written[0] == written[1]
-    options = read_json(os.path.join(out, "manifest_synth.json"))["config"]["synth"]["options"]
-    assert type(options["noise_sigma"]) is float
+#: The waveform settings ``synth.options`` once took, at their values in SMALL_CONFIG's
+#: four channels: ``gen_trig`` holds them as constants, so each is an unknown key.
+WAVEFORM_KEYS = {"frequencies": "[0.008, 0.012, 0.016, 0.02]", "phases": "[0.0, 1.0, 2.0, 3.0]",
+                 "noise_sigma": "0.02", "freq_shift_factor": "0.45", "amp_shift_factor": "1.75",
+                 "point_noise_scale": "1.0"}
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "sweep"])
+@pytest.mark.parametrize("key, value", WAVEFORM_KEYS.items(), ids=list(WAVEFORM_KEYS))
+def test_waveform_key_exit_2(tmp_path, capsys, key, value, command):
+    """A config that sets a waveform setting exits 2 with the one unknown-key line, which
+    lists the four keys ``synth.options`` takes."""
+    config_path, _ = write_config(tmp_path)
+    path = second_config(config_path, "    n_test: 300\n",
+                         f"    n_test: 300\n    {key}: {value}\n")
+    assert main([command, "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown key '{key}' in section 'synth.options'; expected one of "
+        "n_channels, n_train, n_test, segments\n")
 
 
 @pytest.mark.parametrize("where", [*typing.get_type_hints(PipelineConfig), "synth.options", "eval"])
@@ -2034,8 +2031,6 @@ def _run_warned(warnings, *args):
     *[(command, "  normalization: minmax\n", "  normalization: none\n", 2,
        "config error: preprocess.normalization is retired: leave it out or set it to minmax, "
        "got 'none'") for command in COMMANDS],
-    ("synth", "    n_test: 300\n", "    n_test: 300\n    noise_sigma: 1.0e+308\n", 3,
-     "data error: series values must be finite after ingestion"),
     ("train", "  optimizer: adam\n", "  optimizer: sgd\n", 2,
      "config error: point_model.optimizer is retired: leave it out or set it to adam, "
      "got 'sgd'"),
@@ -2057,10 +2052,10 @@ def _run_warned(warnings, *args):
      "config error: unknown top-level section(s): [1, 'foo']"),
 ], ids=["huge-learn-rate",
         *[f"normalization-none-{command}" for command in COMMANDS],
-        "huge-noise", "sgd", "point-adjust-false", "spike-interval-3", "synth-kind-toy",
+        "sgd", "point-adjust-false", "spike-interval-3", "synth-kind-toy",
         "segments-overlap", "train-path-nul", "out-dir-nul", "top-level-keys-mixed"])
 def test_failure_is_one_stderr_line(tmp_path, warnings, command, old, new, status, message):
-    """An overflowing fit or generator exits with its code and one line, as warnings
+    """An overflowing fit exits with its code and one line, as warnings
     are shown or made errors; so does a retired key at any value but its one, a
     broken config rule, a path holding a NUL and top-level keys of mixed types.  The
     command writes nothing: the run directory keeps its files."""
@@ -2360,15 +2355,15 @@ def test_config_nested_past_the_c_stack_exit_2(tmp_path, command):
 
 
 def _alias_chain(anchors):
-    """A config whose ``synth.options.frequencies`` is a chain of ``anchors`` anchors, each
+    """A config whose ``synth.options.segments`` is a chain of ``anchors`` anchors, each
     a list of the one before and nine aliases of it: 10 ** anchors numbers in a few
-    hundred bytes, and the first alias, ``*a0``, on line 11 after ``5 * anchors + 23``
+    hundred bytes, and the first alias, ``*a0``, on line 11 after ``5 * anchors + 20``
     characters."""
     value = "0.01"
     for k in range(anchors):
         value = f"[&a{k} {value}" + f", *a{k}" * 9 + "]"
     return FUZZ_PATHS + ("synth:\n  options:\n    n_channels: 3\n    n_train: 300\n"
-                         f"    n_test: 100\n    frequencies: {value}\n")
+                         f"    n_test: 100\n    segments: {value}\n")
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -2379,7 +2374,7 @@ def test_alias_chain_exit_2(tmp_path, capsys, command):
     path.write_text(_alias_chain(7))
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == (f"config error: {path}: line 11, column 59: a config may not hold a YAML "
+    assert err == (f"config error: {path}: line 11, column 56: a config may not hold a YAML "
                    f"alias (*a0)\n")
     assert len(err) < 200
 
@@ -2392,7 +2387,7 @@ def test_alias_chain_past_any_message_exit_2(tmp_path):
     path.write_text(_alias_chain(8))
     done = _run_limited("train", "--config", str(path))
     assert (done.returncode, done.stderr.splitlines()) == (
-        2, [f"config error: {path}: line 11, column 64: a config may not hold a YAML alias (*a0)"])
+        2, [f"config error: {path}: line 11, column 61: a config may not hold a YAML alias (*a0)"])
 
 
 #: README's exit-code rule, which every generated case keeps.
@@ -2555,11 +2550,12 @@ def test_config_edges_keep_the_exit_rule(fuzz_chain, address_space_bound, capsys
         _check_exit_contract((key, value), COMMANDS, capsys)
     for case, text in [
             ("huge string", FUZZ_BODY.replace("epochs: 1", f"epochs: {HUGE_TEXT}")),
-            ("aliases", FUZZ_BODY + f"    frequencies: [&a {'q' * 10_000}{', *a' * 9000}]\n")]:
+            ("aliases", FUZZ_BODY.replace("n_channels: 3",
+                                          f"n_channels: [&a {'q' * 10_000}{', *a' * 9000}]"))]:
         fuzz_chain()
         Path("run.yaml").write_text(FUZZ_PATHS + text)
         _check_exit_contract(case, COMMANDS, capsys)
-    assert len(edges) == 57
+    assert len(edges) == 52
 
 
 def test_in_process_main_leaves_gc_state(rundir, tmp_path):

@@ -198,12 +198,34 @@ class TestTrig:
             TrigSpec(n_channels=2, n_train=100, n_test=100,
                      segments=((10, 20, "wobble"),))
 
-    def test_amplitude_shift_scales_waveform(self):
-        spec = TrigSpec(
-            n_channels=2, n_train=400, n_test=400,
-            segments=((100, 200, "amplitude-shift"),),
-            noise_sigma=0.0, amp_shift_factor=2.0, seed=1,
-        )
-        res = gen_trig(spec)
-        assert np.abs(res.test.values[100:200]).max() > 1.5
-        assert np.abs(res.test.values[:100]).max() <= 1.0 + 1e-9
+    def test_waveform_follows_its_stated_formula(self):
+        """Channel j is sin(2 pi f_j t + p_j), f_j = 0.008 + 0.004 j and p_j = 2 pi phi j
+        (mod 2 pi), plus normal noise of sigma 0.02.  The time base t advances by 0.45 in
+        a frequency-shift row and by 1 elsewhere, an amplitude-shift scales the waveform
+        by 1.75, and point noise adds +-1 after the noise, drawn after it from the seed."""
+        n_train, n_test, n_channels, seed = 40, 60, 3, 4
+        segments = ((5, 15, "frequency-shift"), (20, 30, "amplitude-shift"),
+                    (40, 42, "point-noise"), (50, 51, "point-noise"))
+        res = gen_trig(TrigSpec(n_channels=n_channels, n_train=n_train, n_test=n_test,
+                                segments=segments, seed=seed))
+        kinds = {n_train + row: kind for start, end, kind in segments
+                 for row in range(start, end)}
+        golden = (1.0 + math.sqrt(5.0)) / 2.0
+        total = n_train + n_test
+        angles, scale, t = np.empty((total, n_channels)), np.empty((total, 1)), 0.0
+        for row in range(total):
+            for j in range(n_channels):
+                phase = (2.0 * math.pi * golden * j) % (2.0 * math.pi)
+                angles[row, j] = 2.0 * math.pi * t * (0.008 + 0.004 * j) + phase
+            scale[row] = 1.75 if kinds.get(row) == "amplitude-shift" else 1.0
+            t += 0.45 if kinds.get(row) == "frequency-shift" else 1.0
+        rng = np.random.default_rng(seed)
+        expected = np.sin(angles) * scale + rng.normal(0.0, 0.02, angles.shape)
+        for start, end, kind in segments:
+            if kind == "point-noise":
+                expected[n_train + start : n_train + end] += rng.choice(
+                    [-1.0, 1.0], size=(end - start, n_channels))
+        labels = np.array([row in kinds for row in range(total)], dtype=np.int64)
+        for split, rows in ((res.train, slice(None, n_train)), (res.test, slice(n_train, None))):
+            assert split.values.tobytes() == expected[rows].tobytes()
+            assert split.labels.tobytes() == labels[rows].tobytes()
