@@ -111,12 +111,10 @@ _hints = functools.cache(get_type_hints)
 def _check(where: str, cls, values: dict) -> dict:
     """``values``, which maps field names of the dataclass ``cls`` to values, in the forms
     their fields hold (:func:`_fitted`); the first that does not fit its field's type or
-    breaks its rule raises :class:`ConfigError`.  A field without a rule (such as
-    :attr:`TrigSpec.segments`) takes any value of its type."""
+    breaks its rule raises :class:`ConfigError`."""
     hints, checked = _hints(cls), {}
     for name, value in values.items():
-        test, wording = cls.__dataclass_fields__[name].metadata.get(
-            "rule", (lambda value: True, cls.__annotations__[name]))
+        test, wording = cls.__dataclass_fields__[name].metadata["rule"]
         checked[name] = _fitted(value, hints[name])
         if checked[name] is _MISFIT or not (value is None or test(checked[name])):
             raise ConfigError(f"{where}.{name} must be {wording}, got {shown(value)}"
@@ -227,7 +225,8 @@ class TrigSpec(_Section, where="synth.options"):
     n_channels: int = _at_least(1, MISSING)
     n_train: int = _at_least(1, MISSING)
     n_test: int = _at_least(1, MISSING)
-    segments: tuple[tuple[int, int, str], ...] = ()
+    segments: tuple[tuple[int, int, str], ...] = _rule("a list of [start, end, kind] triples",
+                                                      default=())
     seed: int = _at_least(0, 0)
 
     def __post_init__(self) -> None:

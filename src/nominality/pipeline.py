@@ -90,7 +90,7 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
         seq = train_sequence_model(train, **vars(cfg.sequence_model))
     except ShapeError as exc:
         raise ShapeError(f"{cfg.data.train or 'training split'}: {exc}") from None
-    pair = make_pair(train.values, reconstruct_points(point, train),
+    pair = make_pair(train, reconstruct_points(point, train),
                      reconstruct_sequence(seq, train), seq.gamma)
     return TrainedModels(point, seq, stats, nominality_score(pair), train.channel_names)
 
@@ -125,7 +125,7 @@ def score_split(
             raise ShapeError(f"{name}: {exc}") from None
         # A huge but finite value can overflow a squared distance or a window sum, which
         # each ScoreSeries refuses.  The point score, of its own row only, goes first.
-        pair = make_pair(test.values, point_rec, seq_rec, models.sequence.gamma)
+        pair = make_pair(test, point_rec, seq_rec, models.sequence.gamma)
         lo, hi = pair.valid_range
         gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
         try:

@@ -239,15 +239,11 @@ def train_point_model(train: LabeledSeries, hp: PointHyperparams) -> PointModel:
     return model
 
 
-def reconstruct_points(
-    model: PointModel, series: LabeledSeries | np.ndarray
-) -> np.ndarray:
+def reconstruct_points(model: PointModel, series: LabeledSeries) -> np.ndarray:
     """Point-wise reconstruction of a whole (n, D) series; row t depends only on row t."""
-    values = series.values if isinstance(series, LabeledSeries) else series
-    rows = np.asarray(values, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != model.n_channels:
-        raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {rows.shape}")
-    hidden = np.tanh(rows @ model.enc_w + model.enc_b)
+    if series.n_channels != model.n_channels:
+        raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {series.values.shape}")
+    hidden = np.tanh(series.values @ model.enc_w + model.enc_b)
     return hidden @ model.dec_w + model.dec_b
 
 
@@ -355,9 +351,7 @@ def train_sequence_model(
     return model
 
 
-def reconstruct_sequence(
-    model: SequenceModel, series: LabeledSeries | np.ndarray
-) -> np.ndarray:
+def reconstruct_sequence(model: SequenceModel, series: LabeledSeries) -> np.ndarray:
     """Predict every interior time point exactly once.
 
     Delta-blocks tile [gamma, T - gamma) starting at gamma; if the grid does
@@ -373,12 +367,11 @@ def reconstruct_sequence(
     Returns:
         (T - 2*gamma, D) matrix aligned at offset gamma.
     """
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series)
-    if values.ndim != 2 or values.shape[1] != model.n_channels:
+    values = series.values  # C-ordered, so each chunk's _flat_windows is a view
+    if series.n_channels != model.n_channels:
         raise ShapeError(f"expected (n, {model.n_channels}) input, got shape {values.shape}")
-    values = np.ascontiguousarray(values)  # else each chunk's _flat_windows copies the series
-    g, d, n_rows = model.gamma, model.delta, values.shape[0] - 2 * model.gamma
-    starts = _block_grid(g, d, values.shape[0], d)
+    g, d, n_rows = model.gamma, model.delta, series.n_times - 2 * model.gamma
+    starts = _block_grid(g, d, series.n_times, d)
     if starts[-1] != n_rows + g - d:
         starts = np.append(starts, n_rows + g - d)
     n_blocks, size = starts.shape[0], min(starts.shape[0], _GATHER_ROWS)
@@ -420,15 +413,15 @@ class ReconstructionPair:
 
 
 def make_pair(
-    observed: np.ndarray, point_rec: np.ndarray, seq_rec: np.ndarray, gamma: int
+    series: LabeledSeries, point_rec: np.ndarray, seq_rec: np.ndarray, gamma: int
 ) -> ReconstructionPair:
-    """Trim the observation and point reconstruction (T rows) to the sequence one's T - 2*gamma."""
+    """Trim the split's values and its point reconstruction (T rows) to the sequence
+    reconstruction's T - 2*gamma; both reconstructions are as the reconstructors return them."""
     if gamma < 0:
         raise ShapeError("gamma must be >= 0")
-    observed, point_rec, seq_rec = (np.asarray(a, float) for a in (observed, point_rec, seq_rec))
-    n_times = observed.shape[0]
+    n_times = series.n_times
     return ReconstructionPair(
-        observed[gamma : n_times - gamma],
+        series.values[gamma : n_times - gamma],
         point_rec[gamma : point_rec.shape[0] - gamma],
         seq_rec,
         (gamma, n_times - gamma),

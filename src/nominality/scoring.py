@@ -46,18 +46,16 @@ def sequence_anomaly_score(pair: ReconstructionPair) -> ScoreSeries:
     return ScoreSeries(scores, pair.valid_range[0])
 
 
-def nominality_score(
-    pair: ReconstructionPair, epsilon: float = NOMINALITY_EPSILON
-) -> ScoreSeries:
+def nominality_score(pair: ReconstructionPair) -> ScoreSeries:
     """Ratio of squared norms estimating how normal each time point is.
 
     The numerator distance (point vs sequence reconstruction) estimates the
     in-distribution part of the deviation; the denominator (observation vs
-    sequence reconstruction) estimates the total deviation.  ``epsilon``
-    guards the zero denominator.
+    sequence reconstruction) estimates the total deviation.
+    :data:`NOMINALITY_EPSILON` guards the zero denominator.
     """
     num = ((pair.xc_hat - pair.xstar_hat) ** 2).sum(axis=1)
-    den = ((pair.observed - pair.xstar_hat) ** 2).sum(axis=1) + epsilon
+    den = ((pair.observed - pair.xstar_hat) ** 2).sum(axis=1) + NOMINALITY_EPSILON
     return ScoreSeries(num / den, pair.valid_range[0])
 
 

@@ -11,7 +11,7 @@ product at the benchmark's 8 channels only).
 
 import numpy as np
 
-from nominality import LabeledSeries, ShapeError
+from nominality import ShapeError
 
 
 def reference_design_rows(model, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -30,7 +30,7 @@ def reference_targets(values: np.ndarray, starts: np.ndarray, delta: int) -> np.
 
 
 def reference_reconstruct_sequence(model, series) -> np.ndarray:
-    values = series.values if isinstance(series, LabeledSeries) else np.asarray(series)
+    values = series.values
     n_times, dim = values.shape
     if dim != model.n_channels:
         raise ShapeError(f"expected {model.n_channels} channels, got {dim}")

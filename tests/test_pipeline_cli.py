@@ -35,8 +35,8 @@ from nominality.config import (
     load_config,
     trig_preset,
 )
-from nominality.errors import DataError
-from nominality.evaluation import _f1_from_counts, best_f1, confusion, evaluate
+from nominality.errors import ConfigError, DataError
+from nominality.evaluation import _f1_from_counts, confusion, evaluate
 from nominality.pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from nominality.reconstructors import (
     _decode_array,
@@ -1062,6 +1062,19 @@ class TestCliBehavior:
         prefix = key if key.startswith("unknown key") else f"synth.options{key}"
         assert len(err.splitlines()) == 1 and err.startswith(f"config error: {prefix}")
         assert "Traceback" not in err
+
+    def test_malformed_segment_states_the_rule_in_words(self, tmp_path, capsys):
+        """A segment that is not a [start, end, kind] triple is refused in words, in-process
+        and by ``synth``, as every other key's rule is."""
+        message = ("synth.options.segments must be a list of [start, end, kind] triples, "
+                   "got [[1, 2]]")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrigSpec(n_channels=2, n_train=10, n_test=10, segments=[[1, 2]])
+        path = tmp_path / "synth.yaml"
+        path.write_text("synth:\n  options:\n    n_channels: 2\n    n_train: 10\n"
+                        f"    n_test: 10\n    segments: [[1, 2]]\noutput:\n  dir: {tmp_path}\n")
+        assert main(["synth", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_out_of_memory_exit_3(self, tmp_path, capsys, monkeypatch):
         """An allocation the host cannot satisfy (here a stand-in) is a data error."""
@@ -2599,18 +2612,18 @@ def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
 
 
 def test_readme_library_example(capsys):
-    """README's library example runs, and its induced score is the default pipeline's."""
+    """README's library example runs on the preset, and its induced score and printed best F1
+    are the default pipeline's."""
     text = Path(ROOT, "README.md").read_text()
     code = text.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
-    segments = ((300, 360, "frequency-shift"), (500, 501, "point-noise"))
-    data = gen_trig(TrigSpec(n_channels=5, n_train=2000, n_test=800, segments=segments))
+    data = gen_trig(trig_preset(0))
     scope = {"train_values": data.train.values, "test_values": data.test.values,
              "test_labels": data.test.labels}
     exec(code, scope)
     cfg = PipelineConfig()
     bundle = score_split(cfg, fit_models(cfg, data.train), data.test)
     np.testing.assert_array_equal(scope["induced"].scores, bundle.induced.scores)
-    assert float(capsys.readouterr().out) == best_f1(bundle.induced, bundle.labels).best_f1
+    assert float(capsys.readouterr().out) == evaluate(bundle.induced, bundle.labels).best_f1
 
 
 def test_readme_quickstart(tmp_path):

@@ -66,8 +66,9 @@ class TestPointModelTraining:
         data = rng.standard_normal((256, 2)) @ basis
         data *= 0.1 / np.abs(data).max()
         hp = PointHyperparams(d_lat=2, learn_rate=0.02, epochs=400, batch_size=32, seed=0)
-        model = train_point_model(LabeledSeries(data), hp)
-        mse = float(((reconstruct_points(model, data) - data) ** 2).mean())
+        series = LabeledSeries(data)
+        model = train_point_model(series, hp)
+        mse = float(((reconstruct_points(model, series) - data) ** 2).mean())
         assert mse < 1e-4
 
     def test_zero_epochs_equals_seeded_init(self):
@@ -215,20 +216,21 @@ class TestPointModelProperties:
             series, PointHyperparams(d_lat=2, epochs=2, batch_size=10, seed=0)
         )
         perm = np.random.default_rng(0).permutation(50)
-        direct = reconstruct_points(model, series.values[perm])
-        reordered = reconstruct_points(model, series.values)[perm]
+        direct = reconstruct_points(model, LabeledSeries(series.values[perm]))
+        reordered = reconstruct_points(model, series)[perm]
         np.testing.assert_array_equal(direct, reordered)
 
     def test_zero_weights_give_zero_output(self):
         hp = PointHyperparams(d_lat=2)
         model = _init_point_model(3, hp)
         model.enc_w[:] = 0; model.enc_b[:] = 0; model.dec_w[:] = 0; model.dec_b[:] = 0
-        out = reconstruct_points(model, np.random.default_rng(0).standard_normal((5, 3)))
+        series = LabeledSeries(np.random.default_rng(0).standard_normal((5, 3)))
+        out = reconstruct_points(model, series)
         np.testing.assert_array_equal(out, np.zeros((5, 3)))
 
     def test_single_row(self):
         model = _init_point_model(3, PointHyperparams(d_lat=2))
-        assert reconstruct_points(model, np.ones((1, 3))).shape == (1, 3)
+        assert reconstruct_points(model, LabeledSeries(np.ones((1, 3)))).shape == (1, 3)
 
 
 class TestSequenceModel:
@@ -286,10 +288,10 @@ class TestSequenceModel:
         model = train_sequence_model(LabeledSeries(vals), gamma=4, delta=3,
                                      ridge_lambda=1e-3)
         start = 22  # a block of the grid 4, 7, ..., so rows 18-20 of the reconstruction
-        pred = reconstruct_sequence(model, vals)
+        pred = reconstruct_sequence(model, LabeledSeries(vals))
         tampered = vals.copy()
         tampered[start : start + 3] += 100.0
-        pred_tampered = reconstruct_sequence(model, tampered)
+        pred_tampered = reconstruct_sequence(model, LabeledSeries(tampered))
         np.testing.assert_array_equal(pred[start - 4 : start - 1],
                                       pred_tampered[start - 4 : start - 1])
         assert not np.array_equal(pred, pred_tampered)
@@ -362,9 +364,9 @@ class TestSequenceMatchesReference:
         # anchored last one that overlaps.
         rng = np.random.default_rng(n_blocks)
         model = train_sequence_model(LabeledSeries(rng.random((600, 8))), 25, 6, 1e-6)
-        vals = rng.random((6 * n_blocks + 50 + edge, 8))
-        assert np.array_equal(reconstruct_sequence(model, vals),
-                              reference_reconstruct_sequence(model, vals))
+        series = LabeledSeries(rng.random((6 * n_blocks + 50 + edge, 8)))
+        assert np.array_equal(reconstruct_sequence(model, series),
+                              reference_reconstruct_sequence(model, series))
 
     def test_reconstruction_wide(self):
         """At 38 channels the chunks agree with the whole product to rounding only.
@@ -376,9 +378,9 @@ class TestSequenceMatchesReference:
         """
         rng = np.random.default_rng(38)
         model = train_sequence_model(LabeledSeries(rng.random((2000, 38))), 25, 6, 1e-6)
-        vals = rng.random((3000, 38))
-        np.testing.assert_allclose(reconstruct_sequence(model, vals),
-                                   reference_reconstruct_sequence(model, vals),
+        series = LabeledSeries(rng.random((3000, 38)))
+        np.testing.assert_allclose(reconstruct_sequence(model, series),
+                                   reference_reconstruct_sequence(model, series),
                                    rtol=0, atol=100 * np.finfo(np.float64).eps)
 
     @pytest.mark.parametrize("gamma, delta, n_times", SHAPES)
@@ -386,9 +388,9 @@ class TestSequenceMatchesReference:
         rng = np.random.default_rng(n_times + 1)
         model = train_sequence_model(LabeledSeries(rng.standard_normal((max(n_times, 60), 3))),
                                      gamma, delta, 1e-3)
-        vals = rng.standard_normal((n_times, 3))
-        assert np.array_equal(reconstruct_sequence(model, vals),
-                              reference_reconstruct_sequence(model, vals))
+        series = LabeledSeries(rng.standard_normal((n_times, 3)))
+        assert np.array_equal(reconstruct_sequence(model, series),
+                              reference_reconstruct_sequence(model, series))
 
 
 def test_reconstruct_sequence_memory_is_bounded():
@@ -403,10 +405,10 @@ def test_reconstruct_sequence_memory_is_bounded():
     """
     rng = np.random.default_rng(0)
     model = train_sequence_model(LabeledSeries(rng.random((2000, 8))), 25, 6, 1e-6)
-    vals = rng.random((30000, 8))
+    series = LabeledSeries(rng.random((30000, 8)))
     tracemalloc.start()
     try:
-        reconstruct_sequence(model, vals)
+        reconstruct_sequence(model, series)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,8 +416,8 @@ def test_reconstruct_sequence_memory_is_bounded():
 
 
 def test_reconstruct_sequence_gathers_from_c_ordered_values(monkeypatch):
-    """A Fortran-ordered series is made C-ordered once, so no chunk's ``_flat_windows``
-    copies the whole series; the output keeps the C-ordered call's bits."""
+    """A series built from a Fortran-ordered array holds C-ordered values, so no chunk's
+    ``_flat_windows`` copies the whole series; the output keeps the C-ordered call's bits."""
     rng = np.random.default_rng(0)
     model = train_sequence_model(LabeledSeries(rng.random((2000, 8))), 25, 6, 1e-6)
     vals = rng.random((3000, 8))  # 492 blocks: two chunks
@@ -426,9 +428,9 @@ def test_reconstruct_sequence_gathers_from_c_ordered_values(monkeypatch):
         return _flat_windows(values, width)
 
     monkeypatch.setattr(reconstructors, "_flat_windows", spy)
-    out = reconstruct_sequence(model, np.asfortranarray(vals))
+    out = reconstruct_sequence(model, LabeledSeries(np.asfortranarray(vals)))
     assert c_ordered == [True, True]
-    assert np.array_equal(out, reconstruct_sequence(model, vals))
+    assert np.array_equal(out, reconstruct_sequence(model, LabeledSeries(vals)))
 
 
 def test_ridge_weights_match_scipy_cholesky():
@@ -459,7 +461,7 @@ class TestSequenceReconstruction:
         vals = rng.standard_normal((2 * gamma + delta, 2))
         longer = rng.standard_normal((60, 2))
         model = self.fit(longer, gamma, delta)
-        assert reconstruct_sequence(model, vals).shape == (delta, 2)
+        assert reconstruct_sequence(model, LabeledSeries(vals)).shape == (delta, 2)
 
     def test_interior_tiling_with_right_anchor(self, monkeypatch):
         # T=20, gamma=4, delta=3: the interior [4, 16) is covered by blocks
@@ -473,7 +475,8 @@ class TestSequenceReconstruction:
             return original(values, starts)
 
         monkeypatch.setattr(model, "_design_rows", spy)
-        out = reconstruct_sequence(model, np.random.default_rng(2).standard_normal((20, 2)))
+        out = reconstruct_sequence(model,
+                                   LabeledSeries(np.random.default_rng(2).standard_normal((20, 2))))
         assert starts_seen == [[4, 7, 10, 13]]
         assert out.shape == (12, 2)
 
@@ -481,39 +484,47 @@ class TestSequenceReconstruction:
         model = self.fit(np.random.default_rng(3).standard_normal((80, 2)), 5, 4)
         for n in (14, 17, 23, 50):
             vals = np.random.default_rng(n).standard_normal((n, 2))
-            assert reconstruct_sequence(model, vals).shape == (n - 10, 2)
+            assert reconstruct_sequence(model, LabeledSeries(vals)).shape == (n - 10, 2)
 
     @pytest.mark.parametrize("shape", [(40,), (40, 3, 1)])
     def test_input_not_2d_rejected(self, shape):
-        model = self.fit(np.random.default_rng(6).standard_normal((60, 3)), 3, 2)
-        message = f"expected (n, 3) input, got shape {shape}"
+        """No series, and so no reconstructor input, is other than 2-D."""
+        message = f"values must be 2-D (T, D), got shape {shape}"
         with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
-            reconstruct_sequence(model, np.zeros(shape))
+            LabeledSeries(np.zeros(shape))
+
+    @pytest.mark.parametrize("reconstruct", [reconstruct_points, reconstruct_sequence])
+    def test_channel_count_mismatch_rejected(self, reconstruct):
+        models = _trained(6)  # 3 channels
+        model = models.point if reconstruct is reconstruct_points else models.sequence
+        with pytest.raises(ShapeError, match=r"^expected \(n, 3\) input, got shape \(40, 2\)$"):
+            reconstruct(model, LabeledSeries(np.zeros((40, 2))))
 
     def test_each_point_predicted_once(self):
         # With an anchored final block the overlap is overwritten, so a
         # constant-prediction model yields a fully filled output.
         model = self.fit(np.random.default_rng(4).standard_normal((60, 3)), 3, 2)
-        out = reconstruct_sequence(model, np.random.default_rng(5).standard_normal((21, 3)))
+        out = reconstruct_sequence(model,
+                                   LabeledSeries(np.random.default_rng(5).standard_normal((21, 3))))
         assert np.isfinite(out).all()
 
 
 class TestMakePair:
     def test_trims_point_reconstruction(self):
-        pair = make_pair(np.zeros((10, 2)), np.arange(20.0).reshape(10, 2),
+        pair = make_pair(LabeledSeries(np.zeros((10, 2))), np.arange(20.0).reshape(10, 2),
                          np.arange(12.0).reshape(6, 2), 2)
         assert pair.valid_range == (2, 8)
         np.testing.assert_array_equal(pair.xc_hat[0], [4.0, 5.0])
 
     def test_gamma_zero_identity(self):
         point = np.ones((5, 2))
-        pair = make_pair(point, point, np.zeros((5, 2)), 0)
+        pair = make_pair(LabeledSeries(point), point, np.zeros((5, 2)), 0)
         assert pair.valid_range == (0, 5)
         np.testing.assert_array_equal(pair.xc_hat, point)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            make_pair(np.ones((10, 2)), np.ones((10, 2)), np.ones((5, 2)), 2)
+            make_pair(LabeledSeries(np.ones((10, 2))), np.ones((10, 2)), np.ones((5, 2)), 2)
 
 
 def _trained(seed, channel_names=None):

@@ -7,6 +7,7 @@ from nominality import (
     ConfigError,
     EmptyInput,
     GateConfig,
+    LabeledSeries,
     ShapeError,
     anomaly_score,
     best_f1,
@@ -19,14 +20,14 @@ from nominality import (
     theta_from_percentile,
 )
 from nominality.errors import NonFiniteValue
-from nominality.scoring import induced_anomaly_score_naive, induction_sums
+from nominality.scoring import NOMINALITY_EPSILON, induced_anomaly_score_naive, induction_sums
 from nominality.series import ScoreSeries
 
 
 def pair_from(xc, xstar, observed):
     xc = np.atleast_2d(np.asarray(xc, dtype=float))
     xstar = np.atleast_2d(np.asarray(xstar, dtype=float))
-    return make_pair(observed, xc, xstar, 0)
+    return make_pair(LabeledSeries(observed), xc, xstar, 0)
 
 
 class TestAnomalyScore:
@@ -50,8 +51,8 @@ class TestAnomalyScore:
 class TestNominalityScore:
     def test_quarter_ratio(self):
         pair = pair_from([[1.0, 0.0]], [[0.0, 0.0]], [[2.0, 0.0]])
-        n = nominality_score(pair, epsilon=0.0)
-        assert n.scores[0] == 0.25
+        n = nominality_score(pair)
+        assert n.scores[0] == 1.0 / (4.0 + NOMINALITY_EPSILON)
 
     def test_perfect_point_reconstruction_gives_one(self):
         pair = pair_from([[2.0, 1.0]], [[0.5, 0.5]], [[2.0, 1.0]])
