@@ -75,7 +75,8 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, config_from_dict, load_config
-from .errors import ConfigError, DataError, DegenerateLabels, NumericError, decoding, shown
+from .errors import (ConfigError, DataError, DegenerateLabels, LabelError, NumericError, decoding,
+                     shown)
 from .evaluation import evaluate
 from .pipeline import ScoreBundle, fit_models, score_split, sweep_table
 from .reconstructors import MODEL_FILE, load_model, save_model
@@ -142,10 +143,12 @@ def write_score_csv(series: ScoreSeries, path: str) -> None:
 def _columns(table: np.ndarray, path: str, names) -> list:
     """The columns ``names`` of a ``(time_index, *names)`` table read from ``path``: for a
     score, a :class:`ScoreSeries` of finite values, >= 0 for ``nominality``; for
-    ``label``, int64 labels in {0, 1} of both classes.
+    ``label``, int64 labels in {0, 1} of both classes.  This is the one check of the
+    labels of ``scores.npy`` and of a label CSV.
 
     The time indices must count up by one from an integer.  A bad cell raises
-    :class:`DataError` naming its row, and labels of one class :class:`DegenerateLabels`.
+    :class:`DataError` naming its row (:class:`LabelError` for a label), and labels of one
+    class :class:`DegenerateLabels`.
     """
     origin = float(table[0, 0])
     if not origin.is_integer():
@@ -158,13 +161,13 @@ def _columns(table: np.ndarray, path: str, names) -> list:
     columns = []
     for name, column in zip(names, table[:, 1:].T):
         if name == "label":
-            bad, rule = (column != 0.0) & (column != 1.0), "0 or 1"
+            bad, rule, error = (column != 0.0) & (column != 1.0), "0 or 1", LabelError
         else:
-            rule = "finite and >= 0" if name == "nominality" else "finite"
+            rule, error = "finite and >= 0" if name == "nominality" else "finite", DataError
             bad = ~np.isfinite(column) | ((column < 0) & (name == "nominality"))
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
-            raise DataError(f"{path}: row {row}: {name} {float(column[row])!r} is not {rule}")
+            raise error(f"{path}: row {row}: {name} {float(column[row])!r} is not {rule}")
         if name == "label" and column.min() == column.max():
             raise DegenerateLabels(f"{path}: labels must contain at least one 0 and one 1; "
                                    f"all {column.shape[0]} are {int(column[0])}")
@@ -184,7 +187,7 @@ def write_labels_csv(labels: np.ndarray, time_origin: int, path: str) -> None:
 
 
 def read_labels_csv(path: str) -> tuple[np.ndarray, int]:
-    table = read_table(path, 2, label_idx=1)
+    table = read_table(path, 2)
     return _columns(table, path, ["label"])[0], int(table[0, 0])
 
 
@@ -239,13 +242,11 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _split_path(cfg: PipelineConfig, which: str, exists: bool = True) -> str:
-    """``data.<which>``, the path of a split; the file must exist unless ``exists`` is false."""
+def _split_path(cfg: PipelineConfig, which: str) -> str:
+    """``data.<which>``, the path of a split; opening a missing one raises ``OSError`` (exit 3)."""
     path = getattr(cfg.data, which)
     if path is None:
         raise ConfigError(f"config is missing data.{which}")
-    if exists and not os.path.exists(path):
-        raise DataError(f"{which} file not found: {shown(path, False)}")
     return path
 
 
@@ -276,7 +277,7 @@ def _digests(cfg: PipelineConfig, names) -> dict[str, str]:
 
 def cmd_synth(cfg: PipelineConfig) -> int:
     """Write the synthetic splits to ``data.train`` and ``data.test``; the manifest has the spec."""
-    files = [_split_path(cfg, which, exists=False) for which in ("train", "test")]
+    files = [_split_path(cfg, which) for which in ("train", "test")]
     spec = cfg.synth.spec()
     if cfg.data.label_column is None:
         raise ConfigError("synth writes the labels to data.label_column, which is null")
@@ -364,9 +365,6 @@ def cmd_eval(cfg: PipelineConfig, scores_path: str | None, labels_path: str | No
         scores, labels = bundle.induced, bundle.labels
         scores_path = labels_path = os.path.join(cfg.output.dir, SCORES_FILE)
     else:
-        for path in (scores_path, labels_path):
-            if not os.path.exists(path):
-                raise DataError(f"missing input: {shown(path, False)}")
         scores = read_score_csv(scores_path)
         labels, label_origin = read_labels_csv(labels_path)
         if label_origin != scores.time_origin or labels.shape[0] != len(scores):

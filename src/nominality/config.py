@@ -34,7 +34,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 import yaml
 
-from .errors import ConfigError, shown
+from .errors import ConfigError, line_column, read_text, shown
 
 SWEEP_D_DEFAULT = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -386,20 +386,13 @@ class _UniqueKeys:
         return super().construct_mapping(node, deep)
 
 
-def _line_column(text: str, offset: int) -> str:
-    """``line L, column C`` (both from 1) of a character offset into ``text``."""
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)
-    return f"line {line}, column {column}"
-
-
 def _yaml_error(path: str, text: str, exc: yaml.YAMLError | ValueError) -> ConfigError:
     """A one-line error naming the file and the line and column YAML stopped at."""
     mark = getattr(exc, "problem_mark", None)
     if mark is not None:
         where, problem = f"line {mark.line + 1}, column {mark.column + 1}: ", exc.problem
     elif isinstance(exc, yaml.reader.ReaderError):  # a control character
-        where = _line_column(text, text.index(chr(exc.character))) + ": "
+        where = line_column(text, text.index(chr(exc.character))) + ": "
         problem = f"character #x{exc.character:04x} is not allowed"
     else:
         where, problem = "", " ".join(str(exc).split())
@@ -431,22 +424,14 @@ def _check_depth(path: str, text: str) -> None:
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Parse a YAML config file, which must be UTF-8 text nested at most :data:`MAX_DEPTH`
-    levels deep and holding no alias; one that cannot be read, such as a missing file or
-    a directory, raises :class:`ConfigError`."""
+    """Parse a YAML config file, which must be UTF-8 text (:func:`errors.read_text`) nested
+    at most :data:`MAX_DEPTH` levels deep and holding no alias; one that cannot be read,
+    such as a missing file or a directory, raises :class:`ConfigError`."""
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        text = read_text(path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"{shown(path, False)}: cannot read the config file: "
                           f"{exc.strerror}") from None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].decode("utf-8")
-        where = _line_column(before, len(before))
-        raise ConfigError(
-            f"{path}: {where}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
     _check_depth(path, text)
     try:
         raw = yaml.load(text, Loader=type("Loader", (_UniqueKeys, YAML_LOADER), {}))

@@ -4,9 +4,10 @@ Three families: settings that break a rule of :mod:`nominality.config`
 (:class:`ConfigError`, a synthetic-data spec included), data problems (bad
 files, bad shapes, degenerate label vectors) and numeric failures (diverging
 optimization, singular systems).  The CLI maps these onto exit codes 2, 3
-and 4; :func:`decoding` makes a run file that will not decode a :class:`DataError`, and
-:func:`shown` bounds the input values a message quotes.  This module imports no other
-module of the package, so every module, ``config`` included, can import it.
+and 4; :func:`read_text` reads a config or a CSV as UTF-8 text, :func:`decoding` makes a
+run file that will not decode a :class:`DataError`, and :func:`shown` bounds the input
+values a message quotes.  This module imports no other module of the package, so every
+module, ``config`` included, can import it.
 """
 
 from __future__ import annotations
@@ -102,6 +103,29 @@ class TrainingDiverged(NumericError):
 
 class SingularSystem(NumericError):
     """A linear system was singular; regularization may be required."""
+
+
+def line_column(text: str, offset: int) -> str:
+    """``line L, column C`` (both from 1) of a character offset into ``text``."""
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
+
+
+def read_text(path: str, error: type[NominalityError]) -> str:
+    """The file ``path`` as UTF-8 text, without a byte-order mark, which spreadsheets write.
+
+    A byte that is not UTF-8 raises ``error`` (:class:`ConfigError` for a config,
+    :class:`ParseError` for a CSV): ``<path>: line L, column C: byte 0x.. is not UTF-8 text``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the data after any mark
+        before = exc.object[: exc.start].decode("utf-8")
+        raise error(f"{path}: {line_column(before, len(before))}: byte "
+                    f"{exc.object[exc.start]:#04x} is not UTF-8 text") from None
 
 
 @contextlib.contextmanager

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PreprocessConfig
-from .errors import DataError, EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError, shown
+from .errors import (DataError, EmptyInput, LabelError, NonFiniteValue, ParseError, ShapeError,
+                     read_text, shown)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -237,29 +238,16 @@ def _cell_text(cell: str) -> str:
     return text or "nan"
 
 
-def _label_error(path: str, row_idx: int, cell: str) -> LabelError:
-    return LabelError(f"{path}: row {row_idx}: label {shown(cell)} is not 0 or 1")
-
-
 def _read_lines(path: str) -> tuple[tuple[str, ...], list[str]]:
-    """The header and the non-blank data lines of a CSV file.
-
-    A UTF-8 byte-order mark, which spreadsheets write, is dropped rather than
-    read as part of the first header name.
+    """The header and the non-blank data lines of a CSV file, read by :func:`errors.read_text`,
+    so a byte-order mark is not part of the first header name.
 
     Raises:
         EmptyInput: the file holds no header or no data rows.
-        ParseError: the file is not UTF-8 text; the message names the line.
+        ParseError: the file is not UTF-8 text; the message names the line and the column.
+        OSError: the file cannot be read, such as a missing file.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # exc.object is the data after any mark
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}: line {line}: byte {exc.object[exc.start]:#04x} "
-                         "is not UTF-8 text") from None
-    lines = list(filter(None, text.splitlines()))
+    lines = list(filter(None, read_text(path, ParseError).splitlines()))
     if not lines:
         raise EmptyInput(f"{path}: file contains no rows")
     if len(lines) < 2:
@@ -272,8 +260,9 @@ def _parse_lines(
 ) -> np.ndarray:
     """Data lines as a (T, width) float64 matrix; empty and ``nan`` cells are NaN.
 
-    The column ``label_idx``, if given, must hold only 0 or 1.  A table that ``np.loadtxt`` rejects
-    is read once more, cell by cell in reading order, and its first bad row or cell is the error.
+    The column ``label_idx``, if given, must hold only 0 or 1.  A table that ``np.loadtxt``
+    rejects, or whose label column holds another value, is read once more, cell by cell in
+    reading order, and its first bad row or cell is the error.
 
     Raises:
         ParseError: a row has the wrong width or a cell is not a number;
@@ -285,7 +274,8 @@ def _parse_lines(
                            dtype=np.float64, ndmin=2)
     except ValueError:
         table = None
-    if table is None or table.shape[1] != width:
+    if table is None or table.shape[1] != width or (
+            label_idx is not None and not np.isin(table[:, label_idx], (0.0, 1.0)).all()):
         values = []
         for i, cells in enumerate(line.split(",") for line in lines):
             if len(cells) != width:
@@ -300,29 +290,25 @@ def _parse_lines(
                     except ValueError:
                         value = None
                 if col == label_idx and value not in (0.0, 1.0):
-                    raise _label_error(path, i, cell)
+                    raise LabelError(f"{path}: row {i}: label {shown(cell)} is not 0 or 1")
                 if value is None:
                     raise ParseError(f"{path}: row {i}: cannot parse {shown(cell)} in column "
                                      f"{col} as a number", row=i)
                 values.append(value)
         return np.array(values).reshape(len(lines), width)
-    if label_idx is not None:
-        bad = np.flatnonzero(~np.isin(table[:, label_idx], (0.0, 1.0)))
-        if bad.size:
-            raise _label_error(path, int(bad[0]), lines[bad[0]].split(",")[label_idx])
     return table
 
 
-def read_table(path: str, width: int, label_idx: int | None = None) -> np.ndarray:
+def read_table(path: str, width: int) -> np.ndarray:
     """The (T, width) data rows of a CSV file whose header has ``width`` names.
 
-    Cells follow :func:`_parse_lines`; a file with no data rows raises
-    :class:`EmptyInput` and a header of another width :class:`ParseError`.
+    Lines follow :func:`_read_lines` and cells :func:`_parse_lines`, which checks no column
+    as labels; a header of another width raises :class:`ParseError`.
     """
     header, lines = _read_lines(path)
     if len(header) != width:
         raise ParseError(f"{path}: expected {width} columns, the header has {len(header)}")
-    return _parse_lines(lines, width, path, label_idx)
+    return _parse_lines(lines, width, path)
 
 
 def _forward_fill(values: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -45,7 +46,7 @@ from nominality.reconstructors import (
     save_model,
 )
 from nominality.scoring import resolve_theta, smoothed_score, theta_from_percentile
-from nominality.series import LabeledSeries, load_csv
+from nominality.series import LabeledSeries, load_csv, save_csv
 from nominality.synthetic import TrigSpec, gen_trig
 from point_fit_reference import _init_point_model
 
@@ -203,9 +204,9 @@ _HUGE_VALUE = _edit_rows(lambda i, cells: [cells[0], "1e200", *cells[2:]] if i =
 _ONE_BYTE = _edit_rows(lambda i, cells: [
     cells[0][:-1] + ("3" if cells[0][-1] == "2" else "2"), *cells[1:]] if i == 10 else cells)
 
-# one byte of data row 3 that is not UTF-8 (the file is rewritten as Latin-1)
-_NOT_UTF8 = _edit_rows(
-    lambda i, cells: [cells[0], "\xff" + cells[1], *cells[2:]] if i == 3 else cells)
+# data row 3 starts with "12" and a byte that is not UTF-8, at line 5, column 3 of the
+# file (which is rewritten as Latin-1)
+_NOT_UTF8 = _edit_rows(lambda i, cells: ["12\xff", *cells[1:]] if i == 3 else cells)
 
 
 def _npy_text(arr):
@@ -1663,7 +1664,7 @@ def test_eval_named_files_exit_3(rundir, tmp_path, capsys, case):
     scores, labels = os.path.join(out, "induced.csv"), os.path.join(out, "labels.csv")
     if case == "missing":
         labels = os.path.join(out, "absent.csv")
-        message = f"missing input: {labels}"
+        message = f"[Errno 2] No such file or directory: {labels!r}"
     else:
         _rewrite(labels, _edit_rows(lambda i, cells: [str(int(cells[0]) + 1), cells[1]])
                  if case == "origin" else lambda text: text[:-2].rsplit("\r\n", 1)[0] + "\r\n")
@@ -1671,6 +1672,41 @@ def test_eval_named_files_exit_3(rundir, tmp_path, capsys, case):
     assert main(["eval", "--config", config_path, "--scores", scores, "--labels", labels]) == 3
     assert capsys.readouterr().err == f"data error: {message}\n"
     assert _eval_outputs(out) == before
+
+
+_NOT_UTF8_LINE = "{path}: line 5, column 3: byte 0xff is not UTF-8 text"
+_NO_FILE = "data error: [Errno 2] No such file or directory: {path!r}"
+
+
+@pytest.mark.parametrize("command, name, damage, status, message", [
+    ("train", "config", lambda text: "# caf\xe9\n" + text, 2,
+     "config error: {path}: line 1, column 6: byte 0xe9 is not UTF-8 text"),
+    ("train", "train.csv", _NOT_UTF8, 3, "data error: " + _NOT_UTF8_LINE),
+    ("eval", "induced.csv", _NOT_UTF8, 3, "data error: " + _NOT_UTF8_LINE),
+    ("eval", "labels.csv", _NOT_UTF8, 3, "data error: " + _NOT_UTF8_LINE),
+    ("score", "test.csv", None, 3, _NO_FILE),
+    ("eval", "labels.csv", None, 3, _NO_FILE),
+    ("eval", "labels.csv", _edit_rows(lambda i, cells: [cells[0], "2"] if i == 3 else cells), 3,
+     "data error: {path}: row 3: label 2.0 is not 0 or 1"),
+], ids=["config-not-utf8", "train-not-utf8", "scores-not-utf8", "labels-not-utf8",
+        "test-missing", "labels-missing", "label-two"])
+def test_input_rule_has_one_message(rundir, tmp_path, capsys, command, name, damage, status,
+                                    message):
+    """Each input rule has one check and one message, whichever file breaks it: a byte that
+    is not UTF-8 names its line and column (exit 2 in the config, 3 in a CSV), a missing
+    input file gives the OS's error, and a label CSV's cell that is not 0 or 1 gives the
+    message of scores.npy's label column.  ``eval`` reads the two CSVs it is given."""
+    config_path, out = write_config(tmp_path)
+    shutil.copytree(rundir[1], out, dirs_exist_ok=True)
+    path = config_path if name == "config" else os.path.join(out, name)
+    if damage is None:
+        os.remove(path)
+    else:  # Latin-1 maps each byte to one character, so a damage can write any byte.
+        Path(path).write_bytes(damage(Path(path).read_bytes().decode()).encode("latin-1"))
+    named = ["--scores", os.path.join(out, "induced.csv"),
+             "--labels", os.path.join(out, "labels.csv")] if command == "eval" else []
+    assert main([command, "--config", config_path, *named]) == status
+    assert capsys.readouterr().err == message.format(path=path) + "\n"
 
 
 def _child_env(*first):
@@ -1925,6 +1961,47 @@ def test_downsampled_chain_counts_blocks(tmp_path):
     np.testing.assert_array_equal(labels, blocks[origin : blocks.shape[0] - origin])
     positives = read_json(tmp_path / "eval_report.json")["positives"]
     assert positives == labels.sum() == 105
+
+
+@pytest.fixture(scope="module")
+def preset_twice():
+    """The preset's config and models, and a preset test split of twice its 7680 rows."""
+    cfg = PipelineConfig()
+    data = gen_trig(dataclasses.replace(trig_preset(0), n_test=15360))
+    return cfg, fit_models(cfg, data.train), data.test
+
+
+@pytest.mark.parametrize("n_test", [7680, 15360])
+@pytest.mark.parametrize("stage, ratio, constant", [("load_csv", 2.45, 0),
+                                                    ("score_split", 6.2, 200_000)],
+                         ids=["load_csv", "score_split"])
+def test_stage_memory_is_bounded(preset_twice, tmp_path, n_test, stage, ratio, constant):
+    """A stage's tracemalloc peak on the preset's 7680 test rows, and on twice that, stays
+    below ``ratio`` times its input's bytes plus ``constant``: the CSV file for ``load_csv``,
+    the split's values for ``score_split``.  Each stage runs once untraced first.
+
+    Peaks (numpy 2.4): ``load_csv`` 2.35 times its file at both sizes (5.9 times its values),
+    its text and its lines; ``score_split`` 6.37 times its values at 7680 rows and 5.99 at
+    15360, where a constant of the sequence model's chunks counts less.  One more input-sized
+    copy held through the stage fails either bound: ``load_csv`` holding the file's bytes
+    while it splits the text peaked at 3.4 times its file.
+    """
+    cfg, models, test = preset_twice
+    test = LabeledSeries(test.values[:n_test], test.labels[:n_test], test.channel_names)
+    if stage == "load_csv":
+        path = str(tmp_path / "test.csv")
+        save_csv(test, path)
+        run, size = functools.partial(load_csv, path, "label"), os.path.getsize(path)
+    else:
+        run, size = functools.partial(score_split, cfg, models, test), test.values.nbytes
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * size + constant
 
 
 def test_unnamed_models_name_a_narrower_split():
