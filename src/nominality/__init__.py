@@ -11,7 +11,46 @@ flooding normal neighborhoods.
 
 __version__ = "0.1.0"
 
+import ctypes as _ctypes
+import glob as _glob
+import os as _os
+import sys as _sys
 from types import ModuleType as _ModuleType
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's OpenBLAS on one thread, unless the user set a thread count.
+
+    OpenBLAS splits a product across threads in a way that changes its last bits, so
+    the sequence model, and every score after it, would depend on the host's CPU count.
+    OpenBLAS reads the count from the environment, and starts its threads, when numpy
+    loads: so numpy loads with ``OPENBLAS_NUM_THREADS=1``, removed again so that the
+    processes a program starts see the user's environment.  Where numpy is already
+    loaded, the count is set in the OpenBLAS that numpy's wheels bundle.
+    """
+    if _os.environ.keys() & {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"}:
+        return
+    if "numpy" not in _sys.modules:
+        _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy  # noqa: F401
+        finally:
+            del _os.environ["OPENBLAS_NUM_THREADS"]
+        return
+    root = _os.path.dirname(_sys.modules["numpy"].__file__)
+    for path in (_glob.glob(_os.path.join(root + ".libs", "*openblas*"))  # Linux, Windows
+                 + _glob.glob(_os.path.join(root, ".dylibs", "*openblas*"))):  # macOS
+        lib = _ctypes.CDLL(path)  # the copy numpy loaded, as it is the same file
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [_ctypes.c_int], None
+                set_threads(1)
+                return
+
+
+_one_blas_thread()
 
 from .config import TrigSpec, trig_preset
 from .errors import (

@@ -5,13 +5,15 @@ training-split statistics, fit the point and sequence models on the training
 split, reconstruct the test split both ways, derive anomaly/nominality
 scores on the common valid range, resolve the gate threshold from the
 training nominality distribution, produce the induced score, and sweep the
-scoring methods across induction lengths.  Labels are trimmed with the
-pair's ``valid_range``, so callers never align offsets by hand.
+scoring methods across induction lengths.  Labels are trimmed to the valid
+range with the scores, so callers never align offsets by hand.
 
 :func:`fit_models` builds the whole detector, min-max statistics included,
 from the raw training split.  :func:`score_split` preprocesses a raw split
-with those statistics and is the only code that computes the scores of a split.
-:func:`sweep_table` takes them as a :class:`ScoreBundle`, either the one
+with those statistics and scores it.  One loop, :func:`_split_scores`, computes
+the scores of every split, one chunk of it at a time: the test split's for
+``score_split`` and the training nominality for ``fit_models``.
+:func:`sweep_table` takes the scores as a :class:`ScoreBundle`, either the one
 ``score_split`` returns or one read back from the score matrix and threshold
 that ``score`` saves, and only evaluates them.
 """
@@ -27,7 +29,10 @@ from .errors import DataError, NonFiniteValue, ShapeError, shown
 from .evaluation import auc_and_best_f1
 from .reconstructors import (
     MODEL_FILE,
+    PointModel,
+    SequenceModel,
     TrainedModels,
+    _anchored_chunks,
     make_pair,
     reconstruct_points,
     reconstruct_sequence,
@@ -79,20 +84,27 @@ def fit_models(cfg: PipelineConfig, train_raw: LabeledSeries) -> TrainedModels:
     """Build the whole detector from the raw training split.
 
     Downsamples the split, fits the min-max statistics and applies them,
-    trains both reconstructors and records the training nominality scores.
+    trains both reconstructors and records the training nominality scores,
+    which :func:`_split_scores` computes as it computes a test split's.
     Overflow raises, not warns: a value too large to preprocess raises
     :class:`DataError` as in :func:`score_split`.  A split too short or too
     narrow for the models raises :class:`ShapeError` naming ``data.train``.
     """
-    train, stats = _scaled(cfg, train_raw, None, cfg.data.train or "training split")
+    name, factor = cfg.data.train or "training split", cfg.preprocess.downsample
+    try:
+        series = downsample(train_raw, factor)
+        stats = minmax_fit(series)
+        train = minmax_apply(series, stats)
+    except NonFiniteValue as exc:
+        raise _too_large(cfg, name, exc.row, _PREPROCESS) from None
+    _check_spans(series, stats, name, factor)
     try:
         point = train_point_model(train, cfg.point_model)
         seq = train_sequence_model(train, **vars(cfg.sequence_model))
     except ShapeError as exc:
-        raise ShapeError(f"{cfg.data.train or 'training split'}: {exc}") from None
-    pair = make_pair(train, reconstruct_points(point, train),
-                     reconstruct_sequence(seq, train), seq.gamma)
-    return TrainedModels(point, seq, stats, nominality_score(pair), train.channel_names)
+        raise ShapeError(f"{name}: {exc}") from None
+    nominality = _split_scores(cfg, point, seq, stats, train_raw, name)[2]
+    return TrainedModels(point, seq, stats, nominality, train.channel_names)
 
 
 def score_split(
@@ -100,8 +112,9 @@ def score_split(
 ) -> ScoreBundle:
     """Reconstruct a raw split both ways and compute all scores on it.
 
-    The split is first downsampled, then normalized with ``models.stats``,
-    as the training split was.
+    The split is downsampled, normalized with ``models.stats`` and scored
+    one chunk at a time by :func:`_split_scores`; the threshold and the
+    induced score then come from the whole score vectors.
 
     Raises:
         DataError: the split's channels are not the training split's, by name
@@ -116,47 +129,78 @@ def score_split(
     if test_raw.channel_names != models.channel_names:
         raise DataError(f"{name}: channels {shown(list(test_raw.channel_names))} are not the "
                         f"training split's {shown(list(models.channel_names))} (from {MODEL_FILE})")
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            test, _ = _scaled(cfg, test_raw, models.stats, name)
-            point_rec = reconstruct_points(models.point, test)
-            seq_rec = reconstruct_sequence(models.sequence, test)
-        except ShapeError as exc:
-            raise ShapeError(f"{name}: {exc}") from None
-        # A huge but finite value can overflow a squared distance or a window sum, which
-        # each ScoreSeries refuses.  The point score, of its own row only, goes first.
-        pair = make_pair(test, point_rec, seq_rec, models.sequence.gamma)
-        lo, hi = pair.valid_range
-        gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
-        try:
-            a_point = anomaly_score(pair)
-            a_seq = sequence_anomaly_score(pair)
-            nominality = nominality_score(pair)
-            induced = induced_anomaly_score(a_point, nominality, gate_cfg)
-        except NonFiniteValue as exc:
-            raise _too_large(cfg, lo + exc.row, "score (the scores overflow)") from None
-    labels = test.labels[lo:hi] if test.labels is not None else None
+    a_point, a_seq, nominality, labels = _split_scores(
+        cfg, models.point, models.sequence, models.stats, test_raw, name)
+    gate_cfg = resolve_theta(cfg.gate, models.train_nominality)
+    try:
+        induced = induced_anomaly_score(a_point, nominality, gate_cfg)
+    except NonFiniteValue as exc:
+        raise _too_large(cfg, name, a_point.time_origin + exc.row, _SCORE) from None
     return ScoreBundle(a_point, a_seq, nominality, induced, labels, gate_cfg.theta_n)
 
 
-def _scaled(cfg: PipelineConfig, raw: LabeledSeries, stats: MinMaxStats | None,
-            name: str) -> tuple[LabeledSeries, MinMaxStats]:
-    """``raw`` downsampled and min-max scaled by ``stats``, or if None by statistics fitted on
-    it, and those statistics; a value that overflows in either step raises :class:`DataError`
-    naming ``name`` and the first data row of its block, and so does, when fitting, a channel
-    that one cell would flatten (see :func:`_check_spans`)."""
-    factor = cfg.preprocess.downsample
-    fit = stats is None
-    try:
-        series = downsample(raw, factor)
-        stats = minmax_fit(series) if fit else stats
-        scaled = minmax_apply(series, stats)
-    except NonFiniteValue as exc:
-        raise DataError(f"{name}: row {exc.row * factor}: a value at or near this row is too "
-                        f"large to preprocess (downsampling or scaling overflows)") from None
-    if fit:
-        _check_spans(series, stats, name, factor)
-    return scaled, stats
+#: What a value of a split can be too large to do, in :func:`_too_large`'s message.
+_PREPROCESS = "preprocess (downsampling or scaling overflows)"
+_SCORE = "score (the scores overflow)"
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _split_scores(
+    cfg: PipelineConfig, point: PointModel, seq: SequenceModel, stats: MinMaxStats,
+    raw: LabeledSeries, name: str,
+) -> tuple[ScoreSeries, ScoreSeries, ScoreSeries, np.ndarray | None]:
+    """The point, sequence and nominality scores of the raw split ``raw``, and its labels,
+    on the valid range; ``name`` names the split in an error.
+
+    The split is read in the chunks of blocks that :func:`reconstruct_sequence`
+    multiplies (:func:`_anchored_chunks`): a chunk's time points are its blocks' and
+    gamma more on each side, and a time point is ``preprocess.downsample`` rows of the
+    split.  Each chunk is downsampled, scaled by ``stats``,
+    reconstructed and scored on its own, so of the whole split only the score
+    vectors are held.  Every score reads the rows it reads in the whole split, and
+    every block's product has the same rows, so the scores are the whole split's,
+    bit for bit.
+
+    A value that is too large raises :class:`DataError` naming ``name`` and the data
+    row that the whole split's checks would name first: they run in the order
+    downsampled values, scaled values, point, sequence and nominality scores, and
+    each names its first row.  So a chunk's error is kept and the chunks after it
+    run only the checks before its own.  A split shorter than one window is one
+    chunk, and raises :class:`ShapeError` naming ``name``.
+    """
+    factor, g, d = cfg.preprocess.downsample, seq.gamma, seq.delta
+    n_times = -(-raw.n_times // factor)  # time points after downsampling
+    n_rows = max(n_times - 2 * g, 0)
+    scores = np.empty((3, n_rows))
+    labels = None if raw.labels is None else np.empty(n_rows, np.int64)
+    scorers = (anomaly_score, sequence_anomaly_score, nominality_score)
+    first = (5, 0)  # the check, of the five above, and time point of the first failure
+    for chunk in _anchored_chunks(max(-(-n_rows // d), 1)):
+        lo, hi = chunk.start * d, min(chunk.stop * d + 2 * g, n_times)  # its time points
+        rows, scored = slice(lo * factor, hi * factor), slice(lo, hi - 2 * g)
+        part = LabeledSeries(raw.values[rows], None if raw.labels is None else raw.labels[rows],
+                             raw.channel_names)
+        check = 0
+        try:
+            part = downsample(part, factor)
+            if first[0] > 1:
+                check = 1
+                part = minmax_apply(part, stats)
+                pair = make_pair(part, reconstruct_points(point, part),
+                                 reconstruct_sequence(seq, part), g)
+                for check, scorer in enumerate(scorers[: first[0] - 2], 2):
+                    scores[check - 2, scored] = scorer(pair).scores
+                if labels is not None:
+                    labels[scored] = part.labels[g : part.n_times - g]
+        except NonFiniteValue as exc:  # a score's row counts from the chunk's gamma
+            first = (check, lo + exc.row + (g if check > 1 else 0))
+            if check == 0:
+                break
+        except ShapeError as exc:
+            raise ShapeError(f"{name}: {exc}") from None
+    if first[0] < 5:
+        raise _too_large(cfg, name, first[1], _PREPROCESS if first[0] < 2 else _SCORE)
+    return (*(ScoreSeries(vector, g) for vector in scores), labels)
 
 
 def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: int) -> None:
@@ -183,9 +227,9 @@ def _check_spans(series: LabeledSeries, stats: MinMaxStats, name: str, factor: i
                         f"{SPAN_RATIO:g}), so min-max scaling would flatten it")
 
 
-def _too_large(cfg: PipelineConfig, t: int, what: str) -> DataError:
-    """The error naming the test split's data row of time point ``t`` (its block's first)."""
-    return DataError(f"{cfg.data.test or 'test split'}: row {t * cfg.preprocess.downsample}: "
+def _too_large(cfg: PipelineConfig, name: str, t: int, what: str) -> DataError:
+    """The error naming split ``name``'s data row of time point ``t`` (its block's first)."""
+    return DataError(f"{name}: row {t * cfg.preprocess.downsample}: "
                      f"a value at or near this row is too large to {what}")
 
 
@@ -226,7 +270,8 @@ def sweep_table(cfg: PipelineConfig, bundle: ScoreBundle) -> dict:
             try:
                 pairs.append(auc_and_best_f1(sums, labels))
             except NonFiniteValue as exc:
-                raise _too_large(cfg, bundle.anomaly.time_origin + exc.row,
+                raise _too_large(cfg, cfg.data.test or "test split",
+                                 bundle.anomaly.time_origin + exc.row,
                                  f"sweep (the {name} sum at d={d} overflows)") from None
         rows[name] = {"auc": [p[0] for p in pairs], "best_f1": [p[1] for p in pairs]}
 

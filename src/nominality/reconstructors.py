@@ -36,8 +36,8 @@ from .series import LabeledSeries, MinMaxStats, ScoreSeries, write_json
 MODEL_FORMAT = "nominality-model-v2"
 #: The file ``train`` writes the detector to, and ``score`` and ``sweep`` read.
 MODEL_FILE = "model.json"
-# Design rows per fancy-index copy in SequenceModel._design_rows, and per
-# gather-and-multiply chunk in reconstruct_sequence.
+# Design rows per fancy-index copy in SequenceModel._design_rows, and blocks per
+# gather-and-multiply chunk in reconstruct_sequence and per scoring chunk in the pipeline.
 _GATHER_ROWS = 256
 
 
@@ -351,18 +351,27 @@ def train_sequence_model(
     return model
 
 
+def _anchored_chunks(n_blocks: int) -> list[slice]:
+    """Slices of ``_GATHER_ROWS`` blocks (all ``n_blocks`` when fewer) that cover
+    ``n_blocks`` blocks in order; the last is anchored at the end, so it may share
+    blocks with the one before, and every slice holds the same number of blocks."""
+    size = min(n_blocks, _GATHER_ROWS)
+    starts = [min(lo, n_blocks - size) for lo in range(0, n_blocks, _GATHER_ROWS)]
+    return [slice(lo, lo + size) for lo in starts]
+
+
 def reconstruct_sequence(model: SequenceModel, series: LabeledSeries) -> np.ndarray:
     """Predict every interior time point exactly once.
 
     Delta-blocks tile [gamma, T - gamma) starting at gamma; if the grid does
     not land on the right edge, one final block anchored at T - gamma - delta
     overwrites the overlap, so each point keeps a single predicted value.
-    The design is gathered and multiplied by ``weights`` into one buffer a
-    chunk of ``_GATHER_ROWS`` blocks at a time, so only one chunk of it is
-    held.  Every product has the same row count (all blocks when fewer), as
-    a BLAS product need not give a row the same bits at every row count
-    (products of 1 and 7 rows can differ in the last bits): the last chunk
-    is anchored at the end and rewrites the rows it shares with the one before.
+    The design is gathered and multiplied by ``weights`` into one buffer one
+    chunk of :func:`_anchored_chunks` at a time, so only one chunk of it is
+    held.  Every product has the same row count, as a BLAS product need not
+    give a row the same bits at every row count (products of 1 and 7 rows can
+    differ in the last bits); the last chunk rewrites the rows it shares with
+    the one before.
 
     Returns:
         (T - 2*gamma, D) matrix aligned at offset gamma.
@@ -374,12 +383,10 @@ def reconstruct_sequence(model: SequenceModel, series: LabeledSeries) -> np.ndar
     starts = _block_grid(g, d, series.n_times, d)
     if starts[-1] != n_rows + g - d:
         starts = np.append(starts, n_rows + g - d)
-    n_blocks, size = starts.shape[0], min(starts.shape[0], _GATHER_ROWS)
+    n_blocks = starts.shape[0]
     blocks = np.empty((n_blocks, d * model.n_channels))
-    for lo in range(0, n_blocks, _GATHER_ROWS):
-        lo = min(lo, n_blocks - size)  # the last chunk ends at n_blocks
-        np.matmul(model._design_rows(values, starts[lo : lo + size]), model.weights,
-                  out=blocks[lo : lo + size])
+    for chunk in _anchored_chunks(n_blocks):
+        np.matmul(model._design_rows(values, starts[chunk]), model.weights, out=blocks[chunk])
     out = blocks.reshape(n_blocks * d, model.n_channels)
     # The anchored final block overwrites the overlap; without one this
     # rewrites the last tiled block with itself.

@@ -71,7 +71,7 @@ class LabeledSeries:
                 raise ShapeError(
                     f"labels must have shape ({values.shape[0]},), got {labels.shape}"
                 )
-            if not np.isin(labels, (0, 1)).all():
+            if labels.min() < 0 or labels.max() > 1:
                 raise LabelError("labels must contain only 0 or 1")
             object.__setattr__(self, "labels", _freeze(labels))
         names = self.channel_names

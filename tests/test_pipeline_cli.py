@@ -1964,36 +1964,51 @@ def test_downsampled_chain_counts_blocks(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def preset_twice():
-    """The preset's config and models, and a preset test split of twice its 7680 rows."""
+def preset_long():
+    """The preset's config and models, and a preset test split of ten times its 7680 rows."""
     cfg = PipelineConfig()
-    data = gen_trig(dataclasses.replace(trig_preset(0), n_test=15360))
+    data = gen_trig(dataclasses.replace(trig_preset(0), n_test=76800))
     return cfg, fit_models(cfg, data.train), data.test
 
 
-@pytest.mark.parametrize("n_test", [7680, 15360])
-@pytest.mark.parametrize("stage, ratio, constant", [("load_csv", 2.45, 0),
-                                                    ("score_split", 6.2, 200_000)],
-                         ids=["load_csv", "score_split"])
-def test_stage_memory_is_bounded(preset_twice, tmp_path, n_test, stage, ratio, constant):
-    """A stage's tracemalloc peak on the preset's 7680 test rows, and on twice that, stays
-    below ``ratio`` times its input's bytes plus ``constant``: the CSV file for ``load_csv``,
-    the split's values for ``score_split``.  Each stage runs once untraced first.
+@pytest.mark.parametrize("stage, n_test, ratio, constant", [
+    pytest.param(stage, n, ratio, constant, id=f"{stage}-{n}")
+    for stage, sizes, ratio, constant in (("load_csv", (7680, 15360), 2.45, 0),
+                                          ("score_split", (38400, 76800), 24.25, 20_000),
+                                          ("evaluate", (38400, 76800), 10.25, 20_000),
+                                          ("sweep_table", (38400, 76800), 47.25, 20_000))
+    for n in sizes])
+def test_stage_memory_is_bounded(preset_long, tmp_path, stage, n_test, ratio, constant):
+    """A stage's tracemalloc peak on the first ``n_test`` rows of a preset test split stays
+    below ``ratio`` times its input's bytes plus ``constant``: the CSV file's for
+    ``load_csv``, and the score vectors' (n_test * 8) for ``score_split``, ``evaluate`` (of
+    the induced score) and ``sweep_table``.  Each stage runs once untraced first.
 
     Peaks (numpy 2.4): ``load_csv`` 2.35 times its file at both sizes (5.9 times its values),
-    its text and its lines; ``score_split`` 6.37 times its values at 7680 rows and 5.99 at
-    15360, where a constant of the sequence model's chunks counts less.  One more input-sized
-    copy held through the stage fails either bound: ``load_csv`` holding the file's bytes
-    while it splits the text peaked at 3.4 times its file.
+    its text and its lines.  ``score_split`` 24.00 times the score vectors' bytes: it holds
+    one chunk of the split at a time, and its peak is the induced score's doubling blocks
+    next to the three scores and the labels.  ``evaluate`` 10.00 times, and ``sweep_table``
+    47.0 times.  The three score stages are sized so that every score vector exceeds
+    numpy's 256 KiB threshold for reusing temporaries, as the ratio is one more below it.
+    One more input-sized copy held through the stage fails each bound: ``load_csv`` holding
+    the file's bytes while it splits the text peaked at 3.4 times its file, and at the
+    sizes here the bounds of the score stages leave less than one score vector to spare.
+    ``score_split`` peaked at 47.0 times when it held the whole split, raw, scaled and
+    reconstructed both ways.
     """
-    cfg, models, test = preset_twice
+    cfg, models, test = preset_long
     test = LabeledSeries(test.values[:n_test], test.labels[:n_test], test.channel_names)
+    size = n_test * 8
     if stage == "load_csv":
         path = str(tmp_path / "test.csv")
         save_csv(test, path)
         run, size = functools.partial(load_csv, path, "label"), os.path.getsize(path)
+    elif stage == "score_split":
+        run = functools.partial(score_split, cfg, models, test)
     else:
-        run, size = functools.partial(score_split, cfg, models, test), test.values.nbytes
+        bundle = score_split(cfg, models, test)
+        run = (functools.partial(evaluate, bundle.induced, bundle.labels) if stage == "evaluate"
+               else functools.partial(sweep_table, cfg, bundle))
     run()
     tracemalloc.start()
     try:
@@ -2044,6 +2059,40 @@ def test_huge_test_value_names_its_row(downsample, row, named):
     with pytest.raises(DataError, match=f"^test.csv: row {named}: a value at or near this row "
                        r"is too large to score \(the scores overflow\)$"):
         score_split(cfg, models, split)
+
+
+@pytest.mark.parametrize("cells, named, what", [
+    ({1038: 1e200}, 1038, "score (the scores overflow)"),
+    ({200: 1e200, 1500: 1.7e308}, 1500, "preprocess (downsampling or scaling overflows)"),
+    ({200: 1.7e308, 1600: 1.7e308, 1601: 1.7e308}, 1600,
+     "preprocess (downsampling or scaling overflows)"),
+], ids=["chunk-edge", "scaling-after-score", "downsampling-after-scaling"])
+def test_chunked_split_names_the_whole_splits_row(cells, named, what):
+    """A split scored in chunks names the row that the whole split's checks name first:
+    downsampled values, then scaled values, then the point, sequence and nominality scores.
+
+    At downsample 2, gamma 5 and delta 2 the split's 1200 blocks are scored in three chunks
+    of 256 sequence blocks; the second scores block time points 517-1028, and the first
+    reads its first five as context.  A huge value at data row 1038 (block 519) overflows
+    the first chunk's sequence scores before the second chunk reaches its own point score,
+    which is named.  A cell of 1.7e308 in c1, whose training span is 0.2, overflows scaling,
+    and two such cells in one block overflow downsampling; each is named over an earlier
+    row that overflows only a later check.
+    """
+    data = gen_trig(TrigSpec(n_channels=4, n_train=400, n_test=2400))
+    settings = {"data": {"test": "test.csv"}, "preprocess": {"downsample": 2},
+                "point_model": {"d_lat": 2, "epochs": 2},
+                "sequence_model": {"gamma": 5, "delta": 2}}
+    cfg = config_from_dict(settings)
+    train = data.train.values.copy()
+    train[:, 1] *= 0.2 / np.ptp(train[:, 1])
+    models = fit_models(cfg, dataclasses.replace(data.train, values=train))
+    values = data.test.values.copy()
+    for row, value in cells.items():
+        values[row, 1] = value
+    with pytest.raises(DataError, match=f"^test.csv: row {named}: a value at or near this row "
+                       f"is too large to {re.escape(what)}$"):
+        score_split(cfg, models, dataclasses.replace(data.test, values=values))
 
 
 # A small fit: the span rule runs before the models train.
@@ -2672,6 +2721,45 @@ def test_process_entry_freezes_gc_then_exits(monkeypatch):
         assert exc.value.code == 5 and gc.get_freeze_count() > 0
     finally:
         gc.unfreeze()
+
+
+#: The variables that set OpenBLAS's thread count, in the order it reads them.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    """``train`` and ``score`` write the same ``model.json``, score CSVs and ``scores.npy``
+    when no thread count is set as at ``OPENBLAS_NUM_THREADS=1``, run as the CLI or through
+    ``main`` after numpy is loaded, on the preset, where two BLAS threads change the last
+    bits of the sequence weights and of the scores after them unless the package runs
+    numpy's BLAS on one.  Importing the package leaves the environment as it found it, so
+    the processes it starts see the user's settings."""
+    env = {key: value for key, value in _child_env().items()
+           if key not in BLAS_THREAD_VARIABLES}
+    code = ("import os\nbefore = dict(os.environ)\nimport nominality\n"
+            "assert dict(os.environ) == before\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    numpy_first = ("import sys\nimport numpy\nfrom nominality.cli import main\n"
+                   "sys.exit(main(sys.argv[1:]))\n")
+    cli_module, written = ["-m", "nominality.cli"], {}
+    for name, program, threads in (("unset", cli_module, {}),
+                                   ("numpy-first", ["-c", numpy_first], {}),
+                                   ("one", cli_module, {"OPENBLAS_NUM_THREADS": "1"})):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(f"data:\n  train: {tmp_path}/train.csv\n  test: {tmp_path}/test.csv\n"
+                        f"output:\n  dir: {tmp_path / name}\n")
+        if not written:
+            assert main(["synth", "--config", str(path)]) == 0
+        for command in ("train", "score"):
+            done = subprocess.run([sys.executable, *program, command, "--config", str(path)],
+                                  env={**env, **threads}, capture_output=True, text=True,
+                                  timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+        written[name] = {file: (tmp_path / name / file).read_bytes()
+                         for file in ("model.json", *COMMAND_OUTPUTS["score"])}
+    assert written["unset"] == written["numpy-first"] == written["one"]
 
 
 def test_process_entry_flushes_piped_output(rundir, tmp_path, capsys):
